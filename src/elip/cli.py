@@ -331,10 +331,7 @@ def cmd_bench_occluded(args) -> int:
     cfg = _load_config(args)
     ds = storage.read_dataset(args.data)
     if args.vocab:
-        if not os.path.exists(args.vocab):
-            raise DataError(f"vocab file not found: {args.vocab}")
-        with open(args.vocab, "r", encoding="utf-8") as fh:
-            vocab = json.load(fh)
+        vocab = storage.read_vocab(args.vocab)
     elif ds.vocab is not None:
         vocab = ds.vocab
     else:

@@ -58,6 +58,11 @@ class CurationPlan:
     learnability: list | None = None
     source_seed: int = 0
 
+    def check_indices(self, n: int) -> None:
+        bad = [k for batch in self.batches for k in batch if not 0 <= k < n]
+        if bad:
+            raise DataError(f"plan index {bad[0]} outside dataset of {n} records")
+
 
 @dataclass
 class BenchmarkQuery:
@@ -166,6 +171,7 @@ def select_by_learnability(
         raise DataError("cannot select from an empty plan")
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction={fraction} must lie in (0, 1]")
+    plan.check_indices(ds.N)
     scores = []
     for batch in plan.batches:
         records = [ds.records[k] for k in batch]

@@ -338,10 +338,6 @@ def gradient_through_frozen(
 # ---------------------------------------------------------------------------
 
 
-def copy_bundle(model: ModelBundle) -> ModelBundle:
-    return copy.deepcopy(model)
-
-
 def copy_without_prompts(model: ModelBundle) -> ModelBundle:
     """A prompt-free view of the same frozen backbone (n = 0 everywhere)."""
     bare = copy.deepcopy(model)

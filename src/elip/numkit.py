@@ -1,4 +1,7 @@
-"""Dense rank-<=2 tensor math with hand-written backward passes.
+"""Dense tensor math with hand-written backward passes.
+
+Token sequences are (T, d) matrices; attention views them as an
+(H, T, d/H) head stack and runs each product as one batched matmul.
 
 Arrays are plain numpy ndarrays (float32 for training/inference, float64
 for gradient-check runs); every op is pure and keeps the input dtype.
@@ -36,14 +39,6 @@ class LayerParams:
         for key, value in self.tensors.items():
             if key not in self.grad:
                 self.grad[key] = np.zeros_like(value)
-
-    def zero_grad(self) -> None:
-        for g in self.grad.values():
-            g[...] = 0.0
-
-    def accumulate(self, grads: dict[str, Array]) -> None:
-        for key, value in grads.items():
-            self.grad[key] += value
 
 
 # ---------------------------------------------------------------------------
@@ -137,47 +132,56 @@ def layer_norm_backward(cache: tuple, grad_out: Array) -> tuple[Array, dict[str,
 
 
 def softmax_rows(x: Array) -> tuple[Array, Array]:
-    shifted = x - np.maximum.reduce(x, axis=1, keepdims=True)
+    """Softmax over the last axis, so (T, T) and (H, T, T) scores share it."""
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / np.add.reduce(e, axis=1, keepdims=True)
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
     return p, p
 
 
 def softmax_rows_backward(cache: Array, grad_out: Array) -> Array:
     p = cache
-    return p * (grad_out - np.add.reduce(grad_out * p, axis=1, keepdims=True))
+    return p * (grad_out - np.add.reduce(grad_out * p, axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
 # pre-norm transformer block: y = x + MHA(LN(x)); z = y + MLP(LN(y))
 # ---------------------------------------------------------------------------
 
+
+def _split_heads(x: Array, heads: int) -> Array:
+    """(T, H*dh) -> (H, T, dh) strided view. Head h has the strides of the
+    column slice x[:, h*dh:(h+1)*dh], so a batched matmul runs the same
+    per-head BLAS call as a loop over slices and gives the same bits."""
+    t_count, d = x.shape
+    return x.reshape(t_count, heads, d // heads).transpose(1, 0, 2)
+
+
+def _merge_heads(x: Array) -> Array:
+    """(H, T, dh) -> contiguous (T, H*dh), inverse of _split_heads."""
+    heads, t_count, dh = x.shape
+    return x.transpose(1, 0, 2).reshape(t_count, heads * dh)
+
+
 def attention_block(params: LayerParams, seq: Array, heads: int) -> tuple[Array, Array, tuple]:
     """Multi-head self-attention block; returns (out, attn (H,T,T), cache).
 
     Pre-norm residual wiring, MLP hidden width 4*d. attn rows are the
-    post-softmax weights per head.
+    post-softmax weights per head. All heads run as one (H, T, dh) stack.
     """
-    t_count, d = seq.shape
+    d = seq.shape[1]
     if d % heads != 0:
         raise ConfigError(f"model width {d} not divisible by {heads} heads")
-    dh = d // heads
-    scale = 1.0 / math.sqrt(dh)
+    scale = 1.0 / math.sqrt(d // heads)
     p = params.tensors
 
     h1, ln1_cache = _layer_norm_core(p["ln1.gamma"], p["ln1.beta"], seq)
-    q = h1 @ p["wq"].T + p["bq"]
-    k = h1 @ p["wk"].T + p["bk"]
-    v = h1 @ p["wv"].T + p["bv"]
+    q = _split_heads(h1 @ p["wq"].T + p["bq"], heads)
+    k = _split_heads(h1 @ p["wk"].T + p["bk"], heads)
+    v = _split_heads(h1 @ p["wv"].T + p["bv"], heads)
 
-    attn = np.empty((heads, t_count, t_count), dtype=seq.dtype)
-    o = np.empty_like(q)
-    for h in range(heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        scores = (q[:, sl] @ k[:, sl].T) * scale
-        a, _ = softmax_rows(scores)
-        attn[h] = a
-        o[:, sl] = a @ v[:, sl]
+    attn, _ = softmax_rows((q @ k.transpose(0, 2, 1)) * scale)
+    o = _merge_heads(attn @ v)
 
     attn_out = o @ p["wo"].T + p["bo"]
     y = seq + attn_out
@@ -196,8 +200,6 @@ def attention_block_backward(
     params: LayerParams, cache: tuple, grad_out: Array
 ) -> tuple[Array, dict[str, Array]]:
     h1, ln1_cache, q, k, v, attn, o, h2, ln2_cache, gelu_cache, a1, heads, scale = cache
-    d = q.shape[1]
-    dh = d // heads
     w1 = params.tensors["w1"]
     w2 = params.tensors["w2"]
     wo = params.tensors["wo"]
@@ -222,20 +224,13 @@ def attention_block_backward(
     grad_attn_out = grad_y
     grads["wo"] = grad_attn_out.T @ o
     grads["bo"] = grad_attn_out.sum(axis=0)
-    grad_o = grad_attn_out @ wo
+    grad_o = _split_heads(grad_attn_out @ wo, heads)
 
-    grad_q = np.zeros_like(q)
-    grad_k = np.zeros_like(k)
-    grad_v = np.zeros_like(v)
-    for h in range(heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        a = attn[h]
-        grad_oh = grad_o[:, sl]
-        grad_a = grad_oh @ v[:, sl].T
-        grad_v[:, sl] = a.T @ grad_oh
-        grad_s = softmax_rows_backward(a, grad_a)
-        grad_q[:, sl] = (grad_s @ k[:, sl]) * scale
-        grad_k[:, sl] = (grad_s.T @ q[:, sl]) * scale
+    grad_a = grad_o @ v.transpose(0, 2, 1)
+    grad_v = _merge_heads(attn.transpose(0, 2, 1) @ grad_o)
+    grad_s = softmax_rows_backward(attn, grad_a)
+    grad_q = _merge_heads((grad_s @ k) * scale)
+    grad_k = _merge_heads((grad_s.transpose(0, 2, 1) @ q) * scale)
 
     grads["wq"] = grad_q.T @ h1
     grads["bq"] = grad_q.sum(axis=0)

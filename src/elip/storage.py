@@ -45,6 +45,16 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _parse_json(path: str, parse):
+    """parse(doc) of the JSON file at path. Bad JSON, a missing key or a
+    wrongly typed value anywhere in the parse is one FormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
+
+
 # ---------------------------------------------------------------------------
 # tensor blobs
 # ---------------------------------------------------------------------------
@@ -142,25 +152,23 @@ def load_checkpoint(ckpt_dir: str) -> ModelBundle:
     index_path = os.path.join(ckpt_dir, "index.json")
     if not os.path.exists(index_path):
         raise DataError(f"checkpoint index not found: {index_path}")
-    with open(index_path, "r", encoding="utf-8") as fh:
-        try:
-            index = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{index_path}: invalid JSON ({exc})") from exc
-    dims = DimsConfig(**index["dims"])
-    mapper_cfg = MapperConfig(**index["mapper"])
-    dtype = np.float32 if index["dtype"] == "f32" else np.float64
-    model = init_frozen_model(
-        index["seed"], dims, index["variant"], mapper_cfg, dtype=dtype
-    )
+    seed, variant, dims, mapper_cfg, dtype, files = _parse_json(index_path, lambda doc: (
+        doc["seed"],
+        doc["variant"],
+        DimsConfig(**{key: int(value) for key, value in doc["dims"].items()}),
+        MapperConfig(**doc["mapper"]),
+        np.float32 if doc["dtype"] == "f32" else np.float64,
+        {name: str(meta["file"]) for name, meta in doc["tensors"].items()},
+    ))
+    model = init_frozen_model(seed, dims, variant, mapper_cfg, dtype=dtype)
     by_name = {}
     for layer in model.layers():
         for key in layer.tensors:
             by_name[f"{layer.name}.{key}"] = (layer, key)
-    for name, meta in index["tensors"].items():
+    for name, fname in files.items():
         if name not in by_name:
             raise FormatError(f"{index_path}: unexpected tensor {name!r}")
-        arr = read_tensor_blob(os.path.join(ckpt_dir, meta["file"]))
+        arr = read_tensor_blob(os.path.join(ckpt_dir, fname))
         layer, key = by_name[name]
         if tuple(arr.shape) != tuple(layer.tensors[key].shape):
             raise FormatError(
@@ -169,7 +177,7 @@ def load_checkpoint(ckpt_dir: str) -> ModelBundle:
             )
         layer.tensors[key] = arr.astype(dtype, copy=False)
         layer.grad[key] = np.zeros_like(layer.tensors[key])
-    missing = set(by_name) - set(index["tensors"])
+    missing = set(by_name) - set(files)
     if missing:
         raise FormatError(f"{index_path}: missing tensors {sorted(missing)}")
     return model
@@ -249,11 +257,15 @@ def read_dataset(manifest_path: str) -> PairDataset:
                     f"{manifest_path}:{lineno}: missing field {exc}"
                 ) from exc
     vocab_path = os.path.join(base, "vocab.json")
-    vocab = None
-    if os.path.exists(vocab_path):
-        with open(vocab_path, "r", encoding="utf-8") as fh:
-            vocab = json.load(fh)
+    vocab = read_vocab(vocab_path) if os.path.exists(vocab_path) else None
     return PairDataset(records=records, vocab=vocab)
+
+
+def read_vocab(path: str) -> dict:
+    """Tokenizer table: word -> token id."""
+    if not os.path.exists(path):
+        raise DataError(f"vocab file not found: {path}")
+    return _parse_json(path, lambda doc: {str(word): int(tid) for word, tid in doc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +284,13 @@ def write_benchmark(path: str, bench: Benchmark) -> None:
 def read_benchmark(path: str, gallery_ids: list) -> Benchmark:
     if not os.path.exists(path):
         raise DataError(f"benchmark file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if "queries" not in doc:
-        raise FormatError(f"{path}: missing 'queries' key")
-    queries = [
+    queries = _parse_json(path, lambda doc: [
         BenchmarkQuery(
             text_tokens=[int(t) for t in q["text_tokens"]],
             positives=set(q["positives"]),
         )
         for q in doc["queries"]
-    ]
+    ])
     return Benchmark(queries=queries, gallery_ids=list(gallery_ids))
 
 
@@ -301,13 +306,11 @@ def write_plan(path: str, plan: CurationPlan) -> None:
 def read_plan(path: str) -> CurationPlan:
     if not os.path.exists(path):
         raise DataError(f"plan file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return CurationPlan(
+    return _parse_json(path, lambda doc: CurationPlan(
         batches=[list(map(int, b)) for b in doc["batches"]],
         learnability=doc.get("learnability"),
         source_seed=int(doc.get("source_seed", 0)),
-    )
+    ))
 
 
 def write_store(out_dir: str, store: EmbeddingStore) -> None:
@@ -324,10 +327,9 @@ def read_store(store_dir: str) -> EmbeddingStore:
     ids_path = os.path.join(store_dir, "ids.json")
     if not os.path.exists(ids_path):
         raise DataError(f"store ids not found: {ids_path}")
-    with open(ids_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    ids, seed = _parse_json(ids_path, lambda doc: (list(doc["ids"]), doc["seed"]))
     matrix = read_tensor_blob(os.path.join(store_dir, "embeddings.bin"))
-    return EmbeddingStore(ids=doc["ids"], matrix=matrix, provenance_seed=doc["seed"])
+    return EmbeddingStore(ids=ids, matrix=matrix, provenance_seed=seed)
 
 
 def write_rankings(path: str, rankings: list) -> None:
@@ -346,9 +348,7 @@ def write_rankings(path: str, rankings: list) -> None:
 def read_rankings(path: str) -> list:
     if not os.path.exists(path):
         raise DataError(f"rankings file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return [
+    return _parse_json(path, lambda doc: [
         RankingResult(
             query_id=r["query_id"],
             entries=[(e[0], float(e[1])) for e in r["entries"]],
@@ -356,7 +356,7 @@ def read_rankings(path: str) -> list:
             k_reranked=int(r["k_reranked"]),
         )
         for r in doc["rankings"]
-    ]
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,7 @@ def train(
     for batch in plan.batches:
         if len(batch) < 2:
             raise ConfigError("every training batch needs >= 2 records")
+    plan.check_indices(ds.N)
 
     if cfg.jest_fraction:
         reference = copy_without_prompts(model)

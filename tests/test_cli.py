@@ -203,6 +203,87 @@ def test_corrupt_checkpoint_blob_exit_two(workdir, capsys):
     assert "offset 0" in capsys.readouterr().err
 
 
+def assert_exit_two_without_traceback(workdir, capsys, path, *argv):
+    code = run(workdir, *argv, "--config", "config.json", "--out", "bad")
+    out, err = capsys.readouterr()
+    assert code == 2, err
+    assert json.loads(out)["status"] == "error"
+    assert err.startswith("error: ") and path in err
+
+
+READERS = {
+    "plan/plan.json": ("train", "--model", "model/checkpoint", "--data", "data/data.jsonl",
+                       "--plan", "plan/plan.json", "--steps", 1),
+    "ranked/rankings.json": ("eval", "--rankings", "ranked/rankings.json",
+                             "--bench", "data/benchmark.json"),
+    "gal/gallery/ids.json": ("rank", "--model", "model/checkpoint", "--gallery", "gal/gallery",
+                             "--bench", "data/benchmark.json"),
+    "data/benchmark.json": ("rank", "--model", "model/checkpoint", "--gallery", "gal/gallery",
+                            "--bench", "data/benchmark.json"),
+    "model/checkpoint/index.json": ("embed-gallery", "--model", "model/checkpoint",
+                                    "--data", "data/data.jsonl"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(READERS))
+@pytest.mark.parametrize("damage", ["truncated", "missing_keys", "wrong_types"])
+def test_malformed_json_artifact_exit_two(workdir, capsys, path, damage):
+    build_pipeline(workdir, capsys)
+    assert run(workdir, "rank", "--config", "config.json", "--out", "ranked",
+               "--model", "model/checkpoint", "--gallery", "gal/gallery",
+               "--bench", "data/benchmark.json") == 0
+    capsys.readouterr()
+    text = open(path).read()
+    damaged = {
+        "truncated": text[: len(text) // 2],
+        "missing_keys": "{}",
+        "wrong_types": json.dumps({key: 3 for key in json.loads(text)}),
+    }[damage]
+    with open(path, "w") as fh:
+        fh.write(damaged)
+    assert_exit_two_without_traceback(workdir, capsys, path, *READERS[path])
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_truncated_vocab_exit_two(workdir, capsys, flag):
+    build_pipeline(workdir, capsys)
+    text = open("data/vocab.json").read()
+    path = "own-vocab.json" if flag else "data/vocab.json"
+    with open(path, "w") as fh:
+        fh.write(text[: len(text) // 2])
+    argv = ["bench-occluded", "--data", "data/data.jsonl"] + (["--vocab", path] if flag else [])
+    assert_exit_two_without_traceback(workdir, capsys, path, *argv)
+
+
+@pytest.mark.parametrize("field, value", [("file", 5), ("width", "wide")])
+def test_checkpoint_index_bad_value_exit_two(workdir, capsys, field, value):
+    build_pipeline(workdir, capsys)
+    path = "model/checkpoint/index.json"
+    index = json.loads(open(path).read())
+    if field == "file":
+        index["tensors"]["proj_image.weight"]["file"] = value
+    else:
+        index["dims"]["P"] = value
+    with open(path, "w") as fh:
+        json.dump(index, fh)
+    assert_exit_two_without_traceback(workdir, capsys, "model/checkpoint",
+                                      "flops", "--model", "model/checkpoint")
+
+
+@pytest.mark.parametrize("bad_index", [12, -1])
+def test_train_plan_index_outside_dataset_exit_two(workdir, capsys, bad_index):
+    build_pipeline(workdir, capsys)
+    with open("plan/plan.json", "w") as fh:
+        json.dump({"batches": [[0, 1, 2], [3, bad_index, 5]], "source_seed": 7}, fh)
+    assert_exit_two_without_traceback(
+        workdir, capsys, "outside dataset of 12 records", "train", "--model",
+        "model/checkpoint", "--data", "data/data.jsonl", "--plan", "plan/plan.json",
+        "--steps", 1)
+    assert_exit_two_without_traceback(
+        workdir, capsys, "outside dataset of 12 records", "curate-select", "--model",
+        "model/checkpoint", "--data", "data/data.jsonl", "--plan", "plan/plan.json")
+
+
 def test_degenerate_embedding_exit_three(workdir, capsys):
     import numpy as np
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from elip import numkit
 from elip.encoders import init_frozen_model
-from elip.config import MapperConfig
+from elip.config import DimsConfig, MapperConfig
 from elip.errors import ConfigError, DimensionError
 from elip.numkit import (
     LayerParams,
@@ -310,6 +310,132 @@ def test_ops_are_pure():
     assert np.array_equal(seq, seq_copy)
     for k in tensors_copy:
         assert np.array_equal(params.tensors[k], tensors_copy[k])
+
+
+# ---------------------------------------------------------------------------
+# stacked-heads kernel vs the per-head loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _loop_softmax(x):
+    shifted = x - np.maximum.reduce(x, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
+
+
+def _loop_attention(params, seq, heads):
+    """Reference: one 2-D product per head on column slices of Q, K, V."""
+    t_count, d = seq.shape
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    p = params.tensors
+    h1, ln1_cache = numkit._layer_norm_core(p["ln1.gamma"], p["ln1.beta"], seq)
+    q = h1 @ p["wq"].T + p["bq"]
+    k = h1 @ p["wk"].T + p["bk"]
+    v = h1 @ p["wv"].T + p["bv"]
+    attn = np.empty((heads, t_count, t_count), dtype=seq.dtype)
+    o = np.empty_like(q)
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        attn[h] = _loop_softmax((q[:, sl] @ k[:, sl].T) * scale)
+        o[:, sl] = attn[h] @ v[:, sl]
+    y = seq + (o @ p["wo"].T + p["bo"])
+    h2, ln2_cache = numkit._layer_norm_core(p["ln2.gamma"], p["ln2.beta"], y)
+    a1, gelu_cache = gelu(h2 @ p["w1"].T + p["b1"])
+    out = y + (a1 @ p["w2"].T + p["b2"])
+    return out, attn, (h1, ln1_cache, q, k, v, attn, o, h2, ln2_cache, gelu_cache, a1, dh, scale)
+
+
+def _loop_attention_backward(params, cache, grad_out):
+    h1, ln1_cache, q, k, v, attn, o, h2, ln2_cache, gelu_cache, a1, dh, scale = cache
+    p = params.tensors
+    grads = {"w2": grad_out.T @ a1, "b2": grad_out.sum(axis=0)}
+    grad_m1 = gelu_backward(gelu_cache, grad_out @ p["w2"])
+    grads["w1"] = grad_m1.T @ h2
+    grads["b1"] = grad_m1.sum(axis=0)
+    grad_ln2, ln2_grads = layer_norm_backward(ln2_cache, grad_m1 @ p["w1"])
+    grads["ln2.gamma"], grads["ln2.beta"] = ln2_grads["gamma"], ln2_grads["beta"]
+    grad_y = grad_out + grad_ln2
+    grads["wo"] = grad_y.T @ o
+    grads["bo"] = grad_y.sum(axis=0)
+    grad_o = grad_y @ p["wo"]
+    grad_q, grad_k, grad_v = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for h in range(attn.shape[0]):
+        sl = slice(h * dh, (h + 1) * dh)
+        a = attn[h]
+        grad_oh = grad_o[:, sl]
+        grad_a = grad_oh @ v[:, sl].T
+        grad_v[:, sl] = a.T @ grad_oh
+        grad_s = a * (grad_a - np.add.reduce(grad_a * a, axis=1, keepdims=True))
+        grad_q[:, sl] = (grad_s @ k[:, sl]) * scale
+        grad_k[:, sl] = (grad_s.T @ q[:, sl]) * scale
+    for name, g in (("q", grad_q), ("k", grad_k), ("v", grad_v)):
+        grads[f"w{name}"] = g.T @ h1
+        grads[f"b{name}"] = g.sum(axis=0)
+    grad_h1 = grad_q @ p["wq"] + grad_k @ p["wk"] + grad_v @ p["wv"]
+    grad_ln1, ln1_grads = layer_norm_backward(ln1_cache, grad_h1)
+    grads["ln1.gamma"], grads["ln1.beta"] = ln1_grads["gamma"], ln1_grads["beta"]
+    return grad_y + grad_ln1, grads
+
+
+def _assert_block_matches_loop(params, seq, heads, grad_out):
+    out, attn, cache = attention_block(params, seq, heads)
+    ref_out, ref_attn, ref_cache = _loop_attention(params, seq, heads)
+    assert out.dtype == ref_out.dtype == seq.dtype
+    assert attn.dtype == seq.dtype and attn.shape == (heads,) + seq.shape[:1] * 2
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(attn, ref_attn)
+    grad_seq, grads = attention_block_backward(params, cache, grad_out)
+    ref_grad_seq, ref_grads = _loop_attention_backward(params, ref_cache, grad_out)
+    assert np.array_equal(grad_seq, ref_grad_seq)
+    assert sorted(grads) == sorted(ref_grads) == sorted(params.tensors)
+    for key, g in grads.items():
+        assert g.dtype == seq.dtype
+        assert np.array_equal(g, ref_grads[key]), key
+
+
+def _random_block(seed, d, dtype):
+    """block_params with every bias and LN affine drawn too."""
+    params = block_params(seed, d, dtype=dtype)
+    rng = Rng(seed + 1)
+    for key, value in params.tensors.items():
+        if value.ndim == 1:
+            base = 1.0 if key.endswith("gamma") else 0.0
+            params.tensors[key] = (base + rng.gaussian_matrix(1, value.size, 0.2)[0]).astype(dtype)
+    return params
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("t_count", [1, 5, 27])
+def test_stacked_block_is_bit_identical_to_per_head_loop(dtype, heads, t_count):
+    d = 32
+    params = _random_block(50 + heads, d, dtype)
+    rng = Rng(60 + t_count)
+    seq = rng.gaussian_matrix(t_count, d).astype(dtype)
+    grad_out = rng.gaussian_matrix(t_count, d).astype(dtype)
+    _assert_block_matches_loop(params, seq, heads, grad_out)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stacked_block_is_bit_identical_on_prompted_layout(dtype):
+    """Default dims: P patch rows + CLS + n prompts through a real frozen
+    image block, and the m+1 text layout through a real text block."""
+    model = init_frozen_model(3, DimsConfig(), "C", MapperConfig(n=10), dtype=dtype)
+    dims = model.dims
+    rng = Rng(70)
+    seq = np.concatenate([
+        rng.gaussian_matrix(dims.P + 1, dims.d_v),
+        0.3 * rng.gaussian_matrix(dims.n, dims.d_v),
+    ], axis=0).astype(dtype)
+    assert seq.shape[0] == dims.P + 1 + dims.n
+    grad_out = rng.gaussian_matrix(*seq.shape).astype(dtype)
+    for block in model.image_blocks:
+        _assert_block_matches_loop(block, seq, dims.H, grad_out)
+    text_seq = rng.gaussian_matrix(dims.m + 1, dims.d_t).astype(dtype)
+    text_grad = rng.gaussian_matrix(dims.m + 1, dims.d_t).astype(dtype)
+    for block in model.text_blocks:
+        _assert_block_matches_loop(block, text_seq, dims.H, text_grad)
 
 
 # ---------------------------------------------------------------------------
