@@ -83,10 +83,7 @@ class ModelBundle:
         return [p for p in self.layers() if p.trainable]
 
 
-def _block_params(name: str, rng: Rng, d: int, dtype) -> LayerParams:
-    def w(rows, cols, fan_in):
-        return rng.gaussian_matrix(rows, cols, 1.0 / np.sqrt(fan_in)).astype(dtype)
-
+def _block_params(name: str, w, d: int, dtype) -> LayerParams:
     tensors = {
         "ln1.gamma": np.ones(d, dtype=dtype),
         "ln1.beta": np.zeros(d, dtype=dtype),
@@ -115,15 +112,28 @@ def init_frozen_model(
     mapper_cfg: MapperConfig | None = None,
     dtype=np.float32,
 ) -> ModelBundle:
-    """Build a full bundle from one seed; the draw order below is pinned.
+    """Build a full bundle from one seed; the draw order is pinned.
 
     Weight matrices and embedding/CLS/positional tables come from the
-    SplitMix64 stream at scale 1/sqrt(fan_in); biases start at zero,
-    layer-norm at identity. The mapper's final layer is zero-initialized so
-    training starts from a no-op prompt; the ITM scorer stays random like
-    the pretrained head it stands in for (a zero scorer would cut gradient
-    flow to the mapper whenever the head is frozen).
+    SplitMix64 stream at scale 1/sqrt(fan_in), in the order _assemble_model
+    asks for them; biases start at zero, layer-norm at identity. The
+    mapper's final layer is zero-initialized so training starts from a
+    no-op prompt; the ITM scorer stays random like the pretrained head it
+    stands in for (a zero scorer would cut gradient flow to the mapper
+    whenever the head is frozen).
     """
+    rng = Rng(seed)
+    dtype = np.dtype(dtype)
+
+    def w(rows, cols, fan_in):
+        return rng.gaussian_matrix(rows, cols, 1.0 / np.sqrt(fan_in)).astype(dtype)
+
+    return _assemble_model(seed, dims, variant, mapper_cfg, dtype, w)
+
+
+def _assemble_model(seed, dims, variant, mapper_cfg, dtype, w) -> ModelBundle:
+    """Every tensor of the bundle; w(rows, cols, fan_in) supplies each weight
+    matrix, and is called in the pinned draw order below."""
     dims = dims.validate()
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
@@ -135,17 +145,11 @@ def init_frozen_model(
     hidden = mapper_cfg.hidden or 4 * dims.d_v
     mapper_cfg = replace(mapper_cfg, hidden=hidden)
 
-    rng = Rng(seed)
-    dtype = np.dtype(dtype)
-
-    def w(name_rows, cols, fan_in):
-        return rng.gaussian_matrix(name_rows, cols, 1.0 / np.sqrt(fan_in)).astype(dtype)
-
     token_embed = LayerParams("token_embed", {"weight": w(dims.vocab, dims.d_t, dims.d_t)})
     text_pos = LayerParams("text_pos", {"weight": w(dims.m + 1, dims.d_t, dims.d_t)})
     text_cls = LayerParams("text_cls", {"weight": w(1, dims.d_t, dims.d_t)})
     text_blocks = [
-        _block_params(f"text.block{i}", rng, dims.d_t, dtype) for i in range(dims.L_t)
+        _block_params(f"text.block{i}", w, dims.d_t, dtype) for i in range(dims.L_t)
     ]
     text_ln = _ln_params("text.final_ln", dims.d_t, dtype)
     proj_text = LayerParams("proj_text", {"weight": w(dims.d_e, dims.d_t, dims.d_t)})
@@ -157,7 +161,7 @@ def init_frozen_model(
     image_pos = LayerParams("image_pos", {"weight": w(dims.P + 1, dims.d_v, dims.d_v)})
     image_cls = LayerParams("image_cls", {"weight": w(1, dims.d_v, dims.d_v)})
     image_blocks = [
-        _block_params(f"image.block{i}", rng, dims.d_v, dtype) for i in range(dims.L_v)
+        _block_params(f"image.block{i}", w, dims.d_v, dtype) for i in range(dims.L_v)
     ]
     image_ln = _ln_params("image.final_ln", dims.d_v, dtype)
     proj_image = LayerParams("proj_image", {"weight": w(dims.d_e, dims.d_v, dims.d_v)})

@@ -9,6 +9,7 @@ break by ascending image id.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,16 +264,20 @@ def curve(rankings, bench: Benchmark, kind: str, ks=None) -> CurveData:
         points = [(float(k), recall_at_k(rankings, bench, k)) for k in sweep]
         return CurveData(kind=kind, points=points)
     if kind == "precision_recall":
-        stairs = [
-            _pr_staircase(ranking, q.positives)
-            for ranking, q in _rankings_by_query(rankings, bench)
-        ]
+        # Interpolated precision at recall r is the max precision over the
+        # staircase points with recall >= r. Recall never decreases along a
+        # staircase, so those points are a suffix: one bisect finds it, and
+        # a suffix maximum of precision answers it.
+        tables = []
+        for ranking, q in _rankings_by_query(rankings, bench):
+            stair = _pr_staircase(ranking, q.positives)
+            best = [p for _, p in stair]
+            for i in range(len(best) - 2, -1, -1):
+                best[i] = max(best[i], best[i + 1])
+            tables.append(([rec for rec, _ in stair], best + [0.0]))
         points = []
         for r in PR_RECALL_GRID:
-            per_query = []
-            for stair in stairs:
-                feasible = [p for rec, p in stair if rec >= r - 1e-12]
-                per_query.append(max(feasible) if feasible else 0.0)
+            per_query = [best[bisect_left(recalls, r - 1e-12)] for recalls, best in tables]
             points.append((r, float(np.mean(per_query))))
         return CurveData(kind=kind, points=points)
     raise ConfigError(f"unknown curve kind {kind!r}")

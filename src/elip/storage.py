@@ -9,8 +9,10 @@ little-endian row-major.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import shutil
 import struct
 from dataclasses import asdict
 
@@ -24,7 +26,7 @@ from .curation import (
     PairDataset,
     PairRecord,
 )
-from .encoders import ModelBundle, init_frozen_model
+from .encoders import ModelBundle, _assemble_model
 from .errors import ConfigError, DataError, FormatError
 from .retrieval import CurveData, EmbeddingStore, MetricReport, RankingResult
 
@@ -47,10 +49,13 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def _parse_json(path: str, parse):
     """parse(doc) of the JSON file at path. Bad JSON, a missing key or a
-    wrongly typed value anywhere in the parse is one FormatError."""
+    wrongly typed value anywhere in the parse is one FormatError; a
+    FormatError that parse raises itself passes through unchanged."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(json.load(fh))
+    except FormatError:
+        raise
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
 
@@ -105,15 +110,22 @@ def blob_to_tensor(data: bytes, source: str = "<bytes>") -> np.ndarray:
     return arr
 
 
-def write_tensor_blob(path: str, arr: np.ndarray) -> None:
-    atomic_write_bytes(path, tensor_to_blob(arr))
+def write_tensor_blob(path: str, arr: np.ndarray) -> str:
+    """Writes the blob of arr; returns its sha256 hex digest."""
+    data = tensor_to_blob(arr)
+    atomic_write_bytes(path, data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def read_tensor_blob(path: str) -> np.ndarray:
+def _read_blob_bytes(path: str) -> bytes:
     if not os.path.exists(path):
         raise DataError(f"tensor blob not found: {path}")
     with open(path, "rb") as fh:
-        return blob_to_tensor(fh.read(), source=path)
+        return fh.read()
+
+
+def read_tensor_blob(path: str) -> np.ndarray:
+    return blob_to_tensor(_read_blob_bytes(path), source=path)
 
 
 # ---------------------------------------------------------------------------
@@ -121,63 +133,116 @@ def read_tensor_blob(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+CHECKPOINT_VERSION = 2
+_DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+
+
 def save_checkpoint(ckpt_dir: str, model: ModelBundle) -> None:
-    os.makedirs(ckpt_dir, exist_ok=True)
+    """Writes the checkpoint into the sibling directory `.<name>.tmp` and
+    renames it into place, so ckpt_dir never holds a half-written or mixed
+    checkpoint. POSIX cannot swap two directories in one rename, so an
+    existing checkpoint is first renamed to `.<name>.old`, which is deleted
+    once the new one is in place."""
+    target = os.path.normpath(ckpt_dir)
+    parent, base = os.path.split(target)
+    tmp = os.path.join(parent, f".{base}.tmp")
+    aside = os.path.join(parent, f".{base}.old")
+    shutil.rmtree(tmp, ignore_errors=True)  # left by an interrupted save
+    os.makedirs(tmp)
+    try:
+        _write_checkpoint_files(tmp, model)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if os.path.exists(target):
+        shutil.rmtree(aside, ignore_errors=True)
+        os.replace(target, aside)
+    os.replace(tmp, target)
+    shutil.rmtree(aside, ignore_errors=True)
+
+
+def _write_checkpoint_files(out_dir: str, model: ModelBundle) -> None:
     tensors = {}
     for name, arr, trainable in model.iter_tensors():
         fname = f"{name}.bin"
-        write_tensor_blob(os.path.join(ckpt_dir, fname), arr)
         tensors[name] = {
             "file": fname,
-            "dtype": "f32" if arr.dtype == np.float32 else "f64",
+            "dtype": _DTYPE_NAMES[arr.dtype],
             "shape": list(arr.shape),
+            "sha256": write_tensor_blob(os.path.join(out_dir, fname), arr),
             "trainable": trainable,
         }
     index = {
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "variant": model.variant,
         "seed": model.seed,
-        "dtype": "f32" if model.dtype == np.float32 else "f64",
+        "dtype": _DTYPE_NAMES[np.dtype(model.dtype)],
         "dims": asdict(model.dims),
         "mapper": asdict(model.mapper_cfg),
         "tensors": tensors,
     }
     atomic_write_text(
-        os.path.join(ckpt_dir, "index.json"),
+        os.path.join(out_dir, "index.json"),
         json.dumps(index, indent=2, sort_keys=True) + "\n",
     )
 
 
 def load_checkpoint(ckpt_dir: str) -> ModelBundle:
+    """Reads a version-2 checkpoint. Every blob must match the sha256, dtype
+    and shape its index entry records, and the layout of the bundle the
+    index describes; any mismatch is a FormatError."""
     index_path = os.path.join(ckpt_dir, "index.json")
     if not os.path.exists(index_path):
         raise DataError(f"checkpoint index not found: {index_path}")
-    seed, variant, dims, mapper_cfg, dtype, files = _parse_json(index_path, lambda doc: (
-        doc["seed"],
-        doc["variant"],
-        DimsConfig(**{key: int(value) for key, value in doc["dims"].items()}),
-        MapperConfig(**doc["mapper"]),
-        np.float32 if doc["dtype"] == "f32" else np.float64,
-        {name: str(meta["file"]) for name, meta in doc["tensors"].items()},
-    ))
-    model = init_frozen_model(seed, dims, variant, mapper_cfg, dtype=dtype)
+
+    def parse(doc):
+        if doc["version"] != CHECKPOINT_VERSION:
+            raise FormatError(
+                f"{index_path}: checkpoint index version {doc['version']!r} is not "
+                f"{CHECKPOINT_VERSION}; version 1 records no blob digests, so "
+                "re-create the checkpoint"
+            )
+        return (
+            doc["seed"],
+            doc["variant"],
+            DimsConfig(**{key: int(value) for key, value in doc["dims"].items()}),
+            MapperConfig(**doc["mapper"]),
+            np.dtype(np.float32 if doc["dtype"] == "f32" else np.float64),
+            {
+                name: (str(meta["file"]), str(meta["dtype"]),
+                       tuple(int(d) for d in meta["shape"]), str(meta["sha256"]))
+                for name, meta in doc["tensors"].items()
+            },
+        )
+
+    seed, variant, dims, mapper_cfg, dtype, entries = _parse_json(index_path, parse)
+    # The bundle's layout without drawing its weights: every weight matrix
+    # is overwritten from its blob below.
+    model = _assemble_model(seed, dims, variant, mapper_cfg, dtype,
+                            lambda rows, cols, fan_in: np.empty((rows, cols), dtype=dtype))
     by_name = {}
     for layer in model.layers():
         for key in layer.tensors:
             by_name[f"{layer.name}.{key}"] = (layer, key)
-    for name, fname in files.items():
+    for name, (fname, dtype_name, shape, digest) in entries.items():
         if name not in by_name:
             raise FormatError(f"{index_path}: unexpected tensor {name!r}")
-        arr = read_tensor_blob(os.path.join(ckpt_dir, fname))
         layer, key = by_name[name]
-        if tuple(arr.shape) != tuple(layer.tensors[key].shape):
+        expected = layer.tensors[key]
+        blob_path = os.path.join(ckpt_dir, fname)
+        data = _read_blob_bytes(blob_path)
+        arr = blob_to_tensor(data, source=blob_path)
+        if hashlib.sha256(data).hexdigest() != digest:
+            raise FormatError(f"{blob_path}: sha256 does not match {index_path}")
+        found = (_DTYPE_NAMES[arr.dtype], arr.shape)
+        if found != (dtype_name, shape) or found != (_DTYPE_NAMES[expected.dtype], expected.shape):
             raise FormatError(
-                f"{index_path}: tensor {name!r} shape {arr.shape} != "
-                f"{layer.tensors[key].shape}"
+                f"{index_path}: tensor {name!r} in {blob_path} is {found[0]} {found[1]}; "
+                f"the index says {dtype_name} {shape}, the model needs "
+                f"{_DTYPE_NAMES[expected.dtype]} {expected.shape}"
             )
-        layer.tensors[key] = arr.astype(dtype, copy=False)
-        layer.grad[key] = np.zeros_like(layer.tensors[key])
-    missing = set(by_name) - set(files)
+        layer.tensors[key] = arr
+    missing = set(by_name) - set(entries)
     if missing:
         raise FormatError(f"{index_path}: missing tensors {sorted(missing)}")
     return model
@@ -342,7 +407,9 @@ def write_rankings(path: str, rankings: list) -> None:
         }
         for r in rankings
     ]}
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # No indent: an indented dump runs the pure-Python encoder, several
+    # times slower than the C one on tens of thousands of entries.
+    atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def read_rankings(path: str) -> list:

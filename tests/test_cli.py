@@ -209,6 +209,7 @@ def assert_exit_two_without_traceback(workdir, capsys, path, *argv):
     assert code == 2, err
     assert json.loads(out)["status"] == "error"
     assert err.startswith("error: ") and path in err
+    return err
 
 
 READERS = {
@@ -270,6 +271,98 @@ def test_checkpoint_index_bad_value_exit_two(workdir, capsys, field, value):
                                       "flops", "--model", "model/checkpoint")
 
 
+def _flip_last_byte(path):
+    with open(path, "r+b") as fh:
+        fh.seek(-1, os.SEEK_END)
+        last = fh.read(1)
+        fh.seek(-1, os.SEEK_END)
+        fh.write(bytes([last[0] ^ 0x01]))
+
+
+def _edit_index(edit):
+    path = "model/checkpoint/index.json"
+    index = json.loads(open(path).read())
+    edit(index)
+    with open(path, "w") as fh:
+        json.dump(index, fh)
+
+
+def _as_version_1(index):
+    """The layout version 1 wrote: no per-blob sha256."""
+    index["version"] = 1
+    for meta in index["tensors"].values():
+        del meta["sha256"]
+
+
+CHECKPOINT_DAMAGE = {
+    "flipped_payload_byte": (
+        "model/checkpoint/proj_image.weight.bin", "sha256 does not match",
+        lambda: _flip_last_byte("model/checkpoint/proj_image.weight.bin")),
+    "index_wrong_dtype": (
+        "model/checkpoint/index.json", "the index says f64 (8, 8)",
+        lambda: _edit_index(lambda ix: ix["tensors"]["proj_image.weight"].update(dtype="f64"))),
+    "index_wrong_shape": (
+        "model/checkpoint/index.json", "the index says f32 (8, 7)",
+        lambda: _edit_index(lambda ix: ix["tensors"]["proj_image.weight"].update(shape=[8, 7]))),
+    "index_version_1": (
+        "model/checkpoint/index.json", "version 1 is not 2",
+        lambda: _edit_index(_as_version_1)),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+def test_checkpoint_integrity_failure_exit_two(workdir, capsys, damage):
+    build_pipeline(workdir, capsys)
+    path, expected, apply = CHECKPOINT_DAMAGE[damage]
+    apply()
+    err = assert_exit_two_without_traceback(workdir, capsys, path, "embed-gallery",
+                                            "--model", "model/checkpoint",
+                                            "--data", "data/data.jsonl")
+    assert "malformed" not in err and expected in err
+
+
+def _artifacts(root):
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            if name != "resolved-config.json":
+                path = os.path.join(dirpath, name)
+                out[os.path.relpath(path, root)] = open(path, "rb").read()
+    return out
+
+
+def test_cli_artifacts_do_not_depend_on_output_root(workdir, capsys):
+    """Every artifact except resolved-config.json (which records out_dir) is
+    byte-identical when the same chain runs under two output roots."""
+    for root in ("first", "second/nested"):
+        def out(name):
+            return os.path.join(root, name)
+
+        steps = [
+            ("gen-synth", "--out", out("data"), "--n", 12, "--clusters", 3),
+            ("init-model", "--out", out("model"), "--variant", "C"),
+            ("embed-gallery", "--out", out("gal"), "--model", out("model/checkpoint"),
+             "--data", out("data/data.jsonl")),
+            ("rank", "--out", out("ranked"), "--model", out("model/checkpoint"),
+             "--gallery", out("gal/gallery"), "--bench", out("data/benchmark.json")),
+            ("rerank", "--out", out("reranked"), "--model", out("model/checkpoint"),
+             "--data", out("data/data.jsonl"), "--bench", out("data/benchmark.json"),
+             "--rankings", out("ranked/rankings.json"), "--k", 4),
+            ("eval", "--out", out("metrics"), "--rankings", out("reranked/rankings.json"),
+             "--bench", out("data/benchmark.json")),
+            ("curve", "--out", out("curve"), "--rankings", out("reranked/rankings.json"),
+             "--bench", out("data/benchmark.json"), "--kind", "precision_recall"),
+        ]
+        for argv in steps:
+            assert run(workdir, *argv, "--config", "config.json") == 0, argv
+    capsys.readouterr()
+    first, second = _artifacts("first"), _artifacts("second/nested")
+    assert "curve/curve.csv" in first and "model/checkpoint/index.json" in first
+    assert sorted(first) == sorted(second)
+    for name in first:
+        assert first[name] == second[name], name
+
+
 @pytest.mark.parametrize("bad_index", [12, -1])
 def test_train_plan_index_outside_dataset_exit_two(workdir, capsys, bad_index):
     build_pipeline(workdir, capsys)
@@ -287,11 +380,13 @@ def test_train_plan_index_outside_dataset_exit_two(workdir, capsys, bad_index):
 def test_degenerate_embedding_exit_three(workdir, capsys):
     import numpy as np
 
-    from elip.storage import read_tensor_blob, write_tensor_blob
+    from elip.storage import load_checkpoint, save_checkpoint
 
     build_pipeline(workdir, capsys)
-    target = "model/checkpoint/proj_image.weight.bin"
-    write_tensor_blob(target, np.zeros_like(read_tensor_blob(target)))
+    # a valid checkpoint (digests match) whose image projection is zero
+    model = load_checkpoint("model/checkpoint")
+    model.proj_image.tensors["weight"] = np.zeros_like(model.proj_image.tensors["weight"])
+    save_checkpoint("model/checkpoint", model)
     code = run(workdir, "embed-gallery", "--config", "config.json", "--out", "g3",
                "--model", "model/checkpoint", "--data", "data/data.jsonl")
     assert code == 3

@@ -367,6 +367,62 @@ def test_pr_curve_ties_grouped_by_score():
     assert abs(by_r[1.0] - 1.0 / 3.0) < 1e-12
 
 
+def reference_pr_points(rankings, bench):
+    """The original quadratic precision-recall loop: for every grid point,
+    rescan each query's whole staircase."""
+    grid = [round(0.05 * i, 2) for i in range(21)]
+    by_qid = {r.query_id: r for r in rankings}
+    stairs = []
+    for i, q in enumerate(bench.queries):
+        entries = by_qid[query_id(i)].entries
+        stair, hits = [], 0
+        for idx, (image_id, score) in enumerate(entries):
+            hits += image_id in q.positives
+            if idx + 1 == len(entries) or entries[idx + 1][1] != score:
+                stair.append((hits / len(q.positives), hits / (idx + 1)))
+        stairs.append(stair)
+    points = []
+    for r in grid:
+        per_query = []
+        for stair in stairs:
+            feasible = [p for rec, p in stair if rec >= r - 1e-12]
+            per_query.append(max(feasible) if feasible else 0.0)
+        points.append((r, float(np.mean(per_query))))
+    return points
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pr_curve_equals_quadratic_reference(seed):
+    """Seeded rankings with tied scores, a single positive, positives at the
+    end of the list and lists cut off before their positives; the curve must
+    equal the reference exactly."""
+    rng = Rng(seed)
+    g = 7 + seed * 5
+    gallery = [f"g{i:03d}" for i in range(g)]
+    rankings, positives_by_query = [], []
+    for qi in range(12):
+        order = rng.sample_without_replacement(g, g)
+        # few distinct scores, so many cutoffs group ties
+        scores = sorted((float(rng.next_u64() % 4) for _ in range(g)), reverse=True)
+        entries = [(gallery[j], s) for j, s in zip(order, scores)]
+        if qi % 3 == 0:
+            positives = {entries[int(rng.next_u64() % g)][0]}
+        elif qi % 3 == 1:
+            positives = {image_id for image_id, _ in entries[-1 - qi % 4:]}
+        else:
+            n_pos = 1 + int(rng.next_u64() % g)
+            positives = {gallery[j] for j in rng.sample_without_replacement(g, n_pos)}
+        if qi in (4, 7):
+            # cut-off lists: query 4 never retrieves its one positive,
+            # query 7 retrieves half of its four
+            entries = entries[: -(qi // 3)]
+        rankings.append(RankingResult(query_id=query_id(qi), entries=entries, stage="stage1"))
+        positives_by_query.append(positives)
+    bench = bench_for(positives_by_query, gallery)
+    assert curve(rankings, bench, "precision_recall").points == \
+        reference_pr_points(rankings, bench)
+
+
 # ---------------------------------------------------------------------------
 # attention maps
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -144,6 +146,79 @@ def test_checkpoint_save_is_byte_stable(tmp_path):
             assert fa.read() == fb.read(), name
 
 
+def dir_bytes(path):
+    return {name: open(os.path.join(path, name), "rb").read() for name in os.listdir(path)}
+
+
+def test_checkpoint_save_replaces_existing_and_leaves_no_siblings(tmp_path):
+    ckpt = str(tmp_path / "ckpt")
+    storage.save_checkpoint(ckpt, init_frozen_model(7, TINY, "B", MapperConfig(n=TINY.n, hidden=8)))
+    new = init_frozen_model(8, TINY, "C", MapperConfig(n=TINY.n, hidden=8))
+    storage.save_checkpoint(ckpt, new)
+    assert os.listdir(tmp_path) == ["ckpt"]
+    # no blob of the replaced B checkpoint's ITM head is left behind
+    assert sorted(os.listdir(ckpt)) == sorted(
+        [f"{name}.bin" for name, _, _ in new.iter_tensors()] + ["index.json"])
+    assert bundles_equal(storage.load_checkpoint(ckpt), new)
+
+
+def test_checkpoint_save_failing_part_way_keeps_old_checkpoint(tmp_path, monkeypatch):
+    old = init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8))
+    ckpt = str(tmp_path / "ckpt")
+    storage.save_checkpoint(ckpt, old)
+    before = dir_bytes(ckpt)
+    real_write = storage.write_tensor_blob
+    written = []
+
+    def failing_write(path, arr):
+        if len(written) == 3:
+            raise OSError("disk full")
+        written.append(path)
+        return real_write(path, arr)
+
+    monkeypatch.setattr(storage, "write_tensor_blob", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        storage.save_checkpoint(ckpt, init_frozen_model(9, TINY, "C", MapperConfig(n=TINY.n, hidden=8)))
+    assert len(written) == 3
+    assert os.listdir(tmp_path) == ["ckpt"]
+    assert dir_bytes(ckpt) == before
+    assert bundles_equal(storage.load_checkpoint(ckpt), old)
+
+
+@pytest.mark.parametrize("variant", ["C", "S", "B"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch, variant, dtype):
+    model = init_frozen_model(7, TINY, variant, MapperConfig(n=TINY.n, hidden=8), dtype=dtype)
+    ckpt = str(tmp_path / "ckpt")
+    storage.save_checkpoint(ckpt, model)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a random number")
+
+    monkeypatch.setattr(Rng, "gaussian_matrix", no_draws)
+    monkeypatch.setattr(Rng, "next_u64", no_draws)
+    back = storage.load_checkpoint(ckpt)
+    assert bundles_equal(model, back)
+    assert back.dtype == np.dtype(dtype)
+
+
+def test_init_frozen_model_draws_are_pinned():
+    """init_frozen_model's draw order is part of the determinism contract;
+    these digests of its tensors were taken before the weight source was
+    factored out of it and must never change."""
+    pinned = {
+        np.float32: "e8e058230d1d42eed792fc28fbb560e15b19334ba39630674a4a7f4b8c3bfea4",
+        np.float64: "1a90d60ba2404925f3153fbc8930ff10828009c44209829408b1fa9fbea52549",
+    }
+    for dtype, digest in pinned.items():
+        model = init_frozen_model(7, TINY, "B", MapperConfig(n=TINY.n, hidden=8), dtype=dtype)
+        h = hashlib.sha256()
+        for name, arr, _ in model.iter_tensors():
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == digest, dtype
+
+
 def test_checkpoint_missing_index_is_data_error(tmp_path):
     with pytest.raises(DataError, match="index.json"):
         storage.load_checkpoint(str(tmp_path / "nothing"))
@@ -285,6 +360,37 @@ def test_rankings_round_trip(tmp_path):
     assert back[0].entries == [("b", 0.5), ("a", 0.25)]
     assert back[0].stage == "reranked"
     assert back[0].k_reranked == 2
+
+
+def test_rankings_round_trip_floats_bit_for_bit(tmp_path):
+    values = [1e-300, -0.0, 0.0, 0.1 + 0.2, 5e-324, 1.7976931348623157e308,
+              -2.5, 1.0 / 3.0, *Rng(74).gaussian_matrix(1, 20)[0]]
+    rankings = [RankingResult(
+        query_id="q0000",
+        entries=[(f"img{i:04d}", float(v)) for i, v in enumerate(values)],
+        stage="stage1",
+        k_reranked=0,
+    )]
+    path = str(tmp_path / "rankings.json")
+    storage.write_rankings(path, rankings)
+    back = storage.read_rankings(path)[0].entries
+    assert [image_id for image_id, _ in back] == [f"img{i:04d}" for i in range(len(values))]
+    assert [struct.pack("<d", score) for _, score in back] == \
+        [struct.pack("<d", v) for v in values]
+
+
+def test_rankings_in_indented_layout_still_read(tmp_path):
+    doc = {"rankings": [{"query_id": "q0000", "stage": "reranked", "k_reranked": 2,
+                         "entries": [["b", 0.5], ["a", -0.0]]}]}
+    path = str(tmp_path / "rankings.json")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    back = storage.read_rankings(path)
+    assert back[0].entries == [("b", 0.5), ("a", -0.0)]
+    assert back[0].k_reranked == 2
+    storage.write_rankings(str(tmp_path / "compact.json"), back)
+    with open(str(tmp_path / "compact.json")) as fh:
+        assert json.load(fh) == doc
 
 
 # ---------------------------------------------------------------------------
