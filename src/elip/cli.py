@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+_EXIT_CODES = {ConfigError: EXIT_USAGE, DataError: EXIT_DATA, NumericError: EXIT_NUMERIC}
 
 
 def _status(command: str, cfg: RunConfig, **extra) -> None:
@@ -483,24 +484,12 @@ def run_command(argv) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.stdout.write(json.dumps(
             {"command": args.command, "status": "error", "error": str(exc)},
             sort_keys=True) + "\n")
-        return EXIT_USAGE
-    except DataError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        sys.stdout.write(json.dumps(
-            {"command": args.command, "status": "error", "error": str(exc)},
-            sort_keys=True) + "\n")
-        return EXIT_DATA
-    except NumericError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        sys.stdout.write(json.dumps(
-            {"command": args.command, "status": "error", "error": str(exc)},
-            sort_keys=True) + "\n")
-        return EXIT_NUMERIC
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def main() -> None:

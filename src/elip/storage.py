@@ -9,6 +9,7 @@ little-endian row-major.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -58,6 +59,12 @@ def _parse_json(path: str, parse):
         raise
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
+
+
+def _string(path: str, value, what: str) -> str:
+    if not isinstance(value, str):
+        raise FormatError(f"{path}: {what} {value!r} is not a string")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -287,40 +294,52 @@ def read_dataset(manifest_path: str) -> PairDataset:
     base = os.path.dirname(os.path.abspath(manifest_path))
     blobs: dict[str, np.ndarray] = {}
     records = []
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{manifest_path}:{lineno}: invalid JSON ({exc})") from exc
-            try:
-                patches_ref = doc["patches"]
-                fname = patches_ref["file"]
-                row = int(patches_ref["row"])
-                rows = int(patches_ref["rows"])
-                if fname not in blobs:
-                    blobs[fname] = read_tensor_blob(os.path.join(base, fname))
-                blob = blobs[fname]
-                if row < 0 or row + rows > blob.shape[0]:
-                    raise DataError(
-                        f"{manifest_path}:{lineno}: rows [{row}, {row + rows}) "
-                        f"outside blob of {blob.shape[0]} rows"
-                    )
-                records.append(PairRecord(
-                    id=doc["id"],
-                    patches=np.array(blob[row : row + rows], dtype=np.float32),
-                    tokens=[int(t) for t in doc["tokens"]],
-                    caption=doc["caption"],
-                    categories=set(doc.get("categories", [])),
-                    occluded_categories=set(doc.get("occluded_categories", [])),
-                ))
-            except KeyError as exc:
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{manifest_path}: not UTF-8 ({exc})") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{manifest_path}:{lineno}: invalid JSON ({exc})") from exc
+        try:
+            patches_ref = doc["patches"]
+            fname = patches_ref["file"]
+            row = int(patches_ref["row"])
+            rows = int(patches_ref["rows"])
+            if fname not in blobs:
+                blobs[fname] = read_tensor_blob(os.path.join(base, fname))
+            blob = blobs[fname]
+            if row < 0 or rows < 0 or row + rows > blob.shape[0]:
                 raise DataError(
-                    f"{manifest_path}:{lineno}: missing field {exc}"
-                ) from exc
+                    f"{manifest_path}:{lineno}: rows [{row}, {row + rows}) "
+                    f"outside blob of {blob.shape[0]} rows"
+                )
+            records.append(PairRecord(
+                id=_string(manifest_path, doc["id"], f"line {lineno}: record id"),
+                patches=np.array(blob[row : row + rows], dtype=np.float32),
+                tokens=[int(t) for t in doc["tokens"]],
+                caption=doc["caption"],
+                categories=set(doc.get("categories", [])),
+                occluded_categories=set(doc.get("occluded_categories", [])),
+            ))
+        except KeyError as exc:
+            raise DataError(
+                f"{manifest_path}:{lineno}: missing field {exc}"
+            ) from exc
+        except DataError:
+            raise
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise FormatError(
+                f"{manifest_path}:{lineno}: malformed ({type(exc).__name__}: {exc})"
+            ) from exc
+    if not records:
+        raise FormatError(f"{manifest_path}: no records")
     vocab_path = os.path.join(base, "vocab.json")
     vocab = read_vocab(vocab_path) if os.path.exists(vocab_path) else None
     return PairDataset(records=records, vocab=vocab)
@@ -397,33 +416,83 @@ def read_store(store_dir: str) -> EmbeddingStore:
     return EmbeddingStore(ids=ids, matrix=matrix, provenance_seed=seed)
 
 
+RANKINGS_VERSION = 2
+
+
 def write_rankings(path: str, rankings: list) -> None:
-    doc = {"rankings": [
-        {
+    """One compact JSON line: the distinct image ids in first-seen order,
+    and per query the base64 of its order (<i4 indices into ids) and of its
+    scores (<f8, every bit kept)."""
+    slots: dict = {}
+    docs = []
+    for r in rankings:
+        order = [slots.setdefault(image_id, len(slots)) for image_id, _ in r.entries]
+        docs.append({
             "query_id": r.query_id,
             "stage": r.stage,
             "k_reranked": r.k_reranked,
-            "entries": [[image_id, score] for image_id, score in r.entries],
-        }
-        for r in rankings
-    ]}
-    # No indent: an indented dump runs the pure-Python encoder, several
-    # times slower than the C one on tens of thousands of entries.
+            "order": _pack(order, "<i4"),
+            "scores": _pack([score for _, score in r.entries], "<f8"),
+        })
+    doc = {"version": RANKINGS_VERSION, "ids": list(slots), "rankings": docs}
     atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _pack(values: list, dtype: str) -> str:
+    return base64.b64encode(np.array(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _unpack(path: str, qid: str, key: str, text, dtype: str) -> np.ndarray:
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: query {qid!r}: {key} is not strict base64 ({exc})") from exc
+    itemsize = np.dtype(dtype).itemsize
+    if len(raw) % itemsize:
+        raise FormatError(
+            f"{path}: query {qid!r}: {key} holds {len(raw)} bytes, "
+            f"not a whole number of {itemsize}-byte values"
+        )
+    return np.frombuffer(raw, dtype=dtype)
+
+
 def read_rankings(path: str) -> list:
+    """Reads a version-2 rankings file; version 1 (per-entry [id, score]
+    pairs) is refused."""
     if not os.path.exists(path):
         raise DataError(f"rankings file not found: {path}")
-    return _parse_json(path, lambda doc: [
-        RankingResult(
-            query_id=r["query_id"],
-            entries=[(e[0], float(e[1])) for e in r["entries"]],
-            stage=r["stage"],
-            k_reranked=int(r["k_reranked"]),
-        )
-        for r in doc["rankings"]
-    ])
+
+    def parse(doc):
+        version = doc.get("version", 1)
+        if version != RANKINGS_VERSION:
+            raise FormatError(
+                f"{path}: rankings format version {version!r} is not "
+                f"{RANKINGS_VERSION}; re-run `elip rank` to rewrite it"
+            )
+        ids = [_string(path, image_id, "image id") for image_id in doc["ids"]]
+        results = []
+        for r in doc["rankings"]:
+            qid = _string(path, r["query_id"], "query id")
+            order = _unpack(path, qid, "order", r["order"], "<i4")
+            scores = _unpack(path, qid, "scores", r["scores"], "<f8")
+            if len(order) != len(scores):
+                raise FormatError(
+                    f"{path}: query {qid!r}: {len(order)} order indices "
+                    f"but {len(scores)} scores"
+                )
+            if len(order) and (order.min() < 0 or order.max() >= len(ids)):
+                raise FormatError(
+                    f"{path}: query {qid!r}: order index outside [0, {len(ids)})"
+                )
+            results.append(RankingResult(
+                query_id=qid,
+                entries=list(zip(map(ids.__getitem__, order.tolist()), scores.tolist())),
+                stage=_string(path, r["stage"], "stage"),
+                k_reranked=int(r["k_reranked"]),
+            ))
+        return results
+
+    return _parse_json(path, parse)
 
 
 # ---------------------------------------------------------------------------

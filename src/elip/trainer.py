@@ -210,6 +210,8 @@ def train(
 
     Returns (model, per-step loss trace). The model is updated in place;
     only mapper tensors (plus itm tensors iff finetune_itm) change.
+    checkpoint_hook(step, model) runs every cfg.ckpt_interval steps and
+    after the last step, once per step.
     """
     cfg = cfg.validate()
     if cfg.variant != model.variant:
@@ -242,6 +244,7 @@ def train(
     lr = cfg.resolved_lr()
     state = OptimizerState()
     trace = []
+    saved_step = None
     for step in range(cfg.steps):
         records = [ds.records[k] for k in batches[step % len(batches)]]
         if model.variant in ("C", "S"):
@@ -263,6 +266,7 @@ def train(
         trace.append(float(loss))
         if checkpoint_hook and cfg.ckpt_interval and (step + 1) % cfg.ckpt_interval == 0:
             checkpoint_hook(step + 1, model)
-    if checkpoint_hook:
+            saved_step = step + 1
+    if checkpoint_hook and saved_step != cfg.steps:
         checkpoint_hook(cfg.steps, model)
     return model, trace

@@ -1,11 +1,16 @@
+import base64
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from elip import storage
 from elip.cli import run_command
 from elip.config import RunConfig
+from elip.retrieval import RankingResult
 
 from conftest import TINY
 
@@ -57,11 +62,8 @@ def test_unknown_subcommand_exit_one(workdir, capsys):
 
 
 def test_eval_missing_benchmark_exit_two(workdir, capsys):
-    rankings = workdir / "rankings.json"
-    rankings.write_text(json.dumps({"rankings": [
-        {"query_id": "q0000", "stage": "stage1", "k_reranked": 0,
-         "entries": [["a", 1.0]]}
-    ]}))
+    storage.write_rankings(str(workdir / "rankings.json"), [RankingResult(
+        query_id="q0000", entries=[("a", 1.0)], stage="stage1", k_reranked=0)])
     code = run(workdir, "eval", "--rankings", "rankings.json",
                "--bench", "missing-bench.json", "--out", "m")
     assert code == 2
@@ -243,6 +245,34 @@ def test_malformed_json_artifact_exit_two(workdir, capsys, path, damage):
     with open(path, "w") as fh:
         fh.write(damaged)
     assert_exit_two_without_traceback(workdir, capsys, path, *READERS[path])
+
+
+def _packed_order(*indices):
+    return base64.b64encode(np.array(indices, dtype="<i4").tobytes()).decode("ascii")
+
+
+RANKINGS_DAMAGE = {
+    "negative_index": ("order", _packed_order(0, -1), "order index outside [0, 2)"),
+    "index_past_ids": ("order", _packed_order(0, 2), "order index outside [0, 2)"),
+    "length_mismatch": ("order", _packed_order(0), "1 order indices but 2 scores"),
+    "bad_base64": ("scores", "AAAA*AAA", "scores is not strict base64"),
+    "ragged_bytes": ("scores", "AAAA", "scores holds 3 bytes"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(RANKINGS_DAMAGE))
+def test_damaged_rankings_exit_two(workdir, capsys, damage):
+    key, value, expected = RANKINGS_DAMAGE[damage]
+    storage.write_rankings("rankings.json", [RankingResult(
+        query_id="q0000", entries=[("b", 0.5), ("a", 0.25)], stage="stage1")])
+    doc = json.loads(open("rankings.json").read())
+    doc["rankings"][0][key] = value
+    with open("rankings.json", "w") as fh:
+        json.dump(doc, fh)
+    err = assert_exit_two_without_traceback(workdir, capsys, "rankings.json", "eval",
+                                            "--rankings", "rankings.json",
+                                            "--bench", "missing-bench.json")
+    assert expected in err
 
 
 @pytest.mark.parametrize("flag", [False, True])
@@ -429,6 +459,23 @@ def test_checkpoint_interval_writes_intermediates(workdir, capsys):
     assert os.path.exists("ti/checkpoint/index.json")
 
 
+def test_train_saves_each_checkpoint_once(workdir, capsys, monkeypatch):
+    build_pipeline(workdir, capsys)
+    saved = []
+    save = storage.save_checkpoint
+
+    def spy(ckpt_dir, model):
+        saved.append(ckpt_dir)
+        save(ckpt_dir, model)
+
+    monkeypatch.setattr(storage, "save_checkpoint", spy)
+    assert run(workdir, "train", "--config", "config.json", "--out", "ti",
+               "--model", "model/checkpoint", "--data", "data/data.jsonl",
+               "--plan", "plan/plan.json", "--steps", 4, "--ckpt-interval", 2) == 0
+    capsys.readouterr()
+    assert saved == [os.path.join("ti", "checkpoint-step2"), os.path.join("ti", "checkpoint")]
+
+
 def test_unique_category_mining_flag(workdir, capsys):
     # gen-synth records carry their cluster word as category; 3 clusters so
     # category-unique batches of size 3 are exactly one record per cluster
@@ -482,3 +529,98 @@ def test_default_mining_batch_size_echoes_paper_default(workdir, capsys):
     parser = build_parser()
     args = parser.parse_args(["curate-mine", "--model", "m", "--data", "d"])
     assert args.batch_size == 40
+
+
+# ---------------------------------------------------------------------------
+# fuzzed artifacts: truncated and byte-mutated copies through run_command
+# ---------------------------------------------------------------------------
+
+
+FUZZED = {
+    **READERS,
+    "data/vocab.json": ("bench-occluded", "--data", "data/data.jsonl"),
+    "data/data.jsonl": ("embed-gallery", "--model", "model/checkpoint",
+                        "--data", "data/data.jsonl"),
+}
+
+
+def _byte_damage(data):
+    truncated = st.integers(0, len(data) - 1).map(lambda n: data[:n])
+    edits = st.lists(st.tuples(st.integers(0, len(data) - 1), st.integers(0, 255)),
+                     min_size=1, max_size=4)
+
+    def mutate(changes):
+        out = bytearray(data)
+        for at, value in changes:
+            out[at] = value
+        return bytes(out)
+
+    return st.one_of(truncated, edits.map(mutate))
+
+
+def _rankings_damage(data):
+    """Field-level damage to a rankings file: base64 text with characters
+    swapped (inside or outside the alphabet) and order arrays with arbitrary
+    int32 indices, negative and past the id list included."""
+    doc = json.loads(data)
+    queries = st.integers(0, len(doc["rankings"]) - 1)
+
+    def encode(edit):
+        return (json.dumps(edit(json.loads(data)), sort_keys=True) + "\n").encode()
+
+    def garble(q, key, at, char):
+        def edit(d):
+            text = d["rankings"][q][key]
+            at_ = at % (len(text) + 1)
+            d["rankings"][q][key] = text[:at_] + char + text[at_ + 1:]
+            return d
+        return encode(edit)
+
+    def reorder(q, indices):
+        def edit(d):
+            d["rankings"][q]["order"] = _packed_order(*indices)
+            return d
+        return encode(edit)
+
+    n = len(doc["ids"])
+    garbled = st.builds(garble, queries, st.sampled_from(["order", "scores"]),
+                        st.integers(0, 1 << 16),
+                        st.sampled_from(list("A/+=*-_ \n") + ["", "==", "é"]))
+    reordered = st.builds(reorder, queries, st.lists(
+        st.one_of(st.integers(-(1 << 31), (1 << 31) - 1), st.integers(-2, n + 1)),
+        min_size=n, max_size=n))
+    return st.one_of(garbled, reordered)
+
+
+@pytest.mark.parametrize("path", sorted(FUZZED))
+def test_fuzzed_artifact_exits_cleanly(workdir, capsys, path):
+    """A damaged artifact either still reads (exit 0) or exits 1 or 2 with
+    an error status line and an `error:` message; run_command never raises."""
+    build_pipeline(workdir, capsys)
+    assert run(workdir, "rank", "--config", "config.json", "--out", "ranked",
+               "--model", "model/checkpoint", "--gallery", "gal/gallery",
+               "--bench", "data/benchmark.json") == 0
+    capsys.readouterr()
+    with open(path, "rb") as fh:
+        original = fh.read()
+    damage = _byte_damage(original)
+    if path.endswith("rankings.json"):
+        damage = st.one_of(damage, _rankings_damage(original))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(damaged=damage)
+    def check(damaged):
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        try:
+            code = run(workdir, *FUZZED[path], "--config", "config.json", "--out", "fuzz")
+        finally:
+            with open(path, "wb") as fh:
+                fh.write(original)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), err
+        if code:
+            assert json.loads(out)["status"] == "error"
+            assert err.startswith("error: ") and "Traceback" not in err
+
+    check()

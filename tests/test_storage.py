@@ -379,18 +379,48 @@ def test_rankings_round_trip_floats_bit_for_bit(tmp_path):
         [struct.pack("<d", v) for v in values]
 
 
-def test_rankings_in_indented_layout_still_read(tmp_path):
+def test_rankings_write_is_byte_stable(tmp_path):
+    def rankings():
+        scores = Rng(75).gaussian_matrix(3, 5)
+        return [RankingResult(
+            query_id=f"q{q:04d}",
+            entries=sorted(((f"img{(i * 7 + q) % 5:04d}", float(s)) for i, s in enumerate(row)),
+                           key=lambda e: -e[1]),
+            stage="stage1",
+            k_reranked=0,
+        ) for q, row in enumerate(scores)]
+
+    first, second = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    storage.write_rankings(first, rankings())
+    storage.write_rankings(second, rankings())
+    with open(first, "rb") as fa, open(second, "rb") as fb:
+        data = fa.read()
+        assert data == fb.read()
+    assert data.count(b"\n") == 1 and data.endswith(b"\n")
+    doc = json.loads(data)
+    assert doc["version"] == 2
+    assert doc["ids"] == [image_id for image_id, _ in rankings()[0].entries]
+    assert storage.read_rankings(first) == rankings()
+
+
+def test_rankings_version_1_refused(tmp_path, monkeypatch, capsys):
+    """The per-entry [id, score] layout, indented or compact, exits 2 with
+    an error naming the file and its version."""
+    from elip.cli import run_command
+
+    monkeypatch.chdir(tmp_path)
     doc = {"rankings": [{"query_id": "q0000", "stage": "reranked", "k_reranked": 2,
                          "entries": [["b", 0.5], ["a", -0.0]]}]}
-    path = str(tmp_path / "rankings.json")
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    back = storage.read_rankings(path)
-    assert back[0].entries == [("b", 0.5), ("a", -0.0)]
-    assert back[0].k_reranked == 2
-    storage.write_rankings(str(tmp_path / "compact.json"), back)
-    with open(str(tmp_path / "compact.json")) as fh:
-        assert json.load(fh) == doc
+    for indent in (None, 2):
+        with open("rankings.json", "w") as fh:
+            fh.write(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+        code = run_command(["eval", "--rankings", "rankings.json",
+                            "--bench", "bench.json", "--out", "m"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert json.loads(out)["status"] == "error"
+        assert err.startswith("error: rankings.json: rankings format version 1 is not 2")
+        assert "re-run `elip rank`" in err
 
 
 # ---------------------------------------------------------------------------
