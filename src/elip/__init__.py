@@ -19,18 +19,18 @@ from .encoders import (
     TextEncoding,
     encode_image,
     encode_text,
-    gradient_through_frozen,
     init_frozen_model,
 )
 from .objectives import (
     ScoreMatrix,
     bce,
-    build_score_matrix,
+    build_score_matrix_with_caches,
     info_nce,
     itm_logit,
     sigmoid_pairwise,
+    variant_batch_loss,
 )
-from .prompt_mapper import map_prompts, pool_text_dense
+from .prompt_mapper import pool_text_dense, prompts_for_text
 from .retrieval import (
     CurveData,
     EmbeddingStore,

@@ -77,6 +77,21 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def _load_model_and_data(args) -> tuple:
+    """The --model checkpoint and the --data manifest, checked against each
+    other: every record's patches must have the model's (P, d_in) shape."""
+    model = storage.load_checkpoint(args.model)
+    ds = storage.read_dataset(args.data)
+    expected = (model.dims.P, model.dims.d_in)
+    for rec in ds.records:
+        if rec.patches.shape != expected:
+            raise DataError(
+                f"{args.data}: record {rec.id!r} has patches of shape "
+                f"{rec.patches.shape}, the model at {args.model} expects {expected}"
+            )
+    return model, ds
+
+
 def _parse_int_list(text: str) -> list:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -140,8 +155,7 @@ def cmd_init_model(args) -> int:
 
 def cmd_embed_gallery(args) -> int:
     cfg = _load_config(args)
-    model = storage.load_checkpoint(args.model)
-    ds = storage.read_dataset(args.data)
+    model, ds = _load_model_and_data(args)
     store = embed_gallery(model, ds)
     store_dir = os.path.join(cfg.out_dir, "gallery")
     storage.write_store(store_dir, store)
@@ -152,8 +166,7 @@ def cmd_embed_gallery(args) -> int:
 
 def cmd_curate_mine(args) -> int:
     cfg = _load_config(args)
-    model = storage.load_checkpoint(args.model)
-    ds = storage.read_dataset(args.data)
+    model, ds = _load_model_and_data(args)
     plan = mine_hard_batches(ds, model, args.batch_size, args.unique_category)
     plan_path = os.path.join(cfg.out_dir, "plan.json")
     storage.write_plan(plan_path, plan)
@@ -165,8 +178,7 @@ def cmd_curate_mine(args) -> int:
 
 def cmd_curate_select(args) -> int:
     cfg = _load_config(args)
-    model = storage.load_checkpoint(args.model)
-    ds = storage.read_dataset(args.data)
+    model, ds = _load_model_and_data(args)
     plan = storage.read_plan(args.plan)
     reference = copy_without_prompts(model)
     selected = select_by_learnability(
@@ -182,8 +194,7 @@ def cmd_curate_select(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    model = storage.load_checkpoint(args.model)
-    ds = storage.read_dataset(args.data)
+    model, ds = _load_model_and_data(args)
     plan = storage.read_plan(args.plan)
     tc = cfg.train
     tc = replace(
@@ -232,8 +243,7 @@ def cmd_rank(args) -> int:
 
 def cmd_rerank(args) -> int:
     cfg = _load_config(args)
-    model = storage.load_checkpoint(args.model)
-    ds = storage.read_dataset(args.data)
+    model, ds = _load_model_and_data(args)
     rankings = storage.read_rankings(args.rankings)
     gallery_ids = [image_id for image_id, _ in rankings[0].entries] if rankings else []
     bench = storage.read_benchmark(args.bench, gallery_ids)
@@ -281,8 +291,7 @@ def cmd_curve(args) -> int:
 
 def cmd_attn(args) -> int:
     cfg = _load_config(args)
-    model = storage.load_checkpoint(args.model)
-    ds = storage.read_dataset(args.data)
+    model, ds = _load_model_and_data(args)
     record = ds.by_id(args.record)
     text_enc = None
     if args.tokens:

@@ -326,17 +326,6 @@ def encode_image(model: ModelBundle, patches: Array, prompts: Array | None = Non
     )
 
 
-def gradient_through_frozen(
-    model: ModelBundle, patches: Array, prompts: Array | None, upstream: Array
-) -> Array:
-    """Exact d(v_joint)/d(prompts) contracted with an upstream d_e gradient."""
-    states, _, proj_cache, _, cache = image_forward(model, patches, prompts)
-    grad_cls = project_normalize_backward(proj_cache, np.asarray(upstream, dtype=model.dtype))
-    grad_states = np.zeros_like(states)
-    grad_states[model.dims.P] = grad_cls
-    return image_backward(model, cache, grad_states)
-
-
 # ---------------------------------------------------------------------------
 # bundle utilities
 # ---------------------------------------------------------------------------
@@ -350,8 +339,6 @@ def copy_without_prompts(model: ModelBundle) -> ModelBundle:
     bare.mapper_cfg = replace(bare.mapper_cfg, n=0)
     bare.mapper.tensors["l3.weight"] = np.zeros((0, hidden), dtype=bare.dtype)
     bare.mapper.tensors["l3.bias"] = np.zeros(0, dtype=bare.dtype)
-    bare.mapper.grad["l3.weight"] = np.zeros((0, hidden), dtype=bare.dtype)
-    bare.mapper.grad["l3.bias"] = np.zeros(0, dtype=bare.dtype)
     return bare
 
 

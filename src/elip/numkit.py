@@ -13,7 +13,7 @@ against central finite differences by grad_check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,17 +28,11 @@ _GELU_A = 0.044715
 
 @dataclass
 class LayerParams:
-    """Named tensors of one layer plus same-shaped gradient accumulators."""
+    """Named tensors of one layer; gradients travel in separate dicts."""
 
     name: str
     tensors: dict[str, Array]
     trainable: bool = False
-    grad: dict[str, Array] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for key, value in self.tensors.items():
-            if key not in self.grad:
-                self.grad[key] = np.zeros_like(value)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,13 @@ from .encoders import (
     TextEncoding,
     encode_image,
     encode_text,
+    image_backward,
     image_forward,
+    project_normalize_backward,
 )
 from .errors import ConfigError, DataError
 from .numkit import Array, LayerParams
-from .prompt_mapper import map_prompts_with_cache, prompts_for_text
+from .prompt_mapper import map_prompts_backward, map_prompts_with_cache
 
 TAU = 0.07
 SIGMOID_T_SCALE = 10.0
@@ -40,15 +42,6 @@ class ScoreMatrix:
     tau: float = TAU
 
 
-@dataclass
-class ItmExample:
-    text: TextEncoding
-    image_pos: ImageEncoding
-    image_neg: ImageEncoding
-    logits: tuple
-    labels: tuple = (1, 0)
-
-
 def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
@@ -59,40 +52,18 @@ def sigmoid(x):
     return out
 
 
-def build_score_matrix(model: ModelBundle, records, conditioning: str = "per_row") -> ScoreMatrix:
-    """Text-vs-conditioned-image cosine matrix over one batch of records."""
-    b = len(records)
-    if b < 2:
-        raise ConfigError(f"contrastive batch needs >= 2 records, got {b}")
-    if conditioning not in ("per_row", "diagonal"):
-        raise ConfigError(f"unknown conditioning {conditioning!r}")
-    texts = [encode_text(model, rec.tokens) for rec in records]
-    prompts = [prompts_for_text(model, te) for te in texts]
-    cos = np.zeros((b, b), dtype=np.float64)
-    if conditioning == "diagonal":
-        images = [
-            encode_image(model, rec.patches, prompts[j])
-            for j, rec in enumerate(records)
-        ]
-        for i in range(b):
-            for j in range(b):
-                cos[i, j] = float(np.dot(texts[i].t_joint, images[j].v_joint))
-    else:
-        for i in range(b):
-            for j in range(b):
-                v = encode_image(model, records[j].patches, prompts[i]).v_joint
-                cos[i, j] = float(np.dot(texts[i].t_joint, v))
-    return ScoreMatrix(scores=cos / TAU, cosines=cos, conditioning=conditioning)
-
-
 def build_score_matrix_with_caches(
-    model: ModelBundle, records, conditioning: str = "per_row"
+    model: ModelBundle, records, conditioning: str = "per_row", keep_caches: bool = True
 ) -> tuple[ScoreMatrix, list, list, dict]:
-    """build_score_matrix plus every cache the backward pass needs.
+    """Text-vs-conditioned-image cosine matrix over one batch of records,
+    plus every cache the backward pass needs.
 
+    Returns (score matrix, text encodings, prompt caches, image caches).
     image_caches maps (i, j) in per_row mode / j in diagonal mode to
-    (projection cache, encoder cache, final-states shape). Summation and
-    encode order is (i, j) lexicographic, pinned for determinism.
+    (projection cache, encoder cache, final-states shape); it stays empty
+    when keep_caches is off, so a loss-only call holds one encoding at a
+    time. Summation and encode order is (i, j) lexicographic, pinned for
+    determinism.
     """
     b = len(records)
     if b < 2:
@@ -114,7 +85,8 @@ def build_score_matrix_with_caches(
             states, _, proj_cache, v_joint, cache = image_forward(
                 model, rec.patches, prompts[j]
             )
-            image_caches[j] = (proj_cache, cache, states.shape)
+            if keep_caches:
+                image_caches[j] = (proj_cache, cache, states.shape)
             v_all.append(v_joint)
         for i in range(b):
             for j in range(b):
@@ -125,7 +97,8 @@ def build_score_matrix_with_caches(
                 states, _, proj_cache, v_joint, cache = image_forward(
                     model, records[j].patches, prompts[i]
                 )
-                image_caches[(i, j)] = (proj_cache, cache, states.shape)
+                if keep_caches:
+                    image_caches[(i, j)] = (proj_cache, cache, states.shape)
                 cos[i, j] = float(np.dot(texts[i].t_joint, v_joint))
     sm = ScoreMatrix(scores=cos / TAU, cosines=cos, conditioning=conditioning)
     return sm, texts, prompt_caches, image_caches
@@ -300,58 +273,131 @@ def bce_grad(logit: float, label: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batch loss used by learnability selection (and the trainer's B variant)
+# the batch loss: training (with gradients) and learnability selection
 # ---------------------------------------------------------------------------
 
 
-def pick_itm_negatives(model: ModelBundle, records) -> list[int]:
-    """Per anchor i: the other batch image most stage-1-similar to text i."""
+def pick_itm_negatives(model: ModelBundle, records, texts: list) -> list[int]:
+    """Per anchor i: the other batch image most stage-1-similar to text i.
+
+    texts holds the batch's TextEncodings, in record order."""
     frozen = [encode_image(model, rec.patches).v_joint for rec in records]
-    texts = [encode_text(model, rec.tokens).t_joint for rec in records]
     out = []
     for i in range(len(records)):
         best, best_sim = -1, -np.inf
         for j in range(len(records)):
             if j == i:
                 continue
-            sim = float(np.dot(texts[i], frozen[j]))
+            sim = float(np.dot(texts[i].t_joint, frozen[j]))
             if sim > best_sim:
                 best, best_sim = j, sim
         out.append(best)
     return out
 
 
-def build_itm_examples(model: ModelBundle, records) -> list:
-    """One (text, positive, mined-negative) triple per anchor, with logits."""
-    if len(records) < 2:
-        raise ConfigError("ITM batch needs >= 2 records for a negative")
-    negatives = pick_itm_negatives(model, records)
-    examples = []
-    for i, rec in enumerate(records):
-        text = encode_text(model, rec.tokens)
-        prompts = prompts_for_text(model, text)
-        pos = encode_image(model, rec.patches, prompts)
-        neg = encode_image(model, records[negatives[i]].patches, prompts)
-        examples.append(ItmExample(
-            text=text,
-            image_pos=pos,
-            image_neg=neg,
-            logits=(
-                itm_logit(model.itm_head, text, pos),
-                itm_logit(model.itm_head, text, neg),
-            ),
-        ))
-    return examples
+def variant_batch_loss(
+    model: ModelBundle, records, conditioning: str = "per_row", grads: dict | None = None
+) -> float:
+    """The active variant's loss on one batch of records.
+
+    C is InfoNCE and S the pairwise sigmoid over the text-anchored score
+    matrix; B is the BCE of the ITM head over each anchor's positive and
+    its mined negative (conditioning does not apply). When grads is a
+    dict, the loss gradient on every mapper tensor ("mapper.<key>") and,
+    for B, every ITM-head tensor ("itm.<key>") is added into it, in that
+    key order; without one no backward cache is kept.
+    """
+    if grads is not None:
+        for layer in model.trainable_layers():
+            for k, v in layer.tensors.items():
+                grads.setdefault(f"{layer.name}.{k}", np.zeros_like(v))
+    if model.variant == "B":
+        return _itm_loss(model, records, grads)
+    return _contrastive_loss(model, records, conditioning, grads)
 
 
-def variant_batch_loss(model: ModelBundle, records, conditioning: str = "per_row") -> float:
-    """The active variant's loss on one batch (no gradients)."""
+def _add_mapper_grads(model: ModelBundle, grads: dict, mcache: tuple, grad_prompts: Array):
+    for k, v in map_prompts_backward(model.mapper, mcache, grad_prompts).items():
+        grads[f"mapper.{k}"] += v
+
+
+def _contrastive_loss(model: ModelBundle, records, conditioning: str, grads) -> float:
+    sm, texts, prompt_caches, image_caches = build_score_matrix_with_caches(
+        model, records, conditioning, keep_caches=grads is not None
+    )
     if model.variant == "C":
-        return info_nce(build_score_matrix(model, records, conditioning))
-    if model.variant == "S":
-        return sigmoid_pairwise(build_score_matrix(model, records, conditioning))
-    examples = build_itm_examples(model, records)
+        loss = info_nce(sm)
+    else:
+        loss = sigmoid_pairwise(sm)
+    if grads is None:
+        return loss
+    if model.variant == "C":
+        g_cos = info_nce_grad(sm) / sm.tau
+    else:
+        g_cos = sigmoid_pairwise_grad(sm)
+
+    b = len(records)
+    dims = model.dims
+
+    def prompt_grad(image_cache, upstream):
+        proj_cache, cache, states_shape = image_cache
+        grad_states = np.zeros(states_shape, dtype=model.dtype)
+        grad_states[dims.P] = project_normalize_backward(proj_cache, upstream)
+        return image_backward(model, cache, grad_states)
+
+    if conditioning == "per_row":
+        for i in range(b):
+            grad_prompts = None
+            for j in range(b):
+                upstream = (g_cos[i, j] * texts[i].t_joint).astype(model.dtype)
+                gp = prompt_grad(image_caches[(i, j)], upstream)
+                grad_prompts = gp if grad_prompts is None else grad_prompts + gp
+            if grad_prompts.size:
+                _add_mapper_grads(model, grads, prompt_caches[i], grad_prompts)
+    else:
+        for j in range(b):
+            upstream = np.zeros(dims.d_e, dtype=np.float64)
+            for i in range(b):
+                upstream += g_cos[i, j] * texts[i].t_joint
+            gp = prompt_grad(image_caches[j], upstream.astype(model.dtype))
+            if gp.size:
+                _add_mapper_grads(model, grads, prompt_caches[j], gp)
+    return loss
+
+
+def _itm_loss(model: ModelBundle, records, grads) -> float:
+    """BCE over (text, positive/negative image) pairs; each pair's caches
+    live only through its own backward pass."""
+    b = len(records)
+    if b < 2:
+        raise ConfigError("ITM batch needs >= 2 records for a negative")
+    if model.itm_head is None:
+        raise ConfigError("variant B requires an ITM head")
+    dims = model.dims
+    texts = [encode_text(model, rec.tokens) for rec in records]
+    negatives = pick_itm_negatives(model, records, texts)
     total = 0.0
-    for ex in examples:
-        total += bce(ex.logits[0], ex.labels[0]) + bce(ex.logits[1], ex.labels[1])
-    return total / (2 * len(examples))
+    denom = 2 * b
+    for i, rec in enumerate(records):
+        text = texts[i]
+        prompts, mcache = map_prompts_with_cache(model.mapper, text, model.mapper_cfg, dims.d_v)
+        grad_prompts = np.zeros_like(prompts)
+        for patches, label in ((rec.patches, 1), (records[negatives[i]].patches, 0)):
+            states, _, _, _, icache = image_forward(model, patches, prompts)
+            logit, itm_cache = itm_forward(model.itm_head, text.t_cls, states[: dims.P])
+            total += bce(logit, label)
+            if grads is None:
+                continue
+            head_grads, grad_patch_states = itm_backward(
+                model.itm_head, itm_cache, bce_grad(logit, label) / denom
+            )
+            for k, v in head_grads.items():
+                grads[f"itm.{k}"] += v
+            grad_states = np.zeros_like(states)
+            grad_states[: dims.P] = grad_patch_states
+            gp = image_backward(model, icache, grad_states)
+            if gp.size:
+                grad_prompts += gp
+        if grads is not None and grad_prompts.size:
+            _add_mapper_grads(model, grads, mcache, grad_prompts)
+    return total / denom

@@ -8,8 +8,6 @@ so a fresh model injects exactly-zero prompt tokens.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import numkit
 from .config import MapperConfig
 from .encoders import ModelBundle, TextEncoding
@@ -56,15 +54,9 @@ def map_prompts_with_cache(
     return prompts, (c1, g1, c2, g2, c3)
 
 
-def map_prompts(
-    mapper: LayerParams, text_enc: TextEncoding, cfg: MapperConfig, d_v: int
-) -> Array:
-    prompts, _ = map_prompts_with_cache(mapper, text_enc, cfg, d_v)
-    return prompts
-
-
 def prompts_for_text(model: ModelBundle, text_enc: TextEncoding) -> Array:
-    return map_prompts(model.mapper, text_enc, model.mapper_cfg, model.dims.d_v)
+    prompts, _ = map_prompts_with_cache(model.mapper, text_enc, model.mapper_cfg, model.dims.d_v)
+    return prompts
 
 
 def map_prompts_backward(

@@ -15,28 +15,9 @@ import numpy as np
 
 from .config import TrainConfig
 from .curation import CurationPlan, PairDataset, select_by_learnability
-from .encoders import (
-    ModelBundle,
-    copy_without_prompts,
-    encode_text,
-    image_backward,
-    image_forward,
-    project_normalize_backward,
-)
+from .encoders import ModelBundle, copy_without_prompts
 from .errors import ConfigError, NumericError
-from .objectives import (
-    bce,
-    bce_grad,
-    build_score_matrix_with_caches,
-    info_nce,
-    info_nce_grad,
-    itm_backward,
-    itm_forward,
-    pick_itm_negatives,
-    sigmoid_pairwise,
-    sigmoid_pairwise_grad,
-)
-from .prompt_mapper import map_prompts_backward, map_prompts_with_cache
+from .objectives import variant_batch_loss
 from .rng import Rng
 
 ADAM_BETA1 = 0.9
@@ -96,105 +77,6 @@ def adam_step(
 
 
 # ---------------------------------------------------------------------------
-# per-variant loss + gradient over one batch
-# ---------------------------------------------------------------------------
-
-
-def _contrastive_step(model: ModelBundle, records, cfg: TrainConfig):
-    """InfoNCE (C) / pairwise sigmoid (S) loss and trainable grads."""
-    sm, texts, prompt_caches, image_caches = build_score_matrix_with_caches(
-        model, records, cfg.conditioning
-    )
-    b = len(records)
-    if model.variant == "C":
-        loss = info_nce(sm)
-        g_cos = info_nce_grad(sm) / sm.tau
-    else:
-        loss = sigmoid_pairwise(sm)
-        g_cos = sigmoid_pairwise_grad(sm)
-
-    grads = {f"mapper.{k}": np.zeros_like(v) for k, v in model.mapper.tensors.items()}
-    if cfg.conditioning == "per_row":
-        for i in range(b):
-            grad_prompts = None
-            for j in range(b):
-                proj_cache, cache, states_shape = image_caches[(i, j)]
-                upstream = (g_cos[i, j] * texts[i].t_joint).astype(model.dtype)
-                grad_cls = project_normalize_backward(proj_cache, upstream)
-                grad_states = np.zeros(states_shape, dtype=model.dtype)
-                grad_states[model.dims.P] = grad_cls
-                gp = image_backward(model, cache, grad_states)
-                grad_prompts = gp if grad_prompts is None else grad_prompts + gp
-            if grad_prompts is not None and grad_prompts.size:
-                for k, v in map_prompts_backward(
-                    model.mapper, prompt_caches[i], grad_prompts
-                ).items():
-                    grads[f"mapper.{k}"] += v
-    else:
-        for j in range(b):
-            proj_cache, cache, states_shape = image_caches[j]
-            upstream = np.zeros(model.dims.d_e, dtype=np.float64)
-            for i in range(b):
-                upstream += g_cos[i, j] * texts[i].t_joint
-            grad_cls = project_normalize_backward(proj_cache, upstream.astype(model.dtype))
-            grad_states = np.zeros(states_shape, dtype=model.dtype)
-            grad_states[model.dims.P] = grad_cls
-            gp = image_backward(model, cache, grad_states)
-            if gp.size:
-                for k, v in map_prompts_backward(
-                    model.mapper, prompt_caches[j], gp
-                ).items():
-                    grads[f"mapper.{k}"] += v
-    return loss, grads
-
-
-def _itm_step(model: ModelBundle, records, cfg: TrainConfig):
-    """BCE over (text, positive/negative image) pairs; negatives are the
-    most stage-1-similar other batch image per anchor."""
-    if model.itm_head is None:
-        raise ConfigError("variant B requires an ITM head")
-    b = len(records)
-    negatives = pick_itm_negatives(model, records)
-    dims = model.dims
-    grads = {f"mapper.{k}": np.zeros_like(v) for k, v in model.mapper.tensors.items()}
-    grads.update(
-        {f"itm.{k}": np.zeros_like(v) for k, v in model.itm_head.tensors.items()}
-    )
-    total = 0.0
-    denom = 2 * b
-    for i, rec in enumerate(records):
-        text = encode_text(model, rec.tokens)
-        prompts, mcache = map_prompts_with_cache(
-            model.mapper, text, model.mapper_cfg, dims.d_v
-        )
-        grad_prompts = np.zeros_like(prompts)
-        for patches, label in (
-            (rec.patches, 1),
-            (records[negatives[i]].patches, 0),
-        ):
-            states, _, _, _, icache = image_forward(model, patches, prompts)
-            logit, itm_cache = itm_forward(
-                model.itm_head, text.t_cls, states[: dims.P]
-            )
-            total += bce(logit, label)
-            g_logit = bce_grad(logit, label) / denom
-            head_grads, grad_patch_states = itm_backward(
-                model.itm_head, itm_cache, g_logit
-            )
-            for k, v in head_grads.items():
-                grads[f"itm.{k}"] += v
-            grad_states = np.zeros_like(states)
-            grad_states[: dims.P] = grad_patch_states
-            gp = image_backward(model, icache, grad_states)
-            if gp.size:
-                grad_prompts += gp
-        if grad_prompts.size:
-            for k, v in map_prompts_backward(model.mapper, mcache, grad_prompts).items():
-                grads[f"mapper.{k}"] += v
-    return total / denom, grads
-
-
-# ---------------------------------------------------------------------------
 # the loop
 # ---------------------------------------------------------------------------
 
@@ -247,10 +129,8 @@ def train(
     saved_step = None
     for step in range(cfg.steps):
         records = [ds.records[k] for k in batches[step % len(batches)]]
-        if model.variant in ("C", "S"):
-            loss, grads = _contrastive_step(model, records, cfg)
-        else:
-            loss, grads = _itm_step(model, records, cfg)
+        grads: dict = {}
+        loss = variant_batch_loss(model, records, cfg.conditioning, grads)
         grads = {
             key: g
             for key, g in grads.items()

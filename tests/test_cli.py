@@ -407,6 +407,33 @@ def test_train_plan_index_outside_dataset_exit_two(workdir, capsys, bad_index):
         "model/checkpoint", "--data", "data/data.jsonl", "--plan", "plan/plan.json")
 
 
+MODEL_AND_DATA_COMMANDS = {
+    "embed-gallery": ("embed-gallery", "--model", "model/checkpoint", "--data", "data/data.jsonl"),
+    "rerank": ("rerank", "--model", "model/checkpoint", "--data", "data/data.jsonl",
+               "--bench", "data/benchmark.json", "--rankings", "ranked/rankings.json",
+               "--k", 4),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_AND_DATA_COMMANDS))
+def test_manifest_patch_shape_mismatch_exit_two(workdir, capsys, command):
+    build_pipeline(workdir, capsys)
+    assert run(workdir, "rank", "--config", "config.json", "--out", "ranked",
+               "--model", "model/checkpoint", "--gallery", "gal/gallery",
+               "--bench", "data/benchmark.json") == 0
+    capsys.readouterr()
+    with open("data/data.jsonl") as fh:
+        lines = fh.read().splitlines()
+    doc = json.loads(lines[0])
+    doc["patches"]["rows"] = TINY.P - 1
+    lines[0] = json.dumps(doc)
+    with open("data/data.jsonl", "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    err = assert_exit_two_without_traceback(
+        workdir, capsys, "data/data.jsonl", *MODEL_AND_DATA_COMMANDS[command])
+    assert repr(doc["id"]) in err and "(3, 5)" in err
+
+
 def test_degenerate_embedding_exit_three(workdir, capsys):
     import numpy as np
 

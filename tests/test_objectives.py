@@ -13,7 +13,7 @@ from elip.objectives import (
     TAU,
     bce,
     bce_grad,
-    build_score_matrix,
+    build_score_matrix_with_caches,
     info_nce,
     info_nce_grad,
     itm_backward,
@@ -45,7 +45,7 @@ def test_score_matrix_no_prompts_equals_frozen_cosines(tiny_dims):
     dims = replace(tiny_dims, n=0)
     model = init_frozen_model(7, dims, "C", MapperConfig(n=0, hidden=8))
     records = make_records(3, dims)
-    sm = build_score_matrix(model, records, "per_row")
+    sm = build_score_matrix_with_caches(model, records, "per_row")[0]
     texts = [encode_text(model, r.tokens).t_joint for r in records]
     images = [encode_image(model, r.patches).v_joint for r in records]
     expected = np.array([[float(np.dot(t, v)) for v in images] for t in texts])
@@ -56,34 +56,34 @@ def test_score_matrix_no_prompts_equals_frozen_cosines(tiny_dims):
 def test_per_row_and_diagonal_agree_on_diagonal(tiny_model, tiny_dims):
     model = randomize_mapper(tiny_model)
     records = make_records(3, tiny_dims)
-    per_row = build_score_matrix(model, records, "per_row")
-    diagonal = build_score_matrix(model, records, "diagonal")
+    per_row = build_score_matrix_with_caches(model, records, "per_row")[0]
+    diagonal = build_score_matrix_with_caches(model, records, "diagonal")[0]
     assert np.allclose(np.diagonal(per_row.scores), np.diagonal(diagonal.scores))
 
 
 def test_score_matrix_bounds(tiny_model, tiny_dims):
     model = randomize_mapper(tiny_model)
     records = make_records(3, tiny_dims)
-    sm = build_score_matrix(model, records, "per_row")
+    sm = build_score_matrix_with_caches(model, records, "per_row")[0]
     assert np.all(np.isfinite(sm.scores))
     assert np.abs(sm.scores).max() <= 1.0 / TAU + 1e-6
 
 
 def test_score_matrix_needs_two_records(tiny_model, tiny_dims):
     with pytest.raises(ConfigError):
-        build_score_matrix(tiny_model, make_records(1, tiny_dims))
+        build_score_matrix_with_caches(tiny_model, make_records(1, tiny_dims))
 
 
-def test_cached_and_plain_score_matrices_agree(tiny_model, tiny_dims):
-    from elip.objectives import build_score_matrix_with_caches
-
-    model = randomize_mapper(tiny_model)
+def test_loss_with_and_without_grads_agree(tiny_dims):
     records = make_records(3, tiny_dims)
-    for conditioning in ("per_row", "diagonal"):
-        plain = build_score_matrix(model, records, conditioning)
-        cached, _, _, _ = build_score_matrix_with_caches(model, records, conditioning)
-        assert np.array_equal(plain.scores, cached.scores)
-        assert np.array_equal(plain.cosines, cached.cosines)
+    for variant in ("C", "S", "B"):
+        model = init_frozen_model(7, tiny_dims, variant, MapperConfig(n=2, hidden=8))
+        randomize_mapper(model)
+        for conditioning in ("per_row", "diagonal"):
+            grads = {}
+            with_grads = variant_batch_loss(model, records, conditioning, grads)
+            plain = variant_batch_loss(model, records, conditioning)
+            assert grads and with_grads == plain, (variant, conditioning)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,8 @@ def test_itm_gradients_finite_difference(tiny_model_b_f64, tiny_dims):
 
 def test_pick_itm_negatives_excludes_self(tiny_model_b_f64, tiny_dims):
     records = make_records(4, tiny_dims)
-    negatives = pick_itm_negatives(tiny_model_b_f64, records)
+    texts = [encode_text(tiny_model_b_f64, r.tokens) for r in records]
+    negatives = pick_itm_negatives(tiny_model_b_f64, records, texts)
     assert len(negatives) == 4
     for i, j in enumerate(negatives):
         assert j != i and 0 <= j < 4

@@ -6,10 +6,10 @@ from elip.config import DimsConfig, MapperConfig
 from elip.encoders import TextEncoding, encode_text, init_frozen_model
 from elip.errors import ConfigError
 from elip.prompt_mapper import (
-    map_prompts,
     map_prompts_backward,
     map_prompts_with_cache,
     pool_text_dense,
+    prompts_for_text,
 )
 from elip.rng import Rng
 
@@ -21,9 +21,7 @@ def text_enc_for(model, tokens=(1, 2, 3)):
 
 
 def test_zero_final_layer_gives_zero_prompts(tiny_model, tiny_dims):
-    prompts = map_prompts(
-        tiny_model.mapper, text_enc_for(tiny_model), tiny_model.mapper_cfg, tiny_dims.d_v
-    )
+    prompts = prompts_for_text(tiny_model, text_enc_for(tiny_model))
     assert prompts.shape == (tiny_dims.n, tiny_dims.d_v)
     assert np.all(prompts == 0.0)
 
@@ -32,7 +30,7 @@ def test_paper_default_shape_ten_by_thirty_two():
     dims = DimsConfig()  # toy defaults carry the n=10 ablation winner
     assert dims.n == 10 and dims.d_v == 32
     model = init_frozen_model(7, dims, "C")
-    prompts = map_prompts(model.mapper, text_enc_for(model), model.mapper_cfg, dims.d_v)
+    prompts = prompts_for_text(model, text_enc_for(model))
     assert prompts.shape == (10, 32)
 
 
@@ -52,7 +50,7 @@ def test_reshape_convention_row_major(tiny_model, tiny_dims):
 def test_n_zero_yields_empty_prompts(tiny_dims):
     dims = replace(tiny_dims, n=0)
     model = init_frozen_model(7, dims, "C", MapperConfig(n=0, hidden=8))
-    prompts = map_prompts(model.mapper, text_enc_for(model), model.mapper_cfg, dims.d_v)
+    prompts = prompts_for_text(model, text_enc_for(model))
     assert prompts.shape == (0, dims.d_v)
 
 
@@ -63,7 +61,7 @@ def test_input_width_mismatch_is_config_error(tiny_model, tiny_dims):
         t_joint=np.zeros(tiny_dims.d_e),
     )
     with pytest.raises(ConfigError):
-        map_prompts(tiny_model.mapper, bad, tiny_model.mapper_cfg, tiny_dims.d_v)
+        prompts_for_text(tiny_model, bad)
 
 
 def test_dense_mean_mode_uses_pooled_tokens(tiny_dims):
@@ -71,9 +69,9 @@ def test_dense_mean_mode_uses_pooled_tokens(tiny_dims):
     model = init_frozen_model(7, tiny_dims, "C", cfg)
     randomize_mapper(model)
     te = text_enc_for(model)
-    via_mode = map_prompts(model.mapper, te, model.mapper_cfg, tiny_dims.d_v)
+    via_mode = prompts_for_text(model, te)
     pooled = TextEncoding(dense=te.dense, t_cls=pool_text_dense(te), t_joint=te.t_joint)
-    via_cls = map_prompts(
+    via_cls, _ = map_prompts_with_cache(
         model.mapper, pooled, MapperConfig(input_mode="cls", n=tiny_dims.n, hidden=8),
         tiny_dims.d_v,
     )

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -207,12 +209,15 @@ def test_mined_plan_trains_end_to_end():
     assert len(trace) == 3
 
 
-def _fd_check_trainable(model, records, cfg, loss_fn, layers, h=1e-6):
-    """Finite-difference check of a step's analytic grads over `layers`."""
-    from elip.trainer import _contrastive_step, _itm_step
+def _fd_check_trainable(model, records, conditioning, layers, h=1e-6):
+    """Finite-difference check of the batch loss's analytic grads over `layers`."""
+    from elip.objectives import variant_batch_loss
 
-    step = _itm_step if cfg.variant == "B" else _contrastive_step
-    _, grads = step(model, records, cfg)
+    def loss_fn():
+        return variant_batch_loss(model, records, conditioning)
+
+    grads = {}
+    variant_batch_loss(model, records, conditioning, grads)
     worst = 0.0
     for prefix, layer in layers:
         for key in layer.tensors:
@@ -243,43 +248,24 @@ def _small_f64_model(variant):
 
 
 def test_variant_s_gradients_finite_difference():
-    from elip.objectives import build_score_matrix, sigmoid_pairwise
-
     model, dims = _small_f64_model("S")
     records = make_records(2, dims, seed=91)
-    cfg = TrainConfig(variant="S", steps=1, conditioning="per_row")
-    err = _fd_check_trainable(
-        model, records, cfg,
-        lambda: sigmoid_pairwise(build_score_matrix(model, records, "per_row")),
-        [("mapper", model.mapper)],
-    )
+    err = _fd_check_trainable(model, records, "per_row", [("mapper", model.mapper)])
     assert err < 1e-4
 
 
 def test_variant_c_diagonal_gradients_finite_difference():
-    from elip.objectives import build_score_matrix, info_nce
-
     model, dims = _small_f64_model("C")
     records = make_records(2, dims, seed=92)
-    cfg = TrainConfig(variant="C", steps=1, conditioning="diagonal")
-    err = _fd_check_trainable(
-        model, records, cfg,
-        lambda: info_nce(build_score_matrix(model, records, "diagonal")),
-        [("mapper", model.mapper)],
-    )
+    err = _fd_check_trainable(model, records, "diagonal", [("mapper", model.mapper)])
     assert err < 1e-4
 
 
 def test_variant_b_gradients_finite_difference():
-    from elip.objectives import variant_batch_loss
-
     model, dims = _small_f64_model("B")
     records = make_records(2, dims, seed=93)
-    cfg = TrainConfig(variant="B", steps=1)
     err = _fd_check_trainable(
-        model, records, cfg,
-        lambda: variant_batch_loss(model, records),
-        [("mapper", model.mapper), ("itm", model.itm_head)],
+        model, records, "per_row", [("mapper", model.mapper), ("itm", model.itm_head)]
     )
     assert err < 1e-4
 
@@ -288,7 +274,9 @@ def test_variant_b_training_separates_pos_from_neg_logits():
     # pinned pilot: 60 steps at lr 3e-3 push the mean pos-neg logit gap
     # from ~0.014 to ~0.59 on the planted tiny dataset
     from elip.curation import SynthSpec, gen_synthetic_dataset
-    from elip.objectives import build_itm_examples
+    from elip.encoders import encode_image, encode_text
+    from elip.objectives import itm_forward, pick_itm_negatives
+    from elip.prompt_mapper import prompts_for_text
 
     spec = SynthSpec(N=12, clusters=3, P=TINY.P, d_in=TINY.d_in, m=TINY.m)
     ds, _ = gen_synthetic_dataset(7, spec)
@@ -298,8 +286,17 @@ def test_variant_b_training_separates_pos_from_neg_logits():
     def separation(m):
         gaps = []
         for batch in plan.batches[:6]:
-            for ex in build_itm_examples(m, [ds.records[i] for i in batch]):
-                gaps.append(ex.logits[0] - ex.logits[1])
+            records = [ds.records[i] for i in batch]
+            texts = [encode_text(m, rec.tokens) for rec in records]
+            negatives = pick_itm_negatives(m, records, texts)
+            for rec, text, neg in zip(records, texts, negatives):
+                prompts = prompts_for_text(m, text)
+                pos_logit, neg_logit = (
+                    itm_forward(m.itm_head, text.t_cls,
+                                encode_image(m, r.patches, prompts).patch_states)[0]
+                    for r in (rec, records[neg])
+                )
+                gaps.append(pos_logit - neg_logit)
         return float(np.mean(gaps))
 
     before = separation(model)
@@ -311,3 +308,70 @@ def test_variant_b_training_separates_pos_from_neg_logits():
     assert trace[-1] < trace[0]
     assert after > before
     assert after > 0.2
+
+
+# ---------------------------------------------------------------------------
+# golden digests: the trained bytes of a fixed 2-step run per setting
+# ---------------------------------------------------------------------------
+
+# A refactor of the loss path must not move a bit: each setting trains 2
+# float32 steps on TINY and pins sha256 of the trainable tensors and of the
+# loss trace. The digests depend on the numpy/BLAS build; they were taken
+# with numpy 2.4 and its bundled OpenBLAS on x86-64.
+GOLDEN = [
+    pytest.param(
+        dict(variant="C"),
+        "119c1729669d869bf216c5fb06b930b2cff3fd8a9317793dfdde45b489f7ab94",
+        "dc159a7856b594bf9ce7d0beaf3a8c77e3ebe8a9182d09fc6f984251fb40ba7c",
+        id="C-per_row",
+    ),
+    pytest.param(
+        dict(variant="C", conditioning="diagonal"),
+        "df9049bc6f0592f1fd8ecf3f282c1f0b4373706af83306b77b87b8fdf1cf3712",
+        "c8146517031819921b214c7fffacbce911a84d27c7b8eb82dcd0e1996d117d78",
+        id="C-diagonal",
+    ),
+    pytest.param(
+        dict(variant="S"),
+        "9fd16d7cff5f57673ea17ad1701830877dccce75847c2d4fc9be7bae3cb81da8",
+        "c4f07034ee410bd3c44d148cd4635102703101222c040fe0b3f389e113c36d19",
+        id="S-per_row",
+    ),
+    pytest.param(
+        dict(variant="B", finetune_itm=True),
+        "5ef64232da8ef4d6d929161f106ece17451d03381732ef6a061f2a09ab37f0cf",
+        "de0a7aaef35041e8fcaa24cb437656f7ff74ff67b83cc673218161523377ebc9",
+        id="B-finetune",
+    ),
+    pytest.param(
+        dict(variant="B", finetune_itm=False),
+        "0ceb348fafe63ff7a443ec06951ec696b6ad83bbb5defb3498cec5e02e5cd1b1",
+        "3593021516bbcde14076fb069474fdd3541c9b9be7cd08c0d3dca7e413df12f3",
+        id="B-frozen-head",
+    ),
+    pytest.param(
+        dict(variant="C", jest_fraction=0.5),
+        "c5b40b7a38dcb57464fda51f530b3bf7e9bf5f46069ee3e8cb06ecd55d8a5647",
+        "a9498dd6bfb61856c7ce04d1ac3acf25dd0a997164cd765278f487d55b7d3b29",
+        id="C-jest",
+    ),
+]
+
+
+def _training_digests(model, trace):
+    tensors = hashlib.sha256()
+    for name, arr, trainable in model.iter_tensors():
+        if trainable:
+            tensors.update(name.encode())
+            tensors.update(np.ascontiguousarray(arr).tobytes())
+    losses = hashlib.sha256(np.asarray(trace, dtype=np.float64).tobytes())
+    return tensors.hexdigest(), losses.hexdigest()
+
+
+@pytest.mark.parametrize("fields, tensors_digest, trace_digest", GOLDEN)
+def test_training_matches_golden_digests(fields, tensors_digest, trace_digest):
+    ds = PairDataset(records=make_records(8))
+    plan = CurationPlan(batches=[[0, 1, 2], [3, 4, 5], [6, 7, 0], [1, 3, 5]])
+    cfg = TrainConfig(steps=2, lr=1e-2, seed=7, **fields)
+    model, trace = train(fresh_model(fields["variant"]), ds, plan, cfg)
+    assert _training_digests(model, trace) == (tensors_digest, trace_digest)
