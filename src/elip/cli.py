@@ -92,6 +92,15 @@ def _load_model_and_data(args) -> tuple:
     return model, ds
 
 
+def _load_rankings_and_bench(args) -> tuple:
+    """The --rankings file, and the --bench file over the rankings' gallery."""
+    rankings = storage.read_rankings(args.rankings)
+    if not rankings:
+        raise DataError(f"no rankings in {args.rankings}")
+    gallery_ids = [image_id for image_id, _ in rankings[0].entries]
+    return rankings, storage.read_benchmark(args.bench, gallery_ids)
+
+
 def _parse_int_list(text: str) -> list:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -232,6 +241,11 @@ def cmd_rank(args) -> int:
     cfg = _load_config(args)
     model = storage.load_checkpoint(args.model)
     store = storage.read_store(args.gallery)
+    if store.matrix.shape[1] != model.dims.d_e:
+        raise DataError(
+            f"{args.gallery}: store embeddings have width {store.matrix.shape[1]}, "
+            f"the model at {args.model} has d_e={model.dims.d_e}"
+        )
     bench = storage.read_benchmark(args.bench, store.ids)
     rankings = rank_queries(model, store, bench)
     path = os.path.join(cfg.out_dir, "rankings.json")
@@ -244,9 +258,7 @@ def cmd_rank(args) -> int:
 def cmd_rerank(args) -> int:
     cfg = _load_config(args)
     model, ds = _load_model_and_data(args)
-    rankings = storage.read_rankings(args.rankings)
-    gallery_ids = [image_id for image_id, _ in rankings[0].entries] if rankings else []
-    bench = storage.read_benchmark(args.bench, gallery_ids)
+    rankings, bench = _load_rankings_and_bench(args)
     k = args.k if args.k is not None else cfg.rerank_k
     cfg.rerank_k = k
     reranked = rerank_queries(model, ds, rankings, bench, k, args.itm_sigmoid)
@@ -259,11 +271,7 @@ def cmd_rerank(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    rankings = storage.read_rankings(args.rankings)
-    if not rankings:
-        raise DataError(f"no rankings in {args.rankings}")
-    gallery_ids = [image_id for image_id, _ in rankings[0].entries]
-    bench = storage.read_benchmark(args.bench, gallery_ids)
+    rankings, bench = _load_rankings_and_bench(args)
     report = evaluate(rankings, bench)
     path = os.path.join(cfg.out_dir, "metrics.csv")
     storage.write_metrics_csv(path, report)
@@ -275,11 +283,7 @@ def cmd_eval(args) -> int:
 
 def cmd_curve(args) -> int:
     cfg = _load_config(args)
-    rankings = storage.read_rankings(args.rankings)
-    if not rankings:
-        raise DataError(f"no rankings in {args.rankings}")
-    gallery_ids = [image_id for image_id, _ in rankings[0].entries]
-    bench = storage.read_benchmark(args.bench, gallery_ids)
+    rankings, bench = _load_rankings_and_bench(args)
     ks = _parse_int_list(args.ks) if args.ks else None
     data = curve(rankings, bench, args.kind, ks)
     path = os.path.join(cfg.out_dir, "curve.csv")

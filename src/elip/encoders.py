@@ -35,11 +35,16 @@ class TextEncoding:
 
 @dataclass
 class ImageEncoding:
+    """One image encoded under optional prompts, with its backward cache."""
+
     patch_states: Array  # (P, d_v)
     cls_state: Array  # (d_v,)
     v_joint: Array  # (d_e,) unit-norm projected embedding
     attn: list  # per layer (H, T, T) attention weights
     prompt_count: int
+    block_caches: list  # per layer attention_block cache
+    ln_cache: tuple  # final layer norm
+    proj_cache: tuple  # joint projection
 
 
 @dataclass
@@ -257,8 +262,10 @@ def encode_text(model: ModelBundle, tokens) -> TextEncoding:
 # ---------------------------------------------------------------------------
 
 
-def image_forward(model: ModelBundle, patches: Array, prompts: Array | None) -> tuple:
-    """Returns (states (T,d_v), attn list, proj cache, v_joint, cache)."""
+def image_forward(
+    model: ModelBundle, patches: Array, prompts: Array | None = None
+) -> ImageEncoding:
+    """Encode one image; prompts (n, d_v) join the sequence at insert_layer."""
     dims = model.dims
     patches = np.asarray(patches)
     if patches.shape != (dims.P, dims.d_in):
@@ -290,40 +297,39 @@ def image_forward(model: ModelBundle, patches: Array, prompts: Array | None) -> 
         attn_all.append(attn)
     states, ln_cache = numkit.layer_norm(model.image_ln, seq)
     v_joint, proj_cache = project_normalize(model.proj_image, states[dims.P])
-    cache = (block_caches, ln_cache, n)
-    return states, attn_all, proj_cache, v_joint, cache
-
-
-def image_backward(model: ModelBundle, cache: tuple, grad_states: Array) -> Array:
-    """Backprop a gradient on the final token states down to the prompts.
-
-    Frozen-parameter gradients are computed for flow-through and discarded;
-    returns the (n, d_v) prompt gradient (empty when no prompts were fed).
-    """
-    block_caches, ln_cache, n = cache
-    dims = model.dims
-    grad, _ = numkit.layer_norm_backward(ln_cache, grad_states)
-    grad_prompts = np.zeros((0, dims.d_v), dtype=model.dtype)
-    for layer_idx in range(dims.L_v - 1, -1, -1):
-        grad, _ = numkit.attention_block_backward(
-            model.image_blocks[layer_idx], block_caches[layer_idx], grad
-        )
-        if layer_idx == dims.insert_layer and n > 0:
-            grad_prompts = grad[dims.P + 1:]
-            grad = grad[: dims.P + 1]
-    return grad_prompts
-
-
-def encode_image(model: ModelBundle, patches: Array, prompts: Array | None = None) -> ImageEncoding:
-    states, attn_all, _, v_joint, cache = image_forward(model, patches, prompts)
-    dims = model.dims
     return ImageEncoding(
-        patch_states=states[: dims.P],
-        cls_state=states[dims.P],
-        v_joint=v_joint,
-        attn=attn_all,
-        prompt_count=cache[2],
+        patch_states=states[: dims.P], cls_state=states[dims.P], v_joint=v_joint,
+        attn=attn_all, prompt_count=n, block_caches=block_caches,
+        ln_cache=ln_cache, proj_cache=proj_cache,
     )
+
+
+encode_image = image_forward
+
+
+def image_backward(
+    model: ModelBundle, enc: ImageEncoding, grad_v_joint=None, grad_patch_states=None
+) -> Array:
+    """The (n, d_v) prompt gradient of enc, given gradients on its v_joint
+    and/or its final patch states; empty when enc has no prompts. No block
+    below insert_layer sees a prompt row, so the backward stops there."""
+    dims = model.dims
+    n = enc.prompt_count
+    if n == 0:
+        return np.zeros((0, dims.d_v), dtype=model.dtype)
+    grad = np.zeros((dims.P + 1 + n, dims.d_v), dtype=model.dtype)
+    if grad_patch_states is not None:
+        grad[: dims.P] = grad_patch_states
+    if grad_v_joint is not None:
+        grad[dims.P] = project_normalize_backward(
+            enc.proj_cache, np.asarray(grad_v_joint, dtype=model.dtype)
+        )
+    grad, _ = numkit.layer_norm_backward(enc.ln_cache, grad)
+    for layer_idx in range(dims.L_v - 1, dims.insert_layer - 1, -1):
+        grad, _ = numkit.attention_block_backward(
+            model.image_blocks[layer_idx], enc.block_caches[layer_idx], grad
+        )
+    return grad[dims.P + 1:]
 
 
 # ---------------------------------------------------------------------------

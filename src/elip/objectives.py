@@ -19,11 +19,9 @@ from .encoders import (
     ImageEncoding,
     ModelBundle,
     TextEncoding,
-    encode_image,
     encode_text,
     image_backward,
     image_forward,
-    project_normalize_backward,
 )
 from .errors import ConfigError, DataError
 from .numkit import Array, LayerParams
@@ -52,18 +50,25 @@ def sigmoid(x):
     return out
 
 
+def _pairs(b: int, conditioning: str) -> list:
+    """(prompt index i, image index j, score rows it fills) of each encode,
+    in the pinned (i, j) lexicographic order: per_row fills entry (i, j),
+    diagonal the whole column j."""
+    if conditioning == "per_row":
+        return [(i, j, (i,)) for i in range(b) for j in range(b)]
+    return [(j, j, range(b)) for j in range(b)]
+
+
 def build_score_matrix_with_caches(
     model: ModelBundle, records, conditioning: str = "per_row", keep_caches: bool = True
 ) -> tuple[ScoreMatrix, list, list, dict]:
     """Text-vs-conditioned-image cosine matrix over one batch of records,
     plus every cache the backward pass needs.
 
-    Returns (score matrix, text encodings, prompt caches, image caches).
-    image_caches maps (i, j) in per_row mode / j in diagonal mode to
-    (projection cache, encoder cache, final-states shape); it stays empty
+    Returns (score matrix, text encodings, prompt caches, image encodings).
+    The image encodings are keyed by their (i, j) pair; the dict stays empty
     when keep_caches is off, so a loss-only call holds one encoding at a
-    time. Summation and encode order is (i, j) lexicographic, pinned for
-    determinism.
+    time.
     """
     b = len(records)
     if b < 2:
@@ -78,30 +83,15 @@ def build_score_matrix_with_caches(
         prompts.append(p)
         prompt_caches.append(c)
     cos = np.zeros((b, b), dtype=np.float64)
-    image_caches: dict = {}
-    if conditioning == "diagonal":
-        v_all = []
-        for j, rec in enumerate(records):
-            states, _, proj_cache, v_joint, cache = image_forward(
-                model, rec.patches, prompts[j]
-            )
-            if keep_caches:
-                image_caches[j] = (proj_cache, cache, states.shape)
-            v_all.append(v_joint)
-        for i in range(b):
-            for j in range(b):
-                cos[i, j] = float(np.dot(texts[i].t_joint, v_all[j]))
-    else:
-        for i in range(b):
-            for j in range(b):
-                states, _, proj_cache, v_joint, cache = image_forward(
-                    model, records[j].patches, prompts[i]
-                )
-                if keep_caches:
-                    image_caches[(i, j)] = (proj_cache, cache, states.shape)
-                cos[i, j] = float(np.dot(texts[i].t_joint, v_joint))
+    images: dict = {}
+    for i, j, rows in _pairs(b, conditioning):
+        enc = image_forward(model, records[j].patches, prompts[i])
+        if keep_caches:
+            images[(i, j)] = enc
+        for r in rows:
+            cos[r, j] = float(np.dot(texts[r].t_joint, enc.v_joint))
     sm = ScoreMatrix(scores=cos / TAU, cosines=cos, conditioning=conditioning)
-    return sm, texts, prompt_caches, image_caches
+    return sm, texts, prompt_caches, images
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +271,7 @@ def pick_itm_negatives(model: ModelBundle, records, texts: list) -> list[int]:
     """Per anchor i: the other batch image most stage-1-similar to text i.
 
     texts holds the batch's TextEncodings, in record order."""
-    frozen = [encode_image(model, rec.patches).v_joint for rec in records]
+    frozen = [image_forward(model, rec.patches).v_joint for rec in records]
     out = []
     for i in range(len(records)):
         best, best_sim = -1, -np.inf
@@ -322,7 +312,7 @@ def _add_mapper_grads(model: ModelBundle, grads: dict, mcache: tuple, grad_promp
 
 
 def _contrastive_loss(model: ModelBundle, records, conditioning: str, grads) -> float:
-    sm, texts, prompt_caches, image_caches = build_score_matrix_with_caches(
+    sm, texts, prompt_caches, images = build_score_matrix_with_caches(
         model, records, conditioning, keep_caches=grads is not None
     )
     if model.variant == "C":
@@ -336,32 +326,14 @@ def _contrastive_loss(model: ModelBundle, records, conditioning: str, grads) -> 
     else:
         g_cos = sigmoid_pairwise_grad(sm)
 
-    b = len(records)
-    dims = model.dims
-
-    def prompt_grad(image_cache, upstream):
-        proj_cache, cache, states_shape = image_cache
-        grad_states = np.zeros(states_shape, dtype=model.dtype)
-        grad_states[dims.P] = project_normalize_backward(proj_cache, upstream)
-        return image_backward(model, cache, grad_states)
-
-    if conditioning == "per_row":
-        for i in range(b):
-            grad_prompts = None
-            for j in range(b):
-                upstream = (g_cos[i, j] * texts[i].t_joint).astype(model.dtype)
-                gp = prompt_grad(image_caches[(i, j)], upstream)
-                grad_prompts = gp if grad_prompts is None else grad_prompts + gp
-            if grad_prompts.size:
-                _add_mapper_grads(model, grads, prompt_caches[i], grad_prompts)
-    else:
-        for j in range(b):
-            upstream = np.zeros(dims.d_e, dtype=np.float64)
-            for i in range(b):
-                upstream += g_cos[i, j] * texts[i].t_joint
-            gp = prompt_grad(image_caches[j], upstream.astype(model.dtype))
-            if gp.size:
-                _add_mapper_grads(model, grads, prompt_caches[j], gp)
+    grad_prompts: dict = {}
+    for i, j, rows in _pairs(len(records), conditioning):
+        upstream = sum(g_cos[r, j] * texts[r].t_joint for r in rows)
+        gp = image_backward(model, images[(i, j)], grad_v_joint=upstream)
+        grad_prompts[i] = grad_prompts[i] + gp if i in grad_prompts else gp
+    for i, gp in grad_prompts.items():
+        if gp.size:
+            _add_mapper_grads(model, grads, prompt_caches[i], gp)
     return loss
 
 
@@ -383,8 +355,8 @@ def _itm_loss(model: ModelBundle, records, grads) -> float:
         prompts, mcache = map_prompts_with_cache(model.mapper, text, model.mapper_cfg, dims.d_v)
         grad_prompts = np.zeros_like(prompts)
         for patches, label in ((rec.patches, 1), (records[negatives[i]].patches, 0)):
-            states, _, _, _, icache = image_forward(model, patches, prompts)
-            logit, itm_cache = itm_forward(model.itm_head, text.t_cls, states[: dims.P])
+            enc = image_forward(model, patches, prompts)
+            logit, itm_cache = itm_forward(model.itm_head, text.t_cls, enc.patch_states)
             total += bce(logit, label)
             if grads is None:
                 continue
@@ -393,9 +365,7 @@ def _itm_loss(model: ModelBundle, records, grads) -> float:
             )
             for k, v in head_grads.items():
                 grads[f"itm.{k}"] += v
-            grad_states = np.zeros_like(states)
-            grad_states[: dims.P] = grad_patch_states
-            gp = image_backward(model, icache, grad_states)
+            gp = image_backward(model, enc, grad_patch_states=grad_patch_states)
             if gp.size:
                 grad_prompts += gp
         if grads is not None and grad_prompts.size:

@@ -261,6 +261,8 @@ def curve(rankings, bench: Benchmark, kind: str, ks=None) -> CurveData:
         sweep = list(ks) if ks is not None else list(DEFAULT_RECALL_KS)
         if not sweep:
             raise ConfigError("empty k sweep list")
+        if min(sweep) < 1:
+            raise ConfigError(f"recall_topk needs every k >= 1, got {sweep}")
         points = [(float(k), recall_at_k(rankings, bench, k)) for k in sweep]
         return CurveData(kind=kind, points=points)
     if kind == "precision_recall":

@@ -412,7 +412,10 @@ def read_store(store_dir: str) -> EmbeddingStore:
     if not os.path.exists(ids_path):
         raise DataError(f"store ids not found: {ids_path}")
     ids, seed = _parse_json(ids_path, lambda doc: (list(doc["ids"]), doc["seed"]))
-    matrix = read_tensor_blob(os.path.join(store_dir, "embeddings.bin"))
+    matrix_path = os.path.join(store_dir, "embeddings.bin")
+    matrix = read_tensor_blob(matrix_path)
+    if matrix.ndim != 2:
+        raise FormatError(f"{matrix_path}: rank {matrix.ndim} blob, expected a (G, d_e) matrix")
     return EmbeddingStore(ids=ids, matrix=matrix, provenance_seed=seed)
 
 

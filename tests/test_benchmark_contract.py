@@ -54,3 +54,12 @@ def test_every_name_the_benchmark_uses_resolves():
         if not hasattr(importlib.import_module(module), name)
     )
     assert not missing, f"names the benchmark uses are gone: {missing}"
+
+
+def test_wrapped_references_are_one_function():
+    """The tracer wraps image_forward once and finds it under every name
+    that holds it; the self-test checks these identities while wrapped."""
+    from elip import encoders, objectives
+
+    assert encoders.encode_image is encoders.image_forward
+    assert objectives.image_forward is encoders.image_forward

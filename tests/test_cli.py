@@ -651,3 +651,53 @@ def test_fuzzed_artifact_exits_cleanly(workdir, capsys, path):
             assert err.startswith("error: ") and "Traceback" not in err
 
     check()
+
+
+RANK_ARGS = ("rank", "--model", "model/checkpoint", "--gallery", "gal/gallery",
+             "--bench", "data/benchmark.json")
+
+
+def test_rank_store_width_mismatch_exit_two(workdir, capsys):
+    """A store embedded by a model with another d_e names the store."""
+    build_pipeline(workdir, capsys)
+    wide = dict(TINY_CONFIG, dims=dict(TINY_CONFIG["dims"], d_e=16))
+    (workdir / "wide.json").write_text(json.dumps(wide))
+    assert run(workdir, "init-model", "--config", "wide.json", "--out", "wide") == 0
+    assert run(workdir, "embed-gallery", "--config", "wide.json", "--out", "gal",
+               "--model", "wide/checkpoint", "--data", "data/data.jsonl") == 0
+    capsys.readouterr()
+    err = assert_exit_two_without_traceback(workdir, capsys, "gal/gallery", *RANK_ARGS)
+    assert "width 16" in err and "d_e=8" in err
+
+
+@pytest.mark.parametrize("shape", [(), (12,)], ids=["rank0", "rank1"])
+def test_rank_store_not_a_matrix_exit_two(workdir, capsys, shape):
+    build_pipeline(workdir, capsys)
+    storage.write_tensor_blob("gal/gallery/embeddings.bin", np.ones(shape, dtype=np.float32))
+    err = assert_exit_two_without_traceback(
+        workdir, capsys, "gal/gallery/embeddings.bin", *RANK_ARGS)
+    assert f"rank {len(shape)}" in err
+
+
+def test_curve_rejects_k_below_one_exit_one(workdir, capsys):
+    build_pipeline(workdir, capsys)
+    assert run(workdir, *RANK_ARGS, "--config", "config.json", "--out", "ranked") == 0
+    capsys.readouterr()
+    code = run(workdir, "curve", "--config", "config.json", "--out", "cv",
+               "--rankings", "ranked/rankings.json", "--bench", "data/benchmark.json",
+               "--kind", "recall_topk", "--ks=-5,0,3")
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out)["status"] == "error"
+    assert "k >= 1" in err
+    assert not os.path.exists("cv/curve.csv")
+
+
+def test_rerank_empty_rankings_exit_two(workdir, capsys):
+    build_pipeline(workdir, capsys)
+    storage.write_rankings("empty.json", [])
+    err = assert_exit_two_without_traceback(
+        workdir, capsys, "empty.json", "rerank", "--model", "model/checkpoint",
+        "--data", "data/data.jsonl", "--bench", "data/benchmark.json",
+        "--rankings", "empty.json", "--k", 4)
+    assert "no rankings in empty.json" in err

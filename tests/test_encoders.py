@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from elip import numkit
 from elip.config import DimsConfig, MapperConfig
 from elip.encoders import (
     bundles_equal,
@@ -11,7 +12,6 @@ from elip.encoders import (
     image_backward,
     image_forward,
     init_frozen_model,
-    project_normalize_backward,
 )
 from elip.errors import ConfigError, DataError, DimensionError
 from elip.rng import Rng
@@ -177,16 +177,13 @@ def test_encode_is_pure(tiny_model, tiny_dims):
 
 def prompt_gradient(model, patches, prompts, upstream):
     """d(v_joint)/d(prompts) contracted with an upstream d_e gradient."""
-    states, _, proj_cache, _, cache = image_forward(model, patches, prompts)
-    grad_states = np.zeros_like(states)
-    grad_states[model.dims.P] = project_normalize_backward(
-        proj_cache, np.asarray(upstream, dtype=model.dtype)
-    )
-    return image_backward(model, cache, grad_states)
+    return image_backward(model, image_forward(model, patches, prompts), grad_v_joint=upstream)
 
 
-def test_prompt_gradient_finite_difference(tiny_model_f64, tiny_dims):
-    model = tiny_model_f64
+@pytest.mark.parametrize("insert_layer", [0, TINY.L_v - 1])
+def test_prompt_gradient_finite_difference(tiny_dims, insert_layer):
+    dims = replace(tiny_dims, insert_layer=insert_layer)
+    model = init_frozen_model(7, dims, "C", MapperConfig(n=dims.n, hidden=8), dtype=np.float64)
     patches = patches_for(tiny_dims)
     prompts = Rng(25).gaussian_matrix(tiny_dims.n, tiny_dims.d_v)
     upstream = Rng(26).gaussian_matrix(1, tiny_dims.d_e)[0]
@@ -219,6 +216,28 @@ def test_no_prompts_gives_empty_gradient(tiny_model, tiny_dims):
         tiny_model, patches_for(tiny_dims), None, np.ones(tiny_dims.d_e)
     )
     assert grad.shape == (0, tiny_dims.d_v)
+
+
+@pytest.mark.parametrize("insert_layer", [0, TINY.L_v - 1])
+def test_backward_stops_at_insert_layer(tiny_dims, insert_layer, monkeypatch):
+    dims = replace(tiny_dims, insert_layer=insert_layer)
+    model = init_frozen_model(7, dims, "C", MapperConfig(n=dims.n, hidden=8))
+    calls = []
+    real = numkit.attention_block_backward
+
+    def spy(params, cache, grad_out):
+        calls.append(params.name)
+        return real(params, cache, grad_out)
+
+    monkeypatch.setattr(numkit, "attention_block_backward", spy)
+    prompts = Rng(28).gaussian_matrix(dims.n, dims.d_v)
+    enc = image_forward(model, patches_for(dims), prompts)
+    image_backward(model, enc, grad_v_joint=np.ones(dims.d_e))
+    assert calls == [f"image.block{i}" for i in range(dims.L_v - 1, insert_layer - 1, -1)]
+    calls.clear()
+    bare = image_forward(model, patches_for(dims))
+    grad = image_backward(model, bare, np.ones(dims.d_e), np.ones((dims.P, dims.d_v)))
+    assert grad.shape == (0, dims.d_v) and calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -470,16 +470,15 @@ def test_grad_check_full_encoder_cls_chain():
     def f(point):
         saved = dict(block.tensors)
         block.tensors.update(point)
-        states, _, _, _, cache = image_forward(model, patches, None)
-        loss = float(np.dot(states[TINY.P], w))
-        block_caches, ln_cache, _ = cache
-        grad_states = np.zeros_like(states)
+        enc = image_forward(model, patches)
+        loss = float(np.dot(enc.cls_state, w))
+        grad_states = np.zeros((TINY.P + 1, TINY.d_v))
         grad_states[TINY.P] = w
-        grad, _ = numkit.layer_norm_backward(ln_cache, grad_states)
+        grad, _ = numkit.layer_norm_backward(enc.ln_cache, grad_states)
         grad, _ = numkit.attention_block_backward(
-            model.image_blocks[1], block_caches[1], grad
+            model.image_blocks[1], enc.block_caches[1], grad
         )
-        _, grads0 = numkit.attention_block_backward(block, block_caches[0], grad)
+        _, grads0 = numkit.attention_block_backward(block, enc.block_caches[0], grad)
         block.tensors.update(saved)
         return loss, grads0
 

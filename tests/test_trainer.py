@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from elip.trainer import OptimizerState, adam_step, clip_global_norm, train
 
 from conftest import TINY, make_records
 
+LATE = TINY.L_v - 1
 
-def fresh_model(variant="C", seed=7):
-    return init_frozen_model(seed, TINY, variant, MapperConfig(n=TINY.n, hidden=8))
+
+def fresh_model(variant="C", seed=7, dims=TINY):
+    return init_frozen_model(seed, dims, variant, MapperConfig(n=dims.n, hidden=8))
 
 
 def small_plan(n=6, b=3):
@@ -236,9 +239,7 @@ def _fd_check_trainable(model, records, conditioning, layers, h=1e-6):
 
 
 def _small_f64_model(variant):
-    from dataclasses import replace
-
-    from conftest import TINY, randomize_mapper
+    from conftest import randomize_mapper
 
     dims = replace(TINY, L_t=1, L_v=1, P=3, m=2, n=1)
     model = init_frozen_model(
@@ -315,9 +316,10 @@ def test_variant_b_training_separates_pos_from_neg_logits():
 # ---------------------------------------------------------------------------
 
 # A refactor of the loss path must not move a bit: each setting trains 2
-# float32 steps on TINY and pins sha256 of the trainable tensors and of the
-# loss trace. The digests depend on the numpy/BLAS build; they were taken
-# with numpy 2.4 and its bundled OpenBLAS on x86-64.
+# float32 steps on TINY (the late cases with insert_layer = L_v - 1) and pins
+# sha256 of the trainable tensors and of the loss trace. The digests depend
+# on the numpy/BLAS build; they were taken with numpy 2.4 and its bundled
+# OpenBLAS on x86-64.
 GOLDEN = [
     pytest.param(
         dict(variant="C"),
@@ -355,6 +357,32 @@ GOLDEN = [
         "a9498dd6bfb61856c7ce04d1ac3acf25dd0a997164cd765278f487d55b7d3b29",
         id="C-jest",
     ),
+    # late fusion: prompts enter at the last image block, so the image
+    # backward stops there
+    pytest.param(
+        dict(variant="C", insert_layer=LATE),
+        "80f1bdd9678b654569ff92182b63bde8588b91bd86641b24e9f4c63a5456f408",
+        "24b405b15d8bcfa284d17136de98a65e8441eda2ec447db99569a658f9658f5a",
+        id="C-per_row-late",
+    ),
+    pytest.param(
+        dict(variant="C", conditioning="diagonal", insert_layer=LATE),
+        "23d1e5a3ecc3bae29a783c1e90e03dd0d6142abb2b9c79f9ace4097cdea587cf",
+        "3b9e59cd525f4f9001f58565c21fcda0bcf799a0347913a2cc73997ed9d5d9b0",
+        id="C-diagonal-late",
+    ),
+    pytest.param(
+        dict(variant="B", finetune_itm=True, insert_layer=LATE),
+        "cec4b1c48e925ee3072aa0409b05794a4bf9c8369c9f360145270acd833ada56",
+        "f0493da63e4891c883499ff957f06bbb09f17138850860e13d398f2311a62be9",
+        id="B-finetune-late",
+    ),
+    pytest.param(
+        dict(variant="B", jest_fraction=0.5, insert_layer=LATE),
+        "f14d5b7242bd1f61ce309f3e064d8faf8adaa807e9da45aef26be587fcb2a993",
+        "7953da98e1c9737d07d0bb70e7f5e0744fc856914b219177abd9d70a996f595e",
+        id="B-jest-late",
+    ),
 ]
 
 
@@ -370,8 +398,10 @@ def _training_digests(model, trace):
 
 @pytest.mark.parametrize("fields, tensors_digest, trace_digest", GOLDEN)
 def test_training_matches_golden_digests(fields, tensors_digest, trace_digest):
+    fields = dict(fields)
+    dims = replace(TINY, insert_layer=fields.pop("insert_layer", 0))
     ds = PairDataset(records=make_records(8))
     plan = CurationPlan(batches=[[0, 1, 2], [3, 4, 5], [6, 7, 0], [1, 3, 5]])
     cfg = TrainConfig(steps=2, lr=1e-2, seed=7, **fields)
-    model, trace = train(fresh_model(fields["variant"]), ds, plan, cfg)
+    model, trace = train(fresh_model(fields["variant"], dims=dims), ds, plan, cfg)
     assert _training_digests(model, trace) == (tensors_digest, trace_digest)
