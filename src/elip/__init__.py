@@ -14,6 +14,7 @@ from .curation import (
     select_by_learnability,
 )
 from .encoders import (
+    FrozenTable,
     ImageEncoding,
     ModelBundle,
     TextEncoding,

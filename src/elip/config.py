@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
@@ -93,8 +94,8 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.lr is not None and self.lr < 0:
-            raise ConfigError("lr must be non-negative")
+        if self.lr is not None and not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr={self.lr} must be finite and non-negative")
         if self.steps < 1:
             raise ConfigError(f"steps={self.steps} must be >= 1")
         if self.conditioning not in ("per_row", "diagonal"):
@@ -103,8 +104,10 @@ class TrainConfig:
             raise ConfigError("jest_fraction must lie in [0, 1]")
         if not 0.0 < self.subset_fraction <= 1.0:
             raise ConfigError("subset_fraction must lie in (0, 1]")
-        if self.grad_clip <= 0:
-            raise ConfigError("grad_clip must be positive")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip > 0):
+            raise ConfigError(f"grad_clip={self.grad_clip} must be finite and positive")
+        if self.ckpt_interval < 0:
+            raise ConfigError(f"ckpt_interval={self.ckpt_interval} must be >= 0")
         return self
 
 

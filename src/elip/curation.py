@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DimsConfig
-from .encoders import ModelBundle, encode_image, encode_text
+from .encoders import FrozenTable, ModelBundle
 from .errors import ConfigError, DataError
 from .numkit import Array
 from .objectives import variant_batch_loss
@@ -90,18 +90,6 @@ def query_id(index: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# frozen joint embeddings (stage-1 space, no prompts)
-# ---------------------------------------------------------------------------
-
-
-def frozen_embeddings(model: ModelBundle, ds: PairDataset) -> tuple[Array, Array]:
-    """(text_matrix, image_matrix), one unit-norm row per record."""
-    texts = np.stack([encode_text(model, r.tokens).t_joint for r in ds.records])
-    images = np.stack([encode_image(model, r.patches).v_joint for r in ds.records])
-    return texts, images
-
-
-# ---------------------------------------------------------------------------
 # global hard sample mining
 # ---------------------------------------------------------------------------
 
@@ -114,12 +102,16 @@ def mine_hard_batches(
 ) -> CurationPlan:
     """One batch per reference pair: itself plus the B-1 images whose frozen
     embeddings score highest against the reference text, descending, ties by
-    ascending record index."""
+    ascending record index. model_or_embeddings is a model, whose frozen
+    table gives the unit-norm text and image rows, or that (text, image)
+    matrix pair itself."""
     n = ds.N
     if not 1 <= B <= n:
         raise ConfigError(f"batch size B={B} must lie in [1, N={n}]")
     if isinstance(model_or_embeddings, ModelBundle):
-        text_mat, image_mat = frozen_embeddings(model_or_embeddings, ds)
+        table = FrozenTable(model_or_embeddings)
+        text_mat = np.stack([table.text(r).t_joint for r in ds.records])
+        image_mat = np.stack([table.image(r).v_joint for r in ds.records])
         source_seed = model_or_embeddings.seed
     else:
         text_mat, image_mat = model_or_embeddings
@@ -166,18 +158,20 @@ def select_by_learnability(
 ) -> CurationPlan:
     """Keep the ceil(fraction * count) batches with highest
     loss(learner) - loss(reference); ties by ascending batch index, original
-    relative order preserved."""
+    relative order preserved. Learner and reference each get one frozen
+    table for the call: the reference may have another backbone."""
     if not plan.batches:
         raise DataError("cannot select from an empty plan")
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction={fraction} must lie in (0, 1]")
     plan.check_indices(ds.N)
+    learner_table, reference_table = FrozenTable(learner), FrozenTable(reference)
     scores = []
     for batch in plan.batches:
         records = [ds.records[k] for k in batch]
         scores.append(
-            variant_batch_loss(learner, records, conditioning)
-            - variant_batch_loss(reference, records, conditioning)
+            variant_batch_loss(learner, records, conditioning, table=learner_table)
+            - variant_batch_loss(reference, records, conditioning, table=reference_table)
         )
     count = math.ceil(fraction * len(plan.batches))
     ranked = sorted(range(len(plan.batches)), key=lambda k: (-scores[k], k))
@@ -239,8 +233,10 @@ class SynthSpec:
     def validate(self) -> "SynthSpec":
         if not self.N >= self.clusters >= 2:
             raise ConfigError(f"need N >= clusters >= 2, got N={self.N}, clusters={self.clusters}")
-        if self.signal_strength <= 0:
-            raise ConfigError("signal_strength must be positive")
+        if not (math.isfinite(self.signal_strength) and self.signal_strength > 0):
+            raise ConfigError(
+                f"signal_strength={self.signal_strength} must be finite and positive"
+            )
         if self.P < 2 or self.d_in < 2:
             raise ConfigError("patch geometry too small to carve a signal region")
         return self

@@ -307,6 +307,38 @@ def image_forward(
 encode_image = image_forward
 
 
+class FrozenTable:
+    """Per-record frozen encodings under one model, each computed on first
+    use and keyed by record id.
+
+    A record's TextEncoding and its prompt-free image encoding depend only
+    on frozen tensors, so one table serves every batch of a selection or a
+    training run. The image entry keeps v_joint and the final patch states
+    but no backward cache, as nothing flows back into a prompt-free encode.
+    A table belongs to one model; a model with another backbone needs its own.
+    """
+
+    def __init__(self, model: ModelBundle):
+        self.model = model
+        self._texts: dict = {}
+        self._images: dict = {}
+
+    def text(self, rec) -> TextEncoding:
+        enc = self._texts.get(rec.id)
+        if enc is None:
+            enc = self._texts[rec.id] = encode_text(self.model, rec.tokens)
+        return enc
+
+    def image(self, rec) -> ImageEncoding:
+        """rec's prompt-free encoding (prompt_count 0)."""
+        enc = self._images.get(rec.id)
+        if enc is None:
+            enc = replace(image_forward(self.model, rec.patches),
+                          attn=[], block_caches=[], ln_cache=(), proj_cache=())
+            self._images[rec.id] = enc
+        return enc
+
+
 def image_backward(
     model: ModelBundle, enc: ImageEncoding, grad_v_joint=None, grad_patch_states=None
 ) -> Array:

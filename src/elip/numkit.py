@@ -12,7 +12,9 @@ against central finite differences by grad_check.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,57 +194,63 @@ def attention_block(params: LayerParams, seq: Array, heads: int) -> tuple[Array,
 
 def attention_block_backward(
     params: LayerParams, cache: tuple, grad_out: Array
-) -> tuple[Array, dict[str, Array]]:
-    h1, ln1_cache, q, k, v, attn, o, h2, ln2_cache, gelu_cache, a1, heads, scale = cache
-    w1 = params.tensors["w1"]
-    w2 = params.tensors["w2"]
-    wo = params.tensors["wo"]
+) -> tuple[Array, Mapping[str, Array]]:
+    """(gradient on the block input, gradients on the block tensors).
 
-    grads: dict[str, Array] = {}
+    The tensor gradients are a read-only mapping computed on first access:
+    the image backward only carries the input gradient through frozen
+    blocks, and their weight gradients would be thrown away."""
+    h1, ln1_cache, q, k, v, attn, o, h2, ln2_cache, gelu_cache, a1, heads, scale = cache
+    p = params.tensors
 
     # MLP branch: out = y + m2
-    grad_m2 = grad_out
-    grads["w2"] = grad_m2.T @ a1
-    grads["b2"] = grad_m2.sum(axis=0)
-    grad_a1 = grad_m2 @ w2
-    grad_m1 = gelu_backward(gelu_cache, grad_a1)
-    grads["w1"] = grad_m1.T @ h2
-    grads["b1"] = grad_m1.sum(axis=0)
-    grad_h2 = grad_m1 @ w1
-    grad_ln2, ln2_grads = layer_norm_backward(ln2_cache, grad_h2)
-    grads["ln2.gamma"] = ln2_grads["gamma"]
-    grads["ln2.beta"] = ln2_grads["beta"]
+    grad_m1 = gelu_backward(gelu_cache, grad_out @ p["w2"])
+    grad_ln2, ln2_grads = layer_norm_backward(ln2_cache, grad_m1 @ p["w1"])
     grad_y = grad_out + grad_ln2
 
     # attention branch: y = seq + O @ wo.T + bo
-    grad_attn_out = grad_y
-    grads["wo"] = grad_attn_out.T @ o
-    grads["bo"] = grad_attn_out.sum(axis=0)
-    grad_o = _split_heads(grad_attn_out @ wo, heads)
-
+    grad_o = _split_heads(grad_y @ p["wo"], heads)
     grad_a = grad_o @ v.transpose(0, 2, 1)
     grad_v = _merge_heads(attn.transpose(0, 2, 1) @ grad_o)
     grad_s = softmax_rows_backward(attn, grad_a)
     grad_q = _merge_heads((grad_s @ k) * scale)
     grad_k = _merge_heads((grad_s.transpose(0, 2, 1) @ q) * scale)
-
-    grads["wq"] = grad_q.T @ h1
-    grads["bq"] = grad_q.sum(axis=0)
-    grads["wk"] = grad_k.T @ h1
-    grads["bk"] = grad_k.sum(axis=0)
-    grads["wv"] = grad_v.T @ h1
-    grads["bv"] = grad_v.sum(axis=0)
-
-    grad_h1 = (
-        grad_q @ params.tensors["wq"]
-        + grad_k @ params.tensors["wk"]
-        + grad_v @ params.tensors["wv"]
-    )
+    grad_h1 = grad_q @ p["wq"] + grad_k @ p["wk"] + grad_v @ p["wv"]
     grad_ln1, ln1_grads = layer_norm_backward(ln1_cache, grad_h1)
-    grads["ln1.gamma"] = ln1_grads["gamma"]
-    grads["ln1.beta"] = ln1_grads["beta"]
-    grad_seq = grad_y + grad_ln1
-    return grad_seq, grads
+
+    def tensor_grads() -> dict[str, Array]:
+        return {
+            "w2": grad_out.T @ a1, "b2": grad_out.sum(axis=0),
+            "w1": grad_m1.T @ h2, "b1": grad_m1.sum(axis=0),
+            "ln2.gamma": ln2_grads["gamma"], "ln2.beta": ln2_grads["beta"],
+            "wo": grad_y.T @ o, "bo": grad_y.sum(axis=0),
+            "wq": grad_q.T @ h1, "bq": grad_q.sum(axis=0),
+            "wk": grad_k.T @ h1, "bk": grad_k.sum(axis=0),
+            "wv": grad_v.T @ h1, "bv": grad_v.sum(axis=0),
+            "ln1.gamma": ln1_grads["gamma"], "ln1.beta": ln1_grads["beta"],
+        }
+
+    return grad_y + grad_ln1, _OnFirstAccess(tensor_grads)
+
+
+class _OnFirstAccess(Mapping):
+    """Read-only mapping whose dict build() makes on first access."""
+
+    def __init__(self, build):
+        self._build = build
+
+    @functools.cached_property
+    def _items(self) -> dict:
+        return self._build()
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Score matrices are text-anchored: row i holds text i scored against every
 image in the batch, each image re-encoded under conditioning prompts.
 per_row conditioning re-encodes image j with prompts from text i for entry
 (i, j) (b^2 encodings, matching inference); diagonal conditions every image
-on its own paired text (b encodings).
+on its own paired text (b encodings). Batch texts, and images under an
+empty prompt set (the prompt-free JEST reference), come from an
+encoders.FrozenTable, so a record's frozen work runs once per table.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import numpy as np
 
 from . import numkit
 from .encoders import (
+    FrozenTable,
     ImageEncoding,
     ModelBundle,
     TextEncoding,
-    encode_text,
     image_backward,
     image_forward,
 )
@@ -59,8 +61,24 @@ def _pairs(b: int, conditioning: str) -> list:
     return [(j, j, range(b)) for j in range(b)]
 
 
+def _table_for(model: ModelBundle, table: FrozenTable | None) -> FrozenTable:
+    if table is None:
+        return FrozenTable(model)
+    if table.model is not model:
+        raise ConfigError("frozen table was built for another model")
+    return table
+
+
+def _encode(model: ModelBundle, table: FrozenTable, rec, prompts: Array) -> ImageEncoding:
+    """rec's image under prompts; an empty prompt set reads the frozen table."""
+    if prompts.size:
+        return image_forward(model, rec.patches, prompts)
+    return table.image(rec)
+
+
 def build_score_matrix_with_caches(
-    model: ModelBundle, records, conditioning: str = "per_row", keep_caches: bool = True
+    model: ModelBundle, records, conditioning: str = "per_row", keep_caches: bool = True,
+    table: FrozenTable | None = None,
 ) -> tuple[ScoreMatrix, list, list, dict]:
     """Text-vs-conditioned-image cosine matrix over one batch of records,
     plus every cache the backward pass needs.
@@ -68,14 +86,16 @@ def build_score_matrix_with_caches(
     Returns (score matrix, text encodings, prompt caches, image encodings).
     The image encodings are keyed by their (i, j) pair; the dict stays empty
     when keep_caches is off, so a loss-only call holds one encoding at a
-    time.
+    time. Texts, and images under an empty prompt set, come from the
+    model's frozen table (a new one per call when none is given).
     """
     b = len(records)
     if b < 2:
         raise ConfigError(f"contrastive batch needs >= 2 records, got {b}")
     if conditioning not in ("per_row", "diagonal"):
         raise ConfigError(f"unknown conditioning {conditioning!r}")
-    texts = [encode_text(model, rec.tokens) for rec in records]
+    table = _table_for(model, table)
+    texts = [table.text(rec) for rec in records]
     prompt_caches = []
     prompts = []
     for te in texts:
@@ -85,7 +105,7 @@ def build_score_matrix_with_caches(
     cos = np.zeros((b, b), dtype=np.float64)
     images: dict = {}
     for i, j, rows in _pairs(b, conditioning):
-        enc = image_forward(model, records[j].patches, prompts[i])
+        enc = _encode(model, table, records[j], prompts[i])
         if keep_caches:
             images[(i, j)] = enc
         for r in rows:
@@ -267,11 +287,15 @@ def bce_grad(logit: float, label: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def pick_itm_negatives(model: ModelBundle, records, texts: list) -> list[int]:
+def pick_itm_negatives(
+    model: ModelBundle, records, texts: list, table: FrozenTable | None = None
+) -> list[int]:
     """Per anchor i: the other batch image most stage-1-similar to text i.
 
-    texts holds the batch's TextEncodings, in record order."""
-    frozen = [image_forward(model, rec.patches).v_joint for rec in records]
+    texts holds the batch's TextEncodings, in record order; the frozen image
+    embeddings come from the model's frozen table."""
+    table = _table_for(model, table)
+    frozen = [table.image(rec).v_joint for rec in records]
     out = []
     for i in range(len(records)):
         best, best_sim = -1, -np.inf
@@ -286,7 +310,8 @@ def pick_itm_negatives(model: ModelBundle, records, texts: list) -> list[int]:
 
 
 def variant_batch_loss(
-    model: ModelBundle, records, conditioning: str = "per_row", grads: dict | None = None
+    model: ModelBundle, records, conditioning: str = "per_row", grads: dict | None = None,
+    table: FrozenTable | None = None,
 ) -> float:
     """The active variant's loss on one batch of records.
 
@@ -295,15 +320,18 @@ def variant_batch_loss(
     its mined negative (conditioning does not apply). When grads is a
     dict, the loss gradient on every mapper tensor ("mapper.<key>") and,
     for B, every ITM-head tensor ("itm.<key>") is added into it, in that
-    key order; without one no backward cache is kept.
+    key order; without one no backward cache is kept. table is the model's
+    FrozenTable, shared by the calls of one selection or training run; a
+    new one is built for the batch when none is given.
     """
+    table = _table_for(model, table)
     if grads is not None:
         for layer in model.trainable_layers():
             for k, v in layer.tensors.items():
                 grads.setdefault(f"{layer.name}.{k}", np.zeros_like(v))
     if model.variant == "B":
-        return _itm_loss(model, records, grads)
-    return _contrastive_loss(model, records, conditioning, grads)
+        return _itm_loss(model, records, grads, table)
+    return _contrastive_loss(model, records, conditioning, grads, table)
 
 
 def _add_mapper_grads(model: ModelBundle, grads: dict, mcache: tuple, grad_prompts: Array):
@@ -311,9 +339,9 @@ def _add_mapper_grads(model: ModelBundle, grads: dict, mcache: tuple, grad_promp
         grads[f"mapper.{k}"] += v
 
 
-def _contrastive_loss(model: ModelBundle, records, conditioning: str, grads) -> float:
+def _contrastive_loss(model: ModelBundle, records, conditioning: str, grads, table) -> float:
     sm, texts, prompt_caches, images = build_score_matrix_with_caches(
-        model, records, conditioning, keep_caches=grads is not None
+        model, records, conditioning, keep_caches=grads is not None, table=table
     )
     if model.variant == "C":
         loss = info_nce(sm)
@@ -328,16 +356,18 @@ def _contrastive_loss(model: ModelBundle, records, conditioning: str, grads) -> 
 
     grad_prompts: dict = {}
     for i, j, rows in _pairs(len(records), conditioning):
+        enc = images[(i, j)]
+        if not enc.prompt_count:
+            continue
         upstream = sum(g_cos[r, j] * texts[r].t_joint for r in rows)
-        gp = image_backward(model, images[(i, j)], grad_v_joint=upstream)
+        gp = image_backward(model, enc, grad_v_joint=upstream)
         grad_prompts[i] = grad_prompts[i] + gp if i in grad_prompts else gp
     for i, gp in grad_prompts.items():
-        if gp.size:
-            _add_mapper_grads(model, grads, prompt_caches[i], gp)
+        _add_mapper_grads(model, grads, prompt_caches[i], gp)
     return loss
 
 
-def _itm_loss(model: ModelBundle, records, grads) -> float:
+def _itm_loss(model: ModelBundle, records, grads, table) -> float:
     """BCE over (text, positive/negative image) pairs; each pair's caches
     live only through its own backward pass."""
     b = len(records)
@@ -346,16 +376,16 @@ def _itm_loss(model: ModelBundle, records, grads) -> float:
     if model.itm_head is None:
         raise ConfigError("variant B requires an ITM head")
     dims = model.dims
-    texts = [encode_text(model, rec.tokens) for rec in records]
-    negatives = pick_itm_negatives(model, records, texts)
+    texts = [table.text(rec) for rec in records]
+    negatives = pick_itm_negatives(model, records, texts, table)
     total = 0.0
     denom = 2 * b
     for i, rec in enumerate(records):
         text = texts[i]
         prompts, mcache = map_prompts_with_cache(model.mapper, text, model.mapper_cfg, dims.d_v)
         grad_prompts = np.zeros_like(prompts)
-        for patches, label in ((rec.patches, 1), (records[negatives[i]].patches, 0)):
-            enc = image_forward(model, patches, prompts)
+        for image, label in ((rec, 1), (records[negatives[i]], 0)):
+            enc = _encode(model, table, image, prompts)
             logit, itm_cache = itm_forward(model.itm_head, text.t_cls, enc.patch_states)
             total += bce(logit, label)
             if grads is None:
@@ -365,9 +395,8 @@ def _itm_loss(model: ModelBundle, records, grads) -> float:
             )
             for k, v in head_grads.items():
                 grads[f"itm.{k}"] += v
-            gp = image_backward(model, enc, grad_patch_states=grad_patch_states)
-            if gp.size:
-                grad_prompts += gp
+            if enc.prompt_count:
+                grad_prompts += image_backward(model, enc, grad_patch_states=grad_patch_states)
         if grads is not None and grad_prompts.size:
             _add_mapper_grads(model, grads, mcache, grad_prompts)
     return total / denom

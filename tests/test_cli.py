@@ -458,6 +458,43 @@ def test_train_rejects_bad_fraction_exit_one(workdir, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--lr", "nan", "lr"),
+    ("--lr", "inf", "lr"),
+    ("--ckpt-interval", -1, "ckpt_interval"),
+])
+def test_train_rejects_bad_setting_exit_one(workdir, capsys, flag, value, field):
+    build_pipeline(workdir, capsys)
+    code = run(workdir, "train", "--config", "config.json", "--out", "t2",
+               "--model", "model/checkpoint", "--data", "data/data.jsonl",
+               "--plan", "plan/plan.json", "--steps", 2, flag, value)
+    assert code == 1
+    assert f"error: {field}=" in capsys.readouterr().err
+    assert os.listdir("t2") == []  # no step ran, no checkpoint was saved
+
+
+@pytest.mark.parametrize("grad_clip", [float("nan"), float("inf")])
+def test_train_rejects_nonfinite_grad_clip_exit_one(workdir, capsys, grad_clip):
+    build_pipeline(workdir, capsys)
+    with open("clip.json", "w") as fh:
+        json.dump({**TINY_CONFIG, "train": {"grad_clip": grad_clip}}, fh)
+    code = run(workdir, "train", "--config", "clip.json", "--out", "t2",
+               "--model", "model/checkpoint", "--data", "data/data.jsonl",
+               "--plan", "plan/plan.json", "--steps", 2)
+    assert code == 1
+    assert "error: grad_clip=" in capsys.readouterr().err
+    assert os.listdir("t2") == []
+
+
+@pytest.mark.parametrize("strength", ["nan", "inf"])
+def test_gen_synth_rejects_nonfinite_signal_strength_exit_one(workdir, capsys, strength):
+    code = run(workdir, "gen-synth", "--config", "config.json", "--out", "data",
+               "--n", 12, "--clusters", 3, "--signal-strength", strength)
+    assert code == 1
+    assert "error: signal_strength=" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join("data", "data.jsonl"))
+
+
 def test_variant_b_pipeline_with_itm_modes(workdir, capsys):
     build_pipeline(workdir, capsys, variant="B")
     assert run(workdir, "train", "--config", "config.json", "--out", "tb",
