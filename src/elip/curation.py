@@ -14,7 +14,7 @@ import numpy as np
 from .config import DimsConfig
 from .encoders import FrozenTable, ModelBundle
 from .errors import ConfigError, DataError
-from .numkit import Array
+from .numkit import Array, row_dots
 from .objectives import variant_batch_loss
 from .rng import Rng
 
@@ -118,12 +118,12 @@ def mine_hard_batches(
         source_seed = 0
     batches = []
     for i in range(n):
-        # per-row dots (not one GEMV) so scores match scalar recomputation
-        sims = [float(np.dot(image_mat[j], text_mat[i])) for j in range(n)]
-        order = sorted(range(n), key=lambda j: (-sims[j], j))
+        # row_dots keeps each score bitwise equal to a scalar np.dot; a
+        # stable sort of the negated scores breaks ties by ascending index
+        order = np.argsort(-row_dots(image_mat, text_mat[i]), kind="stable")
         selected = [i]
         used = set(ds.records[i].categories) if unique_category else None
-        for j in order:
+        for j in order.tolist():
             if len(selected) == B:
                 break
             if j == i:

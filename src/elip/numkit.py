@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,13 +106,15 @@ def layer_norm(params: LayerParams, x: Array) -> tuple[Array, tuple]:
     return _layer_norm_core(params.tensors["gamma"], params.tensors["beta"], x)
 
 
-def layer_norm_backward(cache: tuple, grad_out: Array) -> tuple[Array, dict[str, Array]]:
+def layer_norm_backward(cache: tuple, grad_out: Array) -> tuple[Array, MutableMapping[str, Array]]:
+    """(gradient on x, gamma/beta gradients as a mapping computed on first
+    access: every image backward discards them)."""
     xhat, inv, gamma = cache
     n = xhat.shape[1]
-    grads = {
+    grads = _OnFirstAccess(lambda: {
         "gamma": np.add.reduce(grad_out * xhat, axis=0),
         "beta": np.add.reduce(grad_out, axis=0),
-    }
+    })
     dxhat = grad_out * gamma
     grad_x = inv * (
         dxhat
@@ -194,10 +196,10 @@ def attention_block(params: LayerParams, seq: Array, heads: int) -> tuple[Array,
 
 def attention_block_backward(
     params: LayerParams, cache: tuple, grad_out: Array
-) -> tuple[Array, Mapping[str, Array]]:
+) -> tuple[Array, MutableMapping[str, Array]]:
     """(gradient on the block input, gradients on the block tensors).
 
-    The tensor gradients are a read-only mapping computed on first access:
+    The tensor gradients are a mapping computed on first access:
     the image backward only carries the input gradient through frozen
     blocks, and their weight gradients would be thrown away."""
     h1, ln1_cache, q, k, v, attn, o, h2, ln2_cache, gelu_cache, a1, heads, scale = cache
@@ -233,8 +235,8 @@ def attention_block_backward(
     return grad_y + grad_ln1, _OnFirstAccess(tensor_grads)
 
 
-class _OnFirstAccess(Mapping):
-    """Read-only mapping whose dict build() makes on first access."""
+class _OnFirstAccess(MutableMapping):
+    """A dict that build() makes on first access."""
 
     def __init__(self, build):
         self._build = build
@@ -246,11 +248,40 @@ class _OnFirstAccess(Mapping):
     def __getitem__(self, key):
         return self._items[key]
 
+    def __setitem__(self, key, value):
+        self._items[key] = value
+
+    def __delitem__(self, key):
+        del self._items[key]
+
     def __iter__(self):
         return iter(self._items)
 
     def __len__(self) -> int:
         return len(self._items)
+
+
+# ---------------------------------------------------------------------------
+# ranking kernel: every text-image ranked list is scored and ordered here
+# ---------------------------------------------------------------------------
+
+
+def row_dots(rows: Array, vec: Array) -> Array:
+    """Score each row of an (N, d) matrix against one (d,) vector.
+
+    Contract: out[r] has the bits of np.dot(rows[r], vec), which equals
+    np.dot(vec, rows[r]) bit for bit, for any layout and for mixed float
+    dtypes. np.vecdot runs numpy's 1-D dot loop (the BLAS sdot/ddot that
+    np.dot calls) once per row; a GEMV (rows @ vec) sums in another order
+    and moves the last bits.
+    """
+    return np.vecdot(rows, vec)
+
+
+def order_desc(scores: Array, tiebreak: Array) -> Array:
+    """Indices that put scores in descending order, ties by ascending
+    tiebreak; +0.0 and -0.0 tie."""
+    return np.lexsort((tiebreak, -scores))
 
 
 # ---------------------------------------------------------------------------

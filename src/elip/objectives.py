@@ -290,22 +290,18 @@ def bce_grad(logit: float, label: int) -> float:
 def pick_itm_negatives(
     model: ModelBundle, records, texts: list, table: FrozenTable | None = None
 ) -> list[int]:
-    """Per anchor i: the other batch image most stage-1-similar to text i.
+    """Per anchor i: the other batch image most stage-1-similar to text i,
+    the lowest index among ties.
 
     texts holds the batch's TextEncodings, in record order; the frozen image
     embeddings come from the model's frozen table."""
     table = _table_for(model, table)
-    frozen = [table.image(rec).v_joint for rec in records]
+    frozen = np.stack([table.image(rec).v_joint for rec in records])
     out = []
     for i in range(len(records)):
-        best, best_sim = -1, -np.inf
-        for j in range(len(records)):
-            if j == i:
-                continue
-            sim = float(np.dot(texts[i].t_joint, frozen[j]))
-            if sim > best_sim:
-                best, best_sim = j, sim
-        out.append(best)
+        sims = numkit.row_dots(frozen, texts[i].t_joint)
+        sims[i] = -np.inf
+        out.append(int(np.argmax(sims)))
     return out
 
 

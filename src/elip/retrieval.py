@@ -1,15 +1,15 @@
 """Two-stage retrieval: exact stage-1 ranking, prompt-conditioned re-ranking,
 metrics, curves, attention maps and the FLOPs estimator.
 
-Scoring uses per-row dot products (not one batched GEMV) so that stage-1 and
-re-ranked scores of identical encodings are bitwise equal; ordering ties
-break by ascending image id.
+Every ranked list is scored by numkit.row_dots, whose rows carry the bits of
+per-row np.dot (not of one batched GEMV), so stage-1 and re-ranked scores of
+identical encodings are bitwise equal; numkit.order_desc orders them, ties
+by ascending image id.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +18,7 @@ from .config import DimsConfig
 from .curation import Benchmark, PairDataset, query_id
 from .encoders import ModelBundle, TextEncoding, encode_image, encode_text
 from .errors import ConfigError, DataError
-from .numkit import Array
+from .numkit import Array, order_desc, row_dots
 from .objectives import sigmoid, itm_attention, itm_logit
 from .prompt_mapper import prompts_for_text
 
@@ -31,6 +31,8 @@ class EmbeddingStore:
     ids: list
     matrix: Array  # (G, d_e) unit-norm rows
     provenance_seed: int = 0
+    # id_rank[row]: position of ids[row] in ascending string order
+    id_rank: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.ids) != self.matrix.shape[0]:
@@ -42,8 +44,22 @@ class EmbeddingStore:
         if len(self.ids):
             norms = np.linalg.norm(self.matrix.astype(np.float64), axis=1)
             worst = float(np.abs(norms - 1.0).max())
-            if worst > 1e-6:
-                raise DataError(f"store rows not unit-norm (off by {worst:.2e})")
+            if not worst <= 1e-6:  # NaN fails too
+                raise DataError(f"store rows not finite and unit-norm (off by {worst:.2e})")
+        self.id_rank = _id_ranks(self.ids)
+
+
+def _id_ranks(ids: list) -> Array:
+    """ranks[i]: position of ids[i] when ids are sorted as Python strings."""
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
+def _ordered_entries(ids: list, scores: Array, id_rank: Array) -> list:
+    """(id, score) pairs by descending score, ties by ascending id."""
+    order = order_desc(scores, id_rank)
+    return list(zip(map(ids.__getitem__, order.tolist()), scores[order].tolist()))
 
 
 @dataclass
@@ -93,12 +109,12 @@ def embed_gallery(model: ModelBundle, ds: PairDataset) -> EmbeddingStore:
 def stage1_rank(store: EmbeddingStore, text_enc: TextEncoding, qid: str = "q0000") -> RankingResult:
     if not store.ids:
         raise DataError("empty embedding store")
-    scored = [
-        (store.ids[row], float(np.dot(store.matrix[row], text_enc.t_joint)))
-        for row in range(len(store.ids))
-    ]
-    scored.sort(key=lambda e: (-e[1], e[0]))
-    return RankingResult(query_id=qid, entries=scored, stage="stage1")
+    scores = row_dots(store.matrix, text_enc.t_joint)
+    return RankingResult(
+        query_id=qid,
+        entries=_ordered_entries(store.ids, scores, store.id_rank),
+        stage="stage1",
+    )
 
 
 def rank_queries(model: ModelBundle, store: EmbeddingStore, bench: Benchmark) -> list:
@@ -132,20 +148,19 @@ def rerank(
     if k < 0 or k > len(ranking.entries):
         raise ConfigError(f"k={k} outside [0, {len(ranking.entries)}]")
     prompts = prompts_for_text(model, text_enc)
-    rescored = []
-    for image_id, old_score in ranking.entries[:k]:
-        enc = encode_image(model, ds.by_id(image_id).patches, prompts)
-        if model.variant == "B":
-            logit = itm_logit(model.itm_head, text_enc, enc)
-            bonus = float(sigmoid(np.array(logit))) if itm_sigmoid else logit
-            new_score = old_score + bonus
-        else:
-            new_score = float(np.dot(text_enc.t_joint, enc.v_joint))
-        rescored.append((image_id, new_score))
-    rescored.sort(key=lambda e: (-e[1], e[0]))
+    head = ranking.entries[:k]
+    ids = [image_id for image_id, _ in head]
+    # one encode at a time; only its score or v_joint is kept
+    encodings = (encode_image(model, ds.by_id(image_id).patches, prompts) for image_id in ids)
+    if model.variant == "B":
+        logits = (itm_logit(model.itm_head, text_enc, enc) for enc in encodings)
+        bonuses = (float(sigmoid(np.array(x))) if itm_sigmoid else x for x in logits)
+        scores = np.array([old + bonus for (_, old), bonus in zip(head, bonuses)], dtype=np.float64)
+    else:
+        scores = row_dots(np.stack([enc.v_joint for enc in encodings]), text_enc.t_joint)
     return RankingResult(
         query_id=ranking.query_id,
-        entries=rescored + list(ranking.entries[k:]),
+        entries=_ordered_entries(ids, scores, _id_ranks(ids)) + list(ranking.entries[k:]),
         stage="reranked",
         k_reranked=k,
     )
@@ -241,19 +256,19 @@ def evaluate(rankings, bench: Benchmark, ks=(1, 5, 10)) -> MetricReport:
 # ---------------------------------------------------------------------------
 
 
-def _pr_staircase(ranking: RankingResult, positives: set) -> list:
-    """(recall, precision) after each distinct-score cutoff, ties grouped."""
-    points = []
-    hits = 0
-    seen = 0
+def _pr_staircase(ranking: RankingResult, positives: set) -> tuple[Array, Array]:
+    """(recalls, precisions) after each distinct-score cutoff, ties grouped.
+    Integer true division rounds as Python's int / int does."""
     entries = ranking.entries
-    for idx, (image_id, score) in enumerate(entries):
-        hits += image_id in positives
-        seen += 1
-        last_of_group = idx + 1 == len(entries) or entries[idx + 1][1] != score
-        if last_of_group:
-            points.append((hits / len(positives), hits / seen))
-    return points
+    count = len(entries)
+    is_hit = (image_id in positives for image_id, _ in entries)
+    hits = np.cumsum(np.fromiter(is_hit, dtype=np.int64, count=count))
+    scores = np.fromiter((score for _, score in entries), dtype=np.float64, count=count)
+    last_of_group = np.ones(count, dtype=bool)
+    last_of_group[:-1] = scores[1:] != scores[:-1]
+    hits = hits[last_of_group]
+    seen = np.arange(1, count + 1)[last_of_group]
+    return hits / len(positives), hits / seen
 
 
 def curve(rankings, bench: Benchmark, kind: str, ks=None) -> CurveData:
@@ -268,19 +283,17 @@ def curve(rankings, bench: Benchmark, kind: str, ks=None) -> CurveData:
     if kind == "precision_recall":
         # Interpolated precision at recall r is the max precision over the
         # staircase points with recall >= r. Recall never decreases along a
-        # staircase, so those points are a suffix: one bisect finds it, and
-        # a suffix maximum of precision answers it.
-        tables = []
+        # staircase, so those points are a suffix: a left search finds it,
+        # and a suffix maximum of precision answers it.
+        grid = np.array(PR_RECALL_GRID) - 1e-12
+        per_query = []
         for ranking, q in _rankings_by_query(rankings, bench):
-            stair = _pr_staircase(ranking, q.positives)
-            best = [p for _, p in stair]
-            for i in range(len(best) - 2, -1, -1):
-                best[i] = max(best[i], best[i + 1])
-            tables.append(([rec for rec, _ in stair], best + [0.0]))
-        points = []
-        for r in PR_RECALL_GRID:
-            per_query = [best[bisect_left(recalls, r - 1e-12)] for recalls, best in tables]
-            points.append((r, float(np.mean(per_query))))
+            recalls, precisions = _pr_staircase(ranking, q.positives)
+            best = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)
+            per_query.append(best[np.searchsorted(recalls, grid)])
+        # one contiguous row per grid point, so each mean sums as over a list
+        by_point = np.array(per_query).reshape(len(per_query), len(grid)).T.copy()
+        points = [(r, float(np.mean(row))) for r, row in zip(PR_RECALL_GRID, by_point)]
         return CurveData(kind=kind, points=points)
     raise ConfigError(f"unknown curve kind {kind!r}")
 

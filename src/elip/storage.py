@@ -411,12 +411,17 @@ def read_store(store_dir: str) -> EmbeddingStore:
     ids_path = os.path.join(store_dir, "ids.json")
     if not os.path.exists(ids_path):
         raise DataError(f"store ids not found: {ids_path}")
-    ids, seed = _parse_json(ids_path, lambda doc: (list(doc["ids"]), doc["seed"]))
+    ids, seed = _parse_json(ids_path, lambda doc: (
+        [_string(ids_path, image_id, "image id") for image_id in doc["ids"]], doc["seed"]
+    ))
     matrix_path = os.path.join(store_dir, "embeddings.bin")
     matrix = read_tensor_blob(matrix_path)
     if matrix.ndim != 2:
         raise FormatError(f"{matrix_path}: rank {matrix.ndim} blob, expected a (G, d_e) matrix")
-    return EmbeddingStore(ids=ids, matrix=matrix, provenance_seed=seed)
+    try:
+        return EmbeddingStore(ids=ids, matrix=matrix, provenance_seed=seed)
+    except DataError as exc:
+        raise DataError(f"{store_dir}: {exc}") from exc
 
 
 RANKINGS_VERSION = 2
@@ -487,6 +492,8 @@ def read_rankings(path: str) -> list:
                 raise FormatError(
                     f"{path}: query {qid!r}: order index outside [0, {len(ids)})"
                 )
+            if len(order) and np.bincount(order).max() > 1:
+                raise FormatError(f"{path}: query {qid!r}: order repeats an image")
             results.append(RankingResult(
                 query_id=qid,
                 entries=list(zip(map(ids.__getitem__, order.tolist()), scores.tolist())),

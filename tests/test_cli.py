@@ -257,6 +257,7 @@ RANKINGS_DAMAGE = {
     "length_mismatch": ("order", _packed_order(0), "1 order indices but 2 scores"),
     "bad_base64": ("scores", "AAAA*AAA", "scores is not strict base64"),
     "ragged_bytes": ("scores", "AAAA", "scores holds 3 bytes"),
+    "repeated_index": ("order", _packed_order(1, 1), "order repeats an image"),
 }
 
 
@@ -714,6 +715,46 @@ def test_rank_store_not_a_matrix_exit_two(workdir, capsys, shape):
     err = assert_exit_two_without_traceback(
         workdir, capsys, "gal/gallery/embeddings.bin", *RANK_ARGS)
     assert f"rank {len(shape)}" in err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_rank_store_non_finite_row_exit_two(workdir, capsys, bad):
+    """A NaN row used to pass the unit-norm check, and stage 1 then ordered
+    the gallery by Python's sort on NaN keys."""
+    build_pipeline(workdir, capsys)
+    matrix = storage.read_tensor_blob("gal/gallery/embeddings.bin").copy()
+    matrix[1] = bad
+    storage.write_tensor_blob("gal/gallery/embeddings.bin", matrix)
+    err = assert_exit_two_without_traceback(workdir, capsys, "gal/gallery", *RANK_ARGS)
+    assert "not finite" in err
+    assert not os.path.exists("bad/rankings.json")
+
+
+def test_rank_store_non_string_id_exit_two(workdir, capsys):
+    build_pipeline(workdir, capsys)
+    doc = json.loads(open("gal/gallery/ids.json").read())
+    doc["ids"][2] = 7
+    (workdir / "gal/gallery/ids.json").write_text(json.dumps(doc))
+    err = assert_exit_two_without_traceback(workdir, capsys, "gal/gallery/ids.json", *RANK_ARGS)
+    assert "image id 7 is not a string" in err
+
+
+def test_eval_rejects_repeated_ranking_entries_exit_two(workdir, capsys):
+    """One positive listed 20 times used to give a mean AP above 1."""
+    build_pipeline(workdir, capsys)
+    assert run(workdir, *RANK_ARGS, "--config", "config.json", "--out", "ranked") == 0
+    capsys.readouterr()
+    doc = json.loads(open("ranked/rankings.json").read())
+    for r in doc["rankings"]:
+        order = np.frombuffer(base64.b64decode(r["order"]), dtype="<i4")
+        scores = np.frombuffer(base64.b64decode(r["scores"]), dtype="<f8")
+        r["order"] = _packed_order(*([int(order[0])] * 20))
+        r["scores"] = base64.b64encode(np.repeat(scores[:1], 20).tobytes()).decode("ascii")
+    (workdir / "ranked/rankings.json").write_text(json.dumps(doc, sort_keys=True))
+    err = assert_exit_two_without_traceback(
+        workdir, capsys, "ranked/rankings.json", "eval", "--rankings", "ranked/rankings.json",
+        "--bench", "data/benchmark.json")
+    assert "order repeats an image" in err
 
 
 def test_curve_rejects_k_below_one_exit_one(workdir, capsys):

@@ -114,6 +114,70 @@ def test_mine_matches_bruteforce_oracle(seed, n, b):
     assert plan.batches == oracle_mine(text, images, b)
 
 
+def loop_mine(ds, text_mat, image_mat, B, unique_category=False):
+    """The scalar mining loop the ranking kernel replaced: one np.dot per
+    (reference, image) and a (-score, index) sort per reference."""
+    n = ds.N
+    batches = []
+    for i in range(n):
+        sims = [float(np.dot(image_mat[j], text_mat[i])) for j in range(n)]
+        order = sorted(range(n), key=lambda j: (-sims[j], j))
+        selected = [i]
+        used = set(ds.records[i].categories) if unique_category else None
+        for j in order:
+            if len(selected) == B:
+                break
+            if j == i:
+                continue
+            if unique_category:
+                cats = ds.records[j].categories
+                if cats & used:
+                    continue
+                used |= cats
+            selected.append(j)
+        batches.append(selected)
+    return batches
+
+
+@pytest.mark.parametrize("text_dtype,image_dtype", [
+    (np.float32, np.float32), (np.float64, np.float64), (np.float64, np.float32),
+])
+@pytest.mark.parametrize("seed", range(4))
+def test_mine_equals_scalar_loop_reference(seed, text_dtype, image_dtype):
+    """Repeated image rows tie; rows orthogonal to a text score +0.0 or
+    -0.0 products against it."""
+    rng = np.random.default_rng(600 + seed)
+    n, d = 24, 8
+    images = rng.standard_normal((n, d))
+    images[10:14] = images[2]
+    images[14:16, 0] = 0.0
+    images[16:18, 0] = -0.0
+    images[16:18, 1:] = -np.abs(images[16:18, 1:])
+    text = rng.standard_normal((n, d))
+    text[:6, 1:] = 0.0  # these texts see only column 0
+    text, images = unit_rows(text).astype(text_dtype), unit_rows(images).astype(image_dtype)
+    ds = toy_dataset(n, with_categories=True)
+    for b in (2, 3, 7, n):
+        plan = mine_hard_batches(ds, (text, images), B=b)
+        assert plan.batches == loop_mine(ds, text, images, b)
+    plan = mine_hard_batches(ds, (text, images), B=3, unique_category=True)
+    assert plan.batches == loop_mine(ds, text, images, 3, unique_category=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,d", [(27, 32), (13, 24), (9, 8)])
+def test_mine_repeated_rows_tie_exactly(n, d, dtype):
+    """Three image rows, each repeated: every repeat must score the same
+    bits, so ties fall to the lowest index. (A GEMV scores some repeats of
+    one row differently, depending on where they sit in the matrix.)"""
+    rng = np.random.default_rng(n + d)
+    images = unit_rows(rng.standard_normal((3, d)))[np.arange(n) % 3].astype(dtype)
+    text = unit_rows(rng.standard_normal((n, d))).astype(dtype)
+    ds = toy_dataset(n)
+    plan = mine_hard_batches(ds, (text, images), B=n)
+    assert plan.batches == loop_mine(ds, text, images, n)
+
+
 def test_mine_with_duplicate_embeddings_breaks_ties_by_index():
     text = unit_rows(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
     images = unit_rows(np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]))

@@ -439,6 +439,58 @@ def test_stacked_block_is_bit_identical_on_prompted_layout(dtype):
 
 
 # ---------------------------------------------------------------------------
+# ranking kernel
+# ---------------------------------------------------------------------------
+
+
+def _layouts(mat):
+    """The same rows as contiguous, column-strided and read-only matrices."""
+    wide = np.repeat(mat, 2, axis=1)
+    return {
+        "contiguous": np.ascontiguousarray(mat),
+        "strided": wide[:, ::2],
+        "readonly": np.frombuffer(mat.tobytes(), dtype=mat.dtype).reshape(mat.shape),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [4, 24, 32])
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "readonly"])
+def test_row_dots_matches_per_row_dot(dtype, d, layout):
+    """Each row's score has the bits and dtype of np.dot on that row, with
+    the arguments either way round."""
+    rng = np.random.default_rng(1000 + d)
+    rows = _layouts(rng.standard_normal((300, d)).astype(dtype))[layout]
+    assert rows.flags.c_contiguous == (layout != "strided")
+    assert rows.flags.writeable == (layout != "readonly")
+    vec = rng.standard_normal(d).astype(dtype)
+    got = numkit.row_dots(rows, vec)
+    expected = np.array([np.dot(rows[r], vec) for r in range(len(rows))])
+    swapped = np.array([np.dot(vec, rows[r]) for r in range(len(rows))])
+    assert got.dtype == expected.dtype == dtype
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got, swapped)
+
+
+def test_row_dots_mixed_dtypes_match_per_row_dot():
+    rng = np.random.default_rng(1100)
+    rows = rng.standard_normal((50, 24)).astype(np.float32)
+    vec = rng.standard_normal(24)
+    got = numkit.row_dots(rows, vec)
+    expected = np.array([np.dot(rows[r], vec) for r in range(len(rows))])
+    assert got.dtype == expected.dtype == np.float64
+    assert np.array_equal(got, expected)
+
+
+def test_order_desc_sorts_descending_with_ascending_tiebreak():
+    scores = np.array([0.5, -0.0, 2.0, 0.5, 0.0, -1.0, 2.0])
+    tiebreak = np.array([3, 1, 6, 0, 0, 2, 5])
+    order = numkit.order_desc(scores, tiebreak)
+    expected = sorted(range(len(scores)), key=lambda i: (-scores[i], tiebreak[i]))
+    assert order.tolist() == expected == [6, 2, 3, 0, 4, 1, 5]
+
+
+# ---------------------------------------------------------------------------
 # grad_check harness itself
 # ---------------------------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,6 +247,37 @@ def test_pick_itm_negatives_excludes_self(tiny_model_b_f64, tiny_dims):
     assert len(negatives) == 4
     for i, j in enumerate(negatives):
         assert j != i and 0 <= j < 4
+
+
+def loop_itm_negatives(model, records, texts):
+    """The scalar negative pick the ranking kernel replaced."""
+    frozen = [encode_image(model, rec.patches).v_joint for rec in records]
+    out = []
+    for i in range(len(records)):
+        best, best_sim = -1, -np.inf
+        for j in range(len(records)):
+            if j == i:
+                continue
+            sim = float(np.dot(texts[i].t_joint, frozen[j]))
+            if sim > best_sim:
+                best, best_sim = j, sim
+        out.append(best)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pick_itm_negatives_equals_scalar_loop_reference(tiny_dims, dtype):
+    """Repeated images (ties, the lowest index wins) and repeated texts."""
+    model = init_frozen_model(7, tiny_dims, "B", MapperConfig(n=2, hidden=8), dtype=dtype)
+    base = make_records(4, tiny_dims)
+    for seed, picks in enumerate((
+        [0, 1, 2, 3], [2, 0, 2, 1, 0, 3], [1, 1, 1], [3, 0, 0, 2, 3, 1], [2] * 9, [1] * 7, [3] * 6,
+    )):
+        records = [replace(base[k], id=f"r{seed}_{j}") for j, k in enumerate(picks)]
+        texts = [encode_text(model, r.tokens) for r in records]
+        got = pick_itm_negatives(model, records, texts)
+        assert got == loop_itm_negatives(model, records, texts)
+        assert all(type(j) is int for j in got)
 
 
 def test_variant_batch_loss_dispatch(tiny_dims):

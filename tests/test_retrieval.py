@@ -8,10 +8,12 @@ from elip.config import DimsConfig, FULL_SCALE_K, MapperConfig
 from elip.curation import Benchmark, BenchmarkQuery, PairDataset, query_id
 from elip.encoders import encode_image, encode_text, init_frozen_model
 from elip.errors import ConfigError, DataError
-from elip.objectives import itm_logit
+from elip.objectives import itm_logit, sigmoid
+from elip.prompt_mapper import prompts_for_text
 from elip.retrieval import (
     EmbeddingStore,
     RankingResult,
+    _pr_staircase,
     attention_map,
     curve,
     embed_gallery,
@@ -103,6 +105,52 @@ def test_stage1_empty_store_is_error():
         stage1_rank(EmbeddingStore(ids=[], matrix=np.zeros((0, 2))), text_enc_stub([1, 0]))
 
 
+def loop_stage1_entries(store, text_enc):
+    """The scalar stage 1 the ranking kernel replaced: one np.dot per row,
+    then a (-score, id) sort."""
+    scored = [
+        (store.ids[row], float(np.dot(store.matrix[row], text_enc.t_joint)))
+        for row in range(len(store.ids))
+    ]
+    scored.sort(key=lambda e: (-e[1], e[0]))
+    return scored
+
+
+def entry_bits(entries):
+    """(id, score bytes): unlike ==, tells -0.0 from +0.0."""
+    return [(image_id, np.float64(score).tobytes()) for image_id, score in entries]
+
+
+def tied_gallery(seed, dtype, d=8):
+    """Unit rows under shuffled ids of several lengths: random rows, exact
+    repeats of some of them, and rows whose products with e0 are all +0.0
+    or all -0.0."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((10, d))
+    zeros = np.abs(rng.standard_normal((4, d)))
+    zeros[:, 0] = 0.0
+    zeros[2:] *= -1.0  # first component -0.0, the rest negative
+    rows = np.concatenate([base, base[:3], base[5:6], zeros]).astype(dtype)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True).astype(dtype)
+    names = ["x", "x1", "x10", "x2", "X", "a", "ab", "b9", "b10", "img"]
+    ids = [names[k % len(names)] + "_" * (k // len(names)) for k in rng.permutation(len(rows))]
+    return EmbeddingStore(ids=ids, matrix=rows)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(5))
+def test_stage1_equals_scalar_loop_reference(seed, dtype):
+    store = tied_gallery(800 + seed, dtype)
+    e0 = np.zeros(8, dtype=np.float32)
+    e0[0] = 1.0
+    rng = np.random.default_rng(900 + seed)
+    for t in (e0, unit(rng.standard_normal(8)), unit(store.matrix[seed])):
+        text = text_enc_stub(t)
+        got = stage1_rank(store, text).entries
+        assert all(type(score) is float for _, score in got)
+        assert entry_bits(got) == entry_bits(loop_stage1_entries(store, text))
+
+
 # ---------------------------------------------------------------------------
 # rerank
 # ---------------------------------------------------------------------------
@@ -189,6 +237,42 @@ def test_rerank_variant_b_sigmoid_flag_bounds_bonus():
     for image_id, score in out.entries[:3]:
         bonus = score - by_id[image_id]
         assert 0.0 < bonus < 1.0
+
+
+def loop_rerank_entries(model, ds, ranking, k, text_enc, itm_sigmoid=False):
+    """The scalar re-rank the ranking kernel replaced: one np.dot (or ITM
+    bonus) per candidate, then a (-score, id) sort of the block."""
+    prompts = prompts_for_text(model, text_enc)
+    rescored = []
+    for image_id, old_score in ranking.entries[:k]:
+        enc = encode_image(model, ds.by_id(image_id).patches, prompts)
+        if model.variant == "B":
+            logit = itm_logit(model.itm_head, text_enc, enc)
+            bonus = float(sigmoid(np.array(logit))) if itm_sigmoid else logit
+            new_score = old_score + bonus
+        else:
+            new_score = float(np.dot(text_enc.t_joint, enc.v_joint))
+        rescored.append((image_id, new_score))
+    rescored.sort(key=lambda e: (-e[1], e[0]))
+    return rescored + list(ranking.entries[k:])
+
+
+@pytest.mark.parametrize("variant,itm_sigmoid", [("C", False), ("S", False), ("B", False), ("B", True)])
+def test_rerank_equals_scalar_loop_reference(variant, itm_sigmoid):
+    """Repeated images under shuffled ids tie in every re-score."""
+    model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(n=TINY.n, hidden=8)))
+    base = make_records(5)
+    records = [replace(base[k % 5], id=f"r{j}") for j, k in enumerate([3, 0, 3, 1, 0, 2, 4, 3, 1, 0])]
+    ds = PairDataset(records=records)
+    store = embed_gallery(model, ds)
+    for tokens in ([1, 2, 3], [4, 0, 0], [7, 7, 1]):
+        text = encode_text(model, tokens)
+        ranking = stage1_rank(store, text)
+        for k in (1, 4, len(records)):
+            got = rerank(model, ds, ranking, k, text, itm_sigmoid).entries
+            assert entry_bits(got) == entry_bits(
+                loop_rerank_entries(model, ds, ranking, k, text, itm_sigmoid)
+            )
 
 
 def test_full_scale_k_table_echoes_configuration():
@@ -389,6 +473,36 @@ def reference_pr_points(rankings, bench):
             per_query.append(max(feasible) if feasible else 0.0)
         points.append((r, float(np.mean(per_query))))
     return points
+
+
+def loop_pr_staircase(ranking, positives):
+    """The scalar staircase the numpy one replaced."""
+    points = []
+    hits = 0
+    seen = 0
+    entries = ranking.entries
+    for idx, (image_id, score) in enumerate(entries):
+        hits += image_id in positives
+        seen += 1
+        last_of_group = idx + 1 == len(entries) or entries[idx + 1][1] != score
+        if last_of_group:
+            points.append((hits / len(positives), hits / seen))
+    return points
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pr_staircase_equals_scalar_loop_reference(seed):
+    """Tied scores (±0.0 among them), empty lists and every positive count."""
+    rng = np.random.default_rng(700 + seed)
+    for size in (0, 1, 2, 7, 40, 333):
+        ids = [f"g{i}" for i in range(size)]
+        scores = sorted(rng.choice([1.5, 0.25, 0.0, -0.0, -2.0], size=size).tolist(), reverse=True)
+        ranking = RankingResult(query_id="q0000", entries=list(zip(ids, scores)), stage="stage1")
+        for n_pos in sorted({1, max(1, size // 3), max(1, size)}):
+            positives = set(rng.choice(ids, size=n_pos, replace=False).tolist()) if size else {"x"}
+            recalls, precisions = _pr_staircase(ranking, positives)
+            got = list(zip(recalls.tolist(), precisions.tolist()))
+            assert got == loop_pr_staircase(ranking, positives)
 
 
 @pytest.mark.parametrize("seed", range(6))
