@@ -55,14 +55,7 @@ def _emit_config(out_dir: str, cfg: RunConfig) -> None:
 
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        path = args.config
-        if not os.path.exists(path):
-            raise DataError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = RunConfig.from_json(fh.read())
-    else:
-        cfg = RunConfig()
+    cfg = storage.read_config(args.config) if getattr(args, "config", None) else RunConfig()
     env_seed = os.environ.get("ELIP_SEED")
     if env_seed is not None:
         try:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_type_hints
 
 from .errors import ConfigError
 
@@ -39,6 +41,9 @@ class DimsConfig:
     vocab: int = 64
 
     def validate(self) -> "DimsConfig":
+        for name in ("d_t", "d_v", "d_e", "P", "m", "L_t", "L_v", "H", "d_in", "vocab"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"dims field {name} must be >= 1")
         if self.d_t % self.H or self.d_v % self.H:
             raise ConfigError(
                 f"widths d_t={self.d_t}, d_v={self.d_v} must divide by H={self.H}"
@@ -49,9 +54,6 @@ class DimsConfig:
             raise ConfigError(
                 f"insert_layer={self.insert_layer} outside [0, {self.L_v})"
             )
-        for name in ("d_t", "d_v", "d_e", "P", "m", "L_t", "L_v", "H", "d_in", "vocab"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"dims field {name} must be >= 1")
         return self
 
 
@@ -130,27 +132,42 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        cfg = cls()
-        for name in ("seed", "rerank_k", "variant", "out_dir"):
-            if name in doc:
-                setattr(cfg, name, doc[name])
-        if "paths" in doc:
-            cfg.paths = dict(doc["paths"])
-        if "synth" in doc:
-            cfg.synth = dict(doc["synth"])
-        cfg.dims = _sub_config(DimsConfig, doc.get("dims", {}))
-        cfg.mapper = _sub_config(MapperConfig, doc.get("mapper", {}))
-        cfg.train = _sub_config(TrainConfig, doc.get("train", {}))
-        return cfg
+        """A RunConfig from its JSON document; an unknown key or a wrongly
+        typed value, at any level, is a ConfigError naming the field."""
+        return _from_doc(cls, doc, ())
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         return cls.from_dict(json.loads(text))
 
 
-def _sub_config(cls, doc: dict):
-    known = {f.name for f in fields(cls)}
-    unknown = set(doc) - known
+def _conforms(value, hint) -> bool:
+    """value has the JSON shape of the field type hint; a bool is no number."""
+    if isinstance(hint, UnionType):
+        return any(_conforms(value, h) for h in get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _from_doc(cls, doc, path: tuple):
+    """cls from the JSON object doc found at the config key path."""
+    if not isinstance(doc, dict):
+        where = ".".join(path) or "document"
+        raise ConfigError(f"config {where} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    return cls(**doc)
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if f.name not in doc:
+            continue
+        value, hint = doc[f.name], hints[f.name]
+        if is_dataclass(hint):
+            value = _from_doc(hint, value, (*path, f.name))
+        elif not _conforms(value, hint):
+            name = ".".join((*path, f.name))
+            raise ConfigError(f"config field {name} must be {f.type}, got {value!r}")
+        values[f.name] = value
+    return cls(**values)

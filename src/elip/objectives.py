@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -69,22 +71,45 @@ def _table_for(model: ModelBundle, table: FrozenTable | None) -> FrozenTable:
     return table
 
 
-def _encode(model: ModelBundle, table: FrozenTable, rec, prompts: Array) -> ImageEncoding:
-    """rec's image under prompts; an empty prompt set reads the frozen table."""
-    if prompts.size:
-        return image_forward(model, rec.patches, prompts)
-    return table.image(rec)
+def _pair_encodings(model: ModelBundle, table: FrozenTable, records, texts, pairs, caches: dict):
+    """For each (i, j, ...) pair, grouped by i, record j's image encoded under
+    text i's prompts, mapped (cache into caches[i]) as its group starts; an
+    empty prompt set reads the frozen table. One encoding at a time."""
+    for i, group in groupby(pairs, key=itemgetter(0)):
+        prompts, caches[i] = map_prompts_with_cache(
+            model.mapper, texts[i], model.mapper_cfg, model.dims.d_v
+        )
+        for _, j, _ in group:
+            if prompts.size:
+                yield image_forward(model, records[j].patches, prompts)
+            else:
+                yield table.image(records[j])
+
+
+def _backprop_prompts(model: ModelBundle, grads: dict | None, caches, items) -> None:
+    """Add into grads (None only if no item comes) the mapper gradients of
+    (i, encoding, image_backward kwargs) items, pulled one at a time: text
+    i's prompt gradient is summed in item order, then mapped back once."""
+    grad_prompts: dict = {}
+    for i, enc, kwargs in items:
+        if not enc.prompt_count:
+            continue
+        gp = image_backward(model, enc, **kwargs)
+        grad_prompts[i] = grad_prompts[i] + gp if i in grad_prompts else gp
+    for i, gp in grad_prompts.items():
+        for k, v in map_prompts_backward(model.mapper, caches[i], gp).items():
+            grads[f"mapper.{k}"] += v
 
 
 def build_score_matrix_with_caches(
     model: ModelBundle, records, conditioning: str = "per_row", keep_caches: bool = True,
     table: FrozenTable | None = None,
-) -> tuple[ScoreMatrix, list, list, dict]:
+) -> tuple[ScoreMatrix, list, list, list]:
     """Text-vs-conditioned-image cosine matrix over one batch of records,
     plus every cache the backward pass needs.
 
     Returns (score matrix, text encodings, prompt caches, image encodings).
-    The image encodings are keyed by their (i, j) pair; the dict stays empty
+    The image encodings are listed in _pairs order; the list stays empty
     when keep_caches is off, so a loss-only call holds one encoding at a
     time. Texts, and images under an empty prompt set, come from the
     model's frozen table (a new one per call when none is given).
@@ -96,22 +121,18 @@ def build_score_matrix_with_caches(
         raise ConfigError(f"unknown conditioning {conditioning!r}")
     table = _table_for(model, table)
     texts = [table.text(rec) for rec in records]
-    prompt_caches = []
-    prompts = []
-    for te in texts:
-        p, c = map_prompts_with_cache(model.mapper, te, model.mapper_cfg, model.dims.d_v)
-        prompts.append(p)
-        prompt_caches.append(c)
     cos = np.zeros((b, b), dtype=np.float64)
-    images: dict = {}
-    for i, j, rows in _pairs(b, conditioning):
-        enc = _encode(model, table, records[j], prompts[i])
+    prompt_caches: dict = {}
+    images = []
+    pairs = _pairs(b, conditioning)
+    encs = _pair_encodings(model, table, records, texts, pairs, prompt_caches)
+    for (_, j, rows), enc in zip(pairs, encs):
         if keep_caches:
-            images[(i, j)] = enc
+            images.append(enc)
         for r in rows:
             cos[r, j] = float(np.dot(texts[r].t_joint, enc.v_joint))
     sm = ScoreMatrix(scores=cos / TAU, cosines=cos, conditioning=conditioning)
-    return sm, texts, prompt_caches, images
+    return sm, texts, [prompt_caches[i] for i in range(b)], images
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +351,6 @@ def variant_batch_loss(
     return _contrastive_loss(model, records, conditioning, grads, table)
 
 
-def _add_mapper_grads(model: ModelBundle, grads: dict, mcache: tuple, grad_prompts: Array):
-    for k, v in map_prompts_backward(model.mapper, mcache, grad_prompts).items():
-        grads[f"mapper.{k}"] += v
-
-
 def _contrastive_loss(model: ModelBundle, records, conditioning: str, grads, table) -> float:
     sm, texts, prompt_caches, images = build_score_matrix_with_caches(
         model, records, conditioning, keep_caches=grads is not None, table=table
@@ -349,40 +365,34 @@ def _contrastive_loss(model: ModelBundle, records, conditioning: str, grads, tab
         g_cos = info_nce_grad(sm) / sm.tau
     else:
         g_cos = sigmoid_pairwise_grad(sm)
-
-    grad_prompts: dict = {}
-    for i, j, rows in _pairs(len(records), conditioning):
-        enc = images[(i, j)]
-        if not enc.prompt_count:
-            continue
-        upstream = sum(g_cos[r, j] * texts[r].t_joint for r in rows)
-        gp = image_backward(model, enc, grad_v_joint=upstream)
-        grad_prompts[i] = grad_prompts[i] + gp if i in grad_prompts else gp
-    for i, gp in grad_prompts.items():
-        _add_mapper_grads(model, grads, prompt_caches[i], gp)
+    pairs = _pairs(len(records), conditioning)
+    _backprop_prompts(model, grads, prompt_caches, (
+        (i, enc, {"grad_v_joint": sum(g_cos[r, j] * texts[r].t_joint for r in rows)})
+        for (i, j, rows), enc in zip(pairs, images)
+    ))
     return loss
 
 
 def _itm_loss(model: ModelBundle, records, grads, table) -> float:
-    """BCE over (text, positive/negative image) pairs; each pair's caches
-    live only through its own backward pass."""
+    """BCE over each anchor's positive, then its mined negative, scored one
+    pair at a time as the backward consumer pulls it (none without grads)."""
     b = len(records)
     if b < 2:
         raise ConfigError("ITM batch needs >= 2 records for a negative")
     if model.itm_head is None:
         raise ConfigError("variant B requires an ITM head")
-    dims = model.dims
     texts = [table.text(rec) for rec in records]
     negatives = pick_itm_negatives(model, records, texts, table)
-    total = 0.0
+    pairs = [(i, j, label) for i in range(b) for j, label in ((i, 1), (negatives[i], 0))]
+    prompt_caches: dict = {}
     denom = 2 * b
-    for i, rec in enumerate(records):
-        text = texts[i]
-        prompts, mcache = map_prompts_with_cache(model.mapper, text, model.mapper_cfg, dims.d_v)
-        grad_prompts = np.zeros_like(prompts)
-        for image, label in ((rec, 1), (records[negatives[i]], 0)):
-            enc = _encode(model, table, image, prompts)
-            logit, itm_cache = itm_forward(model.itm_head, text.t_cls, enc.patch_states)
+    total = 0.0
+
+    def scored():
+        nonlocal total
+        encs = _pair_encodings(model, table, records, texts, pairs, prompt_caches)
+        for (i, _, label), enc in zip(pairs, encs):
+            logit, itm_cache = itm_forward(model.itm_head, texts[i].t_cls, enc.patch_states)
             total += bce(logit, label)
             if grads is None:
                 continue
@@ -391,8 +401,7 @@ def _itm_loss(model: ModelBundle, records, grads, table) -> float:
             )
             for k, v in head_grads.items():
                 grads[f"itm.{k}"] += v
-            if enc.prompt_count:
-                grad_prompts += image_backward(model, enc, grad_patch_states=grad_patch_states)
-        if grads is not None and grad_prompts.size:
-            _add_mapper_grads(model, grads, mcache, grad_prompts)
+            yield i, enc, {"grad_patch_states": grad_patch_states}
+
+    _backprop_prompts(model, grads, prompt_caches, scored())
     return total / denom

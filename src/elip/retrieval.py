@@ -174,15 +174,10 @@ def rerank_queries(
     k: int,
     itm_sigmoid: bool = False,
 ) -> list:
-    by_qid = {r.query_id: r for r in rankings}
-    out = []
-    for i, q in enumerate(bench.queries):
-        qid = query_id(i)
-        if qid not in by_qid:
-            raise DataError(f"query {qid} missing from rankings")
-        text_enc = encode_text(model, q.text_tokens)
-        out.append(rerank(model, ds, by_qid[qid], k, text_enc, itm_sigmoid))
-    return out
+    return [
+        rerank(model, ds, ranking, k, encode_text(model, q.text_tokens), itm_sigmoid)
+        for ranking, q in _rankings_by_query(rankings, bench)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +198,7 @@ def _rankings_by_query(rankings, bench: Benchmark) -> list:
 
 def recall_at_k(rankings, bench: Benchmark, k: int) -> float:
     """Mean over queries of |positives in top-k| / |positives|."""
-    values = []
-    for ranking, q in _rankings_by_query(rankings, bench):
-        top = {image_id for image_id, _ in ranking.entries[:k]}
-        values.append(len(top & q.positives) / len(q.positives))
-    return float(np.mean(values))
+    return evaluate(rankings, bench, (k,)).aggregate[f"recall@{k}"]
 
 
 def average_precision(ranking: RankingResult, positives: set) -> float:
@@ -221,11 +212,7 @@ def average_precision(ranking: RankingResult, positives: set) -> float:
 
 
 def mean_average_precision(rankings, bench: Benchmark) -> float:
-    values = [
-        average_precision(ranking, q.positives)
-        for ranking, q in _rankings_by_query(rankings, bench)
-    ]
-    return float(np.mean(values))
+    return evaluate(rankings, bench, ()).aggregate["ap"]
 
 
 def evaluate(rankings, bench: Benchmark, ks=(1, 5, 10)) -> MetricReport:
@@ -278,7 +265,8 @@ def curve(rankings, bench: Benchmark, kind: str, ks=None) -> CurveData:
             raise ConfigError("empty k sweep list")
         if min(sweep) < 1:
             raise ConfigError(f"recall_topk needs every k >= 1, got {sweep}")
-        points = [(float(k), recall_at_k(rankings, bench, k)) for k in sweep]
+        recall = evaluate(rankings, bench, sweep).aggregate
+        points = [(float(k), recall[f"recall@{k}"]) for k in sweep]
         return CurveData(kind=kind, points=points)
     if kind == "precision_recall":
         # Interpolated precision at recall r is the max precision over the

@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import DimsConfig, MapperConfig
+from .config import DimsConfig, MapperConfig, RunConfig
 from .curation import (
     Benchmark,
     BenchmarkQuery,
@@ -376,6 +376,18 @@ def read_benchmark(path: str, gallery_ids: list) -> Benchmark:
         for q in doc["queries"]
     ])
     return Benchmark(queries=queries, gallery_ids=list(gallery_ids))
+
+
+def read_config(path: str) -> RunConfig:
+    """The RunConfig of a JSON config file. Bad JSON or a document that is
+    not an object is a FormatError naming the file; a bad field is the
+    ConfigError of RunConfig.from_dict."""
+    if not os.path.exists(path):
+        raise DataError(f"config file not found: {path}")
+    doc = _parse_json(path, lambda doc: doc)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: config is not a JSON object")
+    return RunConfig.from_dict(doc)
 
 
 def write_plan(path: str, plan: CurationPlan) -> None:

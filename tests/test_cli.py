@@ -588,6 +588,55 @@ def test_run_config_round_trip():
     assert again == cfg
 
 
+# (command, config document, exit code, text the error must name); each
+# command runs on real pipeline artifacts, so only the config is at fault
+BAD_CONFIGS = {
+    "bad-json": ("init-model", "{bad", 2, "bad.json"),
+    "not-an-object": ("init-model", "[1]", 2, "bad.json"),
+    "seed-string": ("gen-synth", {"seed": "x"}, 1, "seed"),
+    "dims-field-string": ("init-model", {"dims": {"d_v": "32"}}, 1, "dims.d_v"),
+    "dims-not-an-object": ("init-model", {"dims": 5}, 1, "dims"),
+    "dims-zero-heads": ("init-model", {"dims": {**TINY_CONFIG["dims"], "H": 0}}, 1, "H"),
+    "train-lr-string": ("train", {"train": {"lr": "a"}}, 1, "train.lr"),
+    "rerank-k-string": ("rerank", {"rerank_k": "3"}, 1, "rerank_k"),
+    "unknown-top-level-key": ("init-model", {"rerank_K": 5}, 1, "rerank_K"),
+}
+
+COMMAND_ARGS = {
+    "gen-synth": ["--n", 12, "--clusters", 3],
+    "init-model": [],
+    "train": ["--model", "model/checkpoint", "--data", "data/data.jsonl",
+              "--plan", "plan/plan.json", "--steps", 1],
+    "rerank": ["--model", "model/checkpoint", "--data", "data/data.jsonl",
+               "--bench", "data/benchmark.json", "--rankings", "ranked/rankings.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_malformed_config_exits_cleanly(workdir, capsys, case):
+    command, doc, code, named = BAD_CONFIGS[case]
+    build_pipeline(workdir, capsys)
+    assert run(workdir, "rank", "--config", "config.json", "--out", "ranked",
+               "--model", "model/checkpoint", "--gallery", "gal/gallery",
+               "--bench", "data/benchmark.json") == 0
+    capsys.readouterr()
+    text = doc if isinstance(doc, str) else json.dumps({**TINY_CONFIG, **doc})
+    (workdir / "bad.json").write_text(text)
+    assert run(workdir, command, "--config", "bad.json", "--out", "out",
+               *COMMAND_ARGS[command]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+
+
+def test_resolved_config_replays_through_the_checked_reader(workdir, capsys):
+    build_pipeline(workdir, capsys)
+    assert run(workdir, "init-model", "--config", "model/resolved-config.json",
+               "--out", "again") == 0
+    capsys.readouterr()
+    first = json.loads(open("model/resolved-config.json").read())
+    assert json.loads(open("again/resolved-config.json").read()) == {**first, "out_dir": "again"}
+
+
 def test_default_mining_batch_size_echoes_paper_default(workdir, capsys):
     from elip.cli import build_parser
 

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elip.encoders import encode_image, encode_text, init_frozen_model
-from elip.config import MapperConfig
+from elip.encoders import encode_image, encode_text, image_backward, init_frozen_model
+from elip.config import MapperConfig, TrainConfig
+from elip.curation import CurationPlan, PairDataset
 from elip.errors import ConfigError, DataError
 from elip.objectives import (
     ScoreMatrix,
@@ -25,9 +28,13 @@ from elip.objectives import (
     sigmoid_pairwise_grad,
     variant_batch_loss,
 )
+from elip.prompt_mapper import map_prompts_backward, map_prompts_with_cache
 from elip.rng import Rng
+from elip.trainer import train
 
-from conftest import make_records, randomize_mapper
+from conftest import TINY, make_records, randomize_mapper
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "elip"
 
 
 def sm_from(cos, conditioning="per_row"):
@@ -290,6 +297,86 @@ def test_variant_batch_loss_dispatch(tiny_dims):
     head = model_b.itm_head
     head.tensors["mlp.l2.weight"] = np.zeros_like(head.tensors["mlp.l2.weight"])
     assert abs(variant_batch_loss(model_b, records) - math.log(2)) < 1e-9  # zero logits
+
+
+def reference_itm_loss(model, records, grads=None):
+    """The per-anchor B loop the shared pair generator and backward consumer
+    replaced: map the anchor's prompts, then encode, score and backprop its
+    positive and its negative, starting the prompt gradient from zeros."""
+    if grads is not None:
+        for layer in model.trainable_layers():
+            for k, v in layer.tensors.items():
+                grads.setdefault(f"{layer.name}.{k}", np.zeros_like(v))
+    texts = [encode_text(model, rec.tokens) for rec in records]
+    negatives = pick_itm_negatives(model, records, texts)
+    total, denom = 0.0, 2 * len(records)
+    for i, rec in enumerate(records):
+        prompts, mcache = map_prompts_with_cache(
+            model.mapper, texts[i], model.mapper_cfg, model.dims.d_v
+        )
+        grad_prompts = np.zeros_like(prompts)
+        for image, label in ((rec, 1), (records[negatives[i]], 0)):
+            enc = encode_image(model, image.patches, prompts)
+            logit, itm_cache = itm_forward(model.itm_head, texts[i].t_cls, enc.patch_states)
+            total += bce(logit, label)
+            if grads is None:
+                continue
+            head_grads, grad_patch_states = itm_backward(
+                model.itm_head, itm_cache, bce_grad(logit, label) / denom
+            )
+            for k, v in head_grads.items():
+                grads[f"itm.{k}"] += v
+            grad_prompts += image_backward(model, enc, grad_patch_states=grad_patch_states)
+        if grads is not None:
+            for k, v in map_prompts_backward(model.mapper, mcache, grad_prompts).items():
+                grads[f"mapper.{k}"] += v
+    return total / denom
+
+
+@pytest.mark.parametrize("insert_layer", [0, TINY.L_v - 1])
+@pytest.mark.parametrize("finetune_itm", [True, False])
+def test_itm_loss_equals_per_anchor_reference_bit_for_bit(finetune_itm, insert_layer):
+    """After two training steps with a fine-tuned or a frozen head, the loss
+    and every gradient of variant B match the reference loop exactly."""
+    dims = replace(TINY, insert_layer=insert_layer)
+    model = init_frozen_model(7, dims, "B", MapperConfig(n=dims.n, hidden=8), dtype=np.float64)
+    randomize_mapper(model)
+    ds = PairDataset(records=make_records(6, dims))
+    plan = CurationPlan(batches=[[0, 1, 2], [3, 4, 5]])
+    train(model, ds, plan, TrainConfig(variant="B", steps=2, lr=1e-2, finetune_itm=finetune_itm))
+    records = make_records(5, dims, seed=17)
+    assert variant_batch_loss(model, records) == reference_itm_loss(model, records)
+    grads, expected = {}, {}
+    assert variant_batch_loss(model, records, grads=grads) == reference_itm_loss(
+        model, records, expected
+    )
+    assert list(grads) == list(expected)
+    for key, value in expected.items():
+        assert value.dtype == np.float64 and np.array_equal(grads[key], value), key
+    assert any(np.any(v) for k, v in grads.items() if k.startswith("mapper."))
+
+
+def _calls(tree, name):
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    ]
+
+
+def test_one_call_site_per_image_backward_and_mapper_backward():
+    """Every batch loss reaches the prompt backward through one consumer and
+    encodes its prompted pairs through one generator."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    for name in ("image_backward", "map_prompts_backward"):
+        sites = [module for module, tree in trees.items() for _ in _calls(tree, name)]
+        assert sites == ["objectives"], (name, sites)
+    prompted = [
+        call for name in ("image_forward", "encode_image")
+        for call in _calls(trees["objectives"], name)
+        if len(call.args) > 2 or any(kw.arg == "prompts" for kw in call.keywords)
+    ]
+    assert len(prompted) == 1
 
 
 # ---------------------------------------------------------------------------
