@@ -1,9 +1,14 @@
 """Command-line surface.
 
-Every command prints exactly one JSON status line to stdout, writes its
-artifacts (plus resolved-config.json) under --out, and exits 0 on success,
-1 on usage/config errors, 2 on data/format errors, 3 on numeric errors.
-ELIP_SEED overrides the config seed; an explicit --seed flag wins over both.
+run_command owns every command's bookkeeping: it loads the run config
+(ELIP_SEED overrides the config seed; an explicit --seed wins over both) and
+calls `cmd_x(args, cfg)`, which writes its artifacts under --out and returns
+its status fields. On success run_command writes resolved-config.json and
+prints one JSON status line ("status": "ok", the seed and those fields), exit
+0. On failure it prints one "status": "error" line and an `error:` message to
+stderr, writes no resolved-config.json, and exits 1 on usage/config errors,
+2 on data/format errors (an input that cannot be read or an --out that
+cannot be created or written included, named by path), 3 on numeric errors.
 """
 
 from __future__ import annotations
@@ -40,31 +45,21 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-_EXIT_CODES = {ConfigError: EXIT_USAGE, DataError: EXIT_DATA, NumericError: EXIT_NUMERIC}
-
-
-def _status(command: str, cfg: RunConfig, **extra) -> None:
-    line = {"command": command, "status": "ok", "seed": cfg.seed}
-    line.update(extra)
-    sys.stdout.write(json.dumps(line, sort_keys=True) + "\n")
-
-
-def _emit_config(out_dir: str, cfg: RunConfig) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    storage.atomic_write_text(os.path.join(out_dir, "resolved-config.json"), cfg.to_json())
+_EXIT_CODES = {ConfigError: EXIT_USAGE, DataError: EXIT_DATA, OSError: EXIT_DATA,
+               NumericError: EXIT_NUMERIC}
 
 
 def _load_config(args) -> RunConfig:
-    cfg = storage.read_config(args.config) if getattr(args, "config", None) else RunConfig()
+    cfg = storage.read_config(args.config) if args.config else RunConfig()
     env_seed = os.environ.get("ELIP_SEED")
     if env_seed is not None:
         try:
             cfg.seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"ELIP_SEED must be an integer, got {env_seed!r}") from exc
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "out", None):
+    if args.out:
         cfg.out_dir = args.out
     os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg
@@ -106,8 +101,7 @@ def _parse_int_list(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_synth(args) -> int:
-    cfg = _load_config(args)
+def cmd_gen_synth(args, cfg: RunConfig) -> dict:
     spec = SynthSpec(
         N=args.n, clusters=args.clusters, signal_strength=args.signal_strength,
         P=cfg.dims.P, d_in=cfg.dims.d_in, m=cfg.dims.m,
@@ -124,14 +118,11 @@ def cmd_gen_synth(args) -> int:
     manifest = storage.write_dataset(cfg.out_dir, ds)
     bench_path = os.path.join(cfg.out_dir, "benchmark.json")
     storage.write_benchmark(bench_path, bench)
-    _emit_config(cfg.out_dir, cfg)
-    _status("gen-synth", cfg, records=ds.N, clusters=spec.clusters,
-            manifest=manifest, benchmark=bench_path)
-    return EXIT_OK
+    return dict(records=ds.N, clusters=spec.clusters, manifest=manifest,
+                benchmark=bench_path)
 
 
-def cmd_init_model(args) -> int:
-    cfg = _load_config(args)
+def cmd_init_model(args, cfg: RunConfig) -> dict:
     if args.variant:
         cfg.variant = args.variant
     dims = cfg.dims
@@ -149,37 +140,27 @@ def cmd_init_model(args) -> int:
     model = init_frozen_model(cfg.seed, dims, cfg.variant, mapper_cfg)
     ckpt_dir = os.path.join(cfg.out_dir, "checkpoint")
     storage.save_checkpoint(ckpt_dir, model)
-    _emit_config(cfg.out_dir, cfg)
-    _status("init-model", cfg, variant=cfg.variant, checkpoint=ckpt_dir,
-            tensors=len(list(model.iter_tensors())))
-    return EXIT_OK
+    return dict(variant=cfg.variant, checkpoint=ckpt_dir,
+                tensors=len(list(model.iter_tensors())))
 
 
-def cmd_embed_gallery(args) -> int:
-    cfg = _load_config(args)
+def cmd_embed_gallery(args, cfg: RunConfig) -> dict:
     model, ds = _load_model_and_data(args)
     store = embed_gallery(model, ds)
     store_dir = os.path.join(cfg.out_dir, "gallery")
     storage.write_store(store_dir, store)
-    _emit_config(cfg.out_dir, cfg)
-    _status("embed-gallery", cfg, gallery=store_dir, size=len(store.ids))
-    return EXIT_OK
+    return dict(gallery=store_dir, size=len(store.ids))
 
 
-def cmd_curate_mine(args) -> int:
-    cfg = _load_config(args)
+def cmd_curate_mine(args, cfg: RunConfig) -> dict:
     model, ds = _load_model_and_data(args)
     plan = mine_hard_batches(ds, model, args.batch_size, args.unique_category)
     plan_path = os.path.join(cfg.out_dir, "plan.json")
     storage.write_plan(plan_path, plan)
-    _emit_config(cfg.out_dir, cfg)
-    _status("curate-mine", cfg, plan=plan_path, batches=len(plan.batches),
-            batch_size=args.batch_size)
-    return EXIT_OK
+    return dict(plan=plan_path, batches=len(plan.batches), batch_size=args.batch_size)
 
 
-def cmd_curate_select(args) -> int:
-    cfg = _load_config(args)
+def cmd_curate_select(args, cfg: RunConfig) -> dict:
     model, ds = _load_model_and_data(args)
     plan = storage.read_plan(args.plan)
     reference = copy_without_prompts(model)
@@ -188,14 +169,10 @@ def cmd_curate_select(args) -> int:
     )
     plan_path = os.path.join(cfg.out_dir, "plan.json")
     storage.write_plan(plan_path, selected)
-    _emit_config(cfg.out_dir, cfg)
-    _status("curate-select", cfg, plan=plan_path, kept=len(selected.batches),
-            fraction=args.fraction)
-    return EXIT_OK
+    return dict(plan=plan_path, kept=len(selected.batches), fraction=args.fraction)
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
+def cmd_train(args, cfg: RunConfig) -> dict:
     model, ds = _load_model_and_data(args)
     plan = storage.read_plan(args.plan)
     tc = cfg.train
@@ -224,14 +201,11 @@ def cmd_train(args) -> int:
 
     model, trace = train(model, ds, plan, tc, checkpoint_hook=hook)
     storage.write_trace_csv(os.path.join(cfg.out_dir, "trace.csv"), trace)
-    _emit_config(cfg.out_dir, cfg)
-    _status("train", cfg, steps=tc.steps, lr=tc.resolved_lr(),
-            final_loss=trace[-1], checkpoint=os.path.join(cfg.out_dir, "checkpoint"))
-    return EXIT_OK
+    return dict(steps=tc.steps, lr=tc.resolved_lr(), final_loss=trace[-1],
+                checkpoint=os.path.join(cfg.out_dir, "checkpoint"))
 
 
-def cmd_rank(args) -> int:
-    cfg = _load_config(args)
+def cmd_rank(args, cfg: RunConfig) -> dict:
     model = storage.load_checkpoint(args.model)
     store = storage.read_store(args.gallery)
     if store.matrix.shape[1] != model.dims.d_e:
@@ -243,13 +217,10 @@ def cmd_rank(args) -> int:
     rankings = rank_queries(model, store, bench)
     path = os.path.join(cfg.out_dir, "rankings.json")
     storage.write_rankings(path, rankings)
-    _emit_config(cfg.out_dir, cfg)
-    _status("rank", cfg, rankings=path, queries=len(rankings))
-    return EXIT_OK
+    return dict(rankings=path, queries=len(rankings))
 
 
-def cmd_rerank(args) -> int:
-    cfg = _load_config(args)
+def cmd_rerank(args, cfg: RunConfig) -> dict:
     model, ds = _load_model_and_data(args)
     rankings, bench = _load_rankings_and_bench(args)
     k = args.k if args.k is not None else cfg.rerank_k
@@ -257,37 +228,28 @@ def cmd_rerank(args) -> int:
     reranked = rerank_queries(model, ds, rankings, bench, k, args.itm_sigmoid)
     path = os.path.join(cfg.out_dir, "rankings.json")
     storage.write_rankings(path, reranked)
-    _emit_config(cfg.out_dir, cfg)
-    _status("rerank", cfg, rankings=path, k=k, queries=len(reranked))
-    return EXIT_OK
+    return dict(rankings=path, k=k, queries=len(reranked))
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+def cmd_eval(args, cfg: RunConfig) -> dict:
     rankings, bench = _load_rankings_and_bench(args)
     report = evaluate(rankings, bench)
     path = os.path.join(cfg.out_dir, "metrics.csv")
     storage.write_metrics_csv(path, report)
-    _emit_config(cfg.out_dir, cfg)
-    _status("eval", cfg, metrics=path, queries=report.query_count,
-            **{k.replace("@", "_at_"): v for k, v in report.aggregate.items()})
-    return EXIT_OK
+    return dict(metrics=path, queries=report.query_count,
+                **{k.replace("@", "_at_"): v for k, v in report.aggregate.items()})
 
 
-def cmd_curve(args) -> int:
-    cfg = _load_config(args)
+def cmd_curve(args, cfg: RunConfig) -> dict:
     rankings, bench = _load_rankings_and_bench(args)
     ks = _parse_int_list(args.ks) if args.ks else None
     data = curve(rankings, bench, args.kind, ks)
     path = os.path.join(cfg.out_dir, "curve.csv")
     storage.write_curve_csv(path, data)
-    _emit_config(cfg.out_dir, cfg)
-    _status("curve", cfg, curve=path, kind=args.kind, points=len(data.points))
-    return EXIT_OK
+    return dict(curve=path, kind=args.kind, points=len(data.points))
 
 
-def cmd_attn(args) -> int:
-    cfg = _load_config(args)
+def cmd_attn(args, cfg: RunConfig) -> dict:
     model, ds = _load_model_and_data(args)
     record = ds.by_id(args.record)
     text_enc = None
@@ -301,15 +263,11 @@ def cmd_attn(args) -> int:
     amap = attention_map(model, record, text_enc, args.mode)
     path = os.path.join(cfg.out_dir, "attn.csv")
     storage.write_attn_csv(path, amap.grid)
-    _emit_config(cfg.out_dir, cfg)
-    _status("attn", cfg, attn=path, mode=args.mode,
-            rows=amap.grid.shape[0], cols=amap.grid.shape[1],
-            patch_mass=amap.patch_mass)
-    return EXIT_OK
+    return dict(attn=path, mode=args.mode, rows=amap.grid.shape[0],
+                cols=amap.grid.shape[1], patch_mass=amap.patch_mass)
 
 
-def cmd_flops(args) -> int:
-    cfg = _load_config(args)
+def cmd_flops(args, cfg: RunConfig) -> dict:
     if args.model:
         model = storage.load_checkpoint(args.model)
         dims = model.dims
@@ -325,17 +283,11 @@ def cmd_flops(args) -> int:
         "delta": with_prompts - without,
         "n": dims.n,
     }
-    storage.atomic_write_text(
-        os.path.join(cfg.out_dir, "flops.json"),
-        json.dumps(doc, indent=2, sort_keys=True) + "\n",
-    )
-    _emit_config(cfg.out_dir, cfg)
-    _status("flops", cfg, **doc)
-    return EXIT_OK
+    storage.write_json(os.path.join(cfg.out_dir, "flops.json"), doc)
+    return doc
 
 
-def cmd_bench_occluded(args) -> int:
-    cfg = _load_config(args)
+def cmd_bench_occluded(args, cfg: RunConfig) -> dict:
     ds = storage.read_dataset(args.data)
     if args.vocab:
         vocab = storage.read_vocab(args.vocab)
@@ -349,10 +301,7 @@ def cmd_bench_occluded(args) -> int:
     bench, dropped = build_occluded_benchmark(ds, category_vocabulary)
     path = os.path.join(cfg.out_dir, "benchmark-occluded.json")
     storage.write_benchmark(path, bench)
-    _emit_config(cfg.out_dir, cfg)
-    _status("bench-occluded", cfg, benchmark=path, queries=len(bench.queries),
-            dropped=len(dropped))
-    return EXIT_OK
+    return dict(benchmark=path, queries=len(bench.queries), dropped=len(dropped))
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +438,20 @@ def run_command(argv) -> int:
         # argparse exits 2 on usage problems; the CLI contract says 1.
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        cfg = _load_config(args)
+        fields = args.func(args, cfg)
+        storage.atomic_write_text(os.path.join(cfg.out_dir, "resolved-config.json"),
+                                  cfg.to_json())
     except tuple(_EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.stdout.write(json.dumps(
             {"command": args.command, "status": "error", "error": str(exc)},
             sort_keys=True) + "\n")
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    sys.stdout.write(json.dumps(
+        {"command": args.command, "status": "ok", "seed": cfg.seed, **fields},
+        sort_keys=True) + "\n")
+    return EXIT_OK
 
 
 def main() -> None:

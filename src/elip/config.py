@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 
 VARIANTS = ("C", "S", "B")
 
@@ -138,7 +138,15 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
+        """from_dict of the JSON text; text that is not a JSON object is a
+        FormatError."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise FormatError(f"config is not JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise FormatError("config is not a JSON object")
+        return cls.from_dict(doc)
 
 
 def _conforms(value, hint) -> bool:

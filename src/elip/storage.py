@@ -48,17 +48,33 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def write_json(path: str, doc) -> None:
+    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _open(path: str, text: bool = False):
+    """path opened for reading, as UTF-8 text or as bytes; a file that is
+    missing, a directory or unreadable is a DataError naming the path."""
+    try:
+        return open(path, "r" if text else "rb", encoding="utf-8" if text else None)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+
+
 def _parse_json(path: str, parse):
     """parse(doc) of the JSON file at path. Bad JSON, a missing key or a
     wrongly typed value anywhere in the parse is one FormatError; a
     FormatError that parse raises itself passes through unchanged."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with _open(path, text=True) as fh:
+        try:
             return parse(json.load(fh))
-    except FormatError:
-        raise
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
+        except FormatError:
+            raise
+        except _MALFORMED as exc:
+            raise FormatError(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
 
 
 def _string(path: str, value, what: str) -> str:
@@ -124,15 +140,9 @@ def write_tensor_blob(path: str, arr: np.ndarray) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _read_blob_bytes(path: str) -> bytes:
-    if not os.path.exists(path):
-        raise DataError(f"tensor blob not found: {path}")
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def read_tensor_blob(path: str) -> np.ndarray:
-    return blob_to_tensor(_read_blob_bytes(path), source=path)
+    with _open(path) as fh:
+        return blob_to_tensor(fh.read(), source=path)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +198,7 @@ def _write_checkpoint_files(out_dir: str, model: ModelBundle) -> None:
         "mapper": asdict(model.mapper_cfg),
         "tensors": tensors,
     }
-    atomic_write_text(
-        os.path.join(out_dir, "index.json"),
-        json.dumps(index, indent=2, sort_keys=True) + "\n",
-    )
+    write_json(os.path.join(out_dir, "index.json"), index)
 
 
 def load_checkpoint(ckpt_dir: str) -> ModelBundle:
@@ -199,8 +206,6 @@ def load_checkpoint(ckpt_dir: str) -> ModelBundle:
     and shape its index entry records, and the layout of the bundle the
     index describes; any mismatch is a FormatError."""
     index_path = os.path.join(ckpt_dir, "index.json")
-    if not os.path.exists(index_path):
-        raise DataError(f"checkpoint index not found: {index_path}")
 
     def parse(doc):
         if doc["version"] != CHECKPOINT_VERSION:
@@ -237,7 +242,8 @@ def load_checkpoint(ckpt_dir: str) -> ModelBundle:
         layer, key = by_name[name]
         expected = layer.tensors[key]
         blob_path = os.path.join(ckpt_dir, fname)
-        data = _read_blob_bytes(blob_path)
+        with _open(blob_path) as fh:
+            data = fh.read()
         arr = blob_to_tensor(data, source=blob_path)
         if hashlib.sha256(data).hexdigest() != digest:
             raise FormatError(f"{blob_path}: sha256 does not match {index_path}")
@@ -281,33 +287,25 @@ def write_dataset(out_dir: str, ds: PairDataset) -> str:
     manifest = os.path.join(out_dir, "data.jsonl")
     atomic_write_text(manifest, "\n".join(lines) + "\n")
     if ds.vocab is not None:
-        atomic_write_text(
-            os.path.join(out_dir, "vocab.json"),
-            json.dumps(ds.vocab, indent=2, sort_keys=True) + "\n",
-        )
+        write_json(os.path.join(out_dir, "vocab.json"), ds.vocab)
     return manifest
 
 
 def read_dataset(manifest_path: str) -> PairDataset:
-    if not os.path.exists(manifest_path):
-        raise DataError(f"manifest not found: {manifest_path}")
+    """The records of a data.jsonl manifest. A DataError (an unreadable
+    blob, rows outside it) passes through; any other fault of a line is a
+    FormatError at file:line."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     blobs: dict[str, np.ndarray] = {}
     records = []
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{manifest_path}: not UTF-8 ({exc})") from exc
+    with _open(manifest_path) as fh:
+        lines = fh.read().splitlines()
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
         try:
+            line = line.decode("utf-8").strip()
+            if not line:
+                continue
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{manifest_path}:{lineno}: invalid JSON ({exc})") from exc
-        try:
             patches_ref = doc["patches"]
             fname = patches_ref["file"]
             row = int(patches_ref["row"])
@@ -328,13 +326,9 @@ def read_dataset(manifest_path: str) -> PairDataset:
                 categories=set(doc.get("categories", [])),
                 occluded_categories=set(doc.get("occluded_categories", [])),
             ))
-        except KeyError as exc:
-            raise DataError(
-                f"{manifest_path}:{lineno}: missing field {exc}"
-            ) from exc
         except DataError:
             raise
-        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        except _MALFORMED as exc:
             raise FormatError(
                 f"{manifest_path}:{lineno}: malformed ({type(exc).__name__}: {exc})"
             ) from exc
@@ -347,8 +341,6 @@ def read_dataset(manifest_path: str) -> PairDataset:
 
 def read_vocab(path: str) -> dict:
     """Tokenizer table: word -> token id."""
-    if not os.path.exists(path):
-        raise DataError(f"vocab file not found: {path}")
     return _parse_json(path, lambda doc: {str(word): int(tid) for word, tid in doc.items()})
 
 
@@ -362,12 +354,10 @@ def write_benchmark(path: str, bench: Benchmark) -> None:
         {"text_tokens": list(q.text_tokens), "positives": sorted(q.positives)}
         for q in bench.queries
     ]}
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def read_benchmark(path: str, gallery_ids: list) -> Benchmark:
-    if not os.path.exists(path):
-        raise DataError(f"benchmark file not found: {path}")
     queries = _parse_json(path, lambda doc: [
         BenchmarkQuery(
             text_tokens=[int(t) for t in q["text_tokens"]],
@@ -382,8 +372,6 @@ def read_config(path: str) -> RunConfig:
     """The RunConfig of a JSON config file. Bad JSON or a document that is
     not an object is a FormatError naming the file; a bad field is the
     ConfigError of RunConfig.from_dict."""
-    if not os.path.exists(path):
-        raise DataError(f"config file not found: {path}")
     doc = _parse_json(path, lambda doc: doc)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: config is not a JSON object")
@@ -396,12 +384,10 @@ def write_plan(path: str, plan: CurationPlan) -> None:
         "learnability": plan.learnability,
         "source_seed": plan.source_seed,
     }
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def read_plan(path: str) -> CurationPlan:
-    if not os.path.exists(path):
-        raise DataError(f"plan file not found: {path}")
     return _parse_json(path, lambda doc: CurationPlan(
         batches=[list(map(int, b)) for b in doc["batches"]],
         learnability=doc.get("learnability"),
@@ -412,17 +398,12 @@ def read_plan(path: str) -> CurationPlan:
 def write_store(out_dir: str, store: EmbeddingStore) -> None:
     os.makedirs(out_dir, exist_ok=True)
     write_tensor_blob(os.path.join(out_dir, "embeddings.bin"), store.matrix)
-    atomic_write_text(
-        os.path.join(out_dir, "ids.json"),
-        json.dumps({"ids": store.ids, "seed": store.provenance_seed},
-                   indent=2, sort_keys=True) + "\n",
-    )
+    write_json(os.path.join(out_dir, "ids.json"),
+               {"ids": store.ids, "seed": store.provenance_seed})
 
 
 def read_store(store_dir: str) -> EmbeddingStore:
     ids_path = os.path.join(store_dir, "ids.json")
-    if not os.path.exists(ids_path):
-        raise DataError(f"store ids not found: {ids_path}")
     ids, seed = _parse_json(ids_path, lambda doc: (
         [_string(ids_path, image_id, "image id") for image_id in doc["ids"]], doc["seed"]
     ))
@@ -479,8 +460,6 @@ def _unpack(path: str, qid: str, key: str, text, dtype: str) -> np.ndarray:
 def read_rankings(path: str) -> list:
     """Reads a version-2 rankings file; version 1 (per-entry [id, score]
     pairs) is refused."""
-    if not os.path.exists(path):
-        raise DataError(f"rankings file not found: {path}")
 
     def parse(doc):
         version = doc.get("version", 1)

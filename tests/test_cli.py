@@ -1,15 +1,19 @@
+import ast
 import base64
 import json
 import os
+import pathlib
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elip import storage
-from elip.cli import run_command
+from elip import cli, storage
+from elip.cli import build_parser, run_command
 from elip.config import RunConfig
+from elip.errors import DataError, FormatError
 from elip.retrieval import RankingResult
 
 from conftest import TINY
@@ -205,13 +209,18 @@ def test_corrupt_checkpoint_blob_exit_two(workdir, capsys):
     assert "offset 0" in capsys.readouterr().err
 
 
-def assert_exit_two_without_traceback(workdir, capsys, path, *argv):
-    code = run(workdir, *argv, "--config", "config.json", "--out", "bad")
+def assert_exit_two_naming(capsys, code, path):
+    """Exit 2, one error status line, and an `error:` message naming path."""
     out, err = capsys.readouterr()
     assert code == 2, err
     assert json.loads(out)["status"] == "error"
-    assert err.startswith("error: ") and path in err
+    assert err.startswith("error: ") and path in err and "Traceback" not in err
     return err
+
+
+def assert_exit_two_without_traceback(workdir, capsys, path, *argv):
+    code = run(workdir, *argv, "--config", "config.json", "--out", "bad")
+    return assert_exit_two_naming(capsys, code, path)
 
 
 READERS = {
@@ -588,6 +597,12 @@ def test_run_config_round_trip():
     assert again == cfg
 
 
+def test_run_config_from_json_rejects_text_that_is_not_an_object():
+    for text in ("{bad", "[1]", "3"):
+        with pytest.raises(FormatError):
+            RunConfig.from_json(text)
+
+
 # (command, config document, exit code, text the error must name); each
 # command runs on real pipeline artifacts, so only the config is at fault
 BAD_CONFIGS = {
@@ -828,3 +843,163 @@ def test_rerank_empty_rankings_exit_two(workdir, capsys):
         "--data", "data/data.jsonl", "--bench", "data/benchmark.json",
         "--rankings", "empty.json", "--k", 4)
     assert "no rankings in empty.json" in err
+
+
+# ---------------------------------------------------------------------------
+# the contract run_command keeps for every subcommand
+# ---------------------------------------------------------------------------
+
+
+# a successful argv per subcommand over build_pipeline's artifacts plus a
+# stage-1 ranking, every optional input flag included
+COMMAND_ARGV = {
+    "gen-synth": ["--n", 12, "--clusters", 3],
+    "init-model": [],
+    "embed-gallery": ["--model", "model/checkpoint", "--data", "data/data.jsonl"],
+    "curate-mine": ["--model", "model/checkpoint", "--data", "data/data.jsonl",
+                    "--batch-size", 3],
+    "curate-select": ["--model", "model/checkpoint", "--data", "data/data.jsonl",
+                      "--plan", "plan/plan.json", "--fraction", 0.5],
+    "train": ["--model", "model/checkpoint", "--data", "data/data.jsonl",
+              "--plan", "plan/plan.json", "--steps", 1],
+    "rank": ["--model", "model/checkpoint", "--gallery", "gal/gallery",
+             "--bench", "data/benchmark.json"],
+    "rerank": ["--model", "model/checkpoint", "--data", "data/data.jsonl",
+               "--bench", "data/benchmark.json", "--rankings", "ranked/rankings.json",
+               "--k", 2],
+    "eval": ["--rankings", "ranked/rankings.json", "--bench", "data/benchmark.json"],
+    "curve": ["--rankings", "ranked/rankings.json", "--bench", "data/benchmark.json"],
+    "attn": ["--model", "model/checkpoint", "--data", "data/data.jsonl",
+             "--record", "img0000", "--bench", "data/benchmark.json"],
+    "flops": ["--model", "model/checkpoint"],
+    "bench-occluded": ["--data", "data/data.jsonl", "--vocab", "data/vocab.json"],
+}
+
+# the flags that name an input; --model and --gallery name directories, so
+# the file read under them (index.json, ids.json) is the one made unreadable
+INPUT_FILES = {"--config": "", "--model": "index.json", "--data": "", "--gallery": "ids.json",
+               "--bench": "", "--rankings": "", "--plan": "", "--vocab": ""}
+
+
+def _subcommands():
+    """{name: subparser} of every subcommand build_parser declares."""
+    action = next(a for a in build_parser()._actions if a.dest == "command")
+    return action.choices
+
+
+def _input_flags():
+    return [(name, flag) for name, sub in sorted(_subcommands().items())
+            for action in sub._actions for flag in action.option_strings
+            if flag in INPUT_FILES]
+
+
+def build_all_inputs(workdir, capsys):
+    build_pipeline(workdir, capsys)
+    assert run(workdir, "rank", "--config", "config.json", "--out", "ranked", *RANK_ARGS[1:]) == 0
+    capsys.readouterr()
+
+
+def test_every_subcommand_has_a_contract_argv():
+    assert set(COMMAND_ARGV) == set(_subcommands())
+    flags = {flag for _, flag in _input_flags()}
+    assert flags == set(INPUT_FILES)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+def test_success_prints_one_ok_line_and_writes_resolved_config(workdir, capsys, command):
+    build_all_inputs(workdir, capsys)
+    assert run(workdir, command, "--config", "config.json", "--out", "out",
+               *COMMAND_ARGV[command]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1, lines
+    line = json.loads(lines[0])
+    assert (line["command"], line["status"], line["seed"]) == (command, "ok", 7)
+    assert json.loads(open("out/resolved-config.json").read())["out_dir"] == "out"
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+def test_failure_prints_one_error_line_and_no_resolved_config(workdir, capsys, monkeypatch,
+                                                              command):
+    """A command that fails after writing its artifacts leaves no
+    resolved-config.json behind."""
+    build_all_inputs(workdir, capsys)
+    name = _subcommands()[command].get_default("func").__name__
+    real = getattr(cli, name)
+
+    def fail_after(args, cfg):
+        real(args, cfg)
+        raise DataError("failed after its artifacts")
+
+    monkeypatch.setattr(cli, name, fail_after)
+    assert run(workdir, command, "--config", "config.json", "--out", "out",
+               *COMMAND_ARGV[command]) == 2
+    out, err = capsys.readouterr()
+    assert [json.loads(line)["status"] for line in out.splitlines()] == ["error"]
+    assert err == "error: failed after its artifacts\n"
+    assert os.path.isdir("out") and not os.path.exists("out/resolved-config.json")
+
+
+@pytest.mark.parametrize("command, flag", _input_flags())
+def test_unreadable_input_exit_two(workdir, capsys, command, flag):
+    """Any input flag naming a directory where a file is read exits 2 with
+    one error line naming that path."""
+    build_all_inputs(workdir, capsys)
+    argv = ["--config", "config.json", *COMMAND_ARGV[command]]
+    inner = INPUT_FILES[flag]
+    if inner:
+        value = f"unreadable-{flag[2:]}"
+        shutil.copytree(argv[argv.index(flag) + 1], value)
+        os.remove(os.path.join(value, inner))
+        os.mkdir(os.path.join(value, inner))
+        named = os.path.join(value, inner)
+    else:
+        value = named = "unreadable-dir"
+        os.mkdir(value)
+    argv[argv.index(flag) + 1] = value
+    assert_exit_two_naming(capsys, run(workdir, command, *argv, "--out", "out"), named)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+def test_out_naming_an_existing_file_exit_two(workdir, capsys, command):
+    build_all_inputs(workdir, capsys)
+    (workdir / "taken").write_text("a file, not a directory\n")
+    code = run(workdir, command, "--config", "config.json", "--out", "taken",
+               *COMMAND_ARGV[command])
+    assert_exit_two_naming(capsys, code, "taken")
+    assert (workdir / "taken").read_text() == "a file, not a directory\n"
+
+
+def _names_in(tree, node_test) -> list:
+    """Names of the top-level functions whose bodies hold a node passing
+    node_test, docstrings left out; '<module>' for one outside any function."""
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        found += [owner for node in ast.walk(top)
+                  if id(node) not in docstrings and node_test(node)]
+    return found
+
+
+def test_one_owner_for_status_output_and_file_existence():
+    """In cli.py only run_command loads the config, writes to stdout or names
+    resolved-config.json; in storage.py os.path.exists appears only where a
+    missing file is no error (save_checkpoint's target, the optional vocab)."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "elip"
+    cli_tree = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+
+    def bookkeeping(node):
+        if isinstance(node, ast.Attribute) and node.attr == "stdout":
+            return True
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return "resolved-config.json" in node.value
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            return node.func.id in ("print", "_load_config")
+        return False
+
+    assert set(_names_in(cli_tree, bookkeeping)) == {"run_command"}
+    storage_tree = ast.parse((src / "storage.py").read_text(encoding="utf-8"))
+    exists = _names_in(storage_tree, lambda node: isinstance(node, ast.Attribute)
+                       and node.attr == "exists")
+    assert sorted(exists) == ["read_dataset", "save_checkpoint"]
