@@ -14,12 +14,13 @@ from .curation import (
     select_by_learnability,
 )
 from .encoders import (
-    FrozenTable,
     ImageEncoding,
     ModelBundle,
     TextEncoding,
-    encode_image,
     encode_text,
+    frozen_image,
+    frozen_text,
+    image_forward,
     init_frozen_model,
 )
 from .objectives import (

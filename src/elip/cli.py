@@ -6,14 +6,16 @@ calls `cmd_x(args, cfg)`, which writes its artifacts under --out and returns
 its status fields. On success run_command writes resolved-config.json and
 prints one JSON status line ("status": "ok", the seed and those fields), exit
 0. On failure it prints one "status": "error" line and an `error:` message to
-stderr, writes no resolved-config.json, and exits 1 on usage/config errors,
-2 on data/format errors (an input that cannot be read or an --out that
-cannot be created or written included, named by path), 3 on numeric errors.
+stderr, writes no resolved-config.json, removes the --out directories it made
+that are still empty, and exits 1 on usage/config errors, 2 on data/format
+errors (an input that cannot be read or an --out that cannot be created or
+written included, named by path), 3 on numeric errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -61,7 +63,6 @@ def _load_config(args) -> RunConfig:
         cfg.seed = args.seed
     if args.out:
         cfg.out_dir = args.out
-    os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg
 
 
@@ -437,12 +438,21 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage problems; the CLI contract says 1.
         return EXIT_USAGE if exc.code else EXIT_OK
+    created = []  # deepest first
     try:
         cfg = _load_config(args)
+        path = os.path.abspath(cfg.out_dir)
+        while not os.path.lexists(path):
+            created.append(path)
+            path = os.path.dirname(path)
+        os.makedirs(cfg.out_dir, exist_ok=True)
         fields = args.func(args, cfg)
         storage.atomic_write_text(os.path.join(cfg.out_dir, "resolved-config.json"),
                                   cfg.to_json())
     except tuple(_EXIT_CODES) as exc:
+        for path in created:  # rmdir refuses a directory that holds anything
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         sys.stderr.write(f"error: {exc}\n")
         sys.stdout.write(json.dumps(
             {"command": args.command, "status": "error", "error": str(exc)},

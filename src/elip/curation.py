@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DimsConfig
-from .encoders import FrozenTable, ModelBundle
+from .encoders import ModelBundle, frozen_image, frozen_text
 from .errors import ConfigError, DataError
 from .numkit import Array, row_dots
 from .objectives import variant_batch_loss
@@ -27,6 +27,8 @@ class PairRecord:
     caption: str
     categories: set = field(default_factory=set)
     occluded_categories: set = field(default_factory=set)
+    # encoders.frozen_text/frozen_image entries by (backbone_key, "text"|"image")
+    frozen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -103,16 +105,15 @@ def mine_hard_batches(
     """One batch per reference pair: itself plus the B-1 images whose frozen
     embeddings score highest against the reference text, descending, ties by
     ascending record index. model_or_embeddings is a model, whose frozen
-    table gives the unit-norm text and image rows, or that (text, image)
+    encodings give the unit-norm text and image rows, or that (text, image)
     matrix pair itself."""
     n = ds.N
     if not 1 <= B <= n:
         raise ConfigError(f"batch size B={B} must lie in [1, N={n}]")
     if isinstance(model_or_embeddings, ModelBundle):
-        table = FrozenTable(model_or_embeddings)
-        text_mat = np.stack([table.text(r).t_joint for r in ds.records])
-        image_mat = np.stack([table.image(r).v_joint for r in ds.records])
-        source_seed = model_or_embeddings.seed
+        model, source_seed = model_or_embeddings, model_or_embeddings.seed
+        text_mat = np.stack([frozen_text(model, r).t_joint for r in ds.records])
+        image_mat = np.stack([frozen_image(model, r).v_joint for r in ds.records])
     else:
         text_mat, image_mat = model_or_embeddings
         source_seed = 0
@@ -158,20 +159,19 @@ def select_by_learnability(
 ) -> CurationPlan:
     """Keep the ceil(fraction * count) batches with highest
     loss(learner) - loss(reference); ties by ascending batch index, original
-    relative order preserved. Learner and reference each get one frozen
-    table for the call: the reference may have another backbone."""
+    relative order preserved. A reference of the learner's backbone (such as
+    copy_without_prompts(learner)) reads the learner's frozen encodings."""
     if not plan.batches:
         raise DataError("cannot select from an empty plan")
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction={fraction} must lie in (0, 1]")
     plan.check_indices(ds.N)
-    learner_table, reference_table = FrozenTable(learner), FrozenTable(reference)
     scores = []
     for batch in plan.batches:
         records = [ds.records[k] for k in batch]
         scores.append(
-            variant_batch_loss(learner, records, conditioning, table=learner_table)
-            - variant_batch_loss(reference, records, conditioning, table=reference_table)
+            variant_batch_loss(learner, records, conditioning)
+            - variant_batch_loss(reference, records, conditioning)
         )
     count = math.ceil(fraction * len(plan.batches))
     ranked = sorted(range(len(plan.batches)), key=lambda k: (-scores[k], k))

@@ -8,12 +8,17 @@ byte-identical through training.
 Image token order is [patch tokens (+pos), CLS (+pos), prompt tokens
 (no positional embedding)]; prompts enter at dims.insert_layer and
 participate in every later block.
-"""
+
+frozen_text and frozen_image keep a record's frozen encodings on the record,
+one per ModelBundle.backbone_key, so a model's frozen tensors must never
+change after it has encoded anything."""
 
 from __future__ import annotations
 
 import copy
+import hashlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +73,15 @@ class ModelBundle:
     proj_image: LayerParams
     mapper: LayerParams
     itm_head: LayerParams | None = None
+
+    @cached_property
+    def backbone_key(self) -> str:
+        """sha256 of frozen_bytes, the dtype and dims.H (the one encoder
+        setting no tensor shape records). Computed once per model object, as
+        it costs about one image encode, and kept through deepcopy."""
+        digest = hashlib.sha256(frozen_bytes(self))
+        digest.update(f"{self.dtype.str} H={self.dims.H}".encode())
+        return digest.hexdigest()
 
     def layers(self) -> list[LayerParams]:
         out = [self.token_embed, self.text_pos, self.text_cls, *self.text_blocks,
@@ -304,39 +318,29 @@ def image_forward(
     )
 
 
-encode_image = image_forward
+encode_image = image_forward  # perfbench/selftest.py calls this name
 
 
-class FrozenTable:
-    """Per-record frozen encodings under one model, each computed on first
-    use and keyed by record id.
+def frozen_text(model: ModelBundle, rec) -> TextEncoding:
+    """rec's TextEncoding under model's frozen text stack, computed once per
+    record and backbone and kept on the record (PairRecord.frozen)."""
+    key = (model.backbone_key, "text")
+    enc = rec.frozen.get(key)
+    if enc is None:
+        enc = rec.frozen[key] = encode_text(model, rec.tokens)
+    return enc
 
-    A record's TextEncoding and its prompt-free image encoding depend only
-    on frozen tensors, so one table serves every batch of a selection or a
-    training run. The image entry keeps v_joint and the final patch states
-    but no backward cache, as nothing flows back into a prompt-free encode.
-    A table belongs to one model; a model with another backbone needs its own.
-    """
 
-    def __init__(self, model: ModelBundle):
-        self.model = model
-        self._texts: dict = {}
-        self._images: dict = {}
-
-    def text(self, rec) -> TextEncoding:
-        enc = self._texts.get(rec.id)
-        if enc is None:
-            enc = self._texts[rec.id] = encode_text(self.model, rec.tokens)
-        return enc
-
-    def image(self, rec) -> ImageEncoding:
-        """rec's prompt-free encoding (prompt_count 0)."""
-        enc = self._images.get(rec.id)
-        if enc is None:
-            enc = replace(image_forward(self.model, rec.patches),
-                          attn=[], block_caches=[], ln_cache=(), proj_cache=())
-            self._images[rec.id] = enc
-        return enc
+def frozen_image(model: ModelBundle, rec) -> ImageEncoding:
+    """rec's prompt-free encoding (prompt_count 0), computed once per record
+    and backbone and kept on the record. It keeps v_joint and the final
+    patch states but no backward cache: nothing flows back into it."""
+    key = (model.backbone_key, "image")
+    enc = rec.frozen.get(key)
+    if enc is None:
+        enc = rec.frozen[key] = replace(image_forward(model, rec.patches), attn=[],
+                                        block_caches=[], ln_cache=(), proj_cache=())
+    return enc
 
 
 def image_backward(

@@ -5,8 +5,9 @@ image in the batch, each image re-encoded under conditioning prompts.
 per_row conditioning re-encodes image j with prompts from text i for entry
 (i, j) (b^2 encodings, matching inference); diagonal conditions every image
 on its own paired text (b encodings). Batch texts, and images under an
-empty prompt set (the prompt-free JEST reference), come from an
-encoders.FrozenTable, so a record's frozen work runs once per table.
+empty prompt set (the prompt-free JEST reference), come from
+encoders.frozen_text and frozen_image, so a record's frozen work runs once
+per backbone.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ import numpy as np
 
 from . import numkit
 from .encoders import (
-    FrozenTable,
     ImageEncoding,
     ModelBundle,
     TextEncoding,
+    frozen_image,
+    frozen_text,
     image_backward,
     image_forward,
 )
@@ -63,18 +65,10 @@ def _pairs(b: int, conditioning: str) -> list:
     return [(j, j, range(b)) for j in range(b)]
 
 
-def _table_for(model: ModelBundle, table: FrozenTable | None) -> FrozenTable:
-    if table is None:
-        return FrozenTable(model)
-    if table.model is not model:
-        raise ConfigError("frozen table was built for another model")
-    return table
-
-
-def _pair_encodings(model: ModelBundle, table: FrozenTable, records, texts, pairs, caches: dict):
+def _pair_encodings(model: ModelBundle, records, texts, pairs, caches: dict):
     """For each (i, j, ...) pair, grouped by i, record j's image encoded under
     text i's prompts, mapped (cache into caches[i]) as its group starts; an
-    empty prompt set reads the frozen table. One encoding at a time."""
+    empty prompt set reads the record's frozen image. One encoding at a time."""
     for i, group in groupby(pairs, key=itemgetter(0)):
         prompts, caches[i] = map_prompts_with_cache(
             model.mapper, texts[i], model.mapper_cfg, model.dims.d_v
@@ -83,7 +77,7 @@ def _pair_encodings(model: ModelBundle, table: FrozenTable, records, texts, pair
             if prompts.size:
                 yield image_forward(model, records[j].patches, prompts)
             else:
-                yield table.image(records[j])
+                yield frozen_image(model, records[j])
 
 
 def _backprop_prompts(model: ModelBundle, grads: dict | None, caches, items) -> None:
@@ -103,7 +97,6 @@ def _backprop_prompts(model: ModelBundle, grads: dict | None, caches, items) -> 
 
 def build_score_matrix_with_caches(
     model: ModelBundle, records, conditioning: str = "per_row", keep_caches: bool = True,
-    table: FrozenTable | None = None,
 ) -> tuple[ScoreMatrix, list, list, list]:
     """Text-vs-conditioned-image cosine matrix over one batch of records,
     plus every cache the backward pass needs.
@@ -111,21 +104,20 @@ def build_score_matrix_with_caches(
     Returns (score matrix, text encodings, prompt caches, image encodings).
     The image encodings are listed in _pairs order; the list stays empty
     when keep_caches is off, so a loss-only call holds one encoding at a
-    time. Texts, and images under an empty prompt set, come from the
-    model's frozen table (a new one per call when none is given).
+    time. Texts, and images under an empty prompt set, are the records'
+    frozen encodings.
     """
     b = len(records)
     if b < 2:
         raise ConfigError(f"contrastive batch needs >= 2 records, got {b}")
     if conditioning not in ("per_row", "diagonal"):
         raise ConfigError(f"unknown conditioning {conditioning!r}")
-    table = _table_for(model, table)
-    texts = [table.text(rec) for rec in records]
+    texts = [frozen_text(model, rec) for rec in records]
     cos = np.zeros((b, b), dtype=np.float64)
     prompt_caches: dict = {}
     images = []
     pairs = _pairs(b, conditioning)
-    encs = _pair_encodings(model, table, records, texts, pairs, prompt_caches)
+    encs = _pair_encodings(model, records, texts, pairs, prompt_caches)
     for (_, j, rows), enc in zip(pairs, encs):
         if keep_caches:
             images.append(enc)
@@ -308,16 +300,13 @@ def bce_grad(logit: float, label: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def pick_itm_negatives(
-    model: ModelBundle, records, texts: list, table: FrozenTable | None = None
-) -> list[int]:
+def pick_itm_negatives(model: ModelBundle, records, texts: list) -> list[int]:
     """Per anchor i: the other batch image most stage-1-similar to text i,
     the lowest index among ties.
 
-    texts holds the batch's TextEncodings, in record order; the frozen image
-    embeddings come from the model's frozen table."""
-    table = _table_for(model, table)
-    frozen = np.stack([table.image(rec).v_joint for rec in records])
+    texts holds the batch's TextEncodings, in record order; the image
+    embeddings are the records' frozen ones."""
+    frozen = np.stack([frozen_image(model, rec).v_joint for rec in records])
     out = []
     for i in range(len(records)):
         sims = numkit.row_dots(frozen, texts[i].t_joint)
@@ -328,7 +317,6 @@ def pick_itm_negatives(
 
 def variant_batch_loss(
     model: ModelBundle, records, conditioning: str = "per_row", grads: dict | None = None,
-    table: FrozenTable | None = None,
 ) -> float:
     """The active variant's loss on one batch of records.
 
@@ -337,23 +325,20 @@ def variant_batch_loss(
     its mined negative (conditioning does not apply). When grads is a
     dict, the loss gradient on every mapper tensor ("mapper.<key>") and,
     for B, every ITM-head tensor ("itm.<key>") is added into it, in that
-    key order; without one no backward cache is kept. table is the model's
-    FrozenTable, shared by the calls of one selection or training run; a
-    new one is built for the batch when none is given.
+    key order; without one no backward cache is kept.
     """
-    table = _table_for(model, table)
     if grads is not None:
         for layer in model.trainable_layers():
             for k, v in layer.tensors.items():
                 grads.setdefault(f"{layer.name}.{k}", np.zeros_like(v))
     if model.variant == "B":
-        return _itm_loss(model, records, grads, table)
-    return _contrastive_loss(model, records, conditioning, grads, table)
+        return _itm_loss(model, records, grads)
+    return _contrastive_loss(model, records, conditioning, grads)
 
 
-def _contrastive_loss(model: ModelBundle, records, conditioning: str, grads, table) -> float:
+def _contrastive_loss(model: ModelBundle, records, conditioning: str, grads) -> float:
     sm, texts, prompt_caches, images = build_score_matrix_with_caches(
-        model, records, conditioning, keep_caches=grads is not None, table=table
+        model, records, conditioning, keep_caches=grads is not None
     )
     if model.variant == "C":
         loss = info_nce(sm)
@@ -373,7 +358,7 @@ def _contrastive_loss(model: ModelBundle, records, conditioning: str, grads, tab
     return loss
 
 
-def _itm_loss(model: ModelBundle, records, grads, table) -> float:
+def _itm_loss(model: ModelBundle, records, grads) -> float:
     """BCE over each anchor's positive, then its mined negative, scored one
     pair at a time as the backward consumer pulls it (none without grads)."""
     b = len(records)
@@ -381,8 +366,8 @@ def _itm_loss(model: ModelBundle, records, grads, table) -> float:
         raise ConfigError("ITM batch needs >= 2 records for a negative")
     if model.itm_head is None:
         raise ConfigError("variant B requires an ITM head")
-    texts = [table.text(rec) for rec in records]
-    negatives = pick_itm_negatives(model, records, texts, table)
+    texts = [frozen_text(model, rec) for rec in records]
+    negatives = pick_itm_negatives(model, records, texts)
     pairs = [(i, j, label) for i in range(b) for j, label in ((i, 1), (negatives[i], 0))]
     prompt_caches: dict = {}
     denom = 2 * b
@@ -390,7 +375,7 @@ def _itm_loss(model: ModelBundle, records, grads, table) -> float:
 
     def scored():
         nonlocal total
-        encs = _pair_encodings(model, table, records, texts, pairs, prompt_caches)
+        encs = _pair_encodings(model, records, texts, pairs, prompt_caches)
         for (i, _, label), enc in zip(pairs, encs):
             logit, itm_cache = itm_forward(model.itm_head, texts[i].t_cls, enc.patch_states)
             total += bce(logit, label)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DimsConfig
 from .curation import Benchmark, PairDataset, query_id
-from .encoders import ModelBundle, TextEncoding, encode_image, encode_text
+from .encoders import ModelBundle, TextEncoding, encode_text, frozen_image, image_forward
 from .errors import ConfigError, DataError
 from .numkit import Array, order_desc, row_dots
 from .objectives import sigmoid, itm_attention, itm_logit
@@ -98,7 +98,7 @@ class AttentionMap:
 
 def embed_gallery(model: ModelBundle, ds: PairDataset) -> EmbeddingStore:
     """Frozen (prompt-free) unit-norm image embedding per record."""
-    rows = [encode_image(model, rec.patches).v_joint for rec in ds.records]
+    rows = [frozen_image(model, rec).v_joint for rec in ds.records]
     return EmbeddingStore(
         ids=[rec.id for rec in ds.records],
         matrix=np.stack(rows),
@@ -151,7 +151,7 @@ def rerank(
     head = ranking.entries[:k]
     ids = [image_id for image_id, _ in head]
     # one encode at a time; only its score or v_joint is kept
-    encodings = (encode_image(model, ds.by_id(image_id).patches, prompts) for image_id in ids)
+    encodings = (image_forward(model, ds.by_id(image_id).patches, prompts) for image_id in ids)
     if model.variant == "B":
         logits = (itm_logit(model.itm_head, text_enc, enc) for enc in encodings)
         bonuses = (float(sigmoid(np.array(x))) if itm_sigmoid else x for x in logits)
@@ -304,7 +304,7 @@ def attention_map(
     if mode == "itm_query" and model.variant != "B":
         raise ConfigError(f"itm_query map needs variant B, model is {model.variant!r}")
     prompts = prompts_for_text(model, text_enc) if text_enc is not None else None
-    enc = encode_image(model, record.patches, prompts)
+    enc = image_forward(model, record.patches, prompts)
     p_count = model.dims.P
     if mode == "cls":
         last = enc.attn[-1]  # (H, T, T)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .curation import CurationPlan, PairDataset, select_by_learnability
-from .encoders import FrozenTable, ModelBundle, copy_without_prompts
+from .encoders import ModelBundle, copy_without_prompts
 from .errors import ConfigError, NumericError
 from .objectives import variant_batch_loss
 from .rng import Rng
@@ -125,13 +125,12 @@ def train(
 
     lr = cfg.resolved_lr()
     state = OptimizerState()
-    table = FrozenTable(model)  # training changes no frozen tensor
     trace = []
     saved_step = None
     for step in range(cfg.steps):
         records = [ds.records[k] for k in batches[step % len(batches)]]
         grads: dict = {}
-        loss = variant_batch_loss(model, records, cfg.conditioning, grads, table)
+        loss = variant_batch_loss(model, records, cfg.conditioning, grads)
         grads = {
             key: g
             for key, g in grads.items()

@@ -28,9 +28,9 @@ from elip.curation import (
 )
 from elip.encoders import (
     bundles_equal,
-    encode_image,
     encode_text,
     frozen_bytes,
+    image_forward,
     init_frozen_model,
 )
 from elip.numkit import grad_check
@@ -539,13 +539,13 @@ def test_a9_ablation_toggles():
     model_late = init_frozen_model(7, dims_late, "C", MapperConfig(n=dims_late.n, hidden=8))
     rec = make_records(1, dims_late)[0]
     prompts = Rng(88).gaussian_matrix(dims_late.n, dims_late.d_v)
-    enc = encode_image(model_late, rec.patches, prompts)
+    enc = image_forward(model_late, rec.patches, prompts)
     t_plain = dims_late.P + 1
     late_ok = (
         enc.attn[0].shape[1] == t_plain
         and enc.attn[-1].shape[1] == t_plain + dims_late.n
     )
-    bare = encode_image(model_late, rec.patches)
+    bare = image_forward(model_late, rec.patches)
     late_ok = late_ok and np.array_equal(enc.attn[0], bare.attn[0])
 
     with criterion("A9", f"itm-frozen={itm_unchanged}, jest1.0-identity={jest_identity}, "

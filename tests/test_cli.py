@@ -480,7 +480,7 @@ def test_train_rejects_bad_setting_exit_one(workdir, capsys, flag, value, field)
                "--plan", "plan/plan.json", "--steps", 2, flag, value)
     assert code == 1
     assert f"error: {field}=" in capsys.readouterr().err
-    assert os.listdir("t2") == []  # no step ran, no checkpoint was saved
+    assert not os.path.exists("t2")  # no step ran, no checkpoint was saved
 
 
 @pytest.mark.parametrize("grad_clip", [float("nan"), float("inf")])
@@ -493,7 +493,7 @@ def test_train_rejects_nonfinite_grad_clip_exit_one(workdir, capsys, grad_clip):
                "--plan", "plan/plan.json", "--steps", 2)
     assert code == 1
     assert "error: grad_clip=" in capsys.readouterr().err
-    assert os.listdir("t2") == []
+    assert not os.path.exists("t2")
 
 
 @pytest.mark.parametrize("strength", ["nan", "inf"])
@@ -942,7 +942,8 @@ def test_failure_prints_one_error_line_and_no_resolved_config(workdir, capsys, m
 @pytest.mark.parametrize("command, flag", _input_flags())
 def test_unreadable_input_exit_two(workdir, capsys, command, flag):
     """Any input flag naming a directory where a file is read exits 2 with
-    one error line naming that path."""
+    one error line naming that path. It removes the --out directories it
+    made and keeps the empty one that was there before."""
     build_all_inputs(workdir, capsys)
     argv = ["--config", "config.json", *COMMAND_ARGV[command]]
     inner = INPUT_FILES[flag]
@@ -956,7 +957,10 @@ def test_unreadable_input_exit_two(workdir, capsys, command, flag):
         value = named = "unreadable-dir"
         os.mkdir(value)
     argv[argv.index(flag) + 1] = value
-    assert_exit_two_naming(capsys, run(workdir, command, *argv, "--out", "out"), named)
+    os.mkdir("kept")
+    assert_exit_two_naming(capsys, run(workdir, command, *argv, "--out", "kept/out/nested"),
+                           named)
+    assert os.listdir("kept") == []
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))

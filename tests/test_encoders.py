@@ -7,7 +7,6 @@ from elip.config import DimsConfig, MapperConfig
 from elip.encoders import (
     bundles_equal,
     copy_without_prompts,
-    encode_image,
     encode_text,
     image_backward,
     image_forward,
@@ -95,7 +94,7 @@ def patches_for(dims, seed=21):
 
 
 def test_encode_image_shapes_and_norm(tiny_model, tiny_dims):
-    enc = encode_image(tiny_model, patches_for(tiny_dims))
+    enc = image_forward(tiny_model, patches_for(tiny_dims))
     assert enc.patch_states.shape == (tiny_dims.P, tiny_dims.d_v)
     assert enc.cls_state.shape == (tiny_dims.d_v,)
     assert abs(np.linalg.norm(enc.v_joint) - 1.0) < 1e-6
@@ -106,7 +105,7 @@ def test_encode_image_shapes_and_norm(tiny_model, tiny_dims):
 
 def test_token_count_before_and_after_insertion(tiny_model, tiny_dims):
     prompts = Rng(22).gaussian_matrix(tiny_dims.n, tiny_dims.d_v)
-    enc = encode_image(tiny_model, patches_for(tiny_dims), prompts)
+    enc = image_forward(tiny_model, patches_for(tiny_dims), prompts)
     t_plain = tiny_dims.P + 1
     t_prompted = t_plain + tiny_dims.n
     assert enc.attn[0].shape == (tiny_dims.H, t_prompted, t_prompted)
@@ -118,8 +117,8 @@ def test_no_prompts_equals_empty_prompts_bitwise(tiny_dims):
     dims0 = replace(tiny_dims, n=0)
     model = init_frozen_model(7, dims0, "C", MapperConfig(n=0, hidden=8))
     patches = patches_for(tiny_dims)
-    a = encode_image(model, patches, None)
-    b = encode_image(model, patches, np.zeros((0, dims0.d_v), dtype=np.float32))
+    a = image_forward(model, patches, None)
+    b = image_forward(model, patches, np.zeros((0, dims0.d_v), dtype=np.float32))
     assert np.array_equal(a.v_joint, b.v_joint)
     assert np.array_equal(a.patch_states, b.patch_states)
     assert a.prompt_count == b.prompt_count == 0
@@ -127,8 +126,8 @@ def test_no_prompts_equals_empty_prompts_bitwise(tiny_dims):
 
 def test_zero_prompts_still_attend(tiny_model, tiny_dims):
     patches = patches_for(tiny_dims)
-    bare = encode_image(tiny_model, patches)
-    zeroed = encode_image(
+    bare = image_forward(tiny_model, patches)
+    zeroed = image_forward(
         tiny_model, patches, np.zeros((tiny_dims.n, tiny_dims.d_v), dtype=np.float32)
     )
     assert np.abs(bare.v_joint - zeroed.v_joint).max() > 1e-9
@@ -139,8 +138,8 @@ def test_late_fusion_prompts_touch_only_final_block(tiny_dims):
     model = init_frozen_model(7, dims, "C", MapperConfig(n=dims.n, hidden=8))
     patches = patches_for(dims)
     prompts = Rng(23).gaussian_matrix(dims.n, dims.d_v)
-    bare = encode_image(model, patches)
-    prompted = encode_image(model, patches, prompts)
+    bare = image_forward(model, patches)
+    prompted = image_forward(model, patches, prompts)
     t_plain = dims.P + 1
     assert prompted.attn[0].shape == (dims.H, t_plain, t_plain)
     assert np.array_equal(prompted.attn[0], bare.attn[0])
@@ -150,9 +149,9 @@ def test_late_fusion_prompts_touch_only_final_block(tiny_dims):
 
 def test_encode_image_shape_errors(tiny_model, tiny_dims):
     with pytest.raises(DimensionError):
-        encode_image(tiny_model, np.zeros((tiny_dims.P + 1, tiny_dims.d_in)))
+        image_forward(tiny_model, np.zeros((tiny_dims.P + 1, tiny_dims.d_in)))
     with pytest.raises(DimensionError):
-        encode_image(
+        image_forward(
             tiny_model,
             patches_for(tiny_dims),
             np.zeros((tiny_dims.n + 1, tiny_dims.d_v)),
@@ -162,8 +161,8 @@ def test_encode_image_shape_errors(tiny_model, tiny_dims):
 def test_encode_is_pure(tiny_model, tiny_dims):
     patches = patches_for(tiny_dims)
     prompts = Rng(24).gaussian_matrix(tiny_dims.n, tiny_dims.d_v)
-    a = encode_image(tiny_model, patches, prompts)
-    b = encode_image(tiny_model, patches, prompts)
+    a = image_forward(tiny_model, patches, prompts)
+    b = image_forward(tiny_model, patches, prompts)
     assert np.array_equal(a.v_joint, b.v_joint)
     t1 = encode_text(tiny_model, [1, 2, 3])
     t2 = encode_text(tiny_model, [1, 2, 3])
@@ -195,9 +194,9 @@ def test_prompt_gradient_finite_difference(tiny_dims, insert_layer):
         for j in range(prompts.shape[1]):
             bumped = prompts.copy()
             bumped[i, j] += h
-            lp = float(np.dot(encode_image(model, patches, bumped).v_joint, upstream))
+            lp = float(np.dot(image_forward(model, patches, bumped).v_joint, upstream))
             bumped[i, j] -= 2 * h
-            lm = float(np.dot(encode_image(model, patches, bumped).v_joint, upstream))
+            lm = float(np.dot(image_forward(model, patches, bumped).v_joint, upstream))
             numeric = (lp - lm) / (2 * h)
             worst = max(worst, abs(grad[i, j] - numeric) / max(1.0, abs(numeric)))
     assert worst < 1e-4
@@ -250,6 +249,6 @@ def test_copy_without_prompts_matches_bare_encoder(tiny_model, tiny_dims):
     patches = patches_for(tiny_dims)
     assert bare.dims.n == 0
     assert np.array_equal(
-        encode_image(bare, patches).v_joint,
-        encode_image(tiny_model, patches).v_joint,
+        image_forward(bare, patches).v_joint,
+        image_forward(tiny_model, patches).v_joint,
     )

@@ -1,6 +1,8 @@
-"""The per-record frozen table: each record's frozen work runs once per
-table, and selection and training give the same bytes as re-encoding."""
+"""Per-record frozen encodings: each record's text and prompt-free image
+are encoded once per backbone, and selection and training give the same
+bytes as re-encoding."""
 
+import copy
 import hashlib
 import sys
 from collections import Counter
@@ -11,10 +13,10 @@ import pytest
 
 from elip import encoders
 from elip.config import MapperConfig, TrainConfig
-from elip.curation import CurationPlan, PairDataset, select_by_learnability
-from elip.encoders import FrozenTable, copy_without_prompts, init_frozen_model
-from elip.errors import ConfigError
-from elip.objectives import variant_batch_loss
+from elip.curation import CurationPlan, PairDataset, mine_hard_batches, select_by_learnability
+from elip.encoders import copy_without_prompts, frozen_image, frozen_text, init_frozen_model
+from elip.retrieval import embed_gallery
+from elip.storage import load_checkpoint, save_checkpoint
 from elip.trainer import train
 
 from conftest import TINY, make_records, randomize_mapper
@@ -28,6 +30,11 @@ def model_for(variant, insert_layer=0):
     return randomize_mapper(init_frozen_model(7, dims, variant, MapperConfig(n=dims.n, hidden=8)))
 
 
+def uncached_key(model):
+    """model's backbone key computed afresh (replace drops the cached one)."""
+    return replace(model).backbone_key
+
+
 def patch_everywhere(monkeypatch, orig, replacement):
     """Replace orig in every elip module that holds it by any name."""
     for name, mod in list(sys.modules.items()):
@@ -39,21 +46,18 @@ def patch_everywhere(monkeypatch, orig, replacement):
 
 
 class EncodeSpy:
-    """Counts prompt-free image encodes and text encodes per (model, record),
-    frozen tables built per model, and backward passes of prompt-free
-    encodings."""
+    """Counts prompt-free image encodes and text encodes per (backbone,
+    record), and backward passes of prompt-free encodings."""
 
     def __init__(self, monkeypatch):
         self.images = Counter()
         self.texts = Counter()
-        self.tables = Counter()
         self.prompt_free_backwards = 0
         forward, backward, text = encoders.image_forward, encoders.image_backward, encoders.encode_text
-        init = FrozenTable.__init__
 
         def spy_forward(model, patches, prompts=None):
             if prompts is None or np.size(prompts) == 0:
-                self.images[id(model), id(patches)] += 1
+                self.images[model.backbone_key, id(patches)] += 1
             return forward(model, patches, prompts)
 
         def spy_backward(model, enc, *args, **kwargs):
@@ -61,26 +65,23 @@ class EncodeSpy:
             return backward(model, enc, *args, **kwargs)
 
         def spy_text(model, tokens):
-            self.texts[id(model), id(tokens)] += 1
+            self.texts[model.backbone_key, id(tokens)] += 1
             return text(model, tokens)
-
-        def spy_init(table, model):
-            self.tables[id(model)] += 1
-            init(table, model)
 
         patch_everywhere(monkeypatch, forward, spy_forward)
         patch_everywhere(monkeypatch, backward, spy_backward)
         patch_everywhere(monkeypatch, text, spy_text)
-        monkeypatch.setattr(FrozenTable, "__init__", spy_init)
 
-    def check(self):
-        assert self.images and self.texts
+    def check(self, n_records):
+        """Every one of n_records was encoded, once, under one backbone."""
         for counts in (self.images, self.texts):
-            for (model_id, _), n in counts.items():
-                assert n <= self.tables[model_id], "a record was re-encoded within one table"
+            assert len(counts) == n_records
+            assert set(counts.values()) == {1}, "a record was re-encoded under one backbone"
         assert self.prompt_free_backwards == 0
 
 
+# the learner and its prompt-free reference share one backbone, so they
+# share one table of frozen encodings
 @pytest.mark.parametrize("variant, conditioning", [
     ("C", "per_row"), ("S", "diagonal"), ("B", "per_row"),
 ])
@@ -90,47 +91,99 @@ def test_selection_encodes_each_record_once_per_table(monkeypatch, variant, cond
     spy = EncodeSpy(monkeypatch)
     select_by_learnability(CurationPlan(batches=PLAN), ds, model, copy_without_prompts(model),
                            0.5, conditioning)
-    spy.check()
-    assert sorted(spy.tables.values()) == [1, 1]  # learner and reference
+    spy.check(ds.N)
 
 
-# tables per model: the step loop's, plus with JEST the selection's
-# learner and reference tables
-@pytest.mark.parametrize("fields, tables", [
-    (dict(variant="B", finetune_itm=True), [1]),
-    (dict(variant="C", conditioning="per_row", jest_fraction=0.5), [1, 2]),
+# the step loop and, with JEST, the selection's learner and reference all
+# read the one table of the model's backbone
+@pytest.mark.parametrize("fields", [
+    dict(variant="B", finetune_itm=True),
+    dict(variant="C", conditioning="per_row", jest_fraction=0.5),
 ], ids=["B-finetune", "C-per_row-jest"])
-def test_training_encodes_each_record_once_per_table(monkeypatch, fields, tables):
+def test_training_encodes_each_record_once_per_table(monkeypatch, fields):
     model = model_for(fields["variant"], LATE)
     ds = PairDataset(records=make_records(8))
     spy = EncodeSpy(monkeypatch)
     train(model, ds, CurationPlan(batches=PLAN), TrainConfig(steps=6, lr=1e-2, seed=7, **fields))
-    spy.check()
-    assert sorted(spy.tables.values()) == tables
+    spy.check(ds.N)
 
 
-def test_table_belongs_to_one_model():
-    model = model_for("C")
+@pytest.mark.parametrize("variant, conditioning, insert_layer", [
+    ("C", "per_row", 0), ("S", "diagonal", 0), ("B", "per_row", LATE),
+], ids=["C-per_row", "S-diagonal", "B-late"])
+def test_pipeline_encodes_each_record_once_per_backbone(monkeypatch, variant, conditioning,
+                                                        insert_layer):
+    """Mining, the gallery, selection against a prompt-free reference and a
+    JEST training run share one frozen encode per record."""
+    model = model_for(variant, insert_layer)
+    ds = PairDataset(records=make_records(8))
+    spy = EncodeSpy(monkeypatch)
+    plan = mine_hard_batches(ds, model, 3)
+    embed_gallery(model, ds)
+    select_by_learnability(plan, ds, model, copy_without_prompts(model), 0.5, conditioning)
+    cfg = TrainConfig(variant=variant, conditioning=conditioning, steps=4, lr=1e-2, seed=7,
+                      jest_fraction=0.5, finetune_itm=variant == "B")
+    train(model, ds, plan, cfg)
+    spy.check(ds.N)
+
+
+def test_another_backbone_gets_its_own_entries():
+    """A reference with other frozen tensors, or the same tensors under
+    another head count, never reads the learner's encodings."""
+    learner = model_for("C")
+    other_seed = init_frozen_model(8, TINY, "C", MapperConfig(n=TINY.n, hidden=8))
+    other_heads = replace(copy_without_prompts(learner), dims=replace(TINY, n=0, H=1))
     records = make_records(3)
-    with pytest.raises(ConfigError):
-        variant_batch_loss(model, records, table=FrozenTable(copy_without_prompts(model)))
+    for model in (learner, other_seed, other_heads):
+        for rec in records:
+            assert frozen_text(model, rec).t_joint.tobytes() == \
+                encoders.encode_text(model, rec.tokens).t_joint.tobytes()
+            assert frozen_image(model, rec).v_joint.tobytes() == \
+                encoders.image_forward(model, rec.patches).v_joint.tobytes()
+    assert all(len(rec.frozen) == 6 for rec in records)  # 3 backbones x (text, image)
+    assert frozen_image(other_heads, records[0]).v_joint.tobytes() != \
+        frozen_image(learner, records[0]).v_joint.tobytes()
 
 
-def test_table_image_keeps_no_backward_cache():
+def test_backbone_key_follows_the_frozen_encoder(tmp_path):
+    model = model_for("B", LATE)
+    key = model.backbone_key
+    assert uncached_key(copy.deepcopy(model)) == key
+    assert uncached_key(copy_without_prompts(model)) == key
+    save_checkpoint(str(tmp_path / "ckpt"), model)
+    assert load_checkpoint(str(tmp_path / "ckpt")).backbone_key == key
+    trained = copy.deepcopy(model)
+    ds = PairDataset(records=make_records(8))
+    train(trained, ds, CurationPlan(batches=PLAN),
+          TrainConfig(variant="B", steps=2, lr=1e-2, finetune_itm=True))
+    assert not np.array_equal(trained.mapper.tensors["l3.weight"], model.mapper.tensors["l3.weight"])
+    assert uncached_key(trained) == key
+
+    bumped = copy.deepcopy(model)
+    bumped.image_blocks[0].tensors["wq"][0, 0] += 1.0
+    assert uncached_key(bumped) != key
+    dims = model.dims
+    wide = init_frozen_model(7, dims, "B", model.mapper_cfg, dtype=np.float64)
+    assert wide.backbone_key != init_frozen_model(7, dims, "B", model.mapper_cfg).backbone_key
+    assert replace(model, dims=replace(dims, H=1)).backbone_key != key
+
+
+def test_frozen_image_keeps_no_backward_cache():
     model = model_for("B", LATE)
     rec = make_records(1)[0]
-    table = FrozenTable(model)
-    enc = table.image(rec)
+    enc = frozen_image(model, rec)
     full = encoders.image_forward(model, rec.patches)
-    assert table.image(rec) is enc
+    assert frozen_image(copy_without_prompts(model), rec) is enc
     assert enc.prompt_count == 0 and not enc.block_caches and not enc.attn
     assert enc.v_joint.tobytes() == full.v_joint.tobytes()
     assert enc.patch_states.tobytes() == full.patch_states.tobytes()
+    # the entries stay out of a record's repr and equality, and out of a copy
+    assert rec == replace(rec) and not replace(rec).frozen and "frozen" not in repr(rec)
 
 
 # sha256 of the float64 learnability bits of a fraction-1 selection over
-# PLAN, taken before the table existed (every batch re-encoded its frozen
-# work); a randomized mapper makes the prompts non-zero. B ignores the
+# PLAN, taken when every batch still re-encoded its frozen work; a
+# randomized mapper makes the prompts non-zero. B ignores the
 # conditioning, so its two conditionings agree.
 LEARNABILITY = {
     ("C", "per_row", 0): "b8853d4dd4d790e6266a14e7e53cfa4c707c16e4329d68750f07abc1432c3cbd",

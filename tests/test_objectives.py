@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elip.encoders import encode_image, encode_text, image_backward, init_frozen_model
+from elip.encoders import encode_text, image_backward, image_forward, init_frozen_model
 from elip.config import MapperConfig, TrainConfig
 from elip.curation import CurationPlan, PairDataset
 from elip.errors import ConfigError, DataError
@@ -55,7 +55,7 @@ def test_score_matrix_no_prompts_equals_frozen_cosines(tiny_dims):
     records = make_records(3, dims)
     sm = build_score_matrix_with_caches(model, records, "per_row")[0]
     texts = [encode_text(model, r.tokens).t_joint for r in records]
-    images = [encode_image(model, r.patches).v_joint for r in records]
+    images = [image_forward(model, r.patches).v_joint for r in records]
     expected = np.array([[float(np.dot(t, v)) for v in images] for t in texts])
     assert np.allclose(sm.cosines, expected, atol=0)
     assert np.allclose(sm.scores, expected / TAU, atol=0)
@@ -199,9 +199,9 @@ def test_itm_zero_final_layer_gives_zero_logit(tiny_dims):
     head.tensors["mlp.l2.bias"] = np.zeros_like(head.tensors["mlp.l2.bias"])
     records = make_records(2, tiny_dims)
     text = encode_text(model, records[0].tokens)
-    image = encode_image(model, records[0].patches)
+    image = image_forward(model, records[0].patches)
     assert itm_logit(head, text, image) == 0.0
-    other = encode_image(model, records[1].patches)
+    other = image_forward(model, records[1].patches)
     assert itm_logit(head, text, other) == 0.0
 
 
@@ -258,7 +258,7 @@ def test_pick_itm_negatives_excludes_self(tiny_model_b_f64, tiny_dims):
 
 def loop_itm_negatives(model, records, texts):
     """The scalar negative pick the ranking kernel replaced."""
-    frozen = [encode_image(model, rec.patches).v_joint for rec in records]
+    frozen = [image_forward(model, rec.patches).v_joint for rec in records]
     out = []
     for i in range(len(records)):
         best, best_sim = -1, -np.inf
@@ -316,7 +316,7 @@ def reference_itm_loss(model, records, grads=None):
         )
         grad_prompts = np.zeros_like(prompts)
         for image, label in ((rec, 1), (records[negatives[i]], 0)):
-            enc = encode_image(model, image.patches, prompts)
+            enc = image_forward(model, image.patches, prompts)
             logit, itm_cache = itm_forward(model.itm_head, texts[i].t_cls, enc.patch_states)
             total += bce(logit, label)
             if grads is None:
@@ -365,7 +365,8 @@ def _calls(tree, name):
 
 def test_one_call_site_per_image_backward_and_mapper_backward():
     """Every batch loss reaches the prompt backward through one consumer and
-    encodes its prompted pairs through one generator."""
+    encodes its prompted pairs through one generator; every prompt-free
+    image encode runs in encoders.frozen_image."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     for name in ("image_backward", "map_prompts_backward"):
@@ -377,6 +378,24 @@ def test_one_call_site_per_image_backward_and_mapper_backward():
         if len(call.args) > 2 or any(kw.arg == "prompts" for kw in call.keywords)
     ]
     assert len(prompted) == 1
+    # a prompt-free encode runs only in encoders.frozen_image, which keeps it
+    # on the record for every later reader of the same backbone
+    def prompt_free(call):
+        prompts = call.args[2:] + [kw.value for kw in call.keywords if kw.arg == "prompts"]
+        return all(isinstance(p, ast.Constant) and p.value is None for p in prompts)
+
+    free = [
+        (module, getattr(top, "name", "<module>"))
+        for module, tree in trees.items() for top in tree.body
+        for name in ("image_forward", "encode_image") for call in _calls(top, name)
+        if prompt_free(call)
+    ]
+    assert free == [("encoders", "frozen_image")], free
+    for module, tree in trees.items():
+        assert "FrozenTable" not in ast.dump(tree), module
+        passed = [kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  for kw in node.keywords]
+        assert "table" not in passed, module
 
 
 # ---------------------------------------------------------------------------

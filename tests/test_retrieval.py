@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from elip.config import DimsConfig, FULL_SCALE_K, MapperConfig
 from elip.curation import Benchmark, BenchmarkQuery, PairDataset, query_id
-from elip.encoders import encode_image, encode_text, init_frozen_model
+from elip.encoders import encode_text, image_forward, init_frozen_model
 from elip.errors import ConfigError, DataError
 from elip.objectives import itm_logit, sigmoid
 from elip.prompt_mapper import prompts_for_text
@@ -68,7 +68,7 @@ def test_embed_gallery_matches_encode_image(tiny_model):
     store = embed_gallery(tiny_model, ds)
     assert len(store.ids) == ds.N
     for i, rec in enumerate(ds.records):
-        expected = encode_image(tiny_model, rec.patches).v_joint
+        expected = image_forward(tiny_model, rec.patches).v_joint
         assert np.array_equal(store.matrix[i], expected)
     assert np.abs(np.linalg.norm(store.matrix, axis=1) - 1.0).max() < 1e-6
 
@@ -211,7 +211,7 @@ def test_rerank_fresh_mapper_equals_explicit_zero_prompts():
     zero_prompts = np.zeros((TINY.n, TINY.d_v), dtype=np.float32)
     rescored = []
     for image_id, _ in ranking.entries[:5]:
-        enc = encode_image(model, ds.by_id(image_id).patches, zero_prompts)
+        enc = image_forward(model, ds.by_id(image_id).patches, zero_prompts)
         rescored.append((image_id, float(np.dot(text.t_joint, enc.v_joint))))
     rescored.sort(key=lambda e: (-e[1], e[0]))
     assert via_mapper.entries[:5] == rescored
@@ -225,7 +225,7 @@ def test_rerank_variant_b_adds_itm_logit():
     prompts = prompts_for_text(model, text)
     by_id = dict(ranking.entries)
     for image_id, score in out.entries[:2]:
-        enc = encode_image(model, ds.by_id(image_id).patches, prompts)
+        enc = image_forward(model, ds.by_id(image_id).patches, prompts)
         expected = by_id[image_id] + itm_logit(model.itm_head, text, enc)
         assert abs(score - expected) < 1e-6
 
@@ -245,7 +245,7 @@ def loop_rerank_entries(model, ds, ranking, k, text_enc, itm_sigmoid=False):
     prompts = prompts_for_text(model, text_enc)
     rescored = []
     for image_id, old_score in ranking.entries[:k]:
-        enc = encode_image(model, ds.by_id(image_id).patches, prompts)
+        enc = image_forward(model, ds.by_id(image_id).patches, prompts)
         if model.variant == "B":
             logit = itm_logit(model.itm_head, text_enc, enc)
             bonus = float(sigmoid(np.array(logit))) if itm_sigmoid else logit
