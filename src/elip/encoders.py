@@ -344,28 +344,40 @@ def frozen_image(model: ModelBundle, rec) -> ImageEncoding:
 
 
 def image_backward(
-    model: ModelBundle, enc: ImageEncoding, grad_v_joint=None, grad_patch_states=None
+    model: ModelBundle, encs: list, grad_v_joint=None, grad_patch_states=None
 ) -> Array:
-    """The (n, d_v) prompt gradient of enc, given gradients on its v_joint
-    and/or its final patch states; empty when enc has no prompts. No block
-    below insert_layer sees a prompt row, so the backward stops there."""
+    """The (g, n, d_v) prompt gradients of a group of g encodings that share
+    a prompt count n, given per-encoding gradients on their v_joint (g, d_e)
+    and/or their final patch states (g, P, d_v); (g, 0, d_v) when n is 0.
+
+    The final layer norm and blocks L_v-1 ... insert_layer each run once
+    over the (g, T, d_v) stack; each image's gradient has the bits of a
+    backward of its own. Every layer's caches are stacked before the first
+    block runs: stacking between blocks let glibc trim and re-fault the
+    heap, about twice the page faults per step. No block below insert_layer
+    sees a prompt row, so the backward stops there."""
     dims = model.dims
-    n = enc.prompt_count
+    n = encs[0].prompt_count
+    if any(enc.prompt_count != n for enc in encs):
+        raise DimensionError("image_backward group mixes prompt counts")
     if n == 0:
-        return np.zeros((0, dims.d_v), dtype=model.dtype)
-    grad = np.zeros((dims.P + 1 + n, dims.d_v), dtype=model.dtype)
+        return np.zeros((len(encs), 0, dims.d_v), dtype=model.dtype)
+    grad = np.zeros((len(encs), dims.P + 1 + n, dims.d_v), dtype=model.dtype)
     if grad_patch_states is not None:
-        grad[: dims.P] = grad_patch_states
+        grad[:, : dims.P] = grad_patch_states
     if grad_v_joint is not None:
-        grad[dims.P] = project_normalize_backward(
-            enc.proj_cache, np.asarray(grad_v_joint, dtype=model.dtype)
-        )
-    grad, _ = numkit.layer_norm_backward(enc.ln_cache, grad)
-    for layer_idx in range(dims.L_v - 1, dims.insert_layer - 1, -1):
-        grad, _ = numkit.attention_block_backward(
-            model.image_blocks[layer_idx], enc.block_caches[layer_idx], grad
-        )
-    return grad[dims.P + 1:]
+        for row, enc, gv in zip(grad, encs, grad_v_joint, strict=True):
+            row[dims.P] = project_normalize_backward(
+                enc.proj_cache, np.asarray(gv, dtype=model.dtype)
+            )
+    layers = range(dims.L_v - 1, dims.insert_layer - 1, -1)
+    caches = [numkit.stack_block_caches([enc.block_caches[i] for enc in encs]) for i in layers]
+    grad, _ = numkit.layer_norm_backward(
+        numkit.stack_layer_norm_caches([enc.ln_cache for enc in encs]), grad
+    )
+    for layer_idx, cache in zip(layers, caches):
+        grad, _ = numkit.attention_block_backward(model.image_blocks[layer_idx], cache, grad)
+    return grad[:, dims.P + 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
 """Dense tensor math with hand-written backward passes.
 
 Token sequences are (T, d) matrices; attention views them as an
-(H, T, d/H) head stack and runs each product as one batched matmul.
+(H, T, d/H) head stack and runs each product as one batched matmul. The
+backward kernels also take leading stack axes, (g, T, d) for g images
+(stack_block_caches, stack_layer_norm_caches): every product stays a
+>= 3-D matmul, which numpy runs as one gemm per image, so each image's
+gradient has the bits of its own 2-D backward. A (g*T, d) reshape would
+run one larger gemm and move bits.
 
 Arrays are plain numpy ndarrays (float32 for training/inference, float64
 for gradient-check runs); every op is pure and keeps the input dtype.
+Kernels write into their own fresh temporaries (out=, +=, *=), never into
+an input, with the ufuncs of the plain formula in its order.
 Each primitive comes as a forward returning (out, cache) plus a backward
 taking (cache, grad_out) and returning exact analytic gradients, verified
 against central finite differences by grad_check.
@@ -72,17 +79,35 @@ def linear_backward(cache: tuple, grad_out: Array) -> tuple[Array, dict[str, Arr
 
 def gelu(x: Array) -> tuple[Array, tuple]:
     """0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3))), elementwise."""
-    inner = _GELU_C * (x + _GELU_A * x * x * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    t = _GELU_A * x
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 0.5 * x
+    out *= 1.0 + t
     return out, (x, t)
 
 
 def gelu_backward(cache: tuple, grad_out: Array) -> Array:
+    """grad_out * (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)), in two
+    fresh buffers."""
     x, t = cache
-    dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-    return grad_out * local
+    local = 0.5 * x
+    tmp = t * t
+    np.subtract(1.0, tmp, out=tmp)
+    local *= tmp
+    np.multiply(3.0 * _GELU_A, x, out=tmp)
+    tmp *= x
+    tmp += 1.0
+    tmp *= _GELU_C
+    local *= tmp
+    np.add(t, 1.0, out=tmp)
+    tmp *= 0.5
+    tmp += local
+    tmp *= grad_out
+    return tmp
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +116,18 @@ def gelu_backward(cache: tuple, grad_out: Array) -> Array:
 
 
 def _layer_norm_core(gamma: Array, beta: Array, x: Array) -> tuple[Array, tuple]:
-    n = x.shape[1]
-    mu = np.add.reduce(x, axis=1, keepdims=True) / n
-    xc = x - mu
-    var = np.add.reduce(xc * xc, axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    out = gamma * xhat + beta
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= n
+    xhat = x - mu
+    inv = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    inv /= n
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    out = gamma * xhat
+    out += beta
     return out, (xhat, inv, gamma)
 
 
@@ -108,19 +138,23 @@ def layer_norm(params: LayerParams, x: Array) -> tuple[Array, tuple]:
 
 def layer_norm_backward(cache: tuple, grad_out: Array) -> tuple[Array, MutableMapping[str, Array]]:
     """(gradient on x, gamma/beta gradients as a mapping computed on first
-    access: every image backward discards them)."""
+    access: every image backward discards them). Rows run along axis -2;
+    leading axes are a stack, and each stack entry gets its own gamma/beta
+    gradient."""
     xhat, inv, gamma = cache
-    n = xhat.shape[1]
+    n = xhat.shape[-1]
     grads = _OnFirstAccess(lambda: {
-        "gamma": np.add.reduce(grad_out * xhat, axis=0),
-        "beta": np.add.reduce(grad_out, axis=0),
+        "gamma": np.add.reduce(grad_out * xhat, axis=-2),
+        "beta": np.add.reduce(grad_out, axis=-2),
     })
-    dxhat = grad_out * gamma
-    grad_x = inv * (
-        dxhat
-        - np.add.reduce(dxhat, axis=1, keepdims=True) / n
-        - xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / n)
-    )
+    # inv * (dxhat - sum(dxhat) / n - xhat * (sum(dxhat * xhat) / n))
+    grad_x = grad_out * gamma
+    term = grad_x * xhat
+    mean_dot = np.add.reduce(term, axis=-1, keepdims=True) / n
+    grad_x -= np.add.reduce(grad_x, axis=-1, keepdims=True) / n
+    np.multiply(xhat, mean_dot, out=term)
+    grad_x -= term
+    grad_x *= inv
     return grad_x, grads
 
 
@@ -131,15 +165,19 @@ def layer_norm_backward(cache: tuple, grad_out: Array) -> tuple[Array, MutableMa
 
 def softmax_rows(x: Array) -> tuple[Array, Array]:
     """Softmax over the last axis, so (T, T) and (H, T, T) scores share it."""
-    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    p = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     return p, p
 
 
 def softmax_rows_backward(cache: Array, grad_out: Array) -> Array:
+    """p * (grad_out - sum(grad_out * p)), in one fresh buffer."""
     p = cache
-    return p * (grad_out - np.add.reduce(grad_out * p, axis=-1, keepdims=True))
+    grad = grad_out * p
+    np.subtract(grad_out, np.add.reduce(grad, axis=-1, keepdims=True), out=grad)
+    grad *= p
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -148,49 +186,61 @@ def softmax_rows_backward(cache: Array, grad_out: Array) -> Array:
 
 
 def _split_heads(x: Array, heads: int) -> Array:
-    """(T, H*dh) -> (H, T, dh) strided view. Head h has the strides of the
-    column slice x[:, h*dh:(h+1)*dh], so a batched matmul runs the same
-    per-head BLAS call as a loop over slices and gives the same bits."""
-    t_count, d = x.shape
-    return x.reshape(t_count, heads, d // heads).transpose(1, 0, 2)
+    """(..., T, H*dh) -> (..., H, T, dh) strided view. Head h has the strides
+    of the column slice x[..., h*dh:(h+1)*dh], so a batched matmul runs the
+    same per-head BLAS call as a loop over slices and gives the same bits."""
+    *lead, t_count, d = x.shape
+    return x.reshape(*lead, t_count, heads, d // heads).swapaxes(-2, -3)
 
 
 def _merge_heads(x: Array) -> Array:
-    """(H, T, dh) -> contiguous (T, H*dh), inverse of _split_heads."""
-    heads, t_count, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(t_count, heads * dh)
+    """(..., H, T, dh) -> contiguous (..., T, H*dh), inverse of _split_heads."""
+    *lead, heads, t_count, dh = x.shape
+    return x.swapaxes(-2, -3).reshape(*lead, t_count, heads * dh)
 
 
 def attention_block(params: LayerParams, seq: Array, heads: int) -> tuple[Array, Array, tuple]:
     """Multi-head self-attention block; returns (out, attn (H,T,T), cache).
 
     Pre-norm residual wiring, MLP hidden width 4*d. attn rows are the
-    post-softmax weights per head. All heads run as one (H, T, dh) stack.
+    post-softmax weights per head. All heads run as one (H, T, dh) stack;
+    leading axes of seq are a stack too. The cache keeps Q, K and V as
+    (T, d) matrices, so that stack_block_caches stacks them into (g, T, d)
+    arrays whose per-head views have the strides of the unstacked ones.
     """
-    d = seq.shape[1]
+    d = seq.shape[-1]
     if d % heads != 0:
         raise ConfigError(f"model width {d} not divisible by {heads} heads")
     scale = 1.0 / math.sqrt(d // heads)
     p = params.tensors
 
     h1, ln1_cache = _layer_norm_core(p["ln1.gamma"], p["ln1.beta"], seq)
-    q = _split_heads(h1 @ p["wq"].T + p["bq"], heads)
-    k = _split_heads(h1 @ p["wk"].T + p["bk"], heads)
-    v = _split_heads(h1 @ p["wv"].T + p["bv"], heads)
+    q = h1 @ p["wq"].T
+    q += p["bq"]
+    k = h1 @ p["wk"].T
+    k += p["bk"]
+    v = h1 @ p["wv"].T
+    v += p["bv"]
 
-    attn, _ = softmax_rows((q @ k.transpose(0, 2, 1)) * scale)
-    o = _merge_heads(attn @ v)
+    scores = _split_heads(q, heads) @ _split_heads(k, heads).swapaxes(-1, -2)
+    scores *= scale
+    attn, _ = softmax_rows(scores)
+    o = _merge_heads(attn @ _split_heads(v, heads))
 
-    attn_out = o @ p["wo"].T + p["bo"]
-    y = seq + attn_out
+    y = o @ p["wo"].T
+    y += p["bo"]
+    y += seq
 
     h2, ln2_cache = _layer_norm_core(p["ln2.gamma"], p["ln2.beta"], y)
-    m1 = h2 @ p["w1"].T + p["b1"]
+    m1 = h2 @ p["w1"].T
+    m1 += p["b1"]
     a1, gelu_cache = gelu(m1)
-    m2 = a1 @ p["w2"].T + p["b2"]
-    out = y + m2
+    out = a1 @ p["w2"].T
+    out += p["b2"]
+    out += y
 
-    cache = (h1, ln1_cache, q, k, v, attn, o, h2, ln2_cache, gelu_cache, a1, heads, scale)
+    # the last entry holds what only the tensor gradients read
+    cache = (ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, heads, scale, (h1, o, h2, a1))
     return out, attn, cache
 
 
@@ -199,28 +249,39 @@ def attention_block_backward(
 ) -> tuple[Array, MutableMapping[str, Array]]:
     """(gradient on the block input, gradients on the block tensors).
 
-    The tensor gradients are a mapping computed on first access:
-    the image backward only carries the input gradient through frozen
-    blocks, and their weight gradients would be thrown away."""
-    h1, ln1_cache, q, k, v, attn, o, h2, ln2_cache, gelu_cache, a1, heads, scale = cache
+    cache is one attention_block cache, or stack_block_caches of several
+    with grad_out stacked the same way. The tensor gradients are a mapping
+    computed on first access: the image backward only carries the input
+    gradient through frozen blocks, and their weight gradients would be
+    thrown away. A stacked cache leaves out the inputs they read."""
+    ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, heads, scale, inputs = cache
     p = params.tensors
 
     # MLP branch: out = y + m2
     grad_m1 = gelu_backward(gelu_cache, grad_out @ p["w2"])
-    grad_ln2, ln2_grads = layer_norm_backward(ln2_cache, grad_m1 @ p["w1"])
-    grad_y = grad_out + grad_ln2
+    grad_y, ln2_grads = layer_norm_backward(ln2_cache, grad_m1 @ p["w1"])
+    grad_y += grad_out
 
     # attention branch: y = seq + O @ wo.T + bo
     grad_o = _split_heads(grad_y @ p["wo"], heads)
-    grad_a = grad_o @ v.transpose(0, 2, 1)
-    grad_v = _merge_heads(attn.transpose(0, 2, 1) @ grad_o)
-    grad_s = softmax_rows_backward(attn, grad_a)
-    grad_q = _merge_heads((grad_s @ k) * scale)
-    grad_k = _merge_heads((grad_s.transpose(0, 2, 1) @ q) * scale)
-    grad_h1 = grad_q @ p["wq"] + grad_k @ p["wk"] + grad_v @ p["wv"]
+    q, k, v = (_split_heads(x, heads) for x in (q, k, v))
+    grad_v = _merge_heads(attn.swapaxes(-1, -2) @ grad_o)
+    grad_s = softmax_rows_backward(attn, grad_o @ v.swapaxes(-1, -2))
+    grad_q = grad_s @ k
+    grad_q *= scale
+    grad_q = _merge_heads(grad_q)
+    grad_k = grad_s.swapaxes(-1, -2) @ q
+    grad_k *= scale
+    grad_k = _merge_heads(grad_k)
+    grad_h1 = grad_q @ p["wq"]
+    grad_h1 += grad_k @ p["wk"]
+    grad_h1 += grad_v @ p["wv"]
     grad_ln1, ln1_grads = layer_norm_backward(ln1_cache, grad_h1)
 
     def tensor_grads() -> dict[str, Array]:
+        if inputs is None:
+            raise TypeError("a stacked block cache has no tensor gradients")
+        h1, o, h2, a1 = inputs
         return {
             "w2": grad_out.T @ a1, "b2": grad_out.sum(axis=0),
             "w1": grad_m1.T @ h2, "b1": grad_m1.sum(axis=0),
@@ -232,7 +293,29 @@ def attention_block_backward(
             "ln1.gamma": ln1_grads["gamma"], "ln1.beta": ln1_grads["beta"],
         }
 
-    return grad_y + grad_ln1, _OnFirstAccess(tensor_grads)
+    grad_ln1 += grad_y
+    return grad_ln1, _OnFirstAccess(tensor_grads)
+
+
+def _stack(arrays) -> Array:
+    """(g, ...) stack of g same-shape arrays; one array gives a [None] view."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def stack_layer_norm_caches(caches: list) -> tuple:
+    """One layer_norm cache for the (g, T, d) stack of g (T, d) inputs."""
+    xhats, invs, gammas = zip(*caches)
+    return _stack(xhats), _stack(invs), gammas[0]
+
+
+def stack_block_caches(caches: list) -> tuple:
+    """One attention_block cache for the (g, T, d) stack of g (T, d) inputs,
+    holding only what the input gradient reads: stacking the inputs of the
+    tensor gradients too would copy a third more for nothing."""
+    ln1, q, k, v, attn, ln2, gelu_caches, heads, scale, _ = zip(*caches)
+    return (stack_layer_norm_caches(ln1), _stack(q), _stack(k), _stack(v), _stack(attn),
+            stack_layer_norm_caches(ln2), tuple(map(_stack, zip(*gelu_caches))),
+            heads[0], scale[0], None)
 
 
 class _OnFirstAccess(MutableMapping):

@@ -82,14 +82,18 @@ def _pair_encodings(model: ModelBundle, records, texts, pairs, caches: dict):
 
 def _backprop_prompts(model: ModelBundle, grads: dict | None, caches, items) -> None:
     """Add into grads (None only if no item comes) the mapper gradients of
-    (i, encoding, image_backward kwargs) items, pulled one at a time: text
-    i's prompt gradient is summed in item order, then mapped back once."""
+    (i, encoding, image_backward kwargs) items, pulled one run of equal i
+    at a time (b items per text for per_row, 1 for diagonal, 2 for ITM):
+    each run is one stacked image_backward, text i's prompt gradient is
+    summed in item order, then mapped back once."""
     grad_prompts: dict = {}
-    for i, enc, kwargs in items:
-        if not enc.prompt_count:
+    for i, run in groupby(items, key=itemgetter(0)):
+        run = [(enc, kwargs) for _, enc, kwargs in run if enc.prompt_count]
+        if not run:
             continue
-        gp = image_backward(model, enc, **kwargs)
-        grad_prompts[i] = grad_prompts[i] + gp if i in grad_prompts else gp
+        stacked = {key: [kwargs[key] for _, kwargs in run] for key in run[0][1]}
+        for gp in image_backward(model, [enc for enc, _ in run], **stacked):
+            grad_prompts[i] = grad_prompts[i] + gp if i in grad_prompts else gp
     for i, gp in grad_prompts.items():
         for k, v in map_prompts_backward(model.mapper, caches[i], gp).items():
             grads[f"mapper.{k}"] += v

@@ -63,3 +63,43 @@ def test_wrapped_references_are_one_function():
 
     assert encoders.encode_image is encoders.image_forward
     assert objectives.image_forward is encoders.image_forward
+
+
+def test_traced_training_and_rerank_keep_the_work_count_identities():
+    """Wrapped as the benchmark wraps them, a per-row step encodes B^2
+    images and runs one prompt backward per text; a k re-rank encodes k
+    images per query; every image block sees the rows its layout predicts,
+    and no wrapped call raises."""
+    from conftest import TINY, make_records, randomize_mapper
+    from elip.config import MapperConfig, TrainConfig
+    from elip.curation import CurationPlan, PairDataset
+    from elip.encoders import encode_text, init_frozen_model
+    from elip.retrieval import embed_gallery, rerank, stage1_rank
+    from elip.trainer import train
+
+    tracer = _load_tracer()
+    model = randomize_mapper(init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8)))
+    ds = PairDataset(records=make_records(6))
+    b, steps, k = 3, 2, 4
+    store = embed_gallery(model, ds)
+
+    tr = tracer.Tracer()
+    with tr:
+        train(model, ds, CurationPlan(batches=[[0, 1, 2], [3, 4, 5]]),
+              TrainConfig(variant="C", steps=steps, lr=1e-2))
+    stats = tr.layer_stats()
+    assert stats["encoders.image_forward.calls"] == steps * b * b
+    assert stats["encoders.image_backward.calls"] == steps * b
+    assert stats["encoders.image_block_rows"] == stats["encoders.image_block_rows_expected"]
+    assert stats["trace.errors"] == 0
+
+    queries = ds.records[:2]
+    tr = tracer.Tracer()
+    with tr:
+        for rec in queries:
+            text_enc = encode_text(model, rec.tokens)
+            rerank(model, ds, stage1_rank(store, text_enc), k, text_enc)
+    stats = tr.layer_stats()
+    assert stats["encoders.image_forward.calls"] == len(queries) * k
+    assert stats["encoders.image_block_rows"] == stats["encoders.image_block_rows_expected"]
+    assert stats["trace.errors"] == 0

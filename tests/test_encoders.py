@@ -176,7 +176,8 @@ def test_encode_is_pure(tiny_model, tiny_dims):
 
 def prompt_gradient(model, patches, prompts, upstream):
     """d(v_joint)/d(prompts) contracted with an upstream d_e gradient."""
-    return image_backward(model, image_forward(model, patches, prompts), grad_v_joint=upstream)
+    enc = image_forward(model, patches, prompts)
+    return image_backward(model, [enc], grad_v_joint=[upstream])[0]
 
 
 @pytest.mark.parametrize("insert_layer", [0, TINY.L_v - 1])
@@ -231,12 +232,14 @@ def test_backward_stops_at_insert_layer(tiny_dims, insert_layer, monkeypatch):
     monkeypatch.setattr(numkit, "attention_block_backward", spy)
     prompts = Rng(28).gaussian_matrix(dims.n, dims.d_v)
     enc = image_forward(model, patches_for(dims), prompts)
-    image_backward(model, enc, grad_v_joint=np.ones(dims.d_e))
+    image_backward(model, [enc], grad_v_joint=[np.ones(dims.d_e)])
     assert calls == [f"image.block{i}" for i in range(dims.L_v - 1, insert_layer - 1, -1)]
     calls.clear()
     bare = image_forward(model, patches_for(dims))
-    grad = image_backward(model, bare, np.ones(dims.d_e), np.ones((dims.P, dims.d_v)))
-    assert grad.shape == (0, dims.d_v) and calls == []
+    grad = image_backward(model, [bare], [np.ones(dims.d_e)], [np.ones((dims.P, dims.d_v))])
+    assert grad.shape == (1, 0, dims.d_v) and calls == []
+    with pytest.raises(DimensionError, match="mixes prompt counts"):
+        image_backward(model, [enc, bare], [np.ones(dims.d_e)] * 2)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ def patch_everywhere(monkeypatch, orig, replacement):
 
 class EncodeSpy:
     """Counts prompt-free image encodes and text encodes per (backbone,
-    record), and backward passes of prompt-free encodings."""
+    record), and prompt-free encodings inside the groups passed to
+    image_backward."""
 
     def __init__(self, monkeypatch):
         self.images = Counter()
@@ -60,9 +61,9 @@ class EncodeSpy:
                 self.images[model.backbone_key, id(patches)] += 1
             return forward(model, patches, prompts)
 
-        def spy_backward(model, enc, *args, **kwargs):
-            self.prompt_free_backwards += enc.prompt_count == 0
-            return backward(model, enc, *args, **kwargs)
+        def spy_backward(model, encs, *args, **kwargs):
+            self.prompt_free_backwards += sum(enc.prompt_count == 0 for enc in encs)
+            return backward(model, encs, *args, **kwargs)
 
         def spy_text(model, tokens):
             self.texts[model.backbone_key, id(tokens)] += 1

@@ -1,4 +1,6 @@
+import ctypes
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -436,6 +438,236 @@ def test_stacked_block_is_bit_identical_on_prompted_layout(dtype):
     text_grad = rng.gaussian_matrix(dims.m + 1, dims.d_t).astype(dtype)
     for block in model.text_blocks:
         _assert_block_matches_loop(block, text_seq, dims.H, text_grad)
+
+
+# ---------------------------------------------------------------------------
+# kernels write only into their own temporaries, with the plain formulas' bits
+# ---------------------------------------------------------------------------
+
+
+def _plain_gelu(x):
+    """The out-of-place formula the in-place gelu replaced."""
+    inner = numkit._GELU_C * (x + numkit._GELU_A * x * x * x)
+    t = np.tanh(inner)
+    return 0.5 * x * (1.0 + t), t
+
+
+def _plain_layer_norm(gamma, beta, x):
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
+    xc = x - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + numkit.LN_EPS)
+    xhat = xc * inv
+    return gamma * xhat + beta, xhat, inv
+
+
+def _plain_softmax(x):
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def _plain_attention(params, seq, heads):
+    """(out, attn) of the out-of-place block formula, leading axes allowed."""
+    *lead, t_count, d = seq.shape
+    scale = 1.0 / math.sqrt(d // heads)
+    p = params.tensors
+
+    def split(x):
+        return x.reshape(*lead, t_count, heads, d // heads).swapaxes(-2, -3)
+
+    h1, _, _ = _plain_layer_norm(p["ln1.gamma"], p["ln1.beta"], seq)
+    q = split(h1 @ p["wq"].T + p["bq"])
+    k = split(h1 @ p["wk"].T + p["bk"])
+    v = split(h1 @ p["wv"].T + p["bv"])
+    attn = _plain_softmax((q @ k.swapaxes(-1, -2)) * scale)
+    o = (attn @ v).swapaxes(-2, -3).reshape(*lead, t_count, d)
+    y = seq + (o @ p["wo"].T + p["bo"])
+    h2, _, _ = _plain_layer_norm(p["ln2.gamma"], p["ln2.beta"], y)
+    a1, _ = _plain_gelu(h2 @ p["w1"].T + p["b1"])
+    return y + (a1 @ p["w2"].T + p["b2"]), attn
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(27, 32), (3, 27, 32)])
+def test_forward_kernels_leave_inputs_and_match_plain_formulas(dtype, shape):
+    rng = np.random.default_rng(sum(shape))
+    x = (2.0 * rng.standard_normal(shape)).astype(dtype)
+    before = x.tobytes()
+    params = _random_block(80, shape[-1], dtype)
+    tensors_before = {k: v.tobytes() for k, v in params.tensors.items()}
+    gamma, beta = params.tensors["ln1.gamma"], params.tensors["ln1.beta"]
+
+    out, cache = gelu(x)
+    ref, ref_t = _plain_gelu(x)
+    assert out.tobytes() == ref.tobytes() and cache[1].tobytes() == ref_t.tobytes()
+    assert cache[0] is x
+
+    out, (xhat, inv, g) = layer_norm(LayerParams("ln", {"gamma": gamma, "beta": beta}), x)
+    ref, ref_xhat, ref_inv = _plain_layer_norm(gamma, beta, x)
+    assert out.dtype == dtype and out.tobytes() == ref.tobytes()
+    assert xhat.tobytes() == ref_xhat.tobytes() and inv.tobytes() == ref_inv.tobytes()
+
+    out, _ = softmax_rows(x)
+    assert out.tobytes() == _plain_softmax(x).tobytes()
+
+    out, attn, _ = attention_block(params, x, 4)
+    ref, ref_attn = _plain_attention(params, x, 4)
+    assert out.dtype == dtype and out.tobytes() == ref.tobytes()
+    assert attn.tobytes() == ref_attn.tobytes()
+
+    assert x.tobytes() == before
+    assert {k: v.tobytes() for k, v in params.tensors.items()} == tensors_before
+
+
+def _plain_gelu_backward(x, t, grad_out):
+    dinner = numkit._GELU_C * (1.0 + 3.0 * numkit._GELU_A * x * x)
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+    return grad_out * local
+
+
+def _plain_layer_norm_backward(xhat, inv, gamma, grad_out):
+    n = xhat.shape[-1]
+    dxhat = grad_out * gamma
+    return inv * (
+        dxhat
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
+    )
+
+
+def _plain_softmax_backward(p, grad_out):
+    return p * (grad_out - np.add.reduce(grad_out * p, axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(27, 32), (3, 27, 32)])
+def test_backward_kernels_leave_inputs_and_match_plain_formulas(dtype, shape):
+    rng = np.random.default_rng(7 + sum(shape))
+    x = (2.0 * rng.standard_normal(shape)).astype(dtype)
+    grad_out = rng.standard_normal(shape).astype(dtype)
+    gamma = (1.0 + 0.2 * rng.standard_normal(shape[-1])).astype(dtype)
+    ln = LayerParams("ln", {"gamma": gamma, "beta": np.zeros_like(gamma)})
+    _, gelu_cache = gelu(x)
+    _, ln_cache = layer_norm(ln, x)
+    p, _ = softmax_rows(x)
+    inputs = (x, grad_out, gamma, p, *gelu_cache, *ln_cache)
+    before = [a.tobytes() for a in inputs]
+
+    got = gelu_backward(gelu_cache, grad_out)
+    assert got.dtype == dtype
+    assert got.tobytes() == _plain_gelu_backward(*gelu_cache, grad_out).tobytes()
+    got, _ = layer_norm_backward(ln_cache, grad_out)
+    assert got.tobytes() == _plain_layer_norm_backward(*ln_cache, grad_out).tobytes()
+    got = softmax_rows_backward(p, grad_out)
+    assert got.tobytes() == _plain_softmax_backward(p, grad_out).tobytes()
+    assert [a.tobytes() for a in inputs] == before
+
+
+# ---------------------------------------------------------------------------
+# kernel contract of the stacked backward: g images at once give the bytes
+# of g single calls. This is a property of the BLAS build's kernel choice by
+# shape, so a failure names the OpenBLAS core it ran on.
+# ---------------------------------------------------------------------------
+
+
+def _openblas_core() -> str:
+    """Core name of numpy's bundled scipy-openblas (e.g. SkylakeX)."""
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes = []
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return "unknown"
+
+
+STACKS = (1, 2, 7, 12)
+
+
+@st.composite
+def prompted_dims(draw):
+    heads = draw(st.sampled_from([1, 2, 4]))
+    layers = draw(st.integers(1, 3))
+    return DimsConfig(
+        d_t=8, d_v=heads * draw(st.integers(2, 8)), d_e=8, P=draw(st.integers(1, 16)),
+        m=3, L_t=1, L_v=layers, H=heads, n=draw(st.integers(1, 10)),
+        insert_layer=draw(st.integers(0, layers - 1)), d_in=5, vocab=16,
+    )
+
+
+def _same_bytes(stacked, singles, what):
+    for r, single in enumerate(singles):
+        assert stacked[r].dtype == single.dtype
+        assert stacked[r].tobytes() == single.tobytes(), (
+            f"{what}: stack of {len(singles)}, image {r} moved bits on OpenBLAS "
+            f"core {_openblas_core()}"
+        )
+
+
+@settings(max_examples=20, deadline=None)
+@given(prompted_dims(), st.sampled_from([np.float32, np.float64]), st.integers(0, 2**31))
+def test_stacked_backward_matches_single_calls(dims, dtype, seed):
+    from elip.encoders import image_backward, image_forward
+
+    model = init_frozen_model(seed % 1000, dims, "C", MapperConfig(n=dims.n, hidden=8),
+                              dtype=dtype)
+    rng = np.random.default_rng(seed)
+    g_max = max(STACKS)
+    encs = [image_forward(model, rng.standard_normal((dims.P, dims.d_in)),
+                          0.5 * rng.standard_normal((dims.n, dims.d_v)))
+            for _ in range(g_max)]
+    grad_v = rng.standard_normal((g_max, dims.d_e))
+    grad_patches = rng.standard_normal((g_max, dims.P, dims.d_v)).astype(dtype)
+    grad_rows = rng.standard_normal((g_max, dims.P + 1 + dims.n, dims.d_v)).astype(dtype)
+    layer = dims.insert_layer
+    block = model.image_blocks[layer]
+
+    singles = {
+        "image_backward": [image_backward(model, [e], [gv], [gp])[0]
+                           for e, gv, gp in zip(encs, grad_v, grad_patches)],
+        "layer_norm_backward": [layer_norm_backward(e.ln_cache, gr)
+                                for e, gr in zip(encs, grad_rows)],
+        "attention_block_backward": [attention_block_backward(block, e.block_caches[layer], gr)
+                                     for e, gr in zip(encs, grad_rows)],
+    }
+    for g in STACKS:
+        got = image_backward(model, encs[:g], grad_v[:g], grad_patches[:g])
+        assert got.shape == (g, dims.n, dims.d_v)
+        _same_bytes(got, singles["image_backward"][:g], "image_backward")
+        ln_cache = numkit.stack_layer_norm_caches([e.ln_cache for e in encs[:g]])
+        grad_x, grads = layer_norm_backward(ln_cache, grad_rows[:g])
+        _same_bytes(grad_x, [x for x, _ in singles["layer_norm_backward"][:g]], "layer_norm")
+        for key in ("gamma", "beta"):
+            _same_bytes(grads[key], [s[key] for _, s in singles["layer_norm_backward"][:g]],
+                        f"layer_norm {key}")
+        block_cache = numkit.stack_block_caches([e.block_caches[layer] for e in encs[:g]])
+        grad_x, _ = attention_block_backward(block, block_cache, grad_rows[:g])
+        _same_bytes(grad_x, [x for x, _ in singles["attention_block_backward"][:g]], "block")
+
+
+def test_stacked_caches_share_parameters_and_view_a_single_image():
+    from elip.encoders import image_forward
+
+    model = init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8))
+    enc = image_forward(model, Rng(3).gaussian_matrix(TINY.P, TINY.d_in),
+                        Rng(4).gaussian_matrix(TINY.n, TINY.d_v))
+    cache = enc.block_caches[0]
+    one = numkit.stack_block_caches([cache])
+    for stacked, single in ((one[1], cache[1]), (one[4], cache[4]), (one[6][0], cache[6][0])):
+        assert stacked.shape == (1,) + single.shape and np.shares_memory(stacked, single)
+    xhat, inv, gamma = one[0]
+    assert np.shares_memory(xhat, cache[0][0]) and gamma is cache[0][2]
+    assert one[7:9] == cache[7:9] and one[9] is None
+    two = numkit.stack_block_caches([cache, cache])
+    assert two[1].shape == (2,) + cache[1].shape and two[0][2] is cache[0][2]
+    _, grads = attention_block_backward(model.image_blocks[0], two, np.ones(two[1].shape))
+    with pytest.raises(TypeError, match="stacked"):
+        grads["wq"]
 
 
 # ---------------------------------------------------------------------------

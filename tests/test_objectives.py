@@ -326,7 +326,7 @@ def reference_itm_loss(model, records, grads=None):
             )
             for k, v in head_grads.items():
                 grads[f"itm.{k}"] += v
-            grad_prompts += image_backward(model, enc, grad_patch_states=grad_patch_states)
+            grad_prompts += image_backward(model, [enc], grad_patch_states=[grad_patch_states])[0]
         if grads is not None:
             for k, v in map_prompts_backward(model.mapper, mcache, grad_prompts).items():
                 grads[f"mapper.{k}"] += v
