@@ -4,10 +4,13 @@ Score matrices are text-anchored: row i holds text i scored against every
 image in the batch, each image re-encoded under conditioning prompts.
 per_row conditioning re-encodes image j with prompts from text i for entry
 (i, j) (b^2 encodings, matching inference); diagonal conditions every image
-on its own paired text (b encodings). Batch texts, and images under an
-empty prompt set (the prompt-free JEST reference), come from
-encoders.frozen_text and frozen_image, so a record's frozen work runs once
-per backbone.
+on its own paired text (b encodings). Training streams them: a row's loss
+gradient reads that row alone, so per_row backprops and drops text i's b
+encodings as soon as row i is scored and holds b at a time, not b^2;
+diagonal fills every row with each encoding and holds its b until the end.
+Batch texts, and images under an empty prompt set (the prompt-free JEST
+reference), come from encoders.frozen_text and frozen_image, so a record's
+frozen work runs once per backbone.
 """
 
 from __future__ import annotations
@@ -80,55 +83,63 @@ def _pair_encodings(model: ModelBundle, records, texts, pairs, caches: dict):
                 yield frozen_image(model, records[j])
 
 
-def _backprop_prompts(model: ModelBundle, grads: dict | None, caches, items) -> None:
-    """Add into grads (None only if no item comes) the mapper gradients of
-    (i, encoding, image_backward kwargs) items, pulled one run of equal i
-    at a time (b items per text for per_row, 1 for diagonal, 2 for ITM):
-    each run is one stacked image_backward, text i's prompt gradient is
-    summed in item order, then mapped back once."""
+def _backprop_prompts(model: ModelBundle, grads: dict | None, caches, runs) -> None:
+    """Add into grads (None only if every run is empty) the mapper gradients
+    of runs (i, [(encoding, image_backward kwargs), ...]) of text i's
+    encodings, pulled one run at a time (b encodings per text for per_row,
+    1 for diagonal, 2 for ITM): each run is one stacked image_backward,
+    text i's prompt gradient is summed in item order, then mapped back once
+    per text, in run order."""
     grad_prompts: dict = {}
-    for i, run in groupby(items, key=itemgetter(0)):
-        run = [(enc, kwargs) for _, enc, kwargs in run if enc.prompt_count]
-        if not run:
+    for i, run in runs:
+        if not run or not run[0][0].prompt_count:
             continue
         stacked = {key: [kwargs[key] for _, kwargs in run] for key in run[0][1]}
         for gp in image_backward(model, [enc for enc, _ in run], **stacked):
             grad_prompts[i] = grad_prompts[i] + gp if i in grad_prompts else gp
+        del run  # before the next run is encoded
     for i, gp in grad_prompts.items():
         for k, v in map_prompts_backward(model.mapper, caches[i], gp).items():
             grads[f"mapper.{k}"] += v
 
 
-def build_score_matrix_with_caches(
-    model: ModelBundle, records, conditioning: str = "per_row", keep_caches: bool = True,
-) -> tuple[ScoreMatrix, list, list, list]:
-    """Text-vs-conditioned-image cosine matrix over one batch of records,
-    plus every cache the backward pass needs.
-
-    Returns (score matrix, text encodings, prompt caches, image encodings).
-    The image encodings are listed in _pairs order; the list stays empty
-    when keep_caches is off, so a loss-only call holds one encoding at a
-    time. Texts, and images under an empty prompt set, are the records'
-    frozen encodings.
-    """
+def _score_stream(model: ModelBundle, records, conditioning: str):
+    """(score matrix, text encodings, prompt caches, pairs, stream) of one
+    batch. The stream encodes the _pairs one at a time, writes each pair's
+    cosines and scores into the matrix and yields its encoding; the matrix
+    is complete once the stream is drained. Texts, and images under an empty
+    prompt set, are the records' frozen encodings."""
     b = len(records)
     if b < 2:
         raise ConfigError(f"contrastive batch needs >= 2 records, got {b}")
     if conditioning not in ("per_row", "diagonal"):
         raise ConfigError(f"unknown conditioning {conditioning!r}")
     texts = [frozen_text(model, rec) for rec in records]
-    cos = np.zeros((b, b), dtype=np.float64)
-    prompt_caches: dict = {}
-    images = []
+    sm = ScoreMatrix(scores=np.zeros((b, b)), cosines=np.zeros((b, b)), conditioning=conditioning)
+    caches: dict = {}
     pairs = _pairs(b, conditioning)
-    encs = _pair_encodings(model, records, texts, pairs, prompt_caches)
-    for (_, j, rows), enc in zip(pairs, encs):
-        if keep_caches:
-            images.append(enc)
-        for r in rows:
-            cos[r, j] = float(np.dot(texts[r].t_joint, enc.v_joint))
-    sm = ScoreMatrix(scores=cos / TAU, cosines=cos, conditioning=conditioning)
-    return sm, texts, [prompt_caches[i] for i in range(b)], images
+
+    def stream():
+        for (_, j, rows), enc in zip(pairs, _pair_encodings(model, records, texts, pairs, caches)):
+            for r in rows:
+                sm.cosines[r, j] = float(np.dot(texts[r].t_joint, enc.v_joint))
+                sm.scores[r, j] = sm.cosines[r, j] / sm.tau
+            yield enc
+
+    return sm, texts, caches, pairs, stream()
+
+
+def build_score_matrix_with_caches(
+    model: ModelBundle, records, conditioning: str = "per_row",
+) -> tuple[ScoreMatrix, list, list]:
+    """Text-vs-conditioned-image cosine matrix over one batch of records, for
+    a loss-only call: returns (score matrix, text encodings, prompt caches).
+    Each image encoding is dropped once it is scored, so one is held at a
+    time."""
+    sm, texts, caches, _, stream = _score_stream(model, records, conditioning)
+    for _ in stream:
+        pass
+    return sm, texts, [caches[i] for i in range(len(records))]
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +155,13 @@ def info_nce(sm: ScoreMatrix) -> float:
     return float((lse - np.diagonal(s)).sum() / b)
 
 
-def info_nce_grad(sm: ScoreMatrix) -> Array:
-    """d loss / d scores."""
-    p, _ = numkit.softmax_rows(sm.scores)
-    b = p.shape[0]
-    g = p.copy()
-    g[np.arange(b), np.arange(b)] -= 1.0
-    return g / b
+def info_nce_grad(sm: ScoreMatrix, rows=None) -> Array:
+    """d loss / d scores of the given complete rows (default: all), one
+    output row each; a row's gradient reads that row alone."""
+    rows = np.arange(sm.scores.shape[0]) if rows is None else np.asarray(rows)
+    p, _ = numkit.softmax_rows(sm.scores[rows])
+    p[np.arange(len(rows)), rows] -= 1.0
+    return p / sm.scores.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +187,14 @@ def sigmoid_pairwise(
 
 
 def sigmoid_pairwise_grad(
-    sm: ScoreMatrix, t_scale: float = SIGMOID_T_SCALE, bias: float = SIGMOID_BIAS
+    sm: ScoreMatrix, t_scale: float = SIGMOID_T_SCALE, bias: float = SIGMOID_BIAS, rows=None,
 ) -> Array:
-    """d loss / d cosines."""
+    """d loss / d cosines of the given complete rows (default: all), one
+    output row each; every entry's gradient reads that entry alone."""
     b = sm.cosines.shape[0]
-    z = _pair_labels(b)
-    a = z * (t_scale * sm.cosines + bias)
+    rows = np.arange(b) if rows is None else np.asarray(rows)
+    z = _pair_labels(b)[rows]
+    a = z * (t_scale * sm.cosines[rows] + bias)
     return -sigmoid(-a) * z * t_scale / (b * b)
 
 
@@ -341,30 +354,55 @@ def variant_batch_loss(
 
 
 def _contrastive_loss(model: ModelBundle, records, conditioning: str, grads) -> float:
-    sm, texts, prompt_caches, images = build_score_matrix_with_caches(
-        model, records, conditioning, keep_caches=grads is not None
-    )
-    if model.variant == "C":
-        loss = info_nce(sm)
-    else:
-        loss = sigmoid_pairwise(sm)
     if grads is None:
-        return loss
-    if model.variant == "C":
-        g_cos = info_nce_grad(sm) / sm.tau
+        sm = build_score_matrix_with_caches(model, records, conditioning)[0]
     else:
-        g_cos = sigmoid_pairwise_grad(sm)
-    pairs = _pairs(len(records), conditioning)
-    _backprop_prompts(model, grads, prompt_caches, (
-        (i, enc, {"grad_v_joint": sum(g_cos[r, j] * texts[r].t_joint for r in rows)})
-        for (i, j, rows), enc in zip(pairs, images)
-    ))
-    return loss
+        sm = _stream_contrastive_grads(model, records, conditioning, grads)
+    return info_nce(sm) if model.variant == "C" else sigmoid_pairwise(sm)
+
+
+def _stream_contrastive_grads(model: ModelBundle, records, conditioning: str, grads) -> ScoreMatrix:
+    """Score one batch as build_score_matrix_with_caches does and add the
+    C/S loss gradient into grads. The runs of equal prompt index i wait
+    until every score row they fill is complete (per_row: each text's b
+    encodings fill its own row; diagonal: all b fill every row), then go to
+    _backprop_prompts and are dropped. Returns the complete score matrix."""
+    sm, texts, caches, pairs, stream = _score_stream(model, records, conditioning)
+
+    def runs():
+        b = len(records)
+        unscored = [b] * b  # entries of each row not yet scored
+        g_cos = np.empty((b, b))
+        pending, rows = [], set()  # (i, pairs, encodings) not yet handed on, rows they fill
+        for i, group in groupby(pairs, key=itemgetter(0)):
+            group = list(group)
+            pending.append((i, group, [next(stream) for _ in group]))
+            for _, _, filled in group:
+                rows.update(filled)
+                for r in filled:
+                    unscored[r] -= 1
+            if any(unscored[r] for r in rows):
+                continue
+            rows = sorted(rows)
+            if model.variant == "C":
+                g_cos[rows] = info_nce_grad(sm, rows) / sm.tau
+            else:
+                g_cos[rows] = sigmoid_pairwise_grad(sm, rows=rows)
+            # a generator expression, so no name outlives the runs it hands on
+            yield from ((i, [
+                (enc, {"grad_v_joint": sum(g_cos[r, j] * texts[r].t_joint for r in filled)})
+                for (_, j, filled), enc in zip(group, encs)
+            ]) for i, group, encs in pending)
+            pending, rows = [], set()
+
+    _backprop_prompts(model, grads, caches, runs())
+    return sm
 
 
 def _itm_loss(model: ModelBundle, records, grads) -> float:
     """BCE over each anchor's positive, then its mined negative, scored one
-    pair at a time as the backward consumer pulls it (none without grads)."""
+    anchor at a time as the backward consumer pulls it; each anchor's two
+    encodings go to it as one run (an empty run without grads)."""
     b = len(records)
     if b < 2:
         raise ConfigError("ITM batch needs >= 2 records for a negative")
@@ -380,17 +418,20 @@ def _itm_loss(model: ModelBundle, records, grads) -> float:
     def scored():
         nonlocal total
         encs = _pair_encodings(model, records, texts, pairs, prompt_caches)
-        for (i, _, label), enc in zip(pairs, encs):
-            logit, itm_cache = itm_forward(model.itm_head, texts[i].t_cls, enc.patch_states)
-            total += bce(logit, label)
-            if grads is None:
-                continue
-            head_grads, grad_patch_states = itm_backward(
-                model.itm_head, itm_cache, bce_grad(logit, label) / denom
-            )
-            for k, v in head_grads.items():
-                grads[f"itm.{k}"] += v
-            yield i, enc, {"grad_patch_states": grad_patch_states}
+        for i, group in groupby(pairs, key=itemgetter(0)):
+            run = []
+            for (_, _, label), enc in zip(group, encs):
+                logit, itm_cache = itm_forward(model.itm_head, texts[i].t_cls, enc.patch_states)
+                total += bce(logit, label)
+                if grads is None:
+                    continue
+                head_grads, grad_patch_states = itm_backward(
+                    model.itm_head, itm_cache, bce_grad(logit, label) / denom
+                )
+                for k, v in head_grads.items():
+                    grads[f"itm.{k}"] += v
+                run.append((enc, {"grad_patch_states": grad_patch_states}))
+            yield i, run
 
     _backprop_prompts(model, grads, prompt_caches, scored())
     return total / denom

@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elip import objectives
 from elip.encoders import encode_text, image_backward, image_forward, init_frozen_model
 from elip.config import MapperConfig, TrainConfig
 from elip.curation import CurationPlan, PairDataset
@@ -185,6 +187,128 @@ def test_sigmoid_permutation_equivariance(seed):
     perm = rng.sample_without_replacement(b, b)
     permuted = cos[np.ix_(perm, perm)]
     assert abs(sigmoid_pairwise(sm_from(cos)) - sigmoid_pairwise(sm_from(permuted))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the streamed C/S loss
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("b", [2, 3, 12])
+def test_row_gradients_equal_the_full_matrix_rows(b):
+    """A row's gradient has the bits of the same row of the full-matrix call,
+    for any set of rows, in any order."""
+    rng = Rng(45 + b)
+    sm = sm_from(rng.gaussian_matrix(b, b) * 0.5)
+    full_nce, full_sig = info_nce_grad(sm), sigmoid_pairwise_grad(sm)
+    for rows in [[r] for r in range(b)] + [list(range(b)), [b - 1, 0], list(range(0, b, 2))]:
+        assert np.array_equal(info_nce_grad(sm, rows), full_nce[rows]), rows
+        assert np.array_equal(sigmoid_pairwise_grad(sm, rows=rows), full_sig[rows]), rows
+
+
+def reference_contrastive_loss(model, records, conditioning, grads=None):
+    """The eager C/S loop the streamed loss replaced: encode every pair and
+    keep it, build the whole score matrix, differentiate all of it, then run
+    one stacked image_backward per text, sum its prompt gradient in pair
+    order and map it back once per text."""
+    if grads is not None:
+        for layer in model.trainable_layers():
+            for k, v in layer.tensors.items():
+                grads.setdefault(f"{layer.name}.{k}", np.zeros_like(v))
+    b = len(records)
+    texts = [encode_text(model, rec.tokens) for rec in records]
+    if conditioning == "per_row":
+        pairs = [(i, j, (i,)) for i in range(b) for j in range(b)]
+    else:
+        pairs = [(j, j, range(b)) for j in range(b)]
+    mapped, encs = {}, []
+    cos = np.zeros((b, b), dtype=np.float64)
+    for i, j, rows in pairs:
+        if i not in mapped:
+            mapped[i] = map_prompts_with_cache(
+                model.mapper, texts[i], model.mapper_cfg, model.dims.d_v
+            )
+        encs.append(image_forward(model, records[j].patches, mapped[i][0]))
+        for r in rows:
+            cos[r, j] = float(np.dot(texts[r].t_joint, encs[-1].v_joint))
+    sm = ScoreMatrix(scores=cos / TAU, cosines=cos, conditioning=conditioning)
+    loss = info_nce(sm) if model.variant == "C" else sigmoid_pairwise(sm)
+    if grads is None:
+        return loss
+    g_cos = info_nce_grad(sm) / sm.tau if model.variant == "C" else sigmoid_pairwise_grad(sm)
+    grad_prompts = {}
+    for i in mapped:
+        group = [(enc, sum(g_cos[r, j] * texts[r].t_joint for r in rows))
+                 for (k, j, rows), enc in zip(pairs, encs) if k == i]
+        for gp in image_backward(model, [enc for enc, _ in group],
+                                 grad_v_joint=[g for _, g in group]):
+            grad_prompts[i] = grad_prompts[i] + gp if i in grad_prompts else gp
+    for i, gp in grad_prompts.items():
+        for k, v in map_prompts_backward(model.mapper, mapped[i][1], gp).items():
+            grads[f"mapper.{k}"] += v
+    return loss
+
+
+@pytest.mark.parametrize("b", [2, 3, 12])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("conditioning", ["per_row", "diagonal"])
+@pytest.mark.parametrize("variant", ["C", "S"])
+def test_streamed_loss_equals_eager_reference_bit_for_bit(variant, conditioning, dtype, b):
+    model = init_frozen_model(7, TINY, variant, MapperConfig(n=TINY.n, hidden=8), dtype=dtype)
+    randomize_mapper(model)
+    records = make_records(b)
+    assert variant_batch_loss(model, records, conditioning) == reference_contrastive_loss(
+        model, records, conditioning
+    )
+    grads, expected = {}, {}
+    assert variant_batch_loss(model, records, conditioning, grads) == reference_contrastive_loss(
+        model, records, conditioning, expected
+    )
+    assert list(grads) == list(expected)
+    for key, value in expected.items():
+        assert value.dtype == dtype and np.array_equal(grads[key], value), key
+    assert all(np.any(v) for v in grads.values())
+
+
+@pytest.mark.parametrize("variant, conditioning, encodes, bound", [
+    ("C", "per_row", 25, 5), ("C", "diagonal", 5, 5), ("S", "per_row", 25, 5), ("B", "per_row", 10, 2),
+])
+def test_training_holds_one_run_of_prompted_encodings(
+    monkeypatch, variant, conditioning, encodes, bound
+):
+    """When a prompt backward starts, at most one run's prompted encodings
+    are alive: b = 5 for C/S under either conditioning, an anchor's two for
+    B. A loss-only call holds one at a time."""
+    b = 5
+    model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(n=TINY.n, hidden=8)))
+    records = make_records(b)
+    refs, at_forward, at_backward = [], [], []
+    forward, backward = objectives.image_forward, objectives.image_backward
+
+    def alive():
+        return sum(ref() is not None for ref in refs)
+
+    def spy_forward(model, patches, prompts=None):
+        at_forward.append(alive())
+        enc = forward(model, patches, prompts)
+        if np.size(prompts):
+            refs.append(weakref.ref(enc))
+        return enc
+
+    def spy_backward(model, encs, **kwargs):
+        at_backward.append(alive())
+        assert alive() >= len(encs)
+        return backward(model, encs, **kwargs)
+
+    monkeypatch.setattr(objectives, "image_forward", spy_forward)
+    monkeypatch.setattr(objectives, "image_backward", spy_backward)
+    variant_batch_loss(model, records, conditioning, {})
+    assert len(refs) == encodes
+    assert len(at_backward) == b and max(at_backward) <= bound, at_backward
+    refs.clear()
+    at_forward.clear()
+    variant_batch_loss(model, records, conditioning)
+    assert len(refs) and max(at_forward) <= 1, at_forward
 
 
 # ---------------------------------------------------------------------------
