@@ -1,24 +1,33 @@
 """Training objectives: InfoNCE, pairwise sigmoid, and ITM binary CE.
 
+Every batch loss runs through one streamer, _stream_pairs, from the image
+encoder to the prompt backward. A loss names its (text i, image j, score
+rows, ...) pairs and supplies a score(pair, encoding) and a row backward.
 Score matrices are text-anchored: row i holds text i scored against every
 image in the batch, each image re-encoded under conditioning prompts.
 per_row conditioning re-encodes image j with prompts from text i for entry
 (i, j) (b^2 encodings, matching inference); diagonal conditions every image
-on its own paired text (b encodings). Training streams them: a row's loss
-gradient reads that row alone, so per_row backprops and drops text i's b
-encodings as soon as row i is scored and holds b at a time, not b^2;
-diagonal fills every row with each encoding and holds its b until the end.
-Batch texts, and images under an empty prompt set (the prompt-free JEST
-reference), come from encoders.frozen_text and frozen_image, so a record's
-frozen work runs once per backbone.
+on its own paired text (b encodings) and fills every row with each. B
+scores each anchor's positive and its mined negative with the ITM head.
+
+The streamer maps text i's prompts once and encodes one pair at a time. A
+loss-only call keeps no encoding. With gradients, text i's run waits until
+every score row it fills is complete, goes back through one stacked
+image_backward and one map_prompts_backward, and is dropped: per_row holds
+b encodings at a time, not b^2; diagonal holds its b until the end; B an
+anchor's two. Batch texts, and images under an empty prompt set (the
+prompt-free JEST reference), come from encoders.frozen_text and
+frozen_image, so a record's frozen work runs once per backbone.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
-from operator import itemgetter
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -68,47 +77,68 @@ def _pairs(b: int, conditioning: str) -> list:
     return [(j, j, range(b)) for j in range(b)]
 
 
-def _pair_encodings(model: ModelBundle, records, texts, pairs, caches: dict):
-    """For each (i, j, ...) pair, grouped by i, record j's image encoded under
-    text i's prompts, mapped (cache into caches[i]) as its group starts; an
-    empty prompt set reads the record's frozen image. One encoding at a time."""
+def _stream_pairs(model: ModelBundle, records, texts, pairs, score, backward, grads) -> dict:
+    """Encode and score the pairs (i, j, rows, ...) of one batch; returns
+    text i's prompt cache per i.
+
+    Text i's prompts are mapped once, as its group of pairs starts; each
+    pair encodes record j's image under them (its frozen image when the set
+    is empty) and goes to score(pair, encoding), whose return value is the
+    pair's note. Without grads nothing is kept. With grads (a dict), text
+    i's run waits until every score row its pairs fill is complete; then
+    backward(rows) of those rows maps each (pair, note) to the pair's
+    image_backward kwargs, the run goes through one stacked image_backward,
+    and its prompt gradient, summed in pair order, through one
+    map_prompts_backward into grads["mapper.<key>"]."""
+    if grads is not None:
+        for layer in model.trainable_layers():
+            for k, v in layer.tensors.items():
+                grads.setdefault(f"{layer.name}.{k}", np.zeros_like(v))
+    unscored = Counter(r for pair in pairs for r in pair[2])  # entries per row not yet scored
+    caches, pending = {}, []  # pending: (i, run) of runs not yet backpropagated
     for i, group in groupby(pairs, key=itemgetter(0)):
         prompts, caches[i] = map_prompts_with_cache(
             model.mapper, texts[i], model.mapper_cfg, model.dims.d_v
         )
-        for _, j, _ in group:
-            if prompts.size:
-                yield image_forward(model, records[j].patches, prompts)
-            else:
-                yield frozen_image(model, records[j])
-
-
-def _backprop_prompts(model: ModelBundle, grads: dict | None, caches, runs) -> None:
-    """Add into grads (None only if every run is empty) the mapper gradients
-    of runs (i, [(encoding, image_backward kwargs), ...]) of text i's
-    encodings, pulled one run at a time (b encodings per text for per_row,
-    1 for diagonal, 2 for ITM): each run is one stacked image_backward,
-    text i's prompt gradient is summed in item order, then mapped back once
-    per text, in run order."""
-    grad_prompts: dict = {}
-    for i, run in runs:
-        if not run or not run[0][0].prompt_count:
+        run = []
+        for pair in group:
+            rec = records[pair[1]]
+            enc = (image_forward(model, rec.patches, prompts) if prompts.size
+                   else frozen_image(model, rec))
+            note = score(pair, enc)
+            if grads is not None:
+                run.append((pair, enc, note))
+                unscored.subtract(pair[2])
+        if grads is None:
             continue
-        stacked = {key: [kwargs[key] for _, kwargs in run] for key in run[0][1]}
-        for gp in image_backward(model, [enc for enc, _ in run], **stacked):
-            grad_prompts[i] = grad_prompts[i] + gp if i in grad_prompts else gp
-        del run  # before the next run is encoded
-    for i, gp in grad_prompts.items():
-        for k, v in map_prompts_backward(model.mapper, caches[i], gp).items():
-            grads[f"mapper.{k}"] += v
+        pending.append((i, run))
+        rows = sorted({r for _, run in pending for pair, _, _ in run for r in pair[2]})
+        if any(unscored[r] for r in rows):
+            continue
+        kwargs_of = backward(rows)
+        for i, run in pending:
+            # before the prompt check: B adds its ITM-head gradient here
+            kwargs = [kwargs_of(pair, note) for pair, _, note in run]
+            if not run[0][1].prompt_count:
+                continue
+            stacked = {key: [kw[key] for kw in kwargs] for key in kwargs[0]}
+            # bound until the next run: freeing the stack at once let glibc trim
+            # and re-fault the heap top every run (~4x a per_row step's faults)
+            grad_stack = image_backward(model, [e for _, e, _ in run], **stacked)
+            grad_prompts = reduce(add, grad_stack)
+            for k, v in map_prompts_backward(model.mapper, caches[i], grad_prompts).items():
+                grads[f"mapper.{k}"] += v
+        pending = []
+    return caches
 
 
-def _score_stream(model: ModelBundle, records, conditioning: str):
-    """(score matrix, text encodings, prompt caches, pairs, stream) of one
-    batch. The stream encodes the _pairs one at a time, writes each pair's
-    cosines and scores into the matrix and yields its encoding; the matrix
-    is complete once the stream is drained. Texts, and images under an empty
-    prompt set, are the records' frozen encodings."""
+def build_score_matrix_with_caches(
+    model: ModelBundle, records, conditioning: str = "per_row", grads: dict | None = None,
+) -> tuple[ScoreMatrix, list, list]:
+    """Text-vs-conditioned-image cosine matrix over one batch of records:
+    returns (score matrix, text encodings, prompt caches). With grads, the
+    C (InfoNCE) or S (pairwise sigmoid) loss gradient of every mapper tensor
+    is added into it, each complete score row differentiated once."""
     b = len(records)
     if b < 2:
         raise ConfigError(f"contrastive batch needs >= 2 records, got {b}")
@@ -116,30 +146,25 @@ def _score_stream(model: ModelBundle, records, conditioning: str):
         raise ConfigError(f"unknown conditioning {conditioning!r}")
     texts = [frozen_text(model, rec) for rec in records]
     sm = ScoreMatrix(scores=np.zeros((b, b)), cosines=np.zeros((b, b)), conditioning=conditioning)
-    caches: dict = {}
-    pairs = _pairs(b, conditioning)
+    g_cos = np.empty((b, b))
 
-    def stream():
-        for (_, j, rows), enc in zip(pairs, _pair_encodings(model, records, texts, pairs, caches)):
-            for r in rows:
-                sm.cosines[r, j] = float(np.dot(texts[r].t_joint, enc.v_joint))
-                sm.scores[r, j] = sm.cosines[r, j] / sm.tau
-            yield enc
+    def score(pair, enc):
+        _, j, rows = pair
+        for r in rows:
+            sm.cosines[r, j] = float(np.dot(texts[r].t_joint, enc.v_joint))
+            sm.scores[r, j] = sm.cosines[r, j] / sm.tau
 
-    return sm, texts, caches, pairs, stream()
+    def backward(rows):
+        if model.variant == "C":
+            g_cos[rows] = info_nce_grad(sm, rows) / sm.tau
+        else:
+            g_cos[rows] = sigmoid_pairwise_grad(sm, rows=rows)
+        return lambda pair, _: {
+            "grad_v_joint": sum(g_cos[r, pair[1]] * texts[r].t_joint for r in pair[2])
+        }
 
-
-def build_score_matrix_with_caches(
-    model: ModelBundle, records, conditioning: str = "per_row",
-) -> tuple[ScoreMatrix, list, list]:
-    """Text-vs-conditioned-image cosine matrix over one batch of records, for
-    a loss-only call: returns (score matrix, text encodings, prompt caches).
-    Each image encoding is dropped once it is scored, so one is held at a
-    time."""
-    sm, texts, caches, _, stream = _score_stream(model, records, conditioning)
-    for _ in stream:
-        pass
-    return sm, texts, [caches[i] for i in range(len(records))]
+    caches = _stream_pairs(model, records, texts, _pairs(b, conditioning), score, backward, grads)
+    return sm, texts, [caches[i] for i in range(b)]
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +228,16 @@ def sigmoid_pairwise_grad(
 # ---------------------------------------------------------------------------
 
 
+def _itm_attend(p: dict, patch_states: Array) -> tuple:
+    """(projected queries, keys, query->patch attention weights, scale) of
+    the ITM head tensors p over (P, d_v) patch states."""
+    scale = 1.0 / math.sqrt(p["wq"].shape[0])
+    qm = p["queries"] @ p["wq"].T + p["bq"]
+    k = patch_states @ p["wk"].T + p["bk"]
+    attn, _ = numkit.softmax_rows((qm @ k.T) * scale)
+    return qm, k, attn, scale
+
+
 def itm_forward(head: LayerParams, t_cls: Array, patch_states: Array) -> tuple[float, tuple]:
     p = head.tensors
     d_v = p["wq"].shape[0]
@@ -214,13 +249,8 @@ def itm_forward(head: LayerParams, t_cls: Array, patch_states: Array) -> tuple[f
         raise ConfigError(
             f"ITM patch width {patch_states.shape[1]} != head width {d_v}"
         )
-    scale = 1.0 / math.sqrt(d_v)
-    queries = p["queries"]
-    qm = queries @ p["wq"].T + p["bq"]
-    k = patch_states @ p["wk"].T + p["bk"]
+    qm, k, attn, scale = _itm_attend(p, patch_states)
     v = patch_states @ p["wv"].T + p["bv"]
-    scores = (qm @ k.T) * scale
-    attn, _ = numkit.softmax_rows(scores)
     attended = attn @ v
     out = attended @ p["wo"].T + p["bo"]
     pooled = out.mean(axis=0)
@@ -286,12 +316,7 @@ def itm_logit(head: LayerParams, text_enc: TextEncoding, image_enc: ImageEncodin
 
 def itm_attention(head: LayerParams, patch_states: Array) -> Array:
     """Query->patch cross-attention weights (q, P) for the attention map."""
-    p = head.tensors
-    scale = 1.0 / math.sqrt(p["wq"].shape[0])
-    qm = p["queries"] @ p["wq"].T + p["bq"]
-    k = patch_states @ p["wk"].T + p["bk"]
-    attn, _ = numkit.softmax_rows((qm @ k.T) * scale)
-    return attn
+    return _itm_attend(head.tensors, patch_states)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -344,65 +369,16 @@ def variant_batch_loss(
     for B, every ITM-head tensor ("itm.<key>") is added into it, in that
     key order; without one no backward cache is kept.
     """
-    if grads is not None:
-        for layer in model.trainable_layers():
-            for k, v in layer.tensors.items():
-                grads.setdefault(f"{layer.name}.{k}", np.zeros_like(v))
     if model.variant == "B":
         return _itm_loss(model, records, grads)
-    return _contrastive_loss(model, records, conditioning, grads)
-
-
-def _contrastive_loss(model: ModelBundle, records, conditioning: str, grads) -> float:
-    if grads is None:
-        sm = build_score_matrix_with_caches(model, records, conditioning)[0]
-    else:
-        sm = _stream_contrastive_grads(model, records, conditioning, grads)
+    sm = build_score_matrix_with_caches(model, records, conditioning, grads)[0]
     return info_nce(sm) if model.variant == "C" else sigmoid_pairwise(sm)
 
 
-def _stream_contrastive_grads(model: ModelBundle, records, conditioning: str, grads) -> ScoreMatrix:
-    """Score one batch as build_score_matrix_with_caches does and add the
-    C/S loss gradient into grads. The runs of equal prompt index i wait
-    until every score row they fill is complete (per_row: each text's b
-    encodings fill its own row; diagonal: all b fill every row), then go to
-    _backprop_prompts and are dropped. Returns the complete score matrix."""
-    sm, texts, caches, pairs, stream = _score_stream(model, records, conditioning)
-
-    def runs():
-        b = len(records)
-        unscored = [b] * b  # entries of each row not yet scored
-        g_cos = np.empty((b, b))
-        pending, rows = [], set()  # (i, pairs, encodings) not yet handed on, rows they fill
-        for i, group in groupby(pairs, key=itemgetter(0)):
-            group = list(group)
-            pending.append((i, group, [next(stream) for _ in group]))
-            for _, _, filled in group:
-                rows.update(filled)
-                for r in filled:
-                    unscored[r] -= 1
-            if any(unscored[r] for r in rows):
-                continue
-            rows = sorted(rows)
-            if model.variant == "C":
-                g_cos[rows] = info_nce_grad(sm, rows) / sm.tau
-            else:
-                g_cos[rows] = sigmoid_pairwise_grad(sm, rows=rows)
-            # a generator expression, so no name outlives the runs it hands on
-            yield from ((i, [
-                (enc, {"grad_v_joint": sum(g_cos[r, j] * texts[r].t_joint for r in filled)})
-                for (_, j, filled), enc in zip(group, encs)
-            ]) for i, group, encs in pending)
-            pending, rows = [], set()
-
-    _backprop_prompts(model, grads, caches, runs())
-    return sm
-
-
 def _itm_loss(model: ModelBundle, records, grads) -> float:
-    """BCE over each anchor's positive, then its mined negative, scored one
-    anchor at a time as the backward consumer pulls it; each anchor's two
-    encodings go to it as one run (an empty run without grads)."""
+    """BCE over each anchor's positive, then its mined negative: pairs
+    (i, j, (i,), label) that fill score row i, so an anchor's two encodings
+    are one run."""
     b = len(records)
     if b < 2:
         raise ConfigError("ITM batch needs >= 2 records for a negative")
@@ -410,28 +386,24 @@ def _itm_loss(model: ModelBundle, records, grads) -> float:
         raise ConfigError("variant B requires an ITM head")
     texts = [frozen_text(model, rec) for rec in records]
     negatives = pick_itm_negatives(model, records, texts)
-    pairs = [(i, j, label) for i in range(b) for j, label in ((i, 1), (negatives[i], 0))]
-    prompt_caches: dict = {}
+    pairs = [(i, j, (i,), label) for i in range(b) for j, label in ((i, 1), (negatives[i], 0))]
     denom = 2 * b
     total = 0.0
 
-    def scored():
+    def score(pair, enc):
         nonlocal total
-        encs = _pair_encodings(model, records, texts, pairs, prompt_caches)
-        for i, group in groupby(pairs, key=itemgetter(0)):
-            run = []
-            for (_, _, label), enc in zip(group, encs):
-                logit, itm_cache = itm_forward(model.itm_head, texts[i].t_cls, enc.patch_states)
-                total += bce(logit, label)
-                if grads is None:
-                    continue
-                head_grads, grad_patch_states = itm_backward(
-                    model.itm_head, itm_cache, bce_grad(logit, label) / denom
-                )
-                for k, v in head_grads.items():
-                    grads[f"itm.{k}"] += v
-                run.append((enc, {"grad_patch_states": grad_patch_states}))
-            yield i, run
+        logit, itm_cache = itm_forward(model.itm_head, texts[pair[0]].t_cls, enc.patch_states)
+        total += bce(logit, pair[3])
+        return logit, itm_cache
 
-    _backprop_prompts(model, grads, prompt_caches, scored())
+    def head_backward(pair, note):
+        logit, itm_cache = note
+        head_grads, grad_patch_states = itm_backward(
+            model.itm_head, itm_cache, bce_grad(logit, pair[3]) / denom
+        )
+        for k, v in head_grads.items():
+            grads[f"itm.{k}"] += v
+        return {"grad_patch_states": grad_patch_states}
+
+    _stream_pairs(model, records, texts, pairs, score, lambda rows: head_backward, grads)
     return total / denom

@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
@@ -122,7 +123,7 @@ def blob_to_tensor(data: bytes, source: str = "<bytes>") -> np.ndarray:
         struct.unpack("<Q", data[8 + 8 * i : 16 + 8 * i])[0] for i in range(rank)
     )
     dtype = _CODE_DTYPES[code]
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
+    expected = math.prod(shape) * dtype.itemsize  # Python ints: no overflow
     if len(data) - dims_end != expected:
         raise FormatError(
             f"{source}: payload length {len(data) - dims_end} != {expected} "
@@ -218,7 +219,10 @@ def load_checkpoint(ckpt_dir: str) -> ModelBundle:
             doc["seed"],
             doc["variant"],
             DimsConfig(**{key: int(value) for key, value in doc["dims"].items()}),
-            MapperConfig(**doc["mapper"]),
+            MapperConfig(**{
+                key: value if key == "input_mode" else int(value)
+                for key, value in doc["mapper"].items()
+            }),
             np.dtype(np.float32 if doc["dtype"] == "f32" else np.float64),
             {
                 name: (str(meta["file"]), str(meta["dtype"]),
@@ -229,9 +233,13 @@ def load_checkpoint(ckpt_dir: str) -> ModelBundle:
 
     seed, variant, dims, mapper_cfg, dtype, entries = _parse_json(index_path, parse)
     # The bundle's layout without drawing its weights: every weight matrix
-    # is overwritten from its blob below.
-    model = _assemble_model(seed, dims, variant, mapper_cfg, dtype,
-                            lambda rows, cols, fan_in: np.empty((rows, cols), dtype=dtype))
+    # is overwritten from its blob below. A layout the index cannot describe
+    # (say mapper n != dims n) is a fault of the index.
+    try:
+        model = _assemble_model(seed, dims, variant, mapper_cfg, dtype,
+                                lambda rows, cols, fan_in: np.empty((rows, cols), dtype=dtype))
+    except ConfigError as exc:
+        raise FormatError(f"{index_path}: {exc}") from exc
     by_name = {}
     for layer in model.layers():
         for key in layer.tensors:

@@ -66,10 +66,11 @@ def test_wrapped_references_are_one_function():
 
 
 def test_traced_training_and_rerank_keep_the_work_count_identities():
-    """Wrapped as the benchmark wraps them, a per-row step encodes B^2
-    images and runs one prompt backward per text; a k re-rank encodes k
-    images per query; every image block sees the rows its layout predicts,
-    and no wrapped call raises."""
+    """Wrapped as the benchmark wraps them, a per-row step scores its batch
+    through the traced C/S loss layer, encodes B^2 images and runs one
+    prompt backward per text; a k re-rank encodes k images per query; every
+    image block sees the rows its layout predicts, and no wrapped call
+    raises."""
     from conftest import TINY, make_records, randomize_mapper
     from elip.config import MapperConfig, TrainConfig
     from elip.curation import CurationPlan, PairDataset
@@ -90,6 +91,7 @@ def test_traced_training_and_rerank_keep_the_work_count_identities():
     stats = tr.layer_stats()
     assert stats["encoders.image_forward.calls"] == steps * b * b
     assert stats["encoders.image_backward.calls"] == steps * b
+    assert stats["objectives.build_score_matrix_with_caches.calls"] == steps
     assert stats["encoders.image_block_rows"] == stats["encoders.image_block_rows_expected"]
     assert stats["trace.errors"] == 0
 

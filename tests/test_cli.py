@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -296,15 +297,21 @@ def test_truncated_vocab_exit_two(workdir, capsys, flag):
     assert_exit_two_without_traceback(workdir, capsys, path, *argv)
 
 
-@pytest.mark.parametrize("field, value", [("file", 5), ("width", "wide")])
+@pytest.mark.parametrize("field, value", [
+    ("file", 5), ("width", "wide"), ("hidden", "x"), ("n", "10"), ("input_mode", 3),
+])
 def test_checkpoint_index_bad_value_exit_two(workdir, capsys, field, value):
+    """A mapper field is read as the dims are: "10" is n = 10, which
+    disagrees with the index's dims n = 2."""
     build_pipeline(workdir, capsys)
     path = "model/checkpoint/index.json"
     index = json.loads(open(path).read())
     if field == "file":
         index["tensors"]["proj_image.weight"]["file"] = value
-    else:
+    elif field == "width":
         index["dims"]["P"] = value
+    else:
+        index["mapper"][field] = value
     with open(path, "w") as fh:
         json.dump(index, fh)
     assert_exit_two_without_traceback(workdir, capsys, "model/checkpoint",
@@ -779,6 +786,18 @@ def test_rank_store_not_a_matrix_exit_two(workdir, capsys, shape):
     err = assert_exit_two_without_traceback(
         workdir, capsys, "gal/gallery/embeddings.bin", *RANK_ARGS)
     assert f"rank {len(shape)}" in err
+
+
+def test_rank_store_overflowing_dims_exit_two(workdir, capsys):
+    """Dims (2**32, 2**32) wrap an int64 element count to 0, which an empty
+    payload used to match."""
+    build_pipeline(workdir, capsys)
+    header = storage.tensor_to_blob(np.ones((1, 1), dtype=np.float32))[:8]
+    with open("gal/gallery/embeddings.bin", "wb") as fh:
+        fh.write(header + struct.pack("<QQ", 2**32, 2**32))
+    err = assert_exit_two_without_traceback(
+        workdir, capsys, "gal/gallery/embeddings.bin", *RANK_ARGS)
+    assert "payload length 0" in err
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

@@ -488,20 +488,28 @@ def _calls(tree, name):
 
 
 def test_one_call_site_per_image_backward_and_mapper_backward():
-    """Every batch loss reaches the prompt backward through one consumer and
-    encodes its prompted pairs through one generator; every prompt-free
-    image encode runs in encoders.frozen_image."""
+    """Every batch loss runs through one streamer: it alone maps a batch
+    text's prompts, makes the prompted encode, and calls the prompt backward
+    and the mapper backward, one call site each; every prompt-free image
+    encode runs in encoders.frozen_image."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     for name in ("image_backward", "map_prompts_backward"):
         sites = [module for module, tree in trees.items() for _ in _calls(tree, name)]
         assert sites == ["objectives"], (name, sites)
-    prompted = [
-        call for name in ("image_forward", "encode_image")
-        for call in _calls(trees["objectives"], name)
-        if len(call.args) > 2 or any(kw.arg == "prompts" for kw in call.keywords)
-    ]
-    assert len(prompted) == 1
+
+    def prompted(call):
+        return len(call.args) > 2 or any(kw.arg == "prompts" for kw in call.keywords)
+
+    owners = {
+        name: [getattr(top, "name", "<module>") for top in trees["objectives"].body
+               for call in _calls(top, name) if name != "image_forward" or prompted(call)]
+        for name in ("map_prompts_with_cache", "image_forward", "image_backward",
+                     "map_prompts_backward")
+    }
+    assert not _calls(trees["objectives"], "encode_image")
+    assert [len(sites) for sites in owners.values()] == [1, 1, 1, 1], owners
+    assert len({sites[0] for sites in owners.values()}) == 1, owners
     # a prompt-free encode runs only in encoders.frozen_image, which keeps it
     # on the record for every later reader of the same backbone
     def prompt_free(call):

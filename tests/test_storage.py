@@ -88,6 +88,9 @@ def test_blob_bad_fields_name_offsets():
         storage.blob_to_tensor(good[:10])
     with pytest.raises(FormatError, match="offset 24"):
         storage.blob_to_tensor(good[:-1])
+    # dims whose element count wraps int64 to 0 still need a payload
+    with pytest.raises(FormatError, match="payload length 0 != 73786976294838206464 at offset 24"):
+        storage.blob_to_tensor(good[:8] + struct.pack("<QQ", 2**32, 2**32))
 
 
 def test_blob_rejects_unsupported_arrays(tmp_path):
