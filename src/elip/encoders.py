@@ -45,11 +45,15 @@ class ImageEncoding:
     patch_states: Array  # (P, d_v)
     cls_state: Array  # (d_v,)
     v_joint: Array  # (d_e,) unit-norm projected embedding
-    attn: list  # per layer (H, T, T) attention weights
     prompt_count: int
     block_caches: list  # per layer attention_block cache
     ln_cache: tuple  # final layer norm
     proj_cache: tuple  # joint projection
+
+    @property
+    def attn(self) -> list:
+        """Per layer (H, T, T) attention weights, read from the block caches."""
+        return [cache[4] for cache in self.block_caches]
 
 
 @dataclass
@@ -302,18 +306,16 @@ def image_forward(
     seq = seq + model.image_pos.tensors["weight"]
 
     block_caches = []
-    attn_all = []
     for layer_idx, block in enumerate(model.image_blocks):
         if layer_idx == dims.insert_layer and n > 0:
             seq = np.concatenate([seq, prompts], axis=0)
-        seq, attn, bcache = numkit.attention_block(block, seq, dims.H)
+        seq, _, bcache = numkit.attention_block(block, seq, dims.H)
         block_caches.append(bcache)
-        attn_all.append(attn)
     states, ln_cache = numkit.layer_norm(model.image_ln, seq)
     v_joint, proj_cache = project_normalize(model.proj_image, states[dims.P])
     return ImageEncoding(
         patch_states=states[: dims.P], cls_state=states[dims.P], v_joint=v_joint,
-        attn=attn_all, prompt_count=n, block_caches=block_caches,
+        prompt_count=n, block_caches=block_caches,
         ln_cache=ln_cache, proj_cache=proj_cache,
     )
 
@@ -338,8 +340,8 @@ def frozen_image(model: ModelBundle, rec) -> ImageEncoding:
     key = (model.backbone_key, "image")
     enc = rec.frozen.get(key)
     if enc is None:
-        enc = rec.frozen[key] = replace(image_forward(model, rec.patches), attn=[],
-                                        block_caches=[], ln_cache=(), proj_cache=())
+        enc = rec.frozen[key] = replace(image_forward(model, rec.patches), block_caches=[],
+                                        ln_cache=(), proj_cache=())
     return enc
 
 

@@ -1,8 +1,9 @@
 """Training objectives: InfoNCE, pairwise sigmoid, and ITM binary CE.
 
-Every batch loss runs through one streamer, _stream_pairs, from the image
-encoder to the prompt backward. A loss names its (text i, image j, score
-rows, ...) pairs and supplies a score(pair, encoding) and a row backward.
+Every batch loss and the stage-2 re-rank run through one streamer,
+stream_pairs, from the prompt mapper and the image encoder to the prompt
+backward. A caller names its (text i, image j, score rows, ...) pairs and
+supplies a score(pair, encoding) and, to train, a row backward.
 Score matrices are text-anchored: row i holds text i scored against every
 image in the batch, each image re-encoded under conditioning prompts.
 per_row conditioning re-encodes image j with prompts from text i for entry
@@ -11,13 +12,15 @@ on its own paired text (b encodings) and fills every row with each. B
 scores each anchor's positive and its mined negative with the ITM head.
 
 The streamer maps text i's prompts once and encodes one pair at a time. A
-loss-only call keeps no encoding. With gradients, text i's run waits until
-every score row it fills is complete, goes back through one stacked
-image_backward and one map_prompts_backward, and is dropped: per_row holds
-b encodings at a time, not b^2; diagonal holds its b until the end; B an
-anchor's two. Batch texts, and images under an empty prompt set (the
-prompt-free JEST reference), come from encoders.frozen_text and
-frozen_image, so a record's frozen work runs once per backbone.
+call without gradients keeps no encoding: a loss-only call, or
+retrieval.rerank, whose one query text scores its top-k candidates. With
+gradients, text i's run waits until every score row it fills is complete,
+goes back through one stacked image_backward and one map_prompts_backward,
+and is dropped: per_row holds b encodings at a time, not b^2; diagonal
+holds its b until the end; B an anchor's two. Batch texts, and images
+under an empty prompt set (the prompt-free JEST reference, or any n = 0
+model's re-rank), come from encoders.frozen_text and frozen_image, so a
+record's frozen work runs once per backbone.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def _pairs(b: int, conditioning: str) -> list:
     return [(j, j, range(b)) for j in range(b)]
 
 
-def _stream_pairs(model: ModelBundle, records, texts, pairs, score, backward, grads) -> dict:
+def stream_pairs(model: ModelBundle, records, texts, pairs, score, backward=None, grads=None) -> dict:
     """Encode and score the pairs (i, j, rows, ...) of one batch; returns
     text i's prompt cache per i.
 
@@ -163,7 +166,7 @@ def build_score_matrix_with_caches(
             "grad_v_joint": sum(g_cos[r, pair[1]] * texts[r].t_joint for r in pair[2])
         }
 
-    caches = _stream_pairs(model, records, texts, _pairs(b, conditioning), score, backward, grads)
+    caches = stream_pairs(model, records, texts, _pairs(b, conditioning), score, backward, grads)
     return sm, texts, [caches[i] for i in range(b)]
 
 
@@ -405,5 +408,5 @@ def _itm_loss(model: ModelBundle, records, grads) -> float:
             grads[f"itm.{k}"] += v
         return {"grad_patch_states": grad_patch_states}
 
-    _stream_pairs(model, records, texts, pairs, score, lambda rows: head_backward, grads)
+    stream_pairs(model, records, texts, pairs, score, lambda rows: head_backward, grads)
     return total / denom

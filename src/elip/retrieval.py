@@ -1,10 +1,11 @@
 """Two-stage retrieval: exact stage-1 ranking, prompt-conditioned re-ranking,
 metrics, curves, attention maps and the FLOPs estimator.
 
-Every ranked list is scored by numkit.row_dots, whose rows carry the bits of
-per-row np.dot (not of one batched GEMV), so stage-1 and re-ranked scores of
-identical encodings are bitwise equal; numkit.order_desc orders them, ties
-by ascending image id.
+Stage 1 scores by numkit.row_dots, whose rows carry the bits of per-row
+np.dot (not of one batched GEMV). Stage 2 scores C/S candidates by that
+per-pair np.dot in objectives.stream_pairs, the training pair streamer, so
+stage-1 and re-ranked scores of identical encodings are bitwise equal.
+numkit.order_desc orders every list, ties by ascending image id.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .curation import Benchmark, PairDataset, query_id
 from .encoders import ModelBundle, TextEncoding, encode_text, frozen_image, image_forward
 from .errors import ConfigError, DataError
 from .numkit import Array, order_desc, row_dots
-from .objectives import sigmoid, itm_attention, itm_logit
+from .objectives import itm_attention, itm_forward, sigmoid, stream_pairs
 from .prompt_mapper import prompts_for_text
 
 PR_RECALL_GRID = [round(0.05 * i, 2) for i in range(21)]
@@ -147,17 +148,20 @@ def rerank(
         return ranking
     if k < 0 or k > len(ranking.entries):
         raise ConfigError(f"k={k} outside [0, {len(ranking.entries)}]")
-    prompts = prompts_for_text(model, text_enc)
     head = ranking.entries[:k]
     ids = [image_id for image_id, _ in head]
-    # one encode at a time; only its score or v_joint is kept
-    encodings = (image_forward(model, ds.by_id(image_id).patches, prompts) for image_id in ids)
-    if model.variant == "B":
-        logits = (itm_logit(model.itm_head, text_enc, enc) for enc in encodings)
-        bonuses = (float(sigmoid(np.array(x))) if itm_sigmoid else x for x in logits)
-        scores = np.array([old + bonus for (_, old), bonus in zip(head, bonuses)], dtype=np.float64)
-    else:
-        scores = row_dots(np.stack([enc.v_joint for enc in encodings]), text_enc.t_joint)
+    scores = np.empty(k)
+
+    def score(pair, enc):
+        j = pair[1]
+        if model.variant == "B":
+            logit, _ = itm_forward(model.itm_head, text_enc.t_cls, enc.patch_states)
+            scores[j] = head[j][1] + (float(sigmoid(np.array(logit))) if itm_sigmoid else logit)
+        else:
+            scores[j] = np.dot(text_enc.t_joint, enc.v_joint)
+
+    stream_pairs(model, [ds.by_id(image_id) for image_id in ids], [text_enc],
+                 [(0, j, (0,)) for j in range(k)], score)
     return RankingResult(
         query_id=ranking.query_id,
         entries=_ordered_entries(ids, scores, _id_ranks(ids)) + list(ranking.entries[k:]),

@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import DimsConfig, MapperConfig, RunConfig
+from .config import DimsConfig, MapperConfig, RunConfig, _conforms, _from_doc
 from .curation import (
     Benchmark,
     BenchmarkQuery,
@@ -215,14 +215,16 @@ def load_checkpoint(ckpt_dir: str) -> ModelBundle:
                 f"{CHECKPOINT_VERSION}; version 1 records no blob digests, so "
                 "re-create the checkpoint"
             )
+        if not _conforms(doc["seed"], int):
+            raise FormatError(f"{index_path}: seed {doc['seed']!r} is not an integer")
+        if doc["dtype"] not in ("f32", "f64"):
+            raise FormatError(f"{index_path}: dtype {doc['dtype']!r} is not f32 or f64")
         return (
             doc["seed"],
             doc["variant"],
-            DimsConfig(**{key: int(value) for key, value in doc["dims"].items()}),
-            MapperConfig(**{
-                key: value if key == "input_mode" else int(value)
-                for key, value in doc["mapper"].items()
-            }),
+            # read as RunConfig reads them; a ConfigError is a malformed index
+            _from_doc(DimsConfig, doc["dims"], ("dims",)),
+            _from_doc(MapperConfig, doc["mapper"], ("mapper",)),
             np.dtype(np.float32 if doc["dtype"] == "f32" else np.float64),
             {
                 name: (str(meta["file"]), str(meta["dtype"]),

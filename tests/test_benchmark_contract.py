@@ -68,9 +68,10 @@ def test_wrapped_references_are_one_function():
 def test_traced_training_and_rerank_keep_the_work_count_identities():
     """Wrapped as the benchmark wraps them, a per-row step scores its batch
     through the traced C/S loss layer, encodes B^2 images and runs one
-    prompt backward per text; a k re-rank encodes k images per query; every
-    image block sees the rows its layout predicts, and no wrapped call
-    raises."""
+    prompt backward per text; a k re-rank, C or B, maps prompts once per
+    query and encodes (and for B scores with the ITM head) k images per
+    query; every image block sees the rows its layout predicts, and no
+    wrapped call raises."""
     from conftest import TINY, make_records, randomize_mapper
     from elip.config import MapperConfig, TrainConfig
     from elip.curation import CurationPlan, PairDataset
@@ -96,12 +97,18 @@ def test_traced_training_and_rerank_keep_the_work_count_identities():
     assert stats["trace.errors"] == 0
 
     queries = ds.records[:2]
-    tr = tracer.Tracer()
-    with tr:
-        for rec in queries:
-            text_enc = encode_text(model, rec.tokens)
-            rerank(model, ds, stage1_rank(store, text_enc), k, text_enc)
-    stats = tr.layer_stats()
-    assert stats["encoders.image_forward.calls"] == len(queries) * k
-    assert stats["encoders.image_block_rows"] == stats["encoders.image_block_rows_expected"]
-    assert stats["trace.errors"] == 0
+    model_b = randomize_mapper(init_frozen_model(7, TINY, "B", MapperConfig(n=TINY.n, hidden=8)))
+    for model, store in ((model, store), (model_b, embed_gallery(model_b, ds))):
+        tr = tracer.Tracer()
+        with tr:
+            for rec in queries:
+                text_enc = encode_text(model, rec.tokens)
+                rerank(model, ds, stage1_rank(store, text_enc), k, text_enc)
+        stats = tr.layer_stats()
+        assert stats["encoders.image_forward.calls"] == len(queries) * k
+        assert stats["encoders.image_forward.prompted_calls"] == len(queries) * k
+        assert stats["prompt_mapper.map_prompts_with_cache.calls"] == len(queries)
+        assert stats.get("objectives.itm_forward.calls", 0) == (
+            len(queries) * k if model.variant == "B" else 0)
+        assert stats["encoders.image_block_rows"] == stats["encoders.image_block_rows_expected"]
+        assert stats["trace.errors"] == 0

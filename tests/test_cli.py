@@ -299,10 +299,13 @@ def test_truncated_vocab_exit_two(workdir, capsys, flag):
 
 @pytest.mark.parametrize("field, value", [
     ("file", 5), ("width", "wide"), ("hidden", "x"), ("n", "10"), ("input_mode", 3),
+    ("P", 4.9), ("H", True), ("hidden", 8.7), ("seed", "abc"), ("seed", 1.5), ("dtype", "f16"),
 ])
 def test_checkpoint_index_bad_value_exit_two(workdir, capsys, field, value):
-    """A mapper field is read as the dims are: "10" is n = 10, which
-    disagrees with the index's dims n = 2."""
+    """The dims and mapper fields are typed as a config file's are: a
+    string, a float or a bool where an int belongs is a damaged index, not
+    a value to cast ("10" is no n, 4.9 no P, true no head count). The seed
+    is an int and the dtype f32 or f64."""
     build_pipeline(workdir, capsys)
     path = "model/checkpoint/index.json"
     index = json.loads(open(path).read())
@@ -310,12 +313,17 @@ def test_checkpoint_index_bad_value_exit_two(workdir, capsys, field, value):
         index["tensors"]["proj_image.weight"]["file"] = value
     elif field == "width":
         index["dims"]["P"] = value
+    elif field in ("P", "H"):
+        index["dims"][field] = value
+    elif field in ("seed", "dtype"):
+        index[field] = value
     else:
         index["mapper"][field] = value
     with open(path, "w") as fh:
         json.dump(index, fh)
-    assert_exit_two_without_traceback(workdir, capsys, "model/checkpoint",
-                                      "flops", "--model", "model/checkpoint")
+    err = assert_exit_two_without_traceback(workdir, capsys, "model/checkpoint",
+                                            "flops", "--model", "model/checkpoint")
+    assert field in ("file", "width") or field in err, err
 
 
 def _flip_last_byte(path):

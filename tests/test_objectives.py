@@ -31,6 +31,7 @@ from elip.objectives import (
     variant_batch_loss,
 )
 from elip.prompt_mapper import map_prompts_backward, map_prompts_with_cache
+from elip.retrieval import embed_gallery, rerank, stage1_rank
 from elip.rng import Rng
 from elip.trainer import train
 
@@ -311,6 +312,32 @@ def test_training_holds_one_run_of_prompted_encodings(
     assert len(refs) and max(at_forward) <= 1, at_forward
 
 
+@pytest.mark.parametrize("variant", ["C", "B"])
+def test_rerank_holds_one_prompted_encoding_at_a_time(monkeypatch, variant):
+    """A k re-rank streams its candidates through the training streamer
+    without gradients: k prompted forwards, with at most the previous
+    candidate's encoding alive when the next one starts."""
+    k = 6
+    model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(n=TINY.n, hidden=8)))
+    ds = PairDataset(records=make_records(8))
+    text = encode_text(model, [1, 2, 3])
+    ranking = stage1_rank(embed_gallery(model, ds), text)
+    refs, at_forward = [], []
+    forward = objectives.image_forward
+
+    def spy_forward(model, patches, prompts=None):
+        at_forward.append(sum(ref() is not None for ref in refs))
+        enc = forward(model, patches, prompts)
+        if np.size(prompts):
+            refs.append(weakref.ref(enc))
+        return enc
+
+    monkeypatch.setattr(objectives, "image_forward", spy_forward)
+    rerank(model, ds, ranking, k, text)
+    assert len(refs) == len(at_forward) == k
+    assert max(at_forward) <= 1, at_forward
+
+
 # ---------------------------------------------------------------------------
 # ITM head
 # ---------------------------------------------------------------------------
@@ -488,41 +515,43 @@ def _calls(tree, name):
 
 
 def test_one_call_site_per_image_backward_and_mapper_backward():
-    """Every batch loss runs through one streamer: it alone maps a batch
-    text's prompts, makes the prompted encode, and calls the prompt backward
-    and the mapper backward, one call site each; every prompt-free image
-    encode runs in encoders.frozen_image."""
+    """Every batch loss and the stage-2 re-rank run through one streamer,
+    objectives.stream_pairs: it alone maps a scored text's prompts, makes
+    the prompted encode, and calls the prompt backward and the mapper
+    backward. Elsewhere in src/ only attention_map's single image is
+    encoded under prompts, through prompts_for_text, and every prompt-free
+    image encode runs in encoders.frozen_image."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
-    for name in ("image_backward", "map_prompts_backward"):
-        sites = [module for module, tree in trees.items() for _ in _calls(tree, name)]
-        assert sites == ["objectives"], (name, sites)
+
+    def sites(name, keep=lambda call: True):
+        return sorted(
+            (module, getattr(top, "name", "<module>"))
+            for module, tree in trees.items() for top in tree.body
+            for call in _calls(top, name) if keep(call)
+        )
 
     def prompted(call):
         return len(call.args) > 2 or any(kw.arg == "prompts" for kw in call.keywords)
 
-    owners = {
-        name: [getattr(top, "name", "<module>") for top in trees["objectives"].body
-               for call in _calls(top, name) if name != "image_forward" or prompted(call)]
-        for name in ("map_prompts_with_cache", "image_forward", "image_backward",
-                     "map_prompts_backward")
-    }
-    assert not _calls(trees["objectives"], "encode_image")
-    assert [len(sites) for sites in owners.values()] == [1, 1, 1, 1], owners
-    assert len({sites[0] for sites in owners.values()}) == 1, owners
+    streamer = [("objectives", "stream_pairs")]
+    assert sites("image_backward") == streamer
+    assert sites("map_prompts_backward") == streamer
+    assert sites("image_forward", prompted) == streamer + [("retrieval", "attention_map")]
+    assert sites("map_prompts_with_cache") == streamer + [("prompt_mapper", "prompts_for_text")]
+    assert sites("encode_image") == []
+    rerank = next(top for top in trees["retrieval"].body if getattr(top, "name", "") == "rerank")
+    own_encode = ("image_forward", "prompts_for_text", "map_prompts_with_cache", "itm_logit")
+    assert [name for name in own_encode if _calls(rerank, name)] == []
+    assert _calls(rerank, "stream_pairs")
+
     # a prompt-free encode runs only in encoders.frozen_image, which keeps it
     # on the record for every later reader of the same backbone
     def prompt_free(call):
         prompts = call.args[2:] + [kw.value for kw in call.keywords if kw.arg == "prompts"]
         return all(isinstance(p, ast.Constant) and p.value is None for p in prompts)
 
-    free = [
-        (module, getattr(top, "name", "<module>"))
-        for module, tree in trees.items() for top in tree.body
-        for name in ("image_forward", "encode_image") for call in _calls(top, name)
-        if prompt_free(call)
-    ]
-    assert free == [("encoders", "frozen_image")], free
+    assert sites("image_forward", prompt_free) == [("encoders", "frozen_image")]
     for module, tree in trees.items():
         assert "FrozenTable" not in ast.dump(tree), module
         passed = [kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
