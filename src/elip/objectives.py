@@ -13,14 +13,20 @@ scores each anchor's positive and its mined negative with the ITM head.
 
 The streamer maps text i's prompts once and encodes one pair at a time. A
 call without gradients keeps no encoding: a loss-only call, or
-retrieval.rerank, whose one query text scores its top-k candidates. With
-gradients, text i's run waits until every score row it fills is complete,
-goes back through one stacked image_backward and one map_prompts_backward,
-and is dropped: per_row holds b encodings at a time, not b^2; diagonal
-holds its b until the end; B an anchor's two. Batch texts, and images
-under an empty prompt set (the prompt-free JEST reference, or any n = 0
-model's re-rank), come from encoders.frozen_text and frozen_image, so a
-record's frozen work runs once per backbone.
+retrieval.rerank, whose callback copies each of its query's top-k
+candidates' v_joint or patch states into one array that it scores once
+the stream ends. With gradients, text i's run waits until every score row
+it fills is complete, goes back through one stacked image_backward and one
+map_prompts_backward, and is dropped: per_row holds b encodings at a time,
+not b^2; diagonal holds its b until the end; B an anchor's two. Batch
+texts, and images under an empty prompt set (the prompt-free JEST
+reference, or any n = 0 model's re-rank), come from encoders.frozen_text
+and frozen_image, so a record's frozen work runs once per backbone.
+
+The ITM head's forward, itm_forward, takes one image's (P, d_v) patch
+states or a (..., P, d_v) stack of them and gives one logit per image: the
+B loss scores pair by pair (its backward needs a single-image cache), the
+re-rank all k candidates of a query in one call.
 """
 
 from __future__ import annotations
@@ -233,38 +239,48 @@ def sigmoid_pairwise_grad(
 
 def _itm_attend(p: dict, patch_states: Array) -> tuple:
     """(projected queries, keys, query->patch attention weights, scale) of
-    the ITM head tensors p over (P, d_v) patch states."""
+    the ITM head tensors p over (..., P, d_v) patch states."""
+    # math.sqrt, not np.sqrt: an np.float64 scale would lift float32 scores to float64
     scale = 1.0 / math.sqrt(p["wq"].shape[0])
     qm = p["queries"] @ p["wq"].T + p["bq"]
     k = patch_states @ p["wk"].T + p["bk"]
-    attn, _ = numkit.softmax_rows((qm @ k.T) * scale)
+    attn, _ = numkit.softmax_rows((qm @ k.swapaxes(-1, -2)) * scale)
     return qm, k, attn, scale
 
 
-def itm_forward(head: LayerParams, t_cls: Array, patch_states: Array) -> tuple[float, tuple]:
+def itm_forward(head: LayerParams, t_cls: Array, patch_states: Array) -> tuple:
+    """(logit, cache) of one text's CLS state t_cls against the patch
+    states of one image, (P, d_v), or of a stack of images, (..., P, d_v).
+
+    One image gives a float; a stack gives one logit per image, each with
+    the bits of that image's own call: the query projection qm and the text
+    projection tfeat run once per call, and every other product stays a
+    per-image matmul, down to the MLP input's (..., 1, 2 d_v) stack
+    (flattening it to one GEMM moves bits). itm_backward takes the cache of
+    a single-image call."""
     p = head.tensors
     d_v = p["wq"].shape[0]
     if p["tproj.weight"].shape[1] != t_cls.shape[0]:
         raise ConfigError(
             f"ITM text width {t_cls.shape[0]} != tproj width {p['tproj.weight'].shape[1]}"
         )
-    if patch_states.shape[1] != d_v:
+    if patch_states.shape[-1] != d_v:
         raise ConfigError(
-            f"ITM patch width {patch_states.shape[1]} != head width {d_v}"
+            f"ITM patch width {patch_states.shape[-1]} != head width {d_v}"
         )
     qm, k, attn, scale = _itm_attend(p, patch_states)
     v = patch_states @ p["wv"].T + p["bv"]
     attended = attn @ v
     out = attended @ p["wo"].T + p["bo"]
-    pooled = out.mean(axis=0)
+    pooled = out.mean(axis=-2, keepdims=True)
     tfeat = p["tproj.weight"] @ t_cls + p["tproj.bias"]
-    zcat = np.concatenate([pooled, tfeat]).reshape(1, -1)
+    zcat = np.concatenate([pooled, np.broadcast_to(tfeat, (*pooled.shape[:-1], tfeat.shape[0]))],
+                          axis=-1)
     h = zcat @ p["mlp.l1.weight"].T + p["mlp.l1.bias"]
     act, gcache = numkit.gelu(h)
-    logit = float((act @ p["mlp.l2.weight"].T + p["mlp.l2.bias"])[0, 0])
-    cache = (qm, k, v, attn, attended, out, pooled, t_cls, zcat, gcache, act,
-             patch_states, scale)
-    return logit, cache
+    logits = (act @ p["mlp.l2.weight"].T + p["mlp.l2.bias"])[..., 0, 0]
+    cache = (qm, k, v, attn, attended, out, t_cls, zcat, gcache, act, patch_states, scale)
+    return (float(logits) if logits.ndim == 0 else logits), cache
 
 
 def itm_backward(
@@ -272,8 +288,7 @@ def itm_backward(
 ) -> tuple[dict[str, Array], Array]:
     """Returns (head tensor grads, grad on patch_states)."""
     p = head.tensors
-    (qm, k, v, attn, attended, out, pooled, t_cls, zcat, gcache, act,
-     patch_states, scale) = cache
+    qm, k, v, attn, attended, out, t_cls, zcat, gcache, act, patch_states, scale = cache
     d_v = p["wq"].shape[0]
     q_count = qm.shape[0]
 

@@ -2,10 +2,14 @@
 metrics, curves, attention maps and the FLOPs estimator.
 
 Stage 1 scores by numkit.row_dots, whose rows carry the bits of per-row
-np.dot (not of one batched GEMV). Stage 2 scores C/S candidates by that
-per-pair np.dot in objectives.stream_pairs, the training pair streamer, so
-stage-1 and re-ranked scores of identical encodings are bitwise equal.
-numkit.order_desc orders every list, ties by ascending image id.
+np.dot (not of one batched GEMV). Stage 2 encodes a query's top-k through
+objectives.stream_pairs, the training pair streamer, which only copies
+each candidate's v_joint (C/S) or patch states (B) into one (k, ...)
+array; once it returns, C/S scores the array by the same row_dots, so
+stage-1 and re-ranked scores of identical encodings are bitwise equal, and
+B by one stacked ITM-head call, each logit with the bits of its own
+single-image call. numkit.order_desc orders every list, ties by ascending
+image id.
 """
 
 from __future__ import annotations
@@ -150,18 +154,23 @@ def rerank(
         raise ConfigError(f"k={k} outside [0, {len(ranking.entries)}]")
     head = ranking.entries[:k]
     ids = [image_id for image_id, _ in head]
-    scores = np.empty(k)
+    itm = model.variant == "B"
+    stack = None  # (k, P, d_v) patch states for B, (k, d_e) v_joint for C/S
 
-    def score(pair, enc):
-        j = pair[1]
-        if model.variant == "B":
-            logit, _ = itm_forward(model.itm_head, text_enc.t_cls, enc.patch_states)
-            scores[j] = head[j][1] + (float(sigmoid(np.array(logit))) if itm_sigmoid else logit)
-        else:
-            scores[j] = np.dot(text_enc.t_joint, enc.v_joint)
+    def keep(pair, enc):
+        nonlocal stack
+        row = enc.patch_states if itm else enc.v_joint
+        if stack is None:
+            stack = np.empty((k, *row.shape), row.dtype)
+        stack[pair[1]] = row
 
     stream_pairs(model, [ds.by_id(image_id) for image_id in ids], [text_enc],
-                 [(0, j, (0,)) for j in range(k)], score)
+                 [(0, j, (0,)) for j in range(k)], keep)
+    if itm:
+        logits, _ = itm_forward(model.itm_head, text_enc.t_cls, stack)
+        scores = np.array([s for _, s in head]) + (sigmoid(logits) if itm_sigmoid else logits)
+    else:
+        scores = row_dots(stack, text_enc.t_joint)
     return RankingResult(
         query_id=ranking.query_id,
         entries=_ordered_entries(ids, scores, _id_ranks(ids)) + list(ranking.entries[k:]),

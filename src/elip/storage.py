@@ -84,6 +84,13 @@ def _string(path: str, value, what: str) -> str:
     return value
 
 
+def _integer(path: str, value, what: str) -> int:
+    """value, a JSON integer: neither a float nor a bool."""
+    if not _conforms(value, int):
+        raise FormatError(f"{path}: {what} {value!r} is not an integer")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # tensor blobs
 # ---------------------------------------------------------------------------
@@ -215,22 +222,27 @@ def load_checkpoint(ckpt_dir: str) -> ModelBundle:
                 f"{CHECKPOINT_VERSION}; version 1 records no blob digests, so "
                 "re-create the checkpoint"
             )
-        if not _conforms(doc["seed"], int):
-            raise FormatError(f"{index_path}: seed {doc['seed']!r} is not an integer")
         if doc["dtype"] not in ("f32", "f64"):
             raise FormatError(f"{index_path}: dtype {doc['dtype']!r} is not f32 or f64")
+        entries = {}
+        for name, meta in doc["tensors"].items():
+            what = f"tensor {name!r}"
+            shape = meta["shape"]
+            if not (isinstance(shape, list) and all(_conforms(d, int) and d >= 0 for d in shape)):
+                raise FormatError(
+                    f"{index_path}: {what} shape {shape!r} is not a list of non-negative integers"
+                )
+            file, dtype_name, digest = (_string(index_path, meta[key], f"{what} {key}")
+                                        for key in ("file", "dtype", "sha256"))
+            entries[name] = (file, dtype_name, tuple(shape), digest)
         return (
-            doc["seed"],
+            _integer(index_path, doc["seed"], "seed"),
             doc["variant"],
             # read as RunConfig reads them; a ConfigError is a malformed index
             _from_doc(DimsConfig, doc["dims"], ("dims",)),
             _from_doc(MapperConfig, doc["mapper"], ("mapper",)),
             np.dtype(np.float32 if doc["dtype"] == "f32" else np.float64),
-            {
-                name: (str(meta["file"]), str(meta["dtype"]),
-                       tuple(int(d) for d in meta["shape"]), str(meta["sha256"]))
-                for name, meta in doc["tensors"].items()
-            },
+            entries,
         )
 
     seed, variant, dims, mapper_cfg, dtype, entries = _parse_json(index_path, parse)
@@ -415,7 +427,8 @@ def write_store(out_dir: str, store: EmbeddingStore) -> None:
 def read_store(store_dir: str) -> EmbeddingStore:
     ids_path = os.path.join(store_dir, "ids.json")
     ids, seed = _parse_json(ids_path, lambda doc: (
-        [_string(ids_path, image_id, "image id") for image_id in doc["ids"]], doc["seed"]
+        [_string(ids_path, image_id, "image id") for image_id in doc["ids"]],
+        _integer(ids_path, doc["seed"], "seed"),
     ))
     matrix_path = os.path.join(store_dir, "embeddings.bin")
     matrix = read_tensor_blob(matrix_path)
@@ -495,11 +508,16 @@ def read_rankings(path: str) -> list:
                 )
             if len(order) and np.bincount(order).max() > 1:
                 raise FormatError(f"{path}: query {qid!r}: order repeats an image")
+            k_reranked = _integer(path, r["k_reranked"], f"query {qid!r}: k_reranked")
+            if not 0 <= k_reranked <= len(order):
+                raise FormatError(
+                    f"{path}: query {qid!r}: k_reranked {k_reranked} outside [0, {len(order)}]"
+                )
             results.append(RankingResult(
                 query_id=qid,
                 entries=list(zip(map(ids.__getitem__, order.tolist()), scores.tolist())),
                 stage=_string(path, r["stage"], "stage"),
-                k_reranked=int(r["k_reranked"]),
+                k_reranked=k_reranked,
             ))
         return results
 

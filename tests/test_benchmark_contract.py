@@ -69,8 +69,8 @@ def test_traced_training_and_rerank_keep_the_work_count_identities():
     """Wrapped as the benchmark wraps them, a per-row step scores its batch
     through the traced C/S loss layer, encodes B^2 images and runs one
     prompt backward per text; a k re-rank, C or B, maps prompts once per
-    query and encodes (and for B scores with the ITM head) k images per
-    query; every image block sees the rows its layout predicts, and no
+    query and encodes k images per query (B scores them with one ITM-head
+    call); every image block sees the rows its layout predicts, and no
     wrapped call raises."""
     from conftest import TINY, make_records, randomize_mapper
     from elip.config import MapperConfig, TrainConfig
@@ -108,7 +108,8 @@ def test_traced_training_and_rerank_keep_the_work_count_identities():
         assert stats["encoders.image_forward.calls"] == len(queries) * k
         assert stats["encoders.image_forward.prompted_calls"] == len(queries) * k
         assert stats["prompt_mapper.map_prompts_with_cache.calls"] == len(queries)
+        # B scores each query's k candidates with one stacked ITM-head call
         assert stats.get("objectives.itm_forward.calls", 0) == (
-            len(queries) * k if model.variant == "B" else 0)
+            len(queries) if model.variant == "B" else 0)
         assert stats["encoders.image_block_rows"] == stats["encoders.image_block_rows_expected"]
         assert stats["trace.errors"] == 0

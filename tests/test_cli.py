@@ -268,6 +268,11 @@ RANKINGS_DAMAGE = {
     "bad_base64": ("scores", "AAAA*AAA", "scores is not strict base64"),
     "ragged_bytes": ("scores", "AAAA", "scores holds 3 bytes"),
     "repeated_index": ("order", _packed_order(1, 1), "order repeats an image"),
+    "k_reranked_float": ("k_reranked", 2.7, "k_reranked 2.7 is not an integer"),
+    "k_reranked_bool": ("k_reranked", True, "k_reranked True is not an integer"),
+    "k_reranked_string": ("k_reranked", "2", "k_reranked '2' is not an integer"),
+    "k_reranked_past_entries": ("k_reranked", 5, "k_reranked 5 outside [0, 2]"),
+    "k_reranked_negative": ("k_reranked", -1, "k_reranked -1 outside [0, 2]"),
 }
 
 
@@ -374,6 +379,21 @@ def test_checkpoint_integrity_failure_exit_two(workdir, capsys, damage):
                                             "--model", "model/checkpoint",
                                             "--data", "data/data.jsonl")
     assert "malformed" not in err and expected in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("shape", [8.9, 8.9]), ("shape", [True, 8]), ("shape", [-8, 8]), ("shape", "8x8"),
+    ("shape", None), ("file", 5), ("dtype", 1), ("sha256", None),
+])
+def test_checkpoint_tensor_entry_bad_value_exit_two(workdir, capsys, field, value):
+    """A tensor entry is read as written, not cast: a shape [8.9, 8.9] used
+    to load as (8, 8), and a numeric file name as its decimal string."""
+    build_pipeline(workdir, capsys)
+    _edit_index(lambda ix: ix["tensors"]["proj_image.weight"].update({field: value}))
+    err = assert_exit_two_without_traceback(workdir, capsys, "model/checkpoint/index.json",
+                                            "embed-gallery", "--model", "model/checkpoint",
+                                            "--data", "data/data.jsonl")
+    assert f"tensor 'proj_image.weight' {field} {value!r}" in err, err
 
 
 def _artifacts(root):
@@ -828,6 +848,16 @@ def test_rank_store_non_string_id_exit_two(workdir, capsys):
     (workdir / "gal/gallery/ids.json").write_text(json.dumps(doc))
     err = assert_exit_two_without_traceback(workdir, capsys, "gal/gallery/ids.json", *RANK_ARGS)
     assert "image id 7 is not a string" in err
+
+
+@pytest.mark.parametrize("seed", ["abc", 1.5, True, None])
+def test_rank_store_non_integer_seed_exit_two(workdir, capsys, seed):
+    build_pipeline(workdir, capsys)
+    doc = json.loads(open("gal/gallery/ids.json").read())
+    doc["seed"] = seed
+    (workdir / "gal/gallery/ids.json").write_text(json.dumps(doc))
+    err = assert_exit_two_without_traceback(workdir, capsys, "gal/gallery/ids.json", *RANK_ARGS)
+    assert f"seed {seed!r} is not an integer" in err
 
 
 def test_eval_rejects_repeated_ranking_entries_exit_two(workdir, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from elip import objectives
 from elip.encoders import encode_text, image_backward, image_forward, init_frozen_model
-from elip.config import MapperConfig, TrainConfig
+from elip.config import DimsConfig, MapperConfig, TrainConfig
 from elip.curation import CurationPlan, PairDataset
 from elip.errors import ConfigError, DataError
 from elip.objectives import (
@@ -398,6 +398,27 @@ def test_itm_gradients_finite_difference(tiny_model_b_f64, tiny_dims):
     assert worst < 1e-4
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    d_t=st.integers(1, 40), d_v=st.integers(1, 40), P=st.integers(1, 30),
+    dtype=st.sampled_from([np.float32, np.float64]), g=st.sampled_from([1, 2, 7, 20]),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_itm_forward_has_the_bits_of_single_calls(d_t, d_v, P, dtype, g, seed):
+    """One call over a (g, P, d_v) stack gives each image the logit of its
+    own (P, d_v) call, bit for bit, in the head's dtype."""
+    dims = DimsConfig(d_t=d_t, d_v=d_v, P=P, H=1)
+    head = init_frozen_model(seed, dims, "B", dtype=dtype).itm_head
+    rng = Rng(seed + 1)
+    t_cls = rng.gaussian_matrix(1, d_t)[0].astype(dtype)
+    stack = rng.gaussian_matrix(g * P, d_v).astype(dtype).reshape(g, P, d_v)
+    logits, _ = itm_forward(head, t_cls, stack)
+    assert logits.shape == (g,) and logits.dtype == dtype
+    singles = [itm_forward(head, t_cls, states)[0] for states in stack]
+    assert all(type(logit) is float for logit in singles)
+    assert logits.astype(np.float64).tobytes() == np.array(singles).tobytes()
+
+
 def test_pick_itm_negatives_excludes_self(tiny_model_b_f64, tiny_dims):
     records = make_records(4, tiny_dims)
     texts = [encode_text(tiny_model_b_f64, r.tokens) for r in records]
@@ -544,6 +565,10 @@ def test_one_call_site_per_image_backward_and_mapper_backward():
     own_encode = ("image_forward", "prompts_for_text", "map_prompts_with_cache", "itm_logit")
     assert [name for name in own_encode if _calls(rerank, name)] == []
     assert _calls(rerank, "stream_pairs")
+    # the ITM head forward: the B loss per pair, itm_logit, and the re-rank's
+    # one stacked call per query
+    assert sites("itm_forward") == [
+        ("objectives", "_itm_loss"), ("objectives", "itm_logit"), ("retrieval", "rerank")]
 
     # a prompt-free encode runs only in encoders.frozen_image, which keeps it
     # on the record for every later reader of the same backbone

@@ -259,16 +259,18 @@ def loop_rerank_entries(model, ds, ranking, k, text_enc, itm_sigmoid=False):
 
 @pytest.mark.parametrize("variant,itm_sigmoid", [("C", False), ("S", False), ("B", False), ("B", True)])
 def test_rerank_equals_scalar_loop_reference(variant, itm_sigmoid):
-    """Repeated images under shuffled ids tie in every re-score."""
+    """Repeated images under shuffled ids tie in every re-score, up to B's
+    full-scale depth (one stacked ITM-head call over 20 candidates)."""
     model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(n=TINY.n, hidden=8)))
-    base = make_records(5)
-    records = [replace(base[k % 5], id=f"r{j}") for j, k in enumerate([3, 0, 3, 1, 0, 2, 4, 3, 1, 0])]
+    base = make_records(9)
+    picks = [3, 0, 3, 1, 0, 2, 4, 3, 1, 0, 5, 8, 6, 2, 7, 5, 8, 0, 6, 4, 7, 1, 2]
+    records = [replace(base[k], id=f"r{j}") for j, k in enumerate(picks)]
     ds = PairDataset(records=records)
     store = embed_gallery(model, ds)
     for tokens in ([1, 2, 3], [4, 0, 0], [7, 7, 1]):
         text = encode_text(model, tokens)
         ranking = stage1_rank(store, text)
-        for k in (1, 4, len(records)):
+        for k in (1, 4, FULL_SCALE_K["B"]["standard"], len(records)):
             got = rerank(model, ds, ranking, k, text, itm_sigmoid).entries
             assert entry_bits(got) == entry_bits(
                 loop_rerank_entries(model, ds, ranking, k, text, itm_sigmoid)
