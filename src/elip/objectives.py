@@ -23,10 +23,15 @@ texts, and images under an empty prompt set (the prompt-free JEST
 reference, or any n = 0 model's re-rank), come from encoders.frozen_text
 and frozen_image, so a record's frozen work runs once per backbone.
 
-The ITM head's forward, itm_forward, takes one image's (P, d_v) patch
-states or a (..., P, d_v) stack of them and gives one logit per image: the
-B loss scores pair by pair (its backward needs a single-image cache), the
-re-rank all k candidates of a query in one call.
+The ITM head runs over stacks: itm_forward takes one image's (P, d_v)
+patch states or a (..., P, d_v) stack of them, against one text or a stack
+of texts, and gives one logit per image; itm_backward takes the cache of
+any such call. The B loss copies each pair's patch states into one
+(b, 2, P, d_v) array: a loss-only call (a JEST score) scores the whole
+batch with one forward, a training call each anchor's positive and
+negative with one forward and one backward. The re-rank scores all k
+candidates of a query in one call. Every logit and gradient keeps the
+bits of its image's own single-image call.
 """
 
 from __future__ import annotations
@@ -126,10 +131,9 @@ def stream_pairs(model: ModelBundle, records, texts, pairs, score, backward=None
             continue
         kwargs_of = backward(rows)
         for i, run in pending:
-            # before the prompt check: B adds its ITM-head gradient here
-            kwargs = [kwargs_of(pair, note) for pair, _, note in run]
             if not run[0][1].prompt_count:
                 continue
+            kwargs = [kwargs_of(pair, note) for pair, _, note in run]
             stacked = {key: [kw[key] for kw in kwargs] for key in kwargs[0]}
             # bound until the next run: freeing the stack at once let glibc trim
             # and re-fault the heap top every run (~4x a per_row step's faults)
@@ -249,20 +253,22 @@ def _itm_attend(p: dict, patch_states: Array) -> tuple:
 
 
 def itm_forward(head: LayerParams, t_cls: Array, patch_states: Array) -> tuple:
-    """(logit, cache) of one text's CLS state t_cls against the patch
-    states of one image, (P, d_v), or of a stack of images, (..., P, d_v).
+    """(logit, cache) of text CLS states against patch states: one text's
+    (d_t,) against one image's (P, d_v) gives a float; a (..., P, d_v) stack
+    gives one logit per image, against one text or a (..., d_t) stack of
+    texts whose leading axes broadcast to the images'.
 
-    One image gives a float; a stack gives one logit per image, each with
-    the bits of that image's own call: the query projection qm and the text
-    projection tfeat run once per call, and every other product stays a
-    per-image matmul, down to the MLP input's (..., 1, 2 d_v) stack
-    (flattening it to one GEMM moves bits). itm_backward takes the cache of
-    a single-image call."""
+    Each logit has the bits of that image's own call: the query projection
+    qm runs once per call, the text projection tfeat once per text as a
+    matrix-vector product, np.matmul(W, t[..., None]) (t @ W.T moves bits),
+    and every other product stays a per-image matmul, down to the MLP
+    input's (..., 1, 2 d_v) stack (flattening it to one GEMM moves bits).
+    itm_backward takes the cache of any such call."""
     p = head.tensors
     d_v = p["wq"].shape[0]
-    if p["tproj.weight"].shape[1] != t_cls.shape[0]:
+    if p["tproj.weight"].shape[1] != t_cls.shape[-1]:
         raise ConfigError(
-            f"ITM text width {t_cls.shape[0]} != tproj width {p['tproj.weight'].shape[1]}"
+            f"ITM text width {t_cls.shape[-1]} != tproj width {p['tproj.weight'].shape[1]}"
         )
     if patch_states.shape[-1] != d_v:
         raise ConfigError(
@@ -273,8 +279,8 @@ def itm_forward(head: LayerParams, t_cls: Array, patch_states: Array) -> tuple:
     attended = attn @ v
     out = attended @ p["wo"].T + p["bo"]
     pooled = out.mean(axis=-2, keepdims=True)
-    tfeat = p["tproj.weight"] @ t_cls + p["tproj.bias"]
-    zcat = np.concatenate([pooled, np.broadcast_to(tfeat, (*pooled.shape[:-1], tfeat.shape[0]))],
+    tfeat = np.matmul(p["tproj.weight"], t_cls[..., None])[..., None, :, 0] + p["tproj.bias"]
+    zcat = np.concatenate([pooled, np.broadcast_to(tfeat, (*pooled.shape[:-1], tfeat.shape[-1]))],
                           axis=-1)
     h = zcat @ p["mlp.l1.weight"].T + p["mlp.l1.bias"]
     act, gcache = numkit.gelu(h)
@@ -283,46 +289,49 @@ def itm_forward(head: LayerParams, t_cls: Array, patch_states: Array) -> tuple:
     return (float(logits) if logits.ndim == 0 else logits), cache
 
 
-def itm_backward(
-    head: LayerParams, cache: tuple, grad_logit: float
-) -> tuple[dict[str, Array], Array]:
-    """Returns (head tensor grads, grad on patch_states)."""
+def itm_backward(head: LayerParams, cache: tuple, grad_logits) -> tuple[dict[str, Array], Array]:
+    """(head tensor grads, grad on patch_states) of an itm_forward call,
+    given d loss / d logit of each of its images: a float for one image, a
+    (g,) array for a (g, P, d_v) stack, which gives (g, ...) gradient
+    stacks and (g, P, d_v) patch gradients, each slice with the bits of
+    that image's own call."""
     p = head.tensors
     qm, k, v, attn, attended, out, t_cls, zcat, gcache, act, patch_states, scale = cache
     d_v = p["wq"].shape[0]
     q_count = qm.shape[0]
+    # in the head's dtype first: a float64 array would lift an f32 head's grads
+    g = np.asarray(grad_logits).astype(act.dtype)[..., None, None]
 
     grads: dict[str, Array] = {}
-    g = grad_logit
     grads["mlp.l2.weight"] = g * act
-    grads["mlp.l2.bias"] = np.array([g], dtype=act.dtype)
+    grads["mlp.l2.bias"] = g[..., 0]
     grad_act = g * p["mlp.l2.weight"]
     grad_h = numkit.gelu_backward(gcache, grad_act)
-    grads["mlp.l1.weight"] = grad_h.T @ zcat
-    grads["mlp.l1.bias"] = grad_h[0]
-    grad_z = (grad_h @ p["mlp.l1.weight"])[0]
-    grad_pooled = grad_z[:d_v]
-    grad_tfeat = grad_z[d_v:]
-    grads["tproj.weight"] = np.outer(grad_tfeat, t_cls)
+    grads["mlp.l1.weight"] = grad_h.swapaxes(-1, -2) @ zcat
+    grads["mlp.l1.bias"] = grad_h[..., 0, :]
+    grad_z = (grad_h @ p["mlp.l1.weight"])[..., 0, :]
+    grad_pooled = grad_z[..., :d_v]
+    grad_tfeat = grad_z[..., d_v:]
+    grads["tproj.weight"] = grad_tfeat[..., :, None] * t_cls[..., None, :]
     grads["tproj.bias"] = grad_tfeat
 
-    grad_out = np.tile(grad_pooled / q_count, (q_count, 1))
-    grads["wo"] = grad_out.T @ attended
-    grads["bo"] = grad_out.sum(axis=0)
+    grad_out = np.repeat((grad_pooled / q_count)[..., None, :], q_count, axis=-2)
+    grads["wo"] = grad_out.swapaxes(-1, -2) @ attended
+    grads["bo"] = grad_out.sum(axis=-2)
     grad_attended = grad_out @ p["wo"]
-    grad_attn = grad_attended @ v.T
-    grad_v = attn.T @ grad_attended
+    grad_attn = grad_attended @ v.swapaxes(-1, -2)
+    grad_v = attn.swapaxes(-1, -2) @ grad_attended
     grad_scores = numkit.softmax_rows_backward(attn, grad_attn)
     grad_qm = (grad_scores @ k) * scale
-    grad_k = (grad_scores.T @ qm) * scale
+    grad_k = (grad_scores.swapaxes(-1, -2) @ qm) * scale
 
     grads["queries"] = grad_qm @ p["wq"]
-    grads["wq"] = grad_qm.T @ p["queries"]
-    grads["bq"] = grad_qm.sum(axis=0)
-    grads["wk"] = grad_k.T @ patch_states
-    grads["bk"] = grad_k.sum(axis=0)
-    grads["wv"] = grad_v.T @ patch_states
-    grads["bv"] = grad_v.sum(axis=0)
+    grads["wq"] = grad_qm.swapaxes(-1, -2) @ p["queries"]
+    grads["bq"] = grad_qm.sum(axis=-2)
+    grads["wk"] = grad_k.swapaxes(-1, -2) @ patch_states
+    grads["bk"] = grad_k.sum(axis=-2)
+    grads["wv"] = grad_v.swapaxes(-1, -2) @ patch_states
+    grads["bv"] = grad_v.sum(axis=-2)
     grad_patches = grad_k @ p["wk"] + grad_v @ p["wv"]
     return grads, grad_patches
 
@@ -365,14 +374,13 @@ def pick_itm_negatives(model: ModelBundle, records, texts: list) -> list[int]:
     the lowest index among ties.
 
     texts holds the batch's TextEncodings, in record order; the image
-    embeddings are the records' frozen ones."""
+    embeddings are the records' frozen ones. One row_dots pass broadcasts
+    every text against every image, entry (i, j) with the bits of
+    np.dot(image j, text i)."""
     frozen = np.stack([frozen_image(model, rec).v_joint for rec in records])
-    out = []
-    for i in range(len(records)):
-        sims = numkit.row_dots(frozen, texts[i].t_joint)
-        sims[i] = -np.inf
-        out.append(int(np.argmax(sims)))
-    return out
+    sims = numkit.row_dots(frozen, np.stack([t.t_joint for t in texts])[:, None])
+    np.fill_diagonal(sims, -np.inf)
+    return [int(j) for j in np.argmax(sims, axis=1)]
 
 
 def variant_batch_loss(
@@ -395,33 +403,51 @@ def variant_batch_loss(
 
 def _itm_loss(model: ModelBundle, records, grads) -> float:
     """BCE over each anchor's positive, then its mined negative: pairs
-    (i, j, (i,), label) that fill score row i, so an anchor's two encodings
-    are one run."""
+    (i, j, (i,), slot) that fill score row i, so an anchor's two encodings
+    are one run. The streamer copies each pair's patch states to slot
+    (0 positive, 1 negative) of row i of one (b, 2, P, d_v) array. A
+    loss-only call scores the whole array with one itm_forward once the
+    stream ends; a training call scores anchor i's two images with one
+    itm_forward and one itm_backward as its run completes, and adds the
+    head gradients slot by slot, in pair order."""
     b = len(records)
     if b < 2:
         raise ConfigError("ITM batch needs >= 2 records for a negative")
     if model.itm_head is None:
         raise ConfigError("variant B requires an ITM head")
+    head = model.itm_head
     texts = [frozen_text(model, rec) for rec in records]
     negatives = pick_itm_negatives(model, records, texts)
-    pairs = [(i, j, (i,), label) for i in range(b) for j, label in ((i, 1), (negatives[i], 0))]
+    pairs = [(i, j, (i,), slot) for i in range(b) for slot, j in enumerate((i, negatives[i]))]
+    labels = (1, 0)
     denom = 2 * b
+    states = None  # (b, 2, P, d_v)
     total = 0.0
 
-    def score(pair, enc):
+    def keep(pair, enc):
+        nonlocal states
+        if states is None:
+            states = np.empty((b, 2, *enc.patch_states.shape), enc.patch_states.dtype)
+        states[pair[0], pair[3]] = enc.patch_states
+
+    def backward(rows):
         nonlocal total
-        logit, itm_cache = itm_forward(model.itm_head, texts[pair[0]].t_cls, enc.patch_states)
-        total += bce(logit, pair[3])
-        return logit, itm_cache
+        (i,) = rows
+        logits, cache = itm_forward(head, texts[i].t_cls, states[i])
+        grad_logits = []
+        for logit, label in zip(logits.tolist(), labels):
+            total += bce(logit, label)
+            grad_logits.append(bce_grad(logit, label) / denom)
+        head_grads, grad_states = itm_backward(head, cache, np.array(grad_logits))
+        for slot in range(2):
+            for k, v in head_grads.items():
+                grads[f"itm.{k}"] += v[slot]
+        return lambda pair, _: {"grad_patch_states": grad_states[pair[3]]}
 
-    def head_backward(pair, note):
-        logit, itm_cache = note
-        head_grads, grad_patch_states = itm_backward(
-            model.itm_head, itm_cache, bce_grad(logit, pair[3]) / denom
-        )
-        for k, v in head_grads.items():
-            grads[f"itm.{k}"] += v
-        return {"grad_patch_states": grad_patch_states}
-
-    stream_pairs(model, records, texts, pairs, score, lambda rows: head_backward, grads)
+    stream_pairs(model, records, texts, pairs, keep, backward, grads)
+    if grads is None:
+        logits, _ = itm_forward(head, np.stack([t.t_cls for t in texts])[:, None], states)
+        for row in logits.tolist():
+            for logit, label in zip(row, labels):
+                total += bce(logit, label)
     return total / denom

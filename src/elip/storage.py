@@ -330,8 +330,8 @@ def read_dataset(manifest_path: str) -> PairDataset:
             doc = json.loads(line)
             patches_ref = doc["patches"]
             fname = patches_ref["file"]
-            row = int(patches_ref["row"])
-            rows = int(patches_ref["rows"])
+            row = _integer(manifest_path, patches_ref["row"], f"line {lineno}: patches row")
+            rows = _integer(manifest_path, patches_ref["rows"], f"line {lineno}: patches rows")
             if fname not in blobs:
                 blobs[fname] = read_tensor_blob(os.path.join(base, fname))
             blob = blobs[fname]
@@ -343,7 +343,8 @@ def read_dataset(manifest_path: str) -> PairDataset:
             records.append(PairRecord(
                 id=_string(manifest_path, doc["id"], f"line {lineno}: record id"),
                 patches=np.array(blob[row : row + rows], dtype=np.float32),
-                tokens=[int(t) for t in doc["tokens"]],
+                tokens=[_integer(manifest_path, token, f"line {lineno}: token")
+                        for token in doc["tokens"]],
                 caption=doc["caption"],
                 categories=set(doc.get("categories", [])),
                 occluded_categories=set(doc.get("occluded_categories", [])),
@@ -363,7 +364,9 @@ def read_dataset(manifest_path: str) -> PairDataset:
 
 def read_vocab(path: str) -> dict:
     """Tokenizer table: word -> token id."""
-    return _parse_json(path, lambda doc: {str(word): int(tid) for word, tid in doc.items()})
+    return _parse_json(path, lambda doc: {
+        word: _integer(path, tid, f"id of {word!r}") for word, tid in doc.items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +385,10 @@ def write_benchmark(path: str, bench: Benchmark) -> None:
 def read_benchmark(path: str, gallery_ids: list) -> Benchmark:
     queries = _parse_json(path, lambda doc: [
         BenchmarkQuery(
-            text_tokens=[int(t) for t in q["text_tokens"]],
+            text_tokens=[_integer(path, t, f"query {n}: text token") for t in q["text_tokens"]],
             positives=set(q["positives"]),
         )
-        for q in doc["queries"]
+        for n, q in enumerate(doc["queries"])
     ])
     return Benchmark(queries=queries, gallery_ids=list(gallery_ids))
 
@@ -411,9 +414,10 @@ def write_plan(path: str, plan: CurationPlan) -> None:
 
 def read_plan(path: str) -> CurationPlan:
     return _parse_json(path, lambda doc: CurationPlan(
-        batches=[list(map(int, b)) for b in doc["batches"]],
+        batches=[[_integer(path, k, f"batch {n} index") for k in b]
+                 for n, b in enumerate(doc["batches"])],
         learnability=doc.get("learnability"),
-        source_seed=int(doc.get("source_seed", 0)),
+        source_seed=_integer(path, doc.get("source_seed", 0), "source_seed"),
     ))
 
 

@@ -53,7 +53,8 @@ def adam_step(
     beta2: float = ADAM_BETA2,
     eps: float = ADAM_EPS,
 ) -> OptimizerState:
-    """Bias-corrected Adam update, in place on `tensors`.
+    """Bias-corrected Adam update, in place on `tensors` and on the moments
+    `state.m`, `state.v`.
 
     Non-finite gradients abort the step before any state is touched.
     """
@@ -67,12 +68,18 @@ def adam_step(
             state.m[key] = np.zeros_like(tensors[key], dtype=np.float64)
             state.v[key] = np.zeros_like(tensors[key], dtype=np.float64)
         g64 = np.asarray(g, dtype=np.float64)
-        state.m[key] = beta1 * state.m[key] + (1.0 - beta1) * g64
-        state.v[key] = beta2 * state.v[key] + (1.0 - beta2) * g64 * g64
-        m_hat = state.m[key] / (1.0 - beta1**t)
-        v_hat = state.v[key] / (1.0 - beta2**t)
-        update = lr * m_hat / (np.sqrt(v_hat) + eps)
-        tensors[key] -= update.astype(tensors[key].dtype)
+        m, v = state.m[key], state.v[key]
+        m *= beta1
+        m += (1.0 - beta1) * g64
+        v *= beta2
+        v += (1.0 - beta2) * g64 * g64
+        update = m / (1.0 - beta1**t)
+        update *= lr
+        v_hat = v / (1.0 - beta2**t)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += eps
+        update /= v_hat
+        tensors[key] -= update.astype(tensors[key].dtype, copy=False)
     return state
 
 

@@ -113,3 +113,30 @@ def test_traced_training_and_rerank_keep_the_work_count_identities():
             len(queries) if model.variant == "B" else 0)
         assert stats["encoders.image_block_rows"] == stats["encoders.image_block_rows_expected"]
         assert stats["trace.errors"] == 0
+
+
+def test_traced_itm_loss_makes_one_head_call_per_batch_and_per_anchor():
+    """Wrapped as the benchmark wraps them, a loss-only B batch (one JEST
+    score) makes one stacked ITM-head forward and no backward; a training B
+    batch makes one forward and one backward per anchor over its positive
+    and its negative; every image block still sees the rows its layout
+    predicts."""
+    from conftest import TINY, make_records, randomize_mapper
+    from elip.config import MapperConfig
+    from elip.encoders import init_frozen_model
+    from elip.objectives import variant_batch_loss
+
+    tracer = _load_tracer()
+    model = randomize_mapper(init_frozen_model(7, TINY, "B", MapperConfig(n=TINY.n, hidden=8)))
+    records = make_records(4)
+    b = len(records)
+    for grads, forwards, backwards in ((None, 1, 0), ({}, b, b)):
+        tr = tracer.Tracer()
+        with tr:
+            variant_batch_loss(model, records, grads=grads)
+        stats = tr.layer_stats()
+        assert stats["objectives.itm_forward.calls"] == forwards
+        assert stats.get("objectives.itm_backward.calls", 0) == backwards
+        assert stats["encoders.image_forward.prompted_calls"] == 2 * b
+        assert stats["encoders.image_block_rows"] == stats["encoders.image_block_rows_expected"]
+        assert stats["trace.errors"] == 0

@@ -339,12 +339,15 @@ def _flip_last_byte(path):
         fh.write(bytes([last[0] ^ 0x01]))
 
 
-def _edit_index(edit):
-    path = "model/checkpoint/index.json"
-    index = json.loads(open(path).read())
-    edit(index)
+def _edit_json(path, edit):
+    doc = json.loads(open(path).read())
+    edit(doc)
     with open(path, "w") as fh:
-        json.dump(index, fh)
+        json.dump(doc, fh)
+
+
+def _edit_index(edit):
+    _edit_json("model/checkpoint/index.json", edit)
 
 
 def _as_version_1(index):
@@ -858,6 +861,70 @@ def test_rank_store_non_integer_seed_exit_two(workdir, capsys, seed):
     (workdir / "gal/gallery/ids.json").write_text(json.dumps(doc))
     err = assert_exit_two_without_traceback(workdir, capsys, "gal/gallery/ids.json", *RANK_ARGS)
     assert f"seed {seed!r} is not an integer" in err
+
+
+def _edit_manifest_line(lineno, edit):
+    lines = open("data/data.jsonl").read().splitlines()
+    doc = json.loads(lines[lineno - 1])
+    edit(doc)
+    lines[lineno - 1] = json.dumps(doc)
+    with open("data/data.jsonl", "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _set_first_vocab_id(doc):
+    doc[sorted(doc)[0]] = 2.5
+
+
+EMBED_ARGS = ("embed-gallery", "--model", "model/checkpoint", "--data", "data/data.jsonl")
+
+# one float or bool per integer field that a reader used to cast with int():
+# (file, edit, consuming command, message)
+INTEGER_FIELDS = {
+    "plan_batch_index": (
+        "plan/plan.json",
+        lambda: _edit_json("plan/plan.json", lambda d: d["batches"][0].__setitem__(1, 1.9)),
+        READERS["plan/plan.json"], "batch 0 index 1.9 is not an integer"),
+    "plan_source_seed": (
+        "plan/plan.json",
+        lambda: _edit_json("plan/plan.json", lambda d: d.update(source_seed=True)),
+        READERS["plan/plan.json"], "source_seed True is not an integer"),
+    "manifest_row": (
+        "data/data.jsonl",
+        lambda: _edit_manifest_line(2, lambda d: d["patches"].update(row=4.7)),
+        EMBED_ARGS, "line 2: patches row 4.7 is not an integer"),
+    "manifest_rows": (
+        "data/data.jsonl",
+        lambda: _edit_manifest_line(3, lambda d: d["patches"].update(rows=True)),
+        EMBED_ARGS, "line 3: patches rows True is not an integer"),
+    "manifest_token": (
+        "data/data.jsonl",
+        lambda: _edit_manifest_line(1, lambda d: d["tokens"].__setitem__(0, 1.0)),
+        EMBED_ARGS, "line 1: token 1.0 is not an integer"),
+    "vocab_id": (
+        "own-vocab.json",
+        lambda: (shutil.copy("data/vocab.json", "own-vocab.json"),
+                 _edit_json("own-vocab.json", _set_first_vocab_id)),
+        ("bench-occluded", "--data", "data/data.jsonl", "--vocab", "own-vocab.json"),
+        "2.5 is not an integer"),
+    "benchmark_text_token": (
+        "data/benchmark.json",
+        lambda: _edit_json("data/benchmark.json",
+                           lambda d: d["queries"][1]["text_tokens"].__setitem__(0, True)),
+        READERS["data/benchmark.json"], "query 1: text token True is not an integer"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_non_integer_artifact_field_exit_two(workdir, capsys, field):
+    """A float or a bool in an integer field is a damaged artifact, not a
+    number to truncate: a plan batch [0, 1.9, true] used to train on
+    records [0, 1, 1], and a manifest row 4.7 to read the patches at row 4."""
+    build_pipeline(workdir, capsys)
+    path, damage, argv, expected = INTEGER_FIELDS[field]
+    damage()
+    err = assert_exit_two_without_traceback(workdir, capsys, path, *argv)
+    assert expected in err, err
 
 
 def test_eval_rejects_repeated_ranking_entries_exit_two(workdir, capsys):

@@ -419,6 +419,37 @@ def test_stacked_itm_forward_has_the_bits_of_single_calls(d_t, d_v, P, dtype, g,
     assert logits.astype(np.float64).tobytes() == np.array(singles).tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    d_t=st.integers(1, 40), d_v=st.integers(1, 40), P=st.integers(1, 30),
+    dtype=st.sampled_from([np.float32, np.float64]), g=st.sampled_from([1, 2, 7, 12]),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_itm_backward_has_the_bits_of_single_calls(d_t, d_v, P, dtype, g, seed):
+    """One backward over a (g, P, d_v) forward, given float64 grad logits,
+    gives each image the head gradients and patch gradients of its own
+    (P, d_v) forward and backward, bit for bit, in the head's dtype."""
+    dims = DimsConfig(d_t=d_t, d_v=d_v, P=P, H=1)
+    head = init_frozen_model(seed, dims, "B", dtype=dtype).itm_head
+    rng = Rng(seed + 1)
+    w2 = head.tensors["mlp.l2.weight"]  # zero at init, which would zero every other gradient
+    head.tensors["mlp.l2.weight"] = rng.gaussian_matrix(*w2.shape).astype(dtype)
+    t_cls = rng.gaussian_matrix(1, d_t)[0].astype(dtype)
+    stack = rng.gaussian_matrix(g * P, d_v).astype(dtype).reshape(g, P, d_v)
+    grad_logits = rng.gaussian_matrix(1, g)[0]
+    grads, grad_patches = itm_backward(head, itm_forward(head, t_cls, stack)[1], grad_logits)
+    assert grad_patches.shape == (g, P, d_v) and grad_patches.dtype == dtype
+    for s, states in enumerate(stack):
+        single, single_patches = itm_backward(
+            head, itm_forward(head, t_cls, states)[1], float(grad_logits[s]))
+        assert grad_patches[s].tobytes() == single_patches.tobytes()
+        assert list(grads) == list(single)
+        for key, value in single.items():
+            assert value.shape == head.tensors[key].shape, key
+            assert grads[key].shape == (g, *value.shape) and grads[key].dtype == dtype, key
+            assert grads[key][s].tobytes() == value.tobytes(), key
+
+
 def test_pick_itm_negatives_excludes_self(tiny_model_b_f64, tiny_dims):
     records = make_records(4, tiny_dims)
     texts = [encode_text(tiny_model_b_f64, r.tokens) for r in records]
@@ -509,23 +540,27 @@ def reference_itm_loss(model, records, grads=None):
 @pytest.mark.parametrize("finetune_itm", [True, False])
 def test_itm_loss_equals_per_anchor_reference_bit_for_bit(finetune_itm, insert_layer):
     """After two training steps with a fine-tuned or a frozen head, the loss
-    and every gradient of variant B match the reference loop exactly."""
+    and every gradient of variant B match the reference loop exactly, in
+    float64 and float32: the stacked head calls (one per loss-only batch,
+    one forward and one backward per training anchor) keep every bit."""
     dims = replace(TINY, insert_layer=insert_layer)
-    model = init_frozen_model(7, dims, "B", MapperConfig(n=dims.n, hidden=8), dtype=np.float64)
-    randomize_mapper(model)
-    ds = PairDataset(records=make_records(6, dims))
-    plan = CurationPlan(batches=[[0, 1, 2], [3, 4, 5]])
-    train(model, ds, plan, TrainConfig(variant="B", steps=2, lr=1e-2, finetune_itm=finetune_itm))
-    records = make_records(5, dims, seed=17)
-    assert variant_batch_loss(model, records) == reference_itm_loss(model, records)
-    grads, expected = {}, {}
-    assert variant_batch_loss(model, records, grads=grads) == reference_itm_loss(
-        model, records, expected
-    )
-    assert list(grads) == list(expected)
-    for key, value in expected.items():
-        assert value.dtype == np.float64 and np.array_equal(grads[key], value), key
-    assert any(np.any(v) for k, v in grads.items() if k.startswith("mapper."))
+    for dtype in (np.float64, np.float32):
+        model = init_frozen_model(7, dims, "B", MapperConfig(n=dims.n, hidden=8), dtype=dtype)
+        randomize_mapper(model)
+        ds = PairDataset(records=make_records(6, dims))
+        plan = CurationPlan(batches=[[0, 1, 2], [3, 4, 5]])
+        train(model, ds, plan,
+              TrainConfig(variant="B", steps=2, lr=1e-2, finetune_itm=finetune_itm))
+        records = make_records(5, dims, seed=17)
+        assert variant_batch_loss(model, records) == reference_itm_loss(model, records)
+        grads, expected = {}, {}
+        assert variant_batch_loss(model, records, grads=grads) == reference_itm_loss(
+            model, records, expected
+        )
+        assert list(grads) == list(expected)
+        for key, value in expected.items():
+            assert value.dtype == dtype and grads[key].tobytes() == value.tobytes(), key
+        assert any(np.any(v) for k, v in grads.items() if k.startswith("mapper."))
 
 
 def _calls(tree, name):
@@ -565,10 +600,13 @@ def test_one_call_site_per_image_backward_and_mapper_backward():
     own_encode = ("image_forward", "prompts_for_text", "map_prompts_with_cache", "itm_logit")
     assert [name for name in own_encode if _calls(rerank, name)] == []
     assert _calls(rerank, "stream_pairs")
-    # the ITM head forward: the B loss per pair, itm_logit, and the re-rank's
-    # one stacked call per query
+    # the ITM head: the B loss makes one stacked forward per loss-only batch
+    # and one forward and one backward per training anchor; itm_logit; and
+    # the re-rank's one stacked call per query
     assert sites("itm_forward") == [
-        ("objectives", "_itm_loss"), ("objectives", "itm_logit"), ("retrieval", "rerank")]
+        ("objectives", "_itm_loss"), ("objectives", "_itm_loss"), ("objectives", "itm_logit"),
+        ("retrieval", "rerank")]
+    assert sites("itm_backward") == [("objectives", "_itm_loss")]
 
     # a prompt-free encode runs only in encoders.frozen_image, which keeps it
     # on the record for every later reader of the same backbone

@@ -56,6 +56,47 @@ def test_adam_identical_runs_identical_trajectories():
     assert np.array_equal(run(), run())
 
 
+def reference_adam_step(tensors, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The out-of-place Adam formula that the in-place update replaced."""
+    state.step += 1
+    t = state.step
+    for key, g in grads.items():
+        if key not in state.m:
+            state.m[key] = np.zeros_like(tensors[key], dtype=np.float64)
+            state.v[key] = np.zeros_like(tensors[key], dtype=np.float64)
+        g64 = np.asarray(g, dtype=np.float64)
+        state.m[key] = beta1 * state.m[key] + (1.0 - beta1) * g64
+        state.v[key] = beta2 * state.v[key] + (1.0 - beta2) * g64 * g64
+        m_hat = state.m[key] / (1.0 - beta1**t)
+        v_hat = state.v[key] / (1.0 - beta2**t)
+        update = lr * m_hat / (np.sqrt(v_hat) + eps)
+        tensors[key] -= update.astype(tensors[key].dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_place_equals_reference_formula(dtype):
+    """Over several steps, the moments and the tensors updated in place
+    carry the bits of the out-of-place formula, and the moment arrays are
+    the same objects from step to step."""
+    rng = np.random.default_rng(3)
+    shapes = {"w": (4, 3), "b": (3,)}
+    start = {k: rng.standard_normal(shape).astype(dtype) for k, shape in shapes.items()}
+    got, want = ({k: v.copy() for k, v in start.items()} for _ in range(2))
+    state, ref_state = OptimizerState(), OptimizerState()
+    for step in range(6):
+        grads = {k: (rng.standard_normal(shape) * 10.0 ** (step - 3)).astype(dtype)
+                 for k, shape in shapes.items()}
+        moments = dict(state.m)
+        adam_step(got, {k: g.copy() for k, g in grads.items()}, state, lr=1e-2)
+        reference_adam_step(want, grads, ref_state, lr=1e-2)
+        assert all(state.m[k] is m for k, m in moments.items())
+        for k in shapes:
+            assert got[k].dtype == dtype and got[k].tobytes() == want[k].tobytes(), k
+            assert state.m[k].tobytes() == ref_state.m[k].tobytes(), k
+            assert state.v[k].tobytes() == ref_state.v[k].tobytes(), k
+    assert state.step == ref_state.step == 6
+
+
 def test_adam_rejects_nonfinite_and_aborts():
     tensors = {"w": np.array([1.0])}
     state = OptimizerState()
