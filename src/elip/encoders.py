@@ -42,8 +42,8 @@ class TextEncoding:
 class ImageEncoding:
     """One image encoded under optional prompts, with its backward cache."""
 
-    patch_states: Array  # (P, d_v)
-    cls_state: Array  # (d_v,)
+    patch_states: Array | None  # (P, d_v); None on a C/S frozen entry
+    cls_state: Array | None  # (d_v,) view into the final states; None with them
     v_joint: Array  # (d_e,) unit-norm projected embedding
     prompt_count: int
     block_caches: list  # per layer attention_block cache
@@ -335,13 +335,19 @@ def frozen_text(model: ModelBundle, rec) -> TextEncoding:
 
 def frozen_image(model: ModelBundle, rec) -> ImageEncoding:
     """rec's prompt-free encoding (prompt_count 0), computed once per record
-    and backbone and kept on the record. It keeps v_joint and the final
-    patch states but no backward cache: nothing flows back into it."""
+    and backbone and kept on the record. It keeps v_joint and no backward
+    cache: nothing flows back into it. Only a variant-B model keeps the
+    final patch states, which its ITM head reads; finding an entry a C/S
+    model of the same backbone wrote, it re-encodes once and replaces it."""
     key = (model.backbone_key, "image")
+    itm = model.variant == "B"
     enc = rec.frozen.get(key)
-    if enc is None:
-        enc = rec.frozen[key] = replace(image_forward(model, rec.patches), block_caches=[],
-                                        ln_cache=(), proj_cache=())
+    if enc is None or itm and enc.patch_states is None:
+        full = image_forward(model, rec.patches)
+        enc = rec.frozen[key] = ImageEncoding(
+            patch_states=full.patch_states if itm else None,
+            cls_state=full.cls_state if itm else None, v_joint=full.v_joint,
+            prompt_count=0, block_caches=[], ln_cache=(), proj_cache=())
     return enc
 
 
@@ -378,7 +384,7 @@ def image_backward(
         numkit.stack_layer_norm_caches([enc.ln_cache for enc in encs]), grad
     )
     for layer_idx, cache in zip(layers, caches):
-        grad, _ = numkit.attention_block_backward(model.image_blocks[layer_idx], cache, grad)
+        grad = numkit.attention_block_backward(model.image_blocks[layer_idx], cache, grad)
     return grad[:, dims.P + 1:]
 
 

@@ -14,7 +14,9 @@ Kernels write into their own fresh temporaries (out=, +=, *=), never into
 an input, with the ufuncs of the plain formula in its order.
 Each primitive comes as a forward returning (out, cache) plus a backward
 taking (cache, grad_out) and returning exact analytic gradients, verified
-against central finite differences by grad_check.
+against central finite differences by grad_check: on the input and the
+layer's tensors, except attention_block_backward, whose blocks stay frozen
+and which returns the input gradient alone.
 """
 
 from __future__ import annotations
@@ -204,9 +206,10 @@ def attention_block(params: LayerParams, seq: Array, heads: int) -> tuple[Array,
 
     Pre-norm residual wiring, MLP hidden width 4*d. attn rows are the
     post-softmax weights per head. All heads run as one (H, T, dh) stack;
-    leading axes of seq are a stack too. The cache keeps Q, K and V as
-    (T, d) matrices, so that stack_block_caches stacks them into (g, T, d)
-    arrays whose per-head views have the strides of the unstacked ones.
+    leading axes of seq are a stack too. The cache holds only what the
+    input gradient reads, with Q, K and V as (T, d) matrices, so that
+    stack_block_caches stacks them into (g, T, d) arrays whose per-head
+    views have the strides of the unstacked ones.
     """
     d = seq.shape[-1]
     if d % heads != 0:
@@ -239,27 +242,20 @@ def attention_block(params: LayerParams, seq: Array, heads: int) -> tuple[Array,
     out += p["b2"]
     out += y
 
-    # the last entry holds what only the tensor gradients read
-    cache = (ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, heads, scale, (h1, o, h2, a1))
+    cache = (ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, heads, scale)
     return out, attn, cache
 
 
-def attention_block_backward(
-    params: LayerParams, cache: tuple, grad_out: Array
-) -> tuple[Array, MutableMapping[str, Array]]:
-    """(gradient on the block input, gradients on the block tensors).
-
-    cache is one attention_block cache, or stack_block_caches of several
-    with grad_out stacked the same way. The tensor gradients are a mapping
-    computed on first access: the image backward only carries the input
-    gradient through frozen blocks, and their weight gradients would be
-    thrown away. A stacked cache leaves out the inputs they read."""
-    ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, heads, scale, inputs = cache
+def attention_block_backward(params: LayerParams, cache: tuple, grad_out: Array) -> Array:
+    """The gradient on the block input. cache is one attention_block cache,
+    or stack_block_caches of several with grad_out stacked the same way.
+    The block's own tensors are frozen, so their gradients are never formed."""
+    ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, heads, scale = cache
     p = params.tensors
 
     # MLP branch: out = y + m2
     grad_m1 = gelu_backward(gelu_cache, grad_out @ p["w2"])
-    grad_y, ln2_grads = layer_norm_backward(ln2_cache, grad_m1 @ p["w1"])
+    grad_y, _ = layer_norm_backward(ln2_cache, grad_m1 @ p["w1"])
     grad_y += grad_out
 
     # attention branch: y = seq + O @ wo.T + bo
@@ -276,25 +272,9 @@ def attention_block_backward(
     grad_h1 = grad_q @ p["wq"]
     grad_h1 += grad_k @ p["wk"]
     grad_h1 += grad_v @ p["wv"]
-    grad_ln1, ln1_grads = layer_norm_backward(ln1_cache, grad_h1)
-
-    def tensor_grads() -> dict[str, Array]:
-        if inputs is None:
-            raise TypeError("a stacked block cache has no tensor gradients")
-        h1, o, h2, a1 = inputs
-        return {
-            "w2": grad_out.T @ a1, "b2": grad_out.sum(axis=0),
-            "w1": grad_m1.T @ h2, "b1": grad_m1.sum(axis=0),
-            "ln2.gamma": ln2_grads["gamma"], "ln2.beta": ln2_grads["beta"],
-            "wo": grad_y.T @ o, "bo": grad_y.sum(axis=0),
-            "wq": grad_q.T @ h1, "bq": grad_q.sum(axis=0),
-            "wk": grad_k.T @ h1, "bk": grad_k.sum(axis=0),
-            "wv": grad_v.T @ h1, "bv": grad_v.sum(axis=0),
-            "ln1.gamma": ln1_grads["gamma"], "ln1.beta": ln1_grads["beta"],
-        }
-
+    grad_ln1, _ = layer_norm_backward(ln1_cache, grad_h1)
     grad_ln1 += grad_y
-    return grad_ln1, _OnFirstAccess(tensor_grads)
+    return grad_ln1
 
 
 def _stack(arrays) -> Array:
@@ -309,13 +289,11 @@ def stack_layer_norm_caches(caches: list) -> tuple:
 
 
 def stack_block_caches(caches: list) -> tuple:
-    """One attention_block cache for the (g, T, d) stack of g (T, d) inputs,
-    holding only what the input gradient reads: stacking the inputs of the
-    tensor gradients too would copy a third more for nothing."""
-    ln1, q, k, v, attn, ln2, gelu_caches, heads, scale, _ = zip(*caches)
+    """One attention_block cache for the (g, T, d) stack of g (T, d) inputs."""
+    ln1, q, k, v, attn, ln2, gelu_caches, heads, scale = zip(*caches)
     return (stack_layer_norm_caches(ln1), _stack(q), _stack(k), _stack(v), _stack(attn),
             stack_layer_norm_caches(ln2), tuple(map(_stack, zip(*gelu_caches))),
-            heads[0], scale[0], None)
+            heads[0], scale[0])
 
 
 class _OnFirstAccess(MutableMapping):

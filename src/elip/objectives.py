@@ -15,13 +15,14 @@ The streamer maps text i's prompts once and encodes one pair at a time. A
 call without gradients keeps no encoding: a loss-only call, or
 retrieval.rerank, whose callback copies each of its query's top-k
 candidates' v_joint or patch states into one array that it scores once
-the stream ends. With gradients, text i's run waits until every score row
-it fills is complete, goes back through one stacked image_backward and one
-map_prompts_backward, and is dropped: per_row holds b encodings at a time,
-not b^2; diagonal holds its b until the end; B an anchor's two. Batch
-texts, and images under an empty prompt set (the prompt-free JEST
-reference, or any n = 0 model's re-rank), come from encoders.frozen_text
-and frozen_image, so a record's frozen work runs once per backbone.
+the stream ends. With gradients, text i's run, with its prompt cache,
+waits until every score row it fills is complete, goes back through one
+stacked image_backward and one map_prompts_backward, and is dropped:
+per_row holds b encodings at a time, not b^2; diagonal holds its b until
+the end; B an anchor's two. Batch texts, and images under an empty
+prompt set (the prompt-free JEST reference, or any n = 0 model's
+re-rank), come from encoders.frozen_text and frozen_image, so a record's
+frozen work runs once per backbone.
 
 The ITM head runs over stacks: itm_forward takes one image's (P, d_v)
 patch states or a (..., P, d_v) stack of them, against one text or a stack
@@ -91,27 +92,25 @@ def _pairs(b: int, conditioning: str) -> list:
     return [(j, j, range(b)) for j in range(b)]
 
 
-def stream_pairs(model: ModelBundle, records, texts, pairs, score, backward=None, grads=None) -> dict:
-    """Encode and score the pairs (i, j, rows, ...) of one batch; returns
-    text i's prompt cache per i.
+def stream_pairs(model: ModelBundle, records, texts, pairs, score, backward=None, grads=None):
+    """Encode and score the pairs (i, j, rows, ...) of one batch.
 
     Text i's prompts are mapped once, as its group of pairs starts; each
     pair encodes record j's image under them (its frozen image when the set
-    is empty) and goes to score(pair, encoding), whose return value is the
-    pair's note. Without grads nothing is kept. With grads (a dict), text
-    i's run waits until every score row its pairs fill is complete; then
-    backward(rows) of those rows maps each (pair, note) to the pair's
-    image_backward kwargs, the run goes through one stacked image_backward,
-    and its prompt gradient, summed in pair order, through one
-    map_prompts_backward into grads["mapper.<key>"]."""
+    is empty) and goes to score(pair, encoding). Without grads nothing is
+    kept. With grads (a dict), text i's run waits, with its prompt cache,
+    until every score row its pairs fill is complete; then backward(rows)
+    of those rows maps each pair to its image_backward kwargs, the run goes
+    through one stacked image_backward, and its prompt gradient, summed in
+    pair order, through one map_prompts_backward into grads["mapper.<key>"]."""
     if grads is not None:
         for layer in model.trainable_layers():
             for k, v in layer.tensors.items():
                 grads.setdefault(f"{layer.name}.{k}", np.zeros_like(v))
     unscored = Counter(r for pair in pairs for r in pair[2])  # entries per row not yet scored
-    caches, pending = {}, []  # pending: (i, run) of runs not yet backpropagated
+    pending = []  # (prompt cache, run) of runs not yet backpropagated
     for i, group in groupby(pairs, key=itemgetter(0)):
-        prompts, caches[i] = map_prompts_with_cache(
+        prompts, cache = map_prompts_with_cache(
             model.mapper, texts[i], model.mapper_cfg, model.dims.d_v
         )
         run = []
@@ -119,39 +118,38 @@ def stream_pairs(model: ModelBundle, records, texts, pairs, score, backward=None
             rec = records[pair[1]]
             enc = (image_forward(model, rec.patches, prompts) if prompts.size
                    else frozen_image(model, rec))
-            note = score(pair, enc)
+            score(pair, enc)
             if grads is not None:
-                run.append((pair, enc, note))
+                run.append((pair, enc))
                 unscored.subtract(pair[2])
         if grads is None:
             continue
-        pending.append((i, run))
-        rows = sorted({r for _, run in pending for pair, _, _ in run for r in pair[2]})
+        pending.append((cache, run))
+        rows = sorted({r for _, run in pending for pair, _ in run for r in pair[2]})
         if any(unscored[r] for r in rows):
             continue
         kwargs_of = backward(rows)
-        for i, run in pending:
+        for cache, run in pending:
             if not run[0][1].prompt_count:
                 continue
-            kwargs = [kwargs_of(pair, note) for pair, _, note in run]
+            kwargs = [kwargs_of(pair) for pair, _ in run]
             stacked = {key: [kw[key] for kw in kwargs] for key in kwargs[0]}
             # bound until the next run: freeing the stack at once let glibc trim
             # and re-fault the heap top every run (~4x a per_row step's faults)
-            grad_stack = image_backward(model, [e for _, e, _ in run], **stacked)
+            grad_stack = image_backward(model, [e for _, e in run], **stacked)
             grad_prompts = reduce(add, grad_stack)
-            for k, v in map_prompts_backward(model.mapper, caches[i], grad_prompts).items():
+            for k, v in map_prompts_backward(model.mapper, cache, grad_prompts).items():
                 grads[f"mapper.{k}"] += v
         pending = []
-    return caches
 
 
 def build_score_matrix_with_caches(
     model: ModelBundle, records, conditioning: str = "per_row", grads: dict | None = None,
-) -> tuple[ScoreMatrix, list, list]:
-    """Text-vs-conditioned-image cosine matrix over one batch of records:
-    returns (score matrix, text encodings, prompt caches). With grads, the
-    C (InfoNCE) or S (pairwise sigmoid) loss gradient of every mapper tensor
-    is added into it, each complete score row differentiated once."""
+) -> ScoreMatrix:
+    """Text-vs-conditioned-image cosine matrix over one batch of records.
+    With grads, the C (InfoNCE) or S (pairwise sigmoid) loss gradient of
+    every mapper tensor is added into it, each complete score row
+    differentiated once."""
     b = len(records)
     if b < 2:
         raise ConfigError(f"contrastive batch needs >= 2 records, got {b}")
@@ -172,12 +170,12 @@ def build_score_matrix_with_caches(
             g_cos[rows] = info_nce_grad(sm, rows) / sm.tau
         else:
             g_cos[rows] = sigmoid_pairwise_grad(sm, rows=rows)
-        return lambda pair, _: {
+        return lambda pair: {
             "grad_v_joint": sum(g_cos[r, pair[1]] * texts[r].t_joint for r in pair[2])
         }
 
-    caches = stream_pairs(model, records, texts, _pairs(b, conditioning), score, backward, grads)
-    return sm, texts, [caches[i] for i in range(b)]
+    stream_pairs(model, records, texts, _pairs(b, conditioning), score, backward, grads)
+    return sm
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +395,7 @@ def variant_batch_loss(
     """
     if model.variant == "B":
         return _itm_loss(model, records, grads)
-    sm = build_score_matrix_with_caches(model, records, conditioning, grads)[0]
+    sm = build_score_matrix_with_caches(model, records, conditioning, grads)
     return info_nce(sm) if model.variant == "C" else sigmoid_pairwise(sm)
 
 
@@ -442,7 +440,7 @@ def _itm_loss(model: ModelBundle, records, grads) -> float:
         for slot in range(2):
             for k, v in head_grads.items():
                 grads[f"itm.{k}"] += v[slot]
-        return lambda pair, _: {"grad_patch_states": grad_states[pair[3]]}
+        return lambda pair: {"grad_patch_states": grad_states[pair[3]]}
 
     stream_pairs(model, records, texts, pairs, keep, backward, grads)
     if grads is None:

@@ -84,6 +84,13 @@ def _string(path: str, value, what: str) -> str:
     return value
 
 
+def _strings(path: str, value, what: str) -> list[str]:
+    """value, a JSON list of strings."""
+    if not isinstance(value, list):
+        raise FormatError(f"{path}: {what} {value!r} is not a list of strings")
+    return [_string(path, v, what) for v in value]
+
+
 def _integer(path: str, value, what: str) -> int:
     """value, a JSON integer: neither a float nor a bool."""
     if not _conforms(value, int):
@@ -345,9 +352,11 @@ def read_dataset(manifest_path: str) -> PairDataset:
                 patches=np.array(blob[row : row + rows], dtype=np.float32),
                 tokens=[_integer(manifest_path, token, f"line {lineno}: token")
                         for token in doc["tokens"]],
-                caption=doc["caption"],
-                categories=set(doc.get("categories", [])),
-                occluded_categories=set(doc.get("occluded_categories", [])),
+                caption=_string(manifest_path, doc["caption"], f"line {lineno}: caption"),
+                categories=set(_strings(manifest_path, doc.get("categories", []),
+                                        f"line {lineno}: categories")),
+                occluded_categories=set(_strings(manifest_path, doc.get("occluded_categories", []),
+                                                 f"line {lineno}: occluded_categories")),
             ))
         except DataError:
             raise
@@ -386,7 +395,7 @@ def read_benchmark(path: str, gallery_ids: list) -> Benchmark:
     queries = _parse_json(path, lambda doc: [
         BenchmarkQuery(
             text_tokens=[_integer(path, t, f"query {n}: text token") for t in q["text_tokens"]],
-            positives=set(q["positives"]),
+            positives=set(_strings(path, q["positives"], f"query {n}: positives")),
         )
         for n, q in enumerate(doc["queries"])
     ])

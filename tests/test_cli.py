@@ -927,6 +927,44 @@ def test_non_integer_artifact_field_exit_two(workdir, capsys, field):
     assert expected in err, err
 
 
+OCCLUDED_ARGS = ("bench-occluded", "--data", "data/data.jsonl")
+
+# one wrongly typed value per string or list-of-strings field: a string used
+# to load as the set of its characters, a number as the caption itself
+# (file, edit, consuming command, message)
+STRING_FIELDS = {
+    "manifest_categories": (
+        "data/data.jsonl",
+        lambda: _edit_manifest_line(2, lambda d: d.update(categories="dog")),
+        OCCLUDED_ARGS, "line 2: categories 'dog' is not a list of strings"),
+    "manifest_occluded_categories": (
+        "data/data.jsonl",
+        lambda: _edit_manifest_line(3, lambda d: d.update(occluded_categories=["cat", 3])),
+        OCCLUDED_ARGS, "line 3: occluded_categories 3 is not a string"),
+    "manifest_caption": (
+        "data/data.jsonl",
+        lambda: _edit_manifest_line(1, lambda d: d.update(caption=17)),
+        EMBED_ARGS, "line 1: caption 17 is not a string"),
+    "benchmark_positives": (
+        "data/benchmark.json",
+        lambda: _edit_json("data/benchmark.json",
+                           lambda d: d["queries"][0].update(positives="img0")),
+        READERS["data/benchmark.json"], "query 0: positives 'img0' is not a list of strings"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(STRING_FIELDS))
+def test_non_string_artifact_field_exit_two(workdir, capsys, field):
+    """A string where a list of strings belongs used to load as a set of
+    characters: bench-occluded exited 0 on categories "dog", and positives
+    "img0" failed as positives ['0', 'g', 'i', 'm'] of no named file."""
+    build_pipeline(workdir, capsys)
+    path, damage, argv, expected = STRING_FIELDS[field]
+    damage()
+    err = assert_exit_two_without_traceback(workdir, capsys, path, *argv)
+    assert expected in err, err
+
+
 def test_eval_rejects_repeated_ranking_entries_exit_two(workdir, capsys):
     """One positive listed 20 times used to give a mean AP above 1."""
     build_pipeline(workdir, capsys)

@@ -5,6 +5,7 @@ bytes as re-encoding."""
 import copy
 import hashlib
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -12,8 +13,15 @@ import numpy as np
 import pytest
 
 from elip import encoders
-from elip.config import MapperConfig, TrainConfig
-from elip.curation import CurationPlan, PairDataset, mine_hard_batches, select_by_learnability
+from elip.config import DimsConfig, MapperConfig, TrainConfig
+from elip.curation import (
+    CurationPlan,
+    PairDataset,
+    SynthSpec,
+    gen_synthetic_dataset,
+    mine_hard_batches,
+    select_by_learnability,
+)
 from elip.encoders import copy_without_prompts, frozen_image, frozen_text, init_frozen_model
 from elip.retrieval import embed_gallery
 from elip.storage import load_checkpoint, save_checkpoint
@@ -180,6 +188,59 @@ def test_frozen_image_keeps_no_backward_cache():
     assert enc.patch_states.tobytes() == full.patch_states.tobytes()
     # the entries stay out of a record's repr and equality, and out of a copy
     assert rec == replace(rec) and not replace(rec).frozen and "frozen" not in repr(rec)
+
+
+@pytest.mark.parametrize("variant", ["C", "S"])
+def test_cs_frozen_entry_keeps_no_final_states(variant):
+    """A C/S entry keeps v_joint alone: none of its arrays is or views the
+    (P+1, d_v) final states, which only the ITM head reads."""
+    model = model_for(variant)
+    rec = make_records(1)[0]
+    enc = frozen_image(model, rec)
+    assert enc.patch_states is None and enc.cls_state is None
+    arrays = [v for v in vars(enc).values() if isinstance(v, np.ndarray)]
+    assert [a.shape for a in arrays] == [(TINY.d_e,)] and enc.v_joint.base is None
+    assert enc.v_joint.tobytes() == encoders.image_forward(model, rec.patches).v_joint.tobytes()
+
+
+def test_b_model_replaces_a_cs_entry_once(monkeypatch):
+    """A B model that finds the entry a C model of its backbone wrote
+    re-encodes each record once and replaces the entry under the same key;
+    after that neither model encodes again."""
+    c_model, b_model = model_for("C"), model_for("B")
+    assert c_model.backbone_key == b_model.backbone_key
+    records = make_records(4)
+    spy = EncodeSpy(monkeypatch)
+    c_entries = [frozen_image(c_model, rec) for rec in records]
+    b_entries = [frozen_image(b_model, rec) for rec in records]
+    assert len(spy.images) == 4 and set(spy.images.values()) == {2}
+    for _ in range(2):
+        for rec, b_enc in zip(records, b_entries):
+            assert frozen_image(b_model, rec) is b_enc and frozen_image(c_model, rec) is b_enc
+    assert set(spy.images.values()) == {2}
+    for rec, c_enc, b_enc in zip(records, c_entries, b_entries):
+        assert list(rec.frozen) == [(b_model.backbone_key, "image")]
+        assert c_enc.patch_states is None
+        assert b_enc.v_joint.tobytes() == c_enc.v_joint.tobytes()
+        full = encoders.image_forward(b_model, rec.patches)
+        assert b_enc.patch_states.tobytes() == full.patch_states.tobytes()
+        assert b_enc.cls_state.tobytes() == full.cls_state.tobytes()
+
+
+def test_gallery_keeps_only_the_joint_embeddings():
+    """The frozen entries embed_gallery leaves on 200 A3-shaped records take
+    under 0.3 MB of traced memory; with the final states they took 0.6 MB."""
+    ds, _ = gen_synthetic_dataset(8, SynthSpec())
+    model = init_frozen_model(7, DimsConfig(), "C")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        embed_gallery(model, ds)  # the store itself is dropped at once
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert all(len(rec.frozen) == 1 for rec in ds.records)
+    assert kept < 0.3 * 2**20, kept
 
 
 # sha256 of the float64 learnability bits of a fraction-1 selection over

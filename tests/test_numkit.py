@@ -237,22 +237,22 @@ def test_block_rejects_bad_head_count():
         attention_block(params, np.zeros((2, 6)), 4)
 
 
+def _seq_grad_check(params, seq, w, h):
+    """grad_check of attention_block_backward's gradient on the block input
+    seq, for the loss sum(out * w)."""
+
+    def f(point):
+        out, _, cache = attention_block(params, point["seq"], 2)
+        return float((out * w).sum()), {"seq": attention_block_backward(params, cache, w)}
+
+    return grad_check(f, {"seq": seq.copy()}, h=h)
+
+
 def _block_grad_error(dtype, h):
     params = block_params(11, 8, dtype=dtype)
     seq = Rng(12).gaussian_matrix(3, 8).astype(dtype)
     w = Rng(13).gaussian_matrix(3, 8).astype(dtype)
-
-    def f(point):
-        saved = dict(params.tensors)
-        params.tensors.update(point)
-        out, _, cache = attention_block(params, seq, 2)
-        loss = float((out * w).sum())
-        _, grads = attention_block_backward(params, cache, w)
-        params.tensors.update(saved)
-        return loss, grads
-
-    point = {k: v.copy() for k, v in params.tensors.items()}
-    return grad_check(f, point, h=h)
+    return _seq_grad_check(params, seq, w, h)
 
 
 def test_block_backward_double_precision():
@@ -268,18 +268,7 @@ def test_block_backward_five_seeds():
         params = block_params(20 + seed, 8)
         seq = Rng(30 + seed).gaussian_matrix(4, 8)
         w = Rng(40 + seed).gaussian_matrix(4, 8)
-
-        def f(point):
-            saved = dict(params.tensors)
-            params.tensors.update(point)
-            out, _, cache = attention_block(params, seq, 2)
-            loss = float((out * w).sum())
-            _, grads = attention_block_backward(params, cache, w)
-            params.tensors.update(saved)
-            return loss, grads
-
-        point = {k: v.copy() for k, v in params.tensors.items()}
-        assert grad_check(f, point, h=1e-5) < 1e-4
+        assert _seq_grad_check(params, seq, w, 1e-5) < 1e-4
 
 
 @settings(max_examples=25, deadline=None)
@@ -345,21 +334,16 @@ def _loop_attention(params, seq, heads):
     h2, ln2_cache = numkit._layer_norm_core(p["ln2.gamma"], p["ln2.beta"], y)
     a1, gelu_cache = gelu(h2 @ p["w1"].T + p["b1"])
     out = y + (a1 @ p["w2"].T + p["b2"])
-    return out, attn, (h1, ln1_cache, q, k, v, attn, o, h2, ln2_cache, gelu_cache, a1, dh, scale)
+    return out, attn, (ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, dh, scale)
 
 
 def _loop_attention_backward(params, cache, grad_out):
-    h1, ln1_cache, q, k, v, attn, o, h2, ln2_cache, gelu_cache, a1, dh, scale = cache
+    """Reference gradient on the block input, one 2-D product per head."""
+    ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, dh, scale = cache
     p = params.tensors
-    grads = {"w2": grad_out.T @ a1, "b2": grad_out.sum(axis=0)}
     grad_m1 = gelu_backward(gelu_cache, grad_out @ p["w2"])
-    grads["w1"] = grad_m1.T @ h2
-    grads["b1"] = grad_m1.sum(axis=0)
-    grad_ln2, ln2_grads = layer_norm_backward(ln2_cache, grad_m1 @ p["w1"])
-    grads["ln2.gamma"], grads["ln2.beta"] = ln2_grads["gamma"], ln2_grads["beta"]
+    grad_ln2, _ = layer_norm_backward(ln2_cache, grad_m1 @ p["w1"])
     grad_y = grad_out + grad_ln2
-    grads["wo"] = grad_y.T @ o
-    grads["bo"] = grad_y.sum(axis=0)
     grad_o = grad_y @ p["wo"]
     grad_q, grad_k, grad_v = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
     for h in range(attn.shape[0]):
@@ -371,13 +355,9 @@ def _loop_attention_backward(params, cache, grad_out):
         grad_s = a * (grad_a - np.add.reduce(grad_a * a, axis=1, keepdims=True))
         grad_q[:, sl] = (grad_s @ k[:, sl]) * scale
         grad_k[:, sl] = (grad_s.T @ q[:, sl]) * scale
-    for name, g in (("q", grad_q), ("k", grad_k), ("v", grad_v)):
-        grads[f"w{name}"] = g.T @ h1
-        grads[f"b{name}"] = g.sum(axis=0)
     grad_h1 = grad_q @ p["wq"] + grad_k @ p["wk"] + grad_v @ p["wv"]
-    grad_ln1, ln1_grads = layer_norm_backward(ln1_cache, grad_h1)
-    grads["ln1.gamma"], grads["ln1.beta"] = ln1_grads["gamma"], ln1_grads["beta"]
-    return grad_y + grad_ln1, grads
+    grad_ln1, _ = layer_norm_backward(ln1_cache, grad_h1)
+    return grad_y + grad_ln1
 
 
 def _assert_block_matches_loop(params, seq, heads, grad_out):
@@ -387,13 +367,9 @@ def _assert_block_matches_loop(params, seq, heads, grad_out):
     assert attn.dtype == seq.dtype and attn.shape == (heads,) + seq.shape[:1] * 2
     assert np.array_equal(out, ref_out)
     assert np.array_equal(attn, ref_attn)
-    grad_seq, grads = attention_block_backward(params, cache, grad_out)
-    ref_grad_seq, ref_grads = _loop_attention_backward(params, ref_cache, grad_out)
-    assert np.array_equal(grad_seq, ref_grad_seq)
-    assert sorted(grads) == sorted(ref_grads) == sorted(params.tensors)
-    for key, g in grads.items():
-        assert g.dtype == seq.dtype
-        assert np.array_equal(g, ref_grads[key]), key
+    grad_seq = attention_block_backward(params, cache, grad_out)
+    assert grad_seq.dtype == seq.dtype
+    assert np.array_equal(grad_seq, _loop_attention_backward(params, ref_cache, grad_out))
 
 
 def _random_block(seed, d, dtype):
@@ -646,8 +622,8 @@ def test_stacked_backward_matches_single_calls(dims, dtype, seed):
             _same_bytes(grads[key], [s[key] for _, s in singles["layer_norm_backward"][:g]],
                         f"layer_norm {key}")
         block_cache = numkit.stack_block_caches([e.block_caches[layer] for e in encs[:g]])
-        grad_x, _ = attention_block_backward(block, block_cache, grad_rows[:g])
-        _same_bytes(grad_x, [x for x, _ in singles["attention_block_backward"][:g]], "block")
+        grad_x = attention_block_backward(block, block_cache, grad_rows[:g])
+        _same_bytes(grad_x, singles["attention_block_backward"][:g], "block")
 
 
 def test_stacked_caches_share_parameters_and_view_a_single_image():
@@ -662,12 +638,24 @@ def test_stacked_caches_share_parameters_and_view_a_single_image():
         assert stacked.shape == (1,) + single.shape and np.shares_memory(stacked, single)
     xhat, inv, gamma = one[0]
     assert np.shares_memory(xhat, cache[0][0]) and gamma is cache[0][2]
-    assert one[7:9] == cache[7:9] and one[9] is None
     two = numkit.stack_block_caches([cache, cache])
     assert two[1].shape == (2,) + cache[1].shape and two[0][2] is cache[0][2]
-    _, grads = attention_block_backward(model.image_blocks[0], two, np.ones(two[1].shape))
-    with pytest.raises(TypeError, match="stacked"):
-        grads["wq"]
+    _assert_stacked_layout(one, cache, 1)
+    _assert_stacked_layout(two, cache, 2)
+
+
+def _assert_stacked_layout(stacked, single, g):
+    """stacked has single's layout, entry for entry: each array stacked g
+    deep or shared (the layer-norm gamma), every other value equal."""
+    assert type(stacked) is type(single)
+    if isinstance(single, tuple):
+        assert len(stacked) == len(single)
+        for s, c in zip(stacked, single):
+            _assert_stacked_layout(s, c, g)
+    elif isinstance(single, np.ndarray):
+        assert stacked is single or stacked.shape == (g,) + single.shape
+    else:
+        assert stacked == single
 
 
 # ---------------------------------------------------------------------------
@@ -744,30 +732,26 @@ def test_grad_check_accepts_exact_linear():
 
 
 def test_grad_check_full_encoder_cls_chain():
+    """The CLS state's gradient on the encoder input, the raw patches: final
+    layer norm, every block and the patch embedding."""
     from elip.encoders import image_forward
 
     model = init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8), dtype=np.float64)
-    patches = Rng(17).gaussian_matrix(TINY.P, TINY.d_in)
     w = Rng(18).gaussian_matrix(1, TINY.d_v)[0]
-    block = model.image_blocks[0]
 
     def f(point):
-        saved = dict(block.tensors)
-        block.tensors.update(point)
-        enc = image_forward(model, patches)
-        loss = float(np.dot(enc.cls_state, w))
-        grad_states = np.zeros((TINY.P + 1, TINY.d_v))
-        grad_states[TINY.P] = w
-        grad, _ = numkit.layer_norm_backward(enc.ln_cache, grad_states)
-        grad, _ = numkit.attention_block_backward(
-            model.image_blocks[1], enc.block_caches[1], grad
+        enc = image_forward(model, point["patches"])
+        grad = np.zeros((TINY.P + 1, TINY.d_v))
+        grad[TINY.P] = w
+        grad, _ = numkit.layer_norm_backward(enc.ln_cache, grad)
+        for block, cache in reversed(list(zip(model.image_blocks, enc.block_caches))):
+            grad = numkit.attention_block_backward(block, cache, grad)
+        grad_patches, _ = linear_backward(
+            (point["patches"], model.patch_embed.tensors["weight"]), grad[: TINY.P]
         )
-        _, grads0 = numkit.attention_block_backward(block, enc.block_caches[0], grad)
-        block.tensors.update(saved)
-        return loss, grads0
+        return float(np.dot(enc.cls_state, w)), {"patches": grad_patches}
 
-    point = {k: v.copy() for k, v in block.tensors.items()}
-    assert grad_check(f, point, h=1e-5) < 1e-4
+    assert grad_check(f, {"patches": Rng(17).gaussian_matrix(TINY.P, TINY.d_in)}, h=1e-5) < 1e-4
 
 
 def test_grad_check_detects_corrupted_gradient():

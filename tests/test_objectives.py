@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from elip import objectives
 from elip.encoders import encode_text, image_backward, image_forward, init_frozen_model
 from elip.config import DimsConfig, MapperConfig, TrainConfig
-from elip.curation import CurationPlan, PairDataset
+from elip.curation import CurationPlan, PairDataset, SynthSpec, gen_synthetic_dataset
 from elip.errors import ConfigError, DataError
 from elip.objectives import (
     ScoreMatrix,
@@ -56,7 +57,7 @@ def test_score_matrix_no_prompts_equals_frozen_cosines(tiny_dims):
     dims = replace(tiny_dims, n=0)
     model = init_frozen_model(7, dims, "C", MapperConfig(n=0, hidden=8))
     records = make_records(3, dims)
-    sm = build_score_matrix_with_caches(model, records, "per_row")[0]
+    sm = build_score_matrix_with_caches(model, records, "per_row")
     texts = [encode_text(model, r.tokens).t_joint for r in records]
     images = [image_forward(model, r.patches).v_joint for r in records]
     expected = np.array([[float(np.dot(t, v)) for v in images] for t in texts])
@@ -67,15 +68,15 @@ def test_score_matrix_no_prompts_equals_frozen_cosines(tiny_dims):
 def test_per_row_and_diagonal_agree_on_diagonal(tiny_model, tiny_dims):
     model = randomize_mapper(tiny_model)
     records = make_records(3, tiny_dims)
-    per_row = build_score_matrix_with_caches(model, records, "per_row")[0]
-    diagonal = build_score_matrix_with_caches(model, records, "diagonal")[0]
+    per_row = build_score_matrix_with_caches(model, records, "per_row")
+    diagonal = build_score_matrix_with_caches(model, records, "diagonal")
     assert np.allclose(np.diagonal(per_row.scores), np.diagonal(diagonal.scores))
 
 
 def test_score_matrix_bounds(tiny_model, tiny_dims):
     model = randomize_mapper(tiny_model)
     records = make_records(3, tiny_dims)
-    sm = build_score_matrix_with_caches(model, records, "per_row")[0]
+    sm = build_score_matrix_with_caches(model, records, "per_row")
     assert np.all(np.isfinite(sm.scores))
     assert np.abs(sm.scores).max() <= 1.0 / TAU + 1e-6
 
@@ -310,6 +311,25 @@ def test_training_holds_one_run_of_prompted_encodings(
     at_forward.clear()
     variant_batch_loss(model, records, conditioning)
     assert len(refs) and max(at_forward) <= 1, at_forward
+
+
+def test_per_row_steps_keep_only_what_the_prompt_backward_reads():
+    """Three B = 12 per-row C steps at the A3 shape peak under 4.4 MB of
+    traced memory: a prompted encoding's block caches hold only what the
+    input gradient reads, and a frozen C entry holds v_joint alone (4.9 MB
+    when caches kept the weight-gradient inputs and entries the final
+    states)."""
+    ds, _ = gen_synthetic_dataset(7, SynthSpec())
+    model = init_frozen_model(7, DimsConfig(), "C")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for step in range(3):
+            variant_batch_loss(model, ds.records[12 * step: 12 * step + 12], "per_row", {})
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.4 * 2**20, peak
 
 
 @pytest.mark.parametrize("variant", ["C", "B"])
