@@ -86,8 +86,7 @@ def _load_rankings_and_bench(args) -> tuple:
     rankings = storage.read_rankings(args.rankings)
     if not rankings:
         raise DataError(f"no rankings in {args.rankings}")
-    gallery_ids = [image_id for image_id, _ in rankings[0].entries]
-    return rankings, storage.read_benchmark(args.bench, gallery_ids)
+    return rankings, storage.read_benchmark(args.bench, rankings[0].ranked_ids())
 
 
 def _parse_int_list(text: str) -> list:

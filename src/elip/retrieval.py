@@ -10,6 +10,10 @@ stage-1 and re-ranked scores of identical encodings are bitwise equal, and
 B by one stacked ITM-head call, each logit with the bits of its own
 single-image call. numkit.order_desc orders every list, ties by ascending
 image id.
+
+A RankingResult is columnar: int indices into a shared gallery id list and
+float64 scores, best first; the metrics read a per-query hit mask, and the
+(id, score) `entries` list is built only on demand.
 """
 
 from __future__ import annotations
@@ -61,18 +65,28 @@ def _id_ranks(ids: list) -> Array:
     return ranks
 
 
-def _ordered_entries(ids: list, scores: Array, id_rank: Array) -> list:
-    """(id, score) pairs by descending score, ties by ascending id."""
-    order = order_desc(scores, id_rank)
-    return list(zip(map(ids.__getitem__, order.tolist()), scores[order].tolist()))
-
-
-@dataclass
+@dataclass(eq=False)
 class RankingResult:
     query_id: str
-    entries: list  # (image_id, score) descending
+    gallery: list  # image ids, shared by the rankings of one store or file
+    order: Array  # int indices into gallery, best first
+    scores: Array  # float64, in ranked order
     stage: str  # stage1 | reranked
     k_reranked: int = 0
+
+    @property
+    def entries(self) -> list:
+        """(image_id, score) pairs, best first."""
+        return list(zip(self.ranked_ids(), self.scores.tolist()))
+
+    def ranked_ids(self) -> list:
+        return list(map(self.gallery.__getitem__, self.order.tolist()))
+
+    def __eq__(self, other):
+        """Same query, stage and k, same ranked ids, same score bits."""
+        def key(r):
+            return r.query_id, r.stage, r.k_reranked, r.ranked_ids(), r.scores.tobytes()
+        return isinstance(other, RankingResult) and key(self) == key(other)
 
 
 @dataclass
@@ -115,11 +129,9 @@ def stage1_rank(store: EmbeddingStore, text_enc: TextEncoding, qid: str = "q0000
     if not store.ids:
         raise DataError("empty embedding store")
     scores = row_dots(store.matrix, text_enc.t_joint)
-    return RankingResult(
-        query_id=qid,
-        entries=_ordered_entries(store.ids, scores, store.id_rank),
-        stage="stage1",
-    )
+    order = order_desc(scores, store.id_rank)
+    return RankingResult(query_id=qid, gallery=store.ids, order=order,
+                         scores=scores[order].astype(np.float64), stage="stage1")
 
 
 def rank_queries(model: ModelBundle, store: EmbeddingStore, bench: Benchmark) -> list:
@@ -150,10 +162,10 @@ def rerank(
     """
     if k == 0:
         return ranking
-    if k < 0 or k > len(ranking.entries):
-        raise ConfigError(f"k={k} outside [0, {len(ranking.entries)}]")
-    head = ranking.entries[:k]
-    ids = [image_id for image_id, _ in head]
+    if k < 0 or k > len(ranking.order):
+        raise ConfigError(f"k={k} outside [0, {len(ranking.order)}]")
+    head = ranking.order[:k]
+    ids = list(map(ranking.gallery.__getitem__, head.tolist()))
     itm = model.variant == "B"
     stack = None  # (k, P, d_v) patch states for B, (k, d_e) v_joint for C/S
 
@@ -168,12 +180,15 @@ def rerank(
                  [(0, j, (0,)) for j in range(k)], keep)
     if itm:
         logits, _ = itm_forward(model.itm_head, text_enc.t_cls, stack)
-        scores = np.array([s for _, s in head]) + (sigmoid(logits) if itm_sigmoid else logits)
+        scores = ranking.scores[:k] + (sigmoid(logits) if itm_sigmoid else logits)
     else:
         scores = row_dots(stack, text_enc.t_joint)
+    local = order_desc(scores, _id_ranks(ids))
     return RankingResult(
         query_id=ranking.query_id,
-        entries=_ordered_entries(ids, scores, _id_ranks(ids)) + list(ranking.entries[k:]),
+        gallery=ranking.gallery,
+        order=np.concatenate([head[local], ranking.order[k:]]),
+        scores=np.concatenate([scores[local].astype(np.float64), ranking.scores[k:]]),
         stage="reranked",
         k_reranked=k,
     )
@@ -214,14 +229,20 @@ def recall_at_k(rankings, bench: Benchmark, k: int) -> float:
     return evaluate(rankings, bench, (k,)).aggregate[f"recall@{k}"]
 
 
-def average_precision(ranking: RankingResult, positives: set) -> float:
-    hits = 0
+def _hits(ranking: RankingResult, positives: set) -> Array:
+    """hits[i]: whether the i-th ranked image is a positive."""
+    gallery = ranking.gallery
+    is_positive = np.fromiter(map(positives.__contains__, gallery), bool, len(gallery))
+    return is_positive[ranking.order]
+
+
+def average_precision(hits: Array, positive_count: int) -> float:
+    """AP of a ranked hit mask, summed in rank order (np.add.reduce sums
+    pairwise and would round otherwise)."""
     ap_sum = 0.0
-    for rank, (image_id, _) in enumerate(ranking.entries, start=1):
-        if image_id in positives:
-            hits += 1
-            ap_sum += hits / rank
-    return ap_sum / len(positives)
+    for hit, rank in enumerate(np.flatnonzero(hits).tolist(), start=1):
+        ap_sum += hit / (rank + 1)
+    return ap_sum / positive_count
 
 
 def mean_average_precision(rankings, bench: Benchmark) -> float:
@@ -231,11 +252,9 @@ def mean_average_precision(rankings, bench: Benchmark) -> float:
 def evaluate(rankings, bench: Benchmark, ks=(1, 5, 10)) -> MetricReport:
     per_query = {}
     for ranking, q in _rankings_by_query(rankings, bench):
-        row = {}
-        for k in ks:
-            top = {image_id for image_id, _ in ranking.entries[:k]}
-            row[f"recall@{k}"] = len(top & q.positives) / len(q.positives)
-        row["ap"] = average_precision(ranking, q.positives)
+        hits = _hits(ranking, q.positives)
+        row = {f"recall@{k}": int(np.count_nonzero(hits[:k])) / len(q.positives) for k in ks}
+        row["ap"] = average_precision(hits, len(q.positives))
         per_query[ranking.query_id] = row
     metrics = [f"recall@{k}" for k in ks] + ["ap"]
     aggregate = {
@@ -259,11 +278,9 @@ def evaluate(rankings, bench: Benchmark, ks=(1, 5, 10)) -> MetricReport:
 def _pr_staircase(ranking: RankingResult, positives: set) -> tuple[Array, Array]:
     """(recalls, precisions) after each distinct-score cutoff, ties grouped.
     Integer true division rounds as Python's int / int does."""
-    entries = ranking.entries
-    count = len(entries)
-    is_hit = (image_id in positives for image_id, _ in entries)
-    hits = np.cumsum(np.fromiter(is_hit, dtype=np.int64, count=count))
-    scores = np.fromiter((score for _, score in entries), dtype=np.float64, count=count)
+    scores = ranking.scores
+    count = len(scores)
+    hits = np.cumsum(_hits(ranking, positives), dtype=np.int64)
     last_of_group = np.ones(count, dtype=bool)
     last_of_group[:-1] = scores[1:] != scores[:-1]
     hits = hits[last_of_group]

@@ -461,15 +461,22 @@ def write_rankings(path: str, rankings: list) -> None:
     and per query the base64 of its order (<i4 indices into ids) and of its
     scores (<f8, every bit kept)."""
     slots: dict = {}
+    gallery, slot_of = None, None  # slot_of[i]: slot of gallery[i], -1 before it is seen
     docs = []
     for r in rankings:
-        order = [slots.setdefault(image_id, len(slots)) for image_id, _ in r.entries]
+        if r.gallery is not gallery:
+            gallery = r.gallery
+            slot_of = np.array([slots.get(image_id, -1) for image_id in gallery], dtype=np.int64)
+        unseen = r.order[slot_of[r.order] < 0]
+        new_slots = range(len(slots), len(slots) + len(unseen))
+        slot_of[unseen] = new_slots
+        slots.update(zip(map(gallery.__getitem__, unseen.tolist()), new_slots))
         docs.append({
             "query_id": r.query_id,
             "stage": r.stage,
             "k_reranked": r.k_reranked,
-            "order": _pack(order, "<i4"),
-            "scores": _pack([score for _, score in r.entries], "<f8"),
+            "order": _pack(slot_of[r.order], "<i4"),
+            "scores": _pack(r.scores, "<f8"),
         })
     doc = {"version": RANKINGS_VERSION, "ids": list(slots), "rankings": docs}
     atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
@@ -499,15 +506,20 @@ def read_rankings(path: str) -> list:
 
     def parse(doc):
         version = doc.get("version", 1)
-        if version != RANKINGS_VERSION:
+        if not (_conforms(version, int) and version == RANKINGS_VERSION):
             raise FormatError(
                 f"{path}: rankings format version {version!r} is not "
                 f"{RANKINGS_VERSION}; re-run `elip rank` to rewrite it"
             )
         ids = [_string(path, image_id, "image id") for image_id in doc["ids"]]
-        results = []
+        if len(set(ids)) != len(ids):
+            raise FormatError(f"{path}: ids repeat an image id")
+        results, qids = [], set()
         for r in doc["rankings"]:
             qid = _string(path, r["query_id"], "query id")
+            if qid in qids:
+                raise FormatError(f"{path}: query {qid!r} is ranked twice")
+            qids.add(qid)
             order = _unpack(path, qid, "order", r["order"], "<i4")
             scores = _unpack(path, qid, "scores", r["scores"], "<f8")
             if len(order) != len(scores):
@@ -528,7 +540,9 @@ def read_rankings(path: str) -> list:
                 )
             results.append(RankingResult(
                 query_id=qid,
-                entries=list(zip(map(ids.__getitem__, order.tolist()), scores.tolist())),
+                gallery=ids,
+                order=order,
+                scores=scores,
                 stage=_string(path, r["stage"], "stage"),
                 k_reranked=k_reranked,
             ))

@@ -4,6 +4,7 @@ import pytest
 from elip.config import DimsConfig, MapperConfig
 from elip.curation import PairDataset, PairRecord
 from elip.encoders import init_frozen_model
+from elip.retrieval import RankingResult
 from elip.rng import Rng
 
 TINY = DimsConfig(
@@ -61,3 +62,16 @@ def randomize_mapper(model, seed=5, scale=0.3):
     w = model.mapper.tensors["l3.weight"]
     model.mapper.tensors["l3.weight"] = rng.gaussian_matrix(*w.shape, scale).astype(w.dtype)
     return model
+
+
+def ranking_from_entries(query_id, entries, stage, k_reranked=0):
+    """A RankingResult of (image_id, score) pairs, best first, over a gallery
+    of exactly its own ids."""
+    return RankingResult(
+        query_id=query_id,
+        gallery=[image_id for image_id, _ in entries],
+        order=np.arange(len(entries)),
+        scores=np.array([score for _, score in entries], dtype=np.float64),
+        stage=stage,
+        k_reranked=k_reranked,
+    )

@@ -42,7 +42,6 @@ from elip.objectives import (
     variant_batch_loss,
 )
 from elip.retrieval import (
-    RankingResult,
     embed_gallery,
     estimate_flops,
     mean_average_precision,
@@ -56,7 +55,7 @@ from elip.retrieval import (
 from elip.rng import Rng
 from elip.trainer import train
 
-from conftest import TINY, make_records, randomize_mapper
+from conftest import TINY, make_records, randomize_mapper, ranking_from_entries
 
 # Frozen by the pilot run (seed 7, defaults): stage-1 R@1 was 0.010 and the
 # re-ranked R@1 was 0.150; the margin keeps headroom for BLAS variation.
@@ -315,7 +314,7 @@ def test_a4_oracle_equivalence():
         gallery = [f"g{i:02d}" for i in range(g)]
         order = rng.sample_without_replacement(g, g)
         entries = [(gallery[j], float(g - i)) for i, j in enumerate(order)]
-        ranking = RankingResult(query_id="q0000", entries=entries, stage="stage1")
+        ranking = ranking_from_entries(query_id="q0000", entries=entries, stage="stage1")
         n_pos = 1 + rng.next_u64() % g
         positives = {gallery[j] for j in rng.sample_without_replacement(g, n_pos)}
         bench = Benchmark(
@@ -344,7 +343,7 @@ def test_a5_metric_identities():
     gallery = [f"g{i}" for i in range(12)]
     rng = Rng(3000)
     order = rng.sample_without_replacement(12, 12)
-    ranking = RankingResult(
+    ranking = ranking_from_entries(
         query_id="q0000",
         entries=[(gallery[j], float(12 - i)) for i, j in enumerate(order)],
         stage="stage1",
@@ -359,7 +358,7 @@ def test_a5_metric_identities():
     ys = [y for _, y in data.points]
     map_value = mean_average_precision([ranking], bench)
 
-    hand = RankingResult(
+    hand = ranking_from_entries(
         query_id="q0000",
         entries=[(g, float(5 - i)) for i, g in enumerate(gallery[:5])],
         stage="stage1",

@@ -1,5 +1,6 @@
 import ast
 import base64
+import hashlib
 import json
 import os
 import pathlib
@@ -15,9 +16,8 @@ from elip import cli, storage
 from elip.cli import build_parser, run_command
 from elip.config import RunConfig
 from elip.errors import DataError, FormatError
-from elip.retrieval import RankingResult
 
-from conftest import TINY
+from conftest import TINY, ranking_from_entries
 
 TINY_CONFIG = {
     "seed": 7,
@@ -67,7 +67,7 @@ def test_unknown_subcommand_exit_one(workdir, capsys):
 
 
 def test_eval_missing_benchmark_exit_two(workdir, capsys):
-    storage.write_rankings(str(workdir / "rankings.json"), [RankingResult(
+    storage.write_rankings(str(workdir / "rankings.json"), [ranking_from_entries(
         query_id="q0000", entries=[("a", 1.0)], stage="stage1", k_reranked=0)])
     code = run(workdir, "eval", "--rankings", "rankings.json",
                "--bench", "missing-bench.json", "--out", "m")
@@ -279,7 +279,7 @@ RANKINGS_DAMAGE = {
 @pytest.mark.parametrize("damage", sorted(RANKINGS_DAMAGE))
 def test_damaged_rankings_exit_two(workdir, capsys, damage):
     key, value, expected = RANKINGS_DAMAGE[damage]
-    storage.write_rankings("rankings.json", [RankingResult(
+    storage.write_rankings("rankings.json", [ranking_from_entries(
         query_id="q0000", entries=[("b", 0.5), ("a", 0.25)], stage="stage1")])
     doc = json.loads(open("rankings.json").read())
     doc["rankings"][0][key] = value
@@ -559,6 +559,103 @@ def test_variant_b_pipeline_with_itm_modes(workdir, capsys):
     capsys.readouterr()
     doc = json.loads(open("rrb/rankings.json").read())
     assert doc["rankings"][0]["k_reranked"] == 3
+
+
+# ---------------------------------------------------------------------------
+# golden bytes of the rank -> rerank -> eval -> curve chain
+# ---------------------------------------------------------------------------
+
+# sha256 of every rankings, metrics and curve file the chain writes from
+# seed 7 on TINY dims, for a trained C model and a trained B model (re-ranked
+# with raw and with sigmoid-squashed ITM logits). resolved-config.json is
+# left out: it records the absolute out_dir. The digests depend on the
+# numpy/BLAS build; they were taken with numpy 2.4 and its bundled OpenBLAS
+# on x86-64.
+CHAIN_GOLDEN = {
+    "B/ranked/eval/metrics.csv":
+        "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
+    "B/ranked/precision_recall/curve.csv":
+        "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+    "B/ranked/rankings.json":
+        "60b5ef9d583d923d67acbcb1e60b9cb57515b638e83564bc57fcac61a285d18b",
+    "B/ranked/recall_topk/curve.csv":
+        "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+    "B/reranked--itm-sigmoid/eval/metrics.csv":
+        "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
+    "B/reranked--itm-sigmoid/precision_recall/curve.csv":
+        "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+    "B/reranked--itm-sigmoid/rankings.json":
+        "9e2ae08f7983be816f37ba51d2f90b0c9583a1a43f9f9ec32981d8a6b6b3457c",
+    "B/reranked--itm-sigmoid/recall_topk/curve.csv":
+        "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+    "B/reranked/eval/metrics.csv":
+        "6f22a8cc22f355020390bfbb14990f430d3eb4884a1ab774cb80445d6f37f40c",
+    "B/reranked/precision_recall/curve.csv":
+        "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+    "B/reranked/rankings.json":
+        "fc8847f003cc7f095cbcacc5f3e54c60b2d3adf5ff9c38abc0a1db269144818d",
+    "B/reranked/recall_topk/curve.csv":
+        "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+    "C/ranked/eval/metrics.csv":
+        "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
+    "C/ranked/precision_recall/curve.csv":
+        "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+    "C/ranked/rankings.json":
+        "60b5ef9d583d923d67acbcb1e60b9cb57515b638e83564bc57fcac61a285d18b",
+    "C/ranked/recall_topk/curve.csv":
+        "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+    "C/reranked/eval/metrics.csv":
+        "38d650ea80e004a7625042c1ee213c7b8aa3117fd220b9e1f7e2487f0267c2fe",
+    "C/reranked/precision_recall/curve.csv":
+        "f0761a916a3d87d4294ca46695b3af04f871112a69e86278be097e83be4c9a57",
+    "C/reranked/rankings.json":
+        "4d900f2804a2ce6957b9fe137259926a8f749d7e4c3ac1bab0aaeccfb1594d05",
+    "C/reranked/recall_topk/curve.csv":
+        "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+}
+
+
+def _run_chain(workdir, capsys) -> dict:
+    """{path: sha256} of every rankings.json, metrics.csv and curve.csv."""
+    def ok(command, out, *argv):
+        assert run(workdir, command, "--config", "config.json", "--out", out, *argv) == 0
+        return out
+
+    ok("gen-synth", "data", "--n", 16, "--clusters", 4)
+    data, bench = ("--data", "data/data.jsonl"), ("--bench", "data/benchmark.json")
+    ranked = []
+    for variant, flags in (("C", [[]]), ("B", [[], ["--itm-sigmoid"]])):
+        model = ok("init-model", f"{variant}/model", "--variant", variant)
+        gal = ok("embed-gallery", f"{variant}/gal", "--model", f"{model}/checkpoint", *data)
+        plan = ok("curate-mine", f"{variant}/plan", "--model", f"{model}/checkpoint", *data,
+                  "--batch-size", 4)
+        trained = ok("train", f"{variant}/trained", "--model", f"{model}/checkpoint", *data,
+                     "--plan", f"{plan}/plan.json", "--steps", 2,
+                     *(["--finetune-itm"] if variant == "B" else []))
+        stage1 = ok("rank", f"{variant}/ranked", "--model", f"{trained}/checkpoint",
+                    "--gallery", f"{gal}/gallery", *bench)
+        ranked.append(stage1)
+        for extra in flags:
+            ranked.append(ok("rerank", f"{variant}/reranked{''.join(extra)}",
+                             "--model", f"{trained}/checkpoint", *data, *bench,
+                             "--rankings", f"{stage1}/rankings.json", "--k", 5, *extra))
+    for out in ranked:
+        rankings = ("--rankings", f"{out}/rankings.json", *bench)
+        ok("eval", f"{out}/eval", *rankings)
+        for kind in ("recall_topk", "precision_recall"):
+            ok("curve", f"{out}/{kind}", *rankings, "--kind", kind)
+    capsys.readouterr()
+    digests = {}
+    for root, _, files in os.walk("."):
+        for name in files:
+            if name in ("rankings.json", "metrics.csv", "curve.csv"):
+                path = os.path.relpath(os.path.join(root, name))
+                digests[path] = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+    return digests
+
+
+def test_cli_chain_matches_golden_digests(workdir, capsys):
+    assert _run_chain(workdir, capsys) == CHAIN_GOLDEN
 
 
 def test_checkpoint_interval_writes_intermediates(workdir, capsys):
@@ -981,6 +1078,138 @@ def test_eval_rejects_repeated_ranking_entries_exit_two(workdir, capsys):
         workdir, capsys, "ranked/rankings.json", "eval", "--rankings", "ranked/rankings.json",
         "--bench", "data/benchmark.json")
     assert "order repeats an image" in err
+
+
+@pytest.mark.parametrize("damage, expected", [
+    (lambda doc: doc["ids"].__setitem__(1, doc["ids"][0]), "ids repeat an image id"),
+    (lambda doc: doc["rankings"][1].__setitem__("query_id", doc["rankings"][0]["query_id"]),
+     "query 'q0000' is ranked twice"),
+], ids=["image_id", "query_id"])
+def test_eval_rejects_repeated_ids_exit_two(workdir, capsys, damage, expected):
+    """A repeated image id used to exit 2 only by accident, blaming the
+    benchmark's positives; a repeated query id was kept silently."""
+    build_pipeline(workdir, capsys)
+    assert run(workdir, *RANK_ARGS, "--config", "config.json", "--out", "ranked") == 0
+    capsys.readouterr()
+    doc = json.loads(open("ranked/rankings.json").read())
+    damage(doc)
+    (workdir / "ranked/rankings.json").write_text(json.dumps(doc, sort_keys=True))
+    err = assert_exit_two_without_traceback(
+        workdir, capsys, "ranked/rankings.json", "eval", "--rankings", "ranked/rankings.json",
+        "--bench", "data/benchmark.json")
+    assert expected in err, err
+
+
+# the JSON type of each rankings field, and values of every other type
+RANKINGS_FIELD_TYPES = {"version": int, "ids": list, "rankings": list, "query_id": str,
+                        "stage": str, "k_reranked": int, "order": str, "scores": str}
+WRONG_TYPED = {int: [None, True, False, 2.0, 2.5, "2", [], {}],
+               str: [None, True, 0, 2.5, [], {}],
+               list: [None, True, 0, 2.5, "x", {}]}
+
+
+@st.composite
+def _rankings_mutation(draw, data):
+    """One damaged field or byte of a valid v2 rankings file, as (bytes,
+    still valid). Only an extra key leaves the file valid."""
+    doc = json.loads(data)
+    n = len(doc["ids"])
+    r = draw(st.sampled_from(doc["rankings"]))
+    order = np.frombuffer(base64.b64decode(r["order"]), dtype="<i4").copy()
+
+    def two(count):
+        return draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=2, unique=True))
+
+    kind = draw(st.sampled_from([
+        "type_swap", "id_type_swap", "truncated_base64", "non_strict_base64", "odd_bytes",
+        "order_out_of_range", "order_repeat", "deleted_key", "extra_key", "version",
+        "repeated_id", "repeated_query_id", "truncated_file", "bad_byte"]))
+    if kind == "type_swap":
+        key = draw(st.sampled_from(sorted(RANKINGS_FIELD_TYPES)))
+        (doc if key in doc else r)[key] = draw(
+            st.sampled_from(WRONG_TYPED[RANKINGS_FIELD_TYPES[key]]))
+    elif kind == "id_type_swap":
+        doc["ids"][draw(st.integers(0, n - 1))] = draw(st.sampled_from(WRONG_TYPED[str]))
+    elif kind == "truncated_base64":
+        key = draw(st.sampled_from(["order", "scores"]))
+        r[key] = r[key][:draw(st.integers(0, len(r[key]) - 1))]
+    elif kind == "non_strict_base64":
+        key = draw(st.sampled_from(["order", "scores"]))
+        at = draw(st.integers(0, len(r[key])))
+        r[key] = r[key][:at] + draw(st.sampled_from(list("*-_. \n") + ["é"])) + r[key][at:]
+    elif kind == "odd_bytes":
+        key, itemsize = draw(st.sampled_from([("order", 4), ("scores", 8)]))
+        size = draw(st.integers(1, 3 * itemsize).filter(lambda size: size % itemsize))
+        r[key] = base64.b64encode(bytes(range(size))).decode("ascii")
+    elif kind == "order_out_of_range":
+        order[draw(st.integers(0, len(order) - 1))] = draw(
+            st.one_of(st.integers(-(1 << 31), -1), st.integers(n, (1 << 31) - 1)))
+        r["order"] = _packed_order(*order)
+    elif kind == "order_repeat":
+        i, j = two(len(order))
+        order[j] = order[i]
+        r["order"] = _packed_order(*order)
+    elif kind == "deleted_key":
+        owner = draw(st.sampled_from([doc, r]))
+        del owner[draw(st.sampled_from(sorted(owner)))]
+    elif kind == "extra_key":
+        draw(st.sampled_from([doc, r]))["extra"] = draw(st.sampled_from([None, 1, "x", [1]]))
+    elif kind == "version":
+        doc["version"] = draw(st.integers(-3, 5).filter(lambda v: v != 2))
+    elif kind == "repeated_id":
+        i, j = two(n)
+        doc["ids"][j] = doc["ids"][i]
+    elif kind == "repeated_query_id":
+        i, j = two(len(doc["rankings"]))
+        doc["rankings"][j]["query_id"] = doc["rankings"][i]["query_id"]
+    if kind == "truncated_file":  # the last byte is the newline after the JSON
+        return data[:draw(st.integers(0, len(data) - 2))], False
+    if kind == "bad_byte":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + b"\xff" + data[at + 1:], False
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"), kind == "extra_key"
+
+
+def test_mutated_rankings_exit_two_or_read_unchanged(workdir, capsys):
+    """eval over a rankings file with one mutated field or byte exits 2 with
+    one error status line naming the file, no traceback and no --out left
+    behind; a mutation that keeps the file valid gives the original bytes."""
+    build_pipeline(workdir, capsys)
+    assert run(workdir, *RANK_ARGS, "--config", "config.json", "--out", "ranked") == 0
+    path = "ranked/rankings.json"
+    eval_args = ("eval", "--rankings", path, "--bench", "data/benchmark.json",
+                 "--config", "config.json", "--out", "fuzz")
+    assert run(workdir, *eval_args) == 0
+    capsys.readouterr()
+    with open("fuzz/metrics.csv", "rb") as fh:
+        metrics = fh.read()
+    shutil.rmtree("fuzz")
+    with open(path, "rb") as fh:
+        original = fh.read()
+    assert len(json.loads(original)["rankings"]) >= 2
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(mutation=_rankings_mutation(original))
+    def check(mutation):
+        damaged, valid = mutation
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        try:
+            code = run(workdir, *eval_args)
+            if valid:
+                assert code == 0, capsys.readouterr().err
+                with open("fuzz/metrics.csv", "rb") as fh:
+                    assert fh.read() == metrics
+            else:
+                assert_exit_two_naming(capsys, code, path)
+                assert not os.path.exists("fuzz")
+        finally:
+            with open(path, "wb") as fh:
+                fh.write(original)
+            shutil.rmtree("fuzz", ignore_errors=True)
+            capsys.readouterr()
+
+    check()
 
 
 def test_curve_rejects_k_below_one_exit_one(workdir, capsys):

@@ -596,7 +596,9 @@ def test_one_call_site_per_image_backward_and_mapper_backward():
     the prompted encode, and calls the prompt backward and the mapper
     backward. Elsewhere in src/ only attention_map's single image is
     encoded under prompts, through prompts_for_text, and every prompt-free
-    image encode runs in encoders.frozen_image."""
+    image encode runs in encoders.frozen_image. A ranking is read through
+    its order and score arrays: no src/ code reads the (id, score) list of
+    RankingResult.entries, which is kept for the benchmark and tests."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
 
@@ -640,6 +642,9 @@ def test_one_call_site_per_image_backward_and_mapper_backward():
         passed = [kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
                   for kw in node.keywords]
         assert "table" not in passed, module
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "entries"], module
+        assert "_ordered_entries" not in ast.dump(tree), module
 
 
 # ---------------------------------------------------------------------------

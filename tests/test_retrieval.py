@@ -1,3 +1,8 @@
+import base64
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -10,7 +15,9 @@ from elip.encoders import encode_text, image_forward, init_frozen_model
 from elip.errors import ConfigError, DataError
 from elip.objectives import itm_logit, sigmoid
 from elip.prompt_mapper import prompts_for_text
+from elip import storage
 from elip.retrieval import (
+    PR_RECALL_GRID,
     EmbeddingStore,
     RankingResult,
     _pr_staircase,
@@ -27,7 +34,7 @@ from elip.retrieval import (
 )
 from elip.rng import Rng
 
-from conftest import TINY, make_records, randomize_mapper
+from conftest import TINY, make_records, randomize_mapper, ranking_from_entries
 
 
 def unit(v):
@@ -55,7 +62,7 @@ def bench_for(positives_by_query, gallery):
 
 def ranking_from_ids(ids, qid="q0000", stage="stage1"):
     entries = [(image_id, float(len(ids) - i)) for i, image_id in enumerate(ids)]
-    return RankingResult(query_id=qid, entries=entries, stage=stage)
+    return ranking_from_entries(query_id=qid, entries=entries, stage=stage)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +346,7 @@ def test_metrics_match_bruteforce_oracles(seed, g, n_pos):
     gallery = [f"g{i:02d}" for i in range(g)]
     order = rng.sample_without_replacement(g, g)
     entries = [(gallery[j], float(g - idx)) for idx, j in enumerate(order)]
-    ranking = RankingResult(query_id=query_id(0), entries=entries, stage="stage1")
+    ranking = ranking_from_entries(query_id=query_id(0), entries=entries, stage="stage1")
     positives = {gallery[j] for j in rng.sample_without_replacement(g, n_pos)}
     bench = bench_for([positives], gallery)
     k = 1 + rng.next_u64() % g
@@ -351,7 +358,7 @@ def test_metric_identities():
     gallery = [f"g{i}" for i in range(12)]
     rng = Rng(62)
     order = rng.sample_without_replacement(12, 12)
-    ranking = RankingResult(
+    ranking = ranking_from_entries(
         query_id=query_id(0),
         entries=[(gallery[j], float(12 - i)) for i, j in enumerate(order)],
         stage="stage1",
@@ -368,7 +375,7 @@ def test_evaluate_aggregate_is_mean():
     rankings, positives = [], []
     for q in range(3):
         order = rng.sample_without_replacement(8, 8)
-        rankings.append(RankingResult(
+        rankings.append(ranking_from_entries(
             query_id=query_id(q),
             entries=[(gallery[j], float(8 - i)) for i, j in enumerate(order)],
             stage="stage1",
@@ -445,7 +452,7 @@ def test_pr_curve_three_item_hand_enumeration():
 def test_pr_curve_ties_grouped_by_score():
     gallery = ["a", "b", "c", "d"]
     entries = [("a", 2.0), ("b", 1.0), ("c", 1.0), ("d", 0.5)]
-    ranking = RankingResult(query_id=query_id(0), entries=entries, stage="stage1")
+    ranking = ranking_from_entries(query_id=query_id(0), entries=entries, stage="stage1")
     bench = bench_for([{"b"}], gallery)
     data = curve([ranking], bench, "precision_recall")
     by_r = dict(data.points)
@@ -499,7 +506,7 @@ def test_pr_staircase_equals_scalar_loop_reference(seed):
     for size in (0, 1, 2, 7, 40, 333):
         ids = [f"g{i}" for i in range(size)]
         scores = sorted(rng.choice([1.5, 0.25, 0.0, -0.0, -2.0], size=size).tolist(), reverse=True)
-        ranking = RankingResult(query_id="q0000", entries=list(zip(ids, scores)), stage="stage1")
+        ranking = ranking_from_entries(query_id="q0000", entries=list(zip(ids, scores)), stage="stage1")
         for n_pos in sorted({1, max(1, size // 3), max(1, size)}):
             positives = set(rng.choice(ids, size=n_pos, replace=False).tolist()) if size else {"x"}
             recalls, precisions = _pr_staircase(ranking, positives)
@@ -532,11 +539,140 @@ def test_pr_curve_equals_quadratic_reference(seed):
             # cut-off lists: query 4 never retrieves its one positive,
             # query 7 retrieves half of its four
             entries = entries[: -(qi // 3)]
-        rankings.append(RankingResult(query_id=query_id(qi), entries=entries, stage="stage1"))
+        rankings.append(ranking_from_entries(query_id=query_id(qi), entries=entries, stage="stage1"))
         positives_by_query.append(positives)
     bench = bench_for(positives_by_query, gallery)
     assert curve(rankings, bench, "precision_recall").points == \
         reference_pr_points(rankings, bench)
+
+
+# ---------------------------------------------------------------------------
+# columnar rankings against the per-entry code they replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_per_query(rankings, bench, ks):
+    """Set-based recall@k and the per-entry AP loop, per query."""
+    by_qid = {r.query_id: r for r in rankings}
+    per_query = {}
+    for i, q in enumerate(bench.queries):
+        entries = by_qid[query_id(i)].entries
+        row = {}
+        for k in ks:
+            top = {image_id for image_id, _ in entries[:k]}
+            row[f"recall@{k}"] = len(top & q.positives) / len(q.positives)
+        hits, ap_sum = 0, 0.0
+        for rank, (image_id, _) in enumerate(entries, start=1):
+            if image_id in q.positives:
+                hits += 1
+                ap_sum += hits / rank
+        row["ap"] = ap_sum / len(q.positives)
+        per_query[query_id(i)] = row
+    return per_query
+
+
+def oracle_pr_points(rankings, bench):
+    """The precision-recall curve over the fromiter staircase of (id, score)
+    entries."""
+    by_qid = {r.query_id: r for r in rankings}
+    grid = np.array(PR_RECALL_GRID) - 1e-12
+    per_query = []
+    for i, q in enumerate(bench.queries):
+        entries = by_qid[query_id(i)].entries
+        count = len(entries)
+        is_hit = (image_id in q.positives for image_id, _ in entries)
+        hits = np.cumsum(np.fromiter(is_hit, dtype=np.int64, count=count))
+        scores = np.fromiter((score for _, score in entries), dtype=np.float64, count=count)
+        last_of_group = np.ones(count, dtype=bool)
+        last_of_group[:-1] = scores[1:] != scores[:-1]
+        hits = hits[last_of_group]
+        seen = np.arange(1, count + 1)[last_of_group]
+        recalls, precisions = hits / len(q.positives), hits / seen
+        best = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)
+        per_query.append(best[np.searchsorted(recalls, grid)])
+    by_point = np.array(per_query).reshape(len(per_query), len(grid)).T.copy()
+    return [(r, float(np.mean(row))) for r, row in zip(PR_RECALL_GRID, by_point)]
+
+
+def oracle_rankings_bytes(rankings):
+    """The first-seen-slot writer over (id, score) entries."""
+    def pack(values, dtype):
+        return base64.b64encode(np.array(values, dtype=dtype).tobytes()).decode("ascii")
+
+    slots, docs = {}, []
+    for r in rankings:
+        docs.append({
+            "query_id": r.query_id,
+            "stage": r.stage,
+            "k_reranked": r.k_reranked,
+            "order": pack([slots.setdefault(image_id, len(slots)) for image_id, _ in r.entries],
+                          "<i4"),
+            "scores": pack([score for _, score in r.entries], "<f8"),
+        })
+    doc = {"version": 2, "ids": list(slots), "rankings": docs}
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+
+
+def float_bits(value):
+    """Every float of a nested dict or list as its hex text, so equality is
+    bit equality (-0.0 included)."""
+    if isinstance(value, dict):
+        return {key: float_bits(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [float_bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+@st.composite
+def tied_rankings(draw):
+    """1-6 queries over 1-3 galleries of 2-40 ids drawn from one pool (so
+    galleries share ids at different indices), with scores from five values
+    (+0.0 and -0.0 among them). A stage-1 list is sorted; a re-ranked one is
+    a sorted top-k block over a sorted tail, which may outscore it. Some
+    lists stop before the end of their gallery."""
+    pool = [f"img{i:02d}" for i in range(48)]
+    galleries = [draw(st.permutations(pool))[:draw(st.integers(2, 40))]
+                 for _ in range(draw(st.integers(1, 3)))]
+    rankings, positives = [], []
+    for qi in range(draw(st.integers(1, 6))):
+        gallery = draw(st.sampled_from(galleries))
+        order = draw(st.permutations(range(len(gallery))))[:draw(st.integers(1, len(gallery)))]
+        scores = draw(st.lists(st.sampled_from([1.5, 0.25, 0.0, -0.0, -2.0]),
+                               min_size=len(order), max_size=len(order)))
+        k = draw(st.integers(0, len(order)))
+        stage = "reranked" if k else "stage1"
+        scores = sorted(scores[:k], reverse=True) + sorted(scores[k:], reverse=True)
+        rankings.append(RankingResult(
+            query_id=query_id(qi), gallery=gallery, order=np.array(order),
+            scores=np.array(scores, dtype=np.float64), stage=stage, k_reranked=k))
+        positives.append(draw(st.sets(st.sampled_from(pool), min_size=1, max_size=6)))
+    ks = draw(st.lists(st.integers(1, 45), min_size=1, max_size=4))
+    return rankings, bench_for(positives, pool), ks
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_rankings())
+def test_columnar_rankings_match_per_entry_oracle(case):
+    """evaluate, both curves and write_rankings give the floats and bytes of
+    the per-entry code, bit for bit, before and after a file round trip."""
+    rankings, bench, ks = case
+    expected = oracle_per_query(rankings, bench, ks)
+    pr_points = float_bits(oracle_pr_points(rankings, bench))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rankings.json")
+        storage.write_rankings(path, rankings)
+        with open(path, "rb") as fh:
+            assert fh.read() == oracle_rankings_bytes(rankings)
+        back = storage.read_rankings(path)
+    assert back == rankings
+    for ranked in (rankings, back):
+        report = evaluate(ranked, bench, ks)
+        assert float_bits(report.per_query) == float_bits(expected)
+        assert float_bits(curve(ranked, bench, "precision_recall").points) == pr_points
+        recall = curve(ranked, bench, "recall_topk", ks).points
+        assert float_bits(recall) == float_bits(
+            [(float(k), float(np.mean([row[f"recall@{k}"] for row in expected.values()])))
+             for k in ks])
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ from elip.config import DimsConfig, MapperConfig
 from elip.curation import Benchmark, BenchmarkQuery, CurationPlan, SynthSpec, gen_synthetic_dataset
 from elip.encoders import bundles_equal, init_frozen_model
 from elip.errors import ConfigError, DataError, FormatError
-from elip.retrieval import EmbeddingStore, RankingResult
+from elip.retrieval import EmbeddingStore
 from elip.rng import Rng
 from elip import storage
 
-from conftest import TINY
+from conftest import TINY, ranking_from_entries
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +350,7 @@ def test_store_round_trip_and_stability(tmp_path):
 
 
 def test_rankings_round_trip(tmp_path):
-    rankings = [RankingResult(
+    rankings = [ranking_from_entries(
         query_id="q0000",
         entries=[("b", 0.5), ("a", 0.25)],
         stage="reranked",
@@ -368,7 +368,7 @@ def test_rankings_round_trip(tmp_path):
 def test_rankings_round_trip_floats_bit_for_bit(tmp_path):
     values = [1e-300, -0.0, 0.0, 0.1 + 0.2, 5e-324, 1.7976931348623157e308,
               -2.5, 1.0 / 3.0, *Rng(74).gaussian_matrix(1, 20)[0]]
-    rankings = [RankingResult(
+    rankings = [ranking_from_entries(
         query_id="q0000",
         entries=[(f"img{i:04d}", float(v)) for i, v in enumerate(values)],
         stage="stage1",
@@ -385,7 +385,7 @@ def test_rankings_round_trip_floats_bit_for_bit(tmp_path):
 def test_rankings_write_is_byte_stable(tmp_path):
     def rankings():
         scores = Rng(75).gaussian_matrix(3, 5)
-        return [RankingResult(
+        return [ranking_from_entries(
             query_id=f"q{q:04d}",
             entries=sorted(((f"img{(i * 7 + q) % 5:04d}", float(s)) for i, s in enumerate(row)),
                            key=lambda e: -e[1]),
