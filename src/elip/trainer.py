@@ -23,6 +23,11 @@ from .rng import Rng
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# adam_step updates each tensor in blocks of whole rows holding about this
+# many elements, so its float64 temporaries (64 KB) stay under glibc's 128 KB
+# mmap threshold and come from the heap instead of being mapped and faulted
+# in every step.
+ADAM_BLOCK = 8192
 
 
 @dataclass
@@ -56,7 +61,9 @@ def adam_step(
     """Bias-corrected Adam update, in place on `tensors` and on the moments
     `state.m`, `state.v`.
 
-    Non-finite gradients abort the step before any state is touched.
+    Each tensor is updated in blocks of leading-axis rows (ADAM_BLOCK); the
+    update is elementwise, so the blocks give the bits of one whole-tensor
+    update. Non-finite gradients abort the step before any state is touched.
     """
     for key, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -67,19 +74,23 @@ def adam_step(
         if key not in state.m:
             state.m[key] = np.zeros_like(tensors[key], dtype=np.float64)
             state.v[key] = np.zeros_like(tensors[key], dtype=np.float64)
-        g64 = np.asarray(g, dtype=np.float64)
-        m, v = state.m[key], state.v[key]
-        m *= beta1
-        m += (1.0 - beta1) * g64
-        v *= beta2
-        v += (1.0 - beta2) * g64 * g64
-        update = m / (1.0 - beta1**t)
-        update *= lr
-        v_hat = v / (1.0 - beta2**t)
-        np.sqrt(v_hat, out=v_hat)
-        v_hat += eps
-        update /= v_hat
-        tensors[key] -= update.astype(tensors[key].dtype, copy=False)
+        tensor = tensors[key]
+        rows = max(1, ADAM_BLOCK // max(1, math.prod(tensor.shape[1:])))
+        for lo in range(0, len(tensor), rows):
+            block = slice(lo, lo + rows)
+            g64 = np.asarray(g[block], dtype=np.float64)
+            m, v = state.m[key][block], state.v[key][block]
+            m *= beta1
+            m += (1.0 - beta1) * g64
+            v *= beta2
+            v += (1.0 - beta2) * g64 * g64
+            update = m / (1.0 - beta1**t)
+            update *= lr
+            v_hat = v / (1.0 - beta2**t)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += eps
+            update /= v_hat
+            tensor[block] -= update.astype(tensor.dtype, copy=False)
     return state
 
 

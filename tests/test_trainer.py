@@ -8,7 +8,7 @@ from elip.config import MapperConfig, TrainConfig
 from elip.curation import CurationPlan, PairDataset, mine_hard_batches
 from elip.encoders import bundles_equal, frozen_bytes, init_frozen_model
 from elip.errors import ConfigError, NumericError
-from elip.trainer import OptimizerState, adam_step, clip_global_norm, train
+from elip.trainer import ADAM_BLOCK, OptimizerState, adam_step, clip_global_norm, train
 
 from conftest import TINY, make_records
 
@@ -79,7 +79,9 @@ def test_adam_in_place_equals_reference_formula(dtype):
     carry the bits of the out-of-place formula, and the moment arrays are
     the same objects from step to step."""
     rng = np.random.default_rng(3)
-    shapes = {"w": (4, 3), "b": (3,)}
+    # "tall" and "wide" span several ADAM_BLOCK row blocks, the last partial
+    shapes = {"w": (4, 3), "b": (3,), "tall": (2 * ADAM_BLOCK + 5,), "wide": (200, 100),
+              "empty": (0, 5)}
     start = {k: rng.standard_normal(shape).astype(dtype) for k, shape in shapes.items()}
     got, want = ({k: v.copy() for k, v in start.items()} for _ in range(2))
     state, ref_state = OptimizerState(), OptimizerState()
