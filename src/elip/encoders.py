@@ -43,7 +43,6 @@ class ImageEncoding:
     """One image encoded under optional prompts, with its backward cache."""
 
     patch_states: Array | None  # (P, d_v); None on a C/S frozen entry
-    cls_state: Array | None  # (d_v,) view into the final states; None with them
     v_joint: Array  # (d_e,) unit-norm projected embedding
     prompt_count: int
     block_caches: list  # per layer attention_block cache
@@ -314,7 +313,7 @@ def image_forward(
     states, ln_cache = numkit.layer_norm(model.image_ln, seq)
     v_joint, proj_cache = project_normalize(model.proj_image, states[dims.P])
     return ImageEncoding(
-        patch_states=states[: dims.P], cls_state=states[dims.P], v_joint=v_joint,
+        patch_states=states[: dims.P], v_joint=v_joint,
         prompt_count=n, block_caches=block_caches,
         ln_cache=ln_cache, proj_cache=proj_cache,
     )
@@ -346,8 +345,7 @@ def frozen_image(model: ModelBundle, rec) -> ImageEncoding:
         full = image_forward(model, rec.patches)
         enc = rec.frozen[key] = ImageEncoding(
             patch_states=full.patch_states if itm else None,
-            cls_state=full.cls_state if itm else None, v_joint=full.v_joint,
-            prompt_count=0, block_caches=[], ln_cache=(), proj_cache=())
+            v_joint=full.v_joint, prompt_count=0, block_caches=[], ln_cache=(), proj_cache=())
     return enc
 
 

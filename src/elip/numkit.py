@@ -11,7 +11,11 @@ run one larger gemm and move bits.
 Arrays are plain numpy ndarrays (float32 for training/inference, float64
 for gradient-check runs); every op is pure and keeps the input dtype.
 Kernels write into their own fresh temporaries (out=, +=, *=), never into
-an input, with the ufuncs of the plain formula in its order.
+an input, with the ufuncs of the plain formula in its order. The one
+exception is softmax_rows' row max: it runs over a column-major copy of the
+(rows, T) scores, as one elementwise max across the T columns instead of
+one short reduce per row. Max is exact in any order, so only the sign of a
+zero max can differ, and exp(x - m) cannot see it.
 Each primitive comes as a forward returning (out, cache) plus a backward
 taking (cache, grad_out) and returning exact analytic gradients, verified
 against central finite differences by grad_check: on the input and the
@@ -166,8 +170,11 @@ def layer_norm_backward(cache: tuple, grad_out: Array) -> tuple[Array, MutableMa
 
 
 def softmax_rows(x: Array) -> tuple[Array, Array]:
-    """Softmax over the last axis, so (T, T) and (H, T, T) scores share it."""
-    p = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    """Softmax over the last axis, so (T, T) and (H, T, T) scores share it.
+    The row max reads a column-major copy of the rows (module docstring),
+    which for one row is x itself, so it is never written."""
+    rows = np.asfortranarray(x.reshape(-1, x.shape[-1]))
+    p = x - np.maximum.reduce(rows, axis=1).reshape(*x.shape[:-1], 1)
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
     return p, p

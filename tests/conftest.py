@@ -1,3 +1,6 @@
+import ctypes
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -75,3 +78,39 @@ def ranking_from_entries(query_id, entries, stage, k_reranked=0):
         stage=stage,
         k_reranked=k_reranked,
     )
+
+
+# ---------------------------------------------------------------------------
+# golden digests: bytes pinned per OpenBLAS core
+# ---------------------------------------------------------------------------
+
+# The pinned sha256s hold for one numpy/BLAS build and the kernels its
+# OpenBLAS selects at run time, so each table is keyed by the cores that give
+# its digests. OPENBLAS_CORETYPE picks another core for one process.
+
+
+def openblas_core() -> str:
+    """Core name of numpy's bundled scipy-openblas (e.g. SkylakeX)."""
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes = []
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return "unknown"
+
+
+def core_table(tables: dict, core: str | None = None) -> dict:
+    """The digests that tables (keyed by tuples of core names) records for
+    core, by default the one this process runs on. A core with no table
+    fails with the command that records it."""
+    core = core or openblas_core()
+    for cores, table in tables.items():
+        if core in cores:
+            return table
+    pytest.fail(f"no golden digests recorded for OpenBLAS core {core}: record them with "
+                f"`OPENBLAS_CORETYPE={core} PYTHONPATH=src python tests/record_golden.py` "
+                f"and add its tables under {core!r}")

@@ -17,7 +17,7 @@ from elip.cli import build_parser, run_command
 from elip.config import RunConfig
 from elip.errors import DataError, FormatError
 
-from conftest import TINY, ranking_from_entries
+from conftest import TINY, core_table, ranking_from_entries
 
 TINY_CONFIG = {
     "seed": 7,
@@ -567,56 +567,184 @@ def test_variant_b_pipeline_with_itm_modes(workdir, capsys):
 
 # sha256 of every rankings, metrics and curve file the chain writes from
 # seed 7 on TINY dims, for a trained C model and a trained B model (re-ranked
-# with raw and with sigmoid-squashed ITM logits). resolved-config.json is
-# left out: it records the absolute out_dir. The digests depend on the
-# numpy/BLAS build; they were taken with numpy 2.4 and its bundled OpenBLAS
-# on x86-64.
+# with raw and with sigmoid-squashed ITM logits), per OpenBLAS core
+# (conftest.core_table). resolved-config.json is left out: it records the
+# absolute out_dir.
 CHAIN_GOLDEN = {
-    "B/ranked/eval/metrics.csv":
-        "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
-    "B/ranked/precision_recall/curve.csv":
-        "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
-    "B/ranked/rankings.json":
-        "60b5ef9d583d923d67acbcb1e60b9cb57515b638e83564bc57fcac61a285d18b",
-    "B/ranked/recall_topk/curve.csv":
-        "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
-    "B/reranked--itm-sigmoid/eval/metrics.csv":
-        "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
-    "B/reranked--itm-sigmoid/precision_recall/curve.csv":
-        "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
-    "B/reranked--itm-sigmoid/rankings.json":
-        "9e2ae08f7983be816f37ba51d2f90b0c9583a1a43f9f9ec32981d8a6b6b3457c",
-    "B/reranked--itm-sigmoid/recall_topk/curve.csv":
-        "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
-    "B/reranked/eval/metrics.csv":
-        "6f22a8cc22f355020390bfbb14990f430d3eb4884a1ab774cb80445d6f37f40c",
-    "B/reranked/precision_recall/curve.csv":
-        "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
-    "B/reranked/rankings.json":
-        "fc8847f003cc7f095cbcacc5f3e54c60b2d3adf5ff9c38abc0a1db269144818d",
-    "B/reranked/recall_topk/curve.csv":
-        "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
-    "C/ranked/eval/metrics.csv":
-        "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
-    "C/ranked/precision_recall/curve.csv":
-        "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
-    "C/ranked/rankings.json":
-        "60b5ef9d583d923d67acbcb1e60b9cb57515b638e83564bc57fcac61a285d18b",
-    "C/ranked/recall_topk/curve.csv":
-        "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
-    "C/reranked/eval/metrics.csv":
-        "38d650ea80e004a7625042c1ee213c7b8aa3117fd220b9e1f7e2487f0267c2fe",
-    "C/reranked/precision_recall/curve.csv":
-        "f0761a916a3d87d4294ca46695b3af04f871112a69e86278be097e83be4c9a57",
-    "C/reranked/rankings.json":
-        "4d900f2804a2ce6957b9fe137259926a8f749d7e4c3ac1bab0aaeccfb1594d05",
-    "C/reranked/recall_topk/curve.csv":
-        "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+    ("SkylakeX",): {
+        "B/ranked/eval/metrics.csv":
+            "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
+        "B/ranked/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "B/ranked/rankings.json":
+            "60b5ef9d583d923d67acbcb1e60b9cb57515b638e83564bc57fcac61a285d18b",
+        "B/ranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "B/reranked--itm-sigmoid/eval/metrics.csv":
+            "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
+        "B/reranked--itm-sigmoid/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "B/reranked--itm-sigmoid/rankings.json":
+            "9e2ae08f7983be816f37ba51d2f90b0c9583a1a43f9f9ec32981d8a6b6b3457c",
+        "B/reranked--itm-sigmoid/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "B/reranked/eval/metrics.csv":
+            "6f22a8cc22f355020390bfbb14990f430d3eb4884a1ab774cb80445d6f37f40c",
+        "B/reranked/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "B/reranked/rankings.json":
+            "fc8847f003cc7f095cbcacc5f3e54c60b2d3adf5ff9c38abc0a1db269144818d",
+        "B/reranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "C/ranked/eval/metrics.csv":
+            "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
+        "C/ranked/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "C/ranked/rankings.json":
+            "60b5ef9d583d923d67acbcb1e60b9cb57515b638e83564bc57fcac61a285d18b",
+        "C/ranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "C/reranked/eval/metrics.csv":
+            "38d650ea80e004a7625042c1ee213c7b8aa3117fd220b9e1f7e2487f0267c2fe",
+        "C/reranked/precision_recall/curve.csv":
+            "f0761a916a3d87d4294ca46695b3af04f871112a69e86278be097e83be4c9a57",
+        "C/reranked/rankings.json":
+            "4d900f2804a2ce6957b9fe137259926a8f749d7e4c3ac1bab0aaeccfb1594d05",
+        "C/reranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+    },
+    ("Haswell",): {
+        "B/ranked/eval/metrics.csv":
+            "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
+        "B/ranked/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "B/ranked/rankings.json":
+            "b967fcce0c87db1c7a8d502018b12e424640f118c7cda7b05efaf3838058cb6a",
+        "B/ranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "B/reranked--itm-sigmoid/eval/metrics.csv":
+            "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
+        "B/reranked--itm-sigmoid/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "B/reranked--itm-sigmoid/rankings.json":
+            "41a990f3d01c94d32e58a83ecfa6f656574910542518218ff71c829188686101",
+        "B/reranked--itm-sigmoid/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "B/reranked/eval/metrics.csv":
+            "6f22a8cc22f355020390bfbb14990f430d3eb4884a1ab774cb80445d6f37f40c",
+        "B/reranked/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "B/reranked/rankings.json":
+            "4a1856f9ec31a7159814a68c85d6701176f5ca216db771bfdb7e8f439fe60ffa",
+        "B/reranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "C/ranked/eval/metrics.csv":
+            "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
+        "C/ranked/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "C/ranked/rankings.json":
+            "b967fcce0c87db1c7a8d502018b12e424640f118c7cda7b05efaf3838058cb6a",
+        "C/ranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "C/reranked/eval/metrics.csv":
+            "38d650ea80e004a7625042c1ee213c7b8aa3117fd220b9e1f7e2487f0267c2fe",
+        "C/reranked/precision_recall/curve.csv":
+            "f0761a916a3d87d4294ca46695b3af04f871112a69e86278be097e83be4c9a57",
+        "C/reranked/rankings.json":
+            "2dc4191e661fed4489877b80ed9e24a20daa5513839f6ed09c7fdc9ac8bdb2d5",
+        "C/reranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+    },
+    ("Sandybridge",): {
+        "B/ranked/eval/metrics.csv":
+            "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
+        "B/ranked/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "B/ranked/rankings.json":
+            "cd6265bf1bf3f64a8e276d39c45a42a9735da11a6bbfd892acf3dc78bb25676e",
+        "B/ranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "B/reranked--itm-sigmoid/eval/metrics.csv":
+            "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
+        "B/reranked--itm-sigmoid/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "B/reranked--itm-sigmoid/rankings.json":
+            "3caea9bfe2d078bec62b348d699a424948d8d5d03d26b7b3031ecc3841f07880",
+        "B/reranked--itm-sigmoid/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "B/reranked/eval/metrics.csv":
+            "6f22a8cc22f355020390bfbb14990f430d3eb4884a1ab774cb80445d6f37f40c",
+        "B/reranked/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "B/reranked/rankings.json":
+            "0664660828056c0283f48c34263e37d11d17dbbc7f62deacb245cc6ca31201eb",
+        "B/reranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "C/ranked/eval/metrics.csv":
+            "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
+        "C/ranked/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "C/ranked/rankings.json":
+            "cd6265bf1bf3f64a8e276d39c45a42a9735da11a6bbfd892acf3dc78bb25676e",
+        "C/ranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "C/reranked/eval/metrics.csv":
+            "38d650ea80e004a7625042c1ee213c7b8aa3117fd220b9e1f7e2487f0267c2fe",
+        "C/reranked/precision_recall/curve.csv":
+            "f0761a916a3d87d4294ca46695b3af04f871112a69e86278be097e83be4c9a57",
+        "C/reranked/rankings.json":
+            "6d930422411378e8cd17e266e88af14b4d9aefa91e65bcdff6e23290c6f4e680",
+        "C/reranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+    },
+    ("Katmai",): {
+        "B/ranked/eval/metrics.csv":
+            "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
+        "B/ranked/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "B/ranked/rankings.json":
+            "fa0b2bbe2e5d64f4d93351395dfc4a28810d5d5acd3f640b8b5469b9c89560c3",
+        "B/ranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "B/reranked--itm-sigmoid/eval/metrics.csv":
+            "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
+        "B/reranked--itm-sigmoid/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "B/reranked--itm-sigmoid/rankings.json":
+            "fa5d760ebe3d71f973f97b7ad55cc334199c81e0a04a93e1cd506b7fc3f67885",
+        "B/reranked--itm-sigmoid/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "B/reranked/eval/metrics.csv":
+            "6f22a8cc22f355020390bfbb14990f430d3eb4884a1ab774cb80445d6f37f40c",
+        "B/reranked/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "B/reranked/rankings.json":
+            "841de410dd153d175c232be00539b48d995d258030e48a93af84b62df1b9b909",
+        "B/reranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "C/ranked/eval/metrics.csv":
+            "3e0e4c42020ad6310fa808fb3f8fec6dd5d9ed8c3486efc7889ac9a5c6d4a77c",
+        "C/ranked/precision_recall/curve.csv":
+            "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
+        "C/ranked/rankings.json":
+            "fa0b2bbe2e5d64f4d93351395dfc4a28810d5d5acd3f640b8b5469b9c89560c3",
+        "C/ranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+        "C/reranked/eval/metrics.csv":
+            "38d650ea80e004a7625042c1ee213c7b8aa3117fd220b9e1f7e2487f0267c2fe",
+        "C/reranked/precision_recall/curve.csv":
+            "f0761a916a3d87d4294ca46695b3af04f871112a69e86278be097e83be4c9a57",
+        "C/reranked/rankings.json":
+            "9d2f29c72ca99aa9aea72e297ef6ed9285bd3c72fc1067ba90e483672b570f70",
+        "C/reranked/recall_topk/curve.csv":
+            "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
+    },
 }
 
 
-def _run_chain(workdir, capsys) -> dict:
-    """{path: sha256} of every rankings.json, metrics.csv and curve.csv."""
+def chain_digests(workdir) -> dict:
+    """{path: sha256} of every rankings.json, metrics.csv and curve.csv the
+    chain writes in workdir, the current directory holding config.json."""
     def ok(command, out, *argv):
         assert run(workdir, command, "--config", "config.json", "--out", out, *argv) == 0
         return out
@@ -644,7 +772,6 @@ def _run_chain(workdir, capsys) -> dict:
         ok("eval", f"{out}/eval", *rankings)
         for kind in ("recall_topk", "precision_recall"):
             ok("curve", f"{out}/{kind}", *rankings, "--kind", kind)
-    capsys.readouterr()
     digests = {}
     for root, _, files in os.walk("."):
         for name in files:
@@ -654,8 +781,8 @@ def _run_chain(workdir, capsys) -> dict:
     return digests
 
 
-def test_cli_chain_matches_golden_digests(workdir, capsys):
-    assert _run_chain(workdir, capsys) == CHAIN_GOLDEN
+def test_cli_chain_matches_golden_digests(workdir):
+    assert chain_digests(workdir) == core_table(CHAIN_GOLDEN)
 
 
 def test_checkpoint_interval_writes_intermediates(workdir, capsys):

@@ -96,7 +96,7 @@ def patches_for(dims, seed=21):
 def test_encode_image_shapes_and_norm(tiny_model, tiny_dims):
     enc = image_forward(tiny_model, patches_for(tiny_dims))
     assert enc.patch_states.shape == (tiny_dims.P, tiny_dims.d_v)
-    assert enc.cls_state.shape == (tiny_dims.d_v,)
+    assert enc.ln_cache[0].shape == (tiny_dims.P + 1, tiny_dims.d_v)  # patches and CLS
     assert abs(np.linalg.norm(enc.v_joint) - 1.0) < 1e-6
     assert enc.prompt_count == 0
     for attn in enc.attn:

@@ -1,6 +1,4 @@
-import ctypes
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -27,7 +25,7 @@ from elip.numkit import (
 )
 from elip.rng import Rng
 
-from conftest import TINY
+from conftest import TINY, openblas_core
 
 
 def lp(name="l", **tensors):
@@ -465,9 +463,36 @@ def _plain_attention(params, seq, heads):
     return y + (a1 @ p["w2"].T + p["b2"]), attn
 
 
+def _softmax_inputs(rng, t_count, g, dtype):
+    """Scores of width T for softmax_rows: random rows under the leading
+    stacks (), (H,) and (g, H), a strided view, single rows, and rows whose
+    max is +inf, -inf, NaN, a tie, +0.0 or -0.0."""
+    stacks = [(3.0 * rng.standard_normal((*lead, t_count, t_count))).astype(dtype)
+              for lead in ((), (4,), (g, 4))]
+    strided = np.stack([stacks[-1], -stacks[-1]], axis=-1)[..., 0]
+    special = (-1.0 - np.abs(rng.standard_normal((9, t_count)))).astype(dtype)
+    special[0, 0] = np.inf
+    special[1, -1] = -np.inf
+    special[2] = -np.inf
+    special[3, t_count // 2] = np.nan
+    special[4, 0] = special[4, -1] = 2.5
+    special[5, 0], special[5, -1] = -0.0, 0.0
+    special[6, 0], special[6, -1] = 0.0, -0.0
+    special[7, -1] = -0.0
+    special[8, 0] = 0.0
+    return [*stacks, strided, stacks[0][0], stacks[0][:1], special,
+            np.stack([special, special[::-1], special])]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(27, 32), (3, 27, 32)])
+@pytest.mark.parametrize("shape", [(27, 32), (3, 27, 32), (1, 32), (9, 32), (16, 32), (17, 32),
+                                   (64, 32), (2, 1, 32), (4, 9, 32), (2, 17, 32), (2, 64, 32)])
 def test_forward_kernels_leave_inputs_and_match_plain_formulas(dtype, shape):
+    """Every forward kernel gives the bits of its plain formula and leaves its
+    input untouched. softmax_rows takes its row max in another order than the
+    plain per-row reduce; max is exact in any order, but the sign of a zero
+    max (+0.0 against -0.0 in one row) may differ, and exp(x - m) cannot see
+    it. So the softmax outputs are compared, not the max."""
     rng = np.random.default_rng(sum(shape))
     x = (2.0 * rng.standard_normal(shape)).astype(dtype)
     before = x.tobytes()
@@ -487,11 +512,20 @@ def test_forward_kernels_leave_inputs_and_match_plain_formulas(dtype, shape):
 
     out, _ = softmax_rows(x)
     assert out.tobytes() == _plain_softmax(x).tobytes()
+    with np.errstate(invalid="ignore"):
+        for scores in _softmax_inputs(rng, shape[-2], shape[0] if len(shape) == 3 else 2, dtype):
+            scores_before = scores.tobytes()
+            out, _ = softmax_rows(scores)
+            assert out.dtype == dtype and out.shape == scores.shape
+            assert out.tobytes() == _plain_softmax(scores).tobytes()
+            assert scores.tobytes() == scores_before
 
-    out, attn, _ = attention_block(params, x, 4)
     ref, ref_attn = _plain_attention(params, x, 4)
-    assert out.dtype == dtype and out.tobytes() == ref.tobytes()
-    assert attn.tobytes() == ref_attn.tobytes()
+    strided = np.stack([x, -x], axis=-1)[..., 0]
+    for seq in (x, strided):
+        out, attn, _ = attention_block(params, seq, 4)
+        assert out.dtype == dtype and out.tobytes() == ref.tobytes()
+        assert attn.tobytes() == ref_attn.tobytes()
 
     assert x.tobytes() == before
     assert {k: v.tobytes() for k, v in params.tensors.items()} == tensors_before
@@ -548,20 +582,6 @@ def test_backward_kernels_leave_inputs_and_match_plain_formulas(dtype, shape):
 # ---------------------------------------------------------------------------
 
 
-def _openblas_core() -> str:
-    """Core name of numpy's bundled scipy-openblas (e.g. SkylakeX)."""
-    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so*")):
-        lib = ctypes.CDLL(str(path))
-        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
-            get = getattr(lib, name, None)
-            if get is not None:
-                get.argtypes = []
-                get.restype = ctypes.c_char_p
-                return get().decode()
-    return "unknown"
-
-
 STACKS = (1, 2, 7, 12)
 
 
@@ -581,7 +601,7 @@ def _same_bytes(stacked, singles, what):
         assert stacked[r].dtype == single.dtype
         assert stacked[r].tobytes() == single.tobytes(), (
             f"{what}: stack of {len(singles)}, image {r} moved bits on OpenBLAS "
-            f"core {_openblas_core()}"
+            f"core {openblas_core()}"
         )
 
 
@@ -733,7 +753,8 @@ def test_grad_check_accepts_exact_linear():
 
 def test_grad_check_full_encoder_cls_chain():
     """The CLS state's gradient on the encoder input, the raw patches: final
-    layer norm, every block and the patch embedding."""
+    layer norm, every block and the patch embedding. The CLS row of the final
+    states is rebuilt from the final layer norm's cache."""
     from elip.encoders import image_forward
 
     model = init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8), dtype=np.float64)
@@ -749,7 +770,9 @@ def test_grad_check_full_encoder_cls_chain():
         grad_patches, _ = linear_backward(
             (point["patches"], model.patch_embed.tensors["weight"]), grad[: TINY.P]
         )
-        return float(np.dot(enc.cls_state, w)), {"patches": grad_patches}
+        xhat, _, gamma = enc.ln_cache
+        cls_state = gamma * xhat[TINY.P] + model.image_ln.tensors["beta"]
+        return float(np.dot(cls_state, w)), {"patches": grad_patches}
 
     assert grad_check(f, {"patches": Rng(17).gaussian_matrix(TINY.P, TINY.d_in)}, h=1e-5) < 1e-4
 
