@@ -28,7 +28,6 @@ from .objectives import (
     bce,
     build_score_matrix_with_caches,
     info_nce,
-    itm_logit,
     sigmoid_pairwise,
     variant_batch_loss,
 )

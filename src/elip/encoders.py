@@ -378,7 +378,7 @@ def image_backward(
             )
     layers = range(dims.L_v - 1, dims.insert_layer - 1, -1)
     caches = [numkit.stack_block_caches([enc.block_caches[i] for enc in encs]) for i in layers]
-    grad, _ = numkit.layer_norm_backward(
+    grad = numkit.layer_norm_backward(
         numkit.stack_layer_norm_caches([enc.ln_cache for enc in encs]), grad
     )
     for layer_idx, cache in zip(layers, caches):

@@ -18,16 +18,15 @@ one short reduce per row. Max is exact in any order, so only the sign of a
 zero max can differ, and exp(x - m) cannot see it.
 Each primitive comes as a forward returning (out, cache) plus a backward
 taking (cache, grad_out) and returning exact analytic gradients, verified
-against central finite differences by grad_check: on the input and the
-layer's tensors, except attention_block_backward, whose blocks stay frozen
-and which returns the input gradient alone.
+against central finite differences by grad_check. Only linear_backward
+also returns its tensors' gradients: the encoders' layer norms and blocks
+stay frozen, so layer_norm_backward and attention_block_backward return
+the input gradient alone (layer_norm_param_grads gives gamma and beta).
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from collections.abc import MutableMapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,17 +141,20 @@ def layer_norm(params: LayerParams, x: Array) -> tuple[Array, tuple]:
     return _layer_norm_core(params.tensors["gamma"], params.tensors["beta"], x)
 
 
-def layer_norm_backward(cache: tuple, grad_out: Array) -> tuple[Array, MutableMapping[str, Array]]:
-    """(gradient on x, gamma/beta gradients as a mapping computed on first
-    access: every image backward discards them). Rows run along axis -2;
-    leading axes are a stack, and each stack entry gets its own gamma/beta
-    gradient."""
+def layer_norm_param_grads(cache: tuple, grad_out: Array) -> dict[str, Array]:
+    """The gamma/beta gradients of a layer_norm call. Rows run along axis -2;
+    leading axes are a stack, and each stack entry gets its own gradient."""
+    xhat = cache[0]
+    return {"gamma": np.add.reduce(grad_out * xhat, axis=-2),
+            "beta": np.add.reduce(grad_out, axis=-2)}
+
+
+def layer_norm_backward(cache: tuple, grad_out: Array) -> Array:
+    """The gradient on x; leading axes are a stack. The frozen encoders
+    never train a layer norm, so its gamma/beta gradients are left to
+    layer_norm_param_grads."""
     xhat, inv, gamma = cache
     n = xhat.shape[-1]
-    grads = _OnFirstAccess(lambda: {
-        "gamma": np.add.reduce(grad_out * xhat, axis=-2),
-        "beta": np.add.reduce(grad_out, axis=-2),
-    })
     # inv * (dxhat - sum(dxhat) / n - xhat * (sum(dxhat * xhat) / n))
     grad_x = grad_out * gamma
     term = grad_x * xhat
@@ -161,7 +163,7 @@ def layer_norm_backward(cache: tuple, grad_out: Array) -> tuple[Array, MutableMa
     np.multiply(xhat, mean_dot, out=term)
     grad_x -= term
     grad_x *= inv
-    return grad_x, grads
+    return grad_x
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +264,7 @@ def attention_block_backward(params: LayerParams, cache: tuple, grad_out: Array)
 
     # MLP branch: out = y + m2
     grad_m1 = gelu_backward(gelu_cache, grad_out @ p["w2"])
-    grad_y, _ = layer_norm_backward(ln2_cache, grad_m1 @ p["w1"])
+    grad_y = layer_norm_backward(ln2_cache, grad_m1 @ p["w1"])
     grad_y += grad_out
 
     # attention branch: y = seq + O @ wo.T + bo
@@ -279,7 +281,7 @@ def attention_block_backward(params: LayerParams, cache: tuple, grad_out: Array)
     grad_h1 = grad_q @ p["wq"]
     grad_h1 += grad_k @ p["wk"]
     grad_h1 += grad_v @ p["wv"]
-    grad_ln1, _ = layer_norm_backward(ln1_cache, grad_h1)
+    grad_ln1 = layer_norm_backward(ln1_cache, grad_h1)
     grad_ln1 += grad_y
     return grad_ln1
 
@@ -301,32 +303,6 @@ def stack_block_caches(caches: list) -> tuple:
     return (stack_layer_norm_caches(ln1), _stack(q), _stack(k), _stack(v), _stack(attn),
             stack_layer_norm_caches(ln2), tuple(map(_stack, zip(*gelu_caches))),
             heads[0], scale[0])
-
-
-class _OnFirstAccess(MutableMapping):
-    """A dict that build() makes on first access."""
-
-    def __init__(self, build):
-        self._build = build
-
-    @functools.cached_property
-    def _items(self) -> dict:
-        return self._build()
-
-    def __getitem__(self, key):
-        return self._items[key]
-
-    def __setitem__(self, key, value):
-        self._items[key] = value
-
-    def __delitem__(self, key):
-        del self._items[key]
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 # ---------------------------------------------------------------------------

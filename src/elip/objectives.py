@@ -2,34 +2,34 @@
 
 Every batch loss and the stage-2 re-rank run through one streamer,
 stream_pairs, from the prompt mapper and the image encoder to the prompt
-backward. A caller names its (text i, image j, score rows, ...) pairs and
-supplies a score(pair, encoding) and, to train, a row backward.
+backward. A caller names its (text i, image j, score rows) pairs and gets
+back, in pair order, the one stack each variant scores: B's final patch
+states, C/S's v_joint. To train, it also supplies a row backward.
 Score matrices are text-anchored: row i holds text i scored against every
 image in the batch, each image re-encoded under conditioning prompts.
 per_row conditioning re-encodes image j with prompts from text i for entry
 (i, j) (b^2 encodings, matching inference); diagonal conditions every image
-on its own paired text (b encodings) and fills every row with each. B
+on its own paired text (b encodings) and fills every row with each. C/S
+scores a row with numkit.row_dots, each entry with its own np.dot bits. B
 scores each anchor's positive and its mined negative with the ITM head.
 
-The streamer maps text i's prompts once and encodes one pair at a time. A
-call without gradients keeps no encoding: a loss-only call, or
-retrieval.rerank, whose callback copies each of its query's top-k
-candidates' v_joint or patch states into one array that it scores once
-the stream ends. With gradients, text i's run, with its prompt cache,
-waits until every score row it fills is complete, goes back through one
-stacked image_backward and one map_prompts_backward, and is dropped:
-per_row holds b encodings at a time, not b^2; diagonal holds its b until
-the end; B an anchor's two. Batch texts, and images under an empty
-prompt set (the prompt-free JEST reference, or any n = 0 model's
-re-rank), come from encoders.frozen_text and frozen_image, so a record's
-frozen work runs once per backbone.
+The streamer maps text i's prompts once and encodes one pair at a time,
+keeping only the scored part of each encoding in the returned stack. A
+call without gradients (a loss-only call, or retrieval.rerank) keeps no
+encoding and scores the stack once the stream ends. With gradients, text
+i's run, with its prompt cache, waits until every score row it fills is
+complete, goes back through one stacked image_backward and one
+map_prompts_backward, and is dropped: per_row holds b encodings at a time,
+not b^2; diagonal holds its b until the end; B an anchor's two. Batch
+texts, and images under an empty prompt set (the prompt-free JEST
+reference, or any n = 0 model), come from encoders.frozen_text and
+frozen_image, so a record's frozen work runs once per backbone.
 
 The ITM head runs over stacks: itm_forward takes one image's (P, d_v)
 patch states or a (..., P, d_v) stack of them, against one text or a stack
 of texts, and gives one logit per image; itm_backward takes the cache of
-any such call. The B loss copies each pair's patch states into one
-(b, 2, P, d_v) array: a loss-only call (a JEST score) scores the whole
-batch with one forward, a training call each anchor's positive and
+any such call. A loss-only B call (a JEST score) scores the whole streamed
+stack with one forward, a training call each anchor's positive and
 negative with one forward and one backward. The re-rank scores all k
 candidates of a query in one call. Every logit and gradient keeps the
 bits of its image's own single-image call.
@@ -42,15 +42,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
-from operator import add, itemgetter
+from operator import add
 
 import numpy as np
 
 from . import numkit
 from .encoders import (
-    ImageEncoding,
     ModelBundle,
-    TextEncoding,
     frozen_image,
     frozen_text,
     image_backward,
@@ -92,55 +90,58 @@ def _pairs(b: int, conditioning: str) -> list:
     return [(j, j, range(b)) for j in range(b)]
 
 
-def stream_pairs(model: ModelBundle, records, texts, pairs, score, backward=None, grads=None):
-    """Encode and score the pairs (i, j, rows, ...) of one batch.
+def stream_pairs(model: ModelBundle, records, texts, pairs, backward=None, grads=None) -> Array:
+    """Encode the pairs (i, j, rows) of one batch and return, in pair order,
+    the part of each encoding its variant scores: B's final patch states as
+    a (len(pairs), P, d_v) stack, C/S's v_joint as a (len(pairs), d_e) one.
 
     Text i's prompts are mapped once, as its group of pairs starts; each
     pair encodes record j's image under them (its frozen image when the set
-    is empty) and goes to score(pair, encoding). Without grads nothing is
-    kept. With grads (a dict), text i's run waits, with its prompt cache,
-    until every score row its pairs fill is complete; then backward(rows)
-    of those rows maps each pair to its image_backward kwargs, the run goes
-    through one stacked image_backward, and its prompt gradient, summed in
-    pair order, through one map_prompts_backward into grads["mapper.<key>"]."""
+    is empty). Without grads no encoding is kept. With grads (a dict), text
+    i's run waits, with its prompt cache, until every score row its pairs
+    fill is complete; then backward(rows, out) of those rows returns
+    grad_of, grad_of(p) the gradient on out[p]. The run goes through one
+    stacked image_backward, and its prompt gradient, summed in pair order,
+    through one map_prompts_backward into grads["mapper.<key>"]."""
+    dims = model.dims
+    itm = model.variant == "B"
+    out = np.empty((len(pairs), dims.P, dims.d_v) if itm else (len(pairs), dims.d_e), model.dtype)
+    grad_key = "grad_patch_states" if itm else "grad_v_joint"
     if grads is not None:
         for layer in model.trainable_layers():
             for k, v in layer.tensors.items():
                 grads.setdefault(f"{layer.name}.{k}", np.zeros_like(v))
-    unscored = Counter(r for pair in pairs for r in pair[2])  # entries per row not yet scored
+    unscored = Counter(r for _, _, rows in pairs for r in rows)  # entries per row not yet scored
     pending = []  # (prompt cache, run) of runs not yet backpropagated
-    for i, group in groupby(pairs, key=itemgetter(0)):
-        prompts, cache = map_prompts_with_cache(
-            model.mapper, texts[i], model.mapper_cfg, model.dims.d_v
-        )
-        run = []
-        for pair in group:
-            rec = records[pair[1]]
-            enc = (image_forward(model, rec.patches, prompts) if prompts.size
-                   else frozen_image(model, rec))
-            score(pair, enc)
+    for i, group in groupby(enumerate(pairs), key=lambda item: item[1][0]):
+        prompts, cache = map_prompts_with_cache(model.mapper, texts[i], model.mapper_cfg, dims.d_v)
+        run = []  # (pair index, encoding)
+        for p, (_, j, rows) in group:
+            enc = (image_forward(model, records[j].patches, prompts) if prompts.size
+                   else frozen_image(model, records[j]))
+            out[p] = enc.patch_states if itm else enc.v_joint
             if grads is not None:
-                run.append((pair, enc))
-                unscored.subtract(pair[2])
+                run.append((p, enc))
+                unscored.subtract(rows)
         if grads is None:
             continue
         pending.append((cache, run))
-        rows = sorted({r for _, run in pending for pair, _ in run for r in pair[2]})
+        rows = sorted({r for _, run in pending for p, _ in run for r in pairs[p][2]})
         if any(unscored[r] for r in rows):
             continue
-        kwargs_of = backward(rows)
+        grad_of = backward(rows, out)
         for cache, run in pending:
             if not run[0][1].prompt_count:
                 continue
-            kwargs = [kwargs_of(pair) for pair, _ in run]
-            stacked = {key: [kw[key] for kw in kwargs] for key in kwargs[0]}
             # bound until the next run: freeing the stack at once let glibc trim
             # and re-fault the heap top every run (~4x a per_row step's faults)
-            grad_stack = image_backward(model, [e for _, e in run], **stacked)
+            grad_stack = image_backward(model, [e for _, e in run],
+                                        **{grad_key: [grad_of(p) for p, _ in run]})
             grad_prompts = reduce(add, grad_stack)
             for k, v in map_prompts_backward(model.mapper, cache, grad_prompts).items():
                 grads[f"mapper.{k}"] += v
         pending = []
+    return out
 
 
 def build_score_matrix_with_caches(
@@ -156,25 +157,33 @@ def build_score_matrix_with_caches(
     if conditioning not in ("per_row", "diagonal"):
         raise ConfigError(f"unknown conditioning {conditioning!r}")
     texts = [frozen_text(model, rec) for rec in records]
+    t_joint = np.stack([t.t_joint for t in texts])
     sm = ScoreMatrix(scores=np.zeros((b, b)), cosines=np.zeros((b, b)), conditioning=conditioning)
     g_cos = np.empty((b, b))
+    pairs = _pairs(b, conditioning)
 
-    def score(pair, enc):
-        _, j, rows = pair
-        for r in rows:
-            sm.cosines[r, j] = float(np.dot(texts[r].t_joint, enc.v_joint))
-            sm.scores[r, j] = sm.cosines[r, j] / sm.tau
+    def fill(rows, out):
+        """Score rows, each entry with the bits of np.dot(t_joint, v_joint)."""
+        v_joint = (out.reshape(b, b, -1) if conditioning == "per_row"
+                   else np.broadcast_to(out, (b, *out.shape)))
+        sm.cosines[rows] = numkit.row_dots(v_joint[rows], t_joint[rows, None])
+        sm.scores[rows] = sm.cosines[rows] / sm.tau
 
-    def backward(rows):
+    def backward(rows, out):
+        fill(rows, out)
         if model.variant == "C":
             g_cos[rows] = info_nce_grad(sm, rows) / sm.tau
         else:
             g_cos[rows] = sigmoid_pairwise_grad(sm, rows=rows)
-        return lambda pair: {
-            "grad_v_joint": sum(g_cos[r, pair[1]] * texts[r].t_joint for r in pair[2])
-        }
 
-    stream_pairs(model, records, texts, _pairs(b, conditioning), score, backward, grads)
+        def grad_of(p):
+            _, j, pair_rows = pairs[p]
+            return sum(g_cos[r, j] * texts[r].t_joint for r in pair_rows)
+        return grad_of
+
+    out = stream_pairs(model, records, texts, pairs, backward, grads)
+    if grads is None:
+        fill(range(b), out)
     return sm
 
 
@@ -334,11 +343,6 @@ def itm_backward(head: LayerParams, cache: tuple, grad_logits) -> tuple[dict[str
     return grads, grad_patches
 
 
-def itm_logit(head: LayerParams, text_enc: TextEncoding, image_enc: ImageEncoding) -> float:
-    logit, _ = itm_forward(head, text_enc.t_cls, image_enc.patch_states)
-    return logit
-
-
 def itm_attention(head: LayerParams, patch_states: Array) -> Array:
     """Query->patch cross-attention weights (q, P) for the attention map."""
     return _itm_attend(head.tensors, patch_states)[2]
@@ -401,13 +405,12 @@ def variant_batch_loss(
 
 def _itm_loss(model: ModelBundle, records, grads) -> float:
     """BCE over each anchor's positive, then its mined negative: pairs
-    (i, j, (i,), slot) that fill score row i, so an anchor's two encodings
-    are one run. The streamer copies each pair's patch states to slot
-    (0 positive, 1 negative) of row i of one (b, 2, P, d_v) array. A
-    loss-only call scores the whole array with one itm_forward once the
+    (i, j, (i,)) that fill score row i, so an anchor's two encodings are one
+    run, and rows 2i and 2i + 1 of the streamed (2b, P, d_v) patch states.
+    A loss-only call scores the whole stack with one itm_forward once the
     stream ends; a training call scores anchor i's two images with one
     itm_forward and one itm_backward as its run completes, and adds the
-    head gradients slot by slot, in pair order."""
+    head gradients image by image, in pair order."""
     b = len(records)
     if b < 2:
         raise ConfigError("ITM batch needs >= 2 records for a negative")
@@ -416,22 +419,15 @@ def _itm_loss(model: ModelBundle, records, grads) -> float:
     head = model.itm_head
     texts = [frozen_text(model, rec) for rec in records]
     negatives = pick_itm_negatives(model, records, texts)
-    pairs = [(i, j, (i,), slot) for i in range(b) for slot, j in enumerate((i, negatives[i]))]
+    pairs = [(i, j, (i,)) for i in range(b) for j in (i, negatives[i])]
     labels = (1, 0)
     denom = 2 * b
-    states = None  # (b, 2, P, d_v)
     total = 0.0
 
-    def keep(pair, enc):
-        nonlocal states
-        if states is None:
-            states = np.empty((b, 2, *enc.patch_states.shape), enc.patch_states.dtype)
-        states[pair[0], pair[3]] = enc.patch_states
-
-    def backward(rows):
+    def backward(rows, out):
         nonlocal total
         (i,) = rows
-        logits, cache = itm_forward(head, texts[i].t_cls, states[i])
+        logits, cache = itm_forward(head, texts[i].t_cls, out[2 * i: 2 * i + 2])
         grad_logits = []
         for logit, label in zip(logits.tolist(), labels):
             total += bce(logit, label)
@@ -440,11 +436,12 @@ def _itm_loss(model: ModelBundle, records, grads) -> float:
         for slot in range(2):
             for k, v in head_grads.items():
                 grads[f"itm.{k}"] += v[slot]
-        return lambda pair: {"grad_patch_states": grad_states[pair[3]]}
+        return lambda p: grad_states[p - 2 * i]
 
-    stream_pairs(model, records, texts, pairs, keep, backward, grads)
+    out = stream_pairs(model, records, texts, pairs, backward, grads)
     if grads is None:
-        logits, _ = itm_forward(head, np.stack([t.t_cls for t in texts])[:, None], states)
+        t_cls = np.stack([t.t_cls for t in texts])[:, None]
+        logits, _ = itm_forward(head, t_cls, out.reshape(b, 2, *out.shape[1:]))
         for row in logits.tolist():
             for logit, label in zip(row, labels):
                 total += bce(logit, label)

@@ -3,13 +3,12 @@ metrics, curves, attention maps and the FLOPs estimator.
 
 Stage 1 scores by numkit.row_dots, whose rows carry the bits of per-row
 np.dot (not of one batched GEMV). Stage 2 encodes a query's top-k through
-objectives.stream_pairs, the training pair streamer, which only copies
-each candidate's v_joint (C/S) or patch states (B) into one (k, ...)
-array; once it returns, C/S scores the array by the same row_dots, so
-stage-1 and re-ranked scores of identical encodings are bitwise equal, and
-B by one stacked ITM-head call, each logit with the bits of its own
-single-image call. numkit.order_desc orders every list, ties by ascending
-image id.
+objectives.stream_pairs, the training pair streamer, which returns the
+candidates' (k, d_e) v_joint (C/S) or (k, P, d_v) patch states (B). C/S
+scores that stack by the same row_dots, so stage-1 and re-ranked scores of
+identical encodings are bitwise equal, and B by one stacked ITM-head call,
+each logit with the bits of its own single-image call.
+numkit.order_desc orders every list, ties by ascending image id.
 
 A RankingResult is columnar: int indices into a shared gallery id list and
 float64 scores, best first; the metrics read a per-query hit mask, and the
@@ -166,19 +165,9 @@ def rerank(
         raise ConfigError(f"k={k} outside [0, {len(ranking.order)}]")
     head = ranking.order[:k]
     ids = list(map(ranking.gallery.__getitem__, head.tolist()))
-    itm = model.variant == "B"
-    stack = None  # (k, P, d_v) patch states for B, (k, d_e) v_joint for C/S
-
-    def keep(pair, enc):
-        nonlocal stack
-        row = enc.patch_states if itm else enc.v_joint
-        if stack is None:
-            stack = np.empty((k, *row.shape), row.dtype)
-        stack[pair[1]] = row
-
-    stream_pairs(model, [ds.by_id(image_id) for image_id in ids], [text_enc],
-                 [(0, j, (0,)) for j in range(k)], keep)
-    if itm:
+    stack = stream_pairs(model, [ds.by_id(image_id) for image_id in ids], [text_enc],
+                         [(0, j, (0,)) for j in range(k)])
+    if model.variant == "B":
         logits, _ = itm_forward(model.itm_head, text_enc.t_cls, stack)
         scores = ranking.scores[:k] + (sigmoid(logits) if itm_sigmoid else logits)
     else:

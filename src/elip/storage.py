@@ -422,12 +422,17 @@ def write_plan(path: str, plan: CurationPlan) -> None:
 
 
 def read_plan(path: str) -> CurationPlan:
-    return _parse_json(path, lambda doc: CurationPlan(
-        batches=[[_integer(path, k, f"batch {n} index") for k in b]
-                 for n, b in enumerate(doc["batches"])],
-        learnability=doc.get("learnability"),
-        source_seed=_integer(path, doc.get("source_seed", 0), "source_seed"),
-    ))
+    def parse(doc):
+        batches = [[_integer(path, k, f"batch {n} index") for k in b]
+                   for n, b in enumerate(doc["batches"])]
+        scores = doc.get("learnability")
+        if not (scores is None or isinstance(scores, list) and len(scores) == len(batches)
+                and all(_conforms(s, float) for s in scores)):
+            raise FormatError(f"{path}: learnability {scores!r} is neither null nor "
+                              f"a list of {len(batches)} numbers, one per batch")
+        return CurationPlan(batches=batches, learnability=scores,
+                            source_seed=_integer(path, doc.get("source_seed", 0), "source_seed"))
+    return _parse_json(path, parse)
 
 
 def write_store(out_dir: str, store: EmbeddingStore) -> None:

@@ -1151,6 +1151,30 @@ def test_non_integer_artifact_field_exit_two(workdir, capsys, field):
     assert expected in err, err
 
 
+# one value per kind of bad learnability in the pipeline's plan of 12
+# batches: not a list, a string or bool entry, a score count off by one
+BAD_LEARNABILITY = {
+    "string": "abc",
+    "object": {"a": 1},
+    "string_entry": [1] * 11 + ["x"],
+    "bool_entry": [True] + [0.5] * 11,
+    "short_list": [0.5] * 11,
+    "single_score": [0.5],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LEARNABILITY))
+def test_bad_plan_learnability_exit_two(workdir, capsys, case):
+    """learnability is null or one number per batch: any other JSON value
+    used to load, and train --plan exited 0."""
+    build_pipeline(workdir, capsys)
+    value = BAD_LEARNABILITY[case]
+    _edit_json("plan/plan.json", lambda d: d.update(learnability=value))
+    err = assert_exit_two_without_traceback(workdir, capsys, "plan/plan.json",
+                                            *READERS["plan/plan.json"])
+    assert f"learnability {value!r} is neither null nor a list of 12 numbers" in err, err
+
+
 OCCLUDED_ARGS = ("bench-occluded", "--data", "data/data.jsonl")
 
 # one wrongly typed value per string or list-of-strings field: a string used

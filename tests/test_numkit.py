@@ -18,6 +18,7 @@ from elip.numkit import (
     grad_check,
     layer_norm,
     layer_norm_backward,
+    layer_norm_param_grads,
     linear,
     linear_backward,
     softmax_rows,
@@ -133,8 +134,8 @@ def test_layer_norm_backward_finite_difference():
         p = lp(gamma=point["gamma"], beta=point["beta"])
         out, cache = layer_norm(p, point["x"])
         loss = float((out * w).sum())
-        grad_x, grads = layer_norm_backward(cache, w)
-        grads["x"] = grad_x
+        grads = layer_norm_param_grads(cache, w)
+        grads["x"] = layer_norm_backward(cache, w)
         return loss, grads
 
     point = {"gamma": params.tensors["gamma"].copy(),
@@ -340,7 +341,7 @@ def _loop_attention_backward(params, cache, grad_out):
     ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, dh, scale = cache
     p = params.tensors
     grad_m1 = gelu_backward(gelu_cache, grad_out @ p["w2"])
-    grad_ln2, _ = layer_norm_backward(ln2_cache, grad_m1 @ p["w1"])
+    grad_ln2 = layer_norm_backward(ln2_cache, grad_m1 @ p["w1"])
     grad_y = grad_out + grad_ln2
     grad_o = grad_y @ p["wo"]
     grad_q, grad_k, grad_v = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
@@ -354,7 +355,7 @@ def _loop_attention_backward(params, cache, grad_out):
         grad_q[:, sl] = (grad_s @ k[:, sl]) * scale
         grad_k[:, sl] = (grad_s.T @ q[:, sl]) * scale
     grad_h1 = grad_q @ p["wq"] + grad_k @ p["wk"] + grad_v @ p["wv"]
-    grad_ln1, _ = layer_norm_backward(ln1_cache, grad_h1)
+    grad_ln1 = layer_norm_backward(ln1_cache, grad_h1)
     return grad_y + grad_ln1
 
 
@@ -568,7 +569,7 @@ def test_backward_kernels_leave_inputs_and_match_plain_formulas(dtype, shape):
     got = gelu_backward(gelu_cache, grad_out)
     assert got.dtype == dtype
     assert got.tobytes() == _plain_gelu_backward(*gelu_cache, grad_out).tobytes()
-    got, _ = layer_norm_backward(ln_cache, grad_out)
+    got = layer_norm_backward(ln_cache, grad_out)
     assert got.tobytes() == _plain_layer_norm_backward(*ln_cache, grad_out).tobytes()
     got = softmax_rows_backward(p, grad_out)
     assert got.tobytes() == _plain_softmax_backward(p, grad_out).tobytes()
@@ -626,7 +627,8 @@ def test_stacked_backward_matches_single_calls(dims, dtype, seed):
     singles = {
         "image_backward": [image_backward(model, [e], [gv], [gp])[0]
                            for e, gv, gp in zip(encs, grad_v, grad_patches)],
-        "layer_norm_backward": [layer_norm_backward(e.ln_cache, gr)
+        "layer_norm_backward": [(layer_norm_backward(e.ln_cache, gr),
+                                 layer_norm_param_grads(e.ln_cache, gr))
                                 for e, gr in zip(encs, grad_rows)],
         "attention_block_backward": [attention_block_backward(block, e.block_caches[layer], gr)
                                      for e, gr in zip(encs, grad_rows)],
@@ -636,7 +638,8 @@ def test_stacked_backward_matches_single_calls(dims, dtype, seed):
         assert got.shape == (g, dims.n, dims.d_v)
         _same_bytes(got, singles["image_backward"][:g], "image_backward")
         ln_cache = numkit.stack_layer_norm_caches([e.ln_cache for e in encs[:g]])
-        grad_x, grads = layer_norm_backward(ln_cache, grad_rows[:g])
+        grad_x = layer_norm_backward(ln_cache, grad_rows[:g])
+        grads = layer_norm_param_grads(ln_cache, grad_rows[:g])
         _same_bytes(grad_x, [x for x, _ in singles["layer_norm_backward"][:g]], "layer_norm")
         for key in ("gamma", "beta"):
             _same_bytes(grads[key], [s[key] for _, s in singles["layer_norm_backward"][:g]],
@@ -764,7 +767,7 @@ def test_grad_check_full_encoder_cls_chain():
         enc = image_forward(model, point["patches"])
         grad = np.zeros((TINY.P + 1, TINY.d_v))
         grad[TINY.P] = w
-        grad, _ = numkit.layer_norm_backward(enc.ln_cache, grad)
+        grad = numkit.layer_norm_backward(enc.ln_cache, grad)
         for block, cache in reversed(list(zip(model.image_blocks, enc.block_caches))):
             grad = numkit.attention_block_backward(block, cache, grad)
         grad_patches, _ = linear_backward(

@@ -25,7 +25,6 @@ from elip.objectives import (
     info_nce_grad,
     itm_backward,
     itm_forward,
-    itm_logit,
     pick_itm_negatives,
     sigmoid_pairwise,
     sigmoid_pairwise_grad,
@@ -256,20 +255,24 @@ def reference_contrastive_loss(model, records, conditioning, grads=None):
 @pytest.mark.parametrize("conditioning", ["per_row", "diagonal"])
 @pytest.mark.parametrize("variant", ["C", "S"])
 def test_streamed_loss_equals_eager_reference_bit_for_bit(variant, conditioning, dtype, b):
-    model = init_frozen_model(7, TINY, variant, MapperConfig(n=TINY.n, hidden=8), dtype=dtype)
-    randomize_mapper(model)
-    records = make_records(b)
-    assert variant_batch_loss(model, records, conditioning) == reference_contrastive_loss(
-        model, records, conditioning
-    )
-    grads, expected = {}, {}
-    assert variant_batch_loss(model, records, conditioning, grads) == reference_contrastive_loss(
-        model, records, conditioning, expected
-    )
-    assert list(grads) == list(expected)
-    for key, value in expected.items():
-        assert value.dtype == dtype and np.array_equal(grads[key], value), key
-    assert all(np.any(v) for v in grads.values())
+    """Also for an n = 0 model, whose images the streamer reads from
+    frozen_image and whose runs it still passes to the row backward."""
+    for n in (TINY.n, 0):
+        dims = replace(TINY, n=n)
+        model = init_frozen_model(7, dims, variant, MapperConfig(n=n, hidden=8), dtype=dtype)
+        randomize_mapper(model)
+        records = make_records(b)
+        assert variant_batch_loss(model, records, conditioning) == reference_contrastive_loss(
+            model, records, conditioning
+        )
+        grads, expected = {}, {}
+        assert variant_batch_loss(model, records, conditioning, grads) == (
+            reference_contrastive_loss(model, records, conditioning, expected))
+        assert list(grads) == list(expected)
+        for key, value in expected.items():
+            assert value.dtype == dtype and np.array_equal(grads[key], value), key
+        if n:
+            assert all(np.any(v) for v in grads.values())
 
 
 @pytest.mark.parametrize("variant, conditioning, encodes, bound", [
@@ -371,9 +374,9 @@ def test_itm_zero_final_layer_gives_zero_logit(tiny_dims):
     records = make_records(2, tiny_dims)
     text = encode_text(model, records[0].tokens)
     image = image_forward(model, records[0].patches)
-    assert itm_logit(head, text, image) == 0.0
+    assert itm_forward(head, text.t_cls, image.patch_states)[0] == 0.0
     other = image_forward(model, records[1].patches)
-    assert itm_logit(head, text, other) == 0.0
+    assert itm_forward(head, text.t_cls, other.patch_states)[0] == 0.0
 
 
 def test_itm_gradients_finite_difference(tiny_model_b_f64, tiny_dims):
@@ -561,11 +564,12 @@ def reference_itm_loss(model, records, grads=None):
 def test_itm_loss_equals_per_anchor_reference_bit_for_bit(finetune_itm, insert_layer):
     """After two training steps with a fine-tuned or a frozen head, the loss
     and every gradient of variant B match the reference loop exactly, in
-    float64 and float32: the stacked head calls (one per loss-only batch,
-    one forward and one backward per training anchor) keep every bit."""
-    dims = replace(TINY, insert_layer=insert_layer)
-    for dtype in (np.float64, np.float32):
-        model = init_frozen_model(7, dims, "B", MapperConfig(n=dims.n, hidden=8), dtype=dtype)
+    float64 and float32 and for an n = 0 model: the stacked head calls (one
+    per loss-only batch, one forward and one backward per training anchor)
+    keep every bit, and an n = 0 run still reaches the head backward."""
+    for n, dtype in ((TINY.n, np.float64), (TINY.n, np.float32), (0, np.float64)):
+        dims = replace(TINY, insert_layer=insert_layer, n=n)
+        model = init_frozen_model(7, dims, "B", MapperConfig(n=n, hidden=8), dtype=dtype)
         randomize_mapper(model)
         ds = PairDataset(records=make_records(6, dims))
         plan = CurationPlan(batches=[[0, 1, 2], [3, 4, 5]])
@@ -580,7 +584,8 @@ def test_itm_loss_equals_per_anchor_reference_bit_for_bit(finetune_itm, insert_l
         assert list(grads) == list(expected)
         for key, value in expected.items():
             assert value.dtype == dtype and grads[key].tobytes() == value.tobytes(), key
-        assert any(np.any(v) for k, v in grads.items() if k.startswith("mapper."))
+        if n:
+            assert any(np.any(v) for k, v in grads.items() if k.startswith("mapper."))
 
 
 def _calls(tree, name):
@@ -619,15 +624,14 @@ def test_one_call_site_per_image_backward_and_mapper_backward():
     assert sites("map_prompts_with_cache") == streamer + [("prompt_mapper", "prompts_for_text")]
     assert sites("encode_image") == []
     rerank = next(top for top in trees["retrieval"].body if getattr(top, "name", "") == "rerank")
-    own_encode = ("image_forward", "prompts_for_text", "map_prompts_with_cache", "itm_logit")
+    own_encode = ("image_forward", "prompts_for_text", "map_prompts_with_cache")
     assert [name for name in own_encode if _calls(rerank, name)] == []
     assert _calls(rerank, "stream_pairs")
     # the ITM head: the B loss makes one stacked forward per loss-only batch
-    # and one forward and one backward per training anchor; itm_logit; and
-    # the re-rank's one stacked call per query
+    # and one forward and one backward per training anchor, and the re-rank
+    # one stacked call per query
     assert sites("itm_forward") == [
-        ("objectives", "_itm_loss"), ("objectives", "_itm_loss"), ("objectives", "itm_logit"),
-        ("retrieval", "rerank")]
+        ("objectives", "_itm_loss"), ("objectives", "_itm_loss"), ("retrieval", "rerank")]
     assert sites("itm_backward") == [("objectives", "_itm_loss")]
 
     # a prompt-free encode runs only in encoders.frozen_image, which keeps it

@@ -13,7 +13,7 @@ from elip.config import DimsConfig, FULL_SCALE_K, MapperConfig
 from elip.curation import Benchmark, BenchmarkQuery, PairDataset, query_id
 from elip.encoders import encode_text, image_forward, init_frozen_model
 from elip.errors import ConfigError, DataError
-from elip.objectives import itm_logit, sigmoid
+from elip.objectives import itm_forward, sigmoid
 from elip.prompt_mapper import prompts_for_text
 from elip import storage
 from elip.retrieval import (
@@ -233,7 +233,7 @@ def test_rerank_variant_b_adds_itm_logit():
     by_id = dict(ranking.entries)
     for image_id, score in out.entries[:2]:
         enc = image_forward(model, ds.by_id(image_id).patches, prompts)
-        expected = by_id[image_id] + itm_logit(model.itm_head, text, enc)
+        expected = by_id[image_id] + itm_forward(model.itm_head, text.t_cls, enc.patch_states)[0]
         assert abs(score - expected) < 1e-6
 
 
@@ -254,7 +254,7 @@ def loop_rerank_entries(model, ds, ranking, k, text_enc, itm_sigmoid=False):
     for image_id, old_score in ranking.entries[:k]:
         enc = image_forward(model, ds.by_id(image_id).patches, prompts)
         if model.variant == "B":
-            logit = itm_logit(model.itm_head, text_enc, enc)
+            logit = itm_forward(model.itm_head, text_enc.t_cls, enc.patch_states)[0]
             bonus = float(sigmoid(np.array(logit))) if itm_sigmoid else logit
             new_score = old_score + bonus
         else:
