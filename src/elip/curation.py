@@ -27,7 +27,8 @@ class PairRecord:
     caption: str
     categories: set = field(default_factory=set)
     occluded_categories: set = field(default_factory=set)
-    # encoders.frozen_text/frozen_image entries by (backbone_key, "text"|"image")
+    # encoders.frozen_text entries by (backbone_key, "text"), frozen_image
+    # ones by (backbone_key, "image", variant == "B")
     frozen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 

@@ -10,8 +10,8 @@ Image token order is [patch tokens (+pos), CLS (+pos), prompt tokens
 participate in every later block.
 
 frozen_text and frozen_image keep a record's frozen encodings on the record,
-one per ModelBundle.backbone_key, so a model's frozen tensors must never
-change after it has encoded anything."""
+one per ModelBundle.backbone_key (and per kept_rows for images), so a
+model's frozen tensors must never change after it has encoded anything."""
 
 from __future__ import annotations
 
@@ -42,16 +42,17 @@ class TextEncoding:
 class ImageEncoding:
     """One image encoded under optional prompts, with its backward cache."""
 
-    patch_states: Array | None  # (P, d_v); None on a C/S frozen entry
+    patch_states: Array | None  # (P, d_v) for variant B; None for C/S
     v_joint: Array  # (d_e,) unit-norm projected embedding
     prompt_count: int
     block_caches: list  # per layer attention_block cache
-    ln_cache: tuple  # final layer norm
+    ln_cache: tuple  # final layer norm over kept_rows
     proj_cache: tuple  # joint projection
 
     @property
     def attn(self) -> list:
-        """Per layer (H, T, T) attention weights, read from the block caches."""
+        """Per layer (H, T, T) attention weights, read from the block caches;
+        the last layer's are (H, R, T), for its R kept_rows."""
         return [cache[4] for cache in self.block_caches]
 
 
@@ -282,7 +283,10 @@ def encode_text(model: ModelBundle, tokens) -> TextEncoding:
 def image_forward(
     model: ModelBundle, patches: Array, prompts: Array | None = None
 ) -> ImageEncoding:
-    """Encode one image; prompts (n, d_v) join the sequence at insert_layer."""
+    """Encode one image; prompts (n, d_v) join the sequence at insert_layer.
+
+    The last block computes only the rows the variant reads (kept_rows):
+    the final layer norm, patch_states and v_joint come from those."""
     dims = model.dims
     patches = np.asarray(patches)
     if patches.shape != (dims.P, dims.d_in):
@@ -305,18 +309,27 @@ def image_forward(
     seq = seq + model.image_pos.tensors["weight"]
 
     block_caches = []
+    last = dims.L_v - 1
     for layer_idx, block in enumerate(model.image_blocks):
         if layer_idx == dims.insert_layer and n > 0:
             seq = np.concatenate([seq, prompts], axis=0)
-        seq, _, bcache = numkit.attention_block(block, seq, dims.H)
+        rows = kept_rows(model) if layer_idx == last else slice(None)
+        seq, _, bcache = numkit.attention_block(block, seq, dims.H, rows=rows)
         block_caches.append(bcache)
     states, ln_cache = numkit.layer_norm(model.image_ln, seq)
-    v_joint, proj_cache = project_normalize(model.proj_image, states[dims.P])
+    v_joint, proj_cache = project_normalize(model.proj_image, states[-1])
     return ImageEncoding(
-        patch_states=states[: dims.P], v_joint=v_joint,
+        patch_states=states[: dims.P] if model.variant == "B" else None, v_joint=v_joint,
         prompt_count=n, block_caches=block_caches,
         ln_cache=ln_cache, proj_cache=proj_cache,
     )
+
+
+def kept_rows(model: ModelBundle) -> slice:
+    """The rows of the final block an encoding reads, CLS last: the P patch
+    rows and CLS for the ITM head of variant B, CLS alone for C/S. Prompt
+    rows are never read after the last block."""
+    return slice(0 if model.variant == "B" else model.dims.P, model.dims.P + 1)
 
 
 encode_image = image_forward  # perfbench/selftest.py calls this name
@@ -333,19 +346,18 @@ def frozen_text(model: ModelBundle, rec) -> TextEncoding:
 
 
 def frozen_image(model: ModelBundle, rec) -> ImageEncoding:
-    """rec's prompt-free encoding (prompt_count 0), computed once per record
-    and backbone and kept on the record. It keeps v_joint and no backward
-    cache: nothing flows back into it. Only a variant-B model keeps the
-    final patch states, which its ITM head reads; finding an entry a C/S
-    model of the same backbone wrote, it re-encodes once and replaces it."""
-    key = (model.backbone_key, "image")
-    itm = model.variant == "B"
+    """rec's prompt-free encoding (prompt_count 0), computed once per record,
+    backbone and kept rows and kept on the record. It keeps v_joint, the
+    final patch states of a variant-B model and no backward cache: nothing
+    flows back into it. B and C/S entries are kept apart, as their kept rows
+    may give their CLS rows different bits."""
+    key = (model.backbone_key, "image", model.variant == "B")
     enc = rec.frozen.get(key)
-    if enc is None or itm and enc.patch_states is None:
+    if enc is None:
         full = image_forward(model, rec.patches)
         enc = rec.frozen[key] = ImageEncoding(
-            patch_states=full.patch_states if itm else None,
-            v_joint=full.v_joint, prompt_count=0, block_caches=[], ln_cache=(), proj_cache=())
+            patch_states=full.patch_states, v_joint=full.v_joint, prompt_count=0,
+            block_caches=[], ln_cache=(), proj_cache=())
     return enc
 
 
@@ -354,11 +366,13 @@ def image_backward(
 ) -> Array:
     """The (g, n, d_v) prompt gradients of a group of g encodings that share
     a prompt count n, given per-encoding gradients on their v_joint (g, d_e)
-    and/or their final patch states (g, P, d_v); (g, 0, d_v) when n is 0.
+    and/or, for variant B, their final patch states (g, P, d_v); (g, 0, d_v)
+    when n is 0.
 
-    The final layer norm and blocks L_v-1 ... insert_layer each run once
-    over the (g, T, d_v) stack; each image's gradient has the bits of a
-    backward of its own. Every layer's caches are stacked before the first
+    The final layer norm runs once over the (g, R, d_v) stack of the
+    kept_rows, the last block takes those rows back to all T, and blocks
+    L_v-2 ... insert_layer each run once over the (g, T, d_v) stack; each
+    image's gradient has the bits of a backward of its own. Every layer's caches are stacked before the first
     block runs: stacking between blocks let glibc trim and re-fault the
     heap, about twice the page faults per step. No block below insert_layer
     sees a prompt row, so the backward stops there."""
@@ -368,12 +382,15 @@ def image_backward(
         raise DimensionError("image_backward group mixes prompt counts")
     if n == 0:
         return np.zeros((len(encs), 0, dims.d_v), dtype=model.dtype)
-    grad = np.zeros((len(encs), dims.P + 1 + n, dims.d_v), dtype=model.dtype)
+    kept = kept_rows(model)
+    grad = np.zeros((len(encs), kept.stop - kept.start, dims.d_v), dtype=model.dtype)
     if grad_patch_states is not None:
+        if model.variant != "B":
+            raise DimensionError("only a variant-B encoding keeps its final patch states")
         grad[:, : dims.P] = grad_patch_states
     if grad_v_joint is not None:
         for row, enc, gv in zip(grad, encs, grad_v_joint, strict=True):
-            row[dims.P] = project_normalize_backward(
+            row[-1] = project_normalize_backward(
                 enc.proj_cache, np.asarray(gv, dtype=model.dtype)
             )
     layers = range(dims.L_v - 1, dims.insert_layer - 1, -1)

@@ -210,15 +210,22 @@ def _merge_heads(x: Array) -> Array:
     return x.swapaxes(-2, -3).reshape(*lead, t_count, heads * dh)
 
 
-def attention_block(params: LayerParams, seq: Array, heads: int) -> tuple[Array, Array, tuple]:
-    """Multi-head self-attention block; returns (out, attn (H,T,T), cache).
+def attention_block(params: LayerParams, seq: Array, heads: int,
+                    rows: slice = slice(None)) -> tuple[Array, Array, tuple]:
+    """Multi-head self-attention block; returns (out, attn (H,R,T), cache)
+    for the R rows of seq that rows selects (all T by default).
 
-    Pre-norm residual wiring, MLP hidden width 4*d. attn rows are the
-    post-softmax weights per head. All heads run as one (H, T, dh) stack;
-    leading axes of seq are a stack too. The cache holds only what the
-    input gradient reads, with Q, K and V as (T, d) matrices, so that
-    stack_block_caches stacks them into (g, T, d) arrays whose per-head
-    views have the strides of the unstacked ones.
+    Pre-norm residual wiring, MLP hidden width 4*d. LN1, K and V run over
+    all T input rows, as every row is a key; Q, the attention rows, the
+    output projection, the residual, LN2 and the MLP run for the kept rows
+    alone. attn rows are their post-softmax weights per head. All heads run
+    as one (H, R, dh) stack; leading axes of seq are a stack too. The cache
+    holds only what the input gradient reads, with Q as an (R, d) and K, V
+    as (T, d) matrices, so that stack_block_caches stacks them into g-deep
+    arrays whose per-head views have the strides of the unstacked ones. A
+    subset of rows runs gemms with fewer rows (GEMV for one), which
+    OpenBLAS may sum in another order: its rows need not have the bits of
+    the same rows of the full block.
     """
     d = seq.shape[-1]
     if d % heads != 0:
@@ -227,7 +234,7 @@ def attention_block(params: LayerParams, seq: Array, heads: int) -> tuple[Array,
     p = params.tensors
 
     h1, ln1_cache = _layer_norm_core(p["ln1.gamma"], p["ln1.beta"], seq)
-    q = h1 @ p["wq"].T
+    q = h1[..., rows, :] @ p["wq"].T
     q += p["bq"]
     k = h1 @ p["wk"].T
     k += p["bk"]
@@ -241,7 +248,7 @@ def attention_block(params: LayerParams, seq: Array, heads: int) -> tuple[Array,
 
     y = o @ p["wo"].T
     y += p["bo"]
-    y += seq
+    y += seq[..., rows, :]
 
     h2, ln2_cache = _layer_norm_core(p["ln2.gamma"], p["ln2.beta"], y)
     m1 = h2 @ p["w1"].T
@@ -251,15 +258,16 @@ def attention_block(params: LayerParams, seq: Array, heads: int) -> tuple[Array,
     out += p["b2"]
     out += y
 
-    cache = (ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, heads, scale)
+    cache = (ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, heads, scale, rows)
     return out, attn, cache
 
 
 def attention_block_backward(params: LayerParams, cache: tuple, grad_out: Array) -> Array:
-    """The gradient on the block input. cache is one attention_block cache,
-    or stack_block_caches of several with grad_out stacked the same way.
-    The block's own tensors are frozen, so their gradients are never formed."""
-    ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, heads, scale = cache
+    """The gradient on all T block input rows, given grad_out on the rows
+    the forward kept. cache is one attention_block cache, or
+    stack_block_caches of several with grad_out stacked the same way. The
+    block's own tensors are frozen, so their gradients are never formed."""
+    ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, heads, scale, rows = cache
     p = params.tensors
 
     # MLP branch: out = y + m2
@@ -267,7 +275,7 @@ def attention_block_backward(params: LayerParams, cache: tuple, grad_out: Array)
     grad_y = layer_norm_backward(ln2_cache, grad_m1 @ p["w1"])
     grad_y += grad_out
 
-    # attention branch: y = seq + O @ wo.T + bo
+    # attention branch: y = seq[rows] + O @ wo.T + bo
     grad_o = _split_heads(grad_y @ p["wo"], heads)
     q, k, v = (_split_heads(x, heads) for x in (q, k, v))
     grad_v = _merge_heads(attn.swapaxes(-1, -2) @ grad_o)
@@ -278,11 +286,12 @@ def attention_block_backward(params: LayerParams, cache: tuple, grad_out: Array)
     grad_k = grad_s.swapaxes(-1, -2) @ q
     grad_k *= scale
     grad_k = _merge_heads(grad_k)
-    grad_h1 = grad_q @ p["wq"]
-    grad_h1 += grad_k @ p["wk"]
+    # K + Q has the bits of Q + K, so all rows give the untrimmed sum
+    grad_h1 = grad_k @ p["wk"]
+    grad_h1[..., rows, :] += grad_q @ p["wq"]
     grad_h1 += grad_v @ p["wv"]
     grad_ln1 = layer_norm_backward(ln1_cache, grad_h1)
-    grad_ln1 += grad_y
+    grad_ln1[..., rows, :] += grad_y
     return grad_ln1
 
 
@@ -299,10 +308,10 @@ def stack_layer_norm_caches(caches: list) -> tuple:
 
 def stack_block_caches(caches: list) -> tuple:
     """One attention_block cache for the (g, T, d) stack of g (T, d) inputs."""
-    ln1, q, k, v, attn, ln2, gelu_caches, heads, scale = zip(*caches)
+    ln1, q, k, v, attn, ln2, gelu_caches, heads, scale, rows = zip(*caches)
     return (stack_layer_norm_caches(ln1), _stack(q), _stack(k), _stack(v), _stack(attn),
             stack_layer_norm_caches(ln2), tuple(map(_stack, zip(*gelu_caches))),
-            heads[0], scale[0])
+            heads[0], scale[0], rows[0])
 
 
 # ---------------------------------------------------------------------------

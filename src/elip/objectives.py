@@ -96,13 +96,14 @@ def stream_pairs(model: ModelBundle, records, texts, pairs, backward=None, grads
     a (len(pairs), P, d_v) stack, C/S's v_joint as a (len(pairs), d_e) one.
 
     Text i's prompts are mapped once, as its group of pairs starts; each
-    pair encodes record j's image under them (its frozen image when the set
-    is empty). Without grads no encoding is kept. With grads (a dict), text
-    i's run waits, with its prompt cache, until every score row its pairs
-    fill is complete; then backward(rows, out) of those rows returns
-    grad_of, grad_of(p) the gradient on out[p]. The run goes through one
-    stacked image_backward, and its prompt gradient, summed in pair order,
-    through one map_prompts_backward into grads["mapper.<key>"]."""
+    pair encodes record j's image under them. An n = 0 model maps nothing
+    and reads each record's frozen image. Without grads no encoding is
+    kept. With grads (a dict), text i's run waits, with its prompt cache,
+    until every score row its pairs fill is complete; then backward(rows,
+    out) of those rows returns grad_of, grad_of(p) the gradient on out[p].
+    The run goes through one stacked image_backward, and its prompt
+    gradient, summed in pair order, through one map_prompts_backward into
+    grads["mapper.<key>"]."""
     dims = model.dims
     itm = model.variant == "B"
     out = np.empty((len(pairs), dims.P, dims.d_v) if itm else (len(pairs), dims.d_e), model.dtype)
@@ -114,10 +115,11 @@ def stream_pairs(model: ModelBundle, records, texts, pairs, backward=None, grads
     unscored = Counter(r for _, _, rows in pairs for r in rows)  # entries per row not yet scored
     pending = []  # (prompt cache, run) of runs not yet backpropagated
     for i, group in groupby(enumerate(pairs), key=lambda item: item[1][0]):
-        prompts, cache = map_prompts_with_cache(model.mapper, texts[i], model.mapper_cfg, dims.d_v)
+        prompts, cache = (map_prompts_with_cache(model.mapper, texts[i], model.mapper_cfg,
+                                                 dims.d_v) if dims.n else (None, None))
         run = []  # (pair index, encoding)
         for p, (_, j, rows) in group:
-            enc = (image_forward(model, records[j].patches, prompts) if prompts.size
+            enc = (image_forward(model, records[j].patches, prompts) if dims.n
                    else frozen_image(model, records[j]))
             out[p] = enc.patch_states if itm else enc.v_joint
             if grads is not None:

@@ -326,8 +326,8 @@ def attention_map(
     enc = image_forward(model, record.patches, prompts)
     p_count = model.dims.P
     if mode == "cls":
-        last = enc.attn[-1]  # (H, T, T)
-        weights = last.mean(axis=0)[p_count, :p_count]
+        last = enc.attn[-1]  # (H, R, T), CLS the last kept row
+        weights = last.mean(axis=0)[-1, :p_count]
     else:
         attn = itm_attention(model.itm_head, enc.patch_states)  # (q, P)
         weights = attn.mean(axis=0)

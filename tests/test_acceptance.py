@@ -545,7 +545,7 @@ def test_a9_ablation_toggles():
     t_plain = dims_late.P + 1
     late_ok = (
         enc.attn[0].shape[1] == t_plain
-        and enc.attn[-1].shape[1] == t_plain + dims_late.n
+        and enc.attn[-1].shape[-1] == t_plain + dims_late.n  # the final block's keys
     )
     bare = image_forward(model_late, rec.patches)
     late_ok = late_ok and np.array_equal(enc.attn[0], bare.attn[0])

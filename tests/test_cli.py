@@ -601,7 +601,7 @@ CHAIN_GOLDEN = {
         "C/ranked/precision_recall/curve.csv":
             "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
         "C/ranked/rankings.json":
-            "60b5ef9d583d923d67acbcb1e60b9cb57515b638e83564bc57fcac61a285d18b",
+            "807657117cd742559ffb8cdb1dd576f6413bf4474ade2a487621af55d7db959a",
         "C/ranked/recall_topk/curve.csv":
             "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
         "C/reranked/eval/metrics.csv":
@@ -609,7 +609,7 @@ CHAIN_GOLDEN = {
         "C/reranked/precision_recall/curve.csv":
             "f0761a916a3d87d4294ca46695b3af04f871112a69e86278be097e83be4c9a57",
         "C/reranked/rankings.json":
-            "4d900f2804a2ce6957b9fe137259926a8f749d7e4c3ac1bab0aaeccfb1594d05",
+            "f4b55adaaac144f24f17840d68f29817b686e4b1dd33c528ccc1a42dfa57d8ff",
         "C/reranked/recall_topk/curve.csv":
             "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
     },
@@ -643,7 +643,7 @@ CHAIN_GOLDEN = {
         "C/ranked/precision_recall/curve.csv":
             "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
         "C/ranked/rankings.json":
-            "b967fcce0c87db1c7a8d502018b12e424640f118c7cda7b05efaf3838058cb6a",
+            "beda75389b5c96722d5bfa9fd469c7ccf3d7ea012ecd5202817ce356ed176b49",
         "C/ranked/recall_topk/curve.csv":
             "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
         "C/reranked/eval/metrics.csv":
@@ -651,7 +651,7 @@ CHAIN_GOLDEN = {
         "C/reranked/precision_recall/curve.csv":
             "f0761a916a3d87d4294ca46695b3af04f871112a69e86278be097e83be4c9a57",
         "C/reranked/rankings.json":
-            "2dc4191e661fed4489877b80ed9e24a20daa5513839f6ed09c7fdc9ac8bdb2d5",
+            "605fc328e9d62764e9684ba087093336323190188e815085045fc1dbefc1efd5",
         "C/reranked/recall_topk/curve.csv":
             "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
     },
@@ -685,7 +685,7 @@ CHAIN_GOLDEN = {
         "C/ranked/precision_recall/curve.csv":
             "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
         "C/ranked/rankings.json":
-            "cd6265bf1bf3f64a8e276d39c45a42a9735da11a6bbfd892acf3dc78bb25676e",
+            "7e508a2be5b1d59b0096b1e68158a2b8d0238c8e77a7becec40201b11ab776c8",
         "C/ranked/recall_topk/curve.csv":
             "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
         "C/reranked/eval/metrics.csv":
@@ -693,7 +693,7 @@ CHAIN_GOLDEN = {
         "C/reranked/precision_recall/curve.csv":
             "f0761a916a3d87d4294ca46695b3af04f871112a69e86278be097e83be4c9a57",
         "C/reranked/rankings.json":
-            "6d930422411378e8cd17e266e88af14b4d9aefa91e65bcdff6e23290c6f4e680",
+            "03e487b0198ade1a46e875f7a4db2a9b9e5169b6005449069e920304cedd659a",
         "C/reranked/recall_topk/curve.csv":
             "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
     },
@@ -727,7 +727,7 @@ CHAIN_GOLDEN = {
         "C/ranked/precision_recall/curve.csv":
             "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
         "C/ranked/rankings.json":
-            "fa0b2bbe2e5d64f4d93351395dfc4a28810d5d5acd3f640b8b5469b9c89560c3",
+            "b064b461aa8093c53863ee557f63f555a098a1bad7dfa7ba5f0a5a4617dc5c53",
         "C/ranked/recall_topk/curve.csv":
             "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
         "C/reranked/eval/metrics.csv":
@@ -735,7 +735,7 @@ CHAIN_GOLDEN = {
         "C/reranked/precision_recall/curve.csv":
             "f0761a916a3d87d4294ca46695b3af04f871112a69e86278be097e83be4c9a57",
         "C/reranked/rankings.json":
-            "9d2f29c72ca99aa9aea72e297ef6ed9285bd3c72fc1067ba90e483672b570f70",
+            "162659715a16b2384ed28630014fa25e7cc4307f60662422e405e4aa78b04d3f",
         "C/reranked/recall_topk/curve.csv":
             "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
     },

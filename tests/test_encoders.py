@@ -94,13 +94,20 @@ def patches_for(dims, seed=21):
 
 
 def test_encode_image_shapes_and_norm(tiny_model, tiny_dims):
-    enc = image_forward(tiny_model, patches_for(tiny_dims))
-    assert enc.patch_states.shape == (tiny_dims.P, tiny_dims.d_v)
-    assert enc.ln_cache[0].shape == (tiny_dims.P + 1, tiny_dims.d_v)  # patches and CLS
-    assert abs(np.linalg.norm(enc.v_joint) - 1.0) < 1e-6
-    assert enc.prompt_count == 0
-    for attn in enc.attn:
-        assert np.allclose(attn.sum(axis=2), 1.0, atol=1e-6)
+    """The last block keeps CLS alone for C, the patch rows and CLS for B."""
+    model_b = init_frozen_model(7, tiny_dims, "B", MapperConfig(n=tiny_dims.n, hidden=8))
+    for model, kept in ((tiny_model, 1), (model_b, tiny_dims.P + 1)):
+        enc = image_forward(model, patches_for(tiny_dims))
+        if model.variant == "B":
+            assert enc.patch_states.shape == (tiny_dims.P, tiny_dims.d_v)
+        else:
+            assert enc.patch_states is None
+        assert enc.ln_cache[0].shape == (kept, tiny_dims.d_v)
+        assert enc.attn[-1].shape == (tiny_dims.H, kept, tiny_dims.P + 1)
+        assert abs(np.linalg.norm(enc.v_joint) - 1.0) < 1e-6
+        assert enc.prompt_count == 0
+        for attn in enc.attn:
+            assert np.allclose(attn.sum(axis=2), 1.0, atol=1e-6)
 
 
 def test_token_count_before_and_after_insertion(tiny_model, tiny_dims):
@@ -109,7 +116,7 @@ def test_token_count_before_and_after_insertion(tiny_model, tiny_dims):
     t_plain = tiny_dims.P + 1
     t_prompted = t_plain + tiny_dims.n
     assert enc.attn[0].shape == (tiny_dims.H, t_prompted, t_prompted)
-    assert enc.attn[1].shape == (tiny_dims.H, t_prompted, t_prompted)
+    assert enc.attn[1].shape == (tiny_dims.H, 1, t_prompted)  # the CLS row attends to all
     assert enc.prompt_count == tiny_dims.n
 
 
@@ -143,7 +150,7 @@ def test_late_fusion_prompts_touch_only_final_block(tiny_dims):
     t_plain = dims.P + 1
     assert prompted.attn[0].shape == (dims.H, t_plain, t_plain)
     assert np.array_equal(prompted.attn[0], bare.attn[0])
-    assert prompted.attn[-1].shape == (dims.H, t_plain + dims.n, t_plain + dims.n)
+    assert prompted.attn[-1].shape == (dims.H, 1, t_plain + dims.n)
     assert np.abs(prompted.v_joint - bare.v_joint).max() > 1e-9
 
 
@@ -240,6 +247,16 @@ def test_backward_stops_at_insert_layer(tiny_dims, insert_layer, monkeypatch):
     assert grad.shape == (1, 0, dims.d_v) and calls == []
     with pytest.raises(DimensionError, match="mixes prompt counts"):
         image_backward(model, [enc, bare], [np.ones(dims.d_e)] * 2)
+
+
+def test_cs_backward_refuses_patch_state_gradients(tiny_model, tiny_dims):
+    """A C/S encoding keeps no final patch states, so no gradient can reach
+    them; with P = 1 that gradient would otherwise land on the CLS row."""
+    prompts = Rng(29).gaussian_matrix(tiny_dims.n, tiny_dims.d_v)
+    enc = image_forward(tiny_model, patches_for(tiny_dims), prompts)
+    with pytest.raises(DimensionError, match="variant-B"):
+        image_backward(tiny_model, [enc], [np.ones(tiny_dims.d_e)],
+                       [np.ones((tiny_dims.P, tiny_dims.d_v))])
 
 
 # ---------------------------------------------------------------------------

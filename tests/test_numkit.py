@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -415,6 +416,41 @@ def test_stacked_block_is_bit_identical_on_prompted_layout(dtype):
         _assert_block_matches_loop(block, text_seq, dims.H, text_grad)
 
 
+def _scaled_ulps(got, full):
+    """Largest |got - full| in units of the dtype's epsilon times max |full|."""
+    return np.abs(got - full).max() / (np.finfo(full.dtype).eps * np.abs(full).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("t_count", [1, 5, 27])
+def test_trimmed_block_matches_full_block_rows(dtype, heads, t_count):
+    """A block run for a subset of rows gives the full block's output and
+    attention on those rows, and the input gradient of the full block with
+    zero gradient on the dropped rows, within 8 eps of their largest value:
+    the CLS-like last row alone, the rows before it (variant B without its
+    prompts) and one middle row."""
+    d = 32
+    params = _random_block(50 + heads, d, dtype)
+    rng = Rng(160 + t_count)
+    seq = rng.gaussian_matrix(t_count, d).astype(dtype)
+    grad_out = rng.gaussian_matrix(t_count, d).astype(dtype)
+    full_out, full_attn, full_cache = attention_block(params, seq, heads)
+    kept_sets = {(t_count - 1, t_count), (0, max(t_count - 1, 1)), (t_count // 2, t_count // 2 + 1)}
+    for start, stop in sorted(kept_sets):
+        rows = slice(start, stop)
+        out, attn, cache = attention_block(params, seq, heads, rows=rows)
+        assert out.shape == (stop - start, d) and out.dtype == dtype
+        assert attn.shape == (heads, stop - start, t_count)
+        assert _scaled_ulps(out, full_out[rows]) <= 8
+        assert _scaled_ulps(attn, full_attn[:, rows]) <= 8
+        grad_full = np.zeros_like(grad_out)
+        grad_full[rows] = grad_out[rows]
+        grad_seq = attention_block_backward(params, cache, grad_out[rows])
+        assert grad_seq.shape == seq.shape and grad_seq.dtype == dtype
+        assert _scaled_ulps(grad_seq, attention_block_backward(params, full_cache, grad_full)) <= 8
+
+
 # ---------------------------------------------------------------------------
 # kernels write only into their own temporaries, with the plain formulas' bits
 # ---------------------------------------------------------------------------
@@ -607,46 +643,57 @@ def _same_bytes(stacked, singles, what):
 
 
 @settings(max_examples=20, deadline=None)
-@given(prompted_dims(), st.sampled_from([np.float32, np.float64]), st.integers(0, 2**31))
-def test_stacked_backward_matches_single_calls(dims, dtype, seed):
-    from elip.encoders import image_backward, image_forward
+@given(prompted_dims(), st.sampled_from([np.float32, np.float64]), st.sampled_from("BC"),
+       st.integers(0, 2**31))
+def test_stacked_backward_matches_single_calls(dims, dtype, variant, seed):
+    """Also through the last block's trimmed cache: its gradient comes in on
+    the kept rows (CLS for C, patches and CLS for B) and leaves on all T."""
+    from elip.encoders import image_backward, image_forward, kept_rows
 
-    model = init_frozen_model(seed % 1000, dims, "C", MapperConfig(n=dims.n, hidden=8),
+    model = init_frozen_model(seed % 1000, dims, variant, MapperConfig(n=dims.n, hidden=8),
                               dtype=dtype)
     rng = np.random.default_rng(seed)
     g_max = max(STACKS)
     encs = [image_forward(model, rng.standard_normal((dims.P, dims.d_in)),
                           0.5 * rng.standard_normal((dims.n, dims.d_v)))
             for _ in range(g_max)]
+    kept = kept_rows(model)
     grad_v = rng.standard_normal((g_max, dims.d_e))
-    grad_patches = rng.standard_normal((g_max, dims.P, dims.d_v)).astype(dtype)
+    grad_patches = (rng.standard_normal((g_max, dims.P, dims.d_v)).astype(dtype)
+                    if variant == "B" else [None] * g_max)
+    grad_kept = rng.standard_normal((g_max, kept.stop - kept.start, dims.d_v)).astype(dtype)
     grad_rows = rng.standard_normal((g_max, dims.P + 1 + dims.n, dims.d_v)).astype(dtype)
-    layer = dims.insert_layer
-    block = model.image_blocks[layer]
+    layers = sorted({dims.insert_layer, dims.L_v - 1})
+    grad_outs = {i: grad_kept if i == dims.L_v - 1 else grad_rows for i in layers}
 
     singles = {
-        "image_backward": [image_backward(model, [e], [gv], [gp])[0]
+        "image_backward": [image_backward(model, [e], [gv], None if gp is None else [gp])[0]
                            for e, gv, gp in zip(encs, grad_v, grad_patches)],
         "layer_norm_backward": [(layer_norm_backward(e.ln_cache, gr),
                                  layer_norm_param_grads(e.ln_cache, gr))
-                                for e, gr in zip(encs, grad_rows)],
-        "attention_block_backward": [attention_block_backward(block, e.block_caches[layer], gr)
-                                     for e, gr in zip(encs, grad_rows)],
+                                for e, gr in zip(encs, grad_kept)],
     }
+    for i in layers:
+        singles[i] = [attention_block_backward(model.image_blocks[i], e.block_caches[i], gr)
+                      for e, gr in zip(encs, grad_outs[i])]
+        assert all(x.shape == (dims.P + 1 + dims.n, dims.d_v) for x in singles[i])
     for g in STACKS:
-        got = image_backward(model, encs[:g], grad_v[:g], grad_patches[:g])
+        got = image_backward(model, encs[:g], grad_v[:g],
+                             grad_patches[:g] if variant == "B" else None)
         assert got.shape == (g, dims.n, dims.d_v)
         _same_bytes(got, singles["image_backward"][:g], "image_backward")
         ln_cache = numkit.stack_layer_norm_caches([e.ln_cache for e in encs[:g]])
-        grad_x = layer_norm_backward(ln_cache, grad_rows[:g])
-        grads = layer_norm_param_grads(ln_cache, grad_rows[:g])
+        grad_x = layer_norm_backward(ln_cache, grad_kept[:g])
+        grads = layer_norm_param_grads(ln_cache, grad_kept[:g])
         _same_bytes(grad_x, [x for x, _ in singles["layer_norm_backward"][:g]], "layer_norm")
         for key in ("gamma", "beta"):
             _same_bytes(grads[key], [s[key] for _, s in singles["layer_norm_backward"][:g]],
                         f"layer_norm {key}")
-        block_cache = numkit.stack_block_caches([e.block_caches[layer] for e in encs[:g]])
-        grad_x = attention_block_backward(block, block_cache, grad_rows[:g])
-        _same_bytes(grad_x, singles["attention_block_backward"][:g], "block")
+        for i in layers:
+            block_cache = numkit.stack_block_caches([e.block_caches[i] for e in encs[:g]])
+            grad_x = attention_block_backward(model.image_blocks[i], block_cache,
+                                              grad_outs[i][:g])
+            _same_bytes(grad_x, singles[i][:g], f"block {i}")
 
 
 def test_stacked_caches_share_parameters_and_view_a_single_image():
@@ -756,8 +803,9 @@ def test_grad_check_accepts_exact_linear():
 
 def test_grad_check_full_encoder_cls_chain():
     """The CLS state's gradient on the encoder input, the raw patches: final
-    layer norm, every block and the patch embedding. The CLS row of the final
-    states is rebuilt from the final layer norm's cache."""
+    layer norm, every block and the patch embedding. A C encoding keeps the
+    CLS row alone after the last block, so the final layer norm's cache is
+    that one row, from which the CLS state is rebuilt."""
     from elip.encoders import image_forward
 
     model = init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8), dtype=np.float64)
@@ -765,19 +813,45 @@ def test_grad_check_full_encoder_cls_chain():
 
     def f(point):
         enc = image_forward(model, point["patches"])
-        grad = np.zeros((TINY.P + 1, TINY.d_v))
-        grad[TINY.P] = w
-        grad = numkit.layer_norm_backward(enc.ln_cache, grad)
+        grad = numkit.layer_norm_backward(enc.ln_cache, w[None])
         for block, cache in reversed(list(zip(model.image_blocks, enc.block_caches))):
             grad = numkit.attention_block_backward(block, cache, grad)
         grad_patches, _ = linear_backward(
             (point["patches"], model.patch_embed.tensors["weight"]), grad[: TINY.P]
         )
         xhat, _, gamma = enc.ln_cache
-        cls_state = gamma * xhat[TINY.P] + model.image_ln.tensors["beta"]
+        assert xhat.shape == (1, TINY.d_v)
+        cls_state = gamma * xhat[0] + model.image_ln.tensors["beta"]
         return float(np.dot(cls_state, w)), {"patches": grad_patches}
 
     assert grad_check(f, {"patches": Rng(17).gaussian_matrix(TINY.P, TINY.d_in)}, h=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("variant", ["C", "B"])
+@pytest.mark.parametrize("insert_layer", [0, TINY.L_v - 1])
+@pytest.mark.parametrize("n", [1, 2])
+def test_grad_check_prompts_through_trimmed_final_block(variant, insert_layer, n):
+    """image_backward's prompt gradient through the last block, which keeps
+    CLS alone for C and the patch rows and CLS for B, in float64: the loss
+    reads v_joint and, for B, the final patch states."""
+    from elip.encoders import image_backward, image_forward
+
+    dims = replace(TINY, n=n, insert_layer=insert_layer)
+    model = init_frozen_model(7, dims, variant, MapperConfig(n=n, hidden=8), dtype=np.float64)
+    patches = Rng(19).gaussian_matrix(dims.P, dims.d_in)
+    w_v = Rng(20).gaussian_matrix(1, dims.d_e)[0]
+    w_p = Rng(21).gaussian_matrix(dims.P, dims.d_v) if variant == "B" else None
+
+    def f(point):
+        enc = image_forward(model, patches, point["prompts"])
+        loss = float(np.dot(enc.v_joint, w_v))
+        if w_p is not None:
+            loss += float((enc.patch_states * w_p).sum())
+        grad = image_backward(model, [enc], [w_v], None if w_p is None else [w_p])[0]
+        return loss, {"prompts": grad}
+
+    prompts = 0.5 * Rng(22).gaussian_matrix(n, dims.d_v)
+    assert grad_check(f, {"prompts": prompts}, h=1e-5) < 1e-6
 
 
 def test_grad_check_detects_corrupted_gradient():

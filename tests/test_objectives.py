@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elip import objectives
-from elip.encoders import encode_text, image_backward, image_forward, init_frozen_model
+from elip.encoders import (
+    copy_without_prompts,
+    encode_text,
+    image_backward,
+    image_forward,
+    init_frozen_model,
+)
 from elip.config import DimsConfig, MapperConfig, TrainConfig
 from elip.curation import CurationPlan, PairDataset, SynthSpec, gen_synthetic_dataset
 from elip.errors import ConfigError, DataError
@@ -586,6 +592,35 @@ def test_itm_loss_equals_per_anchor_reference_bit_for_bit(finetune_itm, insert_l
             assert value.dtype == dtype and grads[key].tobytes() == value.tobytes(), key
         if n:
             assert any(np.any(v) for k, v in grads.items() if k.startswith("mapper."))
+
+
+@pytest.mark.parametrize("variant", ["B", "C"])
+def test_prompt_free_model_maps_no_prompts(monkeypatch, variant):
+    """A copy_without_prompts model's loss, loss-only and with gradients,
+    calls the prompt mapper 0 times and keeps the bytes of the reference
+    loop, which still maps its empty prompt sets."""
+    model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(n=TINY.n, hidden=8)))
+    bare = copy_without_prompts(model)
+    records = make_records(5)
+
+    def reference(grads=None):
+        if variant == "B":
+            return reference_itm_loss(bare, records, grads)
+        return reference_contrastive_loss(bare, records, "per_row", grads)
+
+    expected_grads = {}
+    expected = [reference(), reference(expected_grads)]
+    calls = []
+    real = objectives.map_prompts_with_cache
+    monkeypatch.setattr(objectives, "map_prompts_with_cache",
+                        lambda *args: calls.append(args) or real(*args))
+    grads = {}
+    got = [variant_batch_loss(bare, records), variant_batch_loss(bare, records, grads=grads)]
+    assert calls == []
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    assert list(grads) == list(expected_grads)
+    for key, value in expected_grads.items():
+        assert grads[key].tobytes() == value.tobytes(), key
 
 
 def _calls(tree, name):

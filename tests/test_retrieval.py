@@ -15,7 +15,7 @@ from elip.encoders import encode_text, image_forward, init_frozen_model
 from elip.errors import ConfigError, DataError
 from elip.objectives import itm_forward, sigmoid
 from elip.prompt_mapper import prompts_for_text
-from elip import storage
+from elip import encoders, storage
 from elip.retrieval import (
     PR_RECALL_GRID,
     EmbeddingStore,
@@ -706,6 +706,26 @@ def test_attention_map_single_patch_grid():
     amap = attention_map(model, rec, None, "cls")
     assert amap.grid.shape == (1, 1)
     assert abs(amap.grid[0, 0] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("variant", ["C", "B"])
+def test_attention_map_cls_row_matches_full_block(monkeypatch, variant):
+    """cls mode reads CLS as the last kept row of the final block's (H, R, T)
+    attention: with and without prompts, its weights are within float
+    tolerance of the CLS row of a final block that keeps every row, and
+    that row's patch weights sum to patch_mass."""
+    model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(n=TINY.n, hidden=8)))
+    rec = make_records(1)[0]
+    text = encode_text(model, [1, 2, 3])
+    maps = [attention_map(model, rec, t, "cls") for t in (None, text)]
+    monkeypatch.setattr(encoders, "kept_rows", lambda model: slice(None))
+    for text_enc, amap in zip((None, text), maps):
+        prompts = None if text_enc is None else prompts_for_text(model, text_enc)
+        full = image_forward(model, rec.patches, prompts).attn[-1]
+        assert full.shape[1] == full.shape[2] == TINY.P + 1 + (0 if text_enc is None else TINY.n)
+        expected = full.mean(axis=0)[TINY.P, : TINY.P]
+        assert np.allclose(amap.weights, expected, rtol=1e-5, atol=1e-7)
+        assert abs(float(expected.sum()) - amap.patch_mass) < 1e-6
 
 
 def test_attention_map_itm_query_mode():

@@ -378,88 +378,88 @@ GOLDEN_CASES = {
 }
 GOLDEN = {
     ("SkylakeX",): {
-        "C-per_row": ("119c1729669d869bf216c5fb06b930b2cff3fd8a9317793dfdde45b489f7ab94",
-                     "dc159a7856b594bf9ce7d0beaf3a8c77e3ebe8a9182d09fc6f984251fb40ba7c"),
-        "C-diagonal": ("df9049bc6f0592f1fd8ecf3f282c1f0b4373706af83306b77b87b8fdf1cf3712",
-                      "c8146517031819921b214c7fffacbce911a84d27c7b8eb82dcd0e1996d117d78"),
-        "S-per_row": ("9fd16d7cff5f57673ea17ad1701830877dccce75847c2d4fc9be7bae3cb81da8",
-                     "c4f07034ee410bd3c44d148cd4635102703101222c040fe0b3f389e113c36d19"),
+        "C-per_row": ("7a0eb49943808187d78df46afa3d2deb133b1607cbfdbaf492052a6faa6164a1",
+                     "08ee9699a6317416bf5b8570d97054c6a0888e33321d279021b621f000caf342"),
+        "C-diagonal": ("c59dbdedf225b15427a1f4f9e3f6a90097a3f26cf9175947c88d7596551a3b38",
+                      "7e23e5a561e6b3ea4863ed3fff281f3586524b2c33ce1e7b398aeda73d5fcbdb"),
+        "S-per_row": ("0e1e2f6a8d10e36abb86728e6a534755d37b3b81c6f9928a662c674bbd732e18",
+                     "8e270c8f4eff5a70b5d7855ec0049c0f1b7e3be37198bea61f2a97875329b900"),
         "B-finetune": ("5ef64232da8ef4d6d929161f106ece17451d03381732ef6a061f2a09ab37f0cf",
                       "de0a7aaef35041e8fcaa24cb437656f7ff74ff67b83cc673218161523377ebc9"),
         "B-frozen-head": ("0ceb348fafe63ff7a443ec06951ec696b6ad83bbb5defb3498cec5e02e5cd1b1",
                          "3593021516bbcde14076fb069474fdd3541c9b9be7cd08c0d3dca7e413df12f3"),
-        "C-jest": ("c5b40b7a38dcb57464fda51f530b3bf7e9bf5f46069ee3e8cb06ecd55d8a5647",
-                  "a9498dd6bfb61856c7ce04d1ac3acf25dd0a997164cd765278f487d55b7d3b29"),
-        "C-per_row-late": ("80f1bdd9678b654569ff92182b63bde8588b91bd86641b24e9f4c63a5456f408",
-                          "24b405b15d8bcfa284d17136de98a65e8441eda2ec447db99569a658f9658f5a"),
-        "C-diagonal-late": ("23d1e5a3ecc3bae29a783c1e90e03dd0d6142abb2b9c79f9ace4097cdea587cf",
-                           "3b9e59cd525f4f9001f58565c21fcda0bcf799a0347913a2cc73997ed9d5d9b0"),
+        "C-jest": ("4092b59cbb14f0d0c5a1fdb6af7fe5490f6d4d140afce56f831f772839144038",
+                  "57b421545c5ce6488caf19d958b427cf2d1cfb96341e5a3c7791ae5e45a71ad3"),
+        "C-per_row-late": ("b068a74d83a6a2d69383bce50d57f4a4ab73e494f3382ed2ceebf2fda02daa69",
+                          "34a5b9440c6c637b10e875aa659727dc36111661bf22b1202b73500a371c94e9"),
+        "C-diagonal-late": ("e4f8ea2b3e9eac98a929ab752365a1c07cf0ce6466cc26549252ad9bb8cca395",
+                           "d8a056961e69a5af414971dfa8908374e44d82dc9608d6cdabbbcc961999a6e6"),
         "B-finetune-late": ("cec4b1c48e925ee3072aa0409b05794a4bf9c8369c9f360145270acd833ada56",
                            "f0493da63e4891c883499ff957f06bbb09f17138850860e13d398f2311a62be9"),
         "B-jest-late": ("f14d5b7242bd1f61ce309f3e064d8faf8adaa807e9da45aef26be587fcb2a993",
                        "7953da98e1c9737d07d0bb70e7f5e0744fc856914b219177abd9d70a996f595e"),
     },
     ("Haswell",): {
-        "C-per_row": ("4c5569dea2a7a05aa696bfe14719795356fa9684aa9535dfde06eca4c6163d01",
-                     "15b9c4bba3017f3e2304e0929320bbbacf00f4b5990985df07c925029c2d72d7"),
-        "C-diagonal": ("a413d2d3be6432d60fdf389c496621a7d824b2e8fcb2a8783ecde9b81752005a",
-                      "3f74ff3334775ae11ed99f0a30d452d56fe36c1f6f89ff865162e7938eb0b86c"),
-        "S-per_row": ("9ffd8d21eed6f70d0dcef5903248d46c26c295d8d38334da99296c36e0909508",
-                     "14c2799a83cc928a03cb1e5fa50e50faeca888bef9753302512af14ec0b1ce5d"),
+        "C-per_row": ("0e5b10cf36a22d501a7001f826a06f6ffb9293b57ffe029c345f3632f36ccdd8",
+                     "58875c76a03fcd9cd72e3bfba3da6292d0151ac1405594c56b459e6d470a6b3d"),
+        "C-diagonal": ("3128fd32ff346b68c051ce057803e45e4b6e864b7a3a81d3014722f5c1fa3226",
+                      "c393bcb147a24860941d6ee6b02915447f60758f122859174401e0b9d9ad595e"),
+        "S-per_row": ("98791708ababdf5e909ab6fdaec8a2aa3afbbfb193f0c7b57e5f2343c3e3f74b",
+                     "e237c2005ae7194151680966ae23a88f34f5b852af28fc5ea1c2f6418f74cfe0"),
         "B-finetune": ("5723e4b7f59b5d6a0c912026ec6df74840e9cbcbe1b1c36b4980645c10ff86c0",
                       "26ab2eb806473398dbca37e3313aa25a6f02444e9e4e88ef7b7b3bc0aee33d0e"),
         "B-frozen-head": ("b379e552d2818b2076df428d86514b90dd1d2f6cf0875d17420bea96a9a5dd30",
                          "4644914985bb39c280e26c1064398554c84693f37ce989469401a9ab6c5d2f3d"),
-        "C-jest": ("f62292bab1f7f6fb6fa8400a8f4db7fb8a8c2920db5c45e144765f271096ed4f",
-                  "feaa04437b37b467cbe441505ad798bc738c99eafbce9c514164b4f544344804"),
-        "C-per_row-late": ("798e9da38ecb72163e7b2604e4a0ce60da79fe956b9ef9361e3e653ddbac5960",
-                          "278ff5b14ad2f8383d26ff56d0504436c0e713e081034f189aed9cf0f4ea204f"),
-        "C-diagonal-late": ("0928a27a4325a315d8c9d5f5cdb4e77455d1867ec63f5d85600b350591c69c43",
-                           "3cf83e46a283c4ba82614580c8e8b130a2a0563812da6b886e0e3d8dd0a8d36e"),
+        "C-jest": ("eeccd3945c287e49a199dcbf22c100faea64ab14d7157090e1aa64b7adb69d8d",
+                  "be3f55c2bba4ff95255b99121efee3cd730a176abd1781a101c7333d7c9736f4"),
+        "C-per_row-late": ("de4ebf6c5ee49ac624c7983e04eb5b5151d07f04865e5bc37a10209a61fd75c5",
+                          "a17e013e7468144b8e06e1fdb1c1c515b2866a54fb26c24408b55b6b76ccd4dd"),
+        "C-diagonal-late": ("b683407b171a35fe29b0f4ff3d033415c52c5026adbb362d3381da3c9d56a4ef",
+                           "1c67f2c88aa81fd58696a690d8e57cce21eea571b0fa0680356606d352d9126e"),
         "B-finetune-late": ("1f2902ebc6c47a190db4d29a7a8cbcef35a86cee2fba18e4b42feb2ac8b57e85",
                            "226d0f50e072950d5eb2a91fc2020147e95ab19171ce45b7424d016df0c2f9f7"),
         "B-jest-late": ("7c4359e50dc1d696643203072145828e7652b8026ad546a2f50067bbd2c8ade5",
                        "3688d8363cb65741f7101e3adf721cc6e4923c42a03a6c323919f202e6fdce71"),
     },
     ("Sandybridge",): {
-        "C-per_row": ("89a7eef5e1daec3fc337d8cda694e1b4fbb01a1de3cd69ee2c686cbf399987d4",
-                     "d58965a00db9f795c0220c9048b5d6c1b4b1a2e54b3033ef183323afb02bb426"),
-        "C-diagonal": ("eea978ead7ce6077e6ac8af61287d409a0a0855f634fb4103c892714247c46ed",
-                      "cc4cc3b7ad0779011bae6d646aef66babcb825ab4b6113b26c6b8ce1a52663be"),
-        "S-per_row": ("af1fb453316ac23c5757d136f915f3e4a5c2f77c906eda5b568340a6a816aa78",
-                     "4c238ba96a4179947f5830eee69f1606e927a32050935d7fcff2b5b9398d2a30"),
+        "C-per_row": ("0394181f8d4f693808e4e09620c167990eb4c4a00e1918cecd2f8838a5a1e38c",
+                     "af65dec9443bedf8200f47354868c2997f9033bab027c464159fcdd2b7f65129"),
+        "C-diagonal": ("f571b99d42b16b9694c542f9f650d81a684718c4b02f6101d1f619f34c088180",
+                      "df5de0a2e272a06c98d161ede9cbaa026adebc156d989d3b48846e52fc57c000"),
+        "S-per_row": ("37560693eae91f947a771cc1e8645311c2ff529b236f6c098085cc9c6ae8977b",
+                     "9d7b7606be3f9eb2ed0da8be9794e85c216c30761178475a725319baa82ace4f"),
         "B-finetune": ("9716cf8767e0ab2f46756ff00c648194ad0f82bdb4eb7bfb3957e7b71c65bf5d",
                       "78fb758ec5769a6514c0c9d519266adb6659f373b61a473564d6559c07d7aba0"),
         "B-frozen-head": ("5307c1129892f89c2d8c6e1071f884dd74e2f826dcbb7f62a22fe9bed8cfe25d",
                          "4d00b246f5817e84f275b9f9965b28ee8aa5f9349ff39b84ebdada4795f2f9f9"),
-        "C-jest": ("20a1e41cb6277885761f623f203d5b77765c2e3c7deca9bfce18092e79592ca8",
-                  "5ac1dea142c22e71df01f33677c9b6ccf9a6a02c3d84f2d9b4f30f4a2d258030"),
-        "C-per_row-late": ("e2c28ade72d944ed4d728d193ac119e68de8c95915520938a23a6cb634db2f9e",
-                          "c677bb52140157783d122d38760380007895a755e1ab540770c033beb1584650"),
-        "C-diagonal-late": ("9d6a4162f01d6bca2f945ebf62200f0ab0b4374c4842ff54b61dd8ec8dd4ff25",
-                           "7144d307a1ed2c9b3e49721c491014709b03f2122a00b9e7a3c6f69899e3f614"),
+        "C-jest": ("00404492d584a4c1c5b3ad8ca2c437756069872a48e18dfcbfad89977222daa2",
+                  "a4b1d4a10d08beeee8d7166715856059902ee56138f82abc92b8a15a9ded12ae"),
+        "C-per_row-late": ("baae7a8e9b2db9b655f265b9c2a8278ee19b9a37e4360bf57e1f241b8a478ca7",
+                          "e85c59809766b45aea1ab44db1d674b3cad914aec120fc41a05dd42628c1a025"),
+        "C-diagonal-late": ("899b5d09f902d08c941e3deb84aa27de9a614d08bafa73e854570e1cb3fdc886",
+                           "261f67a52b7d85d88ab86de336ff95021a21ae8d29e13623ae124fbb12eac00c"),
         "B-finetune-late": ("ebc69ebf971872a6e31bd345b3527fbf1959b85e1f9ce926b89364f8f9af6a04",
                            "5258ff392904754936c6af83983c4c94e38e3244a8de7368683450c44aef89f6"),
         "B-jest-late": ("6883305ab47abfe3e8c703391120b82d4fe574bd2b65cc76e61bd793a9601599",
                        "d6c8201780b232297c45f2b3bedaed7d834443b84e91cad9efea406a2f58e278"),
     },
     ("Katmai",): {
-        "C-per_row": ("61550ef1218ece08f580c8151b0d55cb29b6f0aef1e7c121503689faa197db36",
-                     "73c1b1dfa1536232c543e8f6d88d85b700d4a31bd96eb5ea934eb7b39a372c97"),
-        "C-diagonal": ("1a8b213a4441707b74142f9d96bc5dcc91682a8cbd75dccf5337b1368f2595f3",
-                      "95bfaa9ebf48bdf61cdddcc29a51a047b7d73a2d81ec37574ee5fa13fd6ef996"),
-        "S-per_row": ("9687ae46bb86e18add238f3d287a0dc346fe3e3a7d6b4b92f7667d6e583d3716",
-                     "8520489309b45db409e557f83d6b517b411ec7bf929871b262dc39a70ab1d5b7"),
+        "C-per_row": ("296186a628013da800ef880eecc783bcf1140f3f61c4f787f4c5de2a67f04b2b",
+                     "607197f558201422411eb626dafcdb049a6944750c4573322a8e764ea0e5de75"),
+        "C-diagonal": ("b2a5745f06cb30efb3395003f6e6de5f6ad416ffa440ae75da47518524f0a5bc",
+                      "9309418c3b479fa3939ca1f02fce53c94332cc49cc33c7750781f4a630099c10"),
+        "S-per_row": ("5b901e0ae4c2fe008a5ce61d503679a490d1a8fcc045f88c0c53ccb34c28e73d",
+                     "8f7bcea1b6bd401fb3445a37293bbc26aac9906fdd73645a748b326b9e016709"),
         "B-finetune": ("1a27bf941b48d63462f3f37d0f86d144eb9964d94e3b1e31ac5875ca711e9682",
                       "d97453178fb02a847ae7693fdfc3f7a520b73663fc636d8eb7f335cf7aec99ba"),
         "B-frozen-head": ("fed89f6225e4584b1e959bdad8aea3d70b87761cbdd4f2d2968440c6a10de3d8",
                          "f88c3622f0819772ed5b6f461bcad6a27c5311d269d543784ecb2ff20e1f6b7b"),
-        "C-jest": ("df981bff4881239135d8be4628a614b3d7b178408166d90bc12184604767551b",
-                  "6889d7a9968c95a88b02006c421e9ae640f01f36385dc3102ca1faef93c44f4a"),
-        "C-per_row-late": ("c979db5c33f19f1447ba21caf817b8d1e90435aa324e6ec1bd3cc6d954ad44c9",
-                          "b706bd3f1391d29fafc558c24d358d6f353c849eb39af7901d90f66f6d7fc42f"),
-        "C-diagonal-late": ("1bd53bdc1e8f8e9d6e5e626f84c1ffc20249a632f7fce830996988da5e063c96",
-                           "f314b69aa278be4da4b6a3e87d3b150f1e42e813bfb7a52a5bc39c123cd25681"),
+        "C-jest": ("f1d8d253593bb3dc620d43d7ea027186605de52eb918d91672564f81b347e844",
+                  "88c378941b7de3c4b82da07ecfcfa69115fd3401b1e92233afc6b8d936e9178b"),
+        "C-per_row-late": ("cdc44749274a95906ad129850f43470b5c40bd71bffa6c25f9da8c2ca70b4288",
+                          "af2faf071c74c7d715dcea50d7570943ab8ed6f7ebe1248f5f72b27ca4a8c740"),
+        "C-diagonal-late": ("284b61654417d3b7e8a3ed75e4b8081a7023149706b6a6e1e8bcb74a3e280678",
+                           "c2a95e18072c1d20e6206ed1fb4b23afc007d193efd09eeefeace93f6b7b78f2"),
         "B-finetune-late": ("09a9bdc1d268cf70f68498f27cf58d502c288e5f012a454e88247b866beeb2cb",
                            "baafee0592bf37b0be38d814139c03e043a87b97cb350cc06c5aec72d52b15fc"),
         "B-jest-late": ("69075d5eda760946bede256ad47c1bf7d10f0579d15f6280f7ac5800728d9e7b",
