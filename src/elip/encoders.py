@@ -9,9 +9,11 @@ Image token order is [patch tokens (+pos), CLS (+pos), prompt tokens
 (no positional embedding)]; prompts enter at dims.insert_layer and
 participate in every later block.
 
-frozen_text and frozen_image keep a record's frozen encodings on the record,
-one per ModelBundle.backbone_key (and per kept_rows for images), so a
-model's frozen tensors must never change after it has encoded anything."""
+frozen_text, frozen_image and frozen_prefix keep a record's frozen work on
+the record, one entry per ModelBundle.backbone_key (and per kept_rows where
+they differ), so a model's frozen tensors must never change after it has
+encoded anything; numkit.LayerParams.qkv marks a block's Q/K/V tensors
+read-only once the block has run."""
 
 from __future__ import annotations
 
@@ -281,19 +283,19 @@ def encode_text(model: ModelBundle, tokens) -> TextEncoding:
 
 
 def image_forward(
-    model: ModelBundle, patches: Array, prompts: Array | None = None
+    model: ModelBundle, patches: Array, prompts: Array | None = None, *,
+    prefix: tuple | None = None, prompt_group: tuple | None = None,
 ) -> ImageEncoding:
     """Encode one image; prompts (n, d_v) join the sequence at insert_layer.
 
-    The last block computes only the rows the variant reads (kept_rows):
-    the final layer norm, patch_states and v_joint come from those."""
+    Block 0's input rows and the insert block's prompt rows each run their
+    pre-attention as a group of their own: prefix is the image's
+    image_prefix (its embedded sequence and block 0's group), prompt_group
+    the prompts' prompt_pre_attention; either one not given is computed
+    here, through the same kernel. The last block computes only the rows
+    the variant reads (kept_rows): the final layer norm, patch_states and
+    v_joint come from those."""
     dims = model.dims
-    patches = np.asarray(patches)
-    if patches.shape != (dims.P, dims.d_in):
-        raise DimensionError(
-            f"patches shape {patches.shape} != expected {(dims.P, dims.d_in)}"
-        )
-    x = patches.astype(model.dtype, copy=False)
     if prompts is not None:
         prompts = np.asarray(prompts, dtype=model.dtype)
         if prompts.size == 0:
@@ -303,18 +305,20 @@ def image_forward(
                 f"prompts shape {prompts.shape} != expected {(dims.n, dims.d_v)}"
             )
     n = 0 if prompts is None else prompts.shape[0]
-
-    embedded, _ = numkit.linear(model.patch_embed, x)
-    seq = np.concatenate([embedded, model.image_cls.tensors["weight"]], axis=0)
-    seq = seq + model.image_pos.tensors["weight"]
+    seq, group = image_prefix(model, patches) if prefix is None else prefix
+    if n and prompt_group is None:
+        prompt_group = prompt_pre_attention(model, prompts)
 
     block_caches = []
     last = dims.L_v - 1
     for layer_idx, block in enumerate(model.image_blocks):
+        pre = [group] if layer_idx == 0 else None
         if layer_idx == dims.insert_layer and n > 0:
+            image_rows = group if layer_idx == 0 else _pre_attention(model, layer_idx, seq)
+            pre = [image_rows, prompt_group]
             seq = np.concatenate([seq, prompts], axis=0)
         rows = kept_rows(model) if layer_idx == last else slice(None)
-        seq, _, bcache = numkit.attention_block(block, seq, dims.H, rows=rows)
+        seq, _, bcache = numkit.attention_block(block, seq, dims.H, rows=rows, pre=pre)
         block_caches.append(bcache)
     states, ln_cache = numkit.layer_norm(model.image_ln, seq)
     v_joint, proj_cache = project_normalize(model.proj_image, states[-1])
@@ -332,6 +336,39 @@ def kept_rows(model: ModelBundle) -> slice:
     return slice(0 if model.variant == "B" else model.dims.P, model.dims.P + 1)
 
 
+def _pre_attention(model: ModelBundle, layer_idx: int, x: Array, prompt_rows=False) -> tuple:
+    """Image block layer_idx's pre_attention group of its image rows x, or
+    of its prompt rows; the last block runs Q for its kept rows alone, and
+    those are never prompt rows."""
+    rows = slice(None)
+    if layer_idx == model.dims.L_v - 1:
+        rows = slice(0, 0) if prompt_rows else kept_rows(model)
+    return numkit.pre_attention(model.image_blocks[layer_idx], x, rows)
+
+
+def image_prefix(model: ModelBundle, patches: Array) -> tuple:
+    """(seq, group): the image's embedded (P+1, d_v) sequence, patch rows
+    then CLS, each with its positional embedding, and block 0's
+    pre_attention group of it. Both depend on the image alone."""
+    dims = model.dims
+    patches = np.asarray(patches)
+    if patches.shape != (dims.P, dims.d_in):
+        raise DimensionError(
+            f"patches shape {patches.shape} != expected {(dims.P, dims.d_in)}"
+        )
+    embedded, _ = numkit.linear(model.patch_embed, patches.astype(model.dtype, copy=False))
+    seq = np.concatenate([embedded, model.image_cls.tensors["weight"]], axis=0)
+    seq = seq + model.image_pos.tensors["weight"]
+    return seq, _pre_attention(model, 0, seq)
+
+
+def prompt_pre_attention(model: ModelBundle, prompts: Array) -> tuple:
+    """The insert block's pre_attention group of the (n, d_v) prompt rows,
+    which depends on the text alone."""
+    prompts = np.asarray(prompts, dtype=model.dtype)
+    return _pre_attention(model, model.dims.insert_layer, prompts, prompt_rows=True)
+
+
 encode_image = image_forward  # perfbench/selftest.py calls this name
 
 
@@ -345,16 +382,37 @@ def frozen_text(model: ModelBundle, rec) -> TextEncoding:
     return enc
 
 
+def _prefix_key(model: ModelBundle) -> tuple:
+    """rec.frozen key of an image_prefix. With L_v = 1 block 0 is the last
+    block, whose group holds Q for the kept rows alone, so B and C/S
+    entries are kept apart there."""
+    return model.backbone_key, "prefix", model.dims.L_v == 1 and model.variant == "B"
+
+
+def frozen_prefix(model: ModelBundle, rec) -> tuple:
+    """rec's image_prefix, computed once per record and backbone and kept
+    on the record, read-only, for every prompted encode of its image."""
+    key = _prefix_key(model)
+    prefix = rec.frozen.get(key)
+    if prefix is None:
+        seq, group = prefix = rec.frozen[key] = image_prefix(model, rec.patches)
+        for arr in (seq, *group):
+            arr.flags.writeable = False
+    return prefix
+
+
 def frozen_image(model: ModelBundle, rec) -> ImageEncoding:
     """rec's prompt-free encoding (prompt_count 0), computed once per record,
     backbone and kept rows and kept on the record. It keeps v_joint, the
     final patch states of a variant-B model and no backward cache: nothing
     flows back into it. B and C/S entries are kept apart, as their kept rows
-    may give their CLS rows different bits."""
+    may give their CLS rows different bits. It reads the record's
+    frozen_prefix when a prompted encode left one, and leaves none itself,
+    so a gallery record keeps its joint embedding alone."""
     key = (model.backbone_key, "image", model.variant == "B")
     enc = rec.frozen.get(key)
     if enc is None:
-        full = image_forward(model, rec.patches)
+        full = image_forward(model, rec.patches, prefix=rec.frozen.get(_prefix_key(model)))
         enc = rec.frozen[key] = ImageEncoding(
             patch_states=full.patch_states, v_joint=full.v_joint, prompt_count=0,
             block_caches=[], ln_cache=(), proj_cache=())

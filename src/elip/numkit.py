@@ -48,6 +48,31 @@ class LayerParams:
     tensors: dict[str, Array]
     trainable: bool = False
 
+    def qkv(self) -> tuple[Array, Array]:
+        """A block's (3, d, d) stack of wq.T, wk.T, wv.T, each slice with the
+        strides of its .T view, and its (3, 1, d) stack of bq, bk, bv.
+
+        Built on first use and kept with the six tensors it was built from,
+        which building marks read-only: writing into one of them raises. It
+        is built again when one of them was replaced or is writeable (as a
+        deepcopy's are), so it never holds stale weights."""
+        src = [self.tensors[key] for key in _QKV_KEYS]
+        built = self.__dict__.get("_qkv")
+        if built is not None:
+            for arr, was in zip(src, built[0]):
+                if arr is not was or arr.flags.writeable:
+                    built = None
+                    break
+        if built is None:
+            for arr in src:
+                arr.flags.writeable = False
+            weights = np.stack(src[:3]).swapaxes(-1, -2)
+            built = self._qkv = (src, weights, np.stack(src[3:])[:, None])
+        return built[1], built[2]
+
+
+_QKV_KEYS = ("wq", "wk", "wv", "bq", "bk", "bv")
+
 
 # ---------------------------------------------------------------------------
 # linear
@@ -210,22 +235,49 @@ def _merge_heads(x: Array) -> Array:
     return x.swapaxes(-2, -3).reshape(*lead, t_count, heads * dh)
 
 
+def pre_attention(params: LayerParams, x: Array, rows: slice = slice(None)) -> tuple:
+    """A block's per-row work before attention, on a group of its input rows
+    x: (xhat, inv) of LN1, then Q for the rows of x that rows selects, K and
+    V for all of them.
+
+    Q, K and V run as one broadcast matmul against params.qkv(), which numpy
+    runs as one gemm per slice, so each has the bits of its own x @ w.T (a
+    fused (T, 3d) gemm would not). Leading axes of x are a stack."""
+    p = params.tensors
+    w, b = params.qkv()
+    h1, (xhat, inv, _) = _layer_norm_core(p["ln1.gamma"], p["ln1.beta"], x)
+    if rows == slice(None):
+        qkv = h1[..., None, :, :] @ w
+        qkv += b
+        q, k, v = (qkv[..., i, :, :] for i in range(3))
+    else:
+        kv = h1[..., None, :, :] @ w[1:]
+        kv += b[1:]
+        k, v = kv[..., 0, :, :], kv[..., 1, :, :]
+        q = h1[..., rows, :] @ w[0]
+        q += b[0]
+    return xhat, inv, q, k, v
+
+
 def attention_block(params: LayerParams, seq: Array, heads: int,
-                    rows: slice = slice(None)) -> tuple[Array, Array, tuple]:
+                    rows: slice = slice(None), pre=None) -> tuple[Array, Array, tuple]:
     """Multi-head self-attention block; returns (out, attn (H,R,T), cache)
     for the R rows of seq that rows selects (all T by default).
 
-    Pre-norm residual wiring, MLP hidden width 4*d. LN1, K and V run over
-    all T input rows, as every row is a key; Q, the attention rows, the
+    Pre-norm residual wiring, MLP hidden width 4*d. pre holds the
+    pre_attention groups of seq's rows in row order, each with Q for its
+    share of the kept rows, and the block joins them along the row axis; by
+    default it computes all of seq as one group. Q, the attention rows, the
     output projection, the residual, LN2 and the MLP run for the kept rows
-    alone. attn rows are their post-softmax weights per head. All heads run
-    as one (H, R, dh) stack; leading axes of seq are a stack too. The cache
-    holds only what the input gradient reads, with Q as an (R, d) and K, V
-    as (T, d) matrices, so that stack_block_caches stacks them into g-deep
-    arrays whose per-head views have the strides of the unstacked ones. A
-    subset of rows runs gemms with fewer rows (GEMV for one), which
+    alone; K and V for all T, as every row is a key. attn rows are their
+    post-softmax weights per head. All heads run as one (H, R, dh) stack;
+    leading axes of seq are a stack too. The cache holds only what the
+    input gradient reads, with Q as an (R, d) and K, V as (T, d) matrices,
+    so that stack_block_caches stacks them into g-deep arrays whose
+    per-head views have the strides of the unstacked ones. A group, or a
+    subset of rows, runs gemms with fewer rows (GEMV for one), which
     OpenBLAS may sum in another order: its rows need not have the bits of
-    the same rows of the full block.
+    the same rows of one whole-sequence group.
     """
     d = seq.shape[-1]
     if d % heads != 0:
@@ -233,13 +285,10 @@ def attention_block(params: LayerParams, seq: Array, heads: int,
     scale = 1.0 / math.sqrt(d // heads)
     p = params.tensors
 
-    h1, ln1_cache = _layer_norm_core(p["ln1.gamma"], p["ln1.beta"], seq)
-    q = h1[..., rows, :] @ p["wq"].T
-    q += p["bq"]
-    k = h1 @ p["wk"].T
-    k += p["bk"]
-    v = h1 @ p["wv"].T
-    v += p["bv"]
+    if pre is None:
+        pre = (pre_attention(params, seq, rows),)
+    xhat, inv, q, k, v = (parts[0] if len(pre) == 1 else np.concatenate(parts, axis=-2)
+                          for parts in zip(*pre))
 
     scores = _split_heads(q, heads) @ _split_heads(k, heads).swapaxes(-1, -2)
     scores *= scale
@@ -258,6 +307,7 @@ def attention_block(params: LayerParams, seq: Array, heads: int,
     out += p["b2"]
     out += y
 
+    ln1_cache = (xhat, inv, p["ln1.gamma"])
     cache = (ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, heads, scale, rows)
     return out, attn, cache
 

@@ -50,9 +50,11 @@ from . import numkit
 from .encoders import (
     ModelBundle,
     frozen_image,
+    frozen_prefix,
     frozen_text,
     image_backward,
     image_forward,
+    prompt_pre_attention,
 )
 from .errors import ConfigError, DataError
 from .numkit import Array, LayerParams
@@ -95,10 +97,11 @@ def stream_pairs(model: ModelBundle, records, texts, pairs, backward=None, grads
     the part of each encoding its variant scores: B's final patch states as
     a (len(pairs), P, d_v) stack, C/S's v_joint as a (len(pairs), d_e) one.
 
-    Text i's prompts are mapped once, as its group of pairs starts; each
-    pair encodes record j's image under them. An n = 0 model maps nothing
-    and reads each record's frozen image. Without grads no encoding is
-    kept. With grads (a dict), text i's run waits, with its prompt cache,
+    Text i's prompts are mapped once, as its group of pairs starts, and so
+    is their pre-attention at insert_layer; each pair encodes record j's
+    image under them from the record's frozen_prefix. An n = 0 model maps
+    nothing and reads each record's frozen image. Without grads no encoding
+    is kept. With grads (a dict), text i's run waits, with its prompt cache,
     until every score row its pairs fill is complete; then backward(rows,
     out) of those rows returns grad_of, grad_of(p) the gradient on out[p].
     The run goes through one stacked image_backward, and its prompt
@@ -117,9 +120,12 @@ def stream_pairs(model: ModelBundle, records, texts, pairs, backward=None, grads
     for i, group in groupby(enumerate(pairs), key=lambda item: item[1][0]):
         prompts, cache = (map_prompts_with_cache(model.mapper, texts[i], model.mapper_cfg,
                                                  dims.d_v) if dims.n else (None, None))
+        prompt_group = prompt_pre_attention(model, prompts) if dims.n else None
         run = []  # (pair index, encoding)
         for p, (_, j, rows) in group:
-            enc = (image_forward(model, records[j].patches, prompts) if dims.n
+            enc = (image_forward(model, records[j].patches, prompts,
+                                 prefix=frozen_prefix(model, records[j]),
+                                 prompt_group=prompt_group) if dims.n
                    else frozen_image(model, records[j]))
             out[p] = enc.patch_states if itm else enc.v_joint
             if grads is not None:

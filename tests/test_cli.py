@@ -568,8 +568,10 @@ def test_variant_b_pipeline_with_itm_modes(workdir, capsys):
 # sha256 of every rankings, metrics and curve file the chain writes from
 # seed 7 on TINY dims, for a trained C model and a trained B model (re-ranked
 # with raw and with sigmoid-squashed ITM logits), per OpenBLAS core
-# (conftest.core_table). resolved-config.json is left out: it records the
-# absolute out_dir.
+# (conftest.core_table); Katmai's re-ranked files were re-recorded when the
+# insert block's prompt rows came to run their pre-attention as a group of
+# their own. resolved-config.json is left out: it records the absolute
+# out_dir.
 CHAIN_GOLDEN = {
     ("SkylakeX",): {
         "B/ranked/eval/metrics.csv":
@@ -711,7 +713,7 @@ CHAIN_GOLDEN = {
         "B/reranked--itm-sigmoid/precision_recall/curve.csv":
             "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
         "B/reranked--itm-sigmoid/rankings.json":
-            "fa5d760ebe3d71f973f97b7ad55cc334199c81e0a04a93e1cd506b7fc3f67885",
+            "153809b5b7bd78cc1b8c59587bd1af80a917529a4e3c1997a55549ed9e5554e4",
         "B/reranked--itm-sigmoid/recall_topk/curve.csv":
             "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
         "B/reranked/eval/metrics.csv":
@@ -719,7 +721,7 @@ CHAIN_GOLDEN = {
         "B/reranked/precision_recall/curve.csv":
             "81d32e063e44af66ebddde65575cb4da59bba34727f2ab28f2211af87f69b665",
         "B/reranked/rankings.json":
-            "841de410dd153d175c232be00539b48d995d258030e48a93af84b62df1b9b909",
+            "a7defbaec03515f8f5a377c98a0c8a779d16c804798e075535a44b9cb1373581",
         "B/reranked/recall_topk/curve.csv":
             "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
         "C/ranked/eval/metrics.csv":
@@ -735,7 +737,7 @@ CHAIN_GOLDEN = {
         "C/reranked/precision_recall/curve.csv":
             "f0761a916a3d87d4294ca46695b3af04f871112a69e86278be097e83be4c9a57",
         "C/reranked/rankings.json":
-            "162659715a16b2384ed28630014fa25e7cc4307f60662422e405e4aa78b04d3f",
+            "7982e7622a9547c0d19ce57efdf0f0b14777cb7babc997c0a970a82bafaab5e5",
         "C/reranked/recall_topk/curve.csv":
             "46b555a64f510130458835e80d1d7bd7a4a2e63f265b694684d3eeeadd7f7cad",
     },

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elip import numkit
 from elip.config import DimsConfig, MapperConfig
+from elip.curation import PairRecord
 from elip.encoders import (
     bundles_equal,
     copy_without_prompts,
     encode_text,
+    frozen_image,
+    frozen_prefix,
     image_backward,
     image_forward,
     init_frozen_model,
+    prompt_pre_attention,
 )
 from elip.errors import ConfigError, DataError, DimensionError
 from elip.rng import Rng
@@ -272,3 +278,86 @@ def test_copy_without_prompts_matches_bare_encoder(tiny_model, tiny_dims):
         image_forward(bare, patches).v_joint,
         image_forward(tiny_model, patches).v_joint,
     )
+
+
+# ---------------------------------------------------------------------------
+# cached pre-attention groups: a record's prefix and a text's prompt group
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def grouped_dims(draw):
+    heads = draw(st.sampled_from([1, 2]))
+    layers = draw(st.integers(1, 3))
+    return DimsConfig(
+        d_t=8, d_v=heads * draw(st.integers(2, 8)), d_e=8, P=draw(st.integers(1, 6)),
+        m=3, L_t=1, L_v=layers, H=heads, n=draw(st.integers(0, 3)),
+        insert_layer=draw(st.integers(0, layers - 1)), d_in=5, vocab=16,
+    )
+
+
+def _flat(cache):
+    """The leaves of a (nested) cache tuple, in order."""
+    if isinstance(cache, (tuple, list)):
+        return [leaf for item in cache for leaf in _flat(item)]
+    return [cache]
+
+
+def _assert_same_bytes(got, want):
+    got, want = _flat(got), _flat(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(grouped_dims(), st.sampled_from([np.float32, np.float64]), st.sampled_from("BCS"),
+       st.integers(0, 2**31))
+def test_cached_groups_give_the_bytes_of_computing_them(dims, dtype, variant, seed):
+    """image_forward given a record's frozen_prefix and the prompts'
+    prompt_pre_attention gives the bytes of computing both itself: outputs,
+    every block cache and the prompt gradients. The prefix is one read-only
+    entry, which the record's frozen encode reads too."""
+    model = init_frozen_model(seed % 1000, dims, variant, MapperConfig(n=dims.n, hidden=8),
+                              dtype=dtype)
+    rng = np.random.default_rng(seed)
+    rec = PairRecord(id="r", patches=rng.standard_normal((dims.P, dims.d_in)).astype(np.float32),
+                     tokens=[1], caption="r")
+    prompts = (0.5 * rng.standard_normal((dims.n, dims.d_v))).astype(dtype)
+    fresh = image_forward(model, rec.patches, prompts)
+    prefix = frozen_prefix(model, rec)
+    group = prompt_pre_attention(model, prompts) if dims.n else None
+    cached = [image_forward(model, rec.patches, prompts, prefix=prefix, prompt_group=group)
+              for _ in range(2)]
+    grad_v = rng.standard_normal((1, dims.d_e))
+    grad_patches = (rng.standard_normal((1, dims.P, dims.d_v)).astype(dtype)
+                    if variant == "B" else None)
+    want = image_backward(model, [fresh], grad_v, grad_patches)
+    for enc in cached:
+        assert enc.prompt_count == fresh.prompt_count == dims.n
+        _assert_same_bytes((enc.v_joint, enc.patch_states, enc.ln_cache, enc.proj_cache),
+                           (fresh.v_joint, fresh.patch_states, fresh.ln_cache, fresh.proj_cache))
+        assert len(enc.block_caches) == dims.L_v
+        _assert_same_bytes(enc.block_caches, fresh.block_caches)
+        _assert_same_bytes(image_backward(model, [enc], grad_v, grad_patches), want)
+
+    assert frozen_prefix(model, rec) is prefix
+    assert [key[1] for key in rec.frozen] == ["prefix"]
+    for arr in _flat(prefix):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    frozen = frozen_image(model, rec)
+    assert frozen.v_joint.tobytes() == image_forward(model, rec.patches).v_joint.tobytes()
+    assert sorted(key[1] for key in rec.frozen) == ["image", "prefix"]
+
+    # a B or C/S model of the same backbone reads a prefix of its own kept rows
+    sibling = init_frozen_model(seed % 1000, dims, "C" if variant == "B" else "B",
+                                MapperConfig(n=dims.n, hidden=8), dtype=dtype)
+    assert sibling.backbone_key == model.backbone_key
+    got = image_forward(sibling, rec.patches, prompts, prefix=frozen_prefix(sibling, rec),
+                        prompt_group=prompt_pre_attention(sibling, prompts) if dims.n else None)
+    assert got.v_joint.tobytes() == image_forward(sibling, rec.patches, prompts).v_joint.tobytes()

@@ -3,6 +3,7 @@ are encoded once per backbone, and selection and training give the same
 bytes as re-encoding."""
 
 import copy
+import gc
 import hashlib
 import sys
 import tracemalloc
@@ -22,8 +23,15 @@ from elip.curation import (
     mine_hard_batches,
     select_by_learnability,
 )
-from elip.encoders import copy_without_prompts, frozen_image, frozen_text, init_frozen_model
-from elip.retrieval import embed_gallery
+from elip.encoders import (
+    copy_without_prompts,
+    encode_text,
+    frozen_image,
+    frozen_text,
+    init_frozen_model,
+)
+from elip.objectives import variant_batch_loss
+from elip.retrieval import embed_gallery, rerank, stage1_rank
 from elip.storage import load_checkpoint, save_checkpoint
 from elip.trainer import train
 
@@ -64,10 +72,10 @@ class EncodeSpy:
         self.prompt_free_backwards = 0
         forward, backward, text = encoders.image_forward, encoders.image_backward, encoders.encode_text
 
-        def spy_forward(model, patches, prompts=None):
+        def spy_forward(model, patches, prompts=None, **kwargs):
             if prompts is None or np.size(prompts) == 0:
                 self.images[model.backbone_key, id(patches)] += 1
-            return forward(model, patches, prompts)
+            return forward(model, patches, prompts, **kwargs)
 
         def spy_backward(model, encs, *args, **kwargs):
             self.prompt_free_backwards += sum(enc.prompt_count == 0 for enc in encs)
@@ -233,6 +241,32 @@ def test_c_and_b_models_keep_their_own_entries(monkeypatch):
             assert b_enc.patch_states.tobytes() == fresh_b.patch_states.tobytes()
 
 
+@pytest.mark.parametrize("variant, insert_layer", [("C", 0), ("S", LATE)])
+def test_prompted_and_frozen_encodes_read_one_prefix_entry(monkeypatch, variant, insert_layer):
+    """A training step computes each record's embedded sequence and block-0
+    group once, as one read-only entry, and its later frozen encode reads
+    that entry instead of computing its own."""
+    model = model_for(variant, insert_layer)
+    records = make_records(4)
+    calls = Counter()
+    real = encoders.image_prefix
+
+    def spy(model, patches):
+        calls[id(patches)] += 1
+        return real(model, patches)
+
+    monkeypatch.setattr(encoders, "image_prefix", spy)
+    variant_batch_loss(model, records, "per_row", {})
+    for rec in records:
+        frozen_image(model, rec)
+    assert calls == {id(rec.patches): 1 for rec in records}
+    for rec in records:
+        (prefix,) = [entry for key, entry in rec.frozen.items() if key[1] == "prefix"]
+        seq, group = prefix
+        assert seq.shape == (TINY.P + 1, TINY.d_v)
+        assert not any(arr.flags.writeable for arr in (seq, *group))
+
+
 def test_gallery_keeps_only_the_joint_embeddings():
     """The frozen entries embed_gallery leaves on 200 A3-shaped records take
     under 0.3 MB of traced memory; with the final states they took 0.6 MB."""
@@ -249,11 +283,48 @@ def test_gallery_keeps_only_the_joint_embeddings():
     assert kept < 0.3 * 2**20, kept
 
 
+@pytest.mark.parametrize("step", ["rerank", "loss"])
+def test_prompted_encodes_keep_one_prefix_per_record(step):
+    """A prompted encode leaves one entry on each record it touches and
+    nothing else: its frozen_prefix, the embedded sequence, LN1's xhat and
+    Q, K, V ((P+1, d_v) each) and LN1's (P+1) inv, about 10.7 KB per
+    A3-shaped float32 record, kept as long as the record. A re-rank of all
+    200 records or a per-row loss over 24 keeps under 1.2 times that per
+    record in traced memory."""
+    ds, bench = gen_synthetic_dataset(8, SynthSpec())
+    dims = DimsConfig()
+    model = init_frozen_model(7, dims, "C")
+    store = embed_gallery(model, ds)
+    text = encode_text(model, bench.queries[0].text_tokens)
+    touched = ds.records if step == "rerank" else ds.records[:24]
+    for rec in touched:
+        frozen_text(model, rec)  # a loss's text entries predate the prefix
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if step == "rerank":
+            rerank(model, ds, stage1_rank(store, text), len(touched), text)
+        else:
+            variant_batch_loss(model, touched, "per_row", {})
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    for i, rec in enumerate(ds.records):
+        prefixed = i < len(touched)
+        assert sorted(key[1] for key in rec.frozen) == (
+            ["image", "prefix", "text"] if prefixed else ["image"])
+    prefix_bytes = (5 * dims.d_v + 1) * (dims.P + 1) * np.dtype(model.dtype).itemsize
+    assert kept < 1.2 * len(touched) * prefix_bytes, kept
+
+
 # sha256 of the float64 learnability bits of a fraction-1 selection over
 # PLAN, per OpenBLAS core (conftest.core_table), taken when every batch still
 # re-encoded its frozen work, and for C and S again when the last image block
-# came to compute only the CLS row; a randomized mapper makes the prompts
-# non-zero.
+# came to compute only the CLS row, and for Katmai again when the insert
+# block's image and prompt rows came to run their pre-attention as groups of
+# their own; a randomized mapper makes the prompts non-zero.
 # B ignores the conditioning, so its two conditionings agree.
 LEARNABILITY_CASES = sorted((variant, conditioning, insert_layer) for variant in "BCS"
                             for conditioning in ("diagonal", "per_row")
@@ -339,29 +410,29 @@ LEARNABILITY = {
     },
     ("Katmai",): {
         ("C", "per_row", 0):
-            "3e12f7f45ac5f3df477b37862240fa622cc2b377a2721b3f632731c9de9807c2",
+            "e8be8d7cf6f1bd35c421a332de35ba4918209eab460e24e0b8eb993686142488",
         ("C", "per_row", LATE):
-            "ec0091362e1859c016946323f612d061c9745f47da23b34ee0971670405b48dd",
+            "b62064e49d94d2782541138166a98f080f5ff80d71e2c84d3c4cf1f1ea1cde4a",
         ("C", "diagonal", 0):
-            "ef6a0e8c4393ac364d3553843e85f37ce277173b64940736253bb89e303da4b4",
+            "6e7d56a149c0b09f259927301f850e9131f1c557c1bac9b36628db90a3eb189b",
         ("C", "diagonal", LATE):
-            "235a8a82cec1f03010746bf2ff048e98a7a5c3b48fbc95fc2cb24ebd98df9d9e",
+            "0ce69d9529090a241a16d6063e3ec91ad46c14c4dafc8df2921b424238041a69",
         ("S", "per_row", 0):
-            "7f0cc841668031b228908bcab0e109295370be919cae05e0463a6946051a68da",
+            "b32ae43da4361952c47c5dfae57865924ab23d0749f2005c37033496f695b488",
         ("S", "per_row", LATE):
-            "b4b8e013ccfbfccb0e750f69a31b596d5b1f281665760073d35f5e186a8aa274",
+            "34b869abdbc63288dd3b7bf4ec332c05ffe1fb1c912cc83cdf6e032925cadd10",
         ("S", "diagonal", 0):
-            "98638805a70efd885e90dff0178e6363e719827684f82296b105319680354fa7",
+            "3ac8552080641fd0a786c63bf62b2411abcc0986166f9b47bfcafbe30366a41e",
         ("S", "diagonal", LATE):
-            "b3593578945325a180323a798eaef5f54eac0bdcc3c5c7f5bf60f95faa91cbac",
+            "2ab144dc105cbacd2def6a5a3696c718d507df055cf353f6225b5751e3234c82",
         ("B", "per_row", 0):
-            "1f245a1932f72d76425c8a08fbb49c018b175d878d2c860a8e3b7c8208ab938b",
+            "2a30c1e63c10b949f933ddbe89803953a43e8b25191c79ce2ef45f117c85e1b6",
         ("B", "per_row", LATE):
-            "e55624ba363d912df9ef1337a53dff725cae0b3f268fac00595a911d6030b033",
+            "566ae086154d45a68a33a719fc6112ee34a93d4525c3ffe45b0e815531f62c13",
         ("B", "diagonal", 0):
-            "1f245a1932f72d76425c8a08fbb49c018b175d878d2c860a8e3b7c8208ab938b",
+            "2a30c1e63c10b949f933ddbe89803953a43e8b25191c79ce2ef45f117c85e1b6",
         ("B", "diagonal", LATE):
-            "e55624ba363d912df9ef1337a53dff725cae0b3f268fac00595a911d6030b033",
+            "566ae086154d45a68a33a719fc6112ee34a93d4525c3ffe45b0e815531f62c13",
     },
 }
 

@@ -223,6 +223,30 @@ def test_block_zero_write_branches_give_identity():
     assert np.allclose(out, seq)
 
 
+def test_qkv_stack_follows_its_tensors():
+    """A block's Q/K/V stack is read-only at its source: writing into wq
+    after the block ran raises, and a replaced tensor or a deepcopy whose
+    tensors were written before its first run gets a stack of its own."""
+    import copy
+
+    params = block_params(11, 8)
+    seq = Rng(12).gaussian_matrix(5, 8)
+
+    def fresh(p):
+        return attention_block(LayerParams("b", dict(p.tensors)), seq, 2)[0]
+
+    attention_block(params, seq, 2)
+    with pytest.raises(ValueError):
+        params.tensors["wq"][0, 0] += 1.0
+    params.tensors["bk"] = params.tensors["bk"] + 0.5
+    assert np.array_equal(attention_block(params, seq, 2)[0], fresh(params))
+    bumped = copy.deepcopy(params)
+    bumped.tensors["wv"][0, 0] += 1.0
+    out = attention_block(bumped, seq, 2)[0]
+    assert np.array_equal(out, fresh(bumped))
+    assert not np.array_equal(out, attention_block(params, seq, 2)[0])
+
+
 def test_block_attention_rows_sum_to_one():
     params = block_params(8, 8)
     seq = Rng(9).gaussian_matrix(6, 8)

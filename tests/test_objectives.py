@@ -299,9 +299,9 @@ def test_training_holds_one_run_of_prompted_encodings(
     def alive():
         return sum(ref() is not None for ref in refs)
 
-    def spy_forward(model, patches, prompts=None):
+    def spy_forward(model, patches, prompts=None, **kwargs):
         at_forward.append(alive())
-        enc = forward(model, patches, prompts)
+        enc = forward(model, patches, prompts, **kwargs)
         if np.size(prompts):
             refs.append(weakref.ref(enc))
         return enc
@@ -354,9 +354,9 @@ def test_rerank_holds_one_prompted_encoding_at_a_time(monkeypatch, variant):
     refs, at_forward = [], []
     forward = objectives.image_forward
 
-    def spy_forward(model, patches, prompts=None):
+    def spy_forward(model, patches, prompts=None, **kwargs):
         at_forward.append(sum(ref() is not None for ref in refs))
-        enc = forward(model, patches, prompts)
+        enc = forward(model, patches, prompts, **kwargs)
         if np.size(prompts):
             refs.append(weakref.ref(enc))
         return enc
