@@ -25,6 +25,16 @@ texts, and images under an empty prompt set (the prompt-free JEST
 reference, or any n = 0 model), come from encoders.frozen_text and
 frozen_image, so a record's frozen work runs once per backbone.
 
+A learnability selection scores one batch per reference record of a mined
+plan, so each record sits in about B batches. Its learner's loss-only
+calls share one PairTable, which the streamer reads before it maps or
+encodes: each distinct (text, image) pair is encoded once and each
+distinct text mapped once per selection (a traced itm-late selection: 277
+encodes and 100 mapper calls, not 1,200 and 600). The table holds each
+pair's scored part and each text's prompts with their insert-block group,
+about 1.26 MB over that selection, and goes when the selection returns.
+Every batch reads the same values in the same order, so no bit moves.
+
 The ITM head runs over stacks: itm_forward takes one image's (P, d_v)
 patch states or a (..., P, d_v) stack of them, against one text or a stack
 of texts, and gives one logit per image; itm_backward takes the cache of
@@ -39,7 +49,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import groupby
 from operator import add
@@ -92,42 +102,75 @@ def _pairs(b: int, conditioning: str) -> list:
     return [(j, j, range(b)) for j in range(b)]
 
 
-def stream_pairs(model: ModelBundle, records, texts, pairs, backward=None, grads=None) -> Array:
+@dataclass
+class PairTable:
+    """The loss-only encodes of one model shared by the batches of one
+    learnability selection, keyed by record id: the scored part of each
+    (text record, image record) pair already encoded, and each text's
+    mapped prompts with their prompt_pre_attention group. It reads the
+    mapper as it stood when an entry was made, so it must not outlive a
+    mapper update; select_by_learnability makes one per call."""
+
+    scored: dict = field(default_factory=dict)  # (text id, image id) -> scored part
+    prompts: dict = field(default_factory=dict)  # text id -> (prompts, prompt group)
+
+
+def stream_pairs(model: ModelBundle, records, texts, pairs, backward=None, grads=None,
+                 pair_table: PairTable | None = None) -> Array:
     """Encode the pairs (i, j, rows) of one batch and return, in pair order,
     the part of each encoding its variant scores: B's final patch states as
     a (len(pairs), P, d_v) stack, C/S's v_joint as a (len(pairs), d_e) one.
 
-    Text i's prompts are mapped once, as its group of pairs starts, and so
-    is their pre-attention at insert_layer; each pair encodes record j's
+    Text i's prompts are mapped once, before its group's first encode, and
+    so is their pre-attention at insert_layer; each pair encodes record j's
     image under them from the record's frozen_prefix. An n = 0 model maps
-    nothing and reads each record's frozen image. Without grads no encoding
-    is kept. With grads (a dict), text i's run waits, with its prompt cache,
-    until every score row its pairs fill is complete; then backward(rows,
-    out) of those rows returns grad_of, grad_of(p) the gradient on out[p].
-    The run goes through one stacked image_backward, and its prompt
-    gradient, summed in pair order, through one map_prompts_backward into
-    grads["mapper.<key>"]."""
+    nothing and reads each record's frozen image. A loss-only call given a
+    pair_table reads each pair's scored part, and each text's prompts, from
+    it when they are there and adds them when not, so a pair the table
+    holds is not encoded again and a text it holds is not mapped again.
+    Without grads no encoding is kept. With grads (a dict), text i's run
+    waits, with its prompt cache, until every score row its pairs fill is
+    complete; then backward(rows, out) of those rows returns grad_of,
+    grad_of(p) the gradient on out[p]. The run goes through one stacked
+    image_backward, and its prompt gradient, summed in pair order, through
+    one map_prompts_backward into grads["mapper.<key>"]."""
     dims = model.dims
     itm = model.variant == "B"
     out = np.empty((len(pairs), dims.P, dims.d_v) if itm else (len(pairs), dims.d_e), model.dtype)
     grad_key = "grad_patch_states" if itm else "grad_v_joint"
     if grads is not None:
+        if pair_table is not None:
+            raise ConfigError("a pair table serves loss-only calls, not gradients")
         for layer in model.trainable_layers():
             for k, v in layer.tensors.items():
                 grads.setdefault(f"{layer.name}.{k}", np.zeros_like(v))
     unscored = Counter(r for _, _, rows in pairs for r in rows)  # entries per row not yet scored
     pending = []  # (prompt cache, run) of runs not yet backpropagated
+    scored = {} if pair_table is None else pair_table.scored
     for i, group in groupby(enumerate(pairs), key=lambda item: item[1][0]):
-        prompts, cache = (map_prompts_with_cache(model.mapper, texts[i], model.mapper_cfg,
-                                                 dims.d_v) if dims.n else (None, None))
-        prompt_group = prompt_pre_attention(model, prompts) if dims.n else None
+        prompts = cache = None
         run = []  # (pair index, encoding)
         for p, (_, j, rows) in group:
+            key = None if pair_table is None else (records[i].id, records[j].id)
+            if key in scored:
+                out[p] = scored[key]
+                continue
+            if dims.n and prompts is None:
+                entry = None if pair_table is None else pair_table.prompts.get(key[0])
+                if entry is None:
+                    prompts, cache = map_prompts_with_cache(model.mapper, texts[i],
+                                                            model.mapper_cfg, dims.d_v)
+                    entry = prompts, prompt_pre_attention(model, prompts)
+                    if pair_table is not None:
+                        pair_table.prompts[key[0]] = entry
+                prompts, prompt_group = entry
             enc = (image_forward(model, records[j].patches, prompts,
                                  prefix=frozen_prefix(model, records[j]),
                                  prompt_group=prompt_group) if dims.n
                    else frozen_image(model, records[j]))
             out[p] = enc.patch_states if itm else enc.v_joint
+            if key is not None:
+                scored[key] = out[p].copy()
             if grads is not None:
                 run.append((p, enc))
                 unscored.subtract(rows)
@@ -154,11 +197,12 @@ def stream_pairs(model: ModelBundle, records, texts, pairs, backward=None, grads
 
 def build_score_matrix_with_caches(
     model: ModelBundle, records, conditioning: str = "per_row", grads: dict | None = None,
+    pair_table: PairTable | None = None,
 ) -> ScoreMatrix:
     """Text-vs-conditioned-image cosine matrix over one batch of records.
     With grads, the C (InfoNCE) or S (pairwise sigmoid) loss gradient of
     every mapper tensor is added into it, each complete score row
-    differentiated once."""
+    differentiated once; without, a pair_table serves stream_pairs."""
     b = len(records)
     if b < 2:
         raise ConfigError(f"contrastive batch needs >= 2 records, got {b}")
@@ -189,7 +233,7 @@ def build_score_matrix_with_caches(
             return sum(g_cos[r, j] * texts[r].t_joint for r in pair_rows)
         return grad_of
 
-    out = stream_pairs(model, records, texts, pairs, backward, grads)
+    out = stream_pairs(model, records, texts, pairs, backward, grads, pair_table)
     if grads is None:
         fill(range(b), out)
     return sm
@@ -395,6 +439,7 @@ def pick_itm_negatives(model: ModelBundle, records, texts: list) -> list[int]:
 
 def variant_batch_loss(
     model: ModelBundle, records, conditioning: str = "per_row", grads: dict | None = None,
+    pair_table: PairTable | None = None,
 ) -> float:
     """The active variant's loss on one batch of records.
 
@@ -403,15 +448,16 @@ def variant_batch_loss(
     its mined negative (conditioning does not apply). When grads is a
     dict, the loss gradient on every mapper tensor ("mapper.<key>") and,
     for B, every ITM-head tensor ("itm.<key>") is added into it, in that
-    key order; without one no backward cache is kept.
+    key order; without one no backward cache is kept, and a pair_table
+    lets the batches of one selection share their encodes.
     """
     if model.variant == "B":
-        return _itm_loss(model, records, grads)
-    sm = build_score_matrix_with_caches(model, records, conditioning, grads)
+        return _itm_loss(model, records, grads, pair_table)
+    sm = build_score_matrix_with_caches(model, records, conditioning, grads, pair_table)
     return info_nce(sm) if model.variant == "C" else sigmoid_pairwise(sm)
 
 
-def _itm_loss(model: ModelBundle, records, grads) -> float:
+def _itm_loss(model: ModelBundle, records, grads, pair_table) -> float:
     """BCE over each anchor's positive, then its mined negative: pairs
     (i, j, (i,)) that fill score row i, so an anchor's two encodings are one
     run, and rows 2i and 2i + 1 of the streamed (2b, P, d_v) patch states.
@@ -446,7 +492,7 @@ def _itm_loss(model: ModelBundle, records, grads) -> float:
                 grads[f"itm.{k}"] += v[slot]
         return lambda p: grad_states[p - 2 * i]
 
-    out = stream_pairs(model, records, texts, pairs, backward, grads)
+    out = stream_pairs(model, records, texts, pairs, backward, grads, pair_table)
     if grads is None:
         t_cls = np.stack([t.t_cls for t in texts])[:, None]
         logits, _ = itm_forward(head, t_cls, out.reshape(b, 2, *out.shape[1:]))

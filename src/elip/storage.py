@@ -10,6 +10,7 @@ little-endian row-major.
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import math
@@ -39,10 +40,19 @@ _CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write data to <path>.tmp and rename it over path. A write or rename
+    that fails removes the temporary file and re-raises, so path keeps its
+    old bytes (or stays absent) and nothing else is left behind."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -197,7 +197,7 @@ def fake_losses(monkeypatch, learner_losses, reference_losses, learner, referenc
     calls = {"i": 0}
     order = []
 
-    def fake(model, records, conditioning="per_row"):
+    def fake(model, records, conditioning="per_row", pair_table=None):
         batch_idx = calls["i"] // 2
         is_learner = calls["i"] % 2 == 0
         calls["i"] += 1
@@ -264,7 +264,7 @@ def test_select_matches_sort_oracle(seed, nb):
     plan = CurationPlan(batches=[[2 * i, 2 * i + 1] for i in range(nb)])
     state = {"i": 0}
 
-    def fake(model, records, conditioning="per_row"):
+    def fake(model, records, conditioning="per_row", pair_table=None):
         idx = state["i"] // 2
         is_learner = state["i"] % 2 == 0
         state["i"] += 1

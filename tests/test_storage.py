@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -163,6 +164,39 @@ def test_checkpoint_save_replaces_existing_and_leaves_no_siblings(tmp_path):
     assert sorted(os.listdir(ckpt)) == sorted(
         [f"{name}.bin" for name, _, _ in new.iter_tensors()] + ["index.json"])
     assert bundles_equal(storage.load_checkpoint(ckpt), new)
+
+
+@pytest.mark.parametrize("old", [b"old bytes\n", None])
+def test_atomic_write_failing_mid_write_leaves_no_temp_file(tmp_path, monkeypatch, old):
+    """A write that runs out of space half way raises its OSError; the
+    temporary file is gone and a file already at the path keeps its bytes."""
+    path = tmp_path / "data.jsonl"
+    if old is not None:
+        path.write_bytes(old)
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(storage, "open", lambda *a, **kw: FullDisk(real_open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(OSError) as failure:
+        storage.atomic_write_bytes(str(path), b"new bytes, twice as long\n")
+    assert failure.value.errno == errno.ENOSPC
+    assert os.listdir(tmp_path) == ([] if old is None else ["data.jsonl"])
+    if old is not None:
+        assert path.read_bytes() == old
 
 
 def test_checkpoint_save_failing_part_way_keeps_old_checkpoint(tmp_path, monkeypatch):
