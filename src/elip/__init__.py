@@ -14,6 +14,7 @@ from .curation import (
     select_by_learnability,
 )
 from .encoders import (
+    FrozenImage,
     ImageEncoding,
     ModelBundle,
     TextEncoding,
@@ -22,6 +23,7 @@ from .encoders import (
     frozen_text,
     image_forward,
     init_frozen_model,
+    joint_embed,
 )
 from .objectives import (
     ScoreMatrix,

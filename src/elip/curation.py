@@ -164,24 +164,26 @@ def select_by_learnability(
     relative order preserved. A reference of the learner's backbone (such as
     copy_without_prompts(learner)) reads the learner's frozen encodings.
 
-    The learner's losses share one PairTable, made here and dropped on
-    return, so the selection costs one prompted encode per distinct
-    (text, image) pair of the plan and one mapper call per distinct text,
-    not one per batch: a mined itm-late plan (100 batches of 6) runs 277
-    encodes and 100 mapper calls instead of 1,200 and 600. Each value
-    keeps the bits of its batch's own table-free losses."""
+    The learner's losses share one PairTable and the reference's another,
+    made here and dropped on return, so the selection costs one prompted
+    encode per distinct (text, image) pair of the plan and one mapper call
+    per distinct text, not one per batch: a mined itm-late plan (100
+    batches of 6) runs 277 encodes and 100 mapper calls instead of 1,200
+    and 600. A B model's table also holds each pair's ITM logit, so each
+    side ITM-scores each distinct pair once. Each value keeps the bits of
+    its batch's own table-free losses."""
     if not plan.batches:
         raise DataError("cannot select from an empty plan")
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction={fraction} must lie in (0, 1]")
     plan.check_indices(ds.N)
-    table = PairTable()
+    table, reference_table = PairTable(), PairTable()
     scores = []
     for batch in plan.batches:
         records = [ds.records[k] for k in batch]
         scores.append(
             variant_batch_loss(learner, records, conditioning, pair_table=table)
-            - variant_batch_loss(reference, records, conditioning)
+            - variant_batch_loss(reference, records, conditioning, pair_table=reference_table)
         )
     count = math.ceil(fraction * len(plan.batches))
     ranked = sorted(range(len(plan.batches)), key=lambda k: (-scores[k], k))

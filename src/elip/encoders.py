@@ -9,6 +9,12 @@ Image token order is [patch tokens (+pos), CLS (+pos), prompt tokens
 (no positional embedding)]; prompts enter at dims.insert_layer and
 participate in every later block.
 
+An image encode is two calls. image_forward runs the blocks and stops at
+the last block's kept_rows; joint_embed runs the joint head (the final
+layer norm, the joint projection and the L2 norm) once over a stack of
+them, a text's encodes in objectives.stream_pairs, and image_backward
+takes that call's cache back through the head, then the blocks.
+
 frozen_text, frozen_image and frozen_prefix keep a record's frozen work on
 the record, one entry per ModelBundle.backbone_key (and per kept_rows where
 they differ), so a model's frozen tensors must never change after it has
@@ -42,20 +48,26 @@ class TextEncoding:
 
 @dataclass
 class ImageEncoding:
-    """One image encoded under optional prompts, with its backward cache."""
+    """One image through the image blocks under optional prompts, with its
+    backward cache; joint_embed runs the joint head over a stack of them."""
 
-    patch_states: Array | None  # (P, d_v) for variant B; None for C/S
-    v_joint: Array  # (d_e,) unit-norm projected embedding
+    kept: Array  # (R, d_v) the last block's kept_rows, before the final layer norm
     prompt_count: int
     block_caches: list  # per layer attention_block cache
-    ln_cache: tuple  # final layer norm over kept_rows
-    proj_cache: tuple  # joint projection
 
     @property
     def attn(self) -> list:
         """Per layer (H, T, T) attention weights, read from the block caches;
         the last layer's are (H, R, T), for its R kept_rows."""
         return [cache[4] for cache in self.block_caches]
+
+
+@dataclass
+class FrozenImage:
+    """A record's prompt-free joint head output, as frozen_image keeps it."""
+
+    patch_states: Array | None  # (P, d_v) for variant B; None for C/S
+    v_joint: Array  # (d_e,) unit-norm projected embedding
 
 
 @dataclass
@@ -232,19 +244,27 @@ def _assemble_model(seed, dims, variant, mapper_cfg, dtype, w) -> ModelBundle:
 # ---------------------------------------------------------------------------
 
 
-def project_normalize(proj: LayerParams, vec: Array) -> tuple[Array, tuple]:
-    u = proj.tensors["weight"] @ vec
-    norm = float(np.sqrt(np.dot(u, u)))
-    if not np.isfinite(norm) or norm == 0.0:
-        raise NumericError(f"degenerate embedding norm {norm!r} in {proj.name}")
-    out = u / np.asarray(norm, dtype=u.dtype)
-    return out, (proj.tensors["weight"], out, norm)
+def project_normalize(proj: LayerParams, x: Array) -> tuple[Array, tuple]:
+    """The unit-norm projection of each row of x (..., d), with its cache;
+    leading axes are a stack, and a 1-D x is one row. Every row has the bits
+    of its own call: the projection is one GEMV per row, np.matmul(W,
+    x[..., None]) (x @ W.T would run one GEMM and move bits), and each norm
+    the np.dot of its row with itself (numkit.row_dots)."""
+    weight = proj.tensors["weight"]
+    u = np.matmul(weight, x[..., None])[..., 0]
+    norm = np.sqrt(numkit.row_dots(u, u))
+    if not (np.isfinite(norm) & (norm != 0)).all():
+        raise NumericError(f"degenerate embedding norm in {proj.name}")
+    out = u / norm[..., None]
+    return out, (weight, out, norm)
 
 
 def project_normalize_backward(cache: tuple, grad_out: Array) -> Array:
+    """The gradient on x of a project_normalize call, row by row."""
     weight, out, norm = cache
-    grad_u = (grad_out - np.dot(grad_out, out) * out) / norm
-    return weight.T @ grad_u
+    grad_u = grad_out - numkit.row_dots(grad_out, out)[..., None] * out
+    grad_u /= norm[..., None]
+    return np.matmul(weight.T, grad_u[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +313,9 @@ def image_forward(
     image_prefix (its embedded sequence and block 0's group), prompt_group
     the prompts' prompt_pre_attention; either one not given is computed
     here, through the same kernel. The last block computes only the rows
-    the variant reads (kept_rows): the final layer norm, patch_states and
-    v_joint come from those."""
+    the variant reads (kept_rows), and the encoding stops there: the final
+    layer norm, the joint projection and the L2 norm run in joint_embed,
+    once over the stack of a text's encodings."""
     dims = model.dims
     if prompts is not None:
         prompts = np.asarray(prompts, dtype=model.dtype)
@@ -320,13 +341,37 @@ def image_forward(
         rows = kept_rows(model) if layer_idx == last else slice(None)
         seq, _, bcache = numkit.attention_block(block, seq, dims.H, rows=rows, pre=pre)
         block_caches.append(bcache)
-    states, ln_cache = numkit.layer_norm(model.image_ln, seq)
-    v_joint, proj_cache = project_normalize(model.proj_image, states[-1])
-    return ImageEncoding(
-        patch_states=states[: dims.P] if model.variant == "B" else None, v_joint=v_joint,
-        prompt_count=n, block_caches=block_caches,
-        ln_cache=ln_cache, proj_cache=proj_cache,
-    )
+    return ImageEncoding(kept=seq, prompt_count=n, block_caches=block_caches)
+
+
+def joint_embed(model: ModelBundle, kept: Array) -> tuple:
+    """(patch_states, v_joint, cache) of kept rows (..., R, d_v), the last
+    block's kept_rows of one image or of a stack: the final layer norm, then
+    the joint projection and L2 norm of each CLS row, each run once over the
+    stack. patch_states are B's (..., P, d_v) final patch states (None for
+    C/S), v_joint the (..., d_e) unit-norm embeddings, and cache what
+    joint_embed_backward reads. Every image has the bits of its own call:
+    the layer norm is row-wise, and project_normalize keeps each row's."""
+    states, ln_cache = numkit.layer_norm(model.image_ln, kept)
+    v_joint, proj_cache = project_normalize(model.proj_image, states[..., -1, :])
+    patch_states = states[..., : model.dims.P, :] if model.variant == "B" else None
+    return patch_states, v_joint, (ln_cache, proj_cache)
+
+
+def joint_embed_backward(model: ModelBundle, cache: tuple, grad_v_joint=None,
+                         grad_patch_states=None) -> Array:
+    """The gradient on the kept rows of a joint_embed call, given gradients
+    on its v_joint and/or, for variant B, its final patch states."""
+    ln_cache, proj_cache = cache
+    grad = np.zeros_like(ln_cache[0])
+    if grad_patch_states is not None:
+        if model.variant != "B":
+            raise DimensionError("only a variant-B encoding keeps its final patch states")
+        grad[..., : model.dims.P, :] = grad_patch_states
+    if grad_v_joint is not None:
+        grad[..., -1, :] = project_normalize_backward(
+            proj_cache, np.asarray(grad_v_joint, dtype=model.dtype))
+    return numkit.layer_norm_backward(ln_cache, grad)
 
 
 def kept_rows(model: ModelBundle) -> slice:
@@ -401,61 +446,49 @@ def frozen_prefix(model: ModelBundle, rec) -> tuple:
     return prefix
 
 
-def frozen_image(model: ModelBundle, rec) -> ImageEncoding:
-    """rec's prompt-free encoding (prompt_count 0), computed once per record,
-    backbone and kept rows and kept on the record. It keeps v_joint, the
-    final patch states of a variant-B model and no backward cache: nothing
-    flows back into it. B and C/S entries are kept apart, as their kept rows
-    may give their CLS rows different bits. It reads the record's
+def frozen_image(model: ModelBundle, rec) -> FrozenImage:
+    """rec's prompt-free joint head output, computed once per record,
+    backbone and kept rows and kept on the record: v_joint, and the final
+    patch states of a variant-B model. No backward cache is kept, as
+    nothing flows back into it. B and C/S entries are kept apart, as their
+    kept rows may give their CLS rows different bits. It reads the record's
     frozen_prefix when a prompted encode left one, and leaves none itself,
     so a gallery record keeps its joint embedding alone."""
     key = (model.backbone_key, "image", model.variant == "B")
     enc = rec.frozen.get(key)
     if enc is None:
-        full = image_forward(model, rec.patches, prefix=rec.frozen.get(_prefix_key(model)))
-        enc = rec.frozen[key] = ImageEncoding(
-            patch_states=full.patch_states, v_joint=full.v_joint, prompt_count=0,
-            block_caches=[], ln_cache=(), proj_cache=())
+        kept = image_forward(model, rec.patches, prefix=rec.frozen.get(_prefix_key(model))).kept
+        patch_states, v_joint, _ = joint_embed(model, kept)
+        enc = rec.frozen[key] = FrozenImage(patch_states=patch_states, v_joint=v_joint)
     return enc
 
 
 def image_backward(
-    model: ModelBundle, encs: list, grad_v_joint=None, grad_patch_states=None
+    model: ModelBundle, encs: list, head_cache: tuple, grad_v_joint=None, grad_patch_states=None
 ) -> Array:
     """The (g, n, d_v) prompt gradients of a group of g encodings that share
-    a prompt count n, given per-encoding gradients on their v_joint (g, d_e)
-    and/or, for variant B, their final patch states (g, P, d_v); (g, 0, d_v)
+    a prompt count n, given head_cache, the cache of the joint_embed call
+    over the stack of their kept rows, and gradients on its v_joint (g, d_e)
+    and/or, for variant B, its final patch states (g, P, d_v); (g, 0, d_v)
     when n is 0.
 
-    The final layer norm runs once over the (g, R, d_v) stack of the
-    kept_rows, the last block takes those rows back to all T, and blocks
-    L_v-2 ... insert_layer each run once over the (g, T, d_v) stack; each
-    image's gradient has the bits of a backward of its own. Every layer's caches are stacked before the first
-    block runs: stacking between blocks let glibc trim and re-fault the
-    heap, about twice the page faults per step. No block below insert_layer
-    sees a prompt row, so the backward stops there."""
+    The joint head goes back once over the (g, R, d_v) stack, the last
+    block takes the kept rows back to all T, and blocks L_v-2 ...
+    insert_layer each run once over the (g, T, d_v) stack; each image's
+    gradient has the bits of a backward of its own. Every block's caches
+    are stacked before the first block runs: stacking between blocks let
+    glibc trim and re-fault the heap, about twice the page faults per step.
+    No block below insert_layer sees a prompt row, so the backward stops
+    there."""
     dims = model.dims
     n = encs[0].prompt_count
     if any(enc.prompt_count != n for enc in encs):
         raise DimensionError("image_backward group mixes prompt counts")
     if n == 0:
         return np.zeros((len(encs), 0, dims.d_v), dtype=model.dtype)
-    kept = kept_rows(model)
-    grad = np.zeros((len(encs), kept.stop - kept.start, dims.d_v), dtype=model.dtype)
-    if grad_patch_states is not None:
-        if model.variant != "B":
-            raise DimensionError("only a variant-B encoding keeps its final patch states")
-        grad[:, : dims.P] = grad_patch_states
-    if grad_v_joint is not None:
-        for row, enc, gv in zip(grad, encs, grad_v_joint, strict=True):
-            row[-1] = project_normalize_backward(
-                enc.proj_cache, np.asarray(gv, dtype=model.dtype)
-            )
     layers = range(dims.L_v - 1, dims.insert_layer - 1, -1)
     caches = [numkit.stack_block_caches([enc.block_caches[i] for enc in encs]) for i in layers]
-    grad = numkit.layer_norm_backward(
-        numkit.stack_layer_norm_caches([enc.ln_cache for enc in encs]), grad
-    )
+    grad = joint_embed_backward(model, head_cache, grad_v_joint, grad_patch_states)
     for layer_idx, cache in zip(layers, caches):
         grad = numkit.attention_block_backward(model.image_blocks[layer_idx], cache, grad)
     return grad[:, dims.P + 1:]

@@ -14,13 +14,18 @@ scores a row with numkit.row_dots, each entry with its own np.dot bits. B
 scores each anchor's positive and its mined negative with the ITM head.
 
 The streamer maps text i's prompts once and encodes one pair at a time,
-keeping only the scored part of each encoding in the returned stack. A
-call without gradients (a loss-only call, or retrieval.rerank) keeps no
-encoding and scores the stack once the stream ends. With gradients, text
-i's run, with its prompt cache, waits until every score row it fills is
-complete, goes back through one stacked image_backward and one
-map_prompts_backward, and is dropped: per_row holds b encodings at a time,
-not b^2; diagonal holds its b until the end; B an anchor's two. Batch
+then runs the joint head (final layer norm, joint projection, L2 norm)
+once over the stack of the run's kept rows, encoders.joint_embed, and
+keeps only the scored part of each encoding in the returned stack: a
+query's k candidates, a per_row text's b images, a B anchor's two, a
+diagonal pair alone. A call without gradients (a loss-only call, or
+retrieval.rerank) keeps no encoding, only each one's kept rows until its
+run's joint head, and scores the stack once the stream ends. With
+gradients, text i's run, with its prompt cache and head cache, waits
+until every score row it fills is complete, goes back through one stacked
+image_backward and one map_prompts_backward, and is dropped: per_row
+holds b encodings at a time, not b^2; diagonal holds its b until the
+end; B an anchor's two. Batch
 texts, and images under an empty prompt set (the prompt-free JEST
 reference, or any n = 0 model), come from encoders.frozen_text and
 frozen_image, so a record's frozen work runs once per backbone.
@@ -30,16 +35,19 @@ plan, so each record sits in about B batches. Its learner's loss-only
 calls share one PairTable, which the streamer reads before it maps or
 encodes: each distinct (text, image) pair is encoded once and each
 distinct text mapped once per selection (a traced itm-late selection: 277
-encodes and 100 mapper calls, not 1,200 and 600). The table holds each
-pair's scored part and each text's prompts with their insert-block group,
-about 1.26 MB over that selection, and goes when the selection returns.
-Every batch reads the same values in the same order, so no bit moves.
+encodes and 100 mapper calls, not 1,200 and 600). The table holds each C/S
+pair's v_joint or each B pair's ITM logit, and each text's prompts with
+their insert-block group, and goes when the selection returns. B's
+loss-only calls stream only the pairs whose logit the table lacks, and
+the prompt-free reference's calls share a table of their own, so each
+side ITM-scores each distinct pair once. Every batch reads the same
+values in the same order, so no bit moves.
 
 The ITM head runs over stacks: itm_forward takes one image's (P, d_v)
 patch states or a (..., P, d_v) stack of them, against one text or a stack
 of texts, and gives one logit per image; itm_backward takes the cache of
-any such call. A loss-only B call (a JEST score) scores the whole streamed
-stack with one forward, a training call each anchor's positive and
+any such call. A loss-only B call (a JEST score) scores every pair it
+streams with one forward, a training call each anchor's positive and
 negative with one forward and one backward. The re-rank scores all k
 candidates of a query in one call. Every logit and gradient keeps the
 bits of its image's own single-image call.
@@ -64,6 +72,7 @@ from .encoders import (
     frozen_text,
     image_backward,
     image_forward,
+    joint_embed,
     prompt_pre_attention,
 )
 from .errors import ConfigError, DataError
@@ -104,14 +113,16 @@ def _pairs(b: int, conditioning: str) -> list:
 
 @dataclass
 class PairTable:
-    """The loss-only encodes of one model shared by the batches of one
-    learnability selection, keyed by record id: the scored part of each
-    (text record, image record) pair already encoded, and each text's
-    mapped prompts with their prompt_pre_attention group. It reads the
-    mapper as it stood when an entry was made, so it must not outlive a
-    mapper update; select_by_learnability makes one per call."""
+    """The loss-only scores of one model shared by the batches of one
+    learnability selection, keyed by record id: what each (text record,
+    image record) pair's score reads, already computed (a prompted C/S
+    encode's v_joint, which stream_pairs keeps; B's ITM logit, which
+    _itm_loss keeps), and each text's mapped prompts with their
+    prompt_pre_attention group. It reads the mapper (and ITM head) as they
+    stood when an entry was made, so it must not outlive an update;
+    select_by_learnability makes one per model and call."""
 
-    scored: dict = field(default_factory=dict)  # (text id, image id) -> scored part
+    scored: dict = field(default_factory=dict)  # (text id, image id) -> v_joint or logit
     prompts: dict = field(default_factory=dict)  # text id -> (prompts, prompt group)
 
 
@@ -123,13 +134,15 @@ def stream_pairs(model: ModelBundle, records, texts, pairs, backward=None, grads
 
     Text i's prompts are mapped once, before its group's first encode, and
     so is their pre-attention at insert_layer; each pair encodes record j's
-    image under them from the record's frozen_prefix. An n = 0 model maps
-    nothing and reads each record's frozen image. A loss-only call given a
-    pair_table reads each pair's scored part, and each text's prompts, from
-    it when they are there and adds them when not, so a pair the table
-    holds is not encoded again and a text it holds is not mapped again.
-    Without grads no encoding is kept. With grads (a dict), text i's run
-    waits, with its prompt cache, until every score row its pairs fill is
+    image under them from the record's frozen_prefix, and the group's kept
+    rows go through one joint_embed. An n = 0 model maps nothing and reads
+    each record's frozen image. A loss-only C/S call given a pair_table
+    reads each pair's v_joint, and any call each text's prompts, from it
+    when they are there and adds them when not, so a pair the table holds
+    is not encoded again and a text it holds is not mapped again. Without
+    grads no encoding is kept, only its kept rows until the group's
+    joint_embed. With grads (a dict), text i's run waits, with its prompt
+    cache and head cache, until every score row its pairs fill is
     complete; then backward(rows, out) of those rows returns grad_of,
     grad_of(p) the gradient on out[p]. The run goes through one stacked
     image_backward, and its prompt gradient, summed in pair order, through
@@ -145,49 +158,57 @@ def stream_pairs(model: ModelBundle, records, texts, pairs, backward=None, grads
             for k, v in layer.tensors.items():
                 grads.setdefault(f"{layer.name}.{k}", np.zeros_like(v))
     unscored = Counter(r for _, _, rows in pairs for r in rows)  # entries per row not yet scored
-    pending = []  # (prompt cache, run) of runs not yet backpropagated
-    scored = {} if pair_table is None else pair_table.scored
+    pending = []  # (prompt cache, encodings, head cache, pair indices) of runs not backpropagated
+    # prompt-free pairs read their records' frozen entries, and B's table holds logits
+    held = None if pair_table is None or itm or not dims.n else pair_table.scored
     for i, group in groupby(enumerate(pairs), key=lambda item: item[1][0]):
-        prompts = cache = None
-        run = []  # (pair index, encoding)
+        prompts = cache = head = None
+        run, kept, encs = [], [], []  # pair indices, the encodes' kept rows, with grads encodings
         for p, (_, j, rows) in group:
-            key = None if pair_table is None else (records[i].id, records[j].id)
-            if key in scored:
-                out[p] = scored[key]
+            if held is not None and (key := (records[i].id, records[j].id)) in held:
+                out[p] = held[key]
                 continue
-            if dims.n and prompts is None:
-                entry = None if pair_table is None else pair_table.prompts.get(key[0])
+            run.append(p)
+            if grads is not None:
+                unscored.subtract(rows)
+            if not dims.n:
+                frozen = frozen_image(model, records[j])
+                out[p] = frozen.patch_states if itm else frozen.v_joint
+                continue
+            if prompts is None:
+                entry = None if pair_table is None else pair_table.prompts.get(records[i].id)
                 if entry is None:
                     prompts, cache = map_prompts_with_cache(model.mapper, texts[i],
                                                             model.mapper_cfg, dims.d_v)
                     entry = prompts, prompt_pre_attention(model, prompts)
                     if pair_table is not None:
-                        pair_table.prompts[key[0]] = entry
+                        pair_table.prompts[records[i].id] = entry
                 prompts, prompt_group = entry
-            enc = (image_forward(model, records[j].patches, prompts,
-                                 prefix=frozen_prefix(model, records[j]),
-                                 prompt_group=prompt_group) if dims.n
-                   else frozen_image(model, records[j]))
-            out[p] = enc.patch_states if itm else enc.v_joint
-            if key is not None:
-                scored[key] = out[p].copy()
+            enc = image_forward(model, records[j].patches, prompts,
+                                prefix=frozen_prefix(model, records[j]), prompt_group=prompt_group)
+            kept.append(enc.kept)
             if grads is not None:
-                run.append((p, enc))
-                unscored.subtract(rows)
+                encs.append(enc)
+        if kept:
+            patch_states, v_joint, head = joint_embed(model, np.stack(kept))
+            out[run] = patch_states if itm else v_joint
+            if held is not None:
+                for p in run:
+                    held[records[i].id, records[pairs[p][1]].id] = out[p].copy()
         if grads is None:
             continue
-        pending.append((cache, run))
-        rows = sorted({r for _, run in pending for p, _ in run for r in pairs[p][2]})
+        pending.append((cache, encs, head, run))
+        rows = sorted({r for *_, run in pending for p in run for r in pairs[p][2]})
         if any(unscored[r] for r in rows):
             continue
         grad_of = backward(rows, out)
-        for cache, run in pending:
-            if not run[0][1].prompt_count:
+        for cache, encs, head, run in pending:
+            if not encs:
                 continue
             # bound until the next run: freeing the stack at once let glibc trim
             # and re-fault the heap top every run (~4x a per_row step's faults)
-            grad_stack = image_backward(model, [e for _, e in run],
-                                        **{grad_key: [grad_of(p) for p, _ in run]})
+            grad_stack = image_backward(model, encs, head_cache=head,
+                                        **{grad_key: [grad_of(p) for p in run]})
             grad_prompts = reduce(add, grad_stack)
             for k, v in map_prompts_backward(model.mapper, cache, grad_prompts).items():
                 grads[f"mapper.{k}"] += v
@@ -461,10 +482,12 @@ def _itm_loss(model: ModelBundle, records, grads, pair_table) -> float:
     """BCE over each anchor's positive, then its mined negative: pairs
     (i, j, (i,)) that fill score row i, so an anchor's two encodings are one
     run, and rows 2i and 2i + 1 of the streamed (2b, P, d_v) patch states.
-    A loss-only call scores the whole stack with one itm_forward once the
-    stream ends; a training call scores anchor i's two images with one
-    itm_forward and one itm_backward as its run completes, and adds the
-    head gradients image by image, in pair order."""
+    A loss-only call streams each distinct pair whose logit the pair_table
+    (or, without one, the call) does not hold yet and scores them with one
+    itm_forward once the stream ends, keeping each logit in the table; a
+    training call scores anchor i's two images with one itm_forward and one
+    itm_backward as its run completes, and adds the head gradients image by
+    image, in pair order."""
     b = len(records)
     if b < 2:
         raise ConfigError("ITM batch needs >= 2 records for a negative")
@@ -477,6 +500,22 @@ def _itm_loss(model: ModelBundle, records, grads, pair_table) -> float:
     labels = (1, 0)
     denom = 2 * b
     total = 0.0
+
+    if grads is None:
+        logits = {} if pair_table is None else pair_table.scored
+        keys = [(records[i].id, records[j].id) for i, j, _ in pairs]
+        todo = {}  # key -> first pair index, of each pair not scored yet
+        for p, key in enumerate(keys):
+            if key not in logits:
+                todo.setdefault(key, p)
+        if todo:
+            run = [pairs[p] for p in todo.values()]
+            states = stream_pairs(model, records, texts, run, pair_table=pair_table)
+            scored, _ = itm_forward(head, np.stack([texts[i].t_cls for i, _, _ in run]), states)
+            logits.update(zip(todo, scored.tolist()))
+        for p, key in enumerate(keys):
+            total += bce(logits[key], labels[p % 2])
+        return total / denom
 
     def backward(rows, out):
         nonlocal total
@@ -492,11 +531,5 @@ def _itm_loss(model: ModelBundle, records, grads, pair_table) -> float:
                 grads[f"itm.{k}"] += v[slot]
         return lambda p: grad_states[p - 2 * i]
 
-    out = stream_pairs(model, records, texts, pairs, backward, grads, pair_table)
-    if grads is None:
-        t_cls = np.stack([t.t_cls for t in texts])[:, None]
-        logits, _ = itm_forward(head, t_cls, out.reshape(b, 2, *out.shape[1:]))
-        for row in logits.tolist():
-            for logit, label in zip(row, labels):
-                total += bce(logit, label)
+    stream_pairs(model, records, texts, pairs, backward, grads, pair_table)
     return total / denom

@@ -24,7 +24,14 @@ import numpy as np
 
 from .config import DimsConfig
 from .curation import Benchmark, PairDataset, query_id
-from .encoders import ModelBundle, TextEncoding, encode_text, frozen_image, image_forward
+from .encoders import (
+    ModelBundle,
+    TextEncoding,
+    encode_text,
+    frozen_image,
+    image_forward,
+    joint_embed,
+)
 from .errors import ConfigError, DataError
 from .numkit import Array, order_desc, row_dots
 from .objectives import itm_attention, itm_forward, sigmoid, stream_pairs
@@ -329,7 +336,8 @@ def attention_map(
         last = enc.attn[-1]  # (H, R, T), CLS the last kept row
         weights = last.mean(axis=0)[-1, :p_count]
     else:
-        attn = itm_attention(model.itm_head, enc.patch_states)  # (q, P)
+        patch_states, _, _ = joint_embed(model, enc.kept)
+        attn = itm_attention(model.itm_head, patch_states)  # (q, P)
         weights = attn.mean(axis=0)
     mass = float(weights.sum())
     grid_flat = weights / mass

@@ -306,11 +306,14 @@ def load_checkpoint(ckpt_dir: str) -> ModelBundle:
 
 
 def write_dataset(out_dir: str, ds: PairDataset) -> str:
-    """Writes patches.bin, data.jsonl and (if present) vocab.json; returns
-    the manifest path."""
+    """Writes patches.bin, (if present) vocab.json, then data.jsonl; returns
+    the manifest path. The manifest comes last, so a write that fails
+    leaves no manifest that reads a partial dataset."""
     os.makedirs(out_dir, exist_ok=True)
     stacked = np.concatenate([rec.patches for rec in ds.records], axis=0)
     write_tensor_blob(os.path.join(out_dir, "patches.bin"), stacked.astype(np.float32))
+    if ds.vocab is not None:
+        write_json(os.path.join(out_dir, "vocab.json"), ds.vocab)
     lines = []
     row = 0
     for rec in ds.records:
@@ -325,8 +328,6 @@ def write_dataset(out_dir: str, ds: PairDataset) -> str:
         row += rec.patches.shape[0]
     manifest = os.path.join(out_dir, "data.jsonl")
     atomic_write_text(manifest, "\n".join(lines) + "\n")
-    if ds.vocab is not None:
-        write_json(os.path.join(out_dir, "vocab.json"), ds.vocab)
     return manifest
 
 

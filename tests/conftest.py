@@ -1,12 +1,13 @@
 import ctypes
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from elip.config import DimsConfig, MapperConfig
 from elip.curation import PairDataset, PairRecord
-from elip.encoders import init_frozen_model
+from elip.encoders import image_forward, init_frozen_model, joint_embed
 from elip.retrieval import RankingResult
 from elip.rng import Rng
 
@@ -56,6 +57,16 @@ def make_records(count, dims=TINY, seed=99, with_categories=False):
 @pytest.fixture
 def tiny_dataset():
     return PairDataset(records=make_records(6))
+
+
+def encode_one(model, patches, prompts=None, **kwargs):
+    """image_forward of one image, then joint_embed over it as a 1-stack:
+    the encoding (enc), its patch_states (None for C/S), its v_joint and
+    the head_cache image_backward reads with [enc]."""
+    enc = image_forward(model, patches, prompts, **kwargs)
+    patch_states, v_joint, head_cache = joint_embed(model, enc.kept[None])
+    return SimpleNamespace(enc=enc, patch_states=None if patch_states is None else patch_states[0],
+                           v_joint=v_joint[0], head_cache=head_cache)
 
 
 def randomize_mapper(model, seed=5, scale=0.3):

@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 import pathlib
 
+import pytest
+
 import elip.cli  # noqa: F401  (loads every elip module, as the benchmark does)
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -140,3 +142,55 @@ def test_traced_itm_loss_makes_one_head_call_per_batch_and_per_anchor():
         assert stats["encoders.image_forward.prompted_calls"] == 2 * b
         assert stats["encoders.image_block_rows"] == stats["encoders.image_block_rows_expected"]
         assert stats["trace.errors"] == 0
+
+
+@pytest.mark.parametrize("variant", ["B", "C"])
+def test_traced_late_fusion_keeps_the_work_count_identities(variant):
+    """At insert_layer = L_v - 1, itm-late's layout, the benchmark's tracer
+    counts a training run, a JEST selection and a k re-rank of variant B or
+    C as it counts them at insert_layer 0: the image_forward calls each
+    predicts, every one of them prompted, every image block seeing the rows
+    its layout predicts, and no wrapped call raising."""
+    from dataclasses import replace
+
+    from conftest import TINY, make_records, randomize_mapper
+    from elip.config import MapperConfig, TrainConfig
+    from elip.curation import CurationPlan, PairDataset, select_by_learnability
+    from elip.encoders import copy_without_prompts, encode_text, init_frozen_model
+    from elip.retrieval import embed_gallery, rerank, stage1_rank
+    from elip.trainer import train
+
+    tracer = _load_tracer()
+    dims = replace(TINY, insert_layer=TINY.L_v - 1)
+    model = randomize_mapper(init_frozen_model(7, dims, variant, MapperConfig(n=dims.n, hidden=8)))
+    ds = PairDataset(records=make_records(6))
+    store = embed_gallery(model, ds)  # the frozen entries, made before tracing
+    plan = CurationPlan(batches=[[0, 1, 2], [3, 4, 5]])
+    b, steps, k = 3, 2, 4
+    per_step = 2 * b if variant == "B" else b * b
+
+    def traced(run):
+        tr = tracer.Tracer()
+        with tr:
+            run()
+        stats = tr.layer_stats()
+        assert stats["encoders.image_block_rows"] == stats["encoders.image_block_rows_expected"]
+        assert stats["encoders.image_forward.prompted_calls"] == stats[
+            "encoders.image_forward.calls"]
+        assert stats["trace.errors"] == 0
+        return stats["encoders.image_forward.calls"]
+
+    cfg = TrainConfig(variant=variant, steps=steps, lr=1e-2, finetune_itm=variant == "B")
+    assert traced(lambda: train(model, ds, plan, cfg)) == steps * per_step
+    # the two batches share no record, so each of their pairs is distinct
+    reference = copy_without_prompts(model)
+    assert traced(lambda: select_by_learnability(plan, ds, model, reference, 1.0)) == (
+        len(plan.batches) * per_step)
+    queries = ds.records[:2]
+
+    def rerank_queries():
+        for rec in queries:
+            text_enc = encode_text(model, rec.tokens)
+            rerank(model, ds, stage1_rank(store, text_enc), k, text_enc)
+
+    assert traced(rerank_queries) == len(queries) * k

@@ -16,12 +16,16 @@ from elip.encoders import (
     image_backward,
     image_forward,
     init_frozen_model,
+    joint_embed,
+    joint_embed_backward,
+    kept_rows,
+    project_normalize,
     prompt_pre_attention,
 )
 from elip.errors import ConfigError, DataError, DimensionError
 from elip.rng import Rng
 
-from conftest import TINY
+from conftest import TINY, encode_one
 
 
 def test_init_is_deterministic(tiny_dims):
@@ -103,14 +107,16 @@ def test_encode_image_shapes_and_norm(tiny_model, tiny_dims):
     """The last block keeps CLS alone for C, the patch rows and CLS for B."""
     model_b = init_frozen_model(7, tiny_dims, "B", MapperConfig(n=tiny_dims.n, hidden=8))
     for model, kept in ((tiny_model, 1), (model_b, tiny_dims.P + 1)):
-        enc = image_forward(model, patches_for(tiny_dims))
+        one = encode_one(model, patches_for(tiny_dims))
+        enc = one.enc
         if model.variant == "B":
-            assert enc.patch_states.shape == (tiny_dims.P, tiny_dims.d_v)
+            assert one.patch_states.shape == (tiny_dims.P, tiny_dims.d_v)
         else:
-            assert enc.patch_states is None
-        assert enc.ln_cache[0].shape == (kept, tiny_dims.d_v)
+            assert one.patch_states is None
+        assert enc.kept.shape == (kept, tiny_dims.d_v)
+        assert one.head_cache[0][0].shape == (1, kept, tiny_dims.d_v)
         assert enc.attn[-1].shape == (tiny_dims.H, kept, tiny_dims.P + 1)
-        assert abs(np.linalg.norm(enc.v_joint) - 1.0) < 1e-6
+        assert abs(np.linalg.norm(one.v_joint) - 1.0) < 1e-6
         assert enc.prompt_count == 0
         for attn in enc.attn:
             assert np.allclose(attn.sum(axis=2), 1.0, atol=1e-6)
@@ -130,17 +136,17 @@ def test_no_prompts_equals_empty_prompts_bitwise(tiny_dims):
     dims0 = replace(tiny_dims, n=0)
     model = init_frozen_model(7, dims0, "C", MapperConfig(n=0, hidden=8))
     patches = patches_for(tiny_dims)
-    a = image_forward(model, patches, None)
-    b = image_forward(model, patches, np.zeros((0, dims0.d_v), dtype=np.float32))
+    a = encode_one(model, patches, None)
+    b = encode_one(model, patches, np.zeros((0, dims0.d_v), dtype=np.float32))
     assert np.array_equal(a.v_joint, b.v_joint)
     assert np.array_equal(a.patch_states, b.patch_states)
-    assert a.prompt_count == b.prompt_count == 0
+    assert a.enc.prompt_count == b.enc.prompt_count == 0
 
 
 def test_zero_prompts_still_attend(tiny_model, tiny_dims):
     patches = patches_for(tiny_dims)
-    bare = image_forward(tiny_model, patches)
-    zeroed = image_forward(
+    bare = encode_one(tiny_model, patches)
+    zeroed = encode_one(
         tiny_model, patches, np.zeros((tiny_dims.n, tiny_dims.d_v), dtype=np.float32)
     )
     assert np.abs(bare.v_joint - zeroed.v_joint).max() > 1e-9
@@ -151,12 +157,12 @@ def test_late_fusion_prompts_touch_only_final_block(tiny_dims):
     model = init_frozen_model(7, dims, "C", MapperConfig(n=dims.n, hidden=8))
     patches = patches_for(dims)
     prompts = Rng(23).gaussian_matrix(dims.n, dims.d_v)
-    bare = image_forward(model, patches)
-    prompted = image_forward(model, patches, prompts)
+    bare = encode_one(model, patches)
+    prompted = encode_one(model, patches, prompts)
     t_plain = dims.P + 1
-    assert prompted.attn[0].shape == (dims.H, t_plain, t_plain)
-    assert np.array_equal(prompted.attn[0], bare.attn[0])
-    assert prompted.attn[-1].shape == (dims.H, 1, t_plain + dims.n)
+    assert prompted.enc.attn[0].shape == (dims.H, t_plain, t_plain)
+    assert np.array_equal(prompted.enc.attn[0], bare.enc.attn[0])
+    assert prompted.enc.attn[-1].shape == (dims.H, 1, t_plain + dims.n)
     assert np.abs(prompted.v_joint - bare.v_joint).max() > 1e-9
 
 
@@ -174,8 +180,8 @@ def test_encode_image_shape_errors(tiny_model, tiny_dims):
 def test_encode_is_pure(tiny_model, tiny_dims):
     patches = patches_for(tiny_dims)
     prompts = Rng(24).gaussian_matrix(tiny_dims.n, tiny_dims.d_v)
-    a = image_forward(tiny_model, patches, prompts)
-    b = image_forward(tiny_model, patches, prompts)
+    a = encode_one(tiny_model, patches, prompts)
+    b = encode_one(tiny_model, patches, prompts)
     assert np.array_equal(a.v_joint, b.v_joint)
     t1 = encode_text(tiny_model, [1, 2, 3])
     t2 = encode_text(tiny_model, [1, 2, 3])
@@ -189,8 +195,8 @@ def test_encode_is_pure(tiny_model, tiny_dims):
 
 def prompt_gradient(model, patches, prompts, upstream):
     """d(v_joint)/d(prompts) contracted with an upstream d_e gradient."""
-    enc = image_forward(model, patches, prompts)
-    return image_backward(model, [enc], grad_v_joint=[upstream])[0]
+    one = encode_one(model, patches, prompts)
+    return image_backward(model, [one.enc], one.head_cache, grad_v_joint=[upstream])[0]
 
 
 @pytest.mark.parametrize("insert_layer", [0, TINY.L_v - 1])
@@ -208,9 +214,9 @@ def test_prompt_gradient_finite_difference(tiny_dims, insert_layer):
         for j in range(prompts.shape[1]):
             bumped = prompts.copy()
             bumped[i, j] += h
-            lp = float(np.dot(image_forward(model, patches, bumped).v_joint, upstream))
+            lp = float(np.dot(encode_one(model, patches, bumped).v_joint, upstream))
             bumped[i, j] -= 2 * h
-            lm = float(np.dot(image_forward(model, patches, bumped).v_joint, upstream))
+            lm = float(np.dot(encode_one(model, patches, bumped).v_joint, upstream))
             numeric = (lp - lm) / (2 * h)
             worst = max(worst, abs(grad[i, j] - numeric) / max(1.0, abs(numeric)))
     assert worst < 1e-4
@@ -244,24 +250,26 @@ def test_backward_stops_at_insert_layer(tiny_dims, insert_layer, monkeypatch):
 
     monkeypatch.setattr(numkit, "attention_block_backward", spy)
     prompts = Rng(28).gaussian_matrix(dims.n, dims.d_v)
-    enc = image_forward(model, patches_for(dims), prompts)
-    image_backward(model, [enc], grad_v_joint=[np.ones(dims.d_e)])
+    enc = encode_one(model, patches_for(dims), prompts)
+    image_backward(model, [enc.enc], enc.head_cache, grad_v_joint=[np.ones(dims.d_e)])
     assert calls == [f"image.block{i}" for i in range(dims.L_v - 1, insert_layer - 1, -1)]
     calls.clear()
-    bare = image_forward(model, patches_for(dims))
-    grad = image_backward(model, [bare], [np.ones(dims.d_e)], [np.ones((dims.P, dims.d_v))])
+    bare = encode_one(model, patches_for(dims))
+    grad = image_backward(model, [bare.enc], bare.head_cache, [np.ones(dims.d_e)],
+                          [np.ones((dims.P, dims.d_v))])
     assert grad.shape == (1, 0, dims.d_v) and calls == []
+    pair = joint_embed(model, np.stack([enc.enc.kept, bare.enc.kept]))[2]
     with pytest.raises(DimensionError, match="mixes prompt counts"):
-        image_backward(model, [enc, bare], [np.ones(dims.d_e)] * 2)
+        image_backward(model, [enc.enc, bare.enc], pair, [np.ones(dims.d_e)] * 2)
 
 
 def test_cs_backward_refuses_patch_state_gradients(tiny_model, tiny_dims):
     """A C/S encoding keeps no final patch states, so no gradient can reach
     them; with P = 1 that gradient would otherwise land on the CLS row."""
     prompts = Rng(29).gaussian_matrix(tiny_dims.n, tiny_dims.d_v)
-    enc = image_forward(tiny_model, patches_for(tiny_dims), prompts)
+    enc = encode_one(tiny_model, patches_for(tiny_dims), prompts)
     with pytest.raises(DimensionError, match="variant-B"):
-        image_backward(tiny_model, [enc], [np.ones(tiny_dims.d_e)],
+        image_backward(tiny_model, [enc.enc], enc.head_cache, [np.ones(tiny_dims.d_e)],
                        [np.ones((tiny_dims.P, tiny_dims.d_v))])
 
 
@@ -275,8 +283,8 @@ def test_copy_without_prompts_matches_bare_encoder(tiny_model, tiny_dims):
     patches = patches_for(tiny_dims)
     assert bare.dims.n == 0
     assert np.array_equal(
-        image_forward(bare, patches).v_joint,
-        image_forward(tiny_model, patches).v_joint,
+        encode_one(bare, patches).v_joint,
+        encode_one(tiny_model, patches).v_joint,
     )
 
 
@@ -327,22 +335,24 @@ def test_cached_groups_give_the_bytes_of_computing_them(dims, dtype, variant, se
     rec = PairRecord(id="r", patches=rng.standard_normal((dims.P, dims.d_in)).astype(np.float32),
                      tokens=[1], caption="r")
     prompts = (0.5 * rng.standard_normal((dims.n, dims.d_v))).astype(dtype)
-    fresh = image_forward(model, rec.patches, prompts)
+    fresh = encode_one(model, rec.patches, prompts)
     prefix = frozen_prefix(model, rec)
     group = prompt_pre_attention(model, prompts) if dims.n else None
-    cached = [image_forward(model, rec.patches, prompts, prefix=prefix, prompt_group=group)
+    cached = [encode_one(model, rec.patches, prompts, prefix=prefix, prompt_group=group)
               for _ in range(2)]
     grad_v = rng.standard_normal((1, dims.d_e))
     grad_patches = (rng.standard_normal((1, dims.P, dims.d_v)).astype(dtype)
                     if variant == "B" else None)
-    want = image_backward(model, [fresh], grad_v, grad_patches)
-    for enc in cached:
-        assert enc.prompt_count == fresh.prompt_count == dims.n
-        _assert_same_bytes((enc.v_joint, enc.patch_states, enc.ln_cache, enc.proj_cache),
-                           (fresh.v_joint, fresh.patch_states, fresh.ln_cache, fresh.proj_cache))
+    want = image_backward(model, [fresh.enc], fresh.head_cache, grad_v, grad_patches)
+    for one in cached:
+        enc = one.enc
+        assert enc.prompt_count == fresh.enc.prompt_count == dims.n
+        _assert_same_bytes((one.v_joint, one.patch_states, enc.kept, one.head_cache),
+                           (fresh.v_joint, fresh.patch_states, fresh.enc.kept, fresh.head_cache))
         assert len(enc.block_caches) == dims.L_v
-        _assert_same_bytes(enc.block_caches, fresh.block_caches)
-        _assert_same_bytes(image_backward(model, [enc], grad_v, grad_patches), want)
+        _assert_same_bytes(enc.block_caches, fresh.enc.block_caches)
+        _assert_same_bytes(image_backward(model, [enc], one.head_cache, grad_v, grad_patches),
+                           want)
 
     assert frozen_prefix(model, rec) is prefix
     assert [key[1] for key in rec.frozen] == ["prefix"]
@@ -351,13 +361,68 @@ def test_cached_groups_give_the_bytes_of_computing_them(dims, dtype, variant, se
         with pytest.raises(ValueError):
             arr[...] = 0
     frozen = frozen_image(model, rec)
-    assert frozen.v_joint.tobytes() == image_forward(model, rec.patches).v_joint.tobytes()
+    assert frozen.v_joint.tobytes() == encode_one(model, rec.patches).v_joint.tobytes()
     assert sorted(key[1] for key in rec.frozen) == ["image", "prefix"]
 
     # a B or C/S model of the same backbone reads a prefix of its own kept rows
     sibling = init_frozen_model(seed % 1000, dims, "C" if variant == "B" else "B",
                                 MapperConfig(n=dims.n, hidden=8), dtype=dtype)
     assert sibling.backbone_key == model.backbone_key
-    got = image_forward(sibling, rec.patches, prompts, prefix=frozen_prefix(sibling, rec),
-                        prompt_group=prompt_pre_attention(sibling, prompts) if dims.n else None)
-    assert got.v_joint.tobytes() == image_forward(sibling, rec.patches, prompts).v_joint.tobytes()
+    got = encode_one(sibling, rec.patches, prompts, prefix=frozen_prefix(sibling, rec),
+                     prompt_group=prompt_pre_attention(sibling, prompts) if dims.n else None)
+    assert got.v_joint.tobytes() == encode_one(sibling, rec.patches, prompts).v_joint.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the joint head over a stack
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(grouped_dims(), st.sampled_from([np.float32, np.float64]), st.sampled_from("BCS"),
+       st.integers(0, 2**31))
+def test_stacked_joint_head_gives_each_image_the_bytes_of_its_own_call(dims, dtype, variant,
+                                                                      seed):
+    """joint_embed over a stack of 1, 7 or 200 images' kept rows gives each
+    image the bytes of its own 1-stack call, and of its unstacked call (as
+    frozen_image makes it): v_joint, B's final patch states, and the
+    gradient joint_embed_backward puts on the kept rows. A text's 1-D
+    project_normalize is the same function: each row of a stacked call has
+    the bytes of its own."""
+    model = init_frozen_model(seed % 1000, dims, variant, MapperConfig(n=dims.n, hidden=8),
+                              dtype=dtype)
+    rng = np.random.default_rng(seed)
+    stacks = (1, 7, 200)
+    rows = len(range(dims.P + 1)[kept_rows(model)])
+    kept = rng.standard_normal((max(stacks), rows, dims.d_v)).astype(dtype)
+    grad_v = rng.standard_normal((max(stacks), dims.d_e))
+    grad_p = (rng.standard_normal((max(stacks), dims.P, dims.d_v)).astype(dtype)
+              if variant == "B" else None)
+
+    def head(lo, hi):
+        patch_states, v_joint, cache = joint_embed(model, kept[lo:hi])
+        grad = joint_embed_backward(model, cache, grad_v[lo:hi],
+                                    None if grad_p is None else grad_p[lo:hi])
+        assert grad.shape == kept[lo:hi].shape and grad.dtype == v_joint.dtype == dtype
+        return patch_states, v_joint, grad
+
+    singles = [head(r, r + 1) for r in range(max(stacks))]
+    for r in range(0, max(stacks), 37):
+        patch_states, v_joint, _ = joint_embed(model, kept[r])
+        assert v_joint.tobytes() == singles[r][1][0].tobytes()
+        assert (patch_states is None) == (variant != "B")
+        if patch_states is not None:
+            assert patch_states.tobytes() == singles[r][0][0].tobytes()
+    for g in stacks:
+        patch_states, v_joint, grad = head(0, g)
+        assert v_joint.shape == (g, dims.d_e)
+        for r in range(g):
+            assert v_joint[r].tobytes() == singles[r][1][0].tobytes(), (g, r)
+            assert grad[r].tobytes() == singles[r][2][0].tobytes(), (g, r)
+            if patch_states is not None:
+                assert patch_states[r].tobytes() == singles[r][0][0].tobytes(), (g, r)
+
+    texts = rng.standard_normal((7, dims.d_t)).astype(dtype)
+    stacked, _ = project_normalize(model.proj_text, texts)
+    for row, text in zip(stacked, texts):
+        assert row.tobytes() == project_normalize(model.proj_text, text)[0].tobytes()

@@ -35,7 +35,7 @@ from elip.retrieval import embed_gallery, rerank, stage1_rank
 from elip.storage import load_checkpoint, save_checkpoint
 from elip.trainer import train
 
-from conftest import TINY, core_table, make_records, randomize_mapper
+from conftest import TINY, core_table, encode_one, make_records, randomize_mapper
 
 LATE = TINY.L_v - 1
 PLAN = [[0, 1, 2], [3, 4, 5], [6, 7, 0], [1, 3, 5]]
@@ -156,7 +156,7 @@ def test_another_backbone_gets_its_own_entries():
             assert frozen_text(model, rec).t_joint.tobytes() == \
                 encoders.encode_text(model, rec.tokens).t_joint.tobytes()
             assert frozen_image(model, rec).v_joint.tobytes() == \
-                encoders.image_forward(model, rec.patches).v_joint.tobytes()
+                encode_one(model, rec.patches).v_joint.tobytes()
     assert all(len(rec.frozen) == 6 for rec in records)  # 3 backbones x (text, image)
     assert frozen_image(other_heads, records[0]).v_joint.tobytes() != \
         frozen_image(learner, records[0]).v_joint.tobytes()
@@ -189,9 +189,9 @@ def test_frozen_image_keeps_no_backward_cache():
     model = model_for("B", LATE)
     rec = make_records(1)[0]
     enc = frozen_image(model, rec)
-    full = encoders.image_forward(model, rec.patches)
+    full = encode_one(model, rec.patches)
     assert frozen_image(copy_without_prompts(model), rec) is enc
-    assert enc.prompt_count == 0 and not enc.block_caches and not enc.attn
+    assert sorted(vars(enc)) == ["patch_states", "v_joint"]
     assert enc.v_joint.tobytes() == full.v_joint.tobytes()
     assert enc.patch_states.tobytes() == full.patch_states.tobytes()
     # the entries stay out of a record's repr and equality, and out of a copy
@@ -208,7 +208,7 @@ def test_cs_frozen_entry_keeps_no_final_states(variant):
     assert enc.patch_states is None
     arrays = [v for v in vars(enc).values() if isinstance(v, np.ndarray)]
     assert [a.shape for a in arrays] == [(TINY.d_e,)] and enc.v_joint.base is None
-    assert enc.v_joint.tobytes() == encoders.image_forward(model, rec.patches).v_joint.tobytes()
+    assert enc.v_joint.tobytes() == encode_one(model, rec.patches).v_joint.tobytes()
 
 
 def test_c_and_b_models_keep_their_own_entries(monkeypatch):

@@ -672,7 +672,7 @@ def _same_bytes(stacked, singles, what):
 def test_stacked_backward_matches_single_calls(dims, dtype, variant, seed):
     """Also through the last block's trimmed cache: its gradient comes in on
     the kept rows (CLS for C, patches and CLS for B) and leaves on all T."""
-    from elip.encoders import image_backward, image_forward, kept_rows
+    from elip.encoders import image_backward, image_forward, joint_embed, kept_rows
 
     model = init_frozen_model(seed % 1000, dims, variant, MapperConfig(n=dims.n, hidden=8),
                               dtype=dtype)
@@ -690,23 +690,27 @@ def test_stacked_backward_matches_single_calls(dims, dtype, variant, seed):
     layers = sorted({dims.insert_layer, dims.L_v - 1})
     grad_outs = {i: grad_kept if i == dims.L_v - 1 else grad_rows for i in layers}
 
+    def final_ln_backward(enc, grad):
+        ln_cache, _ = joint_embed(model, enc.kept)[2]
+        return layer_norm_backward(ln_cache, grad), layer_norm_param_grads(ln_cache, grad)
+
+    kept_stack = np.stack([e.kept for e in encs])
     singles = {
-        "image_backward": [image_backward(model, [e], [gv], None if gp is None else [gp])[0]
+        "image_backward": [image_backward(model, [e], joint_embed(model, e.kept[None])[2], [gv],
+                                          None if gp is None else [gp])[0]
                            for e, gv, gp in zip(encs, grad_v, grad_patches)],
-        "layer_norm_backward": [(layer_norm_backward(e.ln_cache, gr),
-                                 layer_norm_param_grads(e.ln_cache, gr))
-                                for e, gr in zip(encs, grad_kept)],
+        "layer_norm_backward": [final_ln_backward(e, gr) for e, gr in zip(encs, grad_kept)],
     }
     for i in layers:
         singles[i] = [attention_block_backward(model.image_blocks[i], e.block_caches[i], gr)
                       for e, gr in zip(encs, grad_outs[i])]
         assert all(x.shape == (dims.P + 1 + dims.n, dims.d_v) for x in singles[i])
     for g in STACKS:
-        got = image_backward(model, encs[:g], grad_v[:g],
+        ln_cache, proj_cache = joint_embed(model, kept_stack[:g])[2]
+        got = image_backward(model, encs[:g], (ln_cache, proj_cache), grad_v[:g],
                              grad_patches[:g] if variant == "B" else None)
         assert got.shape == (g, dims.n, dims.d_v)
         _same_bytes(got, singles["image_backward"][:g], "image_backward")
-        ln_cache = numkit.stack_layer_norm_caches([e.ln_cache for e in encs[:g]])
         grad_x = layer_norm_backward(ln_cache, grad_kept[:g])
         grads = layer_norm_param_grads(ln_cache, grad_kept[:g])
         _same_bytes(grad_x, [x for x, _ in singles["layer_norm_backward"][:g]], "layer_norm")
@@ -830,20 +834,21 @@ def test_grad_check_full_encoder_cls_chain():
     layer norm, every block and the patch embedding. A C encoding keeps the
     CLS row alone after the last block, so the final layer norm's cache is
     that one row, from which the CLS state is rebuilt."""
-    from elip.encoders import image_forward
+    from elip.encoders import image_forward, joint_embed
 
     model = init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8), dtype=np.float64)
     w = Rng(18).gaussian_matrix(1, TINY.d_v)[0]
 
     def f(point):
         enc = image_forward(model, point["patches"])
-        grad = numkit.layer_norm_backward(enc.ln_cache, w[None])
+        (ln_cache, _) = joint_embed(model, enc.kept)[2]
+        grad = numkit.layer_norm_backward(ln_cache, w[None])
         for block, cache in reversed(list(zip(model.image_blocks, enc.block_caches))):
             grad = numkit.attention_block_backward(block, cache, grad)
         grad_patches, _ = linear_backward(
             (point["patches"], model.patch_embed.tensors["weight"]), grad[: TINY.P]
         )
-        xhat, _, gamma = enc.ln_cache
+        xhat, _, gamma = ln_cache
         assert xhat.shape == (1, TINY.d_v)
         cls_state = gamma * xhat[0] + model.image_ln.tensors["beta"]
         return float(np.dot(cls_state, w)), {"patches": grad_patches}
@@ -858,7 +863,8 @@ def test_grad_check_prompts_through_trimmed_final_block(variant, insert_layer, n
     """image_backward's prompt gradient through the last block, which keeps
     CLS alone for C and the patch rows and CLS for B, in float64: the loss
     reads v_joint and, for B, the final patch states."""
-    from elip.encoders import image_backward, image_forward
+    from conftest import encode_one
+    from elip.encoders import image_backward
 
     dims = replace(TINY, n=n, insert_layer=insert_layer)
     model = init_frozen_model(7, dims, variant, MapperConfig(n=n, hidden=8), dtype=np.float64)
@@ -867,11 +873,12 @@ def test_grad_check_prompts_through_trimmed_final_block(variant, insert_layer, n
     w_p = Rng(21).gaussian_matrix(dims.P, dims.d_v) if variant == "B" else None
 
     def f(point):
-        enc = image_forward(model, patches, point["prompts"])
+        enc = encode_one(model, patches, point["prompts"])
         loss = float(np.dot(enc.v_joint, w_v))
         if w_p is not None:
             loss += float((enc.patch_states * w_p).sum())
-        grad = image_backward(model, [enc], [w_v], None if w_p is None else [w_p])[0]
+        grad = image_backward(model, [enc.enc], enc.head_cache, [w_v],
+                              None if w_p is None else [w_p])[0]
         return loss, {"prompts": grad}
 
     prompts = 0.5 * Rng(22).gaussian_matrix(n, dims.d_v)

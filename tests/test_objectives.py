@@ -15,8 +15,8 @@ from elip.encoders import (
     copy_without_prompts,
     encode_text,
     image_backward,
-    image_forward,
     init_frozen_model,
+    joint_embed,
 )
 from elip.config import DimsConfig, MapperConfig, TrainConfig
 from elip.curation import CurationPlan, PairDataset, SynthSpec, gen_synthetic_dataset
@@ -41,7 +41,7 @@ from elip.retrieval import embed_gallery, rerank, stage1_rank
 from elip.rng import Rng
 from elip.trainer import train
 
-from conftest import TINY, make_records, randomize_mapper
+from conftest import TINY, encode_one, make_records, randomize_mapper
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "elip"
 
@@ -64,7 +64,7 @@ def test_score_matrix_no_prompts_equals_frozen_cosines(tiny_dims):
     records = make_records(3, dims)
     sm = build_score_matrix_with_caches(model, records, "per_row")
     texts = [encode_text(model, r.tokens).t_joint for r in records]
-    images = [image_forward(model, r.patches).v_joint for r in records]
+    images = [encode_one(model, r.patches).v_joint for r in records]
     expected = np.array([[float(np.dot(t, v)) for v in images] for t in texts])
     assert np.allclose(sm.cosines, expected, atol=0)
     assert np.allclose(sm.scores, expected / TAU, atol=0)
@@ -235,7 +235,7 @@ def reference_contrastive_loss(model, records, conditioning, grads=None):
             mapped[i] = map_prompts_with_cache(
                 model.mapper, texts[i], model.mapper_cfg, model.dims.d_v
             )
-        encs.append(image_forward(model, records[j].patches, mapped[i][0]))
+        encs.append(encode_one(model, records[j].patches, mapped[i][0]))
         for r in rows:
             cos[r, j] = float(np.dot(texts[r].t_joint, encs[-1].v_joint))
     sm = ScoreMatrix(scores=cos / TAU, cosines=cos, conditioning=conditioning)
@@ -247,8 +247,9 @@ def reference_contrastive_loss(model, records, conditioning, grads=None):
     for i in mapped:
         group = [(enc, sum(g_cos[r, j] * texts[r].t_joint for r in rows))
                  for (k, j, rows), enc in zip(pairs, encs) if k == i]
-        for gp in image_backward(model, [enc for enc, _ in group],
-                                 grad_v_joint=[g for _, g in group]):
+        kept = np.stack([enc.enc.kept for enc, _ in group])
+        for gp in image_backward(model, [enc.enc for enc, _ in group],
+                                 joint_embed(model, kept)[2], grad_v_joint=[g for _, g in group]):
             grad_prompts[i] = grad_prompts[i] + gp if i in grad_prompts else gp
     for i, gp in grad_prompts.items():
         for k, v in map_prompts_backward(model.mapper, mapped[i][1], gp).items():
@@ -379,9 +380,9 @@ def test_itm_zero_final_layer_gives_zero_logit(tiny_dims):
     head.tensors["mlp.l2.bias"] = np.zeros_like(head.tensors["mlp.l2.bias"])
     records = make_records(2, tiny_dims)
     text = encode_text(model, records[0].tokens)
-    image = image_forward(model, records[0].patches)
+    image = encode_one(model, records[0].patches)
     assert itm_forward(head, text.t_cls, image.patch_states)[0] == 0.0
-    other = image_forward(model, records[1].patches)
+    other = encode_one(model, records[1].patches)
     assert itm_forward(head, text.t_cls, other.patch_states)[0] == 0.0
 
 
@@ -490,7 +491,7 @@ def test_pick_itm_negatives_excludes_self(tiny_model_b_f64, tiny_dims):
 
 def loop_itm_negatives(model, records, texts):
     """The scalar negative pick the ranking kernel replaced."""
-    frozen = [image_forward(model, rec.patches).v_joint for rec in records]
+    frozen = [encode_one(model, rec.patches).v_joint for rec in records]
     out = []
     for i in range(len(records)):
         best, best_sim = -1, -np.inf
@@ -548,7 +549,7 @@ def reference_itm_loss(model, records, grads=None):
         )
         grad_prompts = np.zeros_like(prompts)
         for image, label in ((rec, 1), (records[negatives[i]], 0)):
-            enc = image_forward(model, image.patches, prompts)
+            enc = encode_one(model, image.patches, prompts)
             logit, itm_cache = itm_forward(model.itm_head, texts[i].t_cls, enc.patch_states)
             total += bce(logit, label)
             if grads is None:
@@ -558,7 +559,8 @@ def reference_itm_loss(model, records, grads=None):
             )
             for k, v in head_grads.items():
                 grads[f"itm.{k}"] += v
-            grad_prompts += image_backward(model, [enc], grad_patch_states=[grad_patch_states])[0]
+            grad_prompts += image_backward(model, [enc.enc], enc.head_cache,
+                                           grad_patch_states=[grad_patch_states])[0]
         if grads is not None:
             for k, v in map_prompts_backward(model.mapper, mcache, grad_prompts).items():
                 grads[f"mapper.{k}"] += v
@@ -636,9 +638,12 @@ def test_one_call_site_per_image_backward_and_mapper_backward():
     the prompted encode, and calls the prompt backward and the mapper
     backward. Elsewhere in src/ only attention_map's single image is
     encoded under prompts, through prompts_for_text, and every prompt-free
-    image encode runs in encoders.frozen_image. A ranking is read through
-    its order and score arrays: no src/ code reads the (id, score) list of
-    RankingResult.entries, which is kept for the benchmark and tests."""
+    image encode runs in encoders.frozen_image. The joint head runs in
+    encoders.joint_embed alone, called by the streamer once per text run
+    and by frozen_image and attention_map for one image. A ranking is read
+    through its order and score arrays: no src/ code reads the (id, score)
+    list of RankingResult.entries, which is kept for the benchmark and
+    tests."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
 
@@ -676,6 +681,15 @@ def test_one_call_site_per_image_backward_and_mapper_backward():
         return all(isinstance(p, ast.Constant) and p.value is None for p in prompts)
 
     assert sites("image_forward", prompt_free) == [("encoders", "frozen_image")]
+    assert sites("joint_embed") == [("encoders", "frozen_image"), ("objectives", "stream_pairs"),
+                                    ("retrieval", "attention_map")]
+    # only joint_embed applies the final image layer norm and the joint image
+    # projection; ModelBundle lists them among its layers
+    head_readers = sorted({
+        (module, top.name) for module, tree in trees.items() for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in ("image_ln", "proj_image")})
+    assert head_readers == [("encoders", "ModelBundle"), ("encoders", "joint_embed")]
     for module, tree in trees.items():
         assert "FrozenTable" not in ast.dump(tree), module
         passed = [kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call)

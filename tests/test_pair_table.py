@@ -1,12 +1,14 @@
-"""The pair table of one learnability selection: each distinct (text, image)
+"""The pair tables of one learnability selection: each distinct (text, image)
 pair of the plan is encoded once and each distinct text mapped once per
-selection, every learnability value keeps the bits of its batch's own
-losses, and nothing of the table outlives the call."""
+selection, a B pair ITM-scored once per model, every learnability value
+keeps the bits of its batch's own losses, and nothing of the tables
+outlives the call."""
 
 import copy
 import gc
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +102,31 @@ def test_selection_encodes_each_distinct_pair_and_text_once(monkeypatch, variant
     assert hexes(selected.learnability) == hexes(expected)
 
 
+@pytest.mark.parametrize("insert_layer", [0, LATE], ids=["B-per_row", "B-per_row-late"])
+def test_selection_itm_scores_each_distinct_pair_once_per_model(monkeypatch, insert_layer):
+    """The learner's table and the prompt-free reference's each hold every
+    pair's ITM logit, so each model's head scores each distinct pair of the
+    plan once, not each pair of every batch; every learnability value keeps
+    the bits of its batch's table-free losses."""
+    model, ds, plan = tiny_setup("B", insert_layer)
+    reference = copy_without_prompts(model)
+    expected = fresh_learnability(plan, ds, model, reference, "per_row")
+    pairs = learner_pairs(model, ds, plan, "per_row")
+    assert len(pairs) < 2 * sum(len(b) for b in plan.batches), "the mined batches overlap"
+    side = {id(model.itm_head): "learner", id(reference.itm_head): "reference"}
+    scored = Counter()
+    real = objectives.itm_forward
+
+    def spy(head, t_cls, patch_states):
+        scored[side[id(head)]] += int(np.prod(patch_states.shape[:-2]))
+        return real(head, t_cls, patch_states)
+
+    monkeypatch.setattr(objectives, "itm_forward", spy)
+    selected = select_by_learnability(plan, ds, model, reference, 1.0, "per_row")
+    assert scored == {"learner": len(pairs), "reference": len(pairs)}
+    assert hexes(selected.learnability) == hexes(expected)
+
+
 def test_selections_around_a_mapper_update_each_read_their_own_mapper():
     model, ds, plan = tiny_setup("C", 0)
     reference = copy_without_prompts(model)
@@ -147,13 +174,15 @@ def held_bytes(arrays) -> int:
 ], ids=["C-per_row", "B-per_row-late"])
 def test_selection_table_holds_its_entries_alone_and_only_during_the_call(
         monkeypatch, variant, conditioning, late):
-    """At A3 shape (float32), the table of a selection over a mined plan of
-    24 records holds under 1.2 x (distinct pairs x scored-part bytes +
+    """At A3 shape (float32), the tables of a selection over a mined plan of
+    24 records hold under 1.2 x (distinct pairs x scored-part bytes +
     distinct texts x prompt-entry bytes) of traced memory, numpy's array
-    headers counted in each entry: 240 B for a C/S v_joint, 2,176 B for B's
-    patch states, about 7.5 KB for a prompt entry (6.2 KB at insert_layer
-    L_v - 1, where no prompt row has a query). Once the call returns it
-    holds nothing."""
+    headers counted in each entry: 240 B for a C/S v_joint, 24 B for a B
+    logit (a Python float), about 7.5 KB for a prompt entry (6.2 KB at
+    insert_layer L_v - 1, where no prompt row has a query). The prompt-free
+    reference's table holds B's logits too, and nothing for C/S, whose
+    pairs read the records' frozen entries. Once the call returns they
+    hold nothing."""
     dims = DimsConfig()
     if late:
         dims = replace(dims, insert_layer=dims.L_v - 1)
@@ -179,12 +208,15 @@ def test_selection_table_holds_its_entries_alone_and_only_during_the_call(
         select_by_learnability(plan, ds, model, reference, 1.0, conditioning)
         gc.collect()
         with_table = tracemalloc.get_traced_memory()[0]
-        (table,) = tables
+        table, reference_table = tables
         pairs, texts = len(table.scored), len(table.prompts)
+        reference_pairs = len(reference_table.scored)
+        assert not reference_table.prompts
         part = next(iter(table.scored.values()))
         prompts, group = next(iter(table.prompts.values()))
-        part_bytes, prompt_bytes = held_bytes([part]), held_bytes([prompts, *group])
-        del table, part, prompts, group
+        part_bytes = sys.getsizeof(part) if variant == "B" else held_bytes([part])
+        prompt_bytes = held_bytes([prompts, *group])
+        del table, reference_table, part, prompts, group
         tables.clear()
         gc.collect()
         held = with_table - tracemalloc.get_traced_memory()[0]
@@ -192,8 +224,11 @@ def test_selection_table_holds_its_entries_alone_and_only_during_the_call(
         tracemalloc.stop()
     assert pairs == len(learner_pairs(model, ds, plan, conditioning))
     assert texts == ds.N
-    shape = (dims.P, dims.d_v) if variant == "B" else (dims.d_e,)
-    assert part_bytes == sys.getsizeof(np.empty(shape, model.dtype))
-    bound = pairs * part_bytes + texts * prompt_bytes
+    if variant == "B":
+        assert reference_pairs == pairs and part_bytes == sys.getsizeof(0.0)
+    else:
+        assert reference_pairs == 0
+        assert part_bytes == sys.getsizeof(np.empty(dims.d_e, model.dtype))
+    bound = (pairs + reference_pairs) * part_bytes + texts * prompt_bytes
     assert bound <= held < 1.2 * bound, (held, bound)
     assert left < 0.05 * bound, left

@@ -34,7 +34,7 @@ from elip.retrieval import (
 )
 from elip.rng import Rng
 
-from conftest import TINY, make_records, randomize_mapper, ranking_from_entries
+from conftest import TINY, encode_one, make_records, randomize_mapper, ranking_from_entries
 
 
 def unit(v):
@@ -75,7 +75,7 @@ def test_embed_gallery_matches_encode_image(tiny_model):
     store = embed_gallery(tiny_model, ds)
     assert len(store.ids) == ds.N
     for i, rec in enumerate(ds.records):
-        expected = image_forward(tiny_model, rec.patches).v_joint
+        expected = encode_one(tiny_model, rec.patches).v_joint
         assert np.array_equal(store.matrix[i], expected)
     assert np.abs(np.linalg.norm(store.matrix, axis=1) - 1.0).max() < 1e-6
 
@@ -218,7 +218,7 @@ def test_rerank_fresh_mapper_equals_explicit_zero_prompts():
     zero_prompts = np.zeros((TINY.n, TINY.d_v), dtype=np.float32)
     rescored = []
     for image_id, _ in ranking.entries[:5]:
-        enc = image_forward(model, ds.by_id(image_id).patches, zero_prompts)
+        enc = encode_one(model, ds.by_id(image_id).patches, zero_prompts)
         rescored.append((image_id, float(np.dot(text.t_joint, enc.v_joint))))
     rescored.sort(key=lambda e: (-e[1], e[0]))
     assert via_mapper.entries[:5] == rescored
@@ -232,7 +232,7 @@ def test_rerank_variant_b_adds_itm_logit():
     prompts = prompts_for_text(model, text)
     by_id = dict(ranking.entries)
     for image_id, score in out.entries[:2]:
-        enc = image_forward(model, ds.by_id(image_id).patches, prompts)
+        enc = encode_one(model, ds.by_id(image_id).patches, prompts)
         expected = by_id[image_id] + itm_forward(model.itm_head, text.t_cls, enc.patch_states)[0]
         assert abs(score - expected) < 1e-6
 
@@ -252,7 +252,7 @@ def loop_rerank_entries(model, ds, ranking, k, text_enc, itm_sigmoid=False):
     prompts = prompts_for_text(model, text_enc)
     rescored = []
     for image_id, old_score in ranking.entries[:k]:
-        enc = image_forward(model, ds.by_id(image_id).patches, prompts)
+        enc = encode_one(model, ds.by_id(image_id).patches, prompts)
         if model.variant == "B":
             logit = itm_forward(model.itm_head, text_enc.t_cls, enc.patch_states)[0]
             bonus = float(sigmoid(np.array(logit))) if itm_sigmoid else logit

@@ -166,6 +166,24 @@ def test_checkpoint_save_replaces_existing_and_leaves_no_siblings(tmp_path):
     assert bundles_equal(storage.load_checkpoint(ckpt), new)
 
 
+class FullDisk:
+    """A file handle that writes half of what it is given, then raises
+    ENOSPC."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 @pytest.mark.parametrize("old", [b"old bytes\n", None])
 def test_atomic_write_failing_mid_write_leaves_no_temp_file(tmp_path, monkeypatch, old):
     """A write that runs out of space half way raises its OSError; the
@@ -174,21 +192,6 @@ def test_atomic_write_failing_mid_write_leaves_no_temp_file(tmp_path, monkeypatc
     if old is not None:
         path.write_bytes(old)
     real_open = open
-
-    class FullDisk:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, data):
-            self.fh.write(data[: len(data) // 2])
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
     monkeypatch.setattr(storage, "open", lambda *a, **kw: FullDisk(real_open(*a, **kw)),
                         raising=False)
     with pytest.raises(OSError) as failure:
@@ -279,6 +282,46 @@ def test_manifest_round_trip_synthetic(tmp_path):
         assert ra.caption == rb.caption
         assert ra.categories == rb.categories
         assert ra.occluded_categories == rb.occluded_categories
+
+
+def test_dataset_write_failing_at_any_file_leaves_no_manifest_of_a_partial_dataset(
+        tmp_path, monkeypatch):
+    """write_dataset writes the manifest last: when its i-th file write runs
+    out of space half way, for every i, the write raises ENOSPC and leaves
+    no data.jsonl, and with no fault the dataset reads back whole."""
+    ds, _ = gen_synthetic_dataset(7, SynthSpec(N=12, clusters=3, P=4, d_in=6, m=4))
+    real_write, real_open = storage.atomic_write_bytes, open
+    written = []
+
+    def write_failing_at(fail):
+        def write(path, data):
+            written.append(os.path.basename(path))
+            if len(written) - 1 != fail:
+                return real_write(path, data)
+            with monkeypatch.context() as full:
+                full.setattr(storage, "open", lambda *a, **kw: FullDisk(real_open(*a, **kw)),
+                             raising=False)
+                return real_write(path, data)
+        return write
+
+    fail = 0
+    while True:
+        out = tmp_path / f"fail{fail}"
+        written.clear()
+        monkeypatch.setattr(storage, "atomic_write_bytes", write_failing_at(fail))
+        try:
+            manifest = storage.write_dataset(str(out), ds)
+        except OSError as failure:
+            assert failure.errno == errno.ENOSPC
+            assert sorted(os.listdir(out)) == sorted(written[:fail])
+            assert "data.jsonl" not in os.listdir(out), written
+            fail += 1
+            continue
+        break
+    assert written == ["patches.bin", "vocab.json", "data.jsonl"] and fail == len(written)
+    back = storage.read_dataset(manifest)
+    assert [r.id for r in back.records] == [r.id for r in ds.records]
+    assert back.vocab == ds.vocab
 
 
 def test_manifest_two_valid_lines(tmp_path):

@@ -10,7 +10,7 @@ from elip.encoders import bundles_equal, frozen_bytes, init_frozen_model
 from elip.errors import ConfigError, NumericError
 from elip.trainer import ADAM_BLOCK, OptimizerState, adam_step, clip_global_norm, train
 
-from conftest import TINY, core_table, make_records
+from conftest import TINY, core_table, encode_one, make_records
 
 LATE = TINY.L_v - 1
 
@@ -318,7 +318,7 @@ def test_variant_b_training_separates_pos_from_neg_logits():
     # pinned pilot: 60 steps at lr 3e-3 push the mean pos-neg logit gap
     # from ~0.014 to ~0.59 on the planted tiny dataset
     from elip.curation import SynthSpec, gen_synthetic_dataset
-    from elip.encoders import encode_text, image_forward
+    from elip.encoders import encode_text
     from elip.objectives import itm_forward, pick_itm_negatives
     from elip.prompt_mapper import prompts_for_text
 
@@ -337,7 +337,7 @@ def test_variant_b_training_separates_pos_from_neg_logits():
                 prompts = prompts_for_text(m, text)
                 pos_logit, neg_logit = (
                     itm_forward(m.itm_head, text.t_cls,
-                                image_forward(m, r.patches, prompts).patch_states)[0]
+                                encode_one(m, r.patches, prompts).patch_states)[0]
                     for r in (rec, records[neg])
                 )
                 gaps.append(pos_logit - neg_logit)
