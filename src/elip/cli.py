@@ -19,10 +19,10 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import storage
-from .config import MapperConfig, RunConfig
+from .config import RunConfig
 from .curation import (
     SynthSpec,
     build_occluded_benchmark,
@@ -131,13 +131,9 @@ def cmd_init_model(args, cfg: RunConfig) -> dict:
     if args.insert_layer is not None:
         dims = replace(dims, insert_layer=args.insert_layer)
     cfg.dims = dims
-    mapper_cfg = MapperConfig(
-        input_mode=args.mapper_input or cfg.mapper.input_mode,
-        n=dims.n,
-        hidden=cfg.mapper.hidden,
-    )
-    cfg.mapper = mapper_cfg
-    model = init_frozen_model(cfg.seed, dims, cfg.variant, mapper_cfg)
+    if args.mapper_input:
+        cfg.mapper = replace(cfg.mapper, input_mode=args.mapper_input)
+    model = init_frozen_model(cfg.seed, dims, cfg.variant, cfg.mapper)
     ckpt_dir = os.path.join(cfg.out_dir, "checkpoint")
     storage.save_checkpoint(ckpt_dir, model)
     return dict(variant=cfg.variant, checkpoint=ckpt_dir,
@@ -446,8 +442,7 @@ def run_command(argv) -> int:
             path = os.path.dirname(path)
         os.makedirs(cfg.out_dir, exist_ok=True)
         fields = args.func(args, cfg)
-        storage.atomic_write_text(os.path.join(cfg.out_dir, "resolved-config.json"),
-                                  cfg.to_json())
+        storage.write_json(os.path.join(cfg.out_dir, "resolved-config.json"), asdict(cfg))
     except tuple(_EXIT_CODES) as exc:
         for path in created:  # rmdir refuses a directory that holds anything
             with contextlib.suppress(OSError):

@@ -1,14 +1,15 @@
-"""Configuration dataclasses and their JSON round-trips."""
+"""Configuration dataclasses and their typed reading from a JSON document
+(storage.read_config reads the file; storage.write_json writes asdict of a
+config)."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_type_hints
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError
 
 VARIANTS = ("C", "S", "B")
 
@@ -59,17 +60,15 @@ class DimsConfig:
 
 @dataclass
 class MapperConfig:
-    """Text-to-prompt MLP wiring: 3 linear layers, GELU between pairs."""
+    """Text-to-prompt MLP wiring: 3 linear layers, GELU between pairs; the
+    prompt count is DimsConfig.n."""
 
     input_mode: str = "cls"  # cls | dense_mean
-    n: int = 10
     hidden: int = 0  # 0 -> 4 * d_v resolved at model init
 
     def validate(self) -> "MapperConfig":
         if self.input_mode not in ("cls", "dense_mean"):
             raise ConfigError(f"unknown mapper input_mode {self.input_mode!r}")
-        if self.n < 0:
-            raise ConfigError(f"mapper n={self.n} must be >= 0")
         if self.hidden < 0:
             raise ConfigError(f"mapper hidden={self.hidden} must be >= 0")
         return self
@@ -123,30 +122,14 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     rerank_k: int = DESK_RERANK_K
     variant: str = "C"
-    paths: dict = field(default_factory=dict)
     synth: dict = field(default_factory=dict)
     out_dir: str = "out"
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         """A RunConfig from its JSON document; an unknown key or a wrongly
         typed value, at any level, is a ConfigError naming the field."""
         return _from_doc(cls, doc, ())
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        """from_dict of the JSON text; text that is not a JSON object is a
-        FormatError."""
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:
-            raise FormatError(f"config is not JSON ({exc})") from exc
-        if not isinstance(doc, dict):
-            raise FormatError("config is not a JSON object")
-        return cls.from_dict(doc)
 
 
 def _conforms(value, hint) -> bool:

@@ -174,11 +174,7 @@ def _assemble_model(seed, dims, variant, mapper_cfg, dtype, w) -> ModelBundle:
     dims = dims.validate()
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-    if mapper_cfg is None:
-        mapper_cfg = MapperConfig(n=dims.n)
-    mapper_cfg = mapper_cfg.validate()
-    if mapper_cfg.n != dims.n:
-        raise ConfigError(f"mapper n={mapper_cfg.n} != dims n={dims.n}")
+    mapper_cfg = (mapper_cfg or MapperConfig()).validate()
     hidden = mapper_cfg.hidden or 4 * dims.d_v
     mapper_cfg = replace(mapper_cfg, hidden=hidden)
 
@@ -504,7 +500,6 @@ def copy_without_prompts(model: ModelBundle) -> ModelBundle:
     bare = copy.deepcopy(model)
     hidden = bare.mapper_cfg.hidden
     bare.dims = replace(bare.dims, n=0)
-    bare.mapper_cfg = replace(bare.mapper_cfg, n=0)
     bare.mapper.tensors["l3.weight"] = np.zeros((0, hidden), dtype=bare.dtype)
     bare.mapper.tensors["l3.bias"] = np.zeros(0, dtype=bare.dtype)
     return bare

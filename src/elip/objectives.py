@@ -86,10 +86,8 @@ SIGMOID_BIAS = -10.0
 
 @dataclass
 class ScoreMatrix:
-    scores: Array  # (b, b) cosines / tau
+    scores: Array  # (b, b) cosines / TAU
     cosines: Array  # (b, b) raw cosines
-    conditioning: str  # per_row | diagonal
-    tau: float = TAU
 
 
 def sigmoid(x):
@@ -231,7 +229,7 @@ def build_score_matrix_with_caches(
         raise ConfigError(f"unknown conditioning {conditioning!r}")
     texts = [frozen_text(model, rec) for rec in records]
     t_joint = np.stack([t.t_joint for t in texts])
-    sm = ScoreMatrix(scores=np.zeros((b, b)), cosines=np.zeros((b, b)), conditioning=conditioning)
+    sm = ScoreMatrix(scores=np.zeros((b, b)), cosines=np.zeros((b, b)))
     g_cos = np.empty((b, b))
     pairs = _pairs(b, conditioning)
 
@@ -240,12 +238,12 @@ def build_score_matrix_with_caches(
         v_joint = (out.reshape(b, b, -1) if conditioning == "per_row"
                    else np.broadcast_to(out, (b, *out.shape)))
         sm.cosines[rows] = numkit.row_dots(v_joint[rows], t_joint[rows, None])
-        sm.scores[rows] = sm.cosines[rows] / sm.tau
+        sm.scores[rows] = sm.cosines[rows] / TAU
 
     def backward(rows, out):
         fill(rows, out)
         if model.variant == "C":
-            g_cos[rows] = info_nce_grad(sm, rows) / sm.tau
+            g_cos[rows] = info_nce_grad(sm, rows) / TAU
         else:
             g_cos[rows] = sigmoid_pairwise_grad(sm, rows=rows)
 

@@ -4,7 +4,9 @@ and byte-stable for identical inputs.
 
 Tensor blob layout: magic 'ELIP', u8 version=1, u8 dtype (1=f32, 2=f64),
 u8 rank (<=2), u8 zero pad, rank x u64 little-endian dims, then the payload
-little-endian row-major.
+little-endian row-major. A checkpoint is a directory of blobs `<name>.bin`
+and an index.json that maps each tensor name to its blob's sha256; a blob's
+dtype and shape are its header's alone.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ def read_tensor_blob(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 
@@ -204,16 +206,6 @@ def save_checkpoint(ckpt_dir: str, model: ModelBundle) -> None:
 
 
 def _write_checkpoint_files(out_dir: str, model: ModelBundle) -> None:
-    tensors = {}
-    for name, arr, trainable in model.iter_tensors():
-        fname = f"{name}.bin"
-        tensors[name] = {
-            "file": fname,
-            "dtype": _DTYPE_NAMES[arr.dtype],
-            "shape": list(arr.shape),
-            "sha256": write_tensor_blob(os.path.join(out_dir, fname), arr),
-            "trainable": trainable,
-        }
     index = {
         "version": CHECKPOINT_VERSION,
         "variant": model.variant,
@@ -221,37 +213,27 @@ def _write_checkpoint_files(out_dir: str, model: ModelBundle) -> None:
         "dtype": _DTYPE_NAMES[np.dtype(model.dtype)],
         "dims": asdict(model.dims),
         "mapper": asdict(model.mapper_cfg),
-        "tensors": tensors,
+        "tensors": {name: write_tensor_blob(os.path.join(out_dir, f"{name}.bin"), arr)
+                    for name, arr, _ in model.iter_tensors()},
     }
     write_json(os.path.join(out_dir, "index.json"), index)
 
 
 def load_checkpoint(ckpt_dir: str) -> ModelBundle:
-    """Reads a version-2 checkpoint. Every blob must match the sha256, dtype
-    and shape its index entry records, and the layout of the bundle the
-    index describes; any mismatch is a FormatError."""
+    """Reads a version-3 checkpoint: index.json maps each tensor name to the
+    sha256 of its blob `<name>.bin`. Every blob must match its digest, and
+    its header's dtype and shape the layout of the bundle the index
+    describes; any mismatch is a FormatError."""
     index_path = os.path.join(ckpt_dir, "index.json")
 
     def parse(doc):
         if doc["version"] != CHECKPOINT_VERSION:
             raise FormatError(
                 f"{index_path}: checkpoint index version {doc['version']!r} is not "
-                f"{CHECKPOINT_VERSION}; version 1 records no blob digests, so "
-                "re-create the checkpoint"
+                f"{CHECKPOINT_VERSION}, so re-create the checkpoint"
             )
         if doc["dtype"] not in ("f32", "f64"):
             raise FormatError(f"{index_path}: dtype {doc['dtype']!r} is not f32 or f64")
-        entries = {}
-        for name, meta in doc["tensors"].items():
-            what = f"tensor {name!r}"
-            shape = meta["shape"]
-            if not (isinstance(shape, list) and all(_conforms(d, int) and d >= 0 for d in shape)):
-                raise FormatError(
-                    f"{index_path}: {what} shape {shape!r} is not a list of non-negative integers"
-                )
-            file, dtype_name, digest = (_string(index_path, meta[key], f"{what} {key}")
-                                        for key in ("file", "dtype", "sha256"))
-            entries[name] = (file, dtype_name, tuple(shape), digest)
         return (
             _integer(index_path, doc["seed"], "seed"),
             doc["variant"],
@@ -259,13 +241,13 @@ def load_checkpoint(ckpt_dir: str) -> ModelBundle:
             _from_doc(DimsConfig, doc["dims"], ("dims",)),
             _from_doc(MapperConfig, doc["mapper"], ("mapper",)),
             np.dtype(np.float32 if doc["dtype"] == "f32" else np.float64),
-            entries,
+            dict(doc["tensors"].items()),
         )
 
-    seed, variant, dims, mapper_cfg, dtype, entries = _parse_json(index_path, parse)
+    seed, variant, dims, mapper_cfg, dtype, digests = _parse_json(index_path, parse)
     # The bundle's layout without drawing its weights: every weight matrix
     # is overwritten from its blob below. A layout the index cannot describe
-    # (say mapper n != dims n) is a fault of the index.
+    # (say insert_layer >= L_v) is a fault of the index.
     try:
         model = _assemble_model(seed, dims, variant, mapper_cfg, dtype,
                                 lambda rows, cols, fan_in: np.empty((rows, cols), dtype=dtype))
@@ -275,26 +257,25 @@ def load_checkpoint(ckpt_dir: str) -> ModelBundle:
     for layer in model.layers():
         for key in layer.tensors:
             by_name[f"{layer.name}.{key}"] = (layer, key)
-    for name, (fname, dtype_name, shape, digest) in entries.items():
+    for name, digest in digests.items():
         if name not in by_name:
             raise FormatError(f"{index_path}: unexpected tensor {name!r}")
         layer, key = by_name[name]
         expected = layer.tensors[key]
-        blob_path = os.path.join(ckpt_dir, fname)
+        blob_path = os.path.join(ckpt_dir, f"{name}.bin")
         with _open(blob_path) as fh:
             data = fh.read()
         arr = blob_to_tensor(data, source=blob_path)
         if hashlib.sha256(data).hexdigest() != digest:
             raise FormatError(f"{blob_path}: sha256 does not match {index_path}")
-        found = (_DTYPE_NAMES[arr.dtype], arr.shape)
-        if found != (dtype_name, shape) or found != (_DTYPE_NAMES[expected.dtype], expected.shape):
+        if (arr.dtype, arr.shape) != (expected.dtype, expected.shape):
             raise FormatError(
-                f"{index_path}: tensor {name!r} in {blob_path} is {found[0]} {found[1]}; "
-                f"the index says {dtype_name} {shape}, the model needs "
+                f"{index_path}: tensor {name!r} in {blob_path} is "
+                f"{_DTYPE_NAMES[arr.dtype]} {arr.shape}; the model needs "
                 f"{_DTYPE_NAMES[expected.dtype]} {expected.shape}"
             )
         layer.tensors[key] = arr
-    missing = set(by_name) - set(entries)
+    missing = set(by_name) - set(digests)
     if missing:
         raise FormatError(f"{index_path}: missing tensors {sorted(missing)}")
     return model

@@ -24,17 +24,17 @@ def tiny_dims():
 
 @pytest.fixture
 def tiny_model():
-    return init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8))
+    return init_frozen_model(7, TINY, "C", MapperConfig(hidden=8))
 
 
 @pytest.fixture
 def tiny_model_f64():
-    return init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8), dtype=np.float64)
+    return init_frozen_model(7, TINY, "C", MapperConfig(hidden=8), dtype=np.float64)
 
 
 @pytest.fixture
 def tiny_model_b_f64():
-    return init_frozen_model(7, TINY, "B", MapperConfig(n=TINY.n, hidden=8), dtype=np.float64)
+    return init_frozen_model(7, TINY, "B", MapperConfig(hidden=8), dtype=np.float64)
 
 
 def make_records(count, dims=TINY, seed=99, with_categories=False):

@@ -89,7 +89,7 @@ class criterion:
 def _chain_error(seed):
     """FD error of d(InfoNCE)/d(mapper params) through the whole pipeline."""
     dims = TINY
-    model = init_frozen_model(seed, dims, "C", MapperConfig(n=dims.n, hidden=8),
+    model = init_frozen_model(seed, dims, "C", MapperConfig(hidden=8),
                               dtype=np.float64)
     randomize_mapper(model, seed=seed + 100)
     records = make_records(2, dims, seed=seed + 200)
@@ -180,7 +180,7 @@ def test_a1_gradient_fidelity():
 
 def test_a2_noop_equivalence():
     dims = replace(TINY, n=0)
-    model = init_frozen_model(7, dims, "C", MapperConfig(n=0, hidden=8))
+    model = init_frozen_model(7, dims, "C", MapperConfig(hidden=8))
     ds = PairDataset(records=make_records(30, dims, seed=500))
     store = embed_gallery(model, ds)
     # fresh records hold no frozen encode, so the re-rank runs the encoder
@@ -287,9 +287,9 @@ def test_a4_oracle_equivalence():
         mining_ok += 1
 
     # learnability selection vs an independent sort oracle, ties included
-    model = init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8))
+    model = init_frozen_model(7, TINY, "C", MapperConfig(hidden=8))
     learner = randomize_mapper(
-        init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8))
+        init_frozen_model(7, TINY, "C", MapperConfig(hidden=8))
     )
     ds = PairDataset(records=make_records(12))
     plan = CurationPlan(batches=[[i, (i + 1) % 12] for i in range(12)])
@@ -382,11 +382,9 @@ def test_a5_metric_identities():
 
 
 def test_a6_loss_identities():
-    uniform = ScoreMatrix(scores=np.zeros((4, 4)), cosines=np.zeros((4, 4)),
-                          conditioning="per_row")
+    uniform = ScoreMatrix(scores=np.zeros((4, 4)), cosines=np.zeros((4, 4)))
     nce = info_nce(uniform)
-    zeros = ScoreMatrix(scores=np.zeros((3, 3)), cosines=np.zeros((3, 3)),
-                        conditioning="per_row")
+    zeros = ScoreMatrix(scores=np.zeros((3, 3)), cosines=np.zeros((3, 3)))
     sig = sigmoid_pairwise(zeros, t_scale=0.0, bias=0.0)
     b = bce(0.0, 1)
     with criterion("A6", f"InfoNCE={nce:.9f}, sigmoid={sig:.9f}, bce={b:.9f}"):
@@ -403,7 +401,7 @@ A7_CONFIG = {
     "seed": 7,
     "dims": {"d_t": 6, "d_v": 8, "d_e": 8, "P": 4, "m": 3, "L_t": 2, "L_v": 2,
              "H": 2, "n": 2, "insert_layer": 0, "d_in": 5, "vocab": 32},
-    "mapper": {"input_mode": "cls", "n": 2, "hidden": 8},
+    "mapper": {"input_mode": "cls", "hidden": 8},
 }
 
 
@@ -518,7 +516,7 @@ def test_a9_ablation_toggles():
     ds = PairDataset(records=make_records(6))
     plan = CurationPlan(batches=[[0, 1, 2], [3, 4, 5]])
 
-    model_b = init_frozen_model(7, TINY, "B", MapperConfig(n=TINY.n, hidden=8))
+    model_b = init_frozen_model(7, TINY, "B", MapperConfig(hidden=8))
     itm_before = {k: v.copy() for k, v in model_b.itm_head.tensors.items()}
     frozen_before = frozen_bytes(model_b)
     train(model_b, ds, plan, TrainConfig(variant="B", steps=2, seed=7, finetune_itm=False))
@@ -530,15 +528,15 @@ def test_a9_ablation_toggles():
     cfg_plain = TrainConfig(variant="C", steps=2, seed=7)
     cfg_jest = TrainConfig(variant="C", steps=2, seed=7, jest_fraction=1.0)
     m1, t1 = train(
-        init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8)), ds, plan, cfg_plain
+        init_frozen_model(7, TINY, "C", MapperConfig(hidden=8)), ds, plan, cfg_plain
     )
     m2, t2 = train(
-        init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8)), ds, plan, cfg_jest
+        init_frozen_model(7, TINY, "C", MapperConfig(hidden=8)), ds, plan, cfg_jest
     )
     jest_identity = t1 == t2 and bundles_equal(m1, m2)
 
     dims_late = replace(TINY, insert_layer=TINY.L_v - 1)
-    model_late = init_frozen_model(7, dims_late, "C", MapperConfig(n=dims_late.n, hidden=8))
+    model_late = init_frozen_model(7, dims_late, "C", MapperConfig(hidden=8))
     rec = make_records(1, dims_late)[0]
     prompts = Rng(88).gaussian_matrix(dims_late.n, dims_late.d_v)
     enc = image_forward(model_late, rec.patches, prompts)

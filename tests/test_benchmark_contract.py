@@ -82,7 +82,7 @@ def test_traced_training_and_rerank_keep_the_work_count_identities():
     from elip.trainer import train
 
     tracer = _load_tracer()
-    model = randomize_mapper(init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8)))
+    model = randomize_mapper(init_frozen_model(7, TINY, "C", MapperConfig(hidden=8)))
     ds = PairDataset(records=make_records(6))
     b, steps, k = 3, 2, 4
     store = embed_gallery(model, ds)
@@ -99,7 +99,7 @@ def test_traced_training_and_rerank_keep_the_work_count_identities():
     assert stats["trace.errors"] == 0
 
     queries = ds.records[:2]
-    model_b = randomize_mapper(init_frozen_model(7, TINY, "B", MapperConfig(n=TINY.n, hidden=8)))
+    model_b = randomize_mapper(init_frozen_model(7, TINY, "B", MapperConfig(hidden=8)))
     for model, store in ((model, store), (model_b, embed_gallery(model_b, ds))):
         tr = tracer.Tracer()
         with tr:
@@ -129,7 +129,7 @@ def test_traced_itm_loss_makes_one_head_call_per_batch_and_per_anchor():
     from elip.objectives import variant_batch_loss
 
     tracer = _load_tracer()
-    model = randomize_mapper(init_frozen_model(7, TINY, "B", MapperConfig(n=TINY.n, hidden=8)))
+    model = randomize_mapper(init_frozen_model(7, TINY, "B", MapperConfig(hidden=8)))
     records = make_records(4)
     b = len(records)
     for grads, forwards, backwards in ((None, 1, 0), ({}, b, b)):
@@ -162,7 +162,7 @@ def test_traced_late_fusion_keeps_the_work_count_identities(variant):
 
     tracer = _load_tracer()
     dims = replace(TINY, insert_layer=TINY.L_v - 1)
-    model = randomize_mapper(init_frozen_model(7, dims, variant, MapperConfig(n=dims.n, hidden=8)))
+    model = randomize_mapper(init_frozen_model(7, dims, variant, MapperConfig(hidden=8)))
     ds = PairDataset(records=make_records(6))
     store = embed_gallery(model, ds)  # the frozen entries, made before tracing
     plan = CurationPlan(batches=[[0, 1, 2], [3, 4, 5]])

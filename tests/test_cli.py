@@ -6,6 +6,7 @@ import os
 import pathlib
 import shutil
 import struct
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from elip import cli, storage
 from elip.cli import build_parser, run_command
-from elip.config import RunConfig
-from elip.errors import DataError, FormatError
+from elip.config import DimsConfig, MapperConfig, RunConfig, TrainConfig
+from elip.errors import DataError
 
 from conftest import TINY, core_table, ranking_from_entries
 
@@ -25,7 +26,7 @@ TINY_CONFIG = {
         "d_t": 6, "d_v": 8, "d_e": 8, "P": 4, "m": 3, "L_t": 2, "L_v": 2,
         "H": 2, "n": 2, "insert_layer": 0, "d_in": 5, "vocab": 32,
     },
-    "mapper": {"input_mode": "cls", "n": 2, "hidden": 8},
+    "mapper": {"input_mode": "cls", "hidden": 8},
 }
 
 
@@ -303,7 +304,7 @@ def test_truncated_vocab_exit_two(workdir, capsys, flag):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("file", 5), ("width", "wide"), ("hidden", "x"), ("n", "10"), ("input_mode", 3),
+    ("width", "wide"), ("hidden", "x"), ("n", "10"), ("input_mode", 3),
     ("P", 4.9), ("H", True), ("hidden", 8.7), ("seed", "abc"), ("seed", 1.5), ("dtype", "f16"),
 ])
 def test_checkpoint_index_bad_value_exit_two(workdir, capsys, field, value):
@@ -314,11 +315,9 @@ def test_checkpoint_index_bad_value_exit_two(workdir, capsys, field, value):
     build_pipeline(workdir, capsys)
     path = "model/checkpoint/index.json"
     index = json.loads(open(path).read())
-    if field == "file":
-        index["tensors"]["proj_image.weight"]["file"] = value
-    elif field == "width":
+    if field == "width":
         index["dims"]["P"] = value
-    elif field in ("P", "H"):
+    elif field in ("P", "H", "n"):
         index["dims"][field] = value
     elif field in ("seed", "dtype"):
         index[field] = value
@@ -328,7 +327,7 @@ def test_checkpoint_index_bad_value_exit_two(workdir, capsys, field, value):
         json.dump(index, fh)
     err = assert_exit_two_without_traceback(workdir, capsys, "model/checkpoint",
                                             "flops", "--model", "model/checkpoint")
-    assert field in ("file", "width") or field in err, err
+    assert field == "width" or field in err, err
 
 
 def _flip_last_byte(path):
@@ -350,26 +349,53 @@ def _edit_index(edit):
     _edit_json("model/checkpoint/index.json", edit)
 
 
-def _as_version_1(index):
-    """The layout version 1 wrote: no per-blob sha256."""
-    index["version"] = 1
-    for meta in index["tensors"].values():
-        del meta["sha256"]
+def _as_version(version):
+    """The index as an older version records it: each tensor entry an
+    object of file, dtype, shape and (from version 2) sha256."""
+    def edit(index):
+        index["version"] = version
+        for name, digest in index["tensors"].items():
+            index["tensors"][name] = {"file": f"{name}.bin", "dtype": "f32", "shape": [8, 8],
+                                      **({"sha256": digest} if version == 2 else {})}
+    return edit
+
+
+def _rewrite_blob(arr):
+    """proj_image.weight's blob replaced by arr, its index digest updated
+    so the sha256 check passes."""
+    data = storage.tensor_to_blob(arr)
+    with open("model/checkpoint/proj_image.weight.bin", "wb") as fh:
+        fh.write(data)
+    _edit_index(lambda ix: ix["tensors"].update(
+        {"proj_image.weight": hashlib.sha256(data).hexdigest()}))
 
 
 CHECKPOINT_DAMAGE = {
     "flipped_payload_byte": (
         "model/checkpoint/proj_image.weight.bin", "sha256 does not match",
         lambda: _flip_last_byte("model/checkpoint/proj_image.weight.bin")),
-    "index_wrong_dtype": (
-        "model/checkpoint/index.json", "the index says f64 (8, 8)",
-        lambda: _edit_index(lambda ix: ix["tensors"]["proj_image.weight"].update(dtype="f64"))),
-    "index_wrong_shape": (
-        "model/checkpoint/index.json", "the index says f32 (8, 7)",
-        lambda: _edit_index(lambda ix: ix["tensors"]["proj_image.weight"].update(shape=[8, 7]))),
+    "blob_wrong_dtype": (
+        "model/checkpoint/index.json",
+        "tensor 'proj_image.weight' in model/checkpoint/proj_image.weight.bin is "
+        "f64 (8, 8); the model needs f32 (8, 8)",
+        lambda: _rewrite_blob(np.zeros((8, 8), dtype=np.float64))),
+    "blob_wrong_shape": (
+        "model/checkpoint/index.json",
+        "tensor 'proj_image.weight' in model/checkpoint/proj_image.weight.bin is "
+        "f32 (8, 7); the model needs f32 (8, 8)",
+        lambda: _rewrite_blob(np.zeros((8, 7), dtype=np.float32))),
     "index_version_1": (
-        "model/checkpoint/index.json", "version 1 is not 2",
-        lambda: _edit_index(_as_version_1)),
+        "model/checkpoint/index.json", "version 1 is not 3, so re-create the checkpoint",
+        lambda: _edit_index(_as_version(1))),
+    "index_version_2": (
+        "model/checkpoint/index.json", "version 2 is not 3, so re-create the checkpoint",
+        lambda: _edit_index(_as_version(2))),
+    "missing_tensor": (
+        "model/checkpoint/index.json", "missing tensors ['proj_image.weight']",
+        lambda: _edit_index(lambda ix: ix["tensors"].pop("proj_image.weight"))),
+    "unexpected_tensor": (
+        "model/checkpoint/index.json", "unexpected tensor 'proj_image.bias'",
+        lambda: _edit_index(lambda ix: ix["tensors"].update({"proj_image.bias": "0" * 64}))),
 }
 
 
@@ -385,18 +411,18 @@ def test_checkpoint_integrity_failure_exit_two(workdir, capsys, damage):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("shape", [8.9, 8.9]), ("shape", [True, 8]), ("shape", [-8, 8]), ("shape", "8x8"),
-    ("shape", None), ("file", 5), ("dtype", 1), ("sha256", None),
+    ("sha256", None), ("sha256", 5), pytest.param("sha256", "0" * 64, id="sha256-other_digest"),
 ])
 def test_checkpoint_tensor_entry_bad_value_exit_two(workdir, capsys, field, value):
-    """A tensor entry is read as written, not cast: a shape [8.9, 8.9] used
-    to load as (8, 8), and a numeric file name as its decimal string."""
+    """A tensor entry is its blob's sha256 hex digest; anything else (no
+    string, or the digest of other bytes) fails the digest check."""
     build_pipeline(workdir, capsys)
-    _edit_index(lambda ix: ix["tensors"]["proj_image.weight"].update({field: value}))
-    err = assert_exit_two_without_traceback(workdir, capsys, "model/checkpoint/index.json",
+    _edit_index(lambda ix: ix["tensors"].update({"proj_image.weight": value}))
+    err = assert_exit_two_without_traceback(workdir, capsys,
+                                            "model/checkpoint/proj_image.weight.bin",
                                             "embed-gallery", "--model", "model/checkpoint",
                                             "--data", "data/data.jsonl")
-    assert f"tensor 'proj_image.weight' {field} {value!r}" in err, err
+    assert f"{field} does not match model/checkpoint/index.json" in err, err
 
 
 def _artifacts(root):
@@ -855,16 +881,11 @@ def test_init_model_dense_mean_round_trips(workdir, capsys):
     assert model.mapper_cfg.input_mode == "dense_mean"
 
 
-def test_run_config_round_trip():
+def test_run_config_round_trip(tmp_path):
     cfg = RunConfig.from_dict(TINY_CONFIG)
-    again = RunConfig.from_json(cfg.to_json())
-    assert again == cfg
-
-
-def test_run_config_from_json_rejects_text_that_is_not_an_object():
-    for text in ("{bad", "[1]", "3"):
-        with pytest.raises(FormatError):
-            RunConfig.from_json(text)
+    path = str(tmp_path / "config.json")
+    storage.write_json(path, asdict(cfg))
+    assert storage.read_config(path) == cfg
 
 
 # (command, config document, exit code, text the error must name); each
@@ -879,6 +900,7 @@ BAD_CONFIGS = {
     "train-lr-string": ("train", {"train": {"lr": "a"}}, 1, "train.lr"),
     "rerank-k-string": ("rerank", {"rerank_k": "3"}, 1, "rerank_k"),
     "unknown-top-level-key": ("init-model", {"rerank_K": 5}, 1, "rerank_K"),
+    "mapper-n": ("init-model", {"mapper": {"n": 2}}, 1, "MapperConfig fields: ['n']"),
 }
 
 COMMAND_ARGS = {
@@ -1551,3 +1573,17 @@ def test_one_owner_for_status_output_and_file_existence():
     exists = _names_in(storage_tree, lambda node: isinstance(node, ast.Attribute)
                        and node.attr == "exists")
     assert sorted(exists) == ["read_dataset", "save_checkpoint"]
+
+
+def test_every_config_field_is_used_outside_config():
+    """Each field of the config dataclasses is read or assigned as an
+    attribute somewhere in the package outside config.py: a field nothing
+    uses is a knob that does nothing."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "elip"
+    used = {node.attr for path in src.glob("*.py") if path.name != "config.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+    unused = [f"{cls.__name__}.{f.name}"
+              for cls in (DimsConfig, MapperConfig, TrainConfig, RunConfig)
+              for f in fields(cls) if f.name not in used]
+    assert unused == []

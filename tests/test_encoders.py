@@ -29,30 +29,30 @@ from conftest import TINY, encode_one
 
 
 def test_init_is_deterministic(tiny_dims):
-    a = init_frozen_model(7, tiny_dims, "C", MapperConfig(n=2, hidden=8))
-    b = init_frozen_model(7, tiny_dims, "C", MapperConfig(n=2, hidden=8))
+    a = init_frozen_model(7, tiny_dims, "C", MapperConfig(hidden=8))
+    b = init_frozen_model(7, tiny_dims, "C", MapperConfig(hidden=8))
     assert bundles_equal(a, b)
 
 
 def test_different_seeds_differ(tiny_dims):
-    a = init_frozen_model(7, tiny_dims, "C", MapperConfig(n=2, hidden=8))
-    b = init_frozen_model(8, tiny_dims, "C", MapperConfig(n=2, hidden=8))
+    a = init_frozen_model(7, tiny_dims, "C", MapperConfig(hidden=8))
+    b = init_frozen_model(8, tiny_dims, "C", MapperConfig(hidden=8))
     assert not bundles_equal(a, b)
 
 
 def test_only_mapper_and_itm_trainable(tiny_dims):
-    model = init_frozen_model(7, tiny_dims, "B", MapperConfig(n=2, hidden=8))
+    model = init_frozen_model(7, tiny_dims, "B", MapperConfig(hidden=8))
     trainable = {p.name for p in model.trainable_layers()}
     assert trainable == {"mapper", "itm"}
-    model_c = init_frozen_model(7, tiny_dims, "C", MapperConfig(n=2, hidden=8))
+    model_c = init_frozen_model(7, tiny_dims, "C", MapperConfig(hidden=8))
     assert {p.name for p in model_c.trainable_layers()} == {"mapper"}
 
 
 def test_invalid_dims_rejected():
     with pytest.raises(ConfigError):
-        init_frozen_model(7, replace(TINY, d_v=9), "C", MapperConfig(n=2, hidden=8))
+        init_frozen_model(7, replace(TINY, d_v=9), "C", MapperConfig(hidden=8))
     with pytest.raises(ConfigError):
-        init_frozen_model(7, replace(TINY, insert_layer=5), "C", MapperConfig(n=2, hidden=8))
+        init_frozen_model(7, replace(TINY, insert_layer=5), "C", MapperConfig(hidden=8))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def patches_for(dims, seed=21):
 
 def test_encode_image_shapes_and_norm(tiny_model, tiny_dims):
     """The last block keeps CLS alone for C, the patch rows and CLS for B."""
-    model_b = init_frozen_model(7, tiny_dims, "B", MapperConfig(n=tiny_dims.n, hidden=8))
+    model_b = init_frozen_model(7, tiny_dims, "B", MapperConfig(hidden=8))
     for model, kept in ((tiny_model, 1), (model_b, tiny_dims.P + 1)):
         one = encode_one(model, patches_for(tiny_dims))
         enc = one.enc
@@ -134,7 +134,7 @@ def test_token_count_before_and_after_insertion(tiny_model, tiny_dims):
 
 def test_no_prompts_equals_empty_prompts_bitwise(tiny_dims):
     dims0 = replace(tiny_dims, n=0)
-    model = init_frozen_model(7, dims0, "C", MapperConfig(n=0, hidden=8))
+    model = init_frozen_model(7, dims0, "C", MapperConfig(hidden=8))
     patches = patches_for(tiny_dims)
     a = encode_one(model, patches, None)
     b = encode_one(model, patches, np.zeros((0, dims0.d_v), dtype=np.float32))
@@ -154,7 +154,7 @@ def test_zero_prompts_still_attend(tiny_model, tiny_dims):
 
 def test_late_fusion_prompts_touch_only_final_block(tiny_dims):
     dims = replace(tiny_dims, insert_layer=tiny_dims.L_v - 1)
-    model = init_frozen_model(7, dims, "C", MapperConfig(n=dims.n, hidden=8))
+    model = init_frozen_model(7, dims, "C", MapperConfig(hidden=8))
     patches = patches_for(dims)
     prompts = Rng(23).gaussian_matrix(dims.n, dims.d_v)
     bare = encode_one(model, patches)
@@ -202,7 +202,7 @@ def prompt_gradient(model, patches, prompts, upstream):
 @pytest.mark.parametrize("insert_layer", [0, TINY.L_v - 1])
 def test_prompt_gradient_finite_difference(tiny_dims, insert_layer):
     dims = replace(tiny_dims, insert_layer=insert_layer)
-    model = init_frozen_model(7, dims, "C", MapperConfig(n=dims.n, hidden=8), dtype=np.float64)
+    model = init_frozen_model(7, dims, "C", MapperConfig(hidden=8), dtype=np.float64)
     patches = patches_for(tiny_dims)
     prompts = Rng(25).gaussian_matrix(tiny_dims.n, tiny_dims.d_v)
     upstream = Rng(26).gaussian_matrix(1, tiny_dims.d_e)[0]
@@ -240,7 +240,7 @@ def test_no_prompts_gives_empty_gradient(tiny_model, tiny_dims):
 @pytest.mark.parametrize("insert_layer", [0, TINY.L_v - 1])
 def test_backward_stops_at_insert_layer(tiny_dims, insert_layer, monkeypatch):
     dims = replace(tiny_dims, insert_layer=insert_layer)
-    model = init_frozen_model(7, dims, "C", MapperConfig(n=dims.n, hidden=8))
+    model = init_frozen_model(7, dims, "C", MapperConfig(hidden=8))
     calls = []
     real = numkit.attention_block_backward
 
@@ -329,7 +329,7 @@ def test_cached_groups_give_the_bytes_of_computing_them(dims, dtype, variant, se
     prompt_pre_attention gives the bytes of computing both itself: outputs,
     every block cache and the prompt gradients. The prefix is one read-only
     entry, which the record's frozen encode reads too."""
-    model = init_frozen_model(seed % 1000, dims, variant, MapperConfig(n=dims.n, hidden=8),
+    model = init_frozen_model(seed % 1000, dims, variant, MapperConfig(hidden=8),
                               dtype=dtype)
     rng = np.random.default_rng(seed)
     rec = PairRecord(id="r", patches=rng.standard_normal((dims.P, dims.d_in)).astype(np.float32),
@@ -366,7 +366,7 @@ def test_cached_groups_give_the_bytes_of_computing_them(dims, dtype, variant, se
 
     # a B or C/S model of the same backbone reads a prefix of its own kept rows
     sibling = init_frozen_model(seed % 1000, dims, "C" if variant == "B" else "B",
-                                MapperConfig(n=dims.n, hidden=8), dtype=dtype)
+                                MapperConfig(hidden=8), dtype=dtype)
     assert sibling.backbone_key == model.backbone_key
     got = encode_one(sibling, rec.patches, prompts, prefix=frozen_prefix(sibling, rec),
                      prompt_group=prompt_pre_attention(sibling, prompts) if dims.n else None)
@@ -389,7 +389,7 @@ def test_stacked_joint_head_gives_each_image_the_bytes_of_its_own_call(dims, dty
     gradient joint_embed_backward puts on the kept rows. A text's 1-D
     project_normalize is the same function: each row of a stacked call has
     the bytes of its own."""
-    model = init_frozen_model(seed % 1000, dims, variant, MapperConfig(n=dims.n, hidden=8),
+    model = init_frozen_model(seed % 1000, dims, variant, MapperConfig(hidden=8),
                               dtype=dtype)
     rng = np.random.default_rng(seed)
     stacks = (1, 7, 200)

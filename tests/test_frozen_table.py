@@ -43,7 +43,7 @@ PLAN = [[0, 1, 2], [3, 4, 5], [6, 7, 0], [1, 3, 5]]
 
 def model_for(variant, insert_layer=0):
     dims = replace(TINY, insert_layer=insert_layer)
-    return randomize_mapper(init_frozen_model(7, dims, variant, MapperConfig(n=dims.n, hidden=8)))
+    return randomize_mapper(init_frozen_model(7, dims, variant, MapperConfig(hidden=8)))
 
 
 def uncached_key(model):
@@ -148,7 +148,7 @@ def test_another_backbone_gets_its_own_entries():
     """A reference with other frozen tensors, or the same tensors under
     another head count, never reads the learner's encodings."""
     learner = model_for("C")
-    other_seed = init_frozen_model(8, TINY, "C", MapperConfig(n=TINY.n, hidden=8))
+    other_seed = init_frozen_model(8, TINY, "C", MapperConfig(hidden=8))
     other_heads = replace(copy_without_prompts(learner), dims=replace(TINY, n=0, H=1))
     records = make_records(3)
     for model in (learner, other_seed, other_heads):

@@ -423,7 +423,7 @@ def test_stacked_block_is_bit_identical_to_per_head_loop(dtype, heads, t_count):
 def test_stacked_block_is_bit_identical_on_prompted_layout(dtype):
     """Default dims: P patch rows + CLS + n prompts through a real frozen
     image block, and the m+1 text layout through a real text block."""
-    model = init_frozen_model(3, DimsConfig(), "C", MapperConfig(n=10), dtype=dtype)
+    model = init_frozen_model(3, DimsConfig(), "C", MapperConfig(), dtype=dtype)
     dims = model.dims
     rng = Rng(70)
     seq = np.concatenate([
@@ -674,7 +674,7 @@ def test_stacked_backward_matches_single_calls(dims, dtype, variant, seed):
     the kept rows (CLS for C, patches and CLS for B) and leaves on all T."""
     from elip.encoders import image_backward, image_forward, joint_embed, kept_rows
 
-    model = init_frozen_model(seed % 1000, dims, variant, MapperConfig(n=dims.n, hidden=8),
+    model = init_frozen_model(seed % 1000, dims, variant, MapperConfig(hidden=8),
                               dtype=dtype)
     rng = np.random.default_rng(seed)
     g_max = max(STACKS)
@@ -727,7 +727,7 @@ def test_stacked_backward_matches_single_calls(dims, dtype, variant, seed):
 def test_stacked_caches_share_parameters_and_view_a_single_image():
     from elip.encoders import image_forward
 
-    model = init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8))
+    model = init_frozen_model(7, TINY, "C", MapperConfig(hidden=8))
     enc = image_forward(model, Rng(3).gaussian_matrix(TINY.P, TINY.d_in),
                         Rng(4).gaussian_matrix(TINY.n, TINY.d_v))
     cache = enc.block_caches[0]
@@ -836,7 +836,7 @@ def test_grad_check_full_encoder_cls_chain():
     that one row, from which the CLS state is rebuilt."""
     from elip.encoders import image_forward, joint_embed
 
-    model = init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8), dtype=np.float64)
+    model = init_frozen_model(7, TINY, "C", MapperConfig(hidden=8), dtype=np.float64)
     w = Rng(18).gaussian_matrix(1, TINY.d_v)[0]
 
     def f(point):
@@ -867,7 +867,7 @@ def test_grad_check_prompts_through_trimmed_final_block(variant, insert_layer, n
     from elip.encoders import image_backward
 
     dims = replace(TINY, n=n, insert_layer=insert_layer)
-    model = init_frozen_model(7, dims, variant, MapperConfig(n=n, hidden=8), dtype=np.float64)
+    model = init_frozen_model(7, dims, variant, MapperConfig(hidden=8), dtype=np.float64)
     patches = Rng(19).gaussian_matrix(dims.P, dims.d_in)
     w_v = Rng(20).gaussian_matrix(1, dims.d_e)[0]
     w_p = Rng(21).gaussian_matrix(dims.P, dims.d_v) if variant == "B" else None

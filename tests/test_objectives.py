@@ -46,9 +46,9 @@ from conftest import TINY, encode_one, make_records, randomize_mapper
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "elip"
 
 
-def sm_from(cos, conditioning="per_row"):
+def sm_from(cos):
     cos = np.asarray(cos, dtype=np.float64)
-    return ScoreMatrix(scores=cos / TAU, cosines=cos, conditioning=conditioning)
+    return ScoreMatrix(scores=cos / TAU, cosines=cos)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +60,7 @@ def test_score_matrix_no_prompts_equals_frozen_cosines(tiny_dims):
     from dataclasses import replace
 
     dims = replace(tiny_dims, n=0)
-    model = init_frozen_model(7, dims, "C", MapperConfig(n=0, hidden=8))
+    model = init_frozen_model(7, dims, "C", MapperConfig(hidden=8))
     records = make_records(3, dims)
     sm = build_score_matrix_with_caches(model, records, "per_row")
     texts = [encode_text(model, r.tokens).t_joint for r in records]
@@ -94,7 +94,7 @@ def test_score_matrix_needs_two_records(tiny_model, tiny_dims):
 def test_loss_with_and_without_grads_agree(tiny_dims):
     records = make_records(3, tiny_dims)
     for variant in ("C", "S", "B"):
-        model = init_frozen_model(7, tiny_dims, variant, MapperConfig(n=2, hidden=8))
+        model = init_frozen_model(7, tiny_dims, variant, MapperConfig(hidden=8))
         randomize_mapper(model)
         for conditioning in ("per_row", "diagonal"):
             grads = {}
@@ -116,7 +116,7 @@ def test_info_nce_uniform_is_log_b():
 def test_info_nce_strong_diagonal_near_zero():
     cos = np.full((2, 2), -10.0)
     np.fill_diagonal(cos, 10.0)
-    sm = ScoreMatrix(scores=cos, cosines=cos, conditioning="per_row", tau=1.0)
+    sm = ScoreMatrix(scores=cos, cosines=cos)
     value = info_nce(sm)
     assert abs(value - math.log1p(math.exp(-20.0))) < 1e-12
     assert value < 3e-9
@@ -125,7 +125,7 @@ def test_info_nce_strong_diagonal_near_zero():
 def test_info_nce_gradient_finite_difference():
     rng = Rng(41)
     s = rng.gaussian_matrix(4, 4)
-    sm = ScoreMatrix(scores=s, cosines=s * TAU, conditioning="per_row")
+    sm = ScoreMatrix(scores=s, cosines=s * TAU)
     grad = info_nce_grad(sm)
     h = 1e-7
     worst = 0.0
@@ -133,9 +133,9 @@ def test_info_nce_gradient_finite_difference():
         for j in range(4):
             bumped = s.copy()
             bumped[i, j] += h
-            lp = info_nce(ScoreMatrix(bumped, bumped * TAU, "per_row"))
+            lp = info_nce(ScoreMatrix(bumped, bumped * TAU))
             bumped[i, j] -= 2 * h
-            lm = info_nce(ScoreMatrix(bumped, bumped * TAU, "per_row"))
+            lm = info_nce(ScoreMatrix(bumped, bumped * TAU))
             numeric = (lp - lm) / (2 * h)
             worst = max(worst, abs(grad[i, j] - numeric) / max(1.0, abs(numeric)))
     assert worst < 1e-6
@@ -144,12 +144,12 @@ def test_info_nce_gradient_finite_difference():
 def test_info_nce_nonnegative_and_monotone():
     rng = Rng(42)
     s = rng.gaussian_matrix(5, 5)
-    sm = ScoreMatrix(s, s * TAU, "per_row")
+    sm = ScoreMatrix(s, s * TAU)
     base = info_nce(sm)
     assert base >= 0.0
     boosted = s.copy()
     boosted[2, 2] += 0.5
-    assert info_nce(ScoreMatrix(boosted, boosted * TAU, "per_row")) < base
+    assert info_nce(ScoreMatrix(boosted, boosted * TAU)) < base
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +238,11 @@ def reference_contrastive_loss(model, records, conditioning, grads=None):
         encs.append(encode_one(model, records[j].patches, mapped[i][0]))
         for r in rows:
             cos[r, j] = float(np.dot(texts[r].t_joint, encs[-1].v_joint))
-    sm = ScoreMatrix(scores=cos / TAU, cosines=cos, conditioning=conditioning)
+    sm = ScoreMatrix(scores=cos / TAU, cosines=cos)
     loss = info_nce(sm) if model.variant == "C" else sigmoid_pairwise(sm)
     if grads is None:
         return loss
-    g_cos = info_nce_grad(sm) / sm.tau if model.variant == "C" else sigmoid_pairwise_grad(sm)
+    g_cos = info_nce_grad(sm) / TAU if model.variant == "C" else sigmoid_pairwise_grad(sm)
     grad_prompts = {}
     for i in mapped:
         group = [(enc, sum(g_cos[r, j] * texts[r].t_joint for r in rows))
@@ -266,7 +266,7 @@ def test_streamed_loss_equals_eager_reference_bit_for_bit(variant, conditioning,
     frozen_image and whose runs it still passes to the row backward."""
     for n in (TINY.n, 0):
         dims = replace(TINY, n=n)
-        model = init_frozen_model(7, dims, variant, MapperConfig(n=n, hidden=8), dtype=dtype)
+        model = init_frozen_model(7, dims, variant, MapperConfig(hidden=8), dtype=dtype)
         randomize_mapper(model)
         records = make_records(b)
         assert variant_batch_loss(model, records, conditioning) == reference_contrastive_loss(
@@ -292,7 +292,7 @@ def test_training_holds_one_run_of_prompted_encodings(
     are alive: b = 5 for C/S under either conditioning, an anchor's two for
     B. A loss-only call holds one at a time."""
     b = 5
-    model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(n=TINY.n, hidden=8)))
+    model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(hidden=8)))
     records = make_records(b)
     refs, at_forward, at_backward = [], [], []
     forward, backward = objectives.image_forward, objectives.image_backward
@@ -348,7 +348,7 @@ def test_rerank_holds_one_prompted_encoding_at_a_time(monkeypatch, variant):
     without gradients: k prompted forwards, with at most the previous
     candidate's encoding alive when the next one starts."""
     k = 6
-    model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(n=TINY.n, hidden=8)))
+    model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(hidden=8)))
     ds = PairDataset(records=make_records(8))
     text = encode_text(model, [1, 2, 3])
     ranking = stage1_rank(embed_gallery(model, ds), text)
@@ -374,7 +374,7 @@ def test_rerank_holds_one_prompted_encoding_at_a_time(monkeypatch, variant):
 
 
 def test_itm_zero_final_layer_gives_zero_logit(tiny_dims):
-    model = init_frozen_model(7, tiny_dims, "B", MapperConfig(n=2, hidden=8))
+    model = init_frozen_model(7, tiny_dims, "B", MapperConfig(hidden=8))
     head = model.itm_head
     head.tensors["mlp.l2.weight"] = np.zeros_like(head.tensors["mlp.l2.weight"])
     head.tensors["mlp.l2.bias"] = np.zeros_like(head.tensors["mlp.l2.bias"])
@@ -508,7 +508,7 @@ def loop_itm_negatives(model, records, texts):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_pick_itm_negatives_equals_scalar_loop_reference(tiny_dims, dtype):
     """Repeated images (ties, the lowest index wins) and repeated texts."""
-    model = init_frozen_model(7, tiny_dims, "B", MapperConfig(n=2, hidden=8), dtype=dtype)
+    model = init_frozen_model(7, tiny_dims, "B", MapperConfig(hidden=8), dtype=dtype)
     base = make_records(4, tiny_dims)
     for seed, picks in enumerate((
         [0, 1, 2, 3], [2, 0, 2, 1, 0, 3], [1, 1, 1], [3, 0, 0, 2, 3, 1], [2] * 9, [1] * 7, [3] * 6,
@@ -523,10 +523,10 @@ def test_pick_itm_negatives_equals_scalar_loop_reference(tiny_dims, dtype):
 def test_variant_batch_loss_dispatch(tiny_dims):
     records = make_records(3, tiny_dims)
     for variant in ("C", "S", "B"):
-        model = init_frozen_model(7, tiny_dims, variant, MapperConfig(n=2, hidden=8))
+        model = init_frozen_model(7, tiny_dims, variant, MapperConfig(hidden=8))
         loss = variant_batch_loss(model, records)
         assert np.isfinite(loss)
-    model_b = init_frozen_model(7, tiny_dims, "B", MapperConfig(n=2, hidden=8))
+    model_b = init_frozen_model(7, tiny_dims, "B", MapperConfig(hidden=8))
     head = model_b.itm_head
     head.tensors["mlp.l2.weight"] = np.zeros_like(head.tensors["mlp.l2.weight"])
     assert abs(variant_batch_loss(model_b, records) - math.log(2)) < 1e-9  # zero logits
@@ -577,7 +577,7 @@ def test_itm_loss_equals_per_anchor_reference_bit_for_bit(finetune_itm, insert_l
     keep every bit, and an n = 0 run still reaches the head backward."""
     for n, dtype in ((TINY.n, np.float64), (TINY.n, np.float32), (0, np.float64)):
         dims = replace(TINY, insert_layer=insert_layer, n=n)
-        model = init_frozen_model(7, dims, "B", MapperConfig(n=n, hidden=8), dtype=dtype)
+        model = init_frozen_model(7, dims, "B", MapperConfig(hidden=8), dtype=dtype)
         randomize_mapper(model)
         ds = PairDataset(records=make_records(6, dims))
         plan = CurationPlan(batches=[[0, 1, 2], [3, 4, 5]])
@@ -601,7 +601,7 @@ def test_prompt_free_model_maps_no_prompts(monkeypatch, variant):
     """A copy_without_prompts model's loss, loss-only and with gradients,
     calls the prompt mapper 0 times and keeps the bytes of the reference
     loop, which still maps its empty prompt sets."""
-    model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(n=TINY.n, hidden=8)))
+    model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(hidden=8)))
     bare = copy_without_prompts(model)
     records = make_records(5)
 

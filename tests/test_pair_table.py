@@ -40,7 +40,7 @@ def tiny_setup(variant, insert_layer):
     """A randomized-mapper TINY model and 8 records mined into 8 overlapping
     batches of 3, one per reference record."""
     dims = replace(TINY, insert_layer=insert_layer)
-    model = randomize_mapper(init_frozen_model(7, dims, variant, MapperConfig(n=dims.n, hidden=8)))
+    model = randomize_mapper(init_frozen_model(7, dims, variant, MapperConfig(hidden=8)))
     ds = PairDataset(records=make_records(8))
     return model, ds, mine_hard_batches(ds, model, 3)
 

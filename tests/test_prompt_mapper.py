@@ -49,7 +49,7 @@ def test_reshape_convention_row_major(tiny_model, tiny_dims):
 
 def test_n_zero_yields_empty_prompts(tiny_dims):
     dims = replace(tiny_dims, n=0)
-    model = init_frozen_model(7, dims, "C", MapperConfig(n=0, hidden=8))
+    model = init_frozen_model(7, dims, "C", MapperConfig(hidden=8))
     prompts = prompts_for_text(model, text_enc_for(model))
     assert prompts.shape == (0, dims.d_v)
 
@@ -65,14 +65,14 @@ def test_input_width_mismatch_is_config_error(tiny_model, tiny_dims):
 
 
 def test_dense_mean_mode_uses_pooled_tokens(tiny_dims):
-    cfg = MapperConfig(input_mode="dense_mean", n=tiny_dims.n, hidden=8)
+    cfg = MapperConfig(input_mode="dense_mean", hidden=8)
     model = init_frozen_model(7, tiny_dims, "C", cfg)
     randomize_mapper(model)
     te = text_enc_for(model)
     via_mode = prompts_for_text(model, te)
     pooled = TextEncoding(dense=te.dense, t_cls=pool_text_dense(te), t_joint=te.t_joint)
     via_cls, _ = map_prompts_with_cache(
-        model.mapper, pooled, MapperConfig(input_mode="cls", n=tiny_dims.n, hidden=8),
+        model.mapper, pooled, MapperConfig(input_mode="cls", hidden=8),
         tiny_dims.d_v,
     )
     assert np.array_equal(via_mode, via_cls)
@@ -80,7 +80,7 @@ def test_dense_mean_mode_uses_pooled_tokens(tiny_dims):
 
 def test_mapper_finite_difference(tiny_dims):
     model = init_frozen_model(
-        7, tiny_dims, "C", MapperConfig(n=tiny_dims.n, hidden=8), dtype=np.float64
+        7, tiny_dims, "C", MapperConfig(hidden=8), dtype=np.float64
     )
     randomize_mapper(model)
     te = text_enc_for(model)

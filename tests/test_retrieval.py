@@ -165,7 +165,7 @@ def test_stage1_equals_scalar_loop_reference(seed, dtype):
 
 def rerank_setup(variant="C", n_override=None):
     dims = TINY if n_override is None else replace(TINY, n=n_override)
-    model = init_frozen_model(7, dims, variant, MapperConfig(n=dims.n, hidden=8))
+    model = init_frozen_model(7, dims, variant, MapperConfig(hidden=8))
     ds = PairDataset(records=make_records(8))
     store = embed_gallery(model, ds)
     text = encode_text(model, [1, 2, 3])
@@ -268,7 +268,7 @@ def loop_rerank_entries(model, ds, ranking, k, text_enc, itm_sigmoid=False):
 def test_rerank_equals_scalar_loop_reference(variant, itm_sigmoid):
     """Repeated images under shuffled ids tie in every re-score, up to B's
     full-scale depth (one stacked ITM-head call over 20 candidates)."""
-    model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(n=TINY.n, hidden=8)))
+    model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(hidden=8)))
     base = make_records(9)
     picks = [3, 0, 3, 1, 0, 2, 4, 3, 1, 0, 5, 8, 6, 2, 7, 5, 8, 0, 6, 4, 7, 1, 2]
     records = [replace(base[k], id=f"r{j}") for j, k in enumerate(picks)]
@@ -701,7 +701,7 @@ def test_attention_map_prompts_change_map(tiny_model):
 
 def test_attention_map_single_patch_grid():
     dims = replace(TINY, P=1)
-    model = init_frozen_model(7, dims, "C", MapperConfig(n=dims.n, hidden=8))
+    model = init_frozen_model(7, dims, "C", MapperConfig(hidden=8))
     rec = make_records(1, dims)[0]
     amap = attention_map(model, rec, None, "cls")
     assert amap.grid.shape == (1, 1)
@@ -714,7 +714,7 @@ def test_attention_map_cls_row_matches_full_block(monkeypatch, variant):
     attention: with and without prompts, its weights are within float
     tolerance of the CLS row of a final block that keeps every row, and
     that row's patch weights sum to patch_mass."""
-    model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(n=TINY.n, hidden=8)))
+    model = randomize_mapper(init_frozen_model(7, TINY, variant, MapperConfig(hidden=8)))
     rec = make_records(1)[0]
     text = encode_text(model, [1, 2, 3])
     maps = [attention_map(model, rec, t, "cls") for t in (None, text)]
@@ -729,7 +729,7 @@ def test_attention_map_cls_row_matches_full_block(monkeypatch, variant):
 
 
 def test_attention_map_itm_query_mode():
-    model = init_frozen_model(7, TINY, "B", MapperConfig(n=TINY.n, hidden=8))
+    model = init_frozen_model(7, TINY, "B", MapperConfig(hidden=8))
     ds = PairDataset(records=make_records(2))
     amap = attention_map(model, ds.records[0], None, "itm_query")
     assert abs(amap.grid.sum() - 1.0) < 1e-6

@@ -115,7 +115,7 @@ def test_checkpoint_round_trip_default_dims(tmp_path):
 
 
 def test_checkpoint_round_trip_variant_b(tmp_path):
-    model = init_frozen_model(11, TINY, "B", MapperConfig(n=TINY.n, hidden=8))
+    model = init_frozen_model(11, TINY, "B", MapperConfig(hidden=8))
     ckpt = str(tmp_path / "ckpt")
     storage.save_checkpoint(ckpt, model)
     back = storage.load_checkpoint(ckpt)
@@ -125,7 +125,7 @@ def test_checkpoint_round_trip_variant_b(tmp_path):
 
 
 def test_checkpoint_mapper_tensor_names(tmp_path):
-    model = init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8))
+    model = init_frozen_model(7, TINY, "C", MapperConfig(hidden=8))
     ckpt = str(tmp_path / "ckpt")
     storage.save_checkpoint(ckpt, model)
     with open(os.path.join(ckpt, "index.json")) as fh:
@@ -134,14 +134,12 @@ def test_checkpoint_mapper_tensor_names(tmp_path):
         "mapper.l1.weight", "mapper.l1.bias", "mapper.l2.weight",
         "mapper.l2.bias", "mapper.l3.weight", "mapper.l3.bias",
     ):
-        assert name in index["tensors"]
-        assert index["tensors"][name]["trainable"] is True
-        assert os.path.exists(os.path.join(ckpt, index["tensors"][name]["file"]))
-    assert index["tensors"]["proj_image.weight"]["trainable"] is False
+        with open(os.path.join(ckpt, f"{name}.bin"), "rb") as fh:
+            assert index["tensors"][name] == hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_checkpoint_save_is_byte_stable(tmp_path):
-    model = init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8))
+    model = init_frozen_model(7, TINY, "C", MapperConfig(hidden=8))
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     storage.save_checkpoint(a, model)
     storage.save_checkpoint(b, model)
@@ -156,8 +154,8 @@ def dir_bytes(path):
 
 def test_checkpoint_save_replaces_existing_and_leaves_no_siblings(tmp_path):
     ckpt = str(tmp_path / "ckpt")
-    storage.save_checkpoint(ckpt, init_frozen_model(7, TINY, "B", MapperConfig(n=TINY.n, hidden=8)))
-    new = init_frozen_model(8, TINY, "C", MapperConfig(n=TINY.n, hidden=8))
+    storage.save_checkpoint(ckpt, init_frozen_model(7, TINY, "B", MapperConfig(hidden=8)))
+    new = init_frozen_model(8, TINY, "C", MapperConfig(hidden=8))
     storage.save_checkpoint(ckpt, new)
     assert os.listdir(tmp_path) == ["ckpt"]
     # no blob of the replaced B checkpoint's ITM head is left behind
@@ -203,7 +201,7 @@ def test_atomic_write_failing_mid_write_leaves_no_temp_file(tmp_path, monkeypatc
 
 
 def test_checkpoint_save_failing_part_way_keeps_old_checkpoint(tmp_path, monkeypatch):
-    old = init_frozen_model(7, TINY, "C", MapperConfig(n=TINY.n, hidden=8))
+    old = init_frozen_model(7, TINY, "C", MapperConfig(hidden=8))
     ckpt = str(tmp_path / "ckpt")
     storage.save_checkpoint(ckpt, old)
     before = dir_bytes(ckpt)
@@ -218,7 +216,7 @@ def test_checkpoint_save_failing_part_way_keeps_old_checkpoint(tmp_path, monkeyp
 
     monkeypatch.setattr(storage, "write_tensor_blob", failing_write)
     with pytest.raises(OSError, match="disk full"):
-        storage.save_checkpoint(ckpt, init_frozen_model(9, TINY, "C", MapperConfig(n=TINY.n, hidden=8)))
+        storage.save_checkpoint(ckpt, init_frozen_model(9, TINY, "C", MapperConfig(hidden=8)))
     assert len(written) == 3
     assert os.listdir(tmp_path) == ["ckpt"]
     assert dir_bytes(ckpt) == before
@@ -228,7 +226,7 @@ def test_checkpoint_save_failing_part_way_keeps_old_checkpoint(tmp_path, monkeyp
 @pytest.mark.parametrize("variant", ["C", "S", "B"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch, variant, dtype):
-    model = init_frozen_model(7, TINY, variant, MapperConfig(n=TINY.n, hidden=8), dtype=dtype)
+    model = init_frozen_model(7, TINY, variant, MapperConfig(hidden=8), dtype=dtype)
     ckpt = str(tmp_path / "ckpt")
     storage.save_checkpoint(ckpt, model)
 
@@ -251,7 +249,7 @@ def test_init_frozen_model_draws_are_pinned():
         np.float64: "1a90d60ba2404925f3153fbc8930ff10828009c44209829408b1fa9fbea52549",
     }
     for dtype, digest in pinned.items():
-        model = init_frozen_model(7, TINY, "B", MapperConfig(n=TINY.n, hidden=8), dtype=dtype)
+        model = init_frozen_model(7, TINY, "B", MapperConfig(hidden=8), dtype=dtype)
         h = hashlib.sha256()
         for name, arr, _ in model.iter_tensors():
             h.update(name.encode())

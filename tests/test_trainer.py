@@ -16,7 +16,7 @@ LATE = TINY.L_v - 1
 
 
 def fresh_model(variant="C", seed=7, dims=TINY):
-    return init_frozen_model(seed, dims, variant, MapperConfig(n=dims.n, hidden=8))
+    return init_frozen_model(seed, dims, variant, MapperConfig(hidden=8))
 
 
 def small_plan(n=6, b=3):
@@ -286,7 +286,7 @@ def _small_f64_model(variant):
 
     dims = replace(TINY, L_t=1, L_v=1, P=3, m=2, n=1)
     model = init_frozen_model(
-        7, dims, variant, MapperConfig(n=dims.n, hidden=6), dtype=np.float64
+        7, dims, variant, MapperConfig(hidden=6), dtype=np.float64
     )
     return randomize_mapper(model), dims
 
