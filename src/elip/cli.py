@@ -266,11 +266,10 @@ def cmd_attn(args, cfg: RunConfig) -> dict:
 def cmd_flops(args, cfg: RunConfig) -> dict:
     if args.model:
         model = storage.load_checkpoint(args.model)
-        dims = model.dims
-        hidden = model.mapper_cfg.hidden
+        dims, mapper = model.dims, model.mapper_cfg
     else:
-        dims = cfg.dims
-        hidden = cfg.mapper.hidden or 4 * dims.d_v
+        dims, mapper = cfg.dims, cfg.mapper
+    hidden = mapper.hidden_width(dims.d_v)
     with_prompts = estimate_flops(dims, True, hidden)
     without = estimate_flops(dims, False, hidden)
     doc = {

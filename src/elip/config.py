@@ -64,7 +64,12 @@ class MapperConfig:
     prompt count is DimsConfig.n."""
 
     input_mode: str = "cls"  # cls | dense_mean
-    hidden: int = 0  # 0 -> 4 * d_v resolved at model init
+    hidden: int = 0  # 0 -> 4 * d_v, as hidden_width resolves it
+
+    def hidden_width(self, d_v: int) -> int:
+        """The mapper's hidden width for image width d_v: hidden, or 4 * d_v
+        when hidden is 0."""
+        return self.hidden or 4 * d_v
 
     def validate(self) -> "MapperConfig":
         if self.input_mode not in ("cls", "dense_mean"):

@@ -29,7 +29,8 @@ class PairRecord:
     occluded_categories: set = field(default_factory=set)
     # encoders.frozen_text entries by (backbone_key, "text"), frozen_image
     # ones by (backbone_key, "image", variant == "B"), frozen_prefix ones by
-    # (backbone_key, "prefix", L_v == 1 and variant == "B")
+    # (backbone_key, "prefix", insert_layer, insert_layer == L_v - 1 and
+    # variant == "B")
     frozen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 

@@ -16,10 +16,14 @@ them, a text's encodes in objectives.stream_pairs, and image_backward
 takes that call's cache back through the head, then the blocks.
 
 frozen_text, frozen_image and frozen_prefix keep a record's frozen work on
-the record, one entry per ModelBundle.backbone_key (and per kept_rows where
-they differ), so a model's frozen tensors must never change after it has
-encoded anything; numkit.LayerParams.qkv marks a block's Q/K/V tensors
-read-only once the block has run."""
+the record, one entry per ModelBundle.backbone_key (and per kept_rows, or
+insert_layer, where they differ), so a model's frozen tensors must never
+change after it has encoded anything; numkit.LayerParams.qkv marks a
+block's Q/K/V tensors read-only once the block has run. A record's
+frozen_prefix holds pre-attention work its prompts cannot change: block
+0's group and the insert block's group of the image rows, which the
+record's first prompted encode fills. The blocks below insert_layer still
+run on every prompted encode."""
 
 from __future__ import annotations
 
@@ -68,6 +72,19 @@ class FrozenImage:
 
     patch_states: Array | None  # (P, d_v) for variant B; None for C/S
     v_joint: Array  # (d_e,) unit-norm projected embedding
+
+
+@dataclass
+class ImagePrefix:
+    """An image's work before its prompts join, which depends on the image
+    alone: its embedded sequence, block 0's pre_attention group of it, and
+    the insert block's group of its image rows. image_forward fills
+    insert_group when a prompted encode first reaches the insert block; at
+    insert_layer 0 it is block 0's group from the start."""
+
+    seq: Array  # (P+1, d_v) patch rows then CLS, with positional embeddings
+    group: tuple  # block 0's pre_attention group of seq
+    insert_group: tuple | None  # the insert block's group of the image rows
 
 
 @dataclass
@@ -175,7 +192,7 @@ def _assemble_model(seed, dims, variant, mapper_cfg, dtype, w) -> ModelBundle:
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     mapper_cfg = (mapper_cfg or MapperConfig()).validate()
-    hidden = mapper_cfg.hidden or 4 * dims.d_v
+    hidden = mapper_cfg.hidden_width(dims.d_v)
     mapper_cfg = replace(mapper_cfg, hidden=hidden)
 
     token_embed = LayerParams("token_embed", {"weight": w(dims.vocab, dims.d_t, dims.d_t)})
@@ -300,18 +317,21 @@ def encode_text(model: ModelBundle, tokens) -> TextEncoding:
 
 def image_forward(
     model: ModelBundle, patches: Array, prompts: Array | None = None, *,
-    prefix: tuple | None = None, prompt_group: tuple | None = None,
+    prefix: ImagePrefix | None = None, prompt_group: tuple | None = None,
 ) -> ImageEncoding:
     """Encode one image; prompts (n, d_v) join the sequence at insert_layer.
 
-    Block 0's input rows and the insert block's prompt rows each run their
-    pre-attention as a group of their own: prefix is the image's
-    image_prefix (its embedded sequence and block 0's group), prompt_group
-    the prompts' prompt_pre_attention; either one not given is computed
-    here, through the same kernel. The last block computes only the rows
-    the variant reads (kept_rows), and the encoding stops there: the final
-    layer norm, the joint projection and the L2 norm run in joint_embed,
-    once over the stack of a text's encodings."""
+    Block 0's input rows, and the insert block's image rows and prompt rows,
+    each run their pre-attention as a group of their own: prefix is the
+    image's ImagePrefix (a record's frozen_prefix), prompt_group the
+    prompts' prompt_pre_attention; either one not given is computed here,
+    through the same kernel. The insert block's image-row group is taken
+    from the prefix, and computed from this encode's state at insert_layer
+    and put there, read-only, when the prefix has none yet; the blocks
+    below insert_layer run on every call. The last block computes only the
+    rows the variant reads (kept_rows), and the encoding stops there: the
+    final layer norm, the joint projection and the L2 norm run in
+    joint_embed, once over the stack of a text's encodings."""
     dims = model.dims
     if prompts is not None:
         prompts = np.asarray(prompts, dtype=model.dtype)
@@ -322,17 +342,19 @@ def image_forward(
                 f"prompts shape {prompts.shape} != expected {(dims.n, dims.d_v)}"
             )
     n = 0 if prompts is None else prompts.shape[0]
-    seq, group = image_prefix(model, patches) if prefix is None else prefix
+    prefix = image_prefix(model, patches) if prefix is None else prefix
+    seq = prefix.seq
     if n and prompt_group is None:
         prompt_group = prompt_pre_attention(model, prompts)
 
     block_caches = []
     last = dims.L_v - 1
     for layer_idx, block in enumerate(model.image_blocks):
-        pre = [group] if layer_idx == 0 else None
+        pre = [prefix.group] if layer_idx == 0 else None
         if layer_idx == dims.insert_layer and n > 0:
-            image_rows = group if layer_idx == 0 else _pre_attention(model, layer_idx, seq)
-            pre = [image_rows, prompt_group]
+            if prefix.insert_group is None:
+                prefix.insert_group = _read_only(_pre_attention(model, layer_idx, seq))
+            pre = [prefix.insert_group, prompt_group]
             seq = np.concatenate([seq, prompts], axis=0)
         rows = kept_rows(model) if layer_idx == last else slice(None)
         seq, _, bcache = numkit.attention_block(block, seq, dims.H, rows=rows, pre=pre)
@@ -387,10 +409,11 @@ def _pre_attention(model: ModelBundle, layer_idx: int, x: Array, prompt_rows=Fal
     return numkit.pre_attention(model.image_blocks[layer_idx], x, rows)
 
 
-def image_prefix(model: ModelBundle, patches: Array) -> tuple:
-    """(seq, group): the image's embedded (P+1, d_v) sequence, patch rows
+def image_prefix(model: ModelBundle, patches: Array) -> ImagePrefix:
+    """The image's ImagePrefix: its embedded (P+1, d_v) sequence, patch rows
     then CLS, each with its positional embedding, and block 0's
-    pre_attention group of it. Both depend on the image alone."""
+    pre_attention group of it, which is the insert group too at
+    insert_layer 0; a later insert block's group is left to image_forward."""
     dims = model.dims
     patches = np.asarray(patches)
     if patches.shape != (dims.P, dims.d_in):
@@ -400,7 +423,8 @@ def image_prefix(model: ModelBundle, patches: Array) -> tuple:
     embedded, _ = numkit.linear(model.patch_embed, patches.astype(model.dtype, copy=False))
     seq = np.concatenate([embedded, model.image_cls.tensors["weight"]], axis=0)
     seq = seq + model.image_pos.tensors["weight"]
-    return seq, _pre_attention(model, 0, seq)
+    group = _pre_attention(model, 0, seq)
+    return ImagePrefix(seq=seq, group=group, insert_group=group if dims.insert_layer == 0 else None)
 
 
 def prompt_pre_attention(model: ModelBundle, prompts: Array) -> tuple:
@@ -423,22 +447,33 @@ def frozen_text(model: ModelBundle, rec) -> TextEncoding:
     return enc
 
 
+def _read_only(group: tuple) -> tuple:
+    for arr in group:
+        arr.flags.writeable = False
+    return group
+
+
 def _prefix_key(model: ModelBundle) -> tuple:
-    """rec.frozen key of an image_prefix. With L_v = 1 block 0 is the last
-    block, whose group holds Q for the kept rows alone, so B and C/S
+    """rec.frozen key of an ImagePrefix, whose insert group is that of
+    dims.insert_layer. Where the insert block is the last block (always so
+    when L_v = 1) that group holds Q for the kept rows alone, so B and C/S
     entries are kept apart there."""
-    return model.backbone_key, "prefix", model.dims.L_v == 1 and model.variant == "B"
+    dims = model.dims
+    return (model.backbone_key, "prefix", dims.insert_layer,
+            dims.insert_layer == dims.L_v - 1 and model.variant == "B")
 
 
-def frozen_prefix(model: ModelBundle, rec) -> tuple:
-    """rec's image_prefix, computed once per record and backbone and kept
-    on the record, read-only, for every prompted encode of its image."""
+def frozen_prefix(model: ModelBundle, rec) -> ImagePrefix:
+    """rec's ImagePrefix, computed once per record and backbone and kept on
+    the record, read-only, for every prompted encode of its image. The
+    record's first prompted encode fills its insert group when insert_layer
+    is above 0, so later encodes skip the insert block's LN1 and Q/K/V of
+    the image rows; the blocks below insert_layer run on every encode."""
     key = _prefix_key(model)
     prefix = rec.frozen.get(key)
     if prefix is None:
-        seq, group = prefix = rec.frozen[key] = image_prefix(model, rec.patches)
-        for arr in (seq, *group):
-            arr.flags.writeable = False
+        prefix = rec.frozen[key] = image_prefix(model, rec.patches)
+        _read_only((prefix.seq, *prefix.group))
     return prefix
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DimsConfig
+from .config import DimsConfig, MapperConfig
 from .curation import Benchmark, PairDataset, query_id
 from .encoders import (
     ModelBundle,
@@ -363,7 +363,7 @@ def estimate_flops(dims: DimsConfig, with_prompts: bool, mapper_hidden: int = 0)
     layer the QK^T and AV terms cost 2*T_q*T_kv*d with T_q = P+1 fixed and
     T_kv = P+1+n. The mapper is included when prompts are generated (n > 0).
     """
-    hidden = mapper_hidden or 4 * dims.d_v
+    hidden = MapperConfig(hidden=mapper_hidden).hidden_width(dims.d_v)
     n = dims.n if with_prompts else 0
     d = dims.d_v
     tq = dims.P + 1
@@ -392,7 +392,7 @@ def estimate_flops(dims: DimsConfig, with_prompts: bool, mapper_hidden: int = 0)
 
 def prompt_flops_slope(dims: DimsConfig, mapper_hidden: int = 0) -> int:
     """Analytic d(FLOPs)/dn for n >= 1 under the estimator's convention."""
-    hidden = mapper_hidden or 4 * dims.d_v
+    hidden = MapperConfig(hidden=mapper_hidden).hidden_width(dims.d_v)
     d = dims.d_v
     tq = dims.P + 1
     prompted_layers = dims.L_v - dims.insert_layer

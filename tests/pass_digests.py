@@ -1,0 +1,75 @@
+"""Print the pass digest of benchmark workloads, one JSON line per run.
+
+    python tests/pass_digests.py --work-dir DIR [--workload NAME ...] [--seed S ...]
+
+Each run is one set-up and one untraced pass of a workload from
+perfbench/workloads.py, loaded by path, on this checkout's src/ tree, with
+BLAS pinned to one thread as perfbench/run.py pins it. A line holds the
+workload, the seed, the pass digest and the operations attempted and
+failed. Two checkouts keep the same outputs when they print the same
+lines. cli-wide's digest covers resolved-config.json, which records the
+absolute output directory, so give both checkouts the same --work-dir and
+run them one after the other. Each run works in DIR/<workload>-seed<seed>,
+which is removed before and after it. Not a test module: pytest collects
+test_*.py alone.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import json  # noqa: E402
+import shutil  # noqa: E402
+import sys  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+WORKLOADS_PATH = os.path.join(ROOT, "perfbench", "workloads.py")
+
+
+def load_workloads():
+    """perfbench/workloads.py as a module, importing elip from SRC."""
+    sys.path.insert(0, SRC)
+    import elip
+
+    where = os.path.realpath(os.path.dirname(elip.__file__))
+    if where != os.path.realpath(os.path.join(SRC, "elip")):
+        raise SystemExit(f"elip imported from {where}, not from {SRC}")
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS_PATH)
+    module = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def pass_digest(workloads, name: str, seed: int, work_dir: str) -> dict:
+    run_dir = os.path.join(os.path.abspath(work_dir), f"{name}-seed{seed}")
+    shutil.rmtree(run_dir, ignore_errors=True)
+    try:
+        workload = workloads.WORKLOADS[name](run_dir, seed)
+        result = workload.run_pass(workload.setup(), workloads.Recorder())
+    finally:
+        shutil.rmtree(run_dir, ignore_errors=True)
+    return {"workload": name, "seed": seed, "digest": result.digest, "ops": result.ops,
+            "failed": len(result.failed)}
+
+
+def main(argv=None) -> int:
+    workloads = load_workloads()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--work-dir", required=True)
+    parser.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--seed", action="append", type=int)
+    args = parser.parse_args(argv)
+    for name in args.workload or sorted(workloads.WORKLOADS):
+        for seed in args.seed or [7]:
+            print(json.dumps(pass_digest(workloads, name, seed, args.work_dir), sort_keys=True),
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

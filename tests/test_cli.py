@@ -127,6 +127,24 @@ def test_seed_flag_beats_env(workdir, capsys, monkeypatch):
     assert status_line(capsys)["seed"] == 11
 
 
+@pytest.mark.parametrize("hidden", [0, 8])
+def test_flops_from_config_matches_flops_from_its_model(workdir, capsys, hidden):
+    """flops --config resolves the mapper's hidden width as init-model does
+    (0 is 4 * d_v), so it writes the flops.json bytes that flops --model
+    writes for a checkpoint made from the same config."""
+    config = {**TINY_CONFIG, "mapper": {**TINY_CONFIG["mapper"], "hidden": hidden}}
+    (workdir / "config.json").write_text(json.dumps(config))
+    assert run(workdir, "init-model", "--config", "config.json", "--out", "model",
+               "--variant", "C") == 0
+    assert run(workdir, "flops", "--config", "config.json", "--out", "from_config") == 0
+    assert run(workdir, "flops", "--model", "model/checkpoint", "--out", "from_model") == 0
+    capsys.readouterr()
+    index = json.loads((workdir / "model/checkpoint/index.json").read_text())
+    assert index["mapper"]["hidden"] == (hidden or 4 * config["dims"]["d_v"])
+    assert ((workdir / "from_config/flops.json").read_bytes()
+            == (workdir / "from_model/flops.json").read_bytes())
+
+
 def test_status_is_single_json_line(workdir, capsys):
     assert run(workdir, "flops", "--config", "config.json", "--out", "f") == 0
     line = status_line(capsys)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elip import numkit
+from elip import encoders, numkit
 from elip.config import DimsConfig, MapperConfig
 from elip.curation import PairRecord
 from elip.encoders import (
@@ -328,7 +329,12 @@ def test_cached_groups_give_the_bytes_of_computing_them(dims, dtype, variant, se
     """image_forward given a record's frozen_prefix and the prompts'
     prompt_pre_attention gives the bytes of computing both itself: outputs,
     every block cache and the prompt gradients. The prefix is one read-only
-    entry, which the record's frozen encode reads too."""
+    entry, which the record's frozen encode reads too. Its insert group is
+    read, not recomputed: with insert_layer above 0 the record's first
+    prompted encode computes the insert block's image-row group once, and
+    the second runs no pre-attention at all. A B and a C/S model of one
+    backbone share the entry, except where the insert block is the last; a
+    model of another insert_layer keeps its own."""
     model = init_frozen_model(seed % 1000, dims, variant, MapperConfig(hidden=8),
                               dtype=dtype)
     rng = np.random.default_rng(seed)
@@ -338,8 +344,20 @@ def test_cached_groups_give_the_bytes_of_computing_them(dims, dtype, variant, se
     fresh = encode_one(model, rec.patches, prompts)
     prefix = frozen_prefix(model, rec)
     group = prompt_pre_attention(model, prompts) if dims.n else None
-    cached = [encode_one(model, rec.patches, prompts, prefix=prefix, prompt_group=group)
-              for _ in range(2)]
+    real = encoders._pre_attention
+    cached, calls = [], []  # calls: per encode, (layer_idx, prompt_rows) of each call
+
+    def spy(model, layer_idx, x, prompt_rows=False):
+        calls[-1].append((layer_idx, prompt_rows))
+        return real(model, layer_idx, x, prompt_rows)
+
+    for _ in range(2):
+        calls.append([])
+        with mock.patch.object(encoders, "_pre_attention", spy):
+            cached.append(encode_one(model, rec.patches, prompts, prefix=prefix,
+                                     prompt_group=group))
+    fills = dims.n > 0 and dims.insert_layer > 0
+    assert calls == [[(dims.insert_layer, False)] if fills else [], []]
     grad_v = rng.standard_normal((1, dims.d_e))
     grad_patches = (rng.standard_normal((1, dims.P, dims.d_v)).astype(dtype)
                     if variant == "B" else None)
@@ -356,7 +374,11 @@ def test_cached_groups_give_the_bytes_of_computing_them(dims, dtype, variant, se
 
     assert frozen_prefix(model, rec) is prefix
     assert [key[1] for key in rec.frozen] == ["prefix"]
-    for arr in _flat(prefix):
+    # an n = 0 model never reaches the insert block with prompts, so never fills it
+    assert (prefix.insert_group is None) == (dims.n == 0 and dims.insert_layer > 0)
+    if dims.insert_layer == 0:
+        assert prefix.insert_group is prefix.group
+    for arr in _flat((prefix.seq, prefix.group, prefix.insert_group or ())):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0
@@ -364,13 +386,29 @@ def test_cached_groups_give_the_bytes_of_computing_them(dims, dtype, variant, se
     assert frozen.v_joint.tobytes() == encode_one(model, rec.patches).v_joint.tobytes()
     assert sorted(key[1] for key in rec.frozen) == ["image", "prefix"]
 
-    # a B or C/S model of the same backbone reads a prefix of its own kept rows
+    # a B or C/S model of the same backbone reads a prefix of its own kept
+    # rows: its own entry where the insert block is the last, else the same
     sibling = init_frozen_model(seed % 1000, dims, "C" if variant == "B" else "B",
                                 MapperConfig(hidden=8), dtype=dtype)
     assert sibling.backbone_key == model.backbone_key
-    got = encode_one(sibling, rec.patches, prompts, prefix=frozen_prefix(sibling, rec),
-                     prompt_group=prompt_pre_attention(sibling, prompts) if dims.n else None)
-    assert got.v_joint.tobytes() == encode_one(sibling, rec.patches, prompts).v_joint.tobytes()
+    sibling_prefix = frozen_prefix(sibling, rec)
+    assert (sibling_prefix is prefix) == (dims.insert_layer != dims.L_v - 1)
+    want = encode_one(sibling, rec.patches, prompts).v_joint.tobytes()
+    for _ in range(2):
+        got = encode_one(sibling, rec.patches, prompts, prefix=sibling_prefix,
+                         prompt_group=prompt_pre_attention(sibling, prompts) if dims.n else None)
+        assert got.v_joint.tobytes() == want
+
+    # the backbone key leaves insert_layer out, so the prefix key holds it
+    other = replace(model, dims=replace(dims, insert_layer=(dims.insert_layer + 1) % dims.L_v))
+    if dims.L_v > 1:
+        assert other.backbone_key == model.backbone_key
+        assert frozen_prefix(other, rec) is not prefix
+    want = encode_one(other, rec.patches, prompts).v_joint.tobytes()
+    for _ in range(2):
+        got = encode_one(other, rec.patches, prompts, prefix=frozen_prefix(other, rec),
+                         prompt_group=prompt_pre_attention(other, prompts) if dims.n else None)
+        assert got.v_joint.tobytes() == want
 
 
 # ---------------------------------------------------------------------------

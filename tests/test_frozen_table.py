@@ -262,9 +262,10 @@ def test_prompted_and_frozen_encodes_read_one_prefix_entry(monkeypatch, variant,
     assert calls == {id(rec.patches): 1 for rec in records}
     for rec in records:
         (prefix,) = [entry for key, entry in rec.frozen.items() if key[1] == "prefix"]
-        seq, group = prefix
-        assert seq.shape == (TINY.P + 1, TINY.d_v)
-        assert not any(arr.flags.writeable for arr in (seq, *group))
+        assert prefix.seq.shape == (TINY.P + 1, TINY.d_v)
+        assert (prefix.insert_group is prefix.group) == (insert_layer == 0)
+        assert not any(arr.flags.writeable
+                       for arr in (prefix.seq, *prefix.group, *prefix.insert_group))
 
 
 def test_gallery_keeps_only_the_joint_embeddings():
@@ -283,17 +284,26 @@ def test_gallery_keeps_only_the_joint_embeddings():
     assert kept < 0.3 * 2**20, kept
 
 
-@pytest.mark.parametrize("step", ["rerank", "loss"])
-def test_prompted_encodes_keep_one_prefix_per_record(step):
+@pytest.mark.parametrize("step, variant, late", [
+    pytest.param("rerank", "C", False, id="rerank"),
+    pytest.param("loss", "C", False, id="loss"),
+    *(pytest.param(step, variant, True, id=f"{step}-{variant}-late")
+      for step in ("rerank", "loss") for variant in "BC"),
+])
+def test_prompted_encodes_keep_one_prefix_per_record(step, variant, late):
     """A prompted encode leaves one entry on each record it touches and
     nothing else: its frozen_prefix, the embedded sequence, LN1's xhat and
     Q, K, V ((P+1, d_v) each) and LN1's (P+1) inv, about 10.7 KB per
-    A3-shaped float32 record, kept as long as the record. A re-rank of all
-    200 records or a per-row loss over 24 keeps under 1.2 times that per
-    record in traced memory."""
+    A3-shaped float32 record, kept as long as the record. With insert_layer
+    L_v - 1 the entry holds the insert block's image-row group too: xhat,
+    K, V and inv again, and Q for the kept rows alone, about 8.6 KiB more
+    for B and 6.6 KiB for C/S. A re-rank of all 200 records or a per-row
+    loss over 24 keeps under 1.2 times that per record in traced memory."""
     ds, bench = gen_synthetic_dataset(8, SynthSpec())
     dims = DimsConfig()
-    model = init_frozen_model(7, dims, "C")
+    if late:
+        dims = replace(dims, insert_layer=dims.L_v - 1)
+    model = init_frozen_model(7, dims, variant)
     store = embed_gallery(model, ds)
     text = encode_text(model, bench.queries[0].text_tokens)
     touched = ds.records if step == "rerank" else ds.records[:24]
@@ -315,7 +325,11 @@ def test_prompted_encodes_keep_one_prefix_per_record(step):
         prefixed = i < len(touched)
         assert sorted(key[1] for key in rec.frozen) == (
             ["image", "prefix", "text"] if prefixed else ["image"])
-    prefix_bytes = (5 * dims.d_v + 1) * (dims.P + 1) * np.dtype(model.dtype).itemsize
+    values = (5 * dims.d_v + 1) * (dims.P + 1)
+    if late:
+        kept_rows = encoders.kept_rows(model)
+        values += (3 * dims.d_v + 1) * (dims.P + 1) + (kept_rows.stop - kept_rows.start) * dims.d_v
+    prefix_bytes = values * np.dtype(model.dtype).itemsize
     assert kept < 1.2 * len(touched) * prefix_bytes, kept
 
 
