@@ -8,8 +8,9 @@ prints one JSON status line ("status": "ok", the seed and those fields), exit
 0. On failure it prints one "status": "error" line and an `error:` message to
 stderr, writes no resolved-config.json, removes the --out directories it made
 that are still empty, and exits 1 on usage/config errors, 2 on data/format
-errors (an input that cannot be read or an --out that cannot be created or
-written included, named by path), 3 on numeric errors.
+errors (an input that cannot be read, an --out that cannot be created or
+written, named by path, and inputs too large to allocate included), 3 on
+numeric errors.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .retrieval import (
     attention_map,
     curve,
     embed_gallery,
+    encode_queries,
     estimate_flops,
     evaluate,
     rank_queries,
@@ -48,7 +50,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 _EXIT_CODES = {ConfigError: EXIT_USAGE, DataError: EXIT_DATA, OSError: EXIT_DATA,
-               NumericError: EXIT_NUMERIC}
+               MemoryError: EXIT_DATA, NumericError: EXIT_NUMERIC}
 
 
 def _load_config(args) -> RunConfig:
@@ -210,9 +212,11 @@ def cmd_rank(args, cfg: RunConfig) -> dict:
             f"the model at {args.model} has d_e={model.dims.d_e}"
         )
     bench = storage.read_benchmark(args.bench, store.ids)
-    rankings = rank_queries(model, store, bench)
+    queries = encode_queries(model, bench)
+    rankings = rank_queries(store, queries)
     path = os.path.join(cfg.out_dir, "rankings.json")
     storage.write_rankings(path, rankings)
+    storage.write_queries(cfg.out_dir, model, bench, queries)
     return dict(rankings=path, queries=len(rankings))
 
 
@@ -221,7 +225,12 @@ def cmd_rerank(args, cfg: RunConfig) -> dict:
     rankings, bench = _load_rankings_and_bench(args)
     k = args.k if args.k is not None else cfg.rerank_k
     cfg.rerank_k = k
-    reranked = rerank_queries(model, ds, rankings, bench, k, args.itm_sigmoid)
+    # the encodings `rank` kept beside the rankings, when they are this
+    # backbone's encodings of these query tokens
+    queries = storage.read_queries(os.path.dirname(args.rankings), model, bench)
+    if queries is None:
+        queries = encode_queries(model, bench)
+    reranked = rerank_queries(model, ds, rankings, queries, k, args.itm_sigmoid)
     path = os.path.join(cfg.out_dir, "rankings.json")
     storage.write_rankings(path, reranked)
     return dict(rankings=path, k=k, queries=len(reranked))

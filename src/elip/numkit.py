@@ -17,11 +17,11 @@ exception is softmax_rows' row max: it runs over a column-major copy of the
 one short reduce per row. Max is exact in any order, so only the sign of a
 zero max can differ, and exp(x - m) cannot see it.
 Each primitive comes as a forward returning (out, cache) plus a backward
-taking (cache, grad_out) and returning exact analytic gradients, verified
-against central finite differences by grad_check. Only linear_backward
+taking (cache, grad_out) and returning exact analytic gradients, which the
+tests check against central finite differences. Only linear_backward
 also returns its tensors' gradients: the encoders' layer norms and blocks
 stay frozen, so layer_norm_backward and attention_block_backward return
-the input gradient alone (layer_norm_param_grads gives gamma and beta).
+the input gradient alone.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, DimensionError
 
 Array = np.ndarray
 
@@ -166,18 +166,9 @@ def layer_norm(params: LayerParams, x: Array) -> tuple[Array, tuple]:
     return _layer_norm_core(params.tensors["gamma"], params.tensors["beta"], x)
 
 
-def layer_norm_param_grads(cache: tuple, grad_out: Array) -> dict[str, Array]:
-    """The gamma/beta gradients of a layer_norm call. Rows run along axis -2;
-    leading axes are a stack, and each stack entry gets its own gradient."""
-    xhat = cache[0]
-    return {"gamma": np.add.reduce(grad_out * xhat, axis=-2),
-            "beta": np.add.reduce(grad_out, axis=-2)}
-
-
 def layer_norm_backward(cache: tuple, grad_out: Array) -> Array:
     """The gradient on x; leading axes are a stack. The frozen encoders
-    never train a layer norm, so its gamma/beta gradients are left to
-    layer_norm_param_grads."""
+    never train a layer norm, so its gamma/beta gradients are not taken."""
     xhat, inv, gamma = cache
     n = xhat.shape[-1]
     # inv * (dxhat - sum(dxhat) / n - xhat * (sum(dxhat * xhat) / n))
@@ -385,38 +376,3 @@ def order_desc(scores: Array, tiebreak: Array) -> Array:
     """Indices that put scores in descending order, ties by ascending
     tiebreak; +0.0 and -0.0 tie."""
     return np.lexsort((tiebreak, -scores))
-
-
-# ---------------------------------------------------------------------------
-# finite-difference checker
-# ---------------------------------------------------------------------------
-
-
-def grad_check(f, point: dict[str, Array], h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    f(point) must return (scalar loss, grads dict keyed like point); point
-    arrays should be float64. Error metric per element:
-    |analytic - numeric| / max(1, |numeric|).
-    """
-    loss, analytic = f(point)
-    if not np.isfinite(loss):
-        raise NumericError(f"grad_check: non-finite loss {loss!r}")
-    worst = 0.0
-    for name, base in point.items():
-        a = np.asarray(analytic[name], dtype=np.float64)
-        flat = base.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            lp = f(point)[0]
-            flat[idx] = orig - h
-            lm = f(point)[0]
-            flat[idx] = orig
-            if not (np.isfinite(lp) and np.isfinite(lm)):
-                raise NumericError(f"grad_check: non-finite loss near {name}[{idx}]")
-            numeric = (lp - lm) / (2.0 * h)
-            err = abs(a.reshape(-1)[idx] - numeric) / max(1.0, abs(numeric))
-            if err > worst:
-                worst = err
-    return worst

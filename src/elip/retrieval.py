@@ -140,11 +140,15 @@ def stage1_rank(store: EmbeddingStore, text_enc: TextEncoding, qid: str = "q0000
                          scores=scores[order].astype(np.float64), stage="stage1")
 
 
-def rank_queries(model: ModelBundle, store: EmbeddingStore, bench: Benchmark) -> list:
-    return [
-        stage1_rank(store, encode_text(model, q.text_tokens), query_id(i))
-        for i, q in enumerate(bench.queries)
-    ]
+def encode_queries(model: ModelBundle, bench: Benchmark) -> list:
+    """One TextEncoding per benchmark query, in benchmark order: stage 1
+    ranks by its t_joint and stage 2 maps it to the query's prompts."""
+    return [encode_text(model, q.text_tokens) for q in bench.queries]
+
+
+def rank_queries(store: EmbeddingStore, queries: list) -> list:
+    """Stage-1 rankings of encode_queries' list, query i as query_id(i)."""
+    return [stage1_rank(store, text_enc, query_id(i)) for i, text_enc in enumerate(queries)]
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +198,14 @@ def rerank_queries(
     model: ModelBundle,
     ds: PairDataset,
     rankings: list,
-    bench: Benchmark,
+    queries: list,
     k: int,
     itm_sigmoid: bool = False,
 ) -> list:
+    """rerank of query i's ranking under encode_queries' i-th encoding."""
     return [
-        rerank(model, ds, ranking, k, encode_text(model, q.text_tokens), itm_sigmoid)
-        for ranking, q in _rankings_by_query(rankings, bench)
+        rerank(model, ds, ranking, k, text_enc, itm_sigmoid)
+        for ranking, text_enc in _rankings_by_query(rankings, queries)
     ]
 
 
@@ -209,10 +214,11 @@ def rerank_queries(
 # ---------------------------------------------------------------------------
 
 
-def _rankings_by_query(rankings, bench: Benchmark) -> list:
+def _rankings_by_query(rankings, queries: list) -> list:
+    """(ranking of query_id(i), queries[i]) for each i."""
     by_qid = {r.query_id: r for r in rankings}
     paired = []
-    for i, q in enumerate(bench.queries):
+    for i, q in enumerate(queries):
         qid = query_id(i)
         if qid not in by_qid:
             raise DataError(f"query {qid} missing from rankings")
@@ -225,11 +231,20 @@ def recall_at_k(rankings, bench: Benchmark, k: int) -> float:
     return evaluate(rankings, bench, (k,)).aggregate[f"recall@{k}"]
 
 
-def _hits(ranking: RankingResult, positives: set) -> Array:
-    """hits[i]: whether the i-th ranked image is a positive."""
-    gallery = ranking.gallery
-    is_positive = np.fromiter(map(positives.__contains__, gallery), bool, len(gallery))
-    return is_positive[ranking.order]
+def _hits_by_query(rankings, bench: Benchmark) -> list:
+    """(ranking, query, hits) per benchmark query; hits[i]: whether the
+    ranking's i-th image is one of the query's positives. The mask is set
+    from the positives through one id -> index map per shared gallery list."""
+    gallery, index_of = None, None
+    out = []
+    for ranking, q in _rankings_by_query(rankings, bench.queries):
+        if ranking.gallery is not gallery:
+            gallery = ranking.gallery
+            index_of = {image_id: i for i, image_id in enumerate(gallery)}
+        is_positive = np.zeros(len(gallery), dtype=bool)
+        is_positive[[index_of[p] for p in q.positives if p in index_of]] = True
+        out.append((ranking, q, is_positive[ranking.order]))
+    return out
 
 
 def average_precision(hits: Array, positive_count: int) -> float:
@@ -247,8 +262,7 @@ def mean_average_precision(rankings, bench: Benchmark) -> float:
 
 def evaluate(rankings, bench: Benchmark, ks=(1, 5, 10)) -> MetricReport:
     per_query = {}
-    for ranking, q in _rankings_by_query(rankings, bench):
-        hits = _hits(ranking, q.positives)
+    for ranking, q, hits in _hits_by_query(rankings, bench):
         row = {f"recall@{k}": int(np.count_nonzero(hits[:k])) / len(q.positives) for k in ks}
         row["ap"] = average_precision(hits, len(q.positives))
         per_query[ranking.query_id] = row
@@ -271,17 +285,16 @@ def evaluate(rankings, bench: Benchmark, ks=(1, 5, 10)) -> MetricReport:
 # ---------------------------------------------------------------------------
 
 
-def _pr_staircase(ranking: RankingResult, positives: set) -> tuple[Array, Array]:
+def _pr_staircase(scores: Array, hits: Array, positive_count: int) -> tuple[Array, Array]:
     """(recalls, precisions) after each distinct-score cutoff, ties grouped.
     Integer true division rounds as Python's int / int does."""
-    scores = ranking.scores
     count = len(scores)
-    hits = np.cumsum(_hits(ranking, positives), dtype=np.int64)
+    hits = np.cumsum(hits, dtype=np.int64)
     last_of_group = np.ones(count, dtype=bool)
     last_of_group[:-1] = scores[1:] != scores[:-1]
     hits = hits[last_of_group]
     seen = np.arange(1, count + 1)[last_of_group]
-    return hits / len(positives), hits / seen
+    return hits / positive_count, hits / seen
 
 
 def curve(rankings, bench: Benchmark, kind: str, ks=None) -> CurveData:
@@ -301,8 +314,8 @@ def curve(rankings, bench: Benchmark, kind: str, ks=None) -> CurveData:
         # and a suffix maximum of precision answers it.
         grid = np.array(PR_RECALL_GRID) - 1e-12
         per_query = []
-        for ranking, q in _rankings_by_query(rankings, bench):
-            recalls, precisions = _pr_staircase(ranking, q.positives)
+        for ranking, q, hits in _hits_by_query(rankings, bench):
+            recalls, precisions = _pr_staircase(ranking.scores, hits, len(q.positives))
             best = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)
             per_query.append(best[np.searchsorted(recalls, grid)])
         # one contiguous row per grid point, so each mean sums as over a list
@@ -388,13 +401,3 @@ def estimate_flops(dims: DimsConfig, with_prompts: bool, mapper_hidden: int = 0)
         total += 2 * hidden * hidden + 5 * hidden
         total += 2 * hidden * n * d
     return total
-
-
-def prompt_flops_slope(dims: DimsConfig, mapper_hidden: int = 0) -> int:
-    """Analytic d(FLOPs)/dn for n >= 1 under the estimator's convention."""
-    hidden = MapperConfig(hidden=mapper_hidden).hidden_width(dims.d_v)
-    d = dims.d_v
-    tq = dims.P + 1
-    prompted_layers = dims.L_v - dims.insert_layer
-    per_layer = 5 * d + 4 * d * d + 4 * tq * d + 5 * dims.H * tq
-    return prompted_layers * per_layer + 2 * hidden * d

@@ -1,6 +1,6 @@
 """Persistent formats: tensor blobs, checkpoints, manifests, benchmarks,
-plans, rankings and CSV reports. All writes are atomic (temp file + rename)
-and byte-stable for identical inputs.
+plans, rankings, query encodings and CSV reports. All writes are atomic
+(temp file + rename) and byte-stable for identical inputs.
 
 Tensor blob layout: magic 'ELIP', u8 version=1, u8 dtype (1=f32, 2=f64),
 u8 rank (<=2), u8 zero pad, rank x u64 little-endian dims, then the payload
@@ -31,7 +31,7 @@ from .curation import (
     PairDataset,
     PairRecord,
 )
-from .encoders import ModelBundle, _assemble_model
+from .encoders import ModelBundle, TextEncoding, _assemble_model
 from .errors import ConfigError, DataError, FormatError
 from .retrieval import CurveData, EmbeddingStore, MetricReport, RankingResult
 
@@ -108,6 +108,13 @@ def _integer(path: str, value, what: str) -> int:
     if not _conforms(value, int):
         raise FormatError(f"{path}: {what} {value!r} is not an integer")
     return value
+
+
+def _integers(path: str, value, what: str) -> list[int]:
+    """value, a JSON list of integers."""
+    if not isinstance(value, list):
+        raise FormatError(f"{path}: {what} {value!r} is not a list of integers")
+    return [_integer(path, v, what) for v in value]
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +349,7 @@ def read_dataset(manifest_path: str) -> PairDataset:
             records.append(PairRecord(
                 id=_string(manifest_path, doc["id"], f"line {lineno}: record id"),
                 patches=np.array(blob[row : row + rows], dtype=np.float32),
-                tokens=[_integer(manifest_path, token, f"line {lineno}: token")
-                        for token in doc["tokens"]],
+                tokens=_integers(manifest_path, doc["tokens"], f"line {lineno}: token"),
                 caption=_string(manifest_path, doc["caption"], f"line {lineno}: caption"),
                 categories=set(_strings(manifest_path, doc.get("categories", []),
                                         f"line {lineno}: categories")),
@@ -386,7 +392,7 @@ def write_benchmark(path: str, bench: Benchmark) -> None:
 def read_benchmark(path: str, gallery_ids: list) -> Benchmark:
     queries = _parse_json(path, lambda doc: [
         BenchmarkQuery(
-            text_tokens=[_integer(path, t, f"query {n}: text token") for t in q["text_tokens"]],
+            text_tokens=_integers(path, q["text_tokens"], f"query {n}: text token"),
             positives=set(_strings(path, q["positives"], f"query {n}: positives")),
         )
         for n, q in enumerate(doc["queries"])
@@ -448,6 +454,69 @@ def read_store(store_dir: str) -> EmbeddingStore:
         return EmbeddingStore(ids=ids, matrix=matrix, provenance_seed=seed)
     except DataError as exc:
         raise DataError(f"{store_dir}: {exc}") from exc
+
+
+def _query_fields(dims: DimsConfig) -> list:
+    """(TextEncoding field, shape) of a queries.bin row, in row order."""
+    return [("dense", (dims.m, dims.d_t)), ("t_cls", (dims.d_t,)), ("t_joint", (dims.d_e,))]
+
+
+def write_queries(out_dir: str, model: ModelBundle, bench: Benchmark, queries: list) -> None:
+    """Writes bench's query encodings under model (encode_queries' list) as
+    queries.bin, one row per query of its dense, t_cls and t_joint in the
+    model's dtype, then queries.json, one compact JSON line of
+    model.backbone_key and each query's text_tokens. An older queries.json
+    is removed first and the new one comes last, so a write that fails
+    leaves no queries.json beside other bytes."""
+    json_path = os.path.join(out_dir, "queries.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(json_path)
+    fields = _query_fields(model.dims)
+    rows = np.empty((len(queries), sum(math.prod(shape) for _, shape in fields)), model.dtype)
+    for row, text_enc in zip(rows, queries):
+        row[:] = np.concatenate([getattr(text_enc, name).reshape(-1) for name, _ in fields])
+    write_tensor_blob(os.path.join(out_dir, "queries.bin"), rows)
+    doc = {"backbone_key": model.backbone_key,
+           "text_tokens": [list(q.text_tokens) for q in bench.queries]}
+    atomic_write_text(json_path, json.dumps(doc, sort_keys=True) + "\n")
+
+
+def read_queries(out_dir: str, model: ModelBundle, bench: Benchmark) -> list | None:
+    """The query encodings write_queries left in out_dir, or None when there
+    is no queries.json or it was written for another backbone or for other
+    query tokens than bench's. A malformed queries.json, or a queries.bin
+    that is not one finite row of the model's dtype and width per query, is
+    a FormatError naming the file."""
+    json_path = os.path.join(out_dir, "queries.json")
+    if not os.path.exists(json_path):
+        return None
+
+    def parse(doc):
+        if not isinstance(doc["text_tokens"], list):
+            raise FormatError(f"{json_path}: text_tokens {doc['text_tokens']!r} is not a list")
+        return (_string(json_path, doc["backbone_key"], "backbone_key"),
+                [_integers(json_path, q, f"query {n}: text_tokens")
+                 for n, q in enumerate(doc["text_tokens"])])
+
+    key, tokens = _parse_json(json_path, parse)
+    if key != model.backbone_key or tokens != [list(q.text_tokens) for q in bench.queries]:
+        return None
+    bin_path = os.path.join(out_dir, "queries.bin")
+    rows = read_tensor_blob(bin_path)
+    fields = _query_fields(model.dims)
+    sizes = [math.prod(shape) for _, shape in fields]
+    expected = (len(tokens), sum(sizes))
+    if rows.dtype != model.dtype or rows.shape != expected:
+        raise FormatError(
+            f"{bin_path}: {_DTYPE_NAMES[rows.dtype]} {rows.shape} blob; {len(tokens)} "
+            f"queries need {_DTYPE_NAMES[np.dtype(model.dtype)]} {expected}"
+        )
+    if not np.isfinite(rows).all():
+        raise FormatError(f"{bin_path}: non-finite query encoding")
+    offsets = np.cumsum([0, *sizes]).tolist()
+    return [TextEncoding(**{name: row[a:b].reshape(shape)
+                            for (name, shape), a, b in zip(fields, offsets, offsets[1:])})
+            for row in rows]
 
 
 RANKINGS_VERSION = 2

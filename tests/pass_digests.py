@@ -1,6 +1,7 @@
 """Print the pass digest of benchmark workloads, one JSON line per run.
 
     python tests/pass_digests.py --work-dir DIR [--workload NAME ...] [--seed S ...]
+    python tests/pass_digests.py --work-dir DIR --files [--seed S ...]
 
 Each run is one set-up and one untraced pass of a workload from
 perfbench/workloads.py, loaded by path, on this checkout's src/ tree, with
@@ -9,9 +10,12 @@ workload, the seed, the pass digest and the operations attempted and
 failed. Two checkouts keep the same outputs when they print the same
 lines. cli-wide's digest covers resolved-config.json, which records the
 absolute output directory, so give both checkouts the same --work-dir and
-run them one after the other. Each run works in DIR/<workload>-seed<seed>,
-which is removed before and after it. Not a test module: pytest collects
-test_*.py alone.
+run them one after the other. --files runs cli-wide alone and adds the
+sha256 of each file in its ranked, reranked, eval and curve directories,
+resolved-config.json left out: when one checkout writes files the other
+does not, the files both write can still be compared one by one. Each run
+works in DIR/<workload>-seed<seed>, which is removed before and after it.
+Not a test module: pytest collects test_*.py alone.
 """
 
 import os
@@ -21,6 +25,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
 import shutil  # noqa: E402
@@ -45,16 +50,35 @@ def load_workloads():
     return module
 
 
-def pass_digest(workloads, name: str, seed: int, work_dir: str) -> dict:
+CLI_OUTPUTS = ("ranked", "reranked", "eval", "curve")
+
+
+def output_files(run_dir: str) -> dict:
+    """{dir/name: sha256} of every file cli-wide's pass wrote under
+    CLI_OUTPUTS, but resolved-config.json, which records its absolute
+    out_dir."""
+    digests = {}
+    for out in CLI_OUTPUTS:
+        for name in sorted(os.listdir(os.path.join(run_dir, out))):
+            if name != "resolved-config.json":
+                with open(os.path.join(run_dir, out, name), "rb") as fh:
+                    digests[f"{out}/{name}"] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+def pass_digest(workloads, name: str, seed: int, work_dir: str, files: bool = False) -> dict:
     run_dir = os.path.join(os.path.abspath(work_dir), f"{name}-seed{seed}")
     shutil.rmtree(run_dir, ignore_errors=True)
     try:
         workload = workloads.WORKLOADS[name](run_dir, seed)
         result = workload.run_pass(workload.setup(), workloads.Recorder())
+        line = {"workload": name, "seed": seed, "digest": result.digest, "ops": result.ops,
+                "failed": len(result.failed)}
+        if files:
+            line["files"] = output_files(run_dir)
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
-    return {"workload": name, "seed": seed, "digest": result.digest, "ops": result.ops,
-            "failed": len(result.failed)}
+    return line
 
 
 def main(argv=None) -> int:
@@ -63,11 +87,16 @@ def main(argv=None) -> int:
     parser.add_argument("--work-dir", required=True)
     parser.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", action="append", type=int)
+    parser.add_argument("--files", action="store_true",
+                        help="cli-wide only: add a sha256 per output file")
     args = parser.parse_args(argv)
-    for name in args.workload or sorted(workloads.WORKLOADS):
+    if args.files and set(args.workload or ["cli-wide"]) != {"cli-wide"}:
+        parser.error("--files reads cli-wide's output directories; run it on cli-wide alone")
+    names = ["cli-wide"] if args.files else args.workload or sorted(workloads.WORKLOADS)
+    for name in names:
         for seed in args.seed or [7]:
-            print(json.dumps(pass_digest(workloads, name, seed, args.work_dir), sort_keys=True),
-                  flush=True)
+            line = pass_digest(workloads, name, seed, args.work_dir, args.files)
+            print(json.dumps(line, sort_keys=True), flush=True)
     return 0
 
 

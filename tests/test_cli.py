@@ -6,6 +6,8 @@ import os
 import pathlib
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elip import cli, storage
+from elip import cli, retrieval, storage
 from elip.cli import build_parser, run_command
 from elip.config import DimsConfig, MapperConfig, RunConfig, TrainConfig
 from elip.errors import DataError
@@ -889,6 +891,33 @@ def test_init_model_bad_dims_exit_one(workdir, capsys):
     capsys.readouterr()
 
 
+# run_command in a child whose address space is capped at 2 GiB, so an
+# allocation the config asks for fails there and never touches the machine
+CAPPED_CHILD = """
+import resource, sys
+from elip.cli import run_command
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(run_command(sys.argv[1:]))
+"""
+
+
+def test_memory_error_exits_two_without_traceback(workdir):
+    """A config whose weights cannot be allocated (d_v = 65536 asks for a
+    32 GiB matrix) exits 2 with one status line and leaves no --out."""
+    (workdir / "huge.json").write_text(json.dumps({"dims": {"d_v": 65536, "H": 4}}))
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.run(
+        [sys.executable, "-c", CAPPED_CHILD, "init-model", "--config", "huge.json",
+         "--out", "model"],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=120)
+    assert child.returncode == 2, child.stderr[-2000:]
+    lines = child.stdout.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["status"] == "error"
+    assert child.stderr.startswith("error: ") and "Traceback" not in child.stderr
+    assert not os.path.exists("model")
+
+
 def test_init_model_dense_mean_round_trips(workdir, capsys):
     from elip.storage import load_checkpoint
 
@@ -1430,6 +1459,165 @@ def test_rerank_empty_rankings_exit_two(workdir, capsys):
 
 
 # ---------------------------------------------------------------------------
+# rank keeps its query encodings; rerank reuses them when they match
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """Counts retrieval's encode_text calls, the calls encode_queries makes."""
+    calls = []
+    real = retrieval.encode_text
+
+    def spy(model, tokens):
+        calls.append(list(tokens))
+        return real(model, tokens)
+
+    monkeypatch.setattr(retrieval, "encode_text", spy)
+    return calls
+
+
+def _rerank_bytes(workdir, capsys, encode_calls, out, rankings_dir, bench):
+    """rerank's rankings.json bytes and the encode_text calls it made."""
+    encode_calls.clear()
+    assert run(workdir, "rerank", "--config", "config.json", "--out", out,
+               "--model", "model/checkpoint", "--data", "data/data.jsonl", "--bench", bench,
+               "--rankings", f"{rankings_dir}/rankings.json", "--k", 3) == 0
+    capsys.readouterr()
+    return pathlib.Path(out, "rankings.json").read_bytes(), len(encode_calls)
+
+
+def _edited_bench():
+    """data/benchmark.json with query 0's first token changed, as edited.json."""
+    doc = json.loads(open("data/benchmark.json").read())
+    tokens = doc["queries"][0]["text_tokens"]
+    tokens[0] = tokens[0] % (TINY_CONFIG["dims"]["vocab"] - 1) + 1
+    pathlib.Path("edited.json").write_text(json.dumps(doc))
+    return "edited.json"
+
+
+@pytest.mark.parametrize("variant", ["C", "B"])
+@pytest.mark.parametrize("case", ["present", "deleted", "other_backbone", "edited_tokens"])
+def test_rerank_reuses_rank_encodings_only_when_they_match(workdir, capsys, encode_calls,
+                                                           variant, case):
+    """rerank's bytes equal those of encoding every query afresh, whether
+    rank's queries.json/queries.bin are present, deleted, or written for
+    another backbone or other query tokens; only a match skips the encodes."""
+    build_pipeline(workdir, capsys, variant)
+    assert run(workdir, *RANK_ARGS, "--config", "config.json", "--out", "ranked") == 0
+    assert sorted(os.listdir("ranked")) == ["queries.bin", "queries.json", "rankings.json",
+                                            "resolved-config.json"]
+    queries = len(json.loads(open("data/benchmark.json").read())["queries"])
+    bench = _edited_bench() if case == "edited_tokens" else "data/benchmark.json"
+    if case == "deleted":
+        os.remove("ranked/queries.json")
+        os.remove("ranked/queries.bin")
+    if case == "other_backbone":
+        assert run(workdir, "init-model", "--config", "config.json", "--out", "model8",
+                   "--variant", variant, "--seed", 8) == 0
+        assert run(workdir, *RANK_ARGS, "--config", "config.json", "--out", "ranked8",
+                   "--model", "model8/checkpoint") == 0
+        for name in ("queries.bin", "queries.json"):
+            shutil.copy(f"ranked8/{name}", f"ranked/{name}")
+    os.mkdir("fresh")
+    shutil.copy("ranked/rankings.json", "fresh/rankings.json")
+    capsys.readouterr()
+
+    expected, fresh_calls = _rerank_bytes(workdir, capsys, encode_calls, "rr-fresh", "fresh", bench)
+    got, calls = _rerank_bytes(workdir, capsys, encode_calls, "rr", "ranked", bench)
+    assert fresh_calls == queries
+    assert got == expected
+    assert calls == (0 if case == "present" else queries)
+    if case == "other_backbone":
+        # read under this model's key, the other backbone's encodings move bytes
+        key = storage.load_checkpoint("model/checkpoint").backbone_key
+        _edit_json("ranked/queries.json", lambda doc: doc.update(backbone_key=key))
+        forged, calls = _rerank_bytes(workdir, capsys, encode_calls, "rr-forged", "ranked", bench)
+        assert calls == 0 and forged != expected
+
+
+def _rewrite_queries_blob(edit):
+    rows = storage.read_tensor_blob("ranked/queries.bin")
+    storage.write_tensor_blob("ranked/queries.bin", edit(rows))
+
+
+def _set_nan(rows):
+    rows[1, 2] = np.nan
+    return rows
+
+
+QUERIES_DAMAGE = {
+    "truncated_blob": ("ranked/queries.bin", lambda: pathlib.Path("ranked/queries.bin").write_bytes(
+        pathlib.Path("ranked/queries.bin").read_bytes()[:-4])),
+    "row_too_narrow": ("ranked/queries.bin", lambda: _rewrite_queries_blob(lambda r: r[:, :-1])),
+    "row_too_wide": ("ranked/queries.bin", lambda: _rewrite_queries_blob(
+        lambda r: np.concatenate([r, r[:, :1]], axis=1))),
+    "row_missing": ("ranked/queries.bin", lambda: _rewrite_queries_blob(lambda r: r[1:])),
+    "float64_rows": ("ranked/queries.bin", lambda: _rewrite_queries_blob(
+        lambda r: r.astype(np.float64))),
+    "nan": ("ranked/queries.bin", lambda: _rewrite_queries_blob(_set_nan)),
+    "blob_missing": ("ranked/queries.bin", lambda: os.remove("ranked/queries.bin")),
+    "key_not_a_string": ("ranked/queries.json", lambda: _edit_json(
+        "ranked/queries.json", lambda doc: doc.update(backbone_key=7))),
+    "key_missing": ("ranked/queries.json", lambda: _edit_json(
+        "ranked/queries.json", lambda doc: doc.pop("backbone_key"))),
+    "tokens_not_a_list": ("ranked/queries.json", lambda: _edit_json(
+        "ranked/queries.json", lambda doc: doc.update(text_tokens={}))),
+    "query_tokens_not_a_list": ("ranked/queries.json", lambda: _edit_json(
+        "ranked/queries.json", lambda doc: doc["text_tokens"].__setitem__(0, "1,2"))),
+    "token_a_float": ("ranked/queries.json", lambda: _edit_json(
+        "ranked/queries.json", lambda doc: doc["text_tokens"][0].__setitem__(0, 1.0))),
+    "not_json": ("ranked/queries.json", lambda: pathlib.Path("ranked/queries.json").write_text(
+        "{\"backbone_key\": ")),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(QUERIES_DAMAGE))
+def test_damaged_query_encodings_exit_two(workdir, capsys, damage):
+    """A queries.json that is present but malformed, or a queries.bin that
+    does not hold one finite row of the model's dtype and width per query,
+    exits 2 naming the file, with no traceback and no --out left behind."""
+    build_pipeline(workdir, capsys)
+    assert run(workdir, *RANK_ARGS, "--config", "config.json", "--out", "ranked") == 0
+    capsys.readouterr()
+    path, damage_it = QUERIES_DAMAGE[damage]
+    damage_it()
+    assert_exit_two_without_traceback(
+        workdir, capsys, path, "rerank", "--model", "model/checkpoint",
+        "--data", "data/data.jsonl", "--bench", "data/benchmark.json",
+        "--rankings", "ranked/rankings.json", "--k", 3)
+    assert not os.path.exists("bad")
+
+
+@pytest.mark.parametrize("earlier", [False, True])
+def test_failed_queries_json_write_leaves_none(workdir, capsys, encode_calls, monkeypatch,
+                                               earlier):
+    """rank whose queries.json write fails exits 2 and leaves no queries.json,
+    fresh or from an earlier rank into the same --out; rerank then encodes."""
+    build_pipeline(workdir, capsys)
+    if earlier:
+        assert run(workdir, *RANK_ARGS, "--config", "config.json", "--out", "ranked") == 0
+        assert os.path.exists("ranked/queries.json")
+    real = storage.atomic_write_bytes
+
+    def failing(path, data):
+        if os.path.basename(path) == "queries.json":
+            raise OSError(28, "No space left on device", path)
+        real(path, data)
+
+    monkeypatch.setattr(storage, "atomic_write_bytes", failing)
+    capsys.readouterr()
+    code = run(workdir, *RANK_ARGS, "--config", "config.json", "--out", "ranked")
+    assert_exit_two_naming(capsys, code, "queries.json")
+    assert os.path.exists("ranked/queries.bin") and not os.path.exists("ranked/queries.json")
+    assert not os.path.exists("ranked/queries.json.tmp")
+    monkeypatch.setattr(storage, "atomic_write_bytes", real)
+    queries = len(json.loads(open("data/benchmark.json").read())["queries"])
+    _, calls = _rerank_bytes(workdir, capsys, encode_calls, "rr", "ranked", "data/benchmark.json")
+    assert calls == queries
+
+
+# ---------------------------------------------------------------------------
 # the contract run_command keeps for every subcommand
 # ---------------------------------------------------------------------------
 
@@ -1573,7 +1761,8 @@ def _names_in(tree, node_test) -> list:
 def test_one_owner_for_status_output_and_file_existence():
     """In cli.py only run_command loads the config, writes to stdout or names
     resolved-config.json; in storage.py os.path.exists appears only where a
-    missing file is no error (save_checkpoint's target, the optional vocab)."""
+    missing file is no error (save_checkpoint's target, the optional vocab,
+    the optional query encodings beside a rankings file)."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "elip"
     cli_tree = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
 
@@ -1590,7 +1779,7 @@ def test_one_owner_for_status_output_and_file_existence():
     storage_tree = ast.parse((src / "storage.py").read_text(encoding="utf-8"))
     exists = _names_in(storage_tree, lambda node: isinstance(node, ast.Attribute)
                        and node.attr == "exists")
-    assert sorted(exists) == ["read_dataset", "save_checkpoint"]
+    assert sorted(exists) == ["read_dataset", "read_queries", "save_checkpoint"]
 
 
 def test_every_config_field_is_used_outside_config():
@@ -1604,4 +1793,31 @@ def test_every_config_field_is_used_outside_config():
     unused = [f"{cls.__name__}.{f.name}"
               for cls in (DimsConfig, MapperConfig, TrainConfig, RunConfig)
               for f in fields(cls) if f.name not in used]
+    assert unused == []
+
+
+def test_every_function_is_used_by_the_package_or_the_benchmark():
+    """Each top-level function and method in src/elip is named somewhere in
+    src/ or perfbench/, or exported by elip/__init__.py (a method through its
+    exported class): code only the tests run belongs with the tests."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    modules = {path: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((root / "src" / "elip").glob("*.py"))}
+    benchmark = [ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted((root / "perfbench").glob("*.py"))]
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in [*modules.values(), *benchmark] for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    exported = {alias.asname or alias.name
+                for node in modules[root / "src" / "elip" / "__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = []
+    for path, tree in modules.items():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and top.name not in used | exported:
+                unused.append(f"{path.stem}.{top.name}")
+            if isinstance(top, ast.ClassDef) and top.name not in exported:
+                unused += [f"{path.stem}.{top.name}.{node.name}" for node in top.body
+                           if isinstance(node, ast.FunctionDef)
+                           and not node.name.startswith("__") and node.name not in used]
     assert unused == []

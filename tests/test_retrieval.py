@@ -20,6 +20,7 @@ from elip.retrieval import (
     PR_RECALL_GRID,
     EmbeddingStore,
     RankingResult,
+    _hits_by_query,
     _pr_staircase,
     attention_map,
     curve,
@@ -27,7 +28,6 @@ from elip.retrieval import (
     estimate_flops,
     evaluate,
     mean_average_precision,
-    prompt_flops_slope,
     recall_at_k,
     rerank,
     stage1_rank,
@@ -35,6 +35,7 @@ from elip.retrieval import (
 from elip.rng import Rng
 
 from conftest import TINY, encode_one, make_records, randomize_mapper, ranking_from_entries
+from oracles import prompt_flops_slope
 
 
 def unit(v):
@@ -509,7 +510,8 @@ def test_pr_staircase_equals_scalar_loop_reference(seed):
         ranking = ranking_from_entries(query_id="q0000", entries=list(zip(ids, scores)), stage="stage1")
         for n_pos in sorted({1, max(1, size // 3), max(1, size)}):
             positives = set(rng.choice(ids, size=n_pos, replace=False).tolist()) if size else {"x"}
-            recalls, precisions = _pr_staircase(ranking, positives)
+            hits = np.array([image_id in positives for image_id in ranking.ranked_ids()], bool)
+            recalls, precisions = _pr_staircase(ranking.scores, hits, len(positives))
             got = list(zip(recalls.tolist(), precisions.tolist()))
             assert got == loop_pr_staircase(ranking, positives)
 
@@ -673,6 +675,21 @@ def test_columnar_rankings_match_per_entry_oracle(case):
         assert float_bits(recall) == float_bits(
             [(float(k), float(np.mean([row[f"recall@{k}"] for row in expected.values()])))
              for k in ks])
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_rankings())
+def test_hit_masks_equal_a_scan_of_the_gallery(case):
+    """The masks _hits_by_query sets through one id -> index map per shared
+    gallery list equal a membership test of every gallery id, for rankings
+    over several galleries, cut short, and positives outside the gallery."""
+    rankings, bench, _ = case
+    masks = _hits_by_query(rankings, bench)
+    assert [(r, q) for r, q, _ in masks] == list(zip(rankings, bench.queries))
+    for ranking, q, hits in masks:
+        gallery = ranking.gallery
+        scan = np.fromiter(map(q.positives.__contains__, gallery), bool, len(gallery))
+        assert hits.dtype == bool and hits.tobytes() == scan[ranking.order].tobytes()
 
 
 # ---------------------------------------------------------------------------
