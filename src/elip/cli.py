@@ -23,7 +23,7 @@ import sys
 from dataclasses import asdict, replace
 
 from . import storage
-from .config import RunConfig
+from .config import VARIANTS, RunConfig
 from .curation import (
     SynthSpec,
     build_occluded_benchmark,
@@ -327,14 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synth", help="generate the planted synthetic dataset")
     common(p)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--clusters", type=int, default=20)
+    p.add_argument("--n", type=int, default=SynthSpec.N)
+    p.add_argument("--clusters", type=int, default=SynthSpec.clusters)
     p.add_argument("--signal-strength", type=float, default=SynthSpec.signal_strength)
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("init-model", help="draw a frozen model bundle")
     common(p)
-    p.add_argument("--variant", choices=("C", "S", "B"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--n-prompts", type=int)
     p.add_argument("--insert-layer", type=int)
     p.add_argument("--mapper-input", choices=("cls", "dense_mean"))

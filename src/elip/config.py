@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from types import UnionType
+from types import GenericAlias, UnionType
 from typing import get_args, get_type_hints
 
 from .errors import ConfigError
@@ -138,9 +138,13 @@ class RunConfig:
 
 
 def _conforms(value, hint) -> bool:
-    """value has the JSON shape of the field type hint; a bool is no number."""
+    """value has the JSON shape of the field type hint, list[T] a list of
+    T; a bool is no number."""
     if isinstance(hint, UnionType):
         return any(_conforms(value, h) for h in get_args(hint))
+    if isinstance(hint, GenericAlias):
+        item = get_args(hint)[0]
+        return isinstance(value, list) and all(_conforms(v, item) for v in value)
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)

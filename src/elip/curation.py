@@ -14,7 +14,7 @@ import numpy as np
 from .config import DimsConfig
 from .encoders import ModelBundle, frozen_image, frozen_text
 from .errors import ConfigError, DataError
-from .numkit import Array, row_dots
+from .numkit import Array, order_desc, row_dots
 from .objectives import PairTable, variant_batch_loss
 from .rng import Rng
 
@@ -121,10 +121,10 @@ def mine_hard_batches(
         text_mat, image_mat = model_or_embeddings
         source_seed = 0
     batches = []
+    indices = np.arange(n)
     for i in range(n):
-        # row_dots keeps each score bitwise equal to a scalar np.dot; a
-        # stable sort of the negated scores breaks ties by ascending index
-        order = np.argsort(-row_dots(image_mat, text_mat[i]), kind="stable")
+        # row_dots keeps each score bitwise equal to a scalar np.dot
+        order = order_desc(row_dots(image_mat, text_mat[i]), indices)
         selected = [i]
         used = set(ds.records[i].categories) if unique_category else None
         for j in order.tolist():

@@ -1,6 +1,7 @@
 """Persistent formats: tensor blobs, checkpoints, manifests, benchmarks,
 plans, rankings, query encodings and CSV reports. All writes are atomic
-(temp file + rename) and byte-stable for identical inputs.
+(temp file + rename, a checkpoint or gallery store as one directory) and
+byte-stable for identical inputs.
 
 Tensor blob layout: magic 'ELIP', u8 version=1, u8 dtype (1=f32, 2=f64),
 u8 rank (<=2), u8 zero pad, rank x u64 little-endian dims, then the payload
@@ -20,6 +21,7 @@ import os
 import shutil
 import struct
 from dataclasses import asdict
+from typing import get_args
 
 import numpy as np
 
@@ -65,6 +67,31 @@ def write_json(path: str, doc) -> None:
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _publish_dir(out_dir: str, write) -> None:
+    """write(tmp) fills the sibling directory `.<name>.tmp`, which is then
+    renamed into place, so out_dir never holds a half-written or mixed set
+    of files: a write that fails leaves the previous out_dir as it was.
+    POSIX cannot swap two directories in one rename, so an existing out_dir
+    is first renamed to `.<name>.old`, which is deleted once the new one is
+    in place."""
+    target = os.path.normpath(out_dir)
+    parent, base = os.path.split(target)
+    tmp = os.path.join(parent, f".{base}.tmp")
+    aside = os.path.join(parent, f".{base}.old")
+    shutil.rmtree(tmp, ignore_errors=True)  # left by an interrupted publish
+    os.makedirs(tmp)
+    try:
+        write(tmp)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if os.path.exists(target):
+        shutil.rmtree(aside, ignore_errors=True)
+        os.replace(target, aside)
+    os.replace(tmp, target)
+    shutil.rmtree(aside, ignore_errors=True)
+
+
 def _open(path: str, text: bool = False):
     """path opened for reading, as UTF-8 text or as bytes; a file that is
     missing, a directory or unreadable is a DataError naming the path."""
@@ -77,44 +104,39 @@ def _open(path: str, text: bool = False):
 _MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
+@contextlib.contextmanager
+def _malformed(where: str):
+    """Bad JSON, a missing key or a wrongly typed value inside is one
+    FormatError at where; a DataError raised inside passes through."""
+    try:
+        yield
+    except DataError:
+        raise
+    except _MALFORMED as exc:
+        raise FormatError(f"{where}: malformed ({type(exc).__name__}: {exc})") from exc
+
+
 def _parse_json(path: str, parse):
-    """parse(doc) of the JSON file at path. Bad JSON, a missing key or a
-    wrongly typed value anywhere in the parse is one FormatError; a
-    FormatError that parse raises itself passes through unchanged."""
-    with _open(path, text=True) as fh:
-        try:
-            return parse(json.load(fh))
-        except FormatError:
-            raise
-        except _MALFORMED as exc:
-            raise FormatError(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
+    """parse(doc) of the JSON file at path, any fault _malformed at path."""
+    with _open(path, text=True) as fh, _malformed(path):
+        return parse(json.load(fh))
 
 
-def _string(path: str, value, what: str) -> str:
-    if not isinstance(value, str):
-        raise FormatError(f"{path}: {what} {value!r} is not a string")
-    return value
+_KINDS = {int: "an integer", str: "a string", list: "a list",
+          list[int]: "a list of integers", list[str]: "a list of strings"}
 
 
-def _strings(path: str, value, what: str) -> list[str]:
-    """value, a JSON list of strings."""
-    if not isinstance(value, list):
-        raise FormatError(f"{path}: {what} {value!r} is not a list of strings")
-    return [_string(path, v, what) for v in value]
-
-
-def _integer(path: str, value, what: str) -> int:
-    """value, a JSON integer: neither a float nor a bool."""
-    if not _conforms(value, int):
-        raise FormatError(f"{path}: {what} {value!r} is not an integer")
-    return value
-
-
-def _integers(path: str, value, what: str) -> list[int]:
-    """value, a JSON list of integers."""
-    if not isinstance(value, list):
-        raise FormatError(f"{path}: {what} {value!r} is not a list of integers")
-    return [_integer(path, v, what) for v in value]
+def _typed(path: str, value, hint, what: str):
+    """value, when it has the JSON shape of hint (a key of _KINDS; an int is
+    neither a float nor a bool). Otherwise a FormatError `<path>: <what>
+    <value> is not <kind>`, naming a list's first wrong element, if it has
+    one, rather than the list."""
+    if _conforms(value, hint):
+        return value
+    if isinstance(value, list) and get_args(hint):
+        hint = get_args(hint)[0]
+        value = next(v for v in value if not _conforms(v, hint))
+    raise FormatError(f"{path}: {what} {value!r} is not {_KINDS[hint]}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,27 +211,8 @@ _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 
 def save_checkpoint(ckpt_dir: str, model: ModelBundle) -> None:
-    """Writes the checkpoint into the sibling directory `.<name>.tmp` and
-    renames it into place, so ckpt_dir never holds a half-written or mixed
-    checkpoint. POSIX cannot swap two directories in one rename, so an
-    existing checkpoint is first renamed to `.<name>.old`, which is deleted
-    once the new one is in place."""
-    target = os.path.normpath(ckpt_dir)
-    parent, base = os.path.split(target)
-    tmp = os.path.join(parent, f".{base}.tmp")
-    aside = os.path.join(parent, f".{base}.old")
-    shutil.rmtree(tmp, ignore_errors=True)  # left by an interrupted save
-    os.makedirs(tmp)
-    try:
-        _write_checkpoint_files(tmp, model)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    if os.path.exists(target):
-        shutil.rmtree(aside, ignore_errors=True)
-        os.replace(target, aside)
-    os.replace(tmp, target)
-    shutil.rmtree(aside, ignore_errors=True)
+    """Publishes the checkpoint's blobs and index.json as one directory."""
+    _publish_dir(ckpt_dir, lambda out_dir: _write_checkpoint_files(out_dir, model))
 
 
 def _write_checkpoint_files(out_dir: str, model: ModelBundle) -> None:
@@ -242,7 +245,7 @@ def load_checkpoint(ckpt_dir: str) -> ModelBundle:
         if doc["dtype"] not in ("f32", "f64"):
             raise FormatError(f"{index_path}: dtype {doc['dtype']!r} is not f32 or f64")
         return (
-            _integer(index_path, doc["seed"], "seed"),
+            _typed(index_path, doc["seed"], int, "seed"),
             doc["variant"],
             # read as RunConfig reads them; a ConfigError is a malformed index
             _from_doc(DimsConfig, doc["dims"], ("dims",)),
@@ -329,15 +332,15 @@ def read_dataset(manifest_path: str) -> PairDataset:
     with _open(manifest_path) as fh:
         lines = fh.read().splitlines()
     for lineno, line in enumerate(lines, start=1):
-        try:
+        with _malformed(f"{manifest_path}:{lineno}"):
             line = line.decode("utf-8").strip()
             if not line:
                 continue
             doc = json.loads(line)
             patches_ref = doc["patches"]
             fname = patches_ref["file"]
-            row = _integer(manifest_path, patches_ref["row"], f"line {lineno}: patches row")
-            rows = _integer(manifest_path, patches_ref["rows"], f"line {lineno}: patches rows")
+            row = _typed(manifest_path, patches_ref["row"], int, f"line {lineno}: patches row")
+            rows = _typed(manifest_path, patches_ref["rows"], int, f"line {lineno}: patches rows")
             if fname not in blobs:
                 blobs[fname] = read_tensor_blob(os.path.join(base, fname))
             blob = blobs[fname]
@@ -347,21 +350,15 @@ def read_dataset(manifest_path: str) -> PairDataset:
                     f"outside blob of {blob.shape[0]} rows"
                 )
             records.append(PairRecord(
-                id=_string(manifest_path, doc["id"], f"line {lineno}: record id"),
+                id=_typed(manifest_path, doc["id"], str, f"line {lineno}: record id"),
                 patches=np.array(blob[row : row + rows], dtype=np.float32),
-                tokens=_integers(manifest_path, doc["tokens"], f"line {lineno}: token"),
-                caption=_string(manifest_path, doc["caption"], f"line {lineno}: caption"),
-                categories=set(_strings(manifest_path, doc.get("categories", []),
-                                        f"line {lineno}: categories")),
-                occluded_categories=set(_strings(manifest_path, doc.get("occluded_categories", []),
-                                                 f"line {lineno}: occluded_categories")),
+                tokens=_typed(manifest_path, doc["tokens"], list[int], f"line {lineno}: token"),
+                caption=_typed(manifest_path, doc["caption"], str, f"line {lineno}: caption"),
+                categories=set(_typed(manifest_path, doc.get("categories", []), list[str],
+                                      f"line {lineno}: categories")),
+                occluded_categories=set(_typed(manifest_path, doc.get("occluded_categories", []),
+                                               list[str], f"line {lineno}: occluded_categories")),
             ))
-        except DataError:
-            raise
-        except _MALFORMED as exc:
-            raise FormatError(
-                f"{manifest_path}:{lineno}: malformed ({type(exc).__name__}: {exc})"
-            ) from exc
     if not records:
         raise FormatError(f"{manifest_path}: no records")
     vocab_path = os.path.join(base, "vocab.json")
@@ -372,7 +369,7 @@ def read_dataset(manifest_path: str) -> PairDataset:
 def read_vocab(path: str) -> dict:
     """Tokenizer table: word -> token id."""
     return _parse_json(path, lambda doc: {
-        word: _integer(path, tid, f"id of {word!r}") for word, tid in doc.items()
+        word: _typed(path, tid, int, f"id of {word!r}") for word, tid in doc.items()
     })
 
 
@@ -392,8 +389,8 @@ def write_benchmark(path: str, bench: Benchmark) -> None:
 def read_benchmark(path: str, gallery_ids: list) -> Benchmark:
     queries = _parse_json(path, lambda doc: [
         BenchmarkQuery(
-            text_tokens=_integers(path, q["text_tokens"], f"query {n}: text token"),
-            positives=set(_strings(path, q["positives"], f"query {n}: positives")),
+            text_tokens=_typed(path, q["text_tokens"], list[int], f"query {n}: text token"),
+            positives=set(_typed(path, q["positives"], list[str], f"query {n}: positives")),
         )
         for n, q in enumerate(doc["queries"])
     ])
@@ -421,30 +418,31 @@ def write_plan(path: str, plan: CurationPlan) -> None:
 
 def read_plan(path: str) -> CurationPlan:
     def parse(doc):
-        batches = [[_integer(path, k, f"batch {n} index") for k in b]
+        batches = [_typed(path, b, list[int], f"batch {n} index")
                    for n, b in enumerate(doc["batches"])]
         scores = doc.get("learnability")
-        if not (scores is None or isinstance(scores, list) and len(scores) == len(batches)
-                and all(_conforms(s, float) for s in scores)):
+        if not (scores is None or _conforms(scores, list[float]) and len(scores) == len(batches)):
             raise FormatError(f"{path}: learnability {scores!r} is neither null nor "
                               f"a list of {len(batches)} numbers, one per batch")
         return CurationPlan(batches=batches, learnability=scores,
-                            source_seed=_integer(path, doc.get("source_seed", 0), "source_seed"))
+                            source_seed=_typed(path, doc.get("source_seed", 0), int, "source_seed"))
     return _parse_json(path, parse)
 
 
-def write_store(out_dir: str, store: EmbeddingStore) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    write_tensor_blob(os.path.join(out_dir, "embeddings.bin"), store.matrix)
-    write_json(os.path.join(out_dir, "ids.json"),
-               {"ids": store.ids, "seed": store.provenance_seed})
+def write_store(store_dir: str, store: EmbeddingStore) -> None:
+    """Publishes embeddings.bin and ids.json as one directory."""
+    def write(out_dir):
+        write_tensor_blob(os.path.join(out_dir, "embeddings.bin"), store.matrix)
+        write_json(os.path.join(out_dir, "ids.json"),
+                   {"ids": store.ids, "seed": store.provenance_seed})
+    _publish_dir(store_dir, write)
 
 
 def read_store(store_dir: str) -> EmbeddingStore:
     ids_path = os.path.join(store_dir, "ids.json")
     ids, seed = _parse_json(ids_path, lambda doc: (
-        [_string(ids_path, image_id, "image id") for image_id in doc["ids"]],
-        _integer(ids_path, doc["seed"], "seed"),
+        _typed(ids_path, doc["ids"], list[str], "image id"),
+        _typed(ids_path, doc["seed"], int, "seed"),
     ))
     matrix_path = os.path.join(store_dir, "embeddings.bin")
     matrix = read_tensor_blob(matrix_path)
@@ -491,14 +489,11 @@ def read_queries(out_dir: str, model: ModelBundle, bench: Benchmark) -> list | N
     if not os.path.exists(json_path):
         return None
 
-    def parse(doc):
-        if not isinstance(doc["text_tokens"], list):
-            raise FormatError(f"{json_path}: text_tokens {doc['text_tokens']!r} is not a list")
-        return (_string(json_path, doc["backbone_key"], "backbone_key"),
-                [_integers(json_path, q, f"query {n}: text_tokens")
-                 for n, q in enumerate(doc["text_tokens"])])
-
-    key, tokens = _parse_json(json_path, parse)
+    key, tokens = _parse_json(json_path, lambda doc: (
+        _typed(json_path, doc["backbone_key"], str, "backbone_key"),
+        [_typed(json_path, q, list[int], f"query {n}: text_tokens")
+         for n, q in enumerate(_typed(json_path, doc["text_tokens"], list, "text_tokens"))],
+    ))
     if key != model.backbone_key or tokens != [list(q.text_tokens) for q in bench.queries]:
         return None
     bin_path = os.path.join(out_dir, "queries.bin")
@@ -577,12 +572,12 @@ def read_rankings(path: str) -> list:
                 f"{path}: rankings format version {version!r} is not "
                 f"{RANKINGS_VERSION}; re-run `elip rank` to rewrite it"
             )
-        ids = [_string(path, image_id, "image id") for image_id in doc["ids"]]
+        ids = _typed(path, doc["ids"], list[str], "image id")
         if len(set(ids)) != len(ids):
             raise FormatError(f"{path}: ids repeat an image id")
         results, qids = [], set()
         for r in doc["rankings"]:
-            qid = _string(path, r["query_id"], "query id")
+            qid = _typed(path, r["query_id"], str, "query id")
             if qid in qids:
                 raise FormatError(f"{path}: query {qid!r} is ranked twice")
             qids.add(qid)
@@ -599,7 +594,7 @@ def read_rankings(path: str) -> list:
                 )
             if len(order) and np.bincount(order).max() > 1:
                 raise FormatError(f"{path}: query {qid!r}: order repeats an image")
-            k_reranked = _integer(path, r["k_reranked"], f"query {qid!r}: k_reranked")
+            k_reranked = _typed(path, r["k_reranked"], int, f"query {qid!r}: k_reranked")
             if not 0 <= k_reranked <= len(order):
                 raise FormatError(
                     f"{path}: query {qid!r}: k_reranked {k_reranked} outside [0, {len(order)}]"
@@ -609,7 +604,7 @@ def read_rankings(path: str) -> list:
                 gallery=ids,
                 order=order,
                 scores=scores,
-                stage=_string(path, r["stage"], "stage"),
+                stage=_typed(path, r["stage"], str, "stage"),
                 k_reranked=k_reranked,
             ))
         return results

@@ -11,9 +11,10 @@ failed. Two checkouts keep the same outputs when they print the same
 lines. cli-wide's digest covers resolved-config.json, which records the
 absolute output directory, so give both checkouts the same --work-dir and
 run them one after the other. --files runs cli-wide alone and adds the
-sha256 of each file in its ranked, reranked, eval and curve directories,
-resolved-config.json left out: when one checkout writes files the other
-does not, the files both write can still be compared one by one. Each run
+sha256 of each file its set-up (data, model, gal) and its pass (ranked,
+reranked, eval, curve) wrote, resolved-config.json left out: a change to
+a writer shows as the files it moves, and when one checkout writes files
+the other does not, the files both write can still be compared. Each run
 works in DIR/<workload>-seed<seed>, which is removed before and after it.
 Not a test module: pytest collects test_*.py alone.
 """
@@ -50,19 +51,21 @@ def load_workloads():
     return module
 
 
-CLI_OUTPUTS = ("ranked", "reranked", "eval", "curve")
+CLI_OUTPUTS = ("data", "model", "gal", "ranked", "reranked", "eval", "curve")
 
 
 def output_files(run_dir: str) -> dict:
-    """{dir/name: sha256} of every file cli-wide's pass wrote under
-    CLI_OUTPUTS, but resolved-config.json, which records its absolute
-    out_dir."""
+    """{path under run_dir: sha256} of every file cli-wide's set-up and pass
+    wrote under CLI_OUTPUTS, subdirectories included, but
+    resolved-config.json, which records its absolute out_dir."""
     digests = {}
     for out in CLI_OUTPUTS:
-        for name in sorted(os.listdir(os.path.join(run_dir, out))):
-            if name != "resolved-config.json":
-                with open(os.path.join(run_dir, out, name), "rb") as fh:
-                    digests[f"{out}/{name}"] = hashlib.sha256(fh.read()).hexdigest()
+        for parent, dirs, names in os.walk(os.path.join(run_dir, out)):
+            dirs.sort()
+            for name in sorted(set(names) - {"resolved-config.json"}):
+                path = os.path.join(parent, name)
+                with open(path, "rb") as fh:
+                    digests[os.path.relpath(path, run_dir)] = hashlib.sha256(fh.read()).hexdigest()
     return digests
 
 

@@ -45,9 +45,13 @@ def run(workdir, *argv):
 
 
 def status_line(capsys):
-    out = capsys.readouterr().out.strip().splitlines()
-    assert len(out) == 1, f"expected one status line, got {out!r}"
-    return json.loads(out[0])
+    return status_line_of(capsys.readouterr().out)
+
+
+def status_line_of(out):
+    lines = out.strip().splitlines()
+    assert len(lines) == 1, f"expected one status line, got {lines!r}"
+    return json.loads(lines[0])
 
 
 def build_pipeline(workdir, capsys, variant="C"):
@@ -1003,6 +1007,9 @@ FUZZED = {
     "data/vocab.json": ("bench-occluded", "--data", "data/data.jsonl"),
     "data/data.jsonl": ("embed-gallery", "--model", "model/checkpoint",
                         "--data", "data/data.jsonl"),
+    "ranked/queries.json": ("rerank", "--model", "model/checkpoint", "--data", "data/data.jsonl",
+                            "--bench", "data/benchmark.json",
+                            "--rankings", "ranked/rankings.json", "--k", 3),
 }
 
 
@@ -1054,10 +1061,75 @@ def _rankings_damage(data):
     return st.one_of(garbled, reordered)
 
 
+# one value per JSON type; integers stay small, so no edit asks for a large
+# allocation
+JSON_VALUES = {
+    int: st.integers(-2, 2),
+    float: st.floats(-4, 4),
+    str: st.text(max_size=3),
+    bool: st.booleans(),
+    type(None): st.none(),
+    list: st.lists(st.integers(0, 2), max_size=2),
+    dict: st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+}
+
+
+def _field_damage(data, lines):
+    """Field-level damage to a JSON artifact (one document per line when
+    lines): one leaf (a scalar or an empty list or object) swapped to a
+    value of another JSON type, one key deleted, or one unknown key added."""
+    doc = [json.loads(line) for line in data.splitlines()] if lines else json.loads(data)
+    leaves, keys, objects = [], [], []
+
+    def walk(node, path):
+        children = list(node.items() if isinstance(node, dict)
+                        else enumerate(node) if isinstance(node, list) else ())
+        if isinstance(node, dict):
+            objects.append(path)
+            keys.extend((*path, key) for key, _ in children)
+        if not children:
+            leaves.append(path)
+        for key, child in children:
+            walk(child, (*path, key))
+
+    walk(doc, ())
+
+    def at(node, path):
+        for key in path:
+            node = node[key]
+        return node
+
+    def edited(edit):
+        def apply(args):
+            d = json.loads(json.dumps(doc))
+            edit(d, *args)
+            text = "".join(json.dumps(x) + "\n" for x in d) if lines else json.dumps(d)
+            return text.encode()
+        return apply
+
+    def swap(d, path, value):
+        at(d, path[:-1])[path[-1]] = value
+
+    def delete(d, path):
+        del at(d, path[:-1])[path[-1]]
+
+    def add(d, path, value):
+        at(d, path)["fuzz_unknown"] = value
+
+    swapped = st.sampled_from(leaves).flatmap(lambda path: st.sampled_from(
+        [kind for kind in JSON_VALUES if kind is not type(at(doc, path))]
+    ).flatmap(lambda kind: st.tuples(st.just(path), JSON_VALUES[kind])))
+    value = st.one_of(*JSON_VALUES.values())
+    return st.one_of(swapped.map(edited(swap)),
+                     st.tuples(st.sampled_from(keys)).map(edited(delete)),
+                     st.tuples(st.sampled_from(objects), value).map(edited(add)))
+
+
 @pytest.mark.parametrize("path", sorted(FUZZED))
 def test_fuzzed_artifact_exits_cleanly(workdir, capsys, path):
     """A damaged artifact either still reads (exit 0) or exits 1 or 2 with
-    an error status line and an `error:` message; run_command never raises."""
+    one error status line, an `error:` message and no --out left behind;
+    run_command never raises."""
     build_pipeline(workdir, capsys)
     assert run(workdir, "rank", "--config", "config.json", "--out", "ranked",
                "--model", "model/checkpoint", "--gallery", "gal/gallery",
@@ -1065,25 +1137,29 @@ def test_fuzzed_artifact_exits_cleanly(workdir, capsys, path):
     capsys.readouterr()
     with open(path, "rb") as fh:
         original = fh.read()
-    damage = _byte_damage(original)
+    damage = st.one_of(_byte_damage(original),
+                       _field_damage(original.decode(), path.endswith(".jsonl")))
     if path.endswith("rankings.json"):
         damage = st.one_of(damage, _rankings_damage(original))
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(damaged=damage)
     def check(damaged):
         with open(path, "wb") as fh:
             fh.write(damaged)
         try:
             code = run(workdir, *FUZZED[path], "--config", "config.json", "--out", "fuzz")
+            left = os.path.exists("fuzz")
         finally:
             with open(path, "wb") as fh:
                 fh.write(original)
+            shutil.rmtree("fuzz", ignore_errors=True)
         out, err = capsys.readouterr()
         assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        assert status_line_of(out)["status"] == ("error" if code else "ok")
         if code:
-            assert json.loads(out)["status"] == "error"
-            assert err.startswith("error: ") and "Traceback" not in err
+            assert err.startswith("error: ") and not left
 
     check()
 
@@ -1761,8 +1837,8 @@ def _names_in(tree, node_test) -> list:
 def test_one_owner_for_status_output_and_file_existence():
     """In cli.py only run_command loads the config, writes to stdout or names
     resolved-config.json; in storage.py os.path.exists appears only where a
-    missing file is no error (save_checkpoint's target, the optional vocab,
-    the optional query encodings beside a rankings file)."""
+    missing file is no error (the target of a directory publish, the optional
+    vocab, the optional query encodings beside a rankings file)."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "elip"
     cli_tree = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
 
@@ -1779,7 +1855,7 @@ def test_one_owner_for_status_output_and_file_existence():
     storage_tree = ast.parse((src / "storage.py").read_text(encoding="utf-8"))
     exists = _names_in(storage_tree, lambda node: isinstance(node, ast.Attribute)
                        and node.attr == "exists")
-    assert sorted(exists) == ["read_dataset", "read_queries", "save_checkpoint"]
+    assert sorted(exists) == ["_publish_dir", "read_dataset", "read_queries"]
 
 
 def test_every_config_field_is_used_outside_config():

@@ -424,6 +424,32 @@ def test_store_round_trip_and_stability(tmp_path):
     assert back.provenance_seed == 7
 
 
+def test_store_write_failing_at_ids_keeps_old_store(tmp_path, monkeypatch):
+    """A second write_store whose ids.json write fails used to leave the new
+    embeddings.bin under the old ids and seed, and read_store accepted the
+    pair; the store is now replaced whole or not at all."""
+    old = EmbeddingStore(ids=["a", "b", "c"], matrix=np.eye(3, dtype=np.float32),
+                         provenance_seed=7)
+    store_dir = str(tmp_path / "gallery")
+    storage.write_store(store_dir, old)
+    real = storage.atomic_write_bytes
+
+    def failing(path, data):
+        if os.path.basename(path) == "ids.json":
+            raise OSError(28, "No space left on device", path)
+        real(path, data)
+
+    monkeypatch.setattr(storage, "atomic_write_bytes", failing)
+    new = EmbeddingStore(ids=["x", "y", "z"], matrix=np.eye(3, dtype=np.float32)[::-1].copy(),
+                         provenance_seed=9)
+    with pytest.raises(OSError, match="No space left"):
+        storage.write_store(store_dir, new)
+    back = storage.read_store(store_dir)
+    assert (back.ids, back.provenance_seed) == (old.ids, 7)
+    assert back.matrix.tobytes() == old.matrix.tobytes()
+    assert os.listdir(tmp_path) == ["gallery"]
+
+
 def test_rankings_round_trip(tmp_path):
     rankings = [ranking_from_entries(
         query_id="q0000",
