@@ -1,7 +1,6 @@
 """Command-line surface.
 
-run_command owns every command's bookkeeping: it loads the run config
-(ELIP_SEED overrides the config seed; an explicit --seed wins over both) and
+run_command owns every command's bookkeeping: it loads the run config and
 calls `cmd_x(args, cfg)`, which writes its artifacts under --out and returns
 its status fields. On success run_command writes resolved-config.json and
 prints one JSON status line ("status": "ok", the seed and those fields), exit
@@ -11,6 +10,13 @@ that are still empty, and exits 1 on usage/config errors, 2 on data/format
 errors (an input that cannot be read, an --out that cannot be created or
 written, named by path, and inputs too large to allocate included), 3 on
 numeric errors.
+
+The run config is the --config file (RunConfig defaults without one), then
+ELIP_SEED, then each flag that is not None (--out defaults to "out"): a flag
+sets the config field its argparse dest names (`--steps` has dest
+`train.steps`). _load_config alone applies that rule, so a command reads its
+settings from cfg and resolved-config.json replays its run. A dest that
+names no RunConfig field is the command's own input.
 """
 
 from __future__ import annotations
@@ -20,12 +26,11 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 from . import storage
-from .config import VARIANTS, RunConfig
+from .config import VARIANTS, RunConfig, SynthSpec
 from .curation import (
-    SynthSpec,
     build_occluded_benchmark,
     gen_synthetic_dataset,
     mine_hard_batches,
@@ -61,10 +66,20 @@ def _load_config(args) -> RunConfig:
             cfg.seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"ELIP_SEED must be an integer, got {env_seed!r}") from exc
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out:
-        cfg.out_dir = args.out
+    config_fields = {f.name for f in fields(RunConfig)}
+    for dest, value in vars(args).items():
+        path = dest.split(".")
+        if value is None or path[0] not in config_fields:
+            continue
+        node = cfg
+        for name in path[:-1]:
+            node = getattr(node, name)
+        if isinstance(node, dict):
+            node[path[-1]] = value
+        else:
+            setattr(node, path[-1], value)
+    if not cfg.out_dir:
+        raise ConfigError("--out must name a directory, got ''")
     return cfg
 
 
@@ -104,10 +119,7 @@ def _parse_int_list(text: str) -> list:
 
 
 def cmd_gen_synth(args, cfg: RunConfig) -> dict:
-    spec = SynthSpec(
-        N=args.n, clusters=args.clusters, signal_strength=args.signal_strength,
-        P=cfg.dims.P, d_in=cfg.dims.d_in, m=cfg.dims.m,
-    )
+    spec = SynthSpec(**cfg.synth, P=cfg.dims.P, d_in=cfg.dims.d_in, m=cfg.dims.m)
     needed_vocab = 1 + spec.clusters + -(-spec.N // spec.clusters)
     if needed_vocab > cfg.dims.vocab:
         raise ConfigError(
@@ -125,17 +137,7 @@ def cmd_gen_synth(args, cfg: RunConfig) -> dict:
 
 
 def cmd_init_model(args, cfg: RunConfig) -> dict:
-    if args.variant:
-        cfg.variant = args.variant
-    dims = cfg.dims
-    if args.n_prompts is not None:
-        dims = replace(dims, n=args.n_prompts)
-    if args.insert_layer is not None:
-        dims = replace(dims, insert_layer=args.insert_layer)
-    cfg.dims = dims
-    if args.mapper_input:
-        cfg.mapper = replace(cfg.mapper, input_mode=args.mapper_input)
-    model = init_frozen_model(cfg.seed, dims, cfg.variant, cfg.mapper)
+    model = init_frozen_model(cfg.seed, cfg.dims, cfg.variant, cfg.mapper)
     ckpt_dir = os.path.join(cfg.out_dir, "checkpoint")
     storage.save_checkpoint(ckpt_dir, model)
     return dict(variant=cfg.variant, checkpoint=ckpt_dir,
@@ -173,20 +175,7 @@ def cmd_curate_select(args, cfg: RunConfig) -> dict:
 def cmd_train(args, cfg: RunConfig) -> dict:
     model, ds = _load_model_and_data(args)
     plan = storage.read_plan(args.plan)
-    tc = cfg.train
-    tc = replace(
-        tc,
-        variant=model.variant,
-        seed=cfg.seed,
-        steps=args.steps if args.steps is not None else tc.steps,
-        lr=args.lr if args.lr is not None else tc.lr,
-        conditioning=args.conditioning or tc.conditioning,
-        finetune_itm=args.finetune_itm or tc.finetune_itm,
-        jest_fraction=args.jest_fraction if args.jest_fraction is not None else tc.jest_fraction,
-        subset_fraction=args.subset_fraction if args.subset_fraction is not None else tc.subset_fraction,
-        ckpt_interval=args.ckpt_interval if args.ckpt_interval is not None else tc.ckpt_interval,
-    )
-    cfg.train = tc
+    cfg.train = tc = replace(cfg.train, variant=model.variant, seed=cfg.seed)
     cfg.variant = model.variant
 
     def hook(step, m):
@@ -223,8 +212,7 @@ def cmd_rank(args, cfg: RunConfig) -> dict:
 def cmd_rerank(args, cfg: RunConfig) -> dict:
     model, ds = _load_model_and_data(args)
     rankings, bench = _load_rankings_and_bench(args)
-    k = args.k if args.k is not None else cfg.rerank_k
-    cfg.rerank_k = k
+    k = cfg.rerank_k
     # the encodings `rank` kept beside the rankings, when they are this
     # backbone's encodings of these query tokens
     queries = storage.read_queries(os.path.dirname(args.rankings), model, bench)
@@ -323,21 +311,21 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="RunConfig JSON path")
         p.add_argument("--seed", type=int, help="override the run seed")
-        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--out", dest="out_dir", default="out", help="output directory")
 
     p = sub.add_parser("gen-synth", help="generate the planted synthetic dataset")
     common(p)
-    p.add_argument("--n", type=int, default=SynthSpec.N)
-    p.add_argument("--clusters", type=int, default=SynthSpec.clusters)
-    p.add_argument("--signal-strength", type=float, default=SynthSpec.signal_strength)
+    p.add_argument("--n", dest="synth.N", type=int)
+    p.add_argument("--clusters", dest="synth.clusters", type=int)
+    p.add_argument("--signal-strength", dest="synth.signal_strength", type=float)
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("init-model", help="draw a frozen model bundle")
     common(p)
     p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--n-prompts", type=int)
-    p.add_argument("--insert-layer", type=int)
-    p.add_argument("--mapper-input", choices=("cls", "dense_mean"))
+    p.add_argument("--n-prompts", dest="dims.n", type=int)
+    p.add_argument("--insert-layer", dest="dims.insert_layer", type=int)
+    p.add_argument("--mapper-input", dest="mapper.input_mode", choices=("cls", "dense_mean"))
     p.set_defaults(func=cmd_init_model)
 
     p = sub.add_parser("embed-gallery", help="frozen image embeddings for stage 1")
@@ -368,13 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--plan", required=True)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--conditioning", choices=("per_row", "diagonal"))
-    p.add_argument("--finetune-itm", action="store_true")
-    p.add_argument("--jest-fraction", type=float)
-    p.add_argument("--subset-fraction", type=float)
-    p.add_argument("--ckpt-interval", type=int)
+    p.add_argument("--steps", dest="train.steps", type=int)
+    p.add_argument("--lr", dest="train.lr", type=float)
+    p.add_argument("--conditioning", dest="train.conditioning", choices=("per_row", "diagonal"))
+    p.add_argument("--finetune-itm", dest="train.finetune_itm", action="store_true",
+                   default=None)
+    p.add_argument("--jest-fraction", dest="train.jest_fraction", type=float)
+    p.add_argument("--subset-fraction", dest="train.subset_fraction", type=float)
+    p.add_argument("--ckpt-interval", dest="train.ckpt_interval", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("rank", help="stage-1 ranking for every benchmark query")
@@ -390,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--bench", required=True)
     p.add_argument("--rankings", required=True)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", dest="rerank_k", type=int)
     p.add_argument("--itm-sigmoid", action="store_true")
     p.set_defaults(func=cmd_rerank)
 

@@ -118,6 +118,27 @@ class TrainConfig:
 
 
 @dataclass
+class SynthSpec:
+    N: int = 200
+    clusters: int = 20
+    signal_strength: float = 0.6
+    P: int = DimsConfig.P
+    d_in: int = DimsConfig.d_in
+    m: int = DimsConfig.m
+
+    def validate(self) -> "SynthSpec":
+        if not self.N >= self.clusters >= 2:
+            raise ConfigError(f"need N >= clusters >= 2, got N={self.N}, clusters={self.clusters}")
+        if not (math.isfinite(self.signal_strength) and self.signal_strength > 0):
+            raise ConfigError(
+                f"signal_strength={self.signal_strength} must be finite and positive"
+            )
+        if self.P < 2 or self.d_in < 2:
+            raise ConfigError("patch geometry too small to carve a signal region")
+        return self
+
+
+@dataclass
 class RunConfig:
     """Everything a CLI run needs; serializes to one JSON document."""
 
@@ -127,14 +148,22 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     rerank_k: int = DESK_RERANK_K
     variant: str = "C"
+    # gen-synth's SynthSpec sizes; dims sets its patch geometry
     synth: dict = field(default_factory=dict)
     out_dir: str = "out"
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         """A RunConfig from its JSON document; an unknown key or a wrongly
-        typed value, at any level, is a ConfigError naming the field."""
-        return _from_doc(cls, doc, ())
+        typed value, at any level, is a ConfigError naming the field. The
+        synth keys are the SynthSpec fields dims does not set, typed as there."""
+        cfg = _from_doc(cls, doc, ())
+        sizes = {f.name for f in fields(SynthSpec)} - {f.name for f in fields(DimsConfig)}
+        extra = sorted(set(cfg.synth) - sizes)
+        if extra:
+            raise ConfigError(f"config field synth.{extra[0]} is not one of {sorted(sizes)}")
+        _from_doc(SynthSpec, cfg.synth, ("synth",))
+        return cfg
 
 
 def _conforms(value, hint) -> bool:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DimsConfig
+from .config import SynthSpec
 from .encoders import ModelBundle, frozen_image, frozen_text
 from .errors import ConfigError, DataError
 from .numkit import Array, order_desc, row_dots
@@ -232,27 +232,6 @@ def build_occluded_benchmark(
 # ---------------------------------------------------------------------------
 # planted-structure synthetic dataset
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SynthSpec:
-    N: int = 200
-    clusters: int = 20
-    signal_strength: float = 0.6
-    P: int = DimsConfig.P
-    d_in: int = DimsConfig.d_in
-    m: int = DimsConfig.m
-
-    def validate(self) -> "SynthSpec":
-        if not self.N >= self.clusters >= 2:
-            raise ConfigError(f"need N >= clusters >= 2, got N={self.N}, clusters={self.clusters}")
-        if not (math.isfinite(self.signal_strength) and self.signal_strength > 0):
-            raise ConfigError(
-                f"signal_strength={self.signal_strength} must be finite and positive"
-            )
-        if self.P < 2 or self.d_in < 2:
-            raise ConfigError("patch geometry too small to carve a signal region")
-        return self
 
 
 def cluster_word(c: int) -> str:

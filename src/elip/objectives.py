@@ -302,16 +302,15 @@ def sigmoid_pairwise(
     return float(loss.sum() / (b * b))
 
 
-def sigmoid_pairwise_grad(
-    sm: ScoreMatrix, t_scale: float = SIGMOID_T_SCALE, bias: float = SIGMOID_BIAS, rows=None,
-) -> Array:
-    """d loss / d cosines of the given complete rows (default: all), one
-    output row each; every entry's gradient reads that entry alone."""
+def sigmoid_pairwise_grad(sm: ScoreMatrix, rows=None) -> Array:
+    """d loss / d cosines, at the default t_scale and bias, of the given
+    complete rows (default: all), one output row each; every entry's
+    gradient reads that entry alone."""
     b = sm.cosines.shape[0]
     rows = np.arange(b) if rows is None else np.asarray(rows)
     z = _pair_labels(b)[rows]
-    a = z * (t_scale * sm.cosines[rows] + bias)
-    return -sigmoid(-a) * z * t_scale / (b * b)
+    a = z * (SIGMOID_T_SCALE * sm.cosines[rows] + SIGMOID_BIAS)
+    return -sigmoid(-a) * z * SIGMOID_T_SCALE / (b * b)
 
 
 # ---------------------------------------------------------------------------

@@ -49,17 +49,9 @@ def clip_global_norm(grads: dict, max_norm: float) -> tuple[dict, float]:
     return {k: g * scale for k, g in grads.items()}, norm
 
 
-def adam_step(
-    tensors: dict,
-    grads: dict,
-    state: OptimizerState,
-    lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-) -> OptimizerState:
-    """Bias-corrected Adam update, in place on `tensors` and on the moments
-    `state.m`, `state.v`.
+def adam_step(tensors: dict, grads: dict, state: OptimizerState, lr: float) -> OptimizerState:
+    """Bias-corrected Adam update (ADAM_BETA1, ADAM_BETA2, ADAM_EPS), in place
+    on `tensors` and on the moments `state.m`, `state.v`.
 
     Each tensor is updated in blocks of leading-axis rows (ADAM_BLOCK); the
     update is elementwise, so the blocks give the bits of one whole-tensor
@@ -80,15 +72,15 @@ def adam_step(
             block = slice(lo, lo + rows)
             g64 = np.asarray(g[block], dtype=np.float64)
             m, v = state.m[key][block], state.v[key][block]
-            m *= beta1
-            m += (1.0 - beta1) * g64
-            v *= beta2
-            v += (1.0 - beta2) * g64 * g64
-            update = m / (1.0 - beta1**t)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g64
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g64 * g64
+            update = m / (1.0 - ADAM_BETA1**t)
             update *= lr
-            v_hat = v / (1.0 - beta2**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
             np.sqrt(v_hat, out=v_hat)
-            v_hat += eps
+            v_hat += ADAM_EPS
             update /= v_hat
             tensor[block] -= update.astype(tensor.dtype, copy=False)
     return state

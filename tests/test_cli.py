@@ -1860,12 +1860,14 @@ def test_one_owner_for_status_output_and_file_existence():
 
 def test_every_config_field_is_used_outside_config():
     """Each field of the config dataclasses is read or assigned as an
-    attribute somewhere in the package outside config.py: a field nothing
-    uses is a knob that does nothing."""
+    attribute somewhere in the package outside config.py, or set by a flag:
+    a field nothing uses is a knob that does nothing."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "elip"
     used = {node.attr for path in src.glob("*.py") if path.name != "config.py"
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute)}
+    # a flag sets the config field its dest names (cli._load_config)
+    used |= {dest.split(".")[-1] for _, dest in _config_dests()}
     unused = [f"{cls.__name__}.{f.name}"
               for cls in (DimsConfig, MapperConfig, TrainConfig, RunConfig)
               for f in fields(cls) if f.name not in used]
@@ -1897,3 +1899,229 @@ def test_every_function_is_used_by_the_package_or_the_benchmark():
                            if isinstance(node, ast.FunctionDef)
                            and not node.name.startswith("__") and node.name not in used]
     assert unused == []
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    """Each defaulted parameter of a function in src/elip is set, by keyword,
+    by position or through a * or ** argument, by some call in src/ or
+    perfbench/: a default no caller overrides is a constant. A1 draws its
+    gradient-check models at float64, and A6 checks sigmoid_pairwise's log 2
+    identity at zero t_scale and bias; only those tests set them."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    modules = {path: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((root / "src" / "elip").glob("*.py"))}
+    benchmark = [ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted((root / "perfbench").glob("*.py"))]
+    calls = {}
+    for tree in [*modules.values(), *benchmark]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+
+    def sets(call, name, index):
+        if any(kw.arg in (name, None) for kw in call.keywords):
+            return True
+        return index is not None and (len(call.args) > index or any(
+            isinstance(arg, ast.Starred) for arg in call.args))
+
+    unset = []
+    for path, tree in modules.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            params = [*func.args.posonlyargs, *func.args.args]
+            bound = int(bool(params) and params[0].arg in ("self", "cls"))
+            defaulted = [(p.arg, i - bound) for i, p in enumerate(params)
+                         if i >= len(params) - len(func.args.defaults)]
+            defaulted += [(p.arg, None) for p, d in zip(func.args.kwonlyargs,
+                                                        func.args.kw_defaults) if d is not None]
+            unset += [f"{path.stem}.{func.name}.{name}" for name, index in defaulted
+                      if not any(sets(call, name, index) for call in calls.get(func.name, []))]
+    assert sorted(unset) == ["encoders.init_frozen_model.dtype",
+                             "objectives.sigmoid_pairwise.bias",
+                             "objectives.sigmoid_pairwise.t_scale"]
+
+
+# the dests of the flags that set no config field: each command's own inputs
+COMMAND_ONLY_DESTS = {"config", "model", "data", "plan", "gallery", "bench", "rankings",
+                      "vocab", "batch_size", "unique_category", "fraction", "conditioning",
+                      "itm_sigmoid", "kind", "ks", "record", "mode", "tokens", "query_index"}
+
+
+def _flag_actions():
+    """(command, argparse action) of every flag but --help."""
+    return [(name, action) for name, sub in sorted(_subcommands().items())
+            for action in sub._actions if action.option_strings and action.dest != "help"]
+
+
+def _config_dests():
+    """(command, dest) of every flag whose dest names a RunConfig field."""
+    config_fields = {f.name for f in fields(RunConfig)}
+    return [(name, action.dest) for name, action in _flag_actions()
+            if action.dest.split(".")[0] in config_fields]
+
+
+def _sample_value(action):
+    """A value of the flag's own type: what a given flag would carry."""
+    if action.nargs == 0:
+        return action.const
+    return action.choices[0] if action.choices else (action.type or str)("1")
+
+
+def test_every_flag_dest_is_a_config_field_or_command_only():
+    """A flag whose dest names a config field sets it: a config document
+    holding the flag's value at the dest's path reads back with the value
+    there, so a misspelt dest fails here rather than doing nothing. Every
+    other dest is listed as command-only. A config-field flag defaults to
+    None (--out to "out"), so only a given flag overrides the config, and
+    no command reads one from args."""
+    config_dests = set(_config_dests())
+    command_only = set()
+    for command, action in _flag_actions():
+        if (command, action.dest) not in config_dests:
+            command_only.add(action.dest)
+            continue
+        value = doc = _sample_value(action)
+        path = action.dest.split(".")
+        for name in reversed(path):
+            doc = {name: doc}
+        node = RunConfig.from_dict(doc)
+        for name in path:
+            node = node[name] if isinstance(node, dict) else getattr(node, name)
+        assert node == value and type(node) is type(value), (command, action.dest)
+    assert command_only == COMMAND_ONLY_DESTS
+    assert all(action.default is None for command, action in _flag_actions()
+               if (command, action.dest) in config_dests and action.dest != "out_dir")
+    # commands read those settings from cfg, never from args
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "elip"
+    read = {node.attr for node in ast.walk(ast.parse((src / "cli.py").read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+    assert read & {dest for _, dest in config_dests} == set()
+
+
+# ---------------------------------------------------------------------------
+# resolved-config.json replays its run
+# ---------------------------------------------------------------------------
+
+# per subcommand over build_pipeline(variant="B") artifacts plus a stage-1
+# ranking: every config-field flag it takes but --seed and --out, then the
+# command-only flags a replay passes again
+REPLAY_FLAGS = {
+    "gen-synth": (["--n", 10, "--clusters", 2, "--signal-strength", 0.8], []),
+    "init-model": (["--variant", "B", "--n-prompts", 3, "--insert-layer", 1,
+                    "--mapper-input", "dense_mean"], []),
+    "embed-gallery": ([], ["--model", "model/checkpoint", "--data", "data/data.jsonl"]),
+    "curate-mine": ([], ["--model", "model/checkpoint", "--data", "data/data.jsonl",
+                         "--batch-size", 3, "--unique-category"]),
+    "curate-select": ([], ["--model", "model/checkpoint", "--data", "data/data.jsonl",
+                           "--plan", "plan/plan.json", "--fraction", 0.5,
+                           "--conditioning", "diagonal"]),
+    "train": (["--steps", 2, "--lr", 1e-3, "--conditioning", "diagonal", "--finetune-itm",
+               "--jest-fraction", 0.5, "--subset-fraction", 0.75, "--ckpt-interval", 1],
+              ["--model", "model/checkpoint", "--data", "data/data.jsonl",
+               "--plan", "plan/plan.json"]),
+    "rank": ([], ["--model", "model/checkpoint", "--gallery", "gal/gallery",
+                  "--bench", "data/benchmark.json"]),
+    "rerank": (["--k", 3], ["--model", "model/checkpoint", "--data", "data/data.jsonl",
+                            "--bench", "data/benchmark.json",
+                            "--rankings", "ranked/rankings.json", "--itm-sigmoid"]),
+    "eval": ([], ["--rankings", "ranked/rankings.json", "--bench", "data/benchmark.json"]),
+    "curve": ([], ["--rankings", "ranked/rankings.json", "--bench", "data/benchmark.json",
+                   "--kind", "precision_recall", "--ks", "1,2"]),
+    "attn": ([], ["--model", "model/checkpoint", "--data", "data/data.jsonl",
+                  "--record", "img0001", "--mode", "itm_query", "--tokens", "1,2"]),
+    "flops": ([], []),
+    "bench-occluded": ([], ["--data", "data/data.jsonl", "--vocab", "data/vocab.json"]),
+}
+
+
+def test_replay_flags_cover_every_config_field_flag():
+    assert set(REPLAY_FLAGS) == set(_subcommands())
+    dests = set(_config_dests())
+    for command, (config_flags, command_flags) in REPLAY_FLAGS.items():
+        flags = {f for f in config_flags if isinstance(f, str) and f.startswith("--")}
+        taken = {flag for name, action in _flag_actions() if name == command
+                 and (name, action.dest) in dests for flag in action.option_strings}
+        assert flags | {"--seed", "--out"} == taken, command
+        assert not taken & set(command_flags), command
+
+
+def test_resolved_config_replays_every_command(workdir, capsys):
+    """Each command run with every config-field flag it takes, then again
+    from its resolved-config.json with only its command-only flags, writes
+    the same bytes; the two resolved configs differ only in out_dir."""
+    build_pipeline(workdir, capsys, variant="B")
+    assert run(workdir, "rank", "--config", "config.json", "--out", "ranked",
+               *REPLAY_FLAGS["rank"][1]) == 0
+    for command, (config_flags, command_flags) in sorted(REPLAY_FLAGS.items()):
+        first, again = f"first-{command}", f"again-{command}"
+        assert run(workdir, command, "--config", "config.json", "--out", first,
+                   "--seed", 5, *config_flags, *command_flags) == 0, command
+        assert run(workdir, command, "--config", f"{first}/resolved-config.json",
+                   "--out", again, *command_flags) == 0, command
+        resolved = [json.loads(open(f"{out}/resolved-config.json").read())
+                    for out in (first, again)]
+        # each flag of the first run is in its resolved config
+        given = vars(build_parser().parse_args(
+            [command, "--seed", "5", *map(str, config_flags), *map(str, command_flags)]))
+        for name, dest in _config_dests():
+            if name == command and dest != "out_dir":
+                node = resolved[0]
+                for key in dest.split("."):
+                    node = node[key]
+                assert node == given[dest], (command, dest)
+        assert resolved[1] == {**resolved[0], "out_dir": again}, command
+        assert _artifacts(first) == _artifacts(again), command
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+def test_empty_out_exit_one_naming_out(workdir, capsys, command):
+    assert run(workdir, command, "--config", "config.json", "--out", "",
+               *COMMAND_ARGV[command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--out" in err
+    assert sorted(os.listdir()) == ["config.json"]
+
+
+# a config synth value gen-synth refuses, and the field the error names
+BAD_SYNTH = {
+    "N-string": ({"N": "8"}, "synth.N"),
+    "clusters-float": ({"clusters": 2.0}, "synth.clusters"),
+    "signal-bool": ({"signal_strength": True}, "synth.signal_strength"),
+    "unknown-key": ({"n": 8}, "synth.n"),
+    "P": ({"P": 4}, "synth.P"),
+    "d_in": ({"d_in": 5}, "synth.d_in"),
+    "m": ({"m": 3}, "synth.m"),
+    "not-an-object": ([8], "synth"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SYNTH))
+def test_bad_synth_config_exit_one(workdir, capsys, case):
+    synth, named = BAD_SYNTH[case]
+    (workdir / "bad.json").write_text(json.dumps({**TINY_CONFIG, "synth": synth}))
+    assert run(workdir, "gen-synth", "--config", "bad.json", "--out", "data",
+               "--n", 12, "--clusters", 3) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+    assert not os.path.exists("data")
+
+
+def test_commands_other_than_gen_synth_ignore_synth(workdir, capsys):
+    """A config synth section moves no byte any other command writes; its
+    resolved-config.json carries the section through."""
+    build_all_inputs(workdir, capsys)
+    synth = {"N": 8, "clusters": 2, "signal_strength": 0.9}
+    (workdir / "synth.json").write_text(json.dumps({**TINY_CONFIG, "synth": synth}))
+    for command in sorted(set(COMMAND_ARGV) - {"gen-synth"}):
+        outs = [f"{command}-{name}" for name in ("plain", "synth")]
+        for config, out in zip(("config.json", "synth.json"), outs):
+            assert run(workdir, command, "--config", config, "--out", out,
+                       *COMMAND_ARGV[command]) == 0, command
+        resolved = [json.loads(open(f"{out}/resolved-config.json").read()) for out in outs]
+        assert resolved[1] == {**resolved[0], "synth": synth, "out_dir": outs[1]}, command
+        assert _artifacts(outs[0]) == _artifacts(outs[1]), command
+    capsys.readouterr()
