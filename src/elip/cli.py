@@ -12,11 +12,11 @@ written, named by path, and inputs too large to allocate included), 3 on
 numeric errors.
 
 The run config is the --config file (RunConfig defaults without one), then
-ELIP_SEED, then each flag that is not None (--out defaults to "out"): a flag
-sets the config field its argparse dest names (`--steps` has dest
-`train.steps`). _load_config alone applies that rule, so a command reads its
-settings from cfg and resolved-config.json replays its run. A dest that
-names no RunConfig field is the command's own input.
+ELIP_SEED, then each flag that is not None: a flag sets the config field
+its argparse dest names (`--steps` has dest `train.steps`). _load_config
+alone applies that rule, so a command reads its settings from cfg and
+resolved-config.json replays its run. Any other dest, --out (default "out")
+included, is the command's own input, so no artifact records it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 from dataclasses import asdict, fields, replace
 
 from . import storage
-from .config import VARIANTS, RunConfig, SynthSpec
+from .config import CONDITIONINGS, MAPPER_INPUTS, VARIANTS, RunConfig, SynthSpec
 from .curation import (
     build_occluded_benchmark,
     gen_synthetic_dataset,
@@ -39,6 +39,8 @@ from .curation import (
 from .encoders import copy_without_prompts, encode_text, init_frozen_model
 from .errors import ConfigError, DataError, NumericError
 from .retrieval import (
+    ATTENTION_MODES,
+    CURVE_KINDS,
     attention_map,
     curve,
     embed_gallery,
@@ -78,8 +80,6 @@ def _load_config(args) -> RunConfig:
             node[path[-1]] = value
         else:
             setattr(node, path[-1], value)
-    if not cfg.out_dir:
-        raise ConfigError("--out must name a directory, got ''")
     return cfg
 
 
@@ -129,8 +129,8 @@ def cmd_gen_synth(args, cfg: RunConfig) -> dict:
     cfg.synth = {"N": spec.N, "clusters": spec.clusters,
                  "signal_strength": spec.signal_strength}
     ds, bench = gen_synthetic_dataset(cfg.seed, spec)
-    manifest = storage.write_dataset(cfg.out_dir, ds)
-    bench_path = os.path.join(cfg.out_dir, "benchmark.json")
+    manifest = storage.write_dataset(args.out_dir, ds)
+    bench_path = os.path.join(args.out_dir, "benchmark.json")
     storage.write_benchmark(bench_path, bench)
     return dict(records=ds.N, clusters=spec.clusters, manifest=manifest,
                 benchmark=bench_path)
@@ -138,7 +138,7 @@ def cmd_gen_synth(args, cfg: RunConfig) -> dict:
 
 def cmd_init_model(args, cfg: RunConfig) -> dict:
     model = init_frozen_model(cfg.seed, cfg.dims, cfg.variant, cfg.mapper)
-    ckpt_dir = os.path.join(cfg.out_dir, "checkpoint")
+    ckpt_dir = os.path.join(args.out_dir, "checkpoint")
     storage.save_checkpoint(ckpt_dir, model)
     return dict(variant=cfg.variant, checkpoint=ckpt_dir,
                 tensors=len(list(model.iter_tensors())))
@@ -147,7 +147,7 @@ def cmd_init_model(args, cfg: RunConfig) -> dict:
 def cmd_embed_gallery(args, cfg: RunConfig) -> dict:
     model, ds = _load_model_and_data(args)
     store = embed_gallery(model, ds)
-    store_dir = os.path.join(cfg.out_dir, "gallery")
+    store_dir = os.path.join(args.out_dir, "gallery")
     storage.write_store(store_dir, store)
     return dict(gallery=store_dir, size=len(store.ids))
 
@@ -155,7 +155,7 @@ def cmd_embed_gallery(args, cfg: RunConfig) -> dict:
 def cmd_curate_mine(args, cfg: RunConfig) -> dict:
     model, ds = _load_model_and_data(args)
     plan = mine_hard_batches(ds, model, args.batch_size, args.unique_category)
-    plan_path = os.path.join(cfg.out_dir, "plan.json")
+    plan_path = os.path.join(args.out_dir, "plan.json")
     storage.write_plan(plan_path, plan)
     return dict(plan=plan_path, batches=len(plan.batches), batch_size=args.batch_size)
 
@@ -167,7 +167,7 @@ def cmd_curate_select(args, cfg: RunConfig) -> dict:
     selected = select_by_learnability(
         plan, ds, model, reference, args.fraction, args.conditioning
     )
-    plan_path = os.path.join(cfg.out_dir, "plan.json")
+    plan_path = os.path.join(args.out_dir, "plan.json")
     storage.write_plan(plan_path, selected)
     return dict(plan=plan_path, kept=len(selected.batches), fraction=args.fraction)
 
@@ -180,16 +180,16 @@ def cmd_train(args, cfg: RunConfig) -> dict:
 
     def hook(step, m):
         if step == tc.steps:
-            storage.save_checkpoint(os.path.join(cfg.out_dir, "checkpoint"), m)
+            storage.save_checkpoint(os.path.join(args.out_dir, "checkpoint"), m)
         else:
             storage.save_checkpoint(
-                os.path.join(cfg.out_dir, f"checkpoint-step{step}"), m
+                os.path.join(args.out_dir, f"checkpoint-step{step}"), m
             )
 
     model, trace = train(model, ds, plan, tc, checkpoint_hook=hook)
-    storage.write_trace_csv(os.path.join(cfg.out_dir, "trace.csv"), trace)
+    storage.write_trace_csv(os.path.join(args.out_dir, "trace.csv"), trace)
     return dict(steps=tc.steps, lr=tc.resolved_lr(), final_loss=trace[-1],
-                checkpoint=os.path.join(cfg.out_dir, "checkpoint"))
+                checkpoint=os.path.join(args.out_dir, "checkpoint"))
 
 
 def cmd_rank(args, cfg: RunConfig) -> dict:
@@ -203,9 +203,9 @@ def cmd_rank(args, cfg: RunConfig) -> dict:
     bench = storage.read_benchmark(args.bench, store.ids)
     queries = encode_queries(model, bench)
     rankings = rank_queries(store, queries)
-    path = os.path.join(cfg.out_dir, "rankings.json")
+    path = os.path.join(args.out_dir, "rankings.json")
     storage.write_rankings(path, rankings)
-    storage.write_queries(cfg.out_dir, model, bench, queries)
+    storage.write_queries(args.out_dir, model, bench, queries)
     return dict(rankings=path, queries=len(rankings))
 
 
@@ -219,7 +219,7 @@ def cmd_rerank(args, cfg: RunConfig) -> dict:
     if queries is None:
         queries = encode_queries(model, bench)
     reranked = rerank_queries(model, ds, rankings, queries, k, args.itm_sigmoid)
-    path = os.path.join(cfg.out_dir, "rankings.json")
+    path = os.path.join(args.out_dir, "rankings.json")
     storage.write_rankings(path, reranked)
     return dict(rankings=path, k=k, queries=len(reranked))
 
@@ -227,7 +227,7 @@ def cmd_rerank(args, cfg: RunConfig) -> dict:
 def cmd_eval(args, cfg: RunConfig) -> dict:
     rankings, bench = _load_rankings_and_bench(args)
     report = evaluate(rankings, bench)
-    path = os.path.join(cfg.out_dir, "metrics.csv")
+    path = os.path.join(args.out_dir, "metrics.csv")
     storage.write_metrics_csv(path, report)
     return dict(metrics=path, queries=report.query_count,
                 **{k.replace("@", "_at_"): v for k, v in report.aggregate.items()})
@@ -237,7 +237,7 @@ def cmd_curve(args, cfg: RunConfig) -> dict:
     rankings, bench = _load_rankings_and_bench(args)
     ks = _parse_int_list(args.ks) if args.ks else None
     data = curve(rankings, bench, args.kind, ks)
-    path = os.path.join(cfg.out_dir, "curve.csv")
+    path = os.path.join(args.out_dir, "curve.csv")
     storage.write_curve_csv(path, data)
     return dict(curve=path, kind=args.kind, points=len(data.points))
 
@@ -254,7 +254,7 @@ def cmd_attn(args, cfg: RunConfig) -> dict:
             raise ConfigError(f"query index {args.query_index} out of range")
         text_enc = encode_text(model, bench.queries[args.query_index].text_tokens)
     amap = attention_map(model, record, text_enc, args.mode)
-    path = os.path.join(cfg.out_dir, "attn.csv")
+    path = os.path.join(args.out_dir, "attn.csv")
     storage.write_attn_csv(path, amap.grid)
     return dict(attn=path, mode=args.mode, rows=amap.grid.shape[0],
                 cols=amap.grid.shape[1], patch_mass=amap.patch_mass)
@@ -275,7 +275,7 @@ def cmd_flops(args, cfg: RunConfig) -> dict:
         "delta": with_prompts - without,
         "n": dims.n,
     }
-    storage.write_json(os.path.join(cfg.out_dir, "flops.json"), doc)
+    storage.write_json(os.path.join(args.out_dir, "flops.json"), doc)
     return doc
 
 
@@ -291,7 +291,7 @@ def cmd_bench_occluded(args, cfg: RunConfig) -> dict:
         word: [token_id] for word, token_id in sorted(vocab.items()) if token_id != 0
     }
     bench, dropped = build_occluded_benchmark(ds, category_vocabulary)
-    path = os.path.join(cfg.out_dir, "benchmark-occluded.json")
+    path = os.path.join(args.out_dir, "benchmark-occluded.json")
     storage.write_benchmark(path, bench)
     return dict(benchmark=path, queries=len(bench.queries), dropped=len(dropped))
 
@@ -308,117 +308,77 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, *required_inputs):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="RunConfig JSON path")
         p.add_argument("--seed", type=int, help="override the run seed")
         p.add_argument("--out", dest="out_dir", default="out", help="output directory")
+        for flag in required_inputs:
+            p.add_argument(flag, required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-synth", help="generate the planted synthetic dataset")
-    common(p)
+    p = command("gen-synth", cmd_gen_synth, "generate the planted synthetic dataset")
     p.add_argument("--n", dest="synth.N", type=int)
     p.add_argument("--clusters", dest="synth.clusters", type=int)
     p.add_argument("--signal-strength", dest="synth.signal_strength", type=float)
-    p.set_defaults(func=cmd_gen_synth)
 
-    p = sub.add_parser("init-model", help="draw a frozen model bundle")
-    common(p)
+    p = command("init-model", cmd_init_model, "draw a frozen model bundle")
     p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--n-prompts", dest="dims.n", type=int)
     p.add_argument("--insert-layer", dest="dims.insert_layer", type=int)
-    p.add_argument("--mapper-input", dest="mapper.input_mode", choices=("cls", "dense_mean"))
-    p.set_defaults(func=cmd_init_model)
+    p.add_argument("--mapper-input", dest="mapper.input_mode", choices=MAPPER_INPUTS)
 
-    p = sub.add_parser("embed-gallery", help="frozen image embeddings for stage 1")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.set_defaults(func=cmd_embed_gallery)
+    command("embed-gallery", cmd_embed_gallery, "frozen image embeddings for stage 1",
+            "--model", "--data")
 
-    p = sub.add_parser("curate-mine", help="global hard sample mining")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p = command("curate-mine", cmd_curate_mine, "global hard sample mining", "--model", "--data")
     p.add_argument("--batch-size", type=int, default=40)
     p.add_argument("--unique-category", action="store_true")
-    p.set_defaults(func=cmd_curate_mine)
 
-    p = sub.add_parser("curate-select", help="learnability-based batch selection")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--plan", required=True)
+    p = command("curate-select", cmd_curate_select, "learnability-based batch selection",
+                "--model", "--data", "--plan")
     p.add_argument("--fraction", type=float, default=0.10)
-    p.add_argument("--conditioning", choices=("per_row", "diagonal"), default="per_row")
-    p.set_defaults(func=cmd_curate_select)
+    p.add_argument("--conditioning", choices=CONDITIONINGS, default="per_row")
 
-    p = sub.add_parser("train", help="train the mapping network")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--plan", required=True)
+    p = command("train", cmd_train, "train the mapping network", "--model", "--data", "--plan")
     p.add_argument("--steps", dest="train.steps", type=int)
     p.add_argument("--lr", dest="train.lr", type=float)
-    p.add_argument("--conditioning", dest="train.conditioning", choices=("per_row", "diagonal"))
+    p.add_argument("--conditioning", dest="train.conditioning", choices=CONDITIONINGS)
     p.add_argument("--finetune-itm", dest="train.finetune_itm", action="store_true",
                    default=None)
     p.add_argument("--jest-fraction", dest="train.jest_fraction", type=float)
     p.add_argument("--subset-fraction", dest="train.subset_fraction", type=float)
     p.add_argument("--ckpt-interval", dest="train.ckpt_interval", type=int)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("rank", help="stage-1 ranking for every benchmark query")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--gallery", required=True)
-    p.add_argument("--bench", required=True)
-    p.set_defaults(func=cmd_rank)
+    command("rank", cmd_rank, "stage-1 ranking for every benchmark query",
+            "--model", "--gallery", "--bench")
 
-    p = sub.add_parser("rerank", help="prompt-conditioned top-k re-ranking")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--bench", required=True)
-    p.add_argument("--rankings", required=True)
+    p = command("rerank", cmd_rerank, "prompt-conditioned top-k re-ranking",
+                "--model", "--data", "--bench", "--rankings")
     p.add_argument("--k", dest="rerank_k", type=int)
     p.add_argument("--itm-sigmoid", action="store_true")
-    p.set_defaults(func=cmd_rerank)
 
-    p = sub.add_parser("eval", help="Recall@k and mAP over rankings")
-    common(p)
-    p.add_argument("--rankings", required=True)
-    p.add_argument("--bench", required=True)
-    p.set_defaults(func=cmd_eval)
+    command("eval", cmd_eval, "Recall@k and mAP over rankings", "--rankings", "--bench")
 
-    p = sub.add_parser("curve", help="recall-top-k or precision-recall curve")
-    common(p)
-    p.add_argument("--rankings", required=True)
-    p.add_argument("--bench", required=True)
-    p.add_argument("--kind", choices=("recall_topk", "precision_recall"),
-                   default="recall_topk")
+    p = command("curve", cmd_curve, "recall-top-k or precision-recall curve",
+                "--rankings", "--bench")
+    p.add_argument("--kind", choices=CURVE_KINDS, default="recall_topk")
     p.add_argument("--ks", help="comma-separated k sweep for recall_topk")
-    p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("attn", help="CLS->patch or ITM-query attention map")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--record", required=True)
-    p.add_argument("--mode", choices=("cls", "itm_query"), default="cls")
+    p = command("attn", cmd_attn, "CLS->patch or ITM-query attention map",
+                "--model", "--data", "--record")
+    p.add_argument("--mode", choices=ATTENTION_MODES, default="cls")
     p.add_argument("--tokens", help="comma-separated query token ids")
     p.add_argument("--bench")
     p.add_argument("--query-index", type=int, default=0)
-    p.set_defaults(func=cmd_attn)
 
-    p = sub.add_parser("flops", help="forward-FLOPs estimate with/without prompts")
-    common(p)
+    p = command("flops", cmd_flops, "forward-FLOPs estimate with/without prompts")
     p.add_argument("--model")
-    p.set_defaults(func=cmd_flops)
 
-    p = sub.add_parser("bench-occluded", help="build the occluded-category benchmark")
-    common(p)
-    p.add_argument("--data", required=True)
+    p = command("bench-occluded", cmd_bench_occluded, "build the occluded-category benchmark",
+                "--data")
     p.add_argument("--vocab")
-    p.set_defaults(func=cmd_bench_occluded)
 
     return parser
 
@@ -433,13 +393,15 @@ def run_command(argv) -> int:
     created = []  # deepest first
     try:
         cfg = _load_config(args)
-        path = os.path.abspath(cfg.out_dir)
+        if not args.out_dir:
+            raise ConfigError("--out must name a directory, got ''")
+        path = os.path.abspath(args.out_dir)
         while not os.path.lexists(path):
             created.append(path)
             path = os.path.dirname(path)
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        os.makedirs(args.out_dir, exist_ok=True)
         fields = args.func(args, cfg)
-        storage.write_json(os.path.join(cfg.out_dir, "resolved-config.json"), asdict(cfg))
+        storage.write_json(os.path.join(args.out_dir, "resolved-config.json"), asdict(cfg))
     except tuple(_EXIT_CODES) as exc:
         for path in created:  # rmdir refuses a directory that holds anything
             with contextlib.suppress(OSError):

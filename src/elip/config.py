@@ -12,6 +12,8 @@ from typing import get_args, get_type_hints
 from .errors import ConfigError
 
 VARIANTS = ("C", "S", "B")
+CONDITIONINGS = ("per_row", "diagonal")
+MAPPER_INPUTS = ("cls", "dense_mean")
 
 # Full-scale re-ranking depth per variant and benchmark family; desk-scale
 # runs default to k=10. These are configuration echoes, not desk targets.
@@ -63,7 +65,7 @@ class MapperConfig:
     """Text-to-prompt MLP wiring: 3 linear layers, GELU between pairs; the
     prompt count is DimsConfig.n."""
 
-    input_mode: str = "cls"  # cls | dense_mean
+    input_mode: str = "cls"  # one of MAPPER_INPUTS
     hidden: int = 0  # 0 -> 4 * d_v, as hidden_width resolves it
 
     def hidden_width(self, d_v: int) -> int:
@@ -72,7 +74,7 @@ class MapperConfig:
         return self.hidden or 4 * d_v
 
     def validate(self) -> "MapperConfig":
-        if self.input_mode not in ("cls", "dense_mean"):
+        if self.input_mode not in MAPPER_INPUTS:
             raise ConfigError(f"unknown mapper input_mode {self.input_mode!r}")
         if self.hidden < 0:
             raise ConfigError(f"mapper hidden={self.hidden} must be >= 0")
@@ -84,7 +86,7 @@ class TrainConfig:
     variant: str = "C"
     lr: float | None = None  # None -> variant default (1e-3 for C/S, 1e-5 for B)
     steps: int = 100
-    conditioning: str = "per_row"  # per_row | diagonal
+    conditioning: str = "per_row"  # one of CONDITIONINGS
     finetune_itm: bool = False
     jest_fraction: float = 0.0  # 0 -> no learnability selection
     seed: int = 7
@@ -104,7 +106,7 @@ class TrainConfig:
             raise ConfigError(f"lr={self.lr} must be finite and non-negative")
         if self.steps < 1:
             raise ConfigError(f"steps={self.steps} must be >= 1")
-        if self.conditioning not in ("per_row", "diagonal"):
+        if self.conditioning not in CONDITIONINGS:
             raise ConfigError(f"unknown conditioning {self.conditioning!r}")
         if not 0.0 <= self.jest_fraction <= 1.0:
             raise ConfigError("jest_fraction must lie in [0, 1]")
@@ -150,7 +152,6 @@ class RunConfig:
     variant: str = "C"
     # gen-synth's SynthSpec sizes; dims sets its patch geometry
     synth: dict = field(default_factory=dict)
-    out_dir: str = "out"
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":

@@ -65,6 +65,7 @@ from operator import add
 import numpy as np
 
 from . import numkit
+from .config import CONDITIONINGS
 from .encoders import (
     ModelBundle,
     frozen_image,
@@ -225,7 +226,7 @@ def build_score_matrix_with_caches(
     b = len(records)
     if b < 2:
         raise ConfigError(f"contrastive batch needs >= 2 records, got {b}")
-    if conditioning not in ("per_row", "diagonal"):
+    if conditioning not in CONDITIONINGS:
         raise ConfigError(f"unknown conditioning {conditioning!r}")
     texts = [frozen_text(model, rec) for rec in records]
     t_joint = np.stack([t.t_joint for t in texts])

@@ -39,6 +39,8 @@ from .prompt_mapper import prompts_for_text
 
 PR_RECALL_GRID = [round(0.05 * i, 2) for i in range(21)]
 DEFAULT_RECALL_KS = (1, 2, 5, 10, 20, 50, 100)
+CURVE_KINDS = ("recall_topk", "precision_recall")
+ATTENTION_MODES = ("cls", "itm_query")
 
 
 @dataclass
@@ -100,12 +102,11 @@ class MetricReport:
     per_query: dict
     aggregate: dict
     query_count: int
-    config_echo: dict = field(default_factory=dict)
 
 
 @dataclass
 class CurveData:
-    kind: str  # recall_topk | precision_recall
+    kind: str  # one of CURVE_KINDS
     points: list  # ordered (x, y)
 
 
@@ -271,13 +272,7 @@ def evaluate(rankings, bench: Benchmark, ks=(1, 5, 10)) -> MetricReport:
         name: float(np.mean([row[name] for row in per_query.values()]))
         for name in metrics
     }
-    stages = {r.stage for r in rankings}
-    return MetricReport(
-        per_query=per_query,
-        aggregate=aggregate,
-        query_count=len(per_query),
-        config_echo={"ks": list(ks), "stage": sorted(stages)},
-    )
+    return MetricReport(per_query=per_query, aggregate=aggregate, query_count=len(per_query))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +333,7 @@ def attention_map(
 ) -> AttentionMap:
     """CLS->patch attention (cls mode, last layer, head-averaged) or ITM
     query->patch cross-attention (itm_query mode, query-averaged)."""
-    if mode not in ("cls", "itm_query"):
+    if mode not in ATTENTION_MODES:
         raise ConfigError(f"unknown attention map mode {mode!r}")
     if mode == "itm_query" and model.variant != "B":
         raise ConfigError(f"itm_query map needs variant B, model is {model.variant!r}")

@@ -626,14 +626,12 @@ def _csv(path: str, header: str, rows) -> None:
 
 def write_metrics_csv(path: str, report: MetricReport) -> None:
     rows = []
-    metric_names = [f"recall@{k}" for k in report.config_echo.get("ks", (1, 5, 10))]
-    metric_names.append("ap")
     for qid, values in report.per_query.items():
-        for name in metric_names:
+        for name in report.aggregate:
             rows.append((qid, name, repr(float(values[name]))))
     agg_name = {"ap": "map"}
-    for name in metric_names:
-        rows.append(("all", agg_name.get(name, name), repr(float(report.aggregate[name]))))
+    for name, value in report.aggregate.items():
+        rows.append(("all", agg_name.get(name, name), repr(float(value))))
     _csv(path, "query_id,metric,value", rows)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .config import TrainConfig
 from .curation import CurationPlan, PairDataset, select_by_learnability
 from .encoders import ModelBundle, copy_without_prompts
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .objectives import variant_batch_loss
 from .rng import Rng
 
@@ -110,6 +110,8 @@ def train(
         raise ConfigError(
             f"config variant {cfg.variant!r} != model variant {model.variant!r}"
         )
+    if not plan.batches:
+        raise DataError("cannot train on an empty plan")
     for batch in plan.batches:
         if len(batch) < 2:
             raise ConfigError("every training batch needs >= 2 records")
@@ -126,8 +128,6 @@ def train(
         keep = math.ceil(cfg.subset_fraction * len(batches))
         picked = sorted(rng.sample_without_replacement(len(batches), keep))
         batches = [batches[k] for k in picked]
-    if not batches:
-        raise ConfigError("empty plan after selection")
 
     applied = {"mapper": model.mapper.tensors}
     if model.variant == "B" and cfg.finetune_itm:

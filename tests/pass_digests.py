@@ -8,14 +8,12 @@ perfbench/workloads.py, loaded by path, on this checkout's src/ tree, with
 BLAS pinned to one thread as perfbench/run.py pins it. A line holds the
 workload, the seed, the pass digest and the operations attempted and
 failed. Two checkouts keep the same outputs when they print the same
-lines. cli-wide's digest covers resolved-config.json, which records the
-absolute output directory, so give both checkouts the same --work-dir and
-run them one after the other. --files runs cli-wide alone and adds the
+lines, under any --work-dir. --files runs cli-wide alone and adds the
 sha256 of each file its set-up (data, model, gal) and its pass (ranked,
-reranked, eval, curve) wrote, resolved-config.json left out: a change to
-a writer shows as the files it moves, and when one checkout writes files
-the other does not, the files both write can still be compared. Each run
-works in DIR/<workload>-seed<seed>, which is removed before and after it.
+reranked, eval, curve) wrote: a change to a writer shows as the files it
+moves, and when one checkout writes files the other does not, the files
+both write can still be compared. Each run works in
+DIR/<workload>-seed<seed>, which is removed before and after it.
 Not a test module: pytest collects test_*.py alone.
 """
 
@@ -56,13 +54,12 @@ CLI_OUTPUTS = ("data", "model", "gal", "ranked", "reranked", "eval", "curve")
 
 def output_files(run_dir: str) -> dict:
     """{path under run_dir: sha256} of every file cli-wide's set-up and pass
-    wrote under CLI_OUTPUTS, subdirectories included, but
-    resolved-config.json, which records its absolute out_dir."""
+    wrote under CLI_OUTPUTS, subdirectories included."""
     digests = {}
     for out in CLI_OUTPUTS:
         for parent, dirs, names in os.walk(os.path.join(run_dir, out)):
             dirs.sort()
-            for name in sorted(set(names) - {"resolved-config.json"}):
+            for name in sorted(names):
                 path = os.path.join(parent, name)
                 with open(path, "rb") as fh:
                     digests[os.path.relpath(path, run_dir)] = hashlib.sha256(fh.read()).hexdigest()

@@ -362,6 +362,11 @@ def _flip_last_byte(path):
         fh.write(bytes([last[0] ^ 0x01]))
 
 
+def _truncate(path, size):
+    with open(path, "r+b") as fh:
+        fh.truncate(size)
+
+
 def _edit_json(path, edit):
     doc = json.loads(open(path).read())
     edit(doc)
@@ -420,6 +425,12 @@ CHECKPOINT_DAMAGE = {
     "unexpected_tensor": (
         "model/checkpoint/index.json", "unexpected tensor 'proj_image.bias'",
         lambda: _edit_index(lambda ix: ix["tensors"].update({"proj_image.bias": "0" * 64}))),
+    "blob_truncated_header": (
+        "model/checkpoint/proj_image.weight.bin", "truncated header at offset 5",
+        lambda: _truncate("model/checkpoint/proj_image.weight.bin", 5)),
+    "insert_layer_past_layers": (
+        "model/checkpoint/index.json", "insert_layer=2 outside [0, 2)",
+        lambda: _edit_index(lambda ix: ix["dims"].update(insert_layer=ix["dims"]["L_v"]))),
 }
 
 
@@ -453,15 +464,14 @@ def _artifacts(root):
     out = {}
     for dirpath, _, files in os.walk(root):
         for name in files:
-            if name != "resolved-config.json":
-                path = os.path.join(dirpath, name)
-                out[os.path.relpath(path, root)] = open(path, "rb").read()
+            path = os.path.join(dirpath, name)
+            out[os.path.relpath(path, root)] = open(path, "rb").read()
     return out
 
 
 def test_cli_artifacts_do_not_depend_on_output_root(workdir, capsys):
-    """Every artifact except resolved-config.json (which records out_dir) is
-    byte-identical when the same chain runs under two output roots."""
+    """Every artifact, resolved-config.json included, is byte-identical
+    when the same chain runs under two output roots."""
     for root in ("first", "second/nested"):
         def out(name):
             return os.path.join(root, name)
@@ -503,6 +513,18 @@ def test_train_plan_index_outside_dataset_exit_two(workdir, capsys, bad_index):
     assert_exit_two_without_traceback(
         workdir, capsys, "outside dataset of 12 records", "curate-select", "--model",
         "model/checkpoint", "--data", "data/data.jsonl", "--plan", "plan/plan.json")
+
+
+@pytest.mark.parametrize("flags", [[], ["--jest-fraction", 0.5]], ids=["plain", "jest"])
+def test_train_empty_plan_exit_two(workdir, capsys, flags):
+    """An empty plan is a damaged input whether or not JEST selects from
+    it: it used to exit 1 without JEST and 2 with it."""
+    build_pipeline(workdir, capsys)
+    with open("plan/plan.json", "w") as fh:
+        json.dump({"batches": [], "source_seed": 7}, fh)
+    assert_exit_two_without_traceback(
+        workdir, capsys, "cannot train on an empty plan", *READERS["plan/plan.json"], *flags)
+    assert not os.path.exists("bad")
 
 
 MODEL_AND_DATA_COMMANDS = {
@@ -620,8 +642,8 @@ def test_variant_b_pipeline_with_itm_modes(workdir, capsys):
 # with raw and with sigmoid-squashed ITM logits), per OpenBLAS core
 # (conftest.core_table); Katmai's re-ranked files were re-recorded when the
 # insert block's prompt rows came to run their pre-attention as a group of
-# their own. resolved-config.json is left out: it records the absolute
-# out_dir.
+# their own. resolved-config.json is not pinned here: it is the same on
+# every core, and the output-root and replay tests compare its bytes.
 CHAIN_GOLDEN = {
     ("SkylakeX",): {
         "B/ranked/eval/metrics.csv":
@@ -952,6 +974,7 @@ BAD_CONFIGS = {
     "rerank-k-string": ("rerank", {"rerank_k": "3"}, 1, "rerank_k"),
     "unknown-top-level-key": ("init-model", {"rerank_K": 5}, 1, "rerank_K"),
     "mapper-n": ("init-model", {"mapper": {"n": 2}}, 1, "MapperConfig fields: ['n']"),
+    "out-dir": ("init-model", {"out_dir": "mine"}, 1, "RunConfig fields: ['out_dir']"),
 }
 
 COMMAND_ARGS = {
@@ -986,7 +1009,7 @@ def test_resolved_config_replays_through_the_checked_reader(workdir, capsys):
                "--out", "again") == 0
     capsys.readouterr()
     first = json.loads(open("model/resolved-config.json").read())
-    assert json.loads(open("again/resolved-config.json").read()) == {**first, "out_dir": "again"}
+    assert json.loads(open("again/resolved-config.json").read()) == first
 
 
 def test_default_mining_batch_size_echoes_paper_default(workdir, capsys):
@@ -1358,6 +1381,42 @@ def test_non_string_artifact_field_exit_two(workdir, capsys, field):
     damage()
     err = assert_exit_two_without_traceback(workdir, capsys, path, *argv)
     assert expected in err, err
+
+
+# one input fault per error path of its own: (ELIP_SEED, damage, argv, exit
+# code, message)
+INPUT_FAULTS = {
+    "env_seed_not_an_integer": ("abc", None, ("flops",), 1,
+                                "ELIP_SEED must be an integer, got 'abc'"),
+    "occluded_without_vocab": (None, lambda: os.remove("data/vocab.json"), OCCLUDED_ARGS, 2,
+                               "no tokenizer table: pass --vocab or ship vocab.json"),
+    "attn_query_index_past_queries": (
+        None, None, ("attn", "--model", "model/checkpoint", "--data", "data/data.jsonl",
+                     "--record", "img0000", "--bench", "data/benchmark.json",
+                     "--query-index", 99), 1, "query index 99 out of range"),
+    "store_ids_repeat": (
+        None, lambda: _edit_json("gal/gallery/ids.json",
+                                 lambda d: d["ids"].__setitem__(1, d["ids"][0])),
+        RANK_ARGS, 2, "gal/gallery: store ids are not unique"),
+    "manifest_row_past_blob": (
+        None, lambda: _edit_manifest_line(2, lambda d: d["patches"].update(row=1000000)),
+        EMBED_ARGS, 2, "data/data.jsonl:2: rows [1000000, 1000004) outside blob of 48 rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_FAULTS))
+def test_input_fault_exits_with_its_code_and_message(workdir, capsys, monkeypatch, case):
+    env_seed, damage, argv, code, expected = INPUT_FAULTS[case]
+    build_pipeline(workdir, capsys)
+    if damage:
+        damage()
+    if env_seed is not None:
+        monkeypatch.setenv("ELIP_SEED", env_seed)
+    assert run(workdir, *argv, "--config", "config.json", "--out", "bad") == code
+    out, err = capsys.readouterr()
+    assert json.loads(out)["status"] == "error"
+    assert err.startswith("error: ") and expected in err and "Traceback" not in err, err
+    assert not os.path.exists("bad")
 
 
 def test_eval_rejects_repeated_ranking_entries_exit_two(workdir, capsys):
@@ -1762,7 +1821,7 @@ def test_success_prints_one_ok_line_and_writes_resolved_config(workdir, capsys, 
     assert len(lines) == 1, lines
     line = json.loads(lines[0])
     assert (line["command"], line["status"], line["seed"]) == (command, "ok", 7)
-    assert json.loads(open("out/resolved-config.json").read())["out_dir"] == "out"
+    assert "out_dir" not in json.loads(open("out/resolved-config.json").read())
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
@@ -1944,9 +2003,10 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
 
 
 # the dests of the flags that set no config field: each command's own inputs
-COMMAND_ONLY_DESTS = {"config", "model", "data", "plan", "gallery", "bench", "rankings",
-                      "vocab", "batch_size", "unique_category", "fraction", "conditioning",
-                      "itm_sigmoid", "kind", "ks", "record", "mode", "tokens", "query_index"}
+COMMAND_ONLY_DESTS = {"config", "out_dir", "model", "data", "plan", "gallery", "bench",
+                      "rankings", "vocab", "batch_size", "unique_category", "fraction",
+                      "conditioning", "itm_sigmoid", "kind", "ks", "record", "mode", "tokens",
+                      "query_index"}
 
 
 def _flag_actions():
@@ -1974,8 +2034,8 @@ def test_every_flag_dest_is_a_config_field_or_command_only():
     holding the flag's value at the dest's path reads back with the value
     there, so a misspelt dest fails here rather than doing nothing. Every
     other dest is listed as command-only. A config-field flag defaults to
-    None (--out to "out"), so only a given flag overrides the config, and
-    no command reads one from args."""
+    None, so only a given flag overrides the config, and no command reads
+    one from args."""
     config_dests = set(_config_dests())
     command_only = set()
     for command, action in _flag_actions():
@@ -1992,7 +2052,7 @@ def test_every_flag_dest_is_a_config_field_or_command_only():
         assert node == value and type(node) is type(value), (command, action.dest)
     assert command_only == COMMAND_ONLY_DESTS
     assert all(action.default is None for command, action in _flag_actions()
-               if (command, action.dest) in config_dests and action.dest != "out_dir")
+               if (command, action.dest) in config_dests)
     # commands read those settings from cfg, never from args
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "elip"
     read = {node.attr for node in ast.walk(ast.parse((src / "cli.py").read_text(encoding="utf-8")))
@@ -2001,12 +2061,22 @@ def test_every_flag_dest_is_a_config_field_or_command_only():
     assert read & {dest for _, dest in config_dests} == set()
 
 
+def test_every_choice_list_is_a_named_constant():
+    """A closed choice list is spelled once, beside the validator that reads
+    it: every choices= in cli.py names it rather than listing literals."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "elip" / "cli.py"
+    values = [node.value for node in ast.walk(ast.parse(src.read_text(encoding="utf-8")))
+              if isinstance(node, ast.keyword) and node.arg == "choices"]
+    assert len(values) >= 6
+    assert all(isinstance(value, ast.Name) for value in values), [ast.unparse(v) for v in values]
+
+
 # ---------------------------------------------------------------------------
 # resolved-config.json replays its run
 # ---------------------------------------------------------------------------
 
 # per subcommand over build_pipeline(variant="B") artifacts plus a stage-1
-# ranking: every config-field flag it takes but --seed and --out, then the
+# ranking: every config-field flag it takes but --seed, then the
 # command-only flags a replay passes again
 REPLAY_FLAGS = {
     "gen-synth": (["--n", 10, "--clusters", 2, "--signal-strength", 0.8], []),
@@ -2044,14 +2114,14 @@ def test_replay_flags_cover_every_config_field_flag():
         flags = {f for f in config_flags if isinstance(f, str) and f.startswith("--")}
         taken = {flag for name, action in _flag_actions() if name == command
                  and (name, action.dest) in dests for flag in action.option_strings}
-        assert flags | {"--seed", "--out"} == taken, command
+        assert flags | {"--seed"} == taken, command
         assert not taken & set(command_flags), command
 
 
 def test_resolved_config_replays_every_command(workdir, capsys):
     """Each command run with every config-field flag it takes, then again
     from its resolved-config.json with only its command-only flags, writes
-    the same bytes; the two resolved configs differ only in out_dir."""
+    the same bytes, resolved-config.json included."""
     build_pipeline(workdir, capsys, variant="B")
     assert run(workdir, "rank", "--config", "config.json", "--out", "ranked",
                *REPLAY_FLAGS["rank"][1]) == 0
@@ -2067,12 +2137,12 @@ def test_resolved_config_replays_every_command(workdir, capsys):
         given = vars(build_parser().parse_args(
             [command, "--seed", "5", *map(str, config_flags), *map(str, command_flags)]))
         for name, dest in _config_dests():
-            if name == command and dest != "out_dir":
+            if name == command:
                 node = resolved[0]
                 for key in dest.split("."):
                     node = node[key]
                 assert node == given[dest], (command, dest)
-        assert resolved[1] == {**resolved[0], "out_dir": again}, command
+        assert resolved[1] == resolved[0], command
         assert _artifacts(first) == _artifacts(again), command
     capsys.readouterr()
 
@@ -2122,6 +2192,8 @@ def test_commands_other_than_gen_synth_ignore_synth(workdir, capsys):
             assert run(workdir, command, "--config", config, "--out", out,
                        *COMMAND_ARGV[command]) == 0, command
         resolved = [json.loads(open(f"{out}/resolved-config.json").read()) for out in outs]
-        assert resolved[1] == {**resolved[0], "synth": synth, "out_dir": outs[1]}, command
-        assert _artifacts(outs[0]) == _artifacts(outs[1]), command
+        assert resolved[1] == {**resolved[0], "synth": synth}, command
+        plain, with_synth = (_artifacts(out) for out in outs)
+        del plain["resolved-config.json"], with_synth["resolved-config.json"]
+        assert plain == with_synth, command
     capsys.readouterr()
