@@ -111,8 +111,8 @@ def mine_hard_batches(
     encodings give the unit-norm text and image rows, or that (text, image)
     matrix pair itself."""
     n = ds.N
-    if not 1 <= B <= n:
-        raise ConfigError(f"batch size B={B} must lie in [1, N={n}]")
+    if not 2 <= B <= n:
+        raise ConfigError(f"batch size B={B} must lie in [2, N={n}]")
     if isinstance(model_or_embeddings, ModelBundle):
         model, source_seed = model_or_embeddings, model_or_embeddings.seed
         text_mat = np.stack([frozen_text(model, r).t_joint for r in ds.records])

@@ -10,10 +10,11 @@ Image token order is [patch tokens (+pos), CLS (+pos), prompt tokens
 participate in every later block.
 
 An image encode is two calls. image_forward runs the blocks and stops at
-the last block's kept_rows; joint_embed runs the joint head (the final
-layer norm, the joint projection and the L2 norm) once over a stack of
-them, a text's encodes in objectives.stream_pairs, and image_backward
-takes that call's cache back through the head, then the blocks.
+the last block's attention residual on its kept_rows; joint_embed runs the
+joint head (that block's MLP half, the final layer norm, the joint
+projection and the L2 norm) once over a stack of them, a text's encodes
+in objectives.stream_pairs, and image_backward takes that call's cache
+back through the head, then the blocks.
 
 frozen_text, frozen_image and frozen_prefix keep a record's frozen work on
 the record, one entry per ModelBundle.backbone_key (and per kept_rows, or
@@ -55,7 +56,7 @@ class ImageEncoding:
     """One image through the image blocks under optional prompts, with its
     backward cache; joint_embed runs the joint head over a stack of them."""
 
-    kept: Array  # (R, d_v) the last block's kept_rows, before the final layer norm
+    kept: Array  # (R, d_v) the last block's kept_rows, before its MLP half
     prompt_count: int
     block_caches: list  # per layer attention_block cache
 
@@ -329,9 +330,9 @@ def image_forward(
     from the prefix, and computed from this encode's state at insert_layer
     and put there, read-only, when the prefix has none yet; the blocks
     below insert_layer run on every call. The last block computes only the
-    rows the variant reads (kept_rows), and the encoding stops there: the
-    final layer norm, the joint projection and the L2 norm run in
-    joint_embed, once over the stack of a text's encodings."""
+    rows the variant reads (kept_rows), and the encoding stops at their
+    attention residual; joint_embed runs the rest of the block and the
+    joint head, once over the stack of a text's encodings."""
     dims = model.dims
     if prompts is not None:
         prompts = np.asarray(prompts, dtype=model.dtype)
@@ -357,30 +358,33 @@ def image_forward(
             pre = [prefix.insert_group, prompt_group]
             seq = np.concatenate([seq, prompts], axis=0)
         rows = kept_rows(model) if layer_idx == last else slice(None)
-        seq, _, bcache = numkit.attention_block(block, seq, dims.H, rows=rows, pre=pre)
+        seq, _, bcache = numkit.attention_block(block, seq, dims.H, rows=rows, pre=pre,
+                                                mlp=layer_idx != last)
         block_caches.append(bcache)
     return ImageEncoding(kept=seq, prompt_count=n, block_caches=block_caches)
 
 
 def joint_embed(model: ModelBundle, kept: Array) -> tuple:
     """(patch_states, v_joint, cache) of kept rows (..., R, d_v), the last
-    block's kept_rows of one image or of a stack: the final layer norm, then
-    the joint projection and L2 norm of each CLS row, each run once over the
-    stack. patch_states are B's (..., P, d_v) final patch states (None for
-    C/S), v_joint the (..., d_e) unit-norm embeddings, and cache what
-    joint_embed_backward reads. Every image has the bits of its own call:
-    the layer norm is row-wise, and project_normalize keeps each row's."""
-    states, ln_cache = numkit.layer_norm(model.image_ln, kept)
+    block's attention residual on its kept_rows, of one image or a stack:
+    that block's block_mlp, the final layer norm, then the joint projection
+    and L2 norm of each CLS row, each run once over the stack. patch_states
+    are B's (..., P, d_v) final patch states (None for C/S), v_joint the
+    (..., d_e) unit-norm embeddings, and cache what joint_embed_backward
+    reads. Every image has the bits of its own call: block_mlp runs one
+    gemm per image, and project_normalize keeps each row's."""
+    out, mlp_cache = numkit.block_mlp(model.image_blocks[-1], kept)
+    states, ln_cache = numkit.layer_norm(model.image_ln, out)
     v_joint, proj_cache = project_normalize(model.proj_image, states[..., -1, :])
     patch_states = states[..., : model.dims.P, :] if model.variant == "B" else None
-    return patch_states, v_joint, (ln_cache, proj_cache)
+    return patch_states, v_joint, (ln_cache, proj_cache, mlp_cache)
 
 
 def joint_embed_backward(model: ModelBundle, cache: tuple, grad_v_joint=None,
                          grad_patch_states=None) -> Array:
     """The gradient on the kept rows of a joint_embed call, given gradients
     on its v_joint and/or, for variant B, its final patch states."""
-    ln_cache, proj_cache = cache
+    ln_cache, proj_cache, mlp_cache = cache
     grad = np.zeros_like(ln_cache[0])
     if grad_patch_states is not None:
         if model.variant != "B":
@@ -389,7 +393,8 @@ def joint_embed_backward(model: ModelBundle, cache: tuple, grad_v_joint=None,
     if grad_v_joint is not None:
         grad[..., -1, :] = project_normalize_backward(
             proj_cache, np.asarray(grad_v_joint, dtype=model.dtype))
-    return numkit.layer_norm_backward(ln_cache, grad)
+    grad = numkit.layer_norm_backward(ln_cache, grad)
+    return numkit.block_mlp_backward(model.image_blocks[-1], mlp_cache, grad)
 
 
 def kept_rows(model: ModelBundle) -> slice:
@@ -503,8 +508,9 @@ def image_backward(
     and/or, for variant B, its final patch states (g, P, d_v); (g, 0, d_v)
     when n is 0.
 
-    The joint head goes back once over the (g, R, d_v) stack, the last
-    block takes the kept rows back to all T, and blocks L_v-2 ...
+    The joint head and the last block's MLP half go back once over the
+    (g, R, d_v) stack, the last block's attention takes the kept rows back
+    to all T, and blocks L_v-2 ...
     insert_layer each run once over the (g, T, d_v) stack; each image's
     gradient has the bits of a backward of its own. Every block's caches
     are stacked before the first block runs: stacking between blocks let

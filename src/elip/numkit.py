@@ -3,10 +3,10 @@
 Token sequences are (T, d) matrices; attention views them as an
 (H, T, d/H) head stack and runs each product as one batched matmul. The
 backward kernels also take leading stack axes, (g, T, d) for g images
-(stack_block_caches, stack_layer_norm_caches): every product stays a
->= 3-D matmul, which numpy runs as one gemm per image, so each image's
-gradient has the bits of its own 2-D backward. A (g*T, d) reshape would
-run one larger gemm and move bits.
+(stack_block_caches, stack_layer_norm_caches), as do block_mlp and
+layer_norm: every product stays a >= 3-D matmul, which numpy runs as one
+gemm per image, so each image has the bits of its own 2-D call. A (g*T,
+d) reshape would run one larger gemm and move bits.
 
 Arrays are plain numpy ndarrays (float32 for training/inference, float64
 for gradient-check runs); every op is pure and keeps the input dtype.
@@ -20,8 +20,8 @@ Each primitive comes as a forward returning (out, cache) plus a backward
 taking (cache, grad_out) and returning exact analytic gradients, which the
 tests check against central finite differences. Only linear_backward
 also returns its tensors' gradients: the encoders' layer norms and blocks
-stay frozen, so layer_norm_backward and attention_block_backward return
-the input gradient alone.
+stay frozen, so layer_norm_backward, block_mlp_backward and
+attention_block_backward return the input gradient alone.
 """
 
 from __future__ import annotations
@@ -250,25 +250,26 @@ def pre_attention(params: LayerParams, x: Array, rows: slice = slice(None)) -> t
     return xhat, inv, q, k, v
 
 
-def attention_block(params: LayerParams, seq: Array, heads: int,
-                    rows: slice = slice(None), pre=None) -> tuple[Array, Array, tuple]:
+def attention_block(params: LayerParams, seq: Array, heads: int, rows: slice = slice(None),
+                    pre=None, mlp=True) -> tuple[Array, Array, tuple]:
     """Multi-head self-attention block; returns (out, attn (H,R,T), cache)
     for the R rows of seq that rows selects (all T by default).
 
-    Pre-norm residual wiring, MLP hidden width 4*d. pre holds the
-    pre_attention groups of seq's rows in row order, each with Q for its
-    share of the kept rows, and the block joins them along the row axis; by
-    default it computes all of seq as one group. Q, the attention rows, the
-    output projection, the residual, LN2 and the MLP run for the kept rows
-    alone; K and V for all T, as every row is a key. attn rows are their
-    post-softmax weights per head. All heads run as one (H, R, dh) stack;
-    leading axes of seq are a stack too. The cache holds only what the
-    input gradient reads, with Q as an (R, d) and K, V as (T, d) matrices,
-    so that stack_block_caches stacks them into g-deep arrays whose
-    per-head views have the strides of the unstacked ones. A group, or a
-    subset of rows, runs gemms with fewer rows (GEMV for one), which
-    OpenBLAS may sum in another order: its rows need not have the bits of
-    the same rows of one whole-sequence group.
+    Pre-norm residual wiring. pre holds the pre_attention groups of seq's
+    rows in row order, each with Q for its share of the kept rows, and the
+    block joins them along the row axis; by default it computes all of seq
+    as one group. Q, the attention rows, the output projection, the
+    residual and then block_mlp run for the kept rows alone; K and V for
+    all T, as every row is a key. mlp=False skips block_mlp and returns
+    the attention residual y (encoders.joint_embed runs its block_mlp over
+    a stack of images). attn rows are their post-softmax weights per head.
+    All heads run as one (H, R, dh) stack; leading axes of seq are a stack
+    too. The cache holds only what the input gradient reads, with Q as an
+    (R, d) and K, V as (T, d) matrices, so that stack_block_caches stacks
+    them into g-deep arrays whose per-head views have the strides of the
+    unstacked ones. A group, or a subset of rows, runs gemms with fewer
+    rows (GEMV for one), which OpenBLAS may sum in another order: its rows
+    need not have the bits of the same rows of one whole-sequence group.
     """
     d = seq.shape[-1]
     if d % heads != 0:
@@ -289,7 +290,17 @@ def attention_block(params: LayerParams, seq: Array, heads: int,
     y = o @ p["wo"].T
     y += p["bo"]
     y += seq[..., rows, :]
+    out, mlp_cache = block_mlp(params, y) if mlp else (y, (None, None))
+    cache = ((xhat, inv, p["ln1.gamma"]), q, k, v, attn, *mlp_cache,
+             heads, scale, rows)
+    return out, attn, cache
 
+
+def block_mlp(params: LayerParams, y: Array) -> tuple[Array, tuple]:
+    """out = y + MLP(LN2(y)), MLP hidden width 4*d, a block's row-wise half
+    after attention, with its (ln2 cache, gelu cache); leading axes of y
+    are a stack, each (R, d) slice with the bits of its own call."""
+    p = params.tensors
     h2, ln2_cache = _layer_norm_core(p["ln2.gamma"], p["ln2.beta"], y)
     m1 = h2 @ p["w1"].T
     m1 += p["b1"]
@@ -297,24 +308,28 @@ def attention_block(params: LayerParams, seq: Array, heads: int,
     out = a1 @ p["w2"].T
     out += p["b2"]
     out += y
+    return out, (ln2_cache, gelu_cache)
 
-    ln1_cache = (xhat, inv, p["ln1.gamma"])
-    cache = (ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, heads, scale, rows)
-    return out, attn, cache
+
+def block_mlp_backward(params: LayerParams, cache: tuple, grad_out: Array) -> Array:
+    """The gradient on y of a block_mlp call, stacked as its input was."""
+    ln2_cache, gelu_cache = cache
+    grad_m1 = gelu_backward(gelu_cache, grad_out @ params.tensors["w2"])
+    grad_y = layer_norm_backward(ln2_cache, grad_m1 @ params.tensors["w1"])
+    grad_y += grad_out
+    return grad_y
 
 
 def attention_block_backward(params: LayerParams, cache: tuple, grad_out: Array) -> Array:
     """The gradient on all T block input rows, given grad_out on the rows
-    the forward kept. cache is one attention_block cache, or
-    stack_block_caches of several with grad_out stacked the same way. The
-    block's own tensors are frozen, so their gradients are never formed."""
+    the forward kept: on out, or on y when the forward ran no MLP half.
+    cache is one attention_block cache, or stack_block_caches of several
+    with grad_out stacked the same way. The block's own tensors are frozen,
+    so their gradients are never formed."""
     ln1_cache, q, k, v, attn, ln2_cache, gelu_cache, heads, scale, rows = cache
     p = params.tensors
-
-    # MLP branch: out = y + m2
-    grad_m1 = gelu_backward(gelu_cache, grad_out @ p["w2"])
-    grad_y = layer_norm_backward(ln2_cache, grad_m1 @ p["w1"])
-    grad_y += grad_out
+    grad_y = (grad_out if ln2_cache is None
+              else block_mlp_backward(params, (ln2_cache, gelu_cache), grad_out))
 
     # attention branch: y = seq[rows] + O @ wo.T + bo
     grad_o = _split_heads(grad_y @ p["wo"], heads)
@@ -350,9 +365,10 @@ def stack_layer_norm_caches(caches: list) -> tuple:
 def stack_block_caches(caches: list) -> tuple:
     """One attention_block cache for the (g, T, d) stack of g (T, d) inputs."""
     ln1, q, k, v, attn, ln2, gelu_caches, heads, scale, rows = zip(*caches)
+    mlp = ((None, None) if ln2[0] is None  # a block that ran no MLP half
+           else (stack_layer_norm_caches(ln2), tuple(map(_stack, zip(*gelu_caches)))))
     return (stack_layer_norm_caches(ln1), _stack(q), _stack(k), _stack(v), _stack(attn),
-            stack_layer_norm_caches(ln2), tuple(map(_stack, zip(*gelu_caches))),
-            heads[0], scale[0], rows[0])
+            *mlp, heads[0], scale[0], rows[0])
 
 
 # ---------------------------------------------------------------------------

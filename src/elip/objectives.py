@@ -14,8 +14,9 @@ scores a row with numkit.row_dots, each entry with its own np.dot bits. B
 scores each anchor's positive and its mined negative with the ITM head.
 
 The streamer maps text i's prompts once and encodes one pair at a time,
-then runs the joint head (final layer norm, joint projection, L2 norm)
-once over the stack of the run's kept rows, encoders.joint_embed, and
+then runs the joint head (the last image block's MLP half, the final
+layer norm, the joint projection and the L2 norm) once over the stack of
+the run's kept rows, encoders.joint_embed, and
 keeps only the scored part of each encoding in the returned stack: a
 query's k candidates, a per_row text's b images, a B anchor's two, a
 diagonal pair alone. A call without gradients (a loss-only call, or

@@ -3,8 +3,10 @@ metrics, curves, attention maps and the FLOPs estimator.
 
 Stage 1 scores by numkit.row_dots, whose rows carry the bits of per-row
 np.dot (not of one batched GEMV). Stage 2 encodes a query's top-k through
-objectives.stream_pairs, the training pair streamer, which returns the
-candidates' (k, d_e) v_joint (C/S) or (k, P, d_v) patch states (B). C/S
+objectives.stream_pairs, the training pair streamer, which runs the joint
+head (the last image block's MLP half, the final layer norm, the
+projection) once over the k candidates and returns their (k, d_e)
+v_joint (C/S) or (k, P, d_v) patch states (B). C/S
 scores that stack by the same row_dots, so stage-1 and re-ranked scores of
 identical encodings are bitwise equal, and B by one stacked ITM-head call,
 each logit with the bits of its own single-image call.

@@ -420,6 +420,10 @@ def read_plan(path: str) -> CurationPlan:
     def parse(doc):
         batches = [_typed(path, b, list[int], f"batch {n} index")
                    for n, b in enumerate(doc["batches"])]
+        for n, batch in enumerate(batches):
+            if len(batch) < 2:
+                raise FormatError(f"{path}: batch {n} holds {len(batch)} record(s); "
+                                  "every batch needs >= 2")
         scores = doc.get("learnability")
         if not (scores is None or _conforms(scores, list[float]) and len(scores) == len(batches)):
             raise FormatError(f"{path}: learnability {scores!r} is neither null nor "

@@ -1401,6 +1401,18 @@ INPUT_FAULTS = {
     "manifest_row_past_blob": (
         None, lambda: _edit_manifest_line(2, lambda d: d["patches"].update(row=1000000)),
         EMBED_ARGS, 2, "data/data.jsonl:2: rows [1000000, 1000004) outside blob of 48 rows"),
+    "plan_batch_of_one_train": (
+        None, lambda: _edit_json("plan/plan.json", lambda d: d.update(batches=[[0], [1, 2]])),
+        READERS["plan/plan.json"], 2,
+        "plan/plan.json: batch 0 holds 1 record(s); every batch needs >= 2"),
+    "plan_batch_of_one_select": (
+        None, lambda: _edit_json("plan/plan.json", lambda d: d.update(batches=[[0, 1], [2]])),
+        ("curate-select", "--model", "model/checkpoint", "--data", "data/data.jsonl",
+         "--plan", "plan/plan.json", "--fraction", 0.5), 2,
+        "plan/plan.json: batch 1 holds 1 record(s); every batch needs >= 2"),
+    "mine_batch_size_one": (
+        None, None, ("curate-mine", "--model", "model/checkpoint", "--data", "data/data.jsonl",
+                     "--batch-size", 1), 1, "batch size B=1 must lie in [2, N=12]"),
 }
 
 

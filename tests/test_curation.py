@@ -67,6 +67,8 @@ def test_mine_rejects_bad_batch_size():
         mine_hard_batches(ds, emb, B=4)
     with pytest.raises(ConfigError):
         mine_hard_batches(ds, emb, B=0)
+    with pytest.raises(ConfigError, match=r"B=1 must lie in \[2, N=3\]"):
+        mine_hard_batches(ds, emb, B=1)  # no plan reader accepts a batch of one
 
 
 def test_mine_unique_category_skips_and_errors():

@@ -264,6 +264,39 @@ def test_backward_stops_at_insert_layer(tiny_dims, insert_layer, monkeypatch):
         image_backward(model, [enc.enc, bare.enc], pair, [np.ones(dims.d_e)] * 2)
 
 
+def test_last_block_mlp_half_runs_once_per_stack(monkeypatch):
+    """The last image block's MLP half runs in the joint head, once over a
+    run's stack: once per query for a k = 7 re-rank, once per text for a
+    per-row step, and never inside image_forward."""
+    from elip.curation import PairDataset
+    from elip.objectives import variant_batch_loss
+    from elip.retrieval import embed_gallery, rerank, stage1_rank
+
+    from conftest import make_records, randomize_mapper
+
+    model = init_frozen_model(7, TINY, "C", MapperConfig(hidden=8))
+    randomize_mapper(model)
+    ds = PairDataset(records=make_records(8))
+    text = encode_text(model, [1, 2, 3])
+    ranking = stage1_rank(embed_gallery(model, ds), text)
+    calls = []
+    real = numkit.block_mlp
+
+    def spy(params, y):
+        if params is model.image_blocks[-1]:
+            calls.append(y.shape)
+        return real(params, y)
+
+    monkeypatch.setattr(numkit, "block_mlp", spy)
+    image_forward(model, patches_for(TINY), Rng(30).gaussian_matrix(TINY.n, TINY.d_v))
+    assert calls == []
+    rerank(model, ds, ranking, k=7, text_enc=text)
+    assert calls == [(7, 1, TINY.d_v)]
+    calls.clear()
+    variant_batch_loss(model, ds.records[:4], "per_row", grads={})
+    assert calls == [(4, 1, TINY.d_v)] * 4
+
+
 def test_cs_backward_refuses_patch_state_gradients(tiny_model, tiny_dims):
     """A C/S encoding keeps no final patch states, so no gradient can reach
     them; with P = 1 that gradient would otherwise land on the CLS row."""

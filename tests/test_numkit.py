@@ -690,7 +690,7 @@ def test_stacked_backward_matches_single_calls(dims, dtype, variant, seed):
     grad_outs = {i: grad_kept if i == dims.L_v - 1 else grad_rows for i in layers}
 
     def final_ln_backward(enc, grad):
-        ln_cache, _ = joint_embed(model, enc.kept)[2]
+        ln_cache, _, _ = joint_embed(model, enc.kept)[2]
         return layer_norm_backward(ln_cache, grad), layer_norm_param_grads(ln_cache, grad)
 
     kept_stack = np.stack([e.kept for e in encs])
@@ -705,8 +705,9 @@ def test_stacked_backward_matches_single_calls(dims, dtype, variant, seed):
                       for e, gr in zip(encs, grad_outs[i])]
         assert all(x.shape == (dims.P + 1 + dims.n, dims.d_v) for x in singles[i])
     for g in STACKS:
-        ln_cache, proj_cache = joint_embed(model, kept_stack[:g])[2]
-        got = image_backward(model, encs[:g], (ln_cache, proj_cache), grad_v[:g],
+        head_cache = joint_embed(model, kept_stack[:g])[2]
+        ln_cache = head_cache[0]
+        got = image_backward(model, encs[:g], head_cache, grad_v[:g],
                              grad_patches[:g] if variant == "B" else None)
         assert got.shape == (g, dims.n, dims.d_v)
         _same_bytes(got, singles["image_backward"][:g], "image_backward")
@@ -721,6 +722,58 @@ def test_stacked_backward_matches_single_calls(dims, dtype, variant, seed):
             grad_x = attention_block_backward(model.image_blocks[i], block_cache,
                                               grad_outs[i][:g])
             _same_bytes(grad_x, singles[i][:g], f"block {i}")
+
+
+@settings(max_examples=12, deadline=None)
+@given(prompted_dims(), st.sampled_from([np.float32, np.float64]), st.sampled_from("BC"),
+       st.integers(0, 2**31))
+def test_stacked_head_keeps_each_images_bytes(dims, dtype, variant, seed):
+    """The last block's MLP half runs in the joint head, over the stack of
+    the kept rows' attention residuals. For stacks of 1, 7 and 200 images,
+    joint_embed's v_joint and B's final patch states, and image_backward's
+    prompt gradients, have the bytes of each image's 1-stack call; a
+    1-stack call has the bytes of the full attention_block, MLP half
+    included, on the kept rows."""
+    from unittest import mock
+
+    from elip.encoders import image_backward, image_forward, joint_embed, project_normalize
+
+    model = init_frozen_model(seed % 1000, dims, variant, MapperConfig(hidden=8),
+                              dtype=dtype)
+    rng = np.random.default_rng(seed)
+    stacks = (1, 7, 200)
+    inputs = [(rng.standard_normal((dims.P, dims.d_in)),
+               0.5 * rng.standard_normal((dims.n, dims.d_v))) for _ in range(max(stacks))]
+    encs = [image_forward(model, *x) for x in inputs]
+    kept = np.stack([e.kept for e in encs])
+    grad_v = rng.standard_normal((max(stacks), dims.d_e))
+    grad_p = (rng.standard_normal((max(stacks), dims.P, dims.d_v)).astype(dtype)
+              if variant == "B" else None)
+
+    def head(lo, hi):
+        patch_states, v_joint, cache = joint_embed(model, kept[lo:hi])
+        grad = image_backward(model, encs[lo:hi], cache, grad_v[lo:hi],
+                              None if grad_p is None else grad_p[lo:hi])
+        return v_joint, patch_states, grad
+
+    singles = [[x[0] for x in head(r, r + 1) if x is not None] for r in range(max(stacks))]
+    for g in stacks:
+        for part, got in enumerate(x for x in head(0, g) if x is not None):
+            _same_bytes(got, [single[part] for single in singles[:g]], f"head part {part}")
+
+    real = numkit.attention_block
+
+    def full_block(*args, **kwargs):
+        return real(*args, **{**kwargs, "mlp": True})
+
+    for r in range(0, max(stacks), 37):
+        with mock.patch.object(numkit, "attention_block", full_block):
+            full = image_forward(model, *inputs[r]).kept
+        out, _ = numkit.block_mlp(model.image_blocks[-1], kept[r:r + 1])
+        assert out[0].tobytes() == full.tobytes()
+        states, _ = layer_norm(model.image_ln, full)
+        v_joint, _ = project_normalize(model.proj_image, states[-1])
+        assert singles[r][0].tobytes() == v_joint.tobytes()
 
 
 def test_stacked_caches_share_parameters_and_view_a_single_image():
@@ -830,9 +883,10 @@ def test_grad_check_accepts_exact_linear():
 
 def test_grad_check_full_encoder_cls_chain():
     """The CLS state's gradient on the encoder input, the raw patches: final
-    layer norm, every block and the patch embedding. A C encoding keeps the
-    CLS row alone after the last block, so the final layer norm's cache is
-    that one row, from which the CLS state is rebuilt."""
+    layer norm, the last block's MLP half in the joint head, every block and
+    the patch embedding. A C encoding keeps the CLS row alone after the last
+    block, so the final layer norm's cache is that one row, from which the
+    CLS state is rebuilt."""
     from elip.encoders import image_forward, joint_embed
 
     model = init_frozen_model(7, TINY, "C", MapperConfig(hidden=8), dtype=np.float64)
@@ -840,8 +894,9 @@ def test_grad_check_full_encoder_cls_chain():
 
     def f(point):
         enc = image_forward(model, point["patches"])
-        (ln_cache, _) = joint_embed(model, enc.kept)[2]
+        ln_cache, _, mlp_cache = joint_embed(model, enc.kept)[2]
         grad = numkit.layer_norm_backward(ln_cache, w[None])
+        grad = numkit.block_mlp_backward(model.image_blocks[-1], mlp_cache, grad)
         for block, cache in reversed(list(zip(model.image_blocks, enc.block_caches))):
             grad = numkit.attention_block_backward(block, cache, grad)
         grad_patches, _ = linear_backward(
