@@ -34,6 +34,7 @@ from .curation import (
     build_occluded_benchmark,
     gen_synthetic_dataset,
     mine_hard_batches,
+    query_id,
     select_by_learnability,
 )
 from .encoders import copy_without_prompts, encode_text, init_frozen_model
@@ -99,11 +100,27 @@ def _load_model_and_data(args) -> tuple:
 
 
 def _load_rankings_and_bench(args) -> tuple:
-    """The --rankings file, and the --bench file over the rankings' gallery."""
+    """The --rankings file, and the --bench file over the rankings' gallery;
+    the rankings must rank query_id(i) for each bench query i and no other."""
     rankings = storage.read_rankings(args.rankings)
     if not rankings:
         raise DataError(f"no rankings in {args.rankings}")
-    return rankings, storage.read_benchmark(args.bench, rankings[0].ranked_ids())
+    bench = storage.read_benchmark(args.bench, rankings[0].ranked_ids())
+    ranked = {r.query_id for r in rankings}
+    wanted = {query_id(i) for i in range(len(bench.queries))}
+    if ranked != wanted:
+        raise DataError(f"{args.rankings} ranks {len(ranked)} queries and {args.bench} holds "
+                        f"{len(wanted)}: query {min(ranked ^ wanted)} is in only one of them")
+    return rankings, bench
+
+
+@contextlib.contextmanager
+def _prefixed(prefix: str):
+    """A DataError raised inside is re-raised with prefix before its message."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{prefix}: {exc}") from exc
 
 
 def _parse_int_list(text: str) -> list:
@@ -201,7 +218,8 @@ def cmd_rank(args, cfg: RunConfig) -> dict:
             f"the model at {args.model} has d_e={model.dims.d_e}"
         )
     bench = storage.read_benchmark(args.bench, store.ids)
-    queries = encode_queries(model, bench)
+    with _prefixed(args.bench):
+        queries = encode_queries(model, bench)
     rankings = rank_queries(store, queries)
     path = os.path.join(args.out_dir, "rankings.json")
     storage.write_rankings(path, rankings)
@@ -217,7 +235,8 @@ def cmd_rerank(args, cfg: RunConfig) -> dict:
     # backbone's encodings of these query tokens
     queries = storage.read_queries(os.path.dirname(args.rankings), model, bench)
     if queries is None:
-        queries = encode_queries(model, bench)
+        with _prefixed(args.bench):
+            queries = encode_queries(model, bench)
     reranked = rerank_queries(model, ds, rankings, queries, k, args.itm_sigmoid)
     path = os.path.join(args.out_dir, "rankings.json")
     storage.write_rankings(path, reranked)
@@ -252,7 +271,8 @@ def cmd_attn(args, cfg: RunConfig) -> dict:
         bench = storage.read_benchmark(args.bench, [r.id for r in ds.records])
         if not 0 <= args.query_index < len(bench.queries):
             raise ConfigError(f"query index {args.query_index} out of range")
-        text_enc = encode_text(model, bench.queries[args.query_index].text_tokens)
+        with _prefixed(f"{args.bench}: query {args.query_index}"):
+            text_enc = encode_text(model, bench.queries[args.query_index].text_tokens)
     amap = attention_map(model, record, text_enc, args.mode)
     path = os.path.join(args.out_dir, "attn.csv")
     storage.write_attn_csv(path, amap.grid)

@@ -145,8 +145,15 @@ def stage1_rank(store: EmbeddingStore, text_enc: TextEncoding, qid: str = "q0000
 
 def encode_queries(model: ModelBundle, bench: Benchmark) -> list:
     """One TextEncoding per benchmark query, in benchmark order: stage 1
-    ranks by its t_joint and stage 2 maps it to the query's prompts."""
-    return [encode_text(model, q.text_tokens) for q in bench.queries]
+    ranks by its t_joint and stage 2 maps it to the query's prompts. A query
+    the model cannot take is a DataError naming its index."""
+    queries = []
+    for i, q in enumerate(bench.queries):
+        try:
+            queries.append(encode_text(model, q.text_tokens))
+        except DataError as exc:
+            raise DataError(f"query {i}: {exc}") from exc
+    return queries
 
 
 def rank_queries(store: EmbeddingStore, queries: list) -> list:

@@ -1,13 +1,13 @@
-"""Persistent formats: tensor blobs, checkpoints, manifests, benchmarks,
-plans, rankings, query encodings and CSV reports. All writes are atomic
-(temp file + rename, a checkpoint or gallery store as one directory) and
-byte-stable for identical inputs.
+"""Persistent formats: tensor containers (checkpoints, gallery stores, query
+encodings), dataset manifests, benchmarks, plans, rankings and CSV reports.
+All writes are atomic (temp file + rename, a checkpoint or gallery store as
+one directory) and byte-stable for identical inputs.
 
 Tensor blob layout: magic 'ELIP', u8 version=1, u8 dtype (1=f32, 2=f64),
 u8 rank (<=2), u8 zero pad, rank x u64 little-endian dims, then the payload
-little-endian row-major. A checkpoint is a directory of blobs `<name>.bin`
-and an index.json that maps each tensor name to its blob's sha256; a blob's
-dtype and shape are its header's alone.
+little-endian row-major. A tensor container is a JSON index over one file of
+blobs end to end; its "tensors" maps each name to its blob's [offset,
+length, sha256]. A dataset's patches.bin is the one blob outside a container.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def _typed(path: str, value, hint, what: str):
 
 
 # ---------------------------------------------------------------------------
-# tensor blobs
+# tensor blobs and containers
 # ---------------------------------------------------------------------------
 
 
@@ -174,26 +174,18 @@ def blob_to_tensor(data: bytes, source: str = "<bytes>") -> np.ndarray:
     dims_end = 8 + 8 * rank
     if len(data) < dims_end:
         raise FormatError(f"{source}: truncated dims at offset {len(data)}")
-    shape = tuple(
-        struct.unpack("<Q", data[8 + 8 * i : 16 + 8 * i])[0] for i in range(rank)
-    )
+    shape = struct.unpack(f"<{rank}Q", data[8:dims_end])
     dtype = _CODE_DTYPES[code]
     expected = math.prod(shape) * dtype.itemsize  # Python ints: no overflow
     if len(data) - dims_end != expected:
-        raise FormatError(
-            f"{source}: payload length {len(data) - dims_end} != {expected} "
-            f"at offset {dims_end}"
-        )
+        raise FormatError(f"{source}: payload length {len(data) - dims_end} != {expected} "
+                          f"at offset {dims_end}")
     flat = np.frombuffer(data[dims_end:], dtype=dtype)
-    arr = flat.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
-    return arr
+    return flat.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
 
 
-def write_tensor_blob(path: str, arr: np.ndarray) -> str:
-    """Writes the blob of arr; returns its sha256 hex digest."""
-    data = tensor_to_blob(arr)
-    atomic_write_bytes(path, data)
-    return hashlib.sha256(data).hexdigest()
+def write_tensor_blob(path: str, arr: np.ndarray) -> None:
+    atomic_write_bytes(path, tensor_to_blob(arr))
 
 
 def read_tensor_blob(path: str) -> np.ndarray:
@@ -201,94 +193,190 @@ def read_tensor_blob(path: str) -> np.ndarray:
         return blob_to_tensor(fh.read(), source=path)
 
 
-# ---------------------------------------------------------------------------
-# checkpoints (directory of blobs + index.json)
-# ---------------------------------------------------------------------------
-
-
-CHECKPOINT_VERSION = 3
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 
+def write_tensors(json_path: str, bin_path: str, doc: dict, tensors: dict) -> None:
+    """Writes the blobs of tensors ({name: array}) end to end as bin_path,
+    then doc plus "tensors": {name: [offset, length, sha256] of its blob} as
+    json_path, one compact JSON line. An older json_path is removed first and
+    the new one comes last, so a failed write leaves no index over other bytes."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(json_path)
+    blobs = {name: tensor_to_blob(arr) for name, arr in tensors.items()}
+    index, offset = {}, 0
+    for name, blob in blobs.items():
+        index[name] = [offset, len(blob), hashlib.sha256(blob).hexdigest()]
+        offset += len(blob)
+    atomic_write_bytes(bin_path, b"".join(blobs.values()))
+    atomic_write_text(json_path, json.dumps({**doc, "tensors": index}, sort_keys=True) + "\n")
+
+
+def read_tensors(json_path: str, bin_path: str, parse, layout) -> tuple:
+    """(meta, tensors): meta = parse(doc) of the index at json_path, any fault
+    _malformed there, and tensors {name: array}, or None with bin_path unread
+    when layout(meta), the {name: (dtype, shape)} to hold (None matching any
+    dtype or dimension), is None. A FormatError names the file and tensor when
+    the names differ from the layout's, the slices do not tile bin_path (a
+    gap, an overlap, a slice past the end, trailing bytes), or a slice fails
+    its sha256, its blob header or its layout."""
+
+    def parse_index(doc):
+        meta = parse(doc)
+        entries = {name: tuple(entry) for name, entry in doc["tensors"].items()}
+        for name, (offset, length, digest) in entries.items():
+            if not (_conforms([offset, length], list[int]) and _conforms(digest, str)):
+                raise FormatError(f"{json_path}: tensor {name!r} entry is not "
+                                  "[offset, length, sha256]")
+        return meta, entries
+
+    def describe(dtype, shape):  # a None dtype or dimension shown as '*'
+        dims = ", ".join("*" if dim is None else str(dim) for dim in shape)
+        return f"{_DTYPE_NAMES.get(dtype, '*')} ({dims})"
+
+    meta, entries = _parse_json(json_path, parse_index)
+    specs = layout(meta)
+    if specs is None:
+        return meta, None
+    if entries.keys() != specs.keys():
+        raise FormatError(f"{json_path}: missing tensors {sorted(specs.keys() - entries.keys())}, "
+                          f"unexpected tensors {sorted(entries.keys() - specs.keys())}")
+    with _open(bin_path) as fh:
+        data = fh.read()
+    tensors, end = {}, 0
+    for name, (offset, length, digest) in sorted(entries.items(), key=lambda e: e[1][0]):
+        where = f"{bin_path}: tensor {name!r}"
+        if offset != end:
+            raise FormatError(f"{where} starts at offset {offset}; the slice before ends at {end}")
+        end = offset + length
+        if end > len(data):
+            raise FormatError(f"{where} ends at offset {end}, past the file's {len(data)} bytes")
+        blob = data[offset:end]
+        if hashlib.sha256(blob).hexdigest() != digest:
+            raise FormatError(f"{where}: sha256 does not match {json_path}")
+        arr = tensors[name] = blob_to_tensor(blob, where)
+        dtype, shape = specs[name]
+        if not (dtype in (None, arr.dtype) and len(shape) == arr.ndim
+                and all(want in (None, got) for want, got in zip(shape, arr.shape))):
+            raise FormatError(f"{where} is {describe(arr.dtype, arr.shape)}; "
+                              f"{json_path} needs {describe(dtype, shape)}")
+    if end != len(data):
+        raise FormatError(f"{bin_path}: {len(data) - end} trailing bytes after offset {end}")
+    return meta, tensors
+
+
+# ---------------------------------------------------------------------------
+# checkpoints, gallery stores and query encodings
+# ---------------------------------------------------------------------------
+
+
+CHECKPOINT_VERSION = 4
+
+
 def save_checkpoint(ckpt_dir: str, model: ModelBundle) -> None:
-    """Publishes the checkpoint's blobs and index.json as one directory."""
-    _publish_dir(ckpt_dir, lambda out_dir: _write_checkpoint_files(out_dir, model))
-
-
-def _write_checkpoint_files(out_dir: str, model: ModelBundle) -> None:
-    index = {
-        "version": CHECKPOINT_VERSION,
-        "variant": model.variant,
-        "seed": model.seed,
-        "dtype": _DTYPE_NAMES[np.dtype(model.dtype)],
-        "dims": asdict(model.dims),
-        "mapper": asdict(model.mapper_cfg),
-        "tensors": {name: write_tensor_blob(os.path.join(out_dir, f"{name}.bin"), arr)
-                    for name, arr, _ in model.iter_tensors()},
-    }
-    write_json(os.path.join(out_dir, "index.json"), index)
+    """Publishes index.json over tensors.bin as one directory."""
+    doc = {"version": CHECKPOINT_VERSION, "variant": model.variant, "seed": model.seed,
+           "dtype": _DTYPE_NAMES[np.dtype(model.dtype)], "dims": asdict(model.dims),
+           "mapper": asdict(model.mapper_cfg)}
+    _publish_dir(ckpt_dir, lambda out_dir: write_tensors(
+        os.path.join(out_dir, "index.json"), os.path.join(out_dir, "tensors.bin"), doc,
+        {name: arr for name, arr, _ in model.iter_tensors()}))
 
 
 def load_checkpoint(ckpt_dir: str) -> ModelBundle:
-    """Reads a version-3 checkpoint: index.json maps each tensor name to the
-    sha256 of its blob `<name>.bin`. Every blob must match its digest, and
-    its header's dtype and shape the layout of the bundle the index
-    describes; any mismatch is a FormatError."""
+    """Reads a version-4 checkpoint: the bundle's layout is rebuilt from
+    index.json without drawing its weights, and read_tensors fills it from
+    tensors.bin."""
     index_path = os.path.join(ckpt_dir, "index.json")
 
     def parse(doc):
         if doc["version"] != CHECKPOINT_VERSION:
-            raise FormatError(
-                f"{index_path}: checkpoint index version {doc['version']!r} is not "
-                f"{CHECKPOINT_VERSION}, so re-create the checkpoint"
-            )
+            raise FormatError(f"{index_path}: checkpoint index version {doc['version']!r} is not "
+                              f"{CHECKPOINT_VERSION}, so re-create the checkpoint")
         if doc["dtype"] not in ("f32", "f64"):
             raise FormatError(f"{index_path}: dtype {doc['dtype']!r} is not f32 or f64")
-        return (
-            _typed(index_path, doc["seed"], int, "seed"),
-            doc["variant"],
-            # read as RunConfig reads them; a ConfigError is a malformed index
-            _from_doc(DimsConfig, doc["dims"], ("dims",)),
-            _from_doc(MapperConfig, doc["mapper"], ("mapper",)),
-            np.dtype(np.float32 if doc["dtype"] == "f32" else np.float64),
-            dict(doc["tensors"].items()),
-        )
+        dtype = np.dtype(np.float32 if doc["dtype"] == "f32" else np.float64)
+        seed = _typed(index_path, doc["seed"], int, "seed")
+        # dims and mapper read as RunConfig reads them; a layout the index
+        # cannot describe (say insert_layer >= L_v) is a fault of the index
+        try:
+            dims = _from_doc(DimsConfig, doc["dims"], ("dims",))
+            mapper_cfg = _from_doc(MapperConfig, doc["mapper"], ("mapper",))
+            return _assemble_model(seed, dims, doc["variant"], mapper_cfg, dtype,
+                                   lambda rows, cols, fan_in: np.empty((rows, cols), dtype))
+        except ConfigError as exc:
+            raise FormatError(f"{index_path}: {exc}") from exc
 
-    seed, variant, dims, mapper_cfg, dtype, digests = _parse_json(index_path, parse)
-    # The bundle's layout without drawing its weights: every weight matrix
-    # is overwritten from its blob below. A layout the index cannot describe
-    # (say insert_layer >= L_v) is a fault of the index.
-    try:
-        model = _assemble_model(seed, dims, variant, mapper_cfg, dtype,
-                                lambda rows, cols, fan_in: np.empty((rows, cols), dtype=dtype))
-    except ConfigError as exc:
-        raise FormatError(f"{index_path}: {exc}") from exc
-    by_name = {}
+    model, tensors = read_tensors(
+        index_path, os.path.join(ckpt_dir, "tensors.bin"), parse,
+        lambda model: {name: (arr.dtype, arr.shape) for name, arr, _ in model.iter_tensors()})
     for layer in model.layers():
         for key in layer.tensors:
-            by_name[f"{layer.name}.{key}"] = (layer, key)
-    for name, digest in digests.items():
-        if name not in by_name:
-            raise FormatError(f"{index_path}: unexpected tensor {name!r}")
-        layer, key = by_name[name]
-        expected = layer.tensors[key]
-        blob_path = os.path.join(ckpt_dir, f"{name}.bin")
-        with _open(blob_path) as fh:
-            data = fh.read()
-        arr = blob_to_tensor(data, source=blob_path)
-        if hashlib.sha256(data).hexdigest() != digest:
-            raise FormatError(f"{blob_path}: sha256 does not match {index_path}")
-        if (arr.dtype, arr.shape) != (expected.dtype, expected.shape):
-            raise FormatError(
-                f"{index_path}: tensor {name!r} in {blob_path} is "
-                f"{_DTYPE_NAMES[arr.dtype]} {arr.shape}; the model needs "
-                f"{_DTYPE_NAMES[expected.dtype]} {expected.shape}"
-            )
-        layer.tensors[key] = arr
-    missing = set(by_name) - set(digests)
-    if missing:
-        raise FormatError(f"{index_path}: missing tensors {sorted(missing)}")
+            layer.tensors[key] = tensors[f"{layer.name}.{key}"]
     return model
+
+
+def write_store(store_dir: str, store: EmbeddingStore) -> None:
+    """Publishes ids.json over embeddings.bin as one directory."""
+    _publish_dir(store_dir, lambda out_dir: write_tensors(
+        os.path.join(out_dir, "ids.json"), os.path.join(out_dir, "embeddings.bin"),
+        {"ids": store.ids, "seed": store.provenance_seed}, {"embeddings": store.matrix}))
+
+
+def read_store(store_dir: str) -> EmbeddingStore:
+    """write_store's store: one (G, d_e) matrix, any float dtype, under G ids."""
+    ids_path = os.path.join(store_dir, "ids.json")
+    (ids, seed), tensors = read_tensors(
+        ids_path, os.path.join(store_dir, "embeddings.bin"),
+        lambda doc: (_typed(ids_path, doc["ids"], list[str], "image id"),
+                     _typed(ids_path, doc["seed"], int, "seed")),
+        lambda meta: {"embeddings": (None, (len(meta[0]), None))})
+    try:
+        return EmbeddingStore(ids=ids, matrix=tensors["embeddings"], provenance_seed=seed)
+    except DataError as exc:
+        raise DataError(f"{store_dir}: {exc}") from exc
+
+
+def _query_layout(model: ModelBundle, count: int) -> dict:
+    """queries.bin's (dtype, shape) for each TextEncoding field's stack."""
+    d = model.dims
+    return {name: (model.dtype, (count, width))
+            for name, width in (("dense", d.m * d.d_t), ("t_cls", d.d_t), ("t_joint", d.d_e))}
+
+
+def write_queries(out_dir: str, model: ModelBundle, bench: Benchmark, queries: list) -> None:
+    """Writes encode_queries' list for bench as queries.json (model.backbone_key,
+    each query's text_tokens) over queries.bin (one stack per TextEncoding field)."""
+    doc = {"backbone_key": model.backbone_key,
+           "text_tokens": [list(q.text_tokens) for q in bench.queries]}
+    stacks = {name: np.array([getattr(q, name).reshape(-1) for q in queries], dtype).reshape(shape)
+              for name, (dtype, shape) in _query_layout(model, len(queries)).items()}
+    write_tensors(os.path.join(out_dir, "queries.json"), os.path.join(out_dir, "queries.bin"),
+                  doc, stacks)
+
+
+def read_queries(out_dir: str, model: ModelBundle, bench: Benchmark) -> list | None:
+    """The query encodings write_queries left in out_dir, or None when there
+    is no queries.json or it was written for another backbone or for other
+    query tokens than bench's. A faulty pair is a FormatError naming the file."""
+    json_path = os.path.join(out_dir, "queries.json")
+    if not os.path.exists(json_path):
+        return None
+    bin_path = os.path.join(out_dir, "queries.bin")
+    tokens = [list(q.text_tokens) for q in bench.queries]
+    _, stacks = read_tensors(
+        json_path, bin_path,
+        lambda doc: (_typed(json_path, doc["backbone_key"], str, "backbone_key"),
+                     [_typed(json_path, q, list[int], f"query {n}: text_tokens") for n, q in
+                      enumerate(_typed(json_path, doc["text_tokens"], list, "text_tokens"))]),
+        lambda meta: (_query_layout(model, len(tokens))
+                      if meta == (model.backbone_key, tokens) else None))
+    if stacks is None:
+        return None
+    if not all(np.isfinite(stack).all() for stack in stacks.values()):
+        raise FormatError(f"{bin_path}: non-finite query encoding")
+    return [TextEncoding(dense=dense.reshape(model.dims.m, -1), t_cls=t_cls, t_joint=t_joint)
+            for dense, t_cls, t_joint in zip(stacks["dense"], stacks["t_cls"], stacks["t_joint"])]
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +393,7 @@ def write_dataset(out_dir: str, ds: PairDataset) -> str:
     write_tensor_blob(os.path.join(out_dir, "patches.bin"), stacked.astype(np.float32))
     if ds.vocab is not None:
         write_json(os.path.join(out_dir, "vocab.json"), ds.vocab)
-    lines = []
-    row = 0
+    lines, row = [], 0
     for rec in ds.records:
         lines.append(json.dumps({
             "id": rec.id,
@@ -374,16 +461,13 @@ def read_vocab(path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# benchmarks, plans, rankings, stores
+# benchmarks, plans, rankings
 # ---------------------------------------------------------------------------
 
 
 def write_benchmark(path: str, bench: Benchmark) -> None:
-    doc = {"queries": [
-        {"text_tokens": list(q.text_tokens), "positives": sorted(q.positives)}
-        for q in bench.queries
-    ]}
-    write_json(path, doc)
+    write_json(path, {"queries": [{"text_tokens": list(q.text_tokens),
+                                   "positives": sorted(q.positives)} for q in bench.queries]})
 
 
 def read_benchmark(path: str, gallery_ids: list) -> Benchmark:
@@ -408,12 +492,8 @@ def read_config(path: str) -> RunConfig:
 
 
 def write_plan(path: str, plan: CurationPlan) -> None:
-    doc = {
-        "batches": [list(b) for b in plan.batches],
-        "learnability": plan.learnability,
-        "source_seed": plan.source_seed,
-    }
-    write_json(path, doc)
+    write_json(path, {"batches": [list(b) for b in plan.batches],
+                      "learnability": plan.learnability, "source_seed": plan.source_seed})
 
 
 def read_plan(path: str) -> CurationPlan:
@@ -431,91 +511,6 @@ def read_plan(path: str) -> CurationPlan:
         return CurationPlan(batches=batches, learnability=scores,
                             source_seed=_typed(path, doc.get("source_seed", 0), int, "source_seed"))
     return _parse_json(path, parse)
-
-
-def write_store(store_dir: str, store: EmbeddingStore) -> None:
-    """Publishes embeddings.bin and ids.json as one directory."""
-    def write(out_dir):
-        write_tensor_blob(os.path.join(out_dir, "embeddings.bin"), store.matrix)
-        write_json(os.path.join(out_dir, "ids.json"),
-                   {"ids": store.ids, "seed": store.provenance_seed})
-    _publish_dir(store_dir, write)
-
-
-def read_store(store_dir: str) -> EmbeddingStore:
-    ids_path = os.path.join(store_dir, "ids.json")
-    ids, seed = _parse_json(ids_path, lambda doc: (
-        _typed(ids_path, doc["ids"], list[str], "image id"),
-        _typed(ids_path, doc["seed"], int, "seed"),
-    ))
-    matrix_path = os.path.join(store_dir, "embeddings.bin")
-    matrix = read_tensor_blob(matrix_path)
-    if matrix.ndim != 2:
-        raise FormatError(f"{matrix_path}: rank {matrix.ndim} blob, expected a (G, d_e) matrix")
-    try:
-        return EmbeddingStore(ids=ids, matrix=matrix, provenance_seed=seed)
-    except DataError as exc:
-        raise DataError(f"{store_dir}: {exc}") from exc
-
-
-def _query_fields(dims: DimsConfig) -> list:
-    """(TextEncoding field, shape) of a queries.bin row, in row order."""
-    return [("dense", (dims.m, dims.d_t)), ("t_cls", (dims.d_t,)), ("t_joint", (dims.d_e,))]
-
-
-def write_queries(out_dir: str, model: ModelBundle, bench: Benchmark, queries: list) -> None:
-    """Writes bench's query encodings under model (encode_queries' list) as
-    queries.bin, one row per query of its dense, t_cls and t_joint in the
-    model's dtype, then queries.json, one compact JSON line of
-    model.backbone_key and each query's text_tokens. An older queries.json
-    is removed first and the new one comes last, so a write that fails
-    leaves no queries.json beside other bytes."""
-    json_path = os.path.join(out_dir, "queries.json")
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(json_path)
-    fields = _query_fields(model.dims)
-    rows = np.empty((len(queries), sum(math.prod(shape) for _, shape in fields)), model.dtype)
-    for row, text_enc in zip(rows, queries):
-        row[:] = np.concatenate([getattr(text_enc, name).reshape(-1) for name, _ in fields])
-    write_tensor_blob(os.path.join(out_dir, "queries.bin"), rows)
-    doc = {"backbone_key": model.backbone_key,
-           "text_tokens": [list(q.text_tokens) for q in bench.queries]}
-    atomic_write_text(json_path, json.dumps(doc, sort_keys=True) + "\n")
-
-
-def read_queries(out_dir: str, model: ModelBundle, bench: Benchmark) -> list | None:
-    """The query encodings write_queries left in out_dir, or None when there
-    is no queries.json or it was written for another backbone or for other
-    query tokens than bench's. A malformed queries.json, or a queries.bin
-    that is not one finite row of the model's dtype and width per query, is
-    a FormatError naming the file."""
-    json_path = os.path.join(out_dir, "queries.json")
-    if not os.path.exists(json_path):
-        return None
-
-    key, tokens = _parse_json(json_path, lambda doc: (
-        _typed(json_path, doc["backbone_key"], str, "backbone_key"),
-        [_typed(json_path, q, list[int], f"query {n}: text_tokens")
-         for n, q in enumerate(_typed(json_path, doc["text_tokens"], list, "text_tokens"))],
-    ))
-    if key != model.backbone_key or tokens != [list(q.text_tokens) for q in bench.queries]:
-        return None
-    bin_path = os.path.join(out_dir, "queries.bin")
-    rows = read_tensor_blob(bin_path)
-    fields = _query_fields(model.dims)
-    sizes = [math.prod(shape) for _, shape in fields]
-    expected = (len(tokens), sum(sizes))
-    if rows.dtype != model.dtype or rows.shape != expected:
-        raise FormatError(
-            f"{bin_path}: {_DTYPE_NAMES[rows.dtype]} {rows.shape} blob; {len(tokens)} "
-            f"queries need {_DTYPE_NAMES[np.dtype(model.dtype)]} {expected}"
-        )
-    if not np.isfinite(rows).all():
-        raise FormatError(f"{bin_path}: non-finite query encoding")
-    offsets = np.cumsum([0, *sizes]).tolist()
-    return [TextEncoding(**{name: row[a:b].reshape(shape)
-                            for (name, shape), a, b in zip(fields, offsets, offsets[1:])})
-            for row in rows]
 
 
 RANKINGS_VERSION = 2
@@ -572,10 +567,8 @@ def read_rankings(path: str) -> list:
     def parse(doc):
         version = doc.get("version", 1)
         if not (_conforms(version, int) and version == RANKINGS_VERSION):
-            raise FormatError(
-                f"{path}: rankings format version {version!r} is not "
-                f"{RANKINGS_VERSION}; re-run `elip rank` to rewrite it"
-            )
+            raise FormatError(f"{path}: rankings format version {version!r} is not "
+                              f"{RANKINGS_VERSION}; re-run `elip rank` to rewrite it")
         ids = _typed(path, doc["ids"], list[str], "image id")
         if len(set(ids)) != len(ids):
             raise FormatError(f"{path}: ids repeat an image id")
@@ -588,29 +581,19 @@ def read_rankings(path: str) -> list:
             order = _unpack(path, qid, "order", r["order"], "<i4")
             scores = _unpack(path, qid, "scores", r["scores"], "<f8")
             if len(order) != len(scores):
-                raise FormatError(
-                    f"{path}: query {qid!r}: {len(order)} order indices "
-                    f"but {len(scores)} scores"
-                )
+                raise FormatError(f"{path}: query {qid!r}: {len(order)} order indices "
+                                  f"but {len(scores)} scores")
             if len(order) and (order.min() < 0 or order.max() >= len(ids)):
-                raise FormatError(
-                    f"{path}: query {qid!r}: order index outside [0, {len(ids)})"
-                )
+                raise FormatError(f"{path}: query {qid!r}: order index outside [0, {len(ids)})")
             if len(order) and np.bincount(order).max() > 1:
                 raise FormatError(f"{path}: query {qid!r}: order repeats an image")
             k_reranked = _typed(path, r["k_reranked"], int, f"query {qid!r}: k_reranked")
             if not 0 <= k_reranked <= len(order):
-                raise FormatError(
-                    f"{path}: query {qid!r}: k_reranked {k_reranked} outside [0, {len(order)}]"
-                )
-            results.append(RankingResult(
-                query_id=qid,
-                gallery=ids,
-                order=order,
-                scores=scores,
-                stage=_typed(path, r["stage"], str, "stage"),
-                k_reranked=k_reranked,
-            ))
+                raise FormatError(f"{path}: query {qid!r}: k_reranked {k_reranked} "
+                                  f"outside [0, {len(order)}]")
+            results.append(RankingResult(query_id=qid, gallery=ids, order=order, scores=scores,
+                                         stage=_typed(path, r["stage"], str, "stage"),
+                                         k_reranked=k_reranked))
         return results
 
     return _parse_json(path, parse)
@@ -622,20 +605,14 @@ def read_rankings(path: str) -> list:
 
 
 def _csv(path: str, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(str(x) for x in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n")
 
 
 def write_metrics_csv(path: str, report: MetricReport) -> None:
-    rows = []
-    for qid, values in report.per_query.items():
-        for name in report.aggregate:
-            rows.append((qid, name, repr(float(values[name]))))
-    agg_name = {"ap": "map"}
-    for name, value in report.aggregate.items():
-        rows.append(("all", agg_name.get(name, name), repr(float(value))))
+    rows = [(qid, name, repr(float(values[name])))
+            for qid, values in report.per_query.items() for name in report.aggregate]
+    rows += [("all", "map" if name == "ap" else name, repr(float(value)))
+             for name, value in report.aggregate.items()]
     _csv(path, "query_id,metric,value", rows)
 
 
@@ -648,8 +625,4 @@ def write_trace_csv(path: str, trace: list) -> None:
 
 
 def write_attn_csv(path: str, grid: np.ndarray) -> None:
-    rows = []
-    for r in range(grid.shape[0]):
-        for c in range(grid.shape[1]):
-            rows.append((r, c, repr(float(grid[r, c]))))
-    _csv(path, "row,col,weight", rows)
+    _csv(path, "row,col,weight", ((r, c, repr(float(v))) for (r, c), v in np.ndenumerate(grid)))

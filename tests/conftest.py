@@ -1,4 +1,6 @@
 import ctypes
+import hashlib
+import json
 import pathlib
 from types import SimpleNamespace
 
@@ -89,6 +91,21 @@ def ranking_from_entries(query_id, entries, stage, k_reranked=0):
         stage=stage,
         k_reranked=k_reranked,
     )
+
+
+def rewrite_tensor(json_path, bin_path, name, data):
+    """A write_tensors pair with tensor name's slice replaced by the bytes
+    data (storage.tensor_to_blob(arr) for an array), every offset and that
+    slice's sha256 updated, so data alone is the damage."""
+    index = json.loads(pathlib.Path(json_path).read_text())
+    old = pathlib.Path(bin_path).read_bytes()
+    out = b""
+    for key, (offset, length, _) in sorted(index["tensors"].items(), key=lambda e: e[1][0]):
+        blob = data if key == name else old[offset:offset + length]
+        index["tensors"][key] = [len(out), len(blob), hashlib.sha256(blob).hexdigest()]
+        out += blob
+    pathlib.Path(bin_path).write_bytes(out)
+    pathlib.Path(json_path).write_text(json.dumps(index, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from elip.cli import build_parser, run_command
 from elip.config import DimsConfig, MapperConfig, RunConfig, TrainConfig
 from elip.errors import DataError
 
-from conftest import TINY, core_table, ranking_from_entries
+from conftest import TINY, core_table, ranking_from_entries, rewrite_tensor
 
 TINY_CONFIG = {
     "seed": 7,
@@ -225,14 +225,16 @@ def test_bench_occluded_command(workdir, capsys):
 
 
 def test_corrupt_checkpoint_blob_exit_two(workdir, capsys):
+    """A slice whose sha256 matches but whose blob header does not parse."""
     build_pipeline(workdir, capsys)
-    target = "model/checkpoint/proj_image.weight.bin"
-    with open(target, "r+b") as fh:
-        fh.write(b"XXXX")
+    offset, length = _slice(CKPT[0], "proj_image.weight")
+    data = pathlib.Path(CKPT[1]).read_bytes()[offset:offset + length]
+    rewrite_tensor(*CKPT, "proj_image.weight", b"XXXX" + data[4:])
     code = run(workdir, "embed-gallery", "--config", "config.json", "--out", "g2",
                "--model", "model/checkpoint", "--data", "data/data.jsonl")
     assert code == 2
-    assert "offset 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "tensors.bin: tensor 'proj_image.weight': bad magic at offset 0" in err
 
 
 def assert_exit_two_naming(capsys, code, path):
@@ -354,17 +356,32 @@ def test_checkpoint_index_bad_value_exit_two(workdir, capsys, field, value):
     assert field == "width" or field in err, err
 
 
-def _flip_last_byte(path):
-    with open(path, "r+b") as fh:
-        fh.seek(-1, os.SEEK_END)
+CKPT = ("model/checkpoint/index.json", "model/checkpoint/tensors.bin")
+STORE = ("gal/gallery/ids.json", "gal/gallery/embeddings.bin")
+QUERIES = ("ranked/queries.json", "ranked/queries.bin")
+
+
+def _slice(json_path, name):
+    """(offset, length) of tensor name in the index at json_path."""
+    offset, length, _ = json.loads(open(json_path).read())["tensors"][name]
+    return offset, length
+
+
+def _flip_byte(json_path, bin_path, name):
+    """Flips the low bit of the last payload byte of tensor name."""
+    offset, length = _slice(json_path, name)
+    with open(bin_path, "r+b") as fh:
+        fh.seek(offset + length - 1)
         last = fh.read(1)
-        fh.seek(-1, os.SEEK_END)
+        fh.seek(offset + length - 1)
         fh.write(bytes([last[0] ^ 0x01]))
 
 
-def _truncate(path, size):
-    with open(path, "r+b") as fh:
-        fh.truncate(size)
+def _rewrite_stack(json_path, bin_path, name, edit):
+    """Tensor name replaced by edit(a copy of it), its index entry updated."""
+    offset, length = _slice(json_path, name)
+    arr = storage.blob_to_tensor(pathlib.Path(bin_path).read_bytes()[offset:offset + length])
+    rewrite_tensor(json_path, bin_path, name, storage.tensor_to_blob(edit(arr.copy())))
 
 
 def _edit_json(path, edit):
@@ -380,57 +397,71 @@ def _edit_index(edit):
 
 def _as_version(version):
     """The index as an older version records it: each tensor entry an
-    object of file, dtype, shape and (from version 2) sha256."""
+    object of file, dtype, shape and (version 2) sha256, or (version 3)
+    the sha256 of its own file `<name>.bin`."""
     def edit(index):
         index["version"] = version
-        for name, digest in index["tensors"].items():
-            index["tensors"][name] = {"file": f"{name}.bin", "dtype": "f32", "shape": [8, 8],
-                                      **({"sha256": digest} if version == 2 else {})}
+        for name, (_, _, digest) in index["tensors"].items():
+            index["tensors"][name] = digest if version == 3 else {
+                "file": f"{name}.bin", "dtype": "f32", "shape": [8, 8],
+                **({"sha256": digest} if version == 2 else {})}
     return edit
 
 
-def _rewrite_blob(arr):
-    """proj_image.weight's blob replaced by arr, its index digest updated
-    so the sha256 check passes."""
-    data = storage.tensor_to_blob(arr)
-    with open("model/checkpoint/proj_image.weight.bin", "wb") as fh:
-        fh.write(data)
-    _edit_index(lambda ix: ix["tensors"].update(
-        {"proj_image.weight": hashlib.sha256(data).hexdigest()}))
+def _shift_slice(name, offset=0, length=0):
+    def edit(index):
+        index["tensors"][name][0] += offset
+        index["tensors"][name][1] += length
+    return lambda: _edit_index(edit)
+
+
+def _rewrite_blob(data):
+    return lambda: rewrite_tensor(*CKPT, "proj_image.weight", data)
 
 
 CHECKPOINT_DAMAGE = {
     "flipped_payload_byte": (
-        "model/checkpoint/proj_image.weight.bin", "sha256 does not match",
-        lambda: _flip_last_byte("model/checkpoint/proj_image.weight.bin")),
+        CKPT[1], "tensor 'proj_image.weight': sha256 does not match model/checkpoint/index.json",
+        lambda: _flip_byte(*CKPT, "proj_image.weight")),
     "blob_wrong_dtype": (
-        "model/checkpoint/index.json",
-        "tensor 'proj_image.weight' in model/checkpoint/proj_image.weight.bin is "
-        "f64 (8, 8); the model needs f32 (8, 8)",
-        lambda: _rewrite_blob(np.zeros((8, 8), dtype=np.float64))),
+        CKPT[1], "tensor 'proj_image.weight' is f64 (8, 8); "
+                 "model/checkpoint/index.json needs f32 (8, 8)",
+        _rewrite_blob(storage.tensor_to_blob(np.zeros((8, 8), dtype=np.float64)))),
     "blob_wrong_shape": (
-        "model/checkpoint/index.json",
-        "tensor 'proj_image.weight' in model/checkpoint/proj_image.weight.bin is "
-        "f32 (8, 7); the model needs f32 (8, 8)",
-        lambda: _rewrite_blob(np.zeros((8, 7), dtype=np.float32))),
+        CKPT[1], "tensor 'proj_image.weight' is f32 (8, 7); "
+                 "model/checkpoint/index.json needs f32 (8, 8)",
+        _rewrite_blob(storage.tensor_to_blob(np.zeros((8, 7), dtype=np.float32)))),
     "index_version_1": (
-        "model/checkpoint/index.json", "version 1 is not 3, so re-create the checkpoint",
+        CKPT[0], "version 1 is not 4, so re-create the checkpoint",
         lambda: _edit_index(_as_version(1))),
     "index_version_2": (
-        "model/checkpoint/index.json", "version 2 is not 3, so re-create the checkpoint",
+        CKPT[0], "version 2 is not 4, so re-create the checkpoint",
         lambda: _edit_index(_as_version(2))),
+    "index_version_3": (
+        CKPT[0], "version 3 is not 4, so re-create the checkpoint",
+        lambda: _edit_index(_as_version(3))),
     "missing_tensor": (
-        "model/checkpoint/index.json", "missing tensors ['proj_image.weight']",
+        CKPT[0], "missing tensors ['proj_image.weight'], unexpected tensors []",
         lambda: _edit_index(lambda ix: ix["tensors"].pop("proj_image.weight"))),
     "unexpected_tensor": (
-        "model/checkpoint/index.json", "unexpected tensor 'proj_image.bias'",
-        lambda: _edit_index(lambda ix: ix["tensors"].update({"proj_image.bias": "0" * 64}))),
+        CKPT[0], "missing tensors [], unexpected tensors ['proj_image.bias']",
+        lambda: _edit_index(lambda ix: ix["tensors"].update(
+            {"proj_image.bias": [0, 0, "0" * 64]}))),
     "blob_truncated_header": (
-        "model/checkpoint/proj_image.weight.bin", "truncated header at offset 5",
-        lambda: _truncate("model/checkpoint/proj_image.weight.bin", 5)),
+        CKPT[1], "tensor 'proj_image.weight': truncated header at offset 5",
+        _rewrite_blob(storage.tensor_to_blob(np.zeros((8, 8), dtype=np.float32))[:5])),
     "insert_layer_past_layers": (
-        "model/checkpoint/index.json", "insert_layer=2 outside [0, 2)",
+        CKPT[0], "insert_layer=2 outside [0, 2)",
         lambda: _edit_index(lambda ix: ix["dims"].update(insert_layer=ix["dims"]["L_v"]))),
+    "slice_past_end": (
+        CKPT[1], "tensor 'mapper.l3.weight' ends at offset",
+        _shift_slice("mapper.l3.weight", length=1)),
+    "overlapping_slices": (
+        CKPT[1], "tensor 'proj_image.weight' starts at offset",
+        _shift_slice("proj_image.weight", offset=-1)),
+    "trailing_bytes": (
+        CKPT[1], "tensors.bin: 1 trailing bytes after offset",
+        lambda: pathlib.Path(CKPT[1]).write_bytes(pathlib.Path(CKPT[1]).read_bytes() + b"\0")),
 }
 
 
@@ -445,19 +476,21 @@ def test_checkpoint_integrity_failure_exit_two(workdir, capsys, damage):
     assert "malformed" not in err and expected in err
 
 
-@pytest.mark.parametrize("field, value", [
-    ("sha256", None), ("sha256", 5), pytest.param("sha256", "0" * 64, id="sha256-other_digest"),
-])
-def test_checkpoint_tensor_entry_bad_value_exit_two(workdir, capsys, field, value):
-    """A tensor entry is its blob's sha256 hex digest; anything else (no
-    string, or the digest of other bytes) fails the digest check."""
+@pytest.mark.parametrize("value, path, expected", [
+    (None, CKPT[0], "entry is not [offset, length, sha256]"),
+    (5, CKPT[0], "entry is not [offset, length, sha256]"),
+    ("0" * 64, CKPT[1], "sha256 does not match model/checkpoint/index.json"),
+], ids=["sha256-None", "sha256-5", "sha256-other_digest"])
+def test_checkpoint_tensor_entry_bad_value_exit_two(workdir, capsys, value, path, expected):
+    """A tensor entry is [offset, length, sha256 hex digest] of its slice;
+    a digest that is no string is a malformed entry, and the digest of
+    other bytes fails the digest check."""
     build_pipeline(workdir, capsys)
-    _edit_index(lambda ix: ix["tensors"].update({"proj_image.weight": value}))
-    err = assert_exit_two_without_traceback(workdir, capsys,
-                                            "model/checkpoint/proj_image.weight.bin",
+    _edit_index(lambda ix: ix["tensors"]["proj_image.weight"].__setitem__(2, value))
+    err = assert_exit_two_without_traceback(workdir, capsys, path,
                                             "embed-gallery", "--model", "model/checkpoint",
                                             "--data", "data/data.jsonl")
-    assert f"{field} does not match model/checkpoint/index.json" in err, err
+    assert f"tensor 'proj_image.weight'{':' if path == CKPT[1] else ''} {expected}" in err, err
 
 
 def _artifacts(root):
@@ -1191,6 +1224,46 @@ RANK_ARGS = ("rank", "--model", "model/checkpoint", "--gallery", "gal/gallery",
              "--bench", "data/benchmark.json")
 
 
+# the tensor file of each container, with a command that reads it
+TENSOR_FILES = {
+    CKPT[1]: ("embed-gallery", "--model", "model/checkpoint", "--data", "data/data.jsonl"),
+    STORE[1]: RANK_ARGS,
+    QUERIES[1]: FUZZED[QUERIES[0]],
+}
+
+
+@pytest.mark.parametrize("path", sorted(TENSOR_FILES))
+def test_fuzzed_tensor_file_exits_two(workdir, capsys, path):
+    """Any changed or truncated byte of a container's tensor file exits 2
+    naming the file; unchanged bytes still read. A flipped bit of
+    embeddings.bin or queries.bin used to exit 0 with other scores."""
+    build_pipeline(workdir, capsys)
+    assert run(workdir, *RANK_ARGS, "--config", "config.json", "--out", "ranked") == 0
+    capsys.readouterr()
+    with open(path, "rb") as fh:
+        original = fh.read()
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(damaged=_byte_damage(original))
+    def check(damaged):
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        try:
+            code = run(workdir, *TENSOR_FILES[path], "--config", "config.json", "--out", "fuzz")
+        finally:
+            with open(path, "wb") as fh:
+                fh.write(original)
+            shutil.rmtree("fuzz", ignore_errors=True)
+        out, err = capsys.readouterr()
+        if damaged == original:
+            assert code == 0, err
+        else:
+            assert code == 2 and err.startswith("error: ") and path in err, err
+            assert status_line_of(out)["status"] == "error"
+
+    check()
+
+
 def test_rank_store_width_mismatch_exit_two(workdir, capsys):
     """A store embedded by a model with another d_e names the store."""
     build_pipeline(workdir, capsys)
@@ -1207,10 +1280,10 @@ def test_rank_store_width_mismatch_exit_two(workdir, capsys):
 @pytest.mark.parametrize("shape", [(), (12,)], ids=["rank0", "rank1"])
 def test_rank_store_not_a_matrix_exit_two(workdir, capsys, shape):
     build_pipeline(workdir, capsys)
-    storage.write_tensor_blob("gal/gallery/embeddings.bin", np.ones(shape, dtype=np.float32))
-    err = assert_exit_two_without_traceback(
-        workdir, capsys, "gal/gallery/embeddings.bin", *RANK_ARGS)
-    assert f"rank {len(shape)}" in err
+    rewrite_tensor(*STORE, "embeddings", storage.tensor_to_blob(np.ones(shape, dtype=np.float32)))
+    err = assert_exit_two_without_traceback(workdir, capsys, STORE[1], *RANK_ARGS)
+    dims = ", ".join(map(str, shape))
+    assert f"tensor 'embeddings' is f32 ({dims}); {STORE[0]} needs * (12, *)" in err, err
 
 
 def test_rank_store_overflowing_dims_exit_two(workdir, capsys):
@@ -1218,11 +1291,17 @@ def test_rank_store_overflowing_dims_exit_two(workdir, capsys):
     payload used to match."""
     build_pipeline(workdir, capsys)
     header = storage.tensor_to_blob(np.ones((1, 1), dtype=np.float32))[:8]
-    with open("gal/gallery/embeddings.bin", "wb") as fh:
-        fh.write(header + struct.pack("<QQ", 2**32, 2**32))
-    err = assert_exit_two_without_traceback(
-        workdir, capsys, "gal/gallery/embeddings.bin", *RANK_ARGS)
-    assert "payload length 0" in err
+    rewrite_tensor(*STORE, "embeddings", header + struct.pack("<QQ", 2**32, 2**32))
+    err = assert_exit_two_without_traceback(workdir, capsys, STORE[1], *RANK_ARGS)
+    assert "tensor 'embeddings': payload length 0" in err
+
+
+def test_rank_store_flipped_byte_exit_two(workdir, capsys):
+    """One flipped payload bit used to rank by the damaged scores, exit 0."""
+    build_pipeline(workdir, capsys)
+    _flip_byte(*STORE, "embeddings")
+    err = assert_exit_two_without_traceback(workdir, capsys, STORE[1], *RANK_ARGS)
+    assert f"tensor 'embeddings': sha256 does not match {STORE[0]}" in err
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -1230,9 +1309,7 @@ def test_rank_store_non_finite_row_exit_two(workdir, capsys, bad):
     """A NaN row used to pass the unit-norm check, and stage 1 then ordered
     the gallery by Python's sort on NaN keys."""
     build_pipeline(workdir, capsys)
-    matrix = storage.read_tensor_blob("gal/gallery/embeddings.bin").copy()
-    matrix[1] = bad
-    storage.write_tensor_blob("gal/gallery/embeddings.bin", matrix)
+    _rewrite_stack(*STORE, "embeddings", lambda matrix: matrix.__setitem__(1, bad) or matrix)
     err = assert_exit_two_without_traceback(workdir, capsys, "gal/gallery", *RANK_ARGS)
     assert "not finite" in err
     assert not os.path.exists("bad/rankings.json")
@@ -1429,6 +1506,59 @@ def test_input_fault_exits_with_its_code_and_message(workdir, capsys, monkeypatc
     assert json.loads(out)["status"] == "error"
     assert err.startswith("error: ") and expected in err and "Traceback" not in err, err
     assert not os.path.exists("bad")
+
+
+RANKINGS_READERS = {
+    "eval": (),
+    "curve": (),
+    "rerank": ("--model", "model/checkpoint", "--data", "data/data.jsonl", "--k", 2),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RANKINGS_READERS))
+@pytest.mark.parametrize("short", ["bench", "rankings"])
+def test_rankings_and_bench_disagreeing_on_queries_exit_two(workdir, capsys, command, short):
+    """A 12-query rankings file over a 3-query bench used to score or
+    re-rank 3 queries, exit 0; a 3-query rankings file over the 12-query
+    bench failed inside the command. Both exit 2 naming both files."""
+    build_pipeline(workdir, capsys)
+    assert run(workdir, *RANK_ARGS, "--config", "config.json", "--out", "ranked") == 0
+    bench, rankings = "data/benchmark.json", "ranked/rankings.json"
+    if short == "bench":
+        bench = "short.json"
+        _edit_json("data/benchmark.json", lambda d: d.update(queries=d["queries"][:3]))
+        shutil.copy("data/benchmark.json", bench)
+        counts = (12, 3)
+    else:
+        rankings = "short.json"
+        storage.write_rankings(rankings, storage.read_rankings("ranked/rankings.json")[:3])
+        counts = (3, 12)
+    capsys.readouterr()
+    err = assert_exit_two_without_traceback(workdir, capsys, rankings, command, "--bench", bench,
+                                            "--rankings", rankings, *RANKINGS_READERS[command])
+    assert (f"{rankings} ranks {counts[0]} queries and {bench} holds {counts[1]}: "
+            "query q0003 is in only one of them") in err, err
+
+
+@pytest.mark.parametrize("command", ["rank", "rerank", "attn"])
+@pytest.mark.parametrize("tokens, fault", [
+    (list(range(1, 51)), "token list of length 50 exceeds m=3"),
+    ([1, 1000000], "token id 1000000 outside vocabulary of size 32"),
+], ids=["too_long", "outside_vocab"])
+def test_bench_tokens_the_model_cannot_take_name_the_bench_and_query(workdir, capsys, command,
+                                                                      tokens, fault):
+    build_pipeline(workdir, capsys)
+    assert run(workdir, *RANK_ARGS, "--config", "config.json", "--out", "ranked") == 0
+    capsys.readouterr()
+    _edit_json("data/benchmark.json", lambda d: d["queries"][2].update(text_tokens=tokens))
+    argv = {"rank": RANK_ARGS,
+            "rerank": ("rerank", "--model", "model/checkpoint", "--data", "data/data.jsonl",
+                       "--bench", "data/benchmark.json", "--rankings", "ranked/rankings.json"),
+            "attn": ("attn", "--model", "model/checkpoint", "--data", "data/data.jsonl",
+                     "--record", "img0000", "--bench", "data/benchmark.json",
+                     "--query-index", 2)}[command]
+    err = assert_exit_two_without_traceback(workdir, capsys, "data/benchmark.json", *argv)
+    assert f"error: data/benchmark.json: query 2: {fault}" in err, err
 
 
 def test_eval_rejects_repeated_ranking_entries_exit_two(workdir, capsys):
@@ -1683,38 +1813,45 @@ def test_rerank_reuses_rank_encodings_only_when_they_match(workdir, capsys, enco
         assert calls == 0 and forged != expected
 
 
-def _rewrite_queries_blob(edit):
-    rows = storage.read_tensor_blob("ranked/queries.bin")
-    storage.write_tensor_blob("ranked/queries.bin", edit(rows))
+def _rewrite_query_stack(name, edit):
+    return lambda: _rewrite_stack(*QUERIES, name, edit)
 
 
-def _set_nan(rows):
-    rows[1, 2] = np.nan
-    return rows
+def _set_nan(stack):
+    stack[1, 2] = np.nan
+    return stack
 
 
+# (file named, message, damage); TINY_CONFIG has m=3, d_t=6, d_e=8 and the
+# benchmark 12 queries
 QUERIES_DAMAGE = {
-    "truncated_blob": ("ranked/queries.bin", lambda: pathlib.Path("ranked/queries.bin").write_bytes(
-        pathlib.Path("ranked/queries.bin").read_bytes()[:-4])),
-    "row_too_narrow": ("ranked/queries.bin", lambda: _rewrite_queries_blob(lambda r: r[:, :-1])),
-    "row_too_wide": ("ranked/queries.bin", lambda: _rewrite_queries_blob(
-        lambda r: np.concatenate([r, r[:, :1]], axis=1))),
-    "row_missing": ("ranked/queries.bin", lambda: _rewrite_queries_blob(lambda r: r[1:])),
-    "float64_rows": ("ranked/queries.bin", lambda: _rewrite_queries_blob(
-        lambda r: r.astype(np.float64))),
-    "nan": ("ranked/queries.bin", lambda: _rewrite_queries_blob(_set_nan)),
-    "blob_missing": ("ranked/queries.bin", lambda: os.remove("ranked/queries.bin")),
-    "key_not_a_string": ("ranked/queries.json", lambda: _edit_json(
-        "ranked/queries.json", lambda doc: doc.update(backbone_key=7))),
-    "key_missing": ("ranked/queries.json", lambda: _edit_json(
-        "ranked/queries.json", lambda doc: doc.pop("backbone_key"))),
-    "tokens_not_a_list": ("ranked/queries.json", lambda: _edit_json(
-        "ranked/queries.json", lambda doc: doc.update(text_tokens={}))),
-    "query_tokens_not_a_list": ("ranked/queries.json", lambda: _edit_json(
-        "ranked/queries.json", lambda doc: doc["text_tokens"].__setitem__(0, "1,2"))),
-    "token_a_float": ("ranked/queries.json", lambda: _edit_json(
-        "ranked/queries.json", lambda doc: doc["text_tokens"][0].__setitem__(0, 1.0))),
-    "not_json": ("ranked/queries.json", lambda: pathlib.Path("ranked/queries.json").write_text(
+    "truncated_blob": (QUERIES[1], "tensor 't_joint' ends at offset", lambda: pathlib.Path(
+        QUERIES[1]).write_bytes(pathlib.Path(QUERIES[1]).read_bytes()[:-4])),
+    "flipped_payload_byte": (QUERIES[1], "tensor 't_cls': sha256 does not match",
+                             lambda: _flip_byte(*QUERIES, "t_cls")),
+    "row_too_narrow": (QUERIES[1], "tensor 't_joint' is f32 (12, 7); "
+                                   "ranked/queries.json needs f32 (12, 8)",
+                       _rewrite_query_stack("t_joint", lambda r: r[:, :-1])),
+    "row_too_wide": (QUERIES[1], "tensor 'dense' is f32 (12, 19)", _rewrite_query_stack(
+        "dense", lambda r: np.concatenate([r, r[:, :1]], axis=1))),
+    "row_missing": (QUERIES[1], "tensor 't_cls' is f32 (11, 6)",
+                    _rewrite_query_stack("t_cls", lambda r: r[1:])),
+    "float64_rows": (QUERIES[1], "tensor 't_joint' is f64 (12, 8)",
+                     _rewrite_query_stack("t_joint", lambda r: r.astype(np.float64))),
+    "nan": (QUERIES[1], "non-finite query encoding", _rewrite_query_stack("dense", _set_nan)),
+    "blob_missing": (QUERIES[1], "cannot read ranked/queries.bin", lambda: os.remove(QUERIES[1])),
+    "key_not_a_string": (QUERIES[0], "backbone_key 7 is not a string", lambda: _edit_json(
+        QUERIES[0], lambda doc: doc.update(backbone_key=7))),
+    "key_missing": (QUERIES[0], "malformed", lambda: _edit_json(
+        QUERIES[0], lambda doc: doc.pop("backbone_key"))),
+    "tokens_not_a_list": (QUERIES[0], "text_tokens {} is not a list", lambda: _edit_json(
+        QUERIES[0], lambda doc: doc.update(text_tokens={}))),
+    "query_tokens_not_a_list": (QUERIES[0], "query 0: text_tokens '1,2' is not a list",
+                                lambda: _edit_json(QUERIES[0], lambda doc: doc[
+                                    "text_tokens"].__setitem__(0, "1,2"))),
+    "token_a_float": (QUERIES[0], "query 0: text_tokens 1.0 is not an integer", lambda: _edit_json(
+        QUERIES[0], lambda doc: doc["text_tokens"][0].__setitem__(0, 1.0))),
+    "not_json": (QUERIES[0], "malformed", lambda: pathlib.Path(QUERIES[0]).write_text(
         "{\"backbone_key\": ")),
 }
 
@@ -1722,17 +1859,19 @@ QUERIES_DAMAGE = {
 @pytest.mark.parametrize("damage", sorted(QUERIES_DAMAGE))
 def test_damaged_query_encodings_exit_two(workdir, capsys, damage):
     """A queries.json that is present but malformed, or a queries.bin that
-    does not hold one finite row of the model's dtype and width per query,
-    exits 2 naming the file, with no traceback and no --out left behind."""
+    does not hold each stack of finite encodings in the model's dtype and
+    widths, one row per query, exits 2 naming the file, with no traceback
+    and no --out left behind."""
     build_pipeline(workdir, capsys)
     assert run(workdir, *RANK_ARGS, "--config", "config.json", "--out", "ranked") == 0
     capsys.readouterr()
-    path, damage_it = QUERIES_DAMAGE[damage]
+    path, expected, damage_it = QUERIES_DAMAGE[damage]
     damage_it()
-    assert_exit_two_without_traceback(
+    err = assert_exit_two_without_traceback(
         workdir, capsys, path, "rerank", "--model", "model/checkpoint",
         "--data", "data/data.jsonl", "--bench", "data/benchmark.json",
         "--rankings", "ranked/rankings.json", "--k", 3)
+    assert expected in err, err
     assert not os.path.exists("bad")
 
 

@@ -1,7 +1,9 @@
+import ast
 import errno
 import hashlib
 import json
 import os
+import pathlib
 import struct
 
 import numpy as np
@@ -15,7 +17,7 @@ from elip.retrieval import EmbeddingStore
 from elip.rng import Rng
 from elip import storage
 
-from conftest import TINY, ranking_from_entries
+from conftest import TINY, ranking_from_entries, rewrite_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +103,149 @@ def test_blob_rejects_unsupported_arrays(tmp_path):
         storage.tensor_to_blob(np.zeros(3, dtype=np.int32))
 
 
+BLOB_FUNCTIONS = {"tensor_to_blob", "blob_to_tensor", "write_tensor_blob", "read_tensor_blob"}
+
+
+def test_only_the_container_and_the_manifest_touch_blobs():
+    """The blob functions are named, in src/elip, only by the tensor
+    container, the dataset manifest and each other, so no module grows a
+    tensor format of its own beside the container."""
+    uses = set()
+    for path in sorted(pathlib.Path(storage.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name in BLOB_FUNCTIONS:
+                    uses.add((path.name, owner, name))
+    assert uses == {
+        ("storage.py", "write_tensor_blob", "tensor_to_blob"),
+        ("storage.py", "read_tensor_blob", "blob_to_tensor"),
+        ("storage.py", "write_tensors", "tensor_to_blob"),
+        ("storage.py", "read_tensors", "blob_to_tensor"),
+        ("storage.py", "write_dataset", "write_tensor_blob"),
+        ("storage.py", "read_dataset", "read_tensor_blob"),
+    }
+
+
+# ---------------------------------------------------------------------------
+# tensor containers
+# ---------------------------------------------------------------------------
+
+
+CONTAINER = {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+             "b": np.arange(4, dtype=np.float64),
+             "c": np.array(2.5, dtype=np.float32)}
+CONTAINER_LAYOUT = {name: (arr.dtype, arr.shape) for name, arr in CONTAINER.items()}
+
+
+def container(tmp_path):
+    """CONTAINER written as (index.json, tensors.bin) under tmp_path."""
+    json_path, bin_path = str(tmp_path / "index.json"), str(tmp_path / "tensors.bin")
+    storage.write_tensors(json_path, bin_path, {"note": "kept"}, CONTAINER)
+    return json_path, bin_path
+
+
+def read_container(json_path, bin_path, layout=CONTAINER_LAYOUT):
+    return storage.read_tensors(json_path, bin_path, lambda doc: doc["note"], lambda meta: layout)
+
+
+def test_tensors_round_trip_and_layout(tmp_path):
+    """The blobs lie end to end in write order; the index is one compact
+    line of the doc plus [offset, length, sha256] per name."""
+    json_path, bin_path = container(tmp_path)
+    data = open(bin_path, "rb").read()
+    blobs = [storage.tensor_to_blob(arr) for arr in CONTAINER.values()]
+    assert data == b"".join(blobs)
+    text = open(json_path).read()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    ends = np.cumsum([len(blob) for blob in blobs]).tolist()
+    assert json.loads(text) == {"note": "kept", "tensors": {
+        name: [end - len(blob), len(blob), hashlib.sha256(blob).hexdigest()]
+        for name, blob, end in zip(CONTAINER, blobs, ends)}}
+    meta, tensors = read_container(json_path, bin_path)
+    assert meta == "kept" and list(tensors) == ["a", "b", "c"]
+    for name, arr in CONTAINER.items():
+        assert tensors[name].dtype == arr.dtype and np.array_equal(tensors[name], arr)
+    # a None dtype or dimension matches any
+    _, tensors = read_container(json_path, bin_path, {"a": (None, (2, None)), "b": (None, (None,)),
+                                                      "c": (np.dtype(np.float32), ())})
+    assert np.array_equal(tensors["a"], CONTAINER["a"])
+
+
+def test_tensors_layout_none_leaves_the_blob_file_unread(tmp_path):
+    json_path, bin_path = container(tmp_path)
+    os.remove(bin_path)
+    assert read_container(json_path, bin_path, None) == ("kept", None)
+    with pytest.raises(DataError, match="cannot read .*tensors.bin"):
+        read_container(json_path, bin_path)
+
+
+def _shift(name, offset=0, length=0):
+    def edit(index, data):
+        entry = index["tensors"][name]
+        entry[0] += offset
+        entry[1] += length
+        return data
+    return edit
+
+
+TENSORS_DAMAGE = {
+    "gap": (_shift("b", offset=1), "tensors.bin: tensor 'b' starts at offset 49; "
+                                   "the slice before ends at 48"),
+    "overlap": (_shift("b", offset=-1), "tensors.bin: tensor 'b' starts at offset 47; "
+                                        "the slice before ends at 48"),
+    "past_end": (_shift("c", length=1), "tensors.bin: tensor 'c' ends at offset 109, "
+                                        "past the file's 108 bytes"),
+    "trailing_bytes": (lambda index, data: data + b"\0",
+                       "tensors.bin: 1 trailing bytes after offset 108"),
+    "flipped_byte": (lambda index, data: data[:-1] + bytes([data[-1] ^ 1]),
+                     "tensors.bin: tensor 'c': sha256 does not match"),
+    "digest_not_a_string": (lambda index, data: index["tensors"]["a"].__setitem__(2, 5) or data,
+                            "index.json: tensor 'a' entry is not [offset, length, sha256]"),
+    "offset_a_float": (lambda index, data: index["tensors"]["a"].__setitem__(0, 0.0) or data,
+                       "index.json: tensor 'a' entry is not [offset, length, sha256]"),
+    "entry_too_short": (lambda index, data: index["tensors"]["a"].pop() and data,
+                        "index.json: malformed"),
+    "missing": (lambda index, data: index["tensors"].pop("b") and data,
+                "index.json: missing tensors ['b'], unexpected tensors []"),
+    "unexpected": (lambda index, data: index["tensors"].update(d=[108, 0, "0" * 64]) or data,
+                   "index.json: missing tensors [], unexpected tensors ['d']"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(TENSORS_DAMAGE))
+def test_tensors_damage_names_the_file(tmp_path, damage):
+    json_path, bin_path = container(tmp_path)
+    edit, expected = TENSORS_DAMAGE[damage]
+    index = json.loads(open(json_path).read())
+    data = edit(index, open(bin_path, "rb").read())
+    open(json_path, "w").write(json.dumps(index))
+    open(bin_path, "wb").write(data)
+    with pytest.raises(FormatError) as failure:
+        read_container(json_path, bin_path)
+    assert expected in str(failure.value), failure.value
+
+
+@pytest.mark.parametrize("blob, expected", [
+    (storage.tensor_to_blob(np.zeros((3, 2), dtype=np.float32)),
+     "tensor 'a' is f32 (3, 2); {json} needs f32 (2, 3)"),
+    (storage.tensor_to_blob(np.zeros((2, 3), dtype=np.float64)),
+     "tensor 'a' is f64 (2, 3); {json} needs f32 (2, 3)"),
+    (storage.tensor_to_blob(np.zeros(6, dtype=np.float32)),
+     "tensor 'a' is f32 (6); {json} needs f32 (2, 3)"),
+    (b"ELIQ" + storage.tensor_to_blob(CONTAINER["a"])[4:], "tensor 'a': bad magic at offset 0"),
+    (storage.tensor_to_blob(CONTAINER["a"])[:5], "tensor 'a': truncated header at offset 5"),
+], ids=["shape", "dtype", "rank", "magic", "truncated_header"])
+def test_tensors_slice_with_a_good_digest_is_still_checked(tmp_path, blob, expected):
+    """A slice whose sha256 matches must still hold one blob of its layout."""
+    json_path, bin_path = container(tmp_path)
+    rewrite_tensor(json_path, bin_path, "a", blob)
+    with pytest.raises(FormatError) as failure:
+        read_container(json_path, bin_path)
+    assert f"{bin_path}: " + expected.format(json=json_path) in str(failure.value)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -130,12 +275,16 @@ def test_checkpoint_mapper_tensor_names(tmp_path):
     storage.save_checkpoint(ckpt, model)
     with open(os.path.join(ckpt, "index.json")) as fh:
         index = json.load(fh)
+    with open(os.path.join(ckpt, "tensors.bin"), "rb") as fh:
+        data = fh.read()
     for name in (
         "mapper.l1.weight", "mapper.l1.bias", "mapper.l2.weight",
         "mapper.l2.bias", "mapper.l3.weight", "mapper.l3.bias",
     ):
-        with open(os.path.join(ckpt, f"{name}.bin"), "rb") as fh:
-            assert index["tensors"][name] == hashlib.sha256(fh.read()).hexdigest()
+        offset, length, digest = index["tensors"][name]
+        blob = data[offset:offset + length]
+        assert digest == hashlib.sha256(blob).hexdigest()
+        assert np.array_equal(storage.blob_to_tensor(blob), model.mapper.tensors[name[7:]])
 
 
 def test_checkpoint_save_is_byte_stable(tmp_path):
@@ -158,9 +307,10 @@ def test_checkpoint_save_replaces_existing_and_leaves_no_siblings(tmp_path):
     new = init_frozen_model(8, TINY, "C", MapperConfig(hidden=8))
     storage.save_checkpoint(ckpt, new)
     assert os.listdir(tmp_path) == ["ckpt"]
-    # no blob of the replaced B checkpoint's ITM head is left behind
-    assert sorted(os.listdir(ckpt)) == sorted(
-        [f"{name}.bin" for name, _, _ in new.iter_tensors()] + ["index.json"])
+    # nothing of the replaced B checkpoint's ITM head is left behind
+    assert sorted(os.listdir(ckpt)) == ["index.json", "tensors.bin"]
+    assert list(json.loads(open(os.path.join(ckpt, "index.json")).read())["tensors"]) == \
+        sorted(name for name, _, _ in new.iter_tensors())
     assert bundles_equal(storage.load_checkpoint(ckpt), new)
 
 
@@ -205,19 +355,19 @@ def test_checkpoint_save_failing_part_way_keeps_old_checkpoint(tmp_path, monkeyp
     ckpt = str(tmp_path / "ckpt")
     storage.save_checkpoint(ckpt, old)
     before = dir_bytes(ckpt)
-    real_write = storage.write_tensor_blob
+    real_write = storage.atomic_write_bytes
     written = []
 
-    def failing_write(path, arr):
-        if len(written) == 3:
+    def failing_write(path, data):
+        if os.path.basename(path) == "index.json":
             raise OSError("disk full")
-        written.append(path)
-        return real_write(path, arr)
+        written.append(os.path.basename(path))
+        return real_write(path, data)
 
-    monkeypatch.setattr(storage, "write_tensor_blob", failing_write)
+    monkeypatch.setattr(storage, "atomic_write_bytes", failing_write)
     with pytest.raises(OSError, match="disk full"):
         storage.save_checkpoint(ckpt, init_frozen_model(9, TINY, "C", MapperConfig(hidden=8)))
-    assert len(written) == 3
+    assert written == ["tensors.bin"]
     assert os.listdir(tmp_path) == ["ckpt"]
     assert dir_bytes(ckpt) == before
     assert bundles_equal(storage.load_checkpoint(ckpt), old)
