@@ -174,23 +174,19 @@ def blob_to_tensor(data: bytes, source: str = "<bytes>") -> np.ndarray:
     dims_end = 8 + 8 * rank
     if len(data) < dims_end:
         raise FormatError(f"{source}: truncated dims at offset {len(data)}")
-    shape = struct.unpack(f"<{rank}Q", data[8:dims_end])
+    shape = tuple(
+        struct.unpack("<Q", data[8 + 8 * i : 16 + 8 * i])[0] for i in range(rank)
+    )
     dtype = _CODE_DTYPES[code]
     expected = math.prod(shape) * dtype.itemsize  # Python ints: no overflow
     if len(data) - dims_end != expected:
-        raise FormatError(f"{source}: payload length {len(data) - dims_end} != {expected} "
-                          f"at offset {dims_end}")
+        raise FormatError(
+            f"{source}: payload length {len(data) - dims_end} != {expected} "
+            f"at offset {dims_end}"
+        )
     flat = np.frombuffer(data[dims_end:], dtype=dtype)
-    return flat.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
-
-
-def write_tensor_blob(path: str, arr: np.ndarray) -> None:
-    atomic_write_bytes(path, tensor_to_blob(arr))
-
-
-def read_tensor_blob(path: str) -> np.ndarray:
-    with _open(path) as fh:
-        return blob_to_tensor(fh.read(), source=path)
+    arr = flat.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
+    return arr
 
 
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
@@ -214,28 +210,31 @@ def write_tensors(json_path: str, bin_path: str, doc: dict, tensors: dict) -> No
 
 def read_tensors(json_path: str, bin_path: str, parse, layout) -> tuple:
     """(meta, tensors): meta = parse(doc) of the index at json_path, any fault
-    _malformed there, and tensors {name: array}, or None with bin_path unread
-    when layout(meta), the {name: (dtype, shape)} to hold (None matching any
-    dtype or dimension), is None. A FormatError names the file and tensor when
-    the names differ from the layout's, the slices do not tile bin_path (a
-    gap, an overlap, a slice past the end, trailing bytes), or a slice fails
-    its sha256, its blob header or its layout."""
+    _malformed there, and tensors {name: array}, or None with the index's
+    entries and bin_path unread when layout(meta), the {name: (dtype, shape)}
+    to hold (None matching any dtype or dimension), is None. A FormatError
+    names the file and tensor when the names differ from the layout's, the
+    slices do not tile bin_path (a gap, an overlap, a slice past the end,
+    trailing bytes), or a slice fails its sha256, its blob header or its
+    layout."""
 
     def parse_index(doc):
         meta = parse(doc)
+        specs = layout(meta)
+        if specs is None:
+            return meta, None, {}
         entries = {name: tuple(entry) for name, entry in doc["tensors"].items()}
         for name, (offset, length, digest) in entries.items():
             if not (_conforms([offset, length], list[int]) and _conforms(digest, str)):
                 raise FormatError(f"{json_path}: tensor {name!r} entry is not "
                                   "[offset, length, sha256]")
-        return meta, entries
+        return meta, specs, entries
 
     def describe(dtype, shape):  # a None dtype or dimension shown as '*'
         dims = ", ".join("*" if dim is None else str(dim) for dim in shape)
         return f"{_DTYPE_NAMES.get(dtype, '*')} ({dims})"
 
-    meta, entries = _parse_json(json_path, parse_index)
-    specs = layout(meta)
+    meta, specs, entries = _parse_json(json_path, parse_index)
     if specs is None:
         return meta, None
     if entries.keys() != specs.keys():
@@ -256,8 +255,8 @@ def read_tensors(json_path: str, bin_path: str, parse, layout) -> tuple:
             raise FormatError(f"{where}: sha256 does not match {json_path}")
         arr = tensors[name] = blob_to_tensor(blob, where)
         dtype, shape = specs[name]
-        if not (dtype in (None, arr.dtype) and len(shape) == arr.ndim
-                and all(want in (None, got) for want, got in zip(shape, arr.shape))):
+        if not ((dtype is None or dtype == arr.dtype) and len(shape) == arr.ndim
+                and all(want is None or want == got for want, got in zip(shape, arr.shape))):
             raise FormatError(f"{where} is {describe(arr.dtype, arr.shape)}; "
                               f"{json_path} needs {describe(dtype, shape)}")
     if end != len(data):
@@ -326,10 +325,15 @@ def write_store(store_dir: str, store: EmbeddingStore) -> None:
 def read_store(store_dir: str) -> EmbeddingStore:
     """write_store's store: one (G, d_e) matrix, any float dtype, under G ids."""
     ids_path = os.path.join(store_dir, "ids.json")
+
+    def parse(doc):
+        if "tensors" not in doc:  # written before the tensor container
+            raise FormatError(f"{ids_path}: no tensors index; re-run `elip embed-gallery`")
+        return (_typed(ids_path, doc["ids"], list[str], "image id"),
+                _typed(ids_path, doc["seed"], int, "seed"))
+
     (ids, seed), tensors = read_tensors(
-        ids_path, os.path.join(store_dir, "embeddings.bin"),
-        lambda doc: (_typed(ids_path, doc["ids"], list[str], "image id"),
-                     _typed(ids_path, doc["seed"], int, "seed")),
+        ids_path, os.path.join(store_dir, "embeddings.bin"), parse,
         lambda meta: {"embeddings": (None, (len(meta[0]), None))})
     try:
         return EmbeddingStore(ids=ids, matrix=tensors["embeddings"], provenance_seed=seed)
@@ -357,8 +361,9 @@ def write_queries(out_dir: str, model: ModelBundle, bench: Benchmark, queries: l
 
 def read_queries(out_dir: str, model: ModelBundle, bench: Benchmark) -> list | None:
     """The query encodings write_queries left in out_dir, or None when there
-    is no queries.json or it was written for another backbone or for other
-    query tokens than bench's. A faulty pair is a FormatError naming the file."""
+    is no queries.json or it was written before the tensor container (it has
+    no tensors index), for another backbone or for other query tokens than
+    bench's. A faulty pair is a FormatError naming the file."""
     json_path = os.path.join(out_dir, "queries.json")
     if not os.path.exists(json_path):
         return None
@@ -366,11 +371,12 @@ def read_queries(out_dir: str, model: ModelBundle, bench: Benchmark) -> list | N
     tokens = [list(q.text_tokens) for q in bench.queries]
     _, stacks = read_tensors(
         json_path, bin_path,
-        lambda doc: (_typed(json_path, doc["backbone_key"], str, "backbone_key"),
+        lambda doc: ("tensors" in doc,
+                     _typed(json_path, doc["backbone_key"], str, "backbone_key"),
                      [_typed(json_path, q, list[int], f"query {n}: text_tokens") for n, q in
                       enumerate(_typed(json_path, doc["text_tokens"], list, "text_tokens"))]),
         lambda meta: (_query_layout(model, len(tokens))
-                      if meta == (model.backbone_key, tokens) else None))
+                      if meta == (True, model.backbone_key, tokens) else None))
     if stacks is None:
         return None
     if not all(np.isfinite(stack).all() for stack in stacks.values()):
@@ -390,10 +396,12 @@ def write_dataset(out_dir: str, ds: PairDataset) -> str:
     leaves no manifest that reads a partial dataset."""
     os.makedirs(out_dir, exist_ok=True)
     stacked = np.concatenate([rec.patches for rec in ds.records], axis=0)
-    write_tensor_blob(os.path.join(out_dir, "patches.bin"), stacked.astype(np.float32))
+    atomic_write_bytes(os.path.join(out_dir, "patches.bin"),
+                       tensor_to_blob(stacked.astype(np.float32)))
     if ds.vocab is not None:
         write_json(os.path.join(out_dir, "vocab.json"), ds.vocab)
-    lines, row = [], 0
+    lines = []
+    row = 0
     for rec in ds.records:
         lines.append(json.dumps({
             "id": rec.id,
@@ -429,7 +437,9 @@ def read_dataset(manifest_path: str) -> PairDataset:
             row = _typed(manifest_path, patches_ref["row"], int, f"line {lineno}: patches row")
             rows = _typed(manifest_path, patches_ref["rows"], int, f"line {lineno}: patches rows")
             if fname not in blobs:
-                blobs[fname] = read_tensor_blob(os.path.join(base, fname))
+                blob_path = os.path.join(base, fname)
+                with _open(blob_path) as blob_fh:
+                    blobs[fname] = blob_to_tensor(blob_fh.read(), blob_path)
             blob = blobs[fname]
             if row < 0 or rows < 0 or row + rows > blob.shape[0]:
                 raise DataError(
@@ -466,8 +476,11 @@ def read_vocab(path: str) -> dict:
 
 
 def write_benchmark(path: str, bench: Benchmark) -> None:
-    write_json(path, {"queries": [{"text_tokens": list(q.text_tokens),
-                                   "positives": sorted(q.positives)} for q in bench.queries]})
+    doc = {"queries": [
+        {"text_tokens": list(q.text_tokens), "positives": sorted(q.positives)}
+        for q in bench.queries
+    ]}
+    write_json(path, doc)
 
 
 def read_benchmark(path: str, gallery_ids: list) -> Benchmark:
@@ -492,8 +505,12 @@ def read_config(path: str) -> RunConfig:
 
 
 def write_plan(path: str, plan: CurationPlan) -> None:
-    write_json(path, {"batches": [list(b) for b in plan.batches],
-                      "learnability": plan.learnability, "source_seed": plan.source_seed})
+    doc = {
+        "batches": [list(b) for b in plan.batches],
+        "learnability": plan.learnability,
+        "source_seed": plan.source_seed,
+    }
+    write_json(path, doc)
 
 
 def read_plan(path: str) -> CurationPlan:
@@ -567,8 +584,10 @@ def read_rankings(path: str) -> list:
     def parse(doc):
         version = doc.get("version", 1)
         if not (_conforms(version, int) and version == RANKINGS_VERSION):
-            raise FormatError(f"{path}: rankings format version {version!r} is not "
-                              f"{RANKINGS_VERSION}; re-run `elip rank` to rewrite it")
+            raise FormatError(
+                f"{path}: rankings format version {version!r} is not "
+                f"{RANKINGS_VERSION}; re-run `elip rank` to rewrite it"
+            )
         ids = _typed(path, doc["ids"], list[str], "image id")
         if len(set(ids)) != len(ids):
             raise FormatError(f"{path}: ids repeat an image id")
@@ -581,19 +600,29 @@ def read_rankings(path: str) -> list:
             order = _unpack(path, qid, "order", r["order"], "<i4")
             scores = _unpack(path, qid, "scores", r["scores"], "<f8")
             if len(order) != len(scores):
-                raise FormatError(f"{path}: query {qid!r}: {len(order)} order indices "
-                                  f"but {len(scores)} scores")
+                raise FormatError(
+                    f"{path}: query {qid!r}: {len(order)} order indices "
+                    f"but {len(scores)} scores"
+                )
             if len(order) and (order.min() < 0 or order.max() >= len(ids)):
-                raise FormatError(f"{path}: query {qid!r}: order index outside [0, {len(ids)})")
+                raise FormatError(
+                    f"{path}: query {qid!r}: order index outside [0, {len(ids)})"
+                )
             if len(order) and np.bincount(order).max() > 1:
                 raise FormatError(f"{path}: query {qid!r}: order repeats an image")
             k_reranked = _typed(path, r["k_reranked"], int, f"query {qid!r}: k_reranked")
             if not 0 <= k_reranked <= len(order):
-                raise FormatError(f"{path}: query {qid!r}: k_reranked {k_reranked} "
-                                  f"outside [0, {len(order)}]")
-            results.append(RankingResult(query_id=qid, gallery=ids, order=order, scores=scores,
-                                         stage=_typed(path, r["stage"], str, "stage"),
-                                         k_reranked=k_reranked))
+                raise FormatError(
+                    f"{path}: query {qid!r}: k_reranked {k_reranked} outside [0, {len(order)}]"
+                )
+            results.append(RankingResult(
+                query_id=qid,
+                gallery=ids,
+                order=order,
+                scores=scores,
+                stage=_typed(path, r["stage"], str, "stage"),
+                k_reranked=k_reranked,
+            ))
         return results
 
     return _parse_json(path, parse)
@@ -605,14 +634,20 @@ def read_rankings(path: str) -> list:
 
 
 def _csv(path: str, header: str, rows) -> None:
-    atomic_write_text(path, "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n")
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(str(x) for x in row))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_metrics_csv(path: str, report: MetricReport) -> None:
-    rows = [(qid, name, repr(float(values[name])))
-            for qid, values in report.per_query.items() for name in report.aggregate]
-    rows += [("all", "map" if name == "ap" else name, repr(float(value)))
-             for name, value in report.aggregate.items()]
+    rows = []
+    for qid, values in report.per_query.items():
+        for name in report.aggregate:
+            rows.append((qid, name, repr(float(values[name]))))
+    agg_name = {"ap": "map"}
+    for name, value in report.aggregate.items():
+        rows.append(("all", agg_name.get(name, name), repr(float(value))))
     _csv(path, "query_id,metric,value", rows)
 
 
@@ -625,4 +660,8 @@ def write_trace_csv(path: str, trace: list) -> None:
 
 
 def write_attn_csv(path: str, grid: np.ndarray) -> None:
-    _csv(path, "row,col,weight", ((r, c, repr(float(v))) for (r, c), v in np.ndenumerate(grid)))
+    rows = []
+    for r in range(grid.shape[0]):
+        for c in range(grid.shape[1]):
+            rows.append((r, c, repr(float(grid[r, c]))))
+    _csv(path, "row,col,weight", rows)

@@ -13,7 +13,7 @@ from elip.config import DimsConfig, MapperConfig
 from elip.curation import Benchmark, BenchmarkQuery, CurationPlan, SynthSpec, gen_synthetic_dataset
 from elip.encoders import bundles_equal, init_frozen_model
 from elip.errors import ConfigError, DataError, FormatError
-from elip.retrieval import EmbeddingStore
+from elip.retrieval import EmbeddingStore, encode_queries
 from elip.rng import Rng
 from elip import storage
 
@@ -25,11 +25,19 @@ from conftest import TINY, ranking_from_entries, rewrite_tensor
 # ---------------------------------------------------------------------------
 
 
+def write_blob(path, arr):
+    storage.atomic_write_bytes(path, storage.tensor_to_blob(arr))
+
+
+def write_and_read_blob(path, arr):
+    write_blob(path, arr)
+    return storage.blob_to_tensor(pathlib.Path(path).read_bytes(), path)
+
+
 def test_blob_round_trip_f32(tmp_path):
     arr = Rng(71).gaussian_matrix(2, 3).astype(np.float32)
     path = str(tmp_path / "t.bin")
-    storage.write_tensor_blob(path, arr)
-    back = storage.read_tensor_blob(path)
+    back = write_and_read_blob(path, arr)
     assert back.dtype == np.float32
     assert back.shape == (2, 3)
     assert np.array_equal(back, arr)
@@ -39,8 +47,7 @@ def test_blob_round_trip_f32(tmp_path):
 def test_blob_round_trip_f64_and_rank1(tmp_path):
     arr = Rng(72).gaussian_matrix(1, 5)[0]
     path = str(tmp_path / "t.bin")
-    storage.write_tensor_blob(path, arr)
-    back = storage.read_tensor_blob(path)
+    back = write_and_read_blob(path, arr)
     assert back.dtype == np.float64
     assert np.array_equal(back, arr)
 
@@ -48,8 +55,7 @@ def test_blob_round_trip_f64_and_rank1(tmp_path):
 def test_blob_rank0_round_trip(tmp_path):
     arr = np.array(2.5, dtype=np.float64)
     path = str(tmp_path / "scalar.bin")
-    storage.write_tensor_blob(path, arr)
-    back = storage.read_tensor_blob(path)
+    back = write_and_read_blob(path, arr)
     assert back.shape == ()
     assert float(back) == 2.5
 
@@ -70,11 +76,11 @@ def test_blob_header_layout():
 
 def test_blob_corrupt_magic_offset_zero(tmp_path):
     path = str(tmp_path / "t.bin")
-    storage.write_tensor_blob(path, np.zeros((2, 2), dtype=np.float32))
+    write_blob(path, np.zeros((2, 2), dtype=np.float32))
     with open(path, "r+b") as fh:
         fh.write(b"NOPE")
-    with pytest.raises(FormatError, match="offset 0"):
-        storage.read_tensor_blob(path)
+    with pytest.raises(FormatError, match="t.bin: bad magic at offset 0"):
+        storage.blob_to_tensor(pathlib.Path(path).read_bytes(), path)
 
 
 def test_blob_bad_fields_name_offsets():
@@ -103,13 +109,13 @@ def test_blob_rejects_unsupported_arrays(tmp_path):
         storage.tensor_to_blob(np.zeros(3, dtype=np.int32))
 
 
-BLOB_FUNCTIONS = {"tensor_to_blob", "blob_to_tensor", "write_tensor_blob", "read_tensor_blob"}
+BLOB_FUNCTIONS = {"tensor_to_blob", "blob_to_tensor"}
 
 
 def test_only_the_container_and_the_manifest_touch_blobs():
     """The blob functions are named, in src/elip, only by the tensor
-    container, the dataset manifest and each other, so no module grows a
-    tensor format of its own beside the container."""
+    container and the dataset manifest, so no module grows a tensor format
+    of its own beside the container."""
     uses = set()
     for path in sorted(pathlib.Path(storage.__file__).parent.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
@@ -119,12 +125,10 @@ def test_only_the_container_and_the_manifest_touch_blobs():
                 if isinstance(node, (ast.Name, ast.Attribute)) and name in BLOB_FUNCTIONS:
                     uses.add((path.name, owner, name))
     assert uses == {
-        ("storage.py", "write_tensor_blob", "tensor_to_blob"),
-        ("storage.py", "read_tensor_blob", "blob_to_tensor"),
         ("storage.py", "write_tensors", "tensor_to_blob"),
         ("storage.py", "read_tensors", "blob_to_tensor"),
-        ("storage.py", "write_dataset", "write_tensor_blob"),
-        ("storage.py", "read_dataset", "read_tensor_blob"),
+        ("storage.py", "write_dataset", "tensor_to_blob"),
+        ("storage.py", "read_dataset", "blob_to_tensor"),
     }
 
 
@@ -227,20 +231,23 @@ def test_tensors_damage_names_the_file(tmp_path, damage):
     assert expected in str(failure.value), failure.value
 
 
-@pytest.mark.parametrize("blob, expected", [
-    (storage.tensor_to_blob(np.zeros((3, 2), dtype=np.float32)),
+@pytest.mark.parametrize("name, blob, expected", [
+    ("a", storage.tensor_to_blob(np.zeros((3, 2), dtype=np.float32)),
      "tensor 'a' is f32 (3, 2); {json} needs f32 (2, 3)"),
-    (storage.tensor_to_blob(np.zeros((2, 3), dtype=np.float64)),
+    ("a", storage.tensor_to_blob(np.zeros((2, 3), dtype=np.float64)),
      "tensor 'a' is f64 (2, 3); {json} needs f32 (2, 3)"),
-    (storage.tensor_to_blob(np.zeros(6, dtype=np.float32)),
+    ("b", storage.tensor_to_blob(np.zeros(4, dtype=np.float32)),
+     "tensor 'b' is f32 (4); {json} needs f64 (4)"),
+    ("a", storage.tensor_to_blob(np.zeros(6, dtype=np.float32)),
      "tensor 'a' is f32 (6); {json} needs f32 (2, 3)"),
-    (b"ELIQ" + storage.tensor_to_blob(CONTAINER["a"])[4:], "tensor 'a': bad magic at offset 0"),
-    (storage.tensor_to_blob(CONTAINER["a"])[:5], "tensor 'a': truncated header at offset 5"),
-], ids=["shape", "dtype", "rank", "magic", "truncated_header"])
-def test_tensors_slice_with_a_good_digest_is_still_checked(tmp_path, blob, expected):
+    ("a", b"ELIQ" + storage.tensor_to_blob(CONTAINER["a"])[4:],
+     "tensor 'a': bad magic at offset 0"),
+    ("a", storage.tensor_to_blob(CONTAINER["a"])[:5], "tensor 'a': truncated header at offset 5"),
+], ids=["shape", "dtype", "f32_for_f64", "rank", "magic", "truncated_header"])
+def test_tensors_slice_with_a_good_digest_is_still_checked(tmp_path, name, blob, expected):
     """A slice whose sha256 matches must still hold one blob of its layout."""
     json_path, bin_path = container(tmp_path)
-    rewrite_tensor(json_path, bin_path, "a", blob)
+    rewrite_tensor(json_path, bin_path, name, blob)
     with pytest.raises(FormatError) as failure:
         read_container(json_path, bin_path)
     assert f"{bin_path}: " + expected.format(json=json_path) in str(failure.value)
@@ -407,6 +414,29 @@ def test_init_frozen_model_draws_are_pinned():
         assert h.hexdigest() == digest, dtype
 
 
+def test_query_stacks_hold_the_model_dtype(tmp_path):
+    """An f64 model's query encodings read back as f64 stacks only: f32
+    stacks under a good digest are refused, naming the file and tensor."""
+    model = init_frozen_model(7, TINY, "C", MapperConfig(hidden=8), dtype=np.float64)
+    bench = Benchmark(queries=[BenchmarkQuery(text_tokens=[1, 2], positives={"a"}),
+                               BenchmarkQuery(text_tokens=[3], positives={"a"})],
+                      gallery_ids=["a"])
+    queries = encode_queries(model, bench)
+    storage.write_queries(str(tmp_path), model, bench, queries)
+    back = storage.read_queries(str(tmp_path), model, bench)
+    for got, want in zip(back, queries):
+        for field in ("dense", "t_cls", "t_joint"):
+            assert getattr(got, field).dtype == np.float64
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    json_path, bin_path = str(tmp_path / "queries.json"), str(tmp_path / "queries.bin")
+    t_cls = np.stack([q.t_cls for q in queries]).astype(np.float32)
+    rewrite_tensor(json_path, bin_path, "t_cls", storage.tensor_to_blob(t_cls))
+    with pytest.raises(FormatError) as failure:
+        storage.read_queries(str(tmp_path), model, bench)
+    assert (f"{bin_path}: tensor 't_cls' is f32 (2, {TINY.d_t}); {json_path} needs "
+            f"f64 (2, {TINY.d_t})") in str(failure.value)
+
+
 def test_checkpoint_missing_index_is_data_error(tmp_path):
     with pytest.raises(DataError, match="index.json"):
         storage.load_checkpoint(str(tmp_path / "nothing"))
@@ -474,7 +504,7 @@ def test_dataset_write_failing_at_any_file_leaves_no_manifest_of_a_partial_datas
 
 def test_manifest_two_valid_lines(tmp_path):
     blob = str(tmp_path / "patches.bin")
-    storage.write_tensor_blob(blob, np.arange(8, dtype=np.float32).reshape(4, 2))
+    write_blob(blob, np.arange(8, dtype=np.float32).reshape(4, 2))
     lines = [
         json.dumps({"id": "a", "patches": {"file": "patches.bin", "row": 0, "rows": 2},
                     "tokens": [1], "caption": "a", "categories": [],
@@ -493,7 +523,7 @@ def test_manifest_two_valid_lines(tmp_path):
 
 def test_manifest_duplicate_id_names_id(tmp_path):
     blob = str(tmp_path / "patches.bin")
-    storage.write_tensor_blob(blob, np.zeros((4, 2), dtype=np.float32))
+    write_blob(blob, np.zeros((4, 2), dtype=np.float32))
     line = json.dumps({"id": "dup", "patches": {"file": "patches.bin", "row": 0, "rows": 2},
                        "tokens": [1], "caption": "x", "categories": [],
                        "occluded_categories": []})
@@ -506,7 +536,7 @@ def test_manifest_duplicate_id_names_id(tmp_path):
 
 def test_manifest_malformed_line_number(tmp_path):
     blob = str(tmp_path / "patches.bin")
-    storage.write_tensor_blob(blob, np.zeros((2, 2), dtype=np.float32))
+    write_blob(blob, np.zeros((2, 2), dtype=np.float32))
     good = json.dumps({"id": "a", "patches": {"file": "patches.bin", "row": 0, "rows": 2},
                        "tokens": [1], "caption": "a", "categories": [],
                        "occluded_categories": []})
