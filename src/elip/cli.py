@@ -237,7 +237,8 @@ def cmd_rerank(args, cfg: RunConfig) -> dict:
     if queries is None:
         with _prefixed(args.bench):
             queries = encode_queries(model, bench)
-    reranked = rerank_queries(model, ds, rankings, queries, k, args.itm_sigmoid)
+    with _prefixed(args.rankings):
+        reranked = rerank_queries(model, ds, rankings, queries, k, args.itm_sigmoid)
     path = os.path.join(args.out_dir, "rankings.json")
     storage.write_rankings(path, reranked)
     return dict(rankings=path, k=k, queries=len(reranked))

@@ -179,7 +179,11 @@ def rerank(
 
     C/S: new score = cosine(t_joint, conditioned v_joint). B: new score =
     stage-1 cosine + raw ITM logit (sigmoid-squashed when itm_sigmoid).
+    A ranking not from stage 1 is a DataError (B would add its logit twice).
     """
+    if ranking.stage != "stage1" or ranking.k_reranked > 0:
+        raise DataError(f"query {ranking.query_id!r}: a {ranking.stage!r} ranking "
+                        f"(k_reranked={ranking.k_reranked}) is not a stage-1 ranking")
     if k == 0:
         return ranking
     if k < 0 or k > len(ranking.order):

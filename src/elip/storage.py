@@ -7,7 +7,7 @@ Tensor blob layout: magic 'ELIP', u8 version=1, u8 dtype (1=f32, 2=f64),
 u8 rank (<=2), u8 zero pad, rank x u64 little-endian dims, then the payload
 little-endian row-major. A tensor container is a JSON index over one file of
 blobs end to end; its "tensors" maps each name to its blob's [offset,
-length, sha256]. A dataset's patches.bin is the one blob outside a container.
+length, sha256]. Every tensor on disk is a slice of a container.
 """
 
 from __future__ import annotations
@@ -246,10 +246,12 @@ def read_tensors(json_path: str, bin_path: str, parse, layout) -> tuple:
     for name, (offset, length, digest) in sorted(entries.items(), key=lambda e: e[1][0]):
         where = f"{bin_path}: tensor {name!r}"
         if offset != end:
-            raise FormatError(f"{where} starts at offset {offset}; the slice before ends at {end}")
+            raise FormatError(f"{where} starts at offset {offset} per {json_path}; "
+                              f"the slice before ends at {end}")
         end = offset + length
         if end > len(data):
-            raise FormatError(f"{where} ends at offset {end}, past the file's {len(data)} bytes")
+            raise FormatError(f"{where} ends at offset {end} per {json_path}, "
+                              f"past the file's {len(data)} bytes")
         blob = data[offset:end]
         if hashlib.sha256(blob).hexdigest() != digest:
             raise FormatError(f"{where}: sha256 does not match {json_path}")
@@ -386,44 +388,42 @@ def read_queries(out_dir: str, model: ModelBundle, bench: Benchmark) -> list | N
 
 
 # ---------------------------------------------------------------------------
-# dataset manifests (JSON-Lines + shared patch blob)
+# datasets (JSON-Lines manifest + patch container)
 # ---------------------------------------------------------------------------
 
 
 def write_dataset(out_dir: str, ds: PairDataset) -> str:
-    """Writes patches.bin, (if present) vocab.json, then data.jsonl; returns
-    the manifest path. The manifest comes last, so a write that fails
-    leaves no manifest that reads a partial dataset."""
+    """Removes an older data.jsonl and vocab.json, then writes patches.json
+    over patches.bin (one float32 tensor per record id), vocab.json if
+    present, and data.jsonl last; returns the manifest path. A write that
+    fails leaves no manifest, so none reads a partial dataset or the
+    patches of another."""
     os.makedirs(out_dir, exist_ok=True)
-    stacked = np.concatenate([rec.patches for rec in ds.records], axis=0)
-    atomic_write_bytes(os.path.join(out_dir, "patches.bin"),
-                       tensor_to_blob(stacked.astype(np.float32)))
+    manifest = os.path.join(out_dir, "data.jsonl")
+    for path in (manifest, os.path.join(out_dir, "vocab.json")):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+    write_tensors(os.path.join(out_dir, "patches.json"), os.path.join(out_dir, "patches.bin"),
+                  {}, {rec.id: rec.patches.astype(np.float32) for rec in ds.records})
     if ds.vocab is not None:
         write_json(os.path.join(out_dir, "vocab.json"), ds.vocab)
-    lines = []
-    row = 0
-    for rec in ds.records:
-        lines.append(json.dumps({
-            "id": rec.id,
-            "patches": {"file": "patches.bin", "row": row, "rows": rec.patches.shape[0]},
-            "tokens": list(rec.tokens),
-            "caption": rec.caption,
-            "categories": sorted(rec.categories),
-            "occluded_categories": sorted(rec.occluded_categories),
-        }, sort_keys=True))
-        row += rec.patches.shape[0]
-    manifest = os.path.join(out_dir, "data.jsonl")
+    lines = [json.dumps({
+        "id": rec.id,
+        "tokens": list(rec.tokens),
+        "caption": rec.caption,
+        "categories": sorted(rec.categories),
+        "occluded_categories": sorted(rec.occluded_categories),
+    }, sort_keys=True) for rec in ds.records]
     atomic_write_text(manifest, "\n".join(lines) + "\n")
     return manifest
 
 
 def read_dataset(manifest_path: str) -> PairDataset:
-    """The records of a data.jsonl manifest. A DataError (an unreadable
-    blob, rows outside it) passes through; any other fault of a line is a
-    FormatError at file:line."""
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    blobs: dict[str, np.ndarray] = {}
-    records = []
+    """The records of a data.jsonl manifest, each with the float32 (rows,
+    cols) tensor of its id in the patches.json container beside it. A fault
+    of a line is a FormatError at file:line; the container names its own."""
+    base = os.path.dirname(manifest_path)
+    fields = {}
     with _open(manifest_path) as fh:
         lines = fh.read().splitlines()
     for lineno, line in enumerate(lines, start=1):
@@ -432,35 +432,26 @@ def read_dataset(manifest_path: str) -> PairDataset:
             if not line:
                 continue
             doc = json.loads(line)
-            patches_ref = doc["patches"]
-            fname = patches_ref["file"]
-            row = _typed(manifest_path, patches_ref["row"], int, f"line {lineno}: patches row")
-            rows = _typed(manifest_path, patches_ref["rows"], int, f"line {lineno}: patches rows")
-            if fname not in blobs:
-                blob_path = os.path.join(base, fname)
-                with _open(blob_path) as blob_fh:
-                    blobs[fname] = blob_to_tensor(blob_fh.read(), blob_path)
-            blob = blobs[fname]
-            if row < 0 or rows < 0 or row + rows > blob.shape[0]:
-                raise DataError(
-                    f"{manifest_path}:{lineno}: rows [{row}, {row + rows}) "
-                    f"outside blob of {blob.shape[0]} rows"
-                )
-            records.append(PairRecord(
-                id=_typed(manifest_path, doc["id"], str, f"line {lineno}: record id"),
-                patches=np.array(blob[row : row + rows], dtype=np.float32),
+            rec_id = _typed(manifest_path, doc["id"], str, f"line {lineno}: record id")
+            if rec_id in fields:
+                raise FormatError(f"{manifest_path}: line {lineno}: record id {rec_id!r} repeats")
+            fields[rec_id] = dict(
                 tokens=_typed(manifest_path, doc["tokens"], list[int], f"line {lineno}: token"),
                 caption=_typed(manifest_path, doc["caption"], str, f"line {lineno}: caption"),
                 categories=set(_typed(manifest_path, doc.get("categories", []), list[str],
                                       f"line {lineno}: categories")),
                 occluded_categories=set(_typed(manifest_path, doc.get("occluded_categories", []),
                                                list[str], f"line {lineno}: occluded_categories")),
-            ))
-    if not records:
+            )
+    if not fields:
         raise FormatError(f"{manifest_path}: no records")
+    _, patches = read_tensors(
+        os.path.join(base, "patches.json"), os.path.join(base, "patches.bin"), lambda doc: None,
+        lambda _: dict.fromkeys(fields, (np.dtype(np.float32), (None, None))))
     vocab_path = os.path.join(base, "vocab.json")
     vocab = read_vocab(vocab_path) if os.path.exists(vocab_path) else None
-    return PairDataset(records=records, vocab=vocab)
+    return PairDataset(records=[PairRecord(id=rec_id, patches=patches[rec_id], **f)
+                                for rec_id, f in fields.items()], vocab=vocab)
 
 
 def read_vocab(path: str) -> dict:
@@ -599,6 +590,8 @@ def read_rankings(path: str) -> list:
             qids.add(qid)
             order = _unpack(path, qid, "order", r["order"], "<i4")
             scores = _unpack(path, qid, "scores", r["scores"], "<f8")
+            if not np.isfinite(scores).all():
+                raise FormatError(f"{path}: query {qid!r}: non-finite score")
             if len(order) != len(scores):
                 raise FormatError(
                     f"{path}: query {qid!r}: {len(order)} order indices "

@@ -1,6 +1,8 @@
 import ast
 import base64
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -288,12 +290,18 @@ def _packed_order(*indices):
     return base64.b64encode(np.array(indices, dtype="<i4").tobytes()).decode("ascii")
 
 
+def _packed_scores(*scores):
+    return base64.b64encode(np.array(scores, dtype="<f8").tobytes()).decode("ascii")
+
+
 RANKINGS_DAMAGE = {
     "negative_index": ("order", _packed_order(0, -1), "order index outside [0, 2)"),
     "index_past_ids": ("order", _packed_order(0, 2), "order index outside [0, 2)"),
     "length_mismatch": ("order", _packed_order(0), "1 order indices but 2 scores"),
     "bad_base64": ("scores", "AAAA*AAA", "scores is not strict base64"),
     "ragged_bytes": ("scores", "AAAA", "scores holds 3 bytes"),
+    "non_finite_score": ("scores", _packed_scores(0.5, np.nan),
+                         "rankings.json: query 'q0000': non-finite score"),
     "repeated_index": ("order", _packed_order(1, 1), "order repeats an image"),
     "k_reranked_float": ("k_reranked", 2.7, "k_reranked 2.7 is not an integer"),
     "k_reranked_bool": ("k_reranked", True, "k_reranked True is not an integer"),
@@ -359,6 +367,7 @@ def test_checkpoint_index_bad_value_exit_two(workdir, capsys, field, value):
 CKPT = ("model/checkpoint/index.json", "model/checkpoint/tensors.bin")
 STORE = ("gal/gallery/ids.json", "gal/gallery/embeddings.bin")
 QUERIES = ("ranked/queries.json", "ranked/queries.bin")
+PATCHES = ("data/patches.json", "data/patches.bin")
 
 
 def _slice(json_path, name):
@@ -480,6 +489,46 @@ def test_checkpoint_integrity_failure_exit_two(workdir, capsys, damage):
     assert "malformed" not in err and expected in err
 
 
+# one float32 (P, d_in) slice per record id in data/patches.json
+DATASET_DAMAGE = {
+    "flipped_payload_byte": (
+        PATCHES[1], "tensor 'img0011': sha256 does not match data/patches.json",
+        lambda: _flip_byte(*PATCHES, "img0011")),
+    "truncated_file": (
+        PATCHES[1], "tensor 'img0011' ends at offset 1248 per data/patches.json, "
+                    "past the file's 1247 bytes",
+        lambda: pathlib.Path(PATCHES[1]).write_bytes(pathlib.Path(PATCHES[1]).read_bytes()[:-1])),
+    "missing_record_tensor": (
+        PATCHES[0], "data/patches.json: missing tensors ['img0003'], unexpected tensors []",
+        lambda: _edit_json(PATCHES[0], lambda ix: ix["tensors"].pop("img0003"))),
+    "extra_tensor": (
+        PATCHES[0], "data/patches.json: missing tensors [], unexpected tensors ['img0012']",
+        lambda: _edit_json(PATCHES[0], lambda ix: ix["tensors"].update(
+            img0012=[1248, 0, "0" * 64]))),
+    "f64_slice": (
+        PATCHES[1], "tensor 'img0003' is f64 (4, 5); data/patches.json needs f32 (*, *)",
+        lambda: rewrite_tensor(*PATCHES, "img0003",
+                               storage.tensor_to_blob(np.zeros((4, 5), dtype=np.float64)))),
+    "rank1_slice": (
+        PATCHES[1], "tensor 'img0003' is f32 (20); data/patches.json needs f32 (*, *)",
+        lambda: rewrite_tensor(*PATCHES, "img0003",
+                               storage.tensor_to_blob(np.zeros(20, dtype=np.float32)))),
+    "container_missing": (
+        PATCHES[0], "cannot read data/patches.json", lambda: os.remove(PATCHES[0])),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DATASET_DAMAGE))
+def test_dataset_integrity_failure_exit_two(workdir, capsys, damage):
+    """A flipped bit of the old one-blob patches.bin used to embed-gallery
+    with exit 0 and other embeddings; the patch container checks each slice."""
+    build_pipeline(workdir, capsys)
+    path, expected, apply = DATASET_DAMAGE[damage]
+    apply()
+    err = assert_exit_two_without_traceback(workdir, capsys, path, *EMBED_ARGS)
+    assert expected in err, err
+
+
 @pytest.mark.parametrize("value, path, expected", [
     (None, CKPT[0], "entry is not [offset, length, sha256]"),
     (5, CKPT[0], "entry is not [offset, length, sha256]"),
@@ -579,16 +628,12 @@ def test_manifest_patch_shape_mismatch_exit_two(workdir, capsys, command):
                "--model", "model/checkpoint", "--gallery", "gal/gallery",
                "--bench", "data/benchmark.json") == 0
     capsys.readouterr()
-    with open("data/data.jsonl") as fh:
-        lines = fh.read().splitlines()
-    doc = json.loads(lines[0])
-    doc["patches"]["rows"] = TINY.P - 1
-    lines[0] = json.dumps(doc)
-    with open("data/data.jsonl", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rec_id = json.loads(open("data/data.jsonl").readline())["id"]
+    rewrite_tensor(*PATCHES, rec_id,
+                   storage.tensor_to_blob(np.zeros((TINY.P - 1, 5), dtype=np.float32)))
     err = assert_exit_two_without_traceback(
         workdir, capsys, "data/data.jsonl", *MODEL_AND_DATA_COMMANDS[command])
-    assert repr(doc["id"]) in err and "(3, 5)" in err
+    assert repr(rec_id) in err and "(3, 5)" in err
 
 
 def test_degenerate_embedding_exit_three(workdir, capsys):
@@ -1062,22 +1107,24 @@ def test_default_mining_batch_size_echoes_paper_default(workdir, capsys):
 # ---------------------------------------------------------------------------
 
 
+EMBED_ARGS = ("embed-gallery", "--model", "model/checkpoint", "--data", "data/data.jsonl")
 RANK_ARGS = ("rank", "--model", "model/checkpoint", "--gallery", "gal/gallery",
              "--bench", "data/benchmark.json")
 RERANK_ARGS = ("rerank", "--model", "model/checkpoint", "--data", "data/data.jsonl",
                "--bench", "data/benchmark.json", "--rankings", "ranked/rankings.json", "--k", 3)
 # the tensor file of each container: any changed or truncated byte exits 2
-TENSOR_FILES = (CKPT[1], STORE[1], QUERIES[1])
+TENSOR_FILES = (CKPT[1], STORE[1], QUERIES[1], PATCHES[1])
 
 FUZZED = {
     **READERS,
     "data/vocab.json": ("bench-occluded", "--data", "data/data.jsonl"),
-    "data/data.jsonl": ("embed-gallery", "--model", "model/checkpoint",
-                        "--data", "data/data.jsonl"),
+    "data/data.jsonl": EMBED_ARGS,
     QUERIES[0]: RERANK_ARGS,
     CKPT[1]: READERS[CKPT[0]],
     STORE[1]: RANK_ARGS,
     QUERIES[1]: RERANK_ARGS,
+    PATCHES[0]: EMBED_ARGS,
+    PATCHES[1]: EMBED_ARGS,
 }
 
 
@@ -1327,8 +1374,6 @@ def _set_first_vocab_id(doc):
     doc[sorted(doc)[0]] = 2.5
 
 
-EMBED_ARGS = ("embed-gallery", "--model", "model/checkpoint", "--data", "data/data.jsonl")
-
 # one float or bool per integer field that a reader used to cast with int():
 # (file, edit, consuming command, message)
 INTEGER_FIELDS = {
@@ -1340,14 +1385,6 @@ INTEGER_FIELDS = {
         "plan/plan.json",
         lambda: _edit_json("plan/plan.json", lambda d: d.update(source_seed=True)),
         READERS["plan/plan.json"], "source_seed True is not an integer"),
-    "manifest_row": (
-        "data/data.jsonl",
-        lambda: _edit_manifest_line(2, lambda d: d["patches"].update(row=4.7)),
-        EMBED_ARGS, "line 2: patches row 4.7 is not an integer"),
-    "manifest_rows": (
-        "data/data.jsonl",
-        lambda: _edit_manifest_line(3, lambda d: d["patches"].update(rows=True)),
-        EMBED_ARGS, "line 3: patches rows True is not an integer"),
     "manifest_token": (
         "data/data.jsonl",
         lambda: _edit_manifest_line(1, lambda d: d["tokens"].__setitem__(0, 1.0)),
@@ -1370,7 +1407,7 @@ INTEGER_FIELDS = {
 def test_non_integer_artifact_field_exit_two(workdir, capsys, field):
     """A float or a bool in an integer field is a damaged artifact, not a
     number to truncate: a plan batch [0, 1.9, true] used to train on
-    records [0, 1, 1], and a manifest row 4.7 to read the patches at row 4."""
+    records [0, 1, 1]."""
     build_pipeline(workdir, capsys)
     path, damage, argv, expected = INTEGER_FIELDS[field]
     damage()
@@ -1440,6 +1477,29 @@ def test_non_string_artifact_field_exit_two(workdir, capsys, field):
     assert expected in err, err
 
 
+def _rerank_once(variant):
+    """A damage step that inits a variant model, ranks the bench with it and
+    re-ranks the top 3 into reranked<variant>/, its status lines swallowed."""
+    model = f"model{variant}/checkpoint"
+    steps = (("init-model", "--out", f"model{variant}", "--variant", variant),
+             ("rank", "--out", f"ranked{variant}", "--model", model, "--gallery", "gal/gallery",
+              "--bench", "data/benchmark.json"),
+             _rerank_again(variant, "ranked") + ("--out", f"reranked{variant}"))
+
+    def damage():
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in steps:
+                assert run_command([*argv, "--config", "config.json"]) == 0
+    return damage
+
+
+def _rerank_again(variant, stage="reranked"):
+    """rerank's argv over <stage><variant>/rankings.json with _rerank_once's model."""
+    return ("rerank", "--model", f"model{variant}/checkpoint", "--data", "data/data.jsonl",
+            "--bench", "data/benchmark.json", "--rankings", f"{stage}{variant}/rankings.json",
+            "--k", "3")
+
+
 # one input fault per error path of its own: (ELIP_SEED, damage, argv, exit
 # code, message)
 INPUT_FAULTS = {
@@ -1455,9 +1515,14 @@ INPUT_FAULTS = {
         None, lambda: _edit_json("gal/gallery/ids.json",
                                  lambda d: d["ids"].__setitem__(1, d["ids"][0])),
         RANK_ARGS, 2, "gal/gallery: store ids are not unique"),
-    "manifest_row_past_blob": (
-        None, lambda: _edit_manifest_line(2, lambda d: d["patches"].update(row=1000000)),
-        EMBED_ARGS, 2, "data/data.jsonl:2: rows [1000000, 1000004) outside blob of 48 rows"),
+    "rerank_of_reranked_c": (
+        None, _rerank_once("C"), _rerank_again("C"), 2,
+        "rerankedC/rankings.json: query 'q0000': a 'reranked' ranking (k_reranked=3) "
+        "is not a stage-1 ranking"),
+    "rerank_of_reranked_b": (
+        None, _rerank_once("B"), _rerank_again("B"), 2,
+        "rerankedB/rankings.json: query 'q0000': a 'reranked' ranking (k_reranked=3) "
+        "is not a stage-1 ranking"),
     "plan_batch_of_one_train": (
         None, lambda: _edit_json("plan/plan.json", lambda d: d.update(batches=[[0], [1, 2]])),
         READERS["plan/plan.json"], 2,

@@ -114,8 +114,8 @@ BLOB_FUNCTIONS = {"tensor_to_blob", "blob_to_tensor"}
 
 def test_only_the_container_and_the_manifest_touch_blobs():
     """The blob functions are named, in src/elip, only by the tensor
-    container and the dataset manifest, so no module grows a tensor format
-    of its own beside the container."""
+    container's writer and reader (a dataset's patches are a container
+    too), so no module grows a tensor format of its own beside it."""
     uses = set()
     for path in sorted(pathlib.Path(storage.__file__).parent.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
@@ -127,8 +127,6 @@ def test_only_the_container_and_the_manifest_touch_blobs():
     assert uses == {
         ("storage.py", "write_tensors", "tensor_to_blob"),
         ("storage.py", "read_tensors", "blob_to_tensor"),
-        ("storage.py", "write_dataset", "tensor_to_blob"),
-        ("storage.py", "read_dataset", "blob_to_tensor"),
     }
 
 
@@ -195,12 +193,12 @@ def _shift(name, offset=0, length=0):
 
 
 TENSORS_DAMAGE = {
-    "gap": (_shift("b", offset=1), "tensors.bin: tensor 'b' starts at offset 49; "
-                                   "the slice before ends at 48"),
-    "overlap": (_shift("b", offset=-1), "tensors.bin: tensor 'b' starts at offset 47; "
-                                        "the slice before ends at 48"),
-    "past_end": (_shift("c", length=1), "tensors.bin: tensor 'c' ends at offset 109, "
-                                        "past the file's 108 bytes"),
+    "gap": (_shift("b", offset=1), "tensors.bin: tensor 'b' starts at offset 49 per "
+                                   "{dir}/index.json; the slice before ends at 48"),
+    "overlap": (_shift("b", offset=-1), "tensors.bin: tensor 'b' starts at offset 47 per "
+                                        "{dir}/index.json; the slice before ends at 48"),
+    "past_end": (_shift("c", length=1), "tensors.bin: tensor 'c' ends at offset 109 per "
+                                        "{dir}/index.json, past the file's 108 bytes"),
     "trailing_bytes": (lambda index, data: data + b"\0",
                        "tensors.bin: 1 trailing bytes after offset 108"),
     "flipped_byte": (lambda index, data: data[:-1] + bytes([data[-1] ^ 1]),
@@ -228,7 +226,7 @@ def test_tensors_damage_names_the_file(tmp_path, damage):
     open(bin_path, "wb").write(data)
     with pytest.raises(FormatError) as failure:
         read_container(json_path, bin_path)
-    assert expected in str(failure.value), failure.value
+    assert expected.format(dir=tmp_path) in str(failure.value), failure.value
 
 
 @pytest.mark.parametrize("name, blob, expected", [
@@ -466,8 +464,13 @@ def test_dataset_write_failing_at_any_file_leaves_no_manifest_of_a_partial_datas
         tmp_path, monkeypatch):
     """write_dataset writes the manifest last: when its i-th file write runs
     out of space half way, for every i, the write raises ENOSPC and leaves
-    no data.jsonl, and with no fault the dataset reads back whole."""
+    no data.jsonl, into an empty directory and over a dataset of the same
+    ids from another seed alike (an old manifest used to stay over the new
+    patches and read back without error). With no fault the dataset reads
+    back whole."""
+    old, _ = gen_synthetic_dataset(8, SynthSpec(N=12, clusters=3, P=4, d_in=6, m=4))
     ds, _ = gen_synthetic_dataset(7, SynthSpec(N=12, clusters=3, P=4, d_in=6, m=4))
+    assert [r.id for r in old.records] == [r.id for r in ds.records]
     real_write, real_open = storage.atomic_write_bytes, open
     written = []
 
@@ -482,73 +485,95 @@ def test_dataset_write_failing_at_any_file_leaves_no_manifest_of_a_partial_datas
                 return real_write(path, data)
         return write
 
-    fail = 0
-    while True:
-        out = tmp_path / f"fail{fail}"
-        written.clear()
-        monkeypatch.setattr(storage, "atomic_write_bytes", write_failing_at(fail))
-        try:
-            manifest = storage.write_dataset(str(out), ds)
-        except OSError as failure:
-            assert failure.errno == errno.ENOSPC
-            assert sorted(os.listdir(out)) == sorted(written[:fail])
-            assert "data.jsonl" not in os.listdir(out), written
-            fail += 1
-            continue
-        break
-    assert written == ["patches.bin", "vocab.json", "data.jsonl"] and fail == len(written)
-    back = storage.read_dataset(manifest)
-    assert [r.id for r in back.records] == [r.id for r in ds.records]
-    assert back.vocab == ds.vocab
+    for over_old in (False, True):
+        fail = 0
+        while True:
+            out = tmp_path / f"{'over' if over_old else 'new'}{fail}"
+            if over_old:
+                storage.write_dataset(str(out), old)
+            written.clear()
+            monkeypatch.setattr(storage, "atomic_write_bytes", write_failing_at(fail))
+            try:
+                manifest = storage.write_dataset(str(out), ds)
+            except OSError as failure:
+                assert failure.errno == errno.ENOSPC
+                assert "data.jsonl" not in os.listdir(out), written
+                if not over_old:
+                    assert sorted(os.listdir(out)) == sorted(written[:fail])
+                fail += 1
+                continue
+            finally:
+                monkeypatch.setattr(storage, "atomic_write_bytes", real_write)
+            break
+        assert written == ["patches.bin", "patches.json", "vocab.json", "data.jsonl"]
+        assert fail == len(written)
+        back = storage.read_dataset(manifest)
+        assert [r.id for r in back.records] == [r.id for r in ds.records]
+        assert all(np.array_equal(a.patches, b.patches) for a, b in zip(back.records, ds.records))
+        assert back.vocab == ds.vocab
+
+
+def write_manifest(tmp_path, docs, patches):
+    """data.jsonl of the record docs (no patches key) over a patches.json
+    container of patches ({record id: array}); returns the manifest path."""
+    storage.write_tensors(str(tmp_path / "patches.json"), str(tmp_path / "patches.bin"),
+                          {}, patches)
+    manifest = tmp_path / "data.jsonl"
+    manifest.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    return str(manifest)
+
+
+def record_doc(rec_id, token):
+    return {"id": rec_id, "tokens": [token], "caption": rec_id, "categories": [],
+            "occluded_categories": []}
 
 
 def test_manifest_two_valid_lines(tmp_path):
-    blob = str(tmp_path / "patches.bin")
-    write_blob(blob, np.arange(8, dtype=np.float32).reshape(4, 2))
-    lines = [
-        json.dumps({"id": "a", "patches": {"file": "patches.bin", "row": 0, "rows": 2},
-                    "tokens": [1], "caption": "a", "categories": [],
-                    "occluded_categories": []}),
-        json.dumps({"id": "b", "patches": {"file": "patches.bin", "row": 2, "rows": 2},
-                    "tokens": [2], "caption": "b", "categories": [],
-                    "occluded_categories": []}),
-    ]
-    manifest = str(tmp_path / "data.jsonl")
-    with open(manifest, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    patches = np.arange(8, dtype=np.float32).reshape(4, 2)
+    manifest = write_manifest(tmp_path, [record_doc("a", 1), record_doc("b", 2)],
+                              {"a": patches[:2], "b": patches[2:]})
     ds = storage.read_dataset(manifest)
     assert ds.N == 2
     assert np.array_equal(ds.records[1].patches, [[4.0, 5.0], [6.0, 7.0]])
+    assert ds.records[1].patches.dtype == np.float32
 
 
 def test_manifest_duplicate_id_names_id(tmp_path):
-    blob = str(tmp_path / "patches.bin")
-    write_blob(blob, np.zeros((4, 2), dtype=np.float32))
-    line = json.dumps({"id": "dup", "patches": {"file": "patches.bin", "row": 0, "rows": 2},
-                       "tokens": [1], "caption": "x", "categories": [],
-                       "occluded_categories": []})
-    manifest = str(tmp_path / "data.jsonl")
-    with open(manifest, "w") as fh:
-        fh.write(line + "\n" + line + "\n")
-    with pytest.raises(DataError, match="dup"):
+    manifest = write_manifest(tmp_path, [record_doc("dup", 1), record_doc("dup", 1)],
+                              {"dup": np.zeros((2, 2), dtype=np.float32)})
+    with pytest.raises(DataError, match="data.jsonl: line 2: record id 'dup' repeats"):
         storage.read_dataset(manifest)
 
 
 def test_manifest_malformed_line_number(tmp_path):
-    blob = str(tmp_path / "patches.bin")
-    write_blob(blob, np.zeros((2, 2), dtype=np.float32))
-    good = json.dumps({"id": "a", "patches": {"file": "patches.bin", "row": 0, "rows": 2},
-                       "tokens": [1], "caption": "a", "categories": [],
-                       "occluded_categories": []})
-    manifest = str(tmp_path / "data.jsonl")
-    with open(manifest, "w") as fh:
-        fh.write(good + "\n{{{\n")
+    manifest = write_manifest(tmp_path, [record_doc("a", 1)],
+                              {"a": np.zeros((2, 2), dtype=np.float32)})
+    with open(manifest, "a") as fh:
+        fh.write("{{{\n")
     with pytest.raises(DataError, match=":2:"):
         storage.read_dataset(manifest)
     with open(manifest, "w") as fh:
         fh.write('{"id": "a"}\n')
     with pytest.raises(DataError, match=":1:"):
         storage.read_dataset(manifest)
+
+
+@pytest.mark.parametrize("name", ["patches.json", "patches.bin"])
+def test_dataset_any_flipped_bit_of_the_patch_container_is_named(tmp_path, name):
+    """One bit flipped in any byte of either container file is a FormatError
+    naming that file: a flipped bit of the old patches.bin read as data."""
+    ds, _ = gen_synthetic_dataset(7, SynthSpec(N=3, clusters=2, P=2, d_in=2, m=4))
+    manifest = storage.write_dataset(str(tmp_path), ds)
+    path = tmp_path / name
+    good = path.read_bytes()
+    for at in range(len(good)):
+        damaged = bytearray(good)
+        damaged[at] ^= 1 << at % 8
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(DataError, match=str(path)):
+            storage.read_dataset(manifest)
+    path.write_bytes(good)
+    assert storage.read_dataset(manifest).N == 3
 
 
 # ---------------------------------------------------------------------------
